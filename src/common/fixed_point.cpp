@@ -105,7 +105,7 @@ u64 Fix::raw_bits() const noexcept {
   return static_cast<u64>(raw_) & low_mask64(fmt_.word_bits);
 }
 
-FixFormat Fix::common_addsub_format(const FixFormat& a, const FixFormat& b) {
+FixFormat Fix::add_full_format(const FixFormat& a, const FixFormat& b) {
   // Integer bits grow to the max of the operands plus one carry bit;
   // fraction bits grow to the max. Result is signed if either operand is
   // signed (an unsigned operand gains a bit when promoted to signed).
@@ -117,43 +117,60 @@ FixFormat Fix::common_addsub_format(const FixFormat& a, const FixFormat& b) {
     return ib;
   };
   const int frac = std::max(int(a.frac_bits), int(b.frac_bits));
-  const int ints = std::max(int_bits(a), int_bits(b)) + 1;
-  const int word = std::min(frac + ints, 63);
+  const int word = frac + std::max(int_bits(a), int_bits(b)) + 1;
+  if (word > 63) {
+    throw SimError("Fix: full-precision add/sub of " + a.to_string() +
+                   " and " + b.to_string() + " needs " +
+                   std::to_string(word) + " bits (limit 63)");
+  }
   FixFormat result{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
                    static_cast<u8>(word), static_cast<u8>(frac)};
   result.validate();
   return result;
 }
 
+FixFormat Fix::sub_full_format(const FixFormat& a, const FixFormat& b) {
+  FixFormat out = add_full_format(a, b);
+  out.sign = Signedness::kSigned;  // subtraction can go negative
+  return out;
+}
+
+FixFormat Fix::mul_full_format(const FixFormat& a, const FixFormat& b) {
+  const int frac = int(a.frac_bits) + int(b.frac_bits);
+  if (frac > 63) {
+    throw SimError("Fix: full-precision mul of " + a.to_string() + " and " +
+                   b.to_string() + " needs " + std::to_string(frac) +
+                   " fraction bits (limit 63)");
+  }
+  const bool signed_result =
+      a.sign == Signedness::kSigned || b.sign == Signedness::kSigned;
+  const int word = std::min(int(a.word_bits) + int(b.word_bits), 63);
+  FixFormat out{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
+                static_cast<u8>(word), static_cast<u8>(frac)};
+  out.validate();
+  return out;
+}
+
 Fix Fix::add_full(const Fix& other) const {
-  const FixFormat out = common_addsub_format(fmt_, other.fmt_);
+  const FixFormat out = add_full_format(fmt_, other.fmt_);
   const i64 a = raw_ << (out.frac_bits - fmt_.frac_bits);
   const i64 b = other.raw_ << (out.frac_bits - other.fmt_.frac_bits);
   return Fix(out, a + b);
 }
 
 Fix Fix::sub_full(const Fix& other) const {
-  FixFormat out = common_addsub_format(fmt_, other.fmt_);
-  out.sign = Signedness::kSigned;  // subtraction can go negative
-  out.validate();
+  const FixFormat out = sub_full_format(fmt_, other.fmt_);
   const i64 a = raw_ << (out.frac_bits - fmt_.frac_bits);
   const i64 b = other.raw_ << (out.frac_bits - other.fmt_.frac_bits);
   return Fix(out, a - b);
 }
 
 Fix Fix::mul_full(const Fix& other) const {
-  const bool signed_result = fmt_.sign == Signedness::kSigned ||
-                             other.fmt_.sign == Signedness::kSigned;
-  const int word =
-      std::min(int(fmt_.word_bits) + int(other.fmt_.word_bits), 63);
-  const int frac = int(fmt_.frac_bits) + int(other.fmt_.frac_bits);
-  FixFormat out{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
-                static_cast<u8>(word), static_cast<u8>(std::min(frac, word))};
-  out.validate();
+  const FixFormat out = mul_full_format(fmt_, other.fmt_);
   const i128 product = i128(raw_) * i128(other.raw_);
-  // The supported envelope (<= 63-bit operand products fitting in 126 bits,
-  // results capped at 63 bits) is enforced by clamping; block authors who
-  // need more width must cast down first.
+  // Words wider than 63 bits are capped: the product is clamped to the
+  // capped word's range; block authors who need more width must cast
+  // down first.
   const i64 raw = clamp_to(
       static_cast<i64>(std::min<i128>(
           std::max<i128>(product, i128(out.min_raw())), i128(out.max_raw()))),

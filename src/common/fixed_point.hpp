@@ -84,6 +84,15 @@ class Fix {
   [[nodiscard]] Fix mul_full(const Fix& other) const;
   [[nodiscard]] Fix negate_full() const;
 
+  /// Result formats of add_full / sub_full / mul_full. They throw
+  /// SimError when the exact result needs more than 63 bits: for add and
+  /// sub when the aligned word is wider, for mul when the fraction bits
+  /// sum past 63. A mul word wider than 63 bits is capped and its result
+  /// clamped to that word's range.
+  static FixFormat add_full_format(const FixFormat& a, const FixFormat& b);
+  static FixFormat sub_full_format(const FixFormat& a, const FixFormat& b);
+  static FixFormat mul_full_format(const FixFormat& a, const FixFormat& b);
+
   /// Arithmetic shift right by `amount` bits (>= 0): moves the binary
   /// point, i.e. an exact division by 2^amount with format growth.
   [[nodiscard]] Fix shift_right_exact(unsigned amount) const;
@@ -111,7 +120,6 @@ class Fix {
 
  private:
   Fix(FixFormat fmt, i64 raw) noexcept : fmt_(fmt), raw_(raw) {}
-  static FixFormat common_addsub_format(const FixFormat& a, const FixFormat& b);
 
   FixFormat fmt_;
   i64 raw_;

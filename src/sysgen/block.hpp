@@ -13,12 +13,21 @@
 //
 // A block is sequential iff is_sequential() returns true; it then
 // participates in phases 0/2 and must not implement propagate().
+//
+// Model::elaborate() compiles the graph into a flat op tape (kernel.hpp)
+// by calling lower() on every block. The built-in blocks lower to ops over
+// raw slots and implement none of the phase methods (except the
+// queue-backed FifoBlock). A user block keeps the default lower(), which
+// runs its phase methods through one fallback op per phase it takes part
+// in: output_state() and latch() when it is sequential, propagate() when
+// it is not.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/resources.hpp"
+#include "sysgen/kernel.hpp"
 #include "sysgen/signal.hpp"
 
 namespace mbcosim::ckpt {
@@ -48,6 +57,10 @@ class Block {
   virtual void latch() {}
   /// Return all state to power-on values.
   virtual void reset() {}
+
+  /// Append this block's ops to the kernel being built (called once, at
+  /// elaboration). The default emits the fallback ops described above.
+  virtual void lower(Lowering& lowering);
 
   /// Structural validation hook, run at elaboration; throw SimError to
   /// reject an incompletely wired block.

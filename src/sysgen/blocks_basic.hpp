@@ -3,12 +3,15 @@
 // block set (Constant, AddSub, Mult, Mux, Relational, Logical, Shift,
 // Delay, Register, Counter, Convert, Slice, Gateway In/Out).
 //
+// Each block's semantics live in its lower(): the ops it compiles to
+// (kernel.hpp). They are bit-exact with the Fix operations named in each
+// block's comment, which remain the reference the tests compare against.
+//
 // Per-block resource figures approximate a Virtex-II Pro mapping (two
 // 4-input LUTs per slice); they feed the rapid resource estimator.
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
@@ -36,14 +39,17 @@ class Constant : public Block {
  public:
   Constant(Model& model, std::string name, Fix value)
       : Block(model, std::move(name)),
-        value_(value),
+        value_(value.raw()),
         out_(make_output("out", value.format())) {}
 
-  void propagate() override { out_.drive(value_); }
+  void lower(Lowering& lowering) override {
+    lowering.emit(Phase::kPropagate,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &value_});
+  }
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  Fix value_;
+  i64 value_;
   Signal& out_;
 };
 
@@ -53,38 +59,41 @@ class Constant : public Block {
 class GatewayIn : public Block {
  public:
   GatewayIn(Model& model, std::string name, FixFormat format)
-      : Block(model, std::move(name)),
-        format_(format),
-        pending_(Fix::from_raw(format, 0)),
-        out_(make_output("out", format)) {}
+      : Block(model, std::move(name)), out_(make_output("out", format)) {}
 
   /// Set the value presented during the next step(). Doubles are
   /// quantized like a hardware gateway (round, saturate).
-  void set(double value) { pending_ = Fix::from_double(format_, value); }
-  void set_raw(i64 raw_code) { pending_ = Fix::from_raw(format_, raw_code); }
-  void set_fix(const Fix& value) {
-    pending_ = value.cast(format_, Quantization::kRoundHalfUp,
-                          Overflow::kSaturate);
+  void set(double value) {
+    pending_ = Fix::from_double(out_.format(), value).raw();
   }
-  void set_bool(bool value) { pending_ = Fix::from_raw(format_, value ? 1 : 0); }
+  /// Raw codes are masked into the format (no format re-validation: the
+  /// FSL bridge calls this every stepped cycle).
+  void set_raw(i64 raw_code) noexcept { pending_ = out_.wrap(raw_code); }
+  void set_fix(const Fix& value) {
+    pending_ = value.cast(out_.format(), Quantization::kRoundHalfUp,
+                          Overflow::kSaturate).raw();
+  }
+  void set_bool(bool value) noexcept { set_raw(value ? 1 : 0); }
 
-  void propagate() override { out_.drive(pending_); }
-  void reset() override { pending_ = Fix::from_raw(format_, 0); }
+  void lower(Lowering& lowering) override {
+    lowering.emit(Phase::kPropagate,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &pending_});
+  }
+  void reset() override { pending_ = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(pending_.raw());
+    writer.write_i64(pending_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    pending_ = Fix::from_raw(format_, reader.read_i64());
+    pending_ = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  FixFormat format_;
-  Fix pending_;
   Signal& out_;
+  i64 pending_ = 0;
 };
 
 /// Gateway Out: exposes an internal signal to the environment.
@@ -95,7 +104,9 @@ class GatewayOut : public Block {
     connect_input(source);
   }
 
-  [[nodiscard]] const Fix& read() const { return in(0).value(); }
+  void lower(Lowering&) override {}  // a tap on its source: no ops
+
+  [[nodiscard]] Fix read() const { return in(0).value(); }
   [[nodiscard]] i64 read_raw() const { return in(0).raw(); }
   [[nodiscard]] bool read_bool() const { return in(0).as_bool(); }
 };
@@ -104,6 +115,47 @@ class GatewayOut : public Block {
 // Pipelined function base
 // ---------------------------------------------------------------------------
 
+/// Ring of raw pipeline stages: stages[head] is the front, the value
+/// driven out this cycle; the latch overwrites it with the newest value
+/// and advances head. Checkpoints write the stages front to back.
+class StageRing {
+ public:
+  explicit StageRing(std::size_t depth) : stages_(depth, 0) {}
+
+  /// Phase 0: drive the front onto `out`; phase 2: push `next`.
+  void lower(Lowering& lowering, Signal& out, const i64* next) {
+    lowering.emit(Phase::kOutput, {.code = OpCode::kRingRead,
+                                   .dst = out.slot(),
+                                   .a = &head_,
+                                   .ext = {.cells = stages_.data()}});
+    lowering.emit(Phase::kLatch, {.code = OpCode::kRingPush,
+                                  .k = static_cast<i64>(stages_.size()),
+                                  .dst = &head_,
+                                  .a = next,
+                                  .ext = {.cells = stages_.data()}});
+  }
+
+  void reset() noexcept {
+    std::fill(stages_.begin(), stages_.end(), 0);
+    head_ = 0;
+  }
+  void save_state(ckpt::Writer& writer) const {
+    const std::size_t depth = stages_.size();
+    for (std::size_t i = 0; i < depth; ++i) {
+      writer.write_i64(stages_[(static_cast<std::size_t>(head_) + i) % depth]);
+    }
+  }
+  /// Reads the stages front to back, each wrapped into `out`'s format.
+  void load_state(ckpt::Reader& reader, const Signal& out) {
+    for (i64& stage : stages_) stage = out.wrap(reader.read_i64());
+    head_ = 0;
+  }
+
+ private:
+  std::vector<i64> stages_;  // sized once: the ops point into it
+  i64 head_ = 0;
+};
+
 /// Common machinery for arithmetic blocks with a configurable pipeline
 /// latency: latency 0 is combinational; latency L >= 1 inserts L output
 /// registers (like the "latency" parameter on System Generator blocks).
@@ -111,25 +163,24 @@ class PipelinedFunction : public Block {
  public:
   [[nodiscard]] bool is_sequential() const override { return latency_ > 0; }
 
-  void output_state() override { out_.drive(pipe_.front()); }
-  void propagate() override { out_.drive(compute()); }
-  void latch() override {
-    pipe_.push_back(compute());
-    pipe_.pop_front();
+  void lower(Lowering& lowering) final {
+    if (latency_ == 0) {
+      emit(lowering, Phase::kPropagate, out_.slot());
+      return;
+    }
+    i64* next = lowering.temp();
+    emit(lowering, Phase::kLatch, next);
+    pipe_.lower(lowering, out_, next);
   }
-  void reset() override {
-    for (auto& stage : pipe_) stage = Fix::from_raw(out_.format(), 0);
-  }
+  void reset() override { pipe_.reset(); }
 
   void save_state(ckpt::Writer& writer) const override {
     writer.write_u32(latency_);
-    for (const Fix& stage : pipe_) writer.write_i64(stage.raw());
+    pipe_.save_state(writer);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     if (reader.read_u32() != latency_) return false;
-    for (Fix& stage : pipe_) {
-      stage = Fix::from_raw(out_.format(), reader.read_i64());
-    }
+    pipe_.load_state(reader, out_);
     return reader.ok();
   }
 
@@ -141,24 +192,26 @@ class PipelinedFunction : public Block {
                     unsigned latency)
       : Block(model, std::move(name)),
         latency_(latency),
-        out_(make_output("out", out_format)) {
-    pipe_.assign(latency_, Fix::from_raw(out_format, 0));
-  }
+        out_(make_output("out", out_format)),
+        pipe_(latency) {}
 
-  /// Evaluate the combinational function from the current inputs.
-  [[nodiscard]] virtual Fix compute() const = 0;
+  /// Emit the ops that evaluate the function from the current inputs
+  /// into `dst` (the output signal, or the pipeline's next stage).
+  virtual void emit(Lowering& lowering, Phase phase, i64* dst) const = 0;
 
  private:
   unsigned latency_;
   Signal& out_;
-  std::deque<Fix> pipe_;
+  StageRing pipe_;
 };
 
 // ---------------------------------------------------------------------------
 // Arithmetic
 // ---------------------------------------------------------------------------
 
-/// AddSub: rd = a +/- b, cast into the configured output format.
+/// AddSub: a.add_full(b) or a.sub_full(b), cast into the configured
+/// output format. Elaboration rejects operands whose exact sum needs more
+/// than 63 bits.
 class AddSub : public PipelinedFunction {
  public:
   enum class Mode { kAdd, kSubtract };
@@ -186,10 +239,26 @@ class AddSub : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const Fix full = mode_ == Mode::kAdd ? in(0).value().add_full(in(1).value())
-                                         : in(0).value().sub_full(in(1).value());
-    return full.cast(outputs()[0]->format(), quantization_, overflow_);
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    const FixFormat a = in(0).format();
+    const FixFormat b = in(1).format();
+    FixFormat full;
+    try {
+      full = mode_ == Mode::kAdd ? Fix::add_full_format(a, b)
+                                 : Fix::sub_full_format(a, b);
+    } catch (const SimError& error) {
+      throw SimError("AddSub '" + name() + "': " + error.what());
+    }
+    const Op op{.code = mode_ == Mode::kAdd ? OpCode::kAdd : OpCode::kSub,
+                .sa = static_cast<u8>(full.frac_bits - a.frac_bits),
+                .sb = static_cast<u8>(full.frac_bits - b.frac_bits),
+                .dst = dst,
+                .a = in(0).slot(),
+                .b = in(1).slot()};
+    const FixFormat out = outputs()[0]->format();
+    lowering.emit_converted(phase, op, out,
+                            int(out.frac_bits) - int(full.frac_bits),
+                            quantization_, overflow_);
   }
 
   Mode mode_;
@@ -197,8 +266,9 @@ class AddSub : public PipelinedFunction {
   Overflow overflow_;
 };
 
-/// Mult: full-precision multiply cast to the output format. Maps to
-/// embedded MULT18x18 primitives when the operands fit, as on Virtex-II.
+/// Mult: a.mul_full(b) cast to the output format. Maps to embedded
+/// MULT18x18 primitives when the operands fit, as on Virtex-II.
+/// Elaboration rejects operands whose fraction bits sum past 63.
 class Mult : public PipelinedFunction {
  public:
   Mult(Model& model, std::string name, Signal& a, Signal& b,
@@ -224,16 +294,40 @@ class Mult : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().mul_full(in(1).value()).cast(
-        outputs()[0]->format(), quantization_, overflow_);
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    const FixFormat a = in(0).format();
+    const FixFormat b = in(1).format();
+    FixFormat full;
+    try {
+      full = Fix::mul_full_format(a, b);
+    } catch (const SimError& error) {
+      throw SimError("Mult '" + name() + "': " + error.what());
+    }
+    Op op{.code = OpCode::kMul, .dst = dst, .a = in(0).slot(),
+          .b = in(1).slot()};
+    if (a.word_bits + b.word_bits > 63) {
+      // The word is capped: clamp the 128-bit product to its range, as
+      // mul_full does, then convert.
+      i64* product = lowering.temp();
+      lowering.emit(phase, {.code = OpCode::kMulClamp,
+                            .k = full.min_raw(),
+                            .k2 = full.max_raw(),
+                            .dst = product,
+                            .a = op.a,
+                            .b = op.b});
+      op = {.code = OpCode::kWrap, .dst = dst, .a = product};
+    }
+    const FixFormat out = outputs()[0]->format();
+    lowering.emit_converted(phase, op, out,
+                            int(out.frac_bits) - int(full.frac_bits),
+                            quantization_, overflow_);
   }
 
   Quantization quantization_;
   Overflow overflow_;
 };
 
-/// Negate: two's-complement negation.
+/// Negate: a.negate_full() cast (truncate, wrap) to the output format.
 class Negate : public PipelinedFunction {
  public:
   Negate(Model& model, std::string name, Signal& a, FixFormat out_format,
@@ -247,12 +341,19 @@ class Negate : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().negate_full().cast(outputs()[0]->format());
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    const FixFormat out = outputs()[0]->format();
+    lowering.emit(phase,
+                  {.code = OpCode::kNeg,
+                   .wrap = Wrap::into(out, int(out.frac_bits) -
+                                               int(in(0).format().frac_bits)),
+                   .dst = dst,
+                   .a = in(0).slot()});
   }
 };
 
-/// Convert: pure format conversion (System Generator "Convert" block).
+/// Convert: a.cast(out_format, quantization, overflow) (System Generator
+/// "Convert" block).
 class Convert : public PipelinedFunction {
  public:
   Convert(Model& model, std::string name, Signal& a, FixFormat out_format,
@@ -274,16 +375,21 @@ class Convert : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().cast(outputs()[0]->format(), quantization_,
-                              overflow_);
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    const FixFormat out = outputs()[0]->format();
+    lowering.emit_converted(
+        phase, {.code = OpCode::kWrap, .dst = dst, .a = in(0).slot()}, out,
+        int(out.frac_bits) - int(in(0).format().frac_bits), quantization_,
+        overflow_);
   }
 
   Quantization quantization_;
   Overflow overflow_;
 };
 
-/// Constant-amount shift, binary point fixed (hardware wiring shift).
+/// Constant-amount shift, binary point fixed (hardware wiring shift):
+/// a.shift_right_keep_format(amount), or Fix::from_raw(format,
+/// a.raw() << amount) to the left, where amount must be below 64.
 class ShiftConst : public PipelinedFunction {
  public:
   enum class Direction { kLeft, kRightArithmetic };
@@ -293,23 +399,34 @@ class ShiftConst : public PipelinedFunction {
       : PipelinedFunction(model, std::move(name), a.format(), latency),
         direction_(direction),
         amount_(amount) {
+    if (direction == Direction::kLeft && amount > 63) {
+      throw SimError("ShiftConst '" + this->name() +
+                     "': left shift by more than 63 bits");
+    }
     connect_input(a);
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const Fix& a = in(0).value();
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
     if (direction_ == Direction::kRightArithmetic) {
-      return a.shift_right_keep_format(amount_);
+      lowering.emit(phase, {.code = OpCode::kShr,
+                            .k = std::min<i64>(amount_, 63),
+                            .dst = dst,
+                            .a = in(0).slot()});
+      return;
     }
-    return Fix::from_raw(a.format(), a.raw() << amount_);
+    lowering.emit(phase, {.code = OpCode::kWrap,
+                          .wrap = Wrap::into(in(0).format(), int(amount_)),
+                          .dst = dst,
+                          .a = in(0).slot()});
   }
 
   Direction direction_;
   unsigned amount_;
 };
 
-/// Variable arithmetic right shift: a >> amount, format preserved. Models
+/// Variable arithmetic right shift: a.shift_right_keep_format(min(amount,
+/// max_shift)), with the amount's raw code read as unsigned. Models
 /// a slice-based barrel shifter — this is how the CORDIC PEs scale by the
 /// variable power of two C_i without consuming embedded multipliers
 /// (paper Section IV-A and Table I, which reports no extra multipliers
@@ -334,11 +451,13 @@ class VariableShiftRight : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const auto amount = static_cast<u64>(in(1).raw());
-    const unsigned clamped =
-        static_cast<unsigned>(std::min<u64>(amount, max_shift_));
-    return in(0).value().shift_right_keep_format(clamped);
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    // Shifting by 63 or more leaves only sign bits, as keep-format does.
+    lowering.emit(phase, {.code = OpCode::kShrVar,
+                          .k = std::min<i64>(max_shift_, 63),
+                          .dst = dst,
+                          .a = in(0).slot(),
+                          .b = in(1).slot()});
   }
 
   unsigned max_shift_;
@@ -376,16 +495,22 @@ class Mux : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= fan_in_) index = fan_in_ - 1;  // clamp like the HW core
-    return in(1 + static_cast<std::size_t>(index)).value();
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    std::vector<const i64*> sources;
+    for (std::size_t i = 1; i <= fan_in_; ++i) sources.push_back(in(i).slot());
+    // An out-of-range select picks the last input, like the HW core.
+    const i64* const* table = lowering.table(std::move(sources));
+    lowering.emit(phase, {.code = OpCode::kMux,
+                          .k = static_cast<i64>(fan_in_) - 1,
+                          .dst = dst,
+                          .a = in(0).slot(),
+                          .ext = {.sources = table}});
   }
 
   unsigned fan_in_;
 };
 
-/// Relational: boolean (UFix1_0) comparison of two inputs.
+/// Relational: boolean (UFix1_0) result of a.compare(b).
 class Relational : public PipelinedFunction {
  public:
   enum class Op { kEq, kNe, kLt, kLe, kGt, kGe };
@@ -406,24 +531,36 @@ class Relational : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const auto ordering = in(0).value().compare(in(1).value());
-    bool result = false;
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    // Bit 0/1/2 of the truth table: the result when a is less than,
+    // equal to, greater than b.
+    i64 truth = 0;
     switch (op_) {
-      case Op::kEq: result = ordering == std::strong_ordering::equal; break;
-      case Op::kNe: result = ordering != std::strong_ordering::equal; break;
-      case Op::kLt: result = ordering == std::strong_ordering::less; break;
-      case Op::kLe: result = ordering != std::strong_ordering::greater; break;
-      case Op::kGt: result = ordering == std::strong_ordering::greater; break;
-      case Op::kGe: result = ordering != std::strong_ordering::less; break;
+      case Op::kEq: truth = 0b010; break;
+      case Op::kNe: truth = 0b101; break;
+      case Op::kLt: truth = 0b001; break;
+      case Op::kLe: truth = 0b011; break;
+      case Op::kGt: truth = 0b100; break;
+      case Op::kGe: truth = 0b110; break;
     }
-    return Fix::from_raw(FixFormat::unsigned_fix(1, 0), result ? 1 : 0);
+    // Align the binary points exactly, as Fix::compare does.
+    const int fa = in(0).format().frac_bits;
+    const int fb = in(1).format().frac_bits;
+    const int frac = std::max(fa, fb);
+    lowering.emit(phase, {.code = OpCode::kCompare,
+                          .sa = static_cast<u8>(frac - fa),
+                          .sb = static_cast<u8>(frac - fb),
+                          .k = truth,
+                          .dst = dst,
+                          .a = in(0).slot(),
+                          .b = in(1).slot()});
   }
 
   Op op_;
 };
 
-/// Logical: bitwise AND/OR/XOR of N same-format inputs (NOT of one).
+/// Logical: bitwise AND/OR/XOR of N inputs (NOT of one), computed on the
+/// low word bits of the first input's format and wrapped into it.
 class Logical : public PipelinedFunction {
  public:
   enum class Op { kAnd, kOr, kXor, kNot };
@@ -448,23 +585,32 @@ class Logical : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const FixFormat fmt = outputs()[0]->format();
-    const u64 mask = low_mask64(fmt.word_bits);
-    u64 acc = static_cast<u64>(in(0).raw()) & mask;
-    if (op_ == Op::kNot) {
-      return Fix::from_raw(fmt, static_cast<i64>(~acc & mask));
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    // Bitwise ops commute with masking, so only the last op wraps.
+    const Wrap out = Wrap::into(outputs()[0]->format());
+    const std::size_t fan_in = inputs().size();
+    if (op_ == Op::kNot || fan_in == 1) {
+      lowering.emit(phase, {.code = op_ == Op::kNot ? OpCode::kNot
+                                                    : OpCode::kWrap,
+                            .wrap = out,
+                            .dst = dst,
+                            .a = in(0).slot()});
+      return;
     }
-    for (std::size_t i = 1; i < inputs().size(); ++i) {
-      const u64 operand = static_cast<u64>(in(i).raw()) & mask;
-      switch (op_) {
-        case Op::kAnd: acc &= operand; break;
-        case Op::kOr: acc |= operand; break;
-        case Op::kXor: acc ^= operand; break;
-        case Op::kNot: break;
-      }
+    const OpCode code = op_ == Op::kAnd  ? OpCode::kAnd
+                        : op_ == Op::kOr ? OpCode::kOr
+                                         : OpCode::kXor;
+    const i64* acc = in(0).slot();
+    for (std::size_t i = 1; i < fan_in; ++i) {
+      const bool last = i + 1 == fan_in;
+      i64* to = last ? dst : lowering.temp();
+      lowering.emit(phase, {.code = code,
+                            .wrap = last ? out : Wrap{},
+                            .dst = to,
+                            .a = acc,
+                            .b = in(i).slot()});
+      acc = to;
     }
-    return Fix::from_raw(fmt, static_cast<i64>(acc));
   }
 
   Op op_;
@@ -488,10 +634,14 @@ class Slice : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const u64 raw_value = static_cast<u64>(in(0).raw()) >> low_;
-    return Fix::from_raw(outputs()[0]->format(),
-                         static_cast<i64>(raw_value));
+  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+    // Drop the low bits, keep `width` (low + width never exceeds 63, so
+    // an arithmetic shift leaves the kept bits as a logical one would).
+    lowering.emit(phase, {.code = OpCode::kWrap,
+                          .wrap = Wrap::into(outputs()[0]->format(),
+                                             -int(low_)),
+                          .dst = dst,
+                          .a = in(0).slot()});
   }
 
   unsigned low_;
@@ -501,7 +651,8 @@ class Slice : public PipelinedFunction {
 // State
 // ---------------------------------------------------------------------------
 
-/// Register: one-cycle delay with initial value and optional enable.
+/// Register: one-cycle delay with initial value and optional enable; the
+/// input is cast (truncate, wrap) into the initial value's format.
 /// The feedback-form constructor leaves the data input unconnected so
 /// accumulator loops can be closed after the downstream logic exists
 /// (sequential blocks legally break combinational cycles).
@@ -516,8 +667,8 @@ class Register : public Block {
   /// Feedback form: call connect_d() before the first simulation step.
   Register(Model& model, std::string name, Fix init, Signal* enable = nullptr)
       : Block(model, std::move(name)),
-        init_(init),
-        state_(init),
+        init_(init.raw()),
+        state_(init.raw()),
         out_(make_output("q", init.format())) {
     if (enable != nullptr) {
       enable_index_ = static_cast<int>(inputs().size());
@@ -539,34 +690,40 @@ class Register : public Block {
       throw SimError("Register '" + name() + "': data input never connected");
     }
   }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    if (enable_index_ >= 0 &&
-        !in(static_cast<std::size_t>(enable_index_)).as_bool()) {
-      return;
-    }
-    state_ = in(static_cast<std::size_t>(d_index_)).value().cast(
-        init_.format());
+  void lower(Lowering& lowering) override {
+    const Signal& d = in(static_cast<std::size_t>(d_index_));
+    lowering.emit(Phase::kOutput,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+    lowering.emit(
+        Phase::kLatch,
+        {.code = OpCode::kRegister,
+         .wrap = Wrap::into(out_.format(), int(out_.format().frac_bits) -
+                                               int(d.format().frac_bits)),
+         .dst = &state_,
+         .a = d.slot(),
+         .c = enable_index_ >= 0
+                  ? in(static_cast<std::size_t>(enable_index_)).slot()
+                  : Lowering::one()});
   }
   void reset() override { state_ = init_; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_.raw());
+    writer.write_i64(state_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = Fix::from_raw(init_.format(), reader.read_i64());
+    state_ = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return ResourceVec{slices_for_register(init_.format().word_bits), 0, 0};
+    return ResourceVec{slices_for_register(out_.format().word_bits), 0, 0};
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  Fix init_;
-  Fix state_;
+  i64 init_;
+  i64 state_;
   int d_index_ = -1;
   int enable_index_ = -1;
   Signal& out_;
@@ -578,34 +735,28 @@ class Delay : public Block {
   Delay(Model& model, std::string name, Signal& d, unsigned cycles)
       : Block(model, std::move(name)),
         cycles_(cycles),
-        out_(make_output("out", d.format())) {
+        out_(make_output("out", d.format())),
+        line_(cycles) {
     if (cycles == 0) {
       throw SimError("Delay '" + this->name() +
                      "': zero-cycle delay is a wire, use the signal");
     }
     connect_input(d);
-    line_.assign(cycles_, Fix::from_raw(d.format(), 0));
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(line_.front()); }
-  void latch() override {
-    line_.push_back(in(0).value());
-    line_.pop_front();
+  void lower(Lowering& lowering) override {
+    line_.lower(lowering, out_, in(0).slot());
   }
-  void reset() override {
-    for (auto& stage : line_) stage = Fix::from_raw(out_.format(), 0);
-  }
+  void reset() override { line_.reset(); }
 
   void save_state(ckpt::Writer& writer) const override {
     writer.write_u32(cycles_);
-    for (const Fix& stage : line_) writer.write_i64(stage.raw());
+    line_.save_state(writer);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     if (reader.read_u32() != cycles_) return false;
-    for (Fix& stage : line_) {
-      stage = Fix::from_raw(out_.format(), reader.read_i64());
-    }
+    line_.load_state(reader, out_);
     return reader.ok();
   }
 
@@ -620,7 +771,7 @@ class Delay : public Block {
  private:
   unsigned cycles_;
   Signal& out_;
-  std::deque<Fix> line_;
+  StageRing line_;
 };
 
 /// Counter: free-running or enabled up-counter with wrap-around.
@@ -647,17 +798,21 @@ class Counter : public Block {
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive_raw(value_); }
-  void latch() override {
-    if (reset_index_ >= 0 && in(static_cast<std::size_t>(reset_index_)).as_bool()) {
-      value_ = 0;
-      return;
-    }
-    if (enable_index_ >= 0 &&
-        !in(static_cast<std::size_t>(enable_index_)).as_bool()) {
-      return;
-    }
-    value_ = (value_ + 1) % limit_;
+  void lower(Lowering& lowering) override {
+    // value_ stays in [0, limit), which the format holds exactly.
+    lowering.emit(Phase::kOutput,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &value_});
+    lowering.emit(
+        Phase::kLatch,
+        {.code = OpCode::kCounter,
+         .k = limit_,
+         .dst = &value_,
+         .a = enable_index_ >= 0
+                  ? in(static_cast<std::size_t>(enable_index_)).slot()
+                  : Lowering::one(),
+         .b = reset_index_ >= 0
+                  ? in(static_cast<std::size_t>(reset_index_)).slot()
+                  : Lowering::zero()});
   }
   void reset() override { value_ = 0; }
 

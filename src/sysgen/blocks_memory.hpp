@@ -1,8 +1,11 @@
 // Memory blocks: ROM, single-port RAM and a synchronous FIFO — the BRAM-
 // backed members of the block set. Resource figures model Virtex-II Pro
 // 18 Kbit block RAMs; small memories map to distributed (slice) RAM.
+// ROM and RAM lower to kernel ops over raw words; the queue-backed FIFO
+// runs its phase methods on the kernel's fallback ops.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -33,68 +36,68 @@ inline ResourceVec memory_resources(std::size_t depth, unsigned width_bits) {
 class Rom : public Block {
  public:
   Rom(Model& model, std::string name, Signal& address,
-      std::vector<Fix> contents)
+      const std::vector<Fix>& contents)
       : Block(model, std::move(name)),
-        contents_(std::move(contents)),
-        out_(make_output("data",
-                         contents_.empty() ? FixFormat{}
-                                           : contents_.front().format())),
-        pending_(Fix::from_raw(out_.format(), 0)),
-        state_(pending_) {
-    if (contents_.empty()) {
+        out_(make_output("data", contents.empty()
+                                     ? FixFormat{}
+                                     : contents.front().format())) {
+    if (contents.empty()) {
       throw SimError("Rom '" + this->name() + "': empty contents");
     }
-    for (const Fix& word : contents_) {
-      if (word.format() != contents_.front().format()) {
+    for (const Fix& word : contents) {
+      if (word.format() != out_.format()) {
         throw SimError("Rom '" + this->name() + "': mixed word formats");
       }
+      words_.push_back(word.raw());
     }
     connect_input(address);
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= contents_.size()) index = contents_.size() - 1;
-    state_ = contents_[static_cast<std::size_t>(index)];
+  void lower(Lowering& lowering) override {
+    lowering.emit(Phase::kOutput,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+    // An out-of-range address reads the last word.
+    lowering.emit(Phase::kLatch,
+                  {.code = OpCode::kRom,
+                   .k = static_cast<i64>(words_.size()) - 1,
+                   .dst = &state_,
+                   .a = in(0).slot(),
+                   .ext = {.words = words_.data()}});
   }
-  void reset() override { state_ = Fix::from_raw(out_.format(), 0); }
+  void reset() override { state_ = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_.raw());
+    writer.write_i64(state_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = Fix::from_raw(out_.format(), reader.read_i64());
+    state_ = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(contents_.size(),
-                                    out_.format().word_bits);
+    return detail::memory_resources(words_.size(), out_.format().word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  std::vector<Fix> contents_;
   Signal& out_;
-  Fix pending_;
-  Fix state_;
+  std::vector<i64> words_;
+  i64 state_ = 0;
 };
 
 /// Single-port RAM: synchronous write, synchronous read (read-before-
-/// write port behaviour, like a BRAM in READ_FIRST mode).
+/// write port behaviour, like a BRAM in READ_FIRST mode). Written data is
+/// cast (truncate, wrap) into the word format.
 class SinglePortRam : public Block {
  public:
   SinglePortRam(Model& model, std::string name, std::size_t depth,
                 FixFormat word_format, Signal& address, Signal& data_in,
                 Signal& write_enable)
       : Block(model, std::move(name)),
-        word_format_(word_format),
-        cells_(depth, Fix::from_raw(word_format, 0)),
-        out_(make_output("data", word_format)),
-        state_(Fix::from_raw(word_format, 0)) {
+        cells_(depth, 0),
+        out_(make_output("data", word_format)) {
     if (depth == 0) {
       throw SimError("SinglePortRam '" + this->name() + "': zero depth");
     }
@@ -104,50 +107,54 @@ class SinglePortRam : public Block {
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= cells_.size()) index = cells_.size() - 1;
-    const auto slot = static_cast<std::size_t>(index);
-    state_ = cells_[slot];  // read-before-write
-    if (in(2).as_bool()) {
-      cells_[slot] = in(1).value().cast(word_format_);
-    }
+  void lower(Lowering& lowering) override {
+    const FixFormat word = out_.format();
+    lowering.emit(Phase::kOutput,
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+    // An out-of-range address uses the last cell.
+    lowering.emit(
+        Phase::kLatch,
+        {.code = OpCode::kRam,
+         .wrap = Wrap::into(word, int(word.frac_bits) -
+                                      int(in(1).format().frac_bits)),
+         .k = static_cast<i64>(cells_.size()) - 1,
+         .dst = &state_,
+         .a = in(0).slot(),
+         .b = in(1).slot(),
+         .c = in(2).slot(),
+         .ext = {.cells = cells_.data()}});
   }
   void reset() override {
-    for (auto& cell : cells_) cell = Fix::from_raw(word_format_, 0);
-    state_ = Fix::from_raw(word_format_, 0);
+    std::fill(cells_.begin(), cells_.end(), 0);
+    state_ = 0;
   }
 
   void save_state(ckpt::Writer& writer) const override {
     writer.write_u64(cells_.size());
-    for (const Fix& cell : cells_) writer.write_i64(cell.raw());
-    writer.write_i64(state_.raw());
+    for (const i64 cell : cells_) writer.write_i64(cell);
+    writer.write_i64(state_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     if (reader.read_u64() != cells_.size()) return false;
-    for (Fix& cell : cells_) {
-      cell = Fix::from_raw(word_format_, reader.read_i64());
-    }
-    state_ = Fix::from_raw(word_format_, reader.read_i64());
+    for (i64& cell : cells_) cell = out_.wrap(reader.read_i64());
+    state_ = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(cells_.size(), word_format_.word_bits);
+    return detail::memory_resources(cells_.size(), out_.format().word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
   /// Debug peek for tests.
-  [[nodiscard]] const Fix& cell(std::size_t index) const {
-    return cells_.at(index);
+  [[nodiscard]] Fix cell(std::size_t index) const {
+    return Fix::from_raw(out_.format(), cells_.at(index));
   }
 
  private:
-  FixFormat word_format_;
-  std::vector<Fix> cells_;
+  std::vector<i64> cells_;  // sized once: the ops point into it
   Signal& out_;
-  Fix state_;
+  i64 state_ = 0;
 };
 
 /// Synchronous FIFO with write/read enables and full/empty flags — the

@@ -19,6 +19,18 @@ Signal& Block::make_output(const std::string& suffix, FixFormat format) {
   return signal;
 }
 
+void Block::lower(Lowering& lowering) {
+  if (is_sequential()) {
+    lowering.emit(Phase::kOutput,
+                  {.code = OpCode::kOutputState, .ext = {.block = this}});
+    lowering.emit(Phase::kLatch,
+                  {.code = OpCode::kLatch, .ext = {.block = this}});
+  } else {
+    lowering.emit(Phase::kPropagate,
+                  {.code = OpCode::kPropagate, .ext = {.block = this}});
+  }
+}
+
 const Signal& Block::in(std::size_t index) const {
   if (index >= inputs_.size()) {
     throw SimError("Block '" + name_ + "': input index " +
@@ -42,13 +54,12 @@ Signal& Model::make_signal(std::string signal_name, FixFormat format) {
 void Model::elaborate() {
   if (elaborated_) return;
   for (const auto& block : blocks_) block->check();
-  sequential_.clear();
-  combinational_order_.clear();
 
+  std::vector<Block*> sequential;
   std::vector<Block*> combinational;
   for (const auto& block : blocks_) {
     if (block->is_sequential()) {
-      sequential_.push_back(block.get());
+      sequential.push_back(block.get());
     } else {
       combinational.push_back(block.get());
     }
@@ -74,15 +85,16 @@ void Model::elaborate() {
   for (Block* block : combinational) {
     if (pending[block] == 0) ready.push_back(block);
   }
+  std::vector<Block*> order;
   while (!ready.empty()) {
     Block* block = ready.back();
     ready.pop_back();
-    combinational_order_.push_back(block);
+    order.push_back(block);
     for (Block* next : consumers[block]) {
       if (--pending[next] == 0) ready.push_back(next);
     }
   }
-  if (combinational_order_.size() != combinational.size()) {
+  if (order.size() != combinational.size()) {
     std::string cycle_members;
     for (Block* block : combinational) {
       if (pending[block] != 0) {
@@ -94,6 +106,13 @@ void Model::elaborate() {
                    "': algebraic loop through combinational blocks: " +
                    cycle_members + " (insert a Delay or Register)");
   }
+
+  // Sequential blocks emit their phase 0 and phase 2 ops in creation
+  // order, combinational blocks their phase 1 ops in topological order.
+  Lowering lowering;
+  for (Block* block : sequential) block->lower(lowering);
+  for (Block* block : order) block->lower(lowering);
+  kernel_ = std::move(lowering).finish();
   elaborated_ = true;
 }
 
@@ -105,9 +124,7 @@ void Model::reset() {
 
 void Model::step() {
   if (!elaborated_) elaborate();
-  for (Block* block : sequential_) block->output_state();
-  for (Block* block : combinational_order_) block->propagate();
-  for (Block* block : sequential_) block->latch();
+  kernel_.run();
   ++cycle_;
 }
 

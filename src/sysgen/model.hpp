@@ -15,6 +15,7 @@
 #include "common/resources.hpp"
 #include "common/types.hpp"
 #include "sysgen/block.hpp"
+#include "sysgen/kernel.hpp"
 #include "sysgen/signal.hpp"
 
 namespace mbcosim::sysgen {
@@ -44,15 +45,17 @@ class Model {
   /// their outputs through Block::make_output, which calls this).
   Signal& make_signal(std::string signal_name, FixFormat format);
 
-  /// Freeze the graph: order combinational blocks topologically and
-  /// reject algebraic loops. Called automatically by the first step().
+  /// Freeze the graph: order combinational blocks topologically, reject
+  /// algebraic loops, and lower every block into the kernel's op tape
+  /// (block formats are checked here, once). Called automatically by the
+  /// first step().
   void elaborate();
   [[nodiscard]] bool elaborated() const noexcept { return elaborated_; }
 
   /// Reset every block and signal; keeps the elaboration.
   void reset();
 
-  /// Advance one clock cycle (phases 0/1/2 over all blocks).
+  /// Advance one clock cycle: one pass over the op tape (phases 0/1/2).
   void step();
   /// Advance n cycles.
   void run(Cycle cycles);
@@ -89,9 +92,8 @@ class Model {
  private:
   std::string name_;
   std::vector<std::unique_ptr<Block>> blocks_;
-  std::deque<Signal> signals_;  // deque: stable addresses
-  std::vector<Block*> sequential_;
-  std::vector<Block*> combinational_order_;
+  std::deque<Signal> signals_;  // deque: stable addresses for the ops
+  Kernel kernel_;
   bool elaborated_ = false;
   Cycle cycle_ = 0;
 };

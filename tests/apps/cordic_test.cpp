@@ -65,6 +65,10 @@ struct StrategyCase {
   const char* name;
 };
 
+// Without a printer GoogleTest shows the parameter as its raw bytes, padding
+// and string pointer included, so the listed test name changed run to run.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
 class SwStrategies : public ::testing::TestWithParam<StrategyCase> {};
 
 TEST_P(SwStrategies, MatchesReferenceBitExactly) {

@@ -118,6 +118,37 @@ TEST(Fix, NegateFull) {
   EXPECT_DOUBLE_EQ(v.negate_full().to_double(), 128.0);
 }
 
+TEST(Fix, AddSubFullRejectWordsPast63Bits) {
+  // Aligning 2^38 (Fix40_0) with Fix40_30 needs 40 + 30 + 1 bits.
+  const Fix a = Fix::from_raw(FixFormat::signed_fix(40, 0), i64{1} << 38);
+  const Fix b = Fix::from_raw(FixFormat::signed_fix(40, 30), 0);
+  EXPECT_THROW(a.add_full(b), SimError);
+  EXPECT_THROW(a.sub_full(b), SimError);
+  EXPECT_THROW(Fix::add_full_format(a.format(), b.format()), SimError);
+  // 62 + 1 carry bit is the widest exact word.
+  const Fix c = Fix::from_raw(FixFormat::signed_fix(62, 0), i64{1} << 60);
+  EXPECT_EQ(c.add_full(c).format().word_bits, 63);
+  EXPECT_EQ(c.add_full(c).raw(), i64{1} << 61);
+}
+
+TEST(Fix, MulFullRejectsFractionBitsPast63) {
+  const FixFormat f = FixFormat::signed_fix(40, 35);
+  const Fix one = Fix::from_double(f, 1.0);
+  EXPECT_THROW(one.mul_full(one), SimError);
+  EXPECT_THROW(Fix::mul_full_format(f, f), SimError);
+}
+
+TEST(Fix, MulFullClampsCappedWords) {
+  // 40 + 40 word bits cap at 63; the product is clamped to that range.
+  const FixFormat f = FixFormat::signed_fix(40, 0);
+  const Fix big = Fix::from_raw(f, f.max_raw());
+  const Fix product = big.mul_full(big);
+  EXPECT_EQ(product.format().word_bits, 63);
+  EXPECT_EQ(product.raw(), product.format().max_raw());
+  EXPECT_EQ(big.mul_full(Fix::from_raw(f, f.min_raw())).raw(),
+            product.format().min_raw());
+}
+
 TEST(Fix, ShiftRightExactKeepsValuePrecision) {
   const Fix v = Fix::from_double(FixFormat::signed_fix(16, 8), 5.0);
   EXPECT_DOUBLE_EQ(v.shift_right_exact(3).to_double(), 0.625);

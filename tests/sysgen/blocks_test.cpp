@@ -78,6 +78,31 @@ TEST(Blocks, AddSubWithLatency) {
   EXPECT_EQ(out.read_raw(), 42);
 }
 
+TEST(Blocks, FullPrecisionPast63BitsRejectedAtElaboration) {
+  // The full format is computed once, when the block lowers; the error
+  // names the block.
+  auto expect_rejected = [](Model& m, const std::string& block) {
+    try {
+      m.elaborate();
+      ADD_FAILURE() << "elaborate() accepted " << block;
+    } catch (const SimError& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + block + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  Model add("add");
+  auto& a = add.add<GatewayIn>("a", FixFormat::signed_fix(40, 0));
+  auto& b = add.add<GatewayIn>("b", FixFormat::signed_fix(40, 30));
+  add.add<AddSub>("wide_sum", AddSub::Mode::kAdd, a.out(), b.out(), kF16);
+  expect_rejected(add, "wide_sum");
+
+  Model mul("mul");
+  auto& x = mul.add<GatewayIn>("x", FixFormat::signed_fix(40, 35));
+  mul.add<Mult>("fine_product", x.out(), x.out(), kF16);
+  expect_rejected(mul, "fine_product");
+}
+
 TEST(Blocks, MultProducesProducts) {
   Model m("t");
   auto& a = m.add<GatewayIn>("a", kF16_8);
@@ -130,6 +155,12 @@ TEST(Blocks, ShiftConst) {
   m.step();
   EXPECT_EQ(ol.read_raw(), -96);
   EXPECT_EQ(og.read_raw(), -3);
+
+  Model fresh("t2");
+  auto& b = fresh.add<GatewayIn>("b", kF16);
+  EXPECT_THROW(
+      fresh.add<ShiftConst>("far", b.out(), ShiftConst::Direction::kLeft, 64),
+      SimError);
 }
 
 TEST(Blocks, VariableShiftRight) {
