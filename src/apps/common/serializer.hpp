@@ -51,33 +51,38 @@ class VectorSerializer : public sysgen::Block {
 
   void output_state() override {
     const bool emitting = !queue_.empty();
-    data_.drive(emitting ? queue_.front() : Fix::from_raw(word_format_, 0));
+    data_.drive_raw(emitting ? queue_.front() : 0);
     write_.drive_raw(emitting ? 1 : 0);
   }
 
   void latch() override {
     // The word presented this cycle is consumed unless the FIFO was full.
-    const bool stalled = has_full_ && in(width_ + 1).as_bool();
-    if (!queue_.empty() && !stalled) queue_.pop_front();
-    if (in(width_).as_bool()) {
+    const std::vector<sysgen::Signal*>& inputs = this->inputs();
+    const bool stalled = has_full_ && inputs[width_ + 1]->as_bool();
+    changed_ = !queue_.empty() && !stalled;
+    if (changed_) queue_.pop_front();
+    if (inputs[width_]->as_bool()) {
+      changed_ = true;
       for (std::size_t i = 0; i < width_; ++i) {
-        queue_.push_back(in(i).value());
+        queue_.push_back(inputs[i]->raw());
       }
     }
   }
+  /// Nothing popped and nothing pushed leaves the queue as it was.
+  [[nodiscard]] bool latch_changed() const override { return changed_; }
 
   void reset() override { queue_.clear(); }
 
   void save_state(ckpt::Writer& writer) const override {
     writer.write_u64(queue_.size());
-    for (const Fix& word : queue_) writer.write_i64(word.raw());
+    for (const i64 word : queue_) writer.write_i64(word);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     const u64 backlog = reader.read_u64();
     if (!reader.ok()) return false;
     queue_.clear();
     for (u64 i = 0; i < backlog; ++i) {
-      queue_.push_back(Fix::from_raw(word_format_, reader.read_i64()));
+      queue_.push_back(data_.wrap(reader.read_i64()));
     }
     return reader.ok();
   }
@@ -100,7 +105,8 @@ class VectorSerializer : public sysgen::Block {
   sysgen::Signal& write_;
   std::size_t width_ = 0;
   bool has_full_ = false;
-  std::deque<Fix> queue_;
+  bool changed_ = true;
+  std::deque<i64> queue_;  ///< raw codes in word_format_
 };
 
 }  // namespace mbcosim::apps

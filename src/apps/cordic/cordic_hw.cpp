@@ -86,15 +86,10 @@ StageOutputs add_pe(sg::Model& m, const std::string& prefix,
 
 }  // namespace
 
-CordicPipeline build_cordic_pipeline(unsigned num_pes) {
+CordicPipelineIo add_cordic_pipeline(sg::Model& m, unsigned num_pes) {
   if (num_pes == 0 || num_pes > 32) {
     throw SimError("build_cordic_pipeline: P must be in [1, 32]");
   }
-  CordicPipeline pipeline;
-  pipeline.num_pes = num_pes;
-  pipeline.model = std::make_unique<sg::Model>(
-      "cordic_div_p" + std::to_string(num_pes));
-  sg::Model& m = *pipeline.model;
   const FixFormat f = kDataFormat;
 
   // ---- FSL slave interface (from the processor). -------------------------
@@ -170,9 +165,17 @@ CordicPipeline build_cordic_pipeline(unsigned num_pes) {
   auto& m_data = m.add<sg::GatewayOut>("fsl_m.data", serializer.data());
   auto& m_write = m.add<sg::GatewayOut>("fsl_m.write", serializer.write());
 
-  pipeline.io = CordicPipelineIo{&s_data, &s_exists, &s_control, &s_read,
-                                 &m_data, &m_write, &m_full};
-  m.elaborate();
+  return CordicPipelineIo{&s_data, &s_exists, &s_control, &s_read,
+                          &m_data, &m_write, &m_full};
+}
+
+CordicPipeline build_cordic_pipeline(unsigned num_pes) {
+  CordicPipeline pipeline;
+  pipeline.num_pes = num_pes;
+  pipeline.model = std::make_unique<sg::Model>(
+      "cordic_div_p" + std::to_string(num_pes));
+  pipeline.io = add_cordic_pipeline(*pipeline.model, num_pes);
+  pipeline.model->elaborate();
   return pipeline;
 }
 

@@ -44,4 +44,9 @@ struct CordicPipeline {
 /// Build the pipeline with `num_pes` processing elements (paper's P).
 [[nodiscard]] CordicPipeline build_cordic_pipeline(unsigned num_pes);
 
+/// Add the same blocks to `model`, which is not elaborated yet, so that
+/// other blocks can sit beside them; returns the FSL-facing gateways.
+[[nodiscard]] CordicPipelineIo add_cordic_pipeline(sysgen::Model& model,
+                                                   unsigned num_pes);
+
 }  // namespace mbcosim::apps::cordic

@@ -25,17 +25,11 @@ u8 counter_bits(unsigned limit) {
 }
 }  // namespace
 
-MatmulPeripheral build_matmul_peripheral(unsigned block_size) {
+MatmulPeripheralIo add_matmul_peripheral(sg::Model& m, unsigned block_size) {
   if (block_size < 2 || block_size > 4) {
     throw SimError("build_matmul_peripheral: block size must be in [2, 4]");
   }
   const unsigned n = block_size;
-  MatmulPeripheral peripheral;
-  peripheral.block_size = n;
-  peripheral.model =
-      std::make_unique<sg::Model>("matmul_block_" + std::to_string(n) + "x" +
-                                  std::to_string(n));
-  sg::Model& m = *peripheral.model;
 
   // ---- FSL slave interface. ------------------------------------------------
   auto& s_data = m.add<sg::GatewayIn>("fsl_s.data", kElementFormat);
@@ -137,9 +131,18 @@ MatmulPeripheral build_matmul_peripheral(unsigned block_size) {
   auto& m_data = m.add<sg::GatewayOut>("fsl_m.data", serializer.data());
   auto& m_write = m.add<sg::GatewayOut>("fsl_m.write", serializer.write());
 
-  peripheral.io = MatmulPeripheralIo{&s_data, &s_exists, &s_control, &s_read,
-                                     &m_data, &m_write, &m_full};
-  m.elaborate();
+  return MatmulPeripheralIo{&s_data, &s_exists, &s_control, &s_read,
+                            &m_data, &m_write, &m_full};
+}
+
+MatmulPeripheral build_matmul_peripheral(unsigned block_size) {
+  MatmulPeripheral peripheral;
+  peripheral.block_size = block_size;
+  peripheral.model = std::make_unique<sg::Model>(
+      "matmul_block_" + std::to_string(block_size) + "x" +
+      std::to_string(block_size));
+  peripheral.io = add_matmul_peripheral(*peripheral.model, block_size);
+  peripheral.model->elaborate();
   return peripheral;
 }
 

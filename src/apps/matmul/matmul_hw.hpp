@@ -45,4 +45,9 @@ struct MatmulPeripheral {
 /// Build the n x n block multiplier (n in [2, 4]).
 [[nodiscard]] MatmulPeripheral build_matmul_peripheral(unsigned block_size);
 
+/// Add the same blocks to `model`, which is not elaborated yet, so that
+/// other blocks can sit beside them; returns the FSL-facing gateways.
+[[nodiscard]] MatmulPeripheralIo add_matmul_peripheral(sysgen::Model& model,
+                                                       unsigned block_size);
+
 }  // namespace mbcosim::apps::matmul

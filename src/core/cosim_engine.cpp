@@ -1,5 +1,6 @@
 #include "core/cosim_engine.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "ckpt/ckpt.hpp"
@@ -62,19 +63,27 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
     if (quiescence_window_ > 0) {
       if (bridge_.interface_active()) {
         idle_streak_ = 0;
-      } else if (++idle_streak_ > quiescence_window_) {
-        // The peripheral has provably drained: fast-forward this cycle.
-        ++skipped_cycles_;
-        ++skipped_this_call;
-        ++hw_cycles_;
-        continue;
+      } else if (idle_streak_ >= quiescence_window_) {
+        // The peripheral has provably drained, and a skipped cycle
+        // changes nothing interface_active() reads: skip the rest.
+        skipped_this_call += fast_forward(cycles - i);
+        break;
+      } else {
+        ++idle_streak_;
       }
     }
     if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_);
     bridge_.pre_cycle();
     hardware_.step();
-    bridge_.post_cycle();
+    const bool moved = bridge_.post_cycle();
     ++hw_cycles_;
+    if (!moved && hardware_.settled()) {
+      // No word moved, so the FIFOs and the next cycle's inputs are
+      // unchanged, and the model repeats itself under them: every
+      // remaining cycle of this call is this one again.
+      skipped_this_call += fast_forward(cycles - i - 1);
+      break;
+    }
   }
   if (skipped_this_call != 0 && trace_bus_ != nullptr &&
       trace_bus_->enabled()) {
@@ -84,6 +93,27 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
     event.skipped = skipped_this_call;
     trace_bus_->emit(event);
   }
+}
+
+Cycle CoSimEngine::fast_forward(Cycle cycles) {
+  // The per-cycle loop would test the interface on each of these cycles
+  // and get the same answer every time. An active interface was active
+  // on the last cycle too, so its idle streak is already 0.
+  Cycle stepped = cycles;
+  if (quiescence_window_ > 0 && !bridge_.interface_active()) {
+    stepped = std::min(cycles, quiescence_window_ > idle_streak_
+                                   ? quiescence_window_ - idle_streak_
+                                   : 0);
+    idle_streak_ += cycles;
+  }
+  if (stepped != 0) {
+    hardware_.run(stepped);
+    if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_ + stepped - 1);
+  }
+  const Cycle skipped = cycles - stepped;
+  skipped_cycles_ += skipped;
+  hw_cycles_ += cycles;
+  return skipped;
 }
 
 iss::StepResult CoSimEngine::debug_step() {

@@ -34,7 +34,8 @@ struct CoSimStats {
   Cycle cycles = 0;            ///< total simulated clock cycles
   u64 instructions = 0;        ///< instructions retired by the processor
   Cycle fsl_stall_cycles = 0;  ///< cycles the processor spent blocked
-  Cycle hw_cycles_stepped = 0; ///< hardware cycles actually evaluated
+  Cycle hw_cycles_stepped = 0; ///< hardware cycles clocked, including
+                               ///< elided ones (Model::settled())
   Cycle hw_cycles_skipped = 0; ///< quiescent cycles fast-forwarded
   BridgeStats bridge;          ///< FIFO traffic
 };
@@ -112,6 +113,9 @@ class CoSimEngine {
 
   /// Advance the hardware (and bridge) alone by `cycles` clock cycles —
   /// used when the software side is idle and by hardware-only benches.
+  /// Once a stepped cycle moves no FIFO word and leaves the model
+  /// settled, the rest of the call repeats it and costs O(1), with every
+  /// counter, statistic and trace event as the per-cycle loop leaves them.
   void tick_hardware(Cycle cycles);
 
   /// One precise lock-step unit for a debugger: step the processor once
@@ -164,6 +168,13 @@ class CoSimEngine {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  /// Advance `cycles` cycles in O(1), each exactly as the per-cycle loop
+  /// would: no FIFO can change during them (the bridge moved no word on
+  /// the last stepped cycle, or none was stepped), and the model is
+  /// settled or the quiescence window skips them all. Returns how many
+  /// the window skips.
+  Cycle fast_forward(Cycle cycles);
+
   iss::Processor& cpu_;
   sysgen::Model& hardware_;
   FslBridge bridge_;

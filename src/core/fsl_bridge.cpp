@@ -51,13 +51,15 @@ bool FslBridge::interface_active() const {
   return false;
 }
 
-void FslBridge::post_cycle() {
+bool FslBridge::post_cycle() {
   wrote_last_cycle_ = false;
+  bool moved = false;
   for (const SlaveBinding& slave : slaves_) {
     if (slave.read->read_bool()) {
       auto& channel = hub_.to_hw(slave.channel);
       if (channel.try_read().has_value()) {
         stats_.words_to_hw += 1;
+        moved = true;
       }
     }
   }
@@ -77,6 +79,7 @@ void FslBridge::post_cycle() {
       }
     }
   }
+  return moved || wrote_last_cycle_;
 }
 
 }  // namespace mbcosim::core

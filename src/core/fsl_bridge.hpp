@@ -60,8 +60,10 @@ class FslBridge {
   void pre_cycle();
 
   /// Sample the model's FSL-facing outputs and update the FIFOs. Call
-  /// immediately after Model::step().
-  void post_cycle();
+  /// immediately after Model::step(). Returns whether a word moved: a
+  /// pop, a push or a refused push. A cycle that moves none leaves the
+  /// FIFOs, and with them the next pre_cycle()'s inputs, as they were.
+  bool post_cycle();
 
   /// True when the FSL interface demands hardware simulation this cycle:
   /// pending input words, output backpressure, or output traffic on the

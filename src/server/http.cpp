@@ -280,15 +280,26 @@ HttpServer::HttpServer(rsp::TcpListener listener, Handler handler)
 void HttpServer::accept_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     std::unique_ptr<rsp::Transport> client = listener_.accept(100);
-    if (client == nullptr) continue;
-    // Connection threads accumulate until stop() joins them — fine for
-    // the bounded session counts this server admits; a daemon expecting
-    // millions of connections would reap finished threads here.
-    std::shared_ptr<rsp::Transport> shared = std::move(client);
     std::lock_guard<std::mutex> lock(mutex_);
-    connections_.emplace_back([this, shared] {
+    reap_finished();
+    if (client == nullptr) continue;
+    std::shared_ptr<rsp::Transport> shared = std::move(client);
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, shared, &connection] {
       serve_connection(*shared, handler_, &stopping_);
+      connection.done.store(true, std::memory_order_release);
     });
+  }
+}
+
+void HttpServer::reap_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -297,13 +308,13 @@ void HttpServer::stop() {
     return;  // a second caller must not re-join the threads
   }
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     connections.swap(connections_);
   }
-  for (std::thread& connection : connections) {
-    if (connection.joinable()) connection.join();
+  for (Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,7 +118,9 @@ void serve_connection(
 /// thread per connection (a telemetry stream may occupy its connection
 /// for the whole life of a session, so connections must not serialize).
 /// Each connection runs serve_connection(): one request unless the
-/// client opts into keep-alive.
+/// client opts into keep-alive. The accept loop joins finished
+/// connection threads, so a long-lived daemon holds threads only for the
+/// connections still open.
 class HttpServer {
  public:
   using Handler = std::function<void(const HttpRequest&, HttpResponseWriter&)>;
@@ -139,15 +142,23 @@ class HttpServer {
   void stop();
 
  private:
+  struct Connection {
+    std::atomic<bool> done{false};  ///< set as the thread's last act
+    std::thread thread;
+  };
+
   HttpServer(rsp::TcpListener listener, Handler handler);
   void accept_loop();
+  /// Join and drop the connections whose threads have finished; called
+  /// with mutex_ held.
+  void reap_finished();
 
   rsp::TcpListener listener_;
   Handler handler_;
   u16 port_ = 0;
   std::atomic<bool> stopping_{false};
   std::mutex mutex_;  ///< guards connections_
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // list: `done` must not move
   std::thread acceptor_;
 };
 

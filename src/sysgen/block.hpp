@@ -20,7 +20,10 @@
 // queue-backed FifoBlock). A user block keeps the default lower(), which
 // runs its phase methods through one fallback op per phase it takes part
 // in: output_state() and latch() when it is sequential, propagate() when
-// it is not.
+// it is not. Its phase methods must be functions of its inputs and its
+// own state, and its state may change only in latch() (or in reset() and
+// load_state()); a sequential block that reports unchanged latches
+// through latch_changed() lets its model elide repeated cycles.
 #pragma once
 
 #include <string>
@@ -55,6 +58,11 @@ class Block {
   virtual void propagate() {}
   /// Phase 2: capture inputs into state (sequential blocks only).
   virtual void latch() {}
+  /// Whether the last latch() may have changed the state output_state()
+  /// reads. A block that returns false lets the model skip the cycles
+  /// that provably repeat the last one (DESIGN.md §15, "Elided cycles");
+  /// the default, true, keeps every cycle of its model evaluated.
+  [[nodiscard]] virtual bool latch_changed() const { return true; }
   /// Return all state to power-on values.
   virtual void reset() {}
 

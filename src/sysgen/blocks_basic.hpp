@@ -76,6 +76,7 @@ class GatewayIn : public Block {
   void set_bool(bool value) noexcept { set_raw(value ? 1 : 0); }
 
   void lower(Lowering& lowering) override {
+    lowering.input(&pending_);
     lowering.emit(Phase::kPropagate,
                   {.code = OpCode::kCopy, .dst = out_.slot(), .a = &pending_});
   }

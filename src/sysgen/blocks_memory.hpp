@@ -187,11 +187,15 @@ class FifoBlock : public Block {
     full_.drive_raw(fifo_.size() >= depth_ ? 1 : 0);
   }
   void latch() override {
-    if (in(2).as_bool() && !fifo_.empty()) fifo_.pop_front();
+    changed_ = in(2).as_bool() && !fifo_.empty();
+    if (changed_) fifo_.pop_front();
     if (in(1).as_bool() && fifo_.size() < depth_) {
+      changed_ = true;
       fifo_.push_back(in(0).value().cast(word_format_));
     }
   }
+  /// Nothing popped and nothing pushed leaves the queue as it was.
+  [[nodiscard]] bool latch_changed() const override { return changed_; }
   void reset() override { fifo_.clear(); }
 
   void save_state(ckpt::Writer& writer) const override {
@@ -227,6 +231,7 @@ class FifoBlock : public Block {
   Signal& full_;
   Fix head_;
   std::deque<Fix> fifo_;
+  bool changed_ = true;
 };
 
 }  // namespace mbcosim::sysgen

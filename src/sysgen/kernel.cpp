@@ -18,6 +18,13 @@ i64 shl(i64 code, u8 amount) noexcept {
   return static_cast<i64>(static_cast<u64>(code) << amount);
 }
 
+/// Store `next` in a state slot; true when that changed it.
+bool update(i64& slot, i64 next) noexcept {
+  const bool changed = slot != next;
+  slot = next;
+  return changed;
+}
+
 i64 clamp_index(i64 code, i64 last) noexcept {
   return static_cast<i64>(std::min(static_cast<u64>(code),
                                    static_cast<u64>(last)));
@@ -84,7 +91,17 @@ Kernel Lowering::finish() && {
   return std::move(kernel_);
 }
 
-void Kernel::run() {
+bool Kernel::inputs_unchanged() const noexcept {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    if (*inputs_[i] != snapshot_[i]) return false;
+  }
+  return true;
+}
+
+bool Kernel::run() {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) snapshot_[i] = *inputs_[i];
+  // Set by the state ops whenever they change a slot.
+  bool changed = false;
   // Threaded dispatch (it measured faster than a switch): each handler
   // jumps straight to the next op's handler, in OpCode order; finish()
   // ends the tape with a kEnd op.
@@ -159,13 +176,13 @@ not_:
   *op->dst = op->wrap(~*op->a);
   MBC_NEXT();
 reg:
-  if (*op->c != 0) *op->dst = op->wrap(*op->a);
+  if (*op->c != 0) changed |= update(*op->dst, op->wrap(*op->a));
   MBC_NEXT();
 counter:
   if (*op->b != 0) {
-    *op->dst = 0;
+    changed |= update(*op->dst, 0);
   } else if (*op->a != 0) {
-    *op->dst = *op->dst + 1 == op->k ? 0 : *op->dst + 1;
+    changed |= update(*op->dst, *op->dst + 1 == op->k ? 0 : *op->dst + 1);
   }
   MBC_NEXT();
 ring_read:
@@ -174,14 +191,15 @@ ring_read:
 ring_push:
   op->ext.cells[*op->dst] = *op->a;
   *op->dst = *op->dst + 1 == op->k ? 0 : *op->dst + 1;
+  changed = true;
   MBC_NEXT();
 rom:
-  *op->dst = op->ext.words[clamp_index(*op->a, op->k)];
+  changed |= update(*op->dst, op->ext.words[clamp_index(*op->a, op->k)]);
   MBC_NEXT();
 ram: {
   i64& cell = op->ext.cells[clamp_index(*op->a, op->k)];
-  *op->dst = cell;  // read-before-write
-  if (*op->c != 0) cell = op->wrap(*op->b);
+  changed |= update(*op->dst, cell);  // read-before-write
+  if (*op->c != 0) changed |= update(cell, op->wrap(*op->b));
   MBC_NEXT();
 }
 output_state:
@@ -192,9 +210,10 @@ propagate:
   MBC_NEXT();
 latch:
   op->ext.block->latch();
+  changed |= op->ext.block->latch_changed();
   MBC_NEXT();
 end:
-  return;
+  return changed;
 #undef MBC_NEXT
 }
 

@@ -11,6 +11,14 @@
 // Ops point into storage that never moves after elaboration: the model's
 // signal deque, blocks held by unique_ptr (whose state buffers are sized
 // at construction) and the kernel's own temps, cast specs and tables.
+//
+// A pass also reports whether it changed any state (DESIGN.md §15,
+// "Elided cycles"). Only the latch-phase state ops write slots that live
+// from one cycle to the next — kRegister, kCounter, kRingPush, kRom,
+// kRam and the kLatch fallback — and each ORs "my slot changed" into the
+// pass's result; every other op writes a signal or a temp, which the next
+// pass recomputes from state and inputs. The inputs are the GatewayIn
+// slots the lowering registers; the kernel snapshots them on every pass.
 #pragma once
 
 #include <deque>
@@ -92,13 +100,15 @@ enum class OpCode : u8 {
   kRegister,     ///< if c: dst = wrap(a)
   kCounter,      ///< if b: dst = 0, else if a: dst = (dst + 1) mod k
   kRingRead,     ///< dst = cells[*a]
-  kRingPush,     ///< cells[*dst] = a; *dst = (*dst + 1) mod k
+  kRingPush,     ///< cells[*dst] = a; *dst = (*dst + 1) mod k; always
+                 ///< counted as a change
   kRom,          ///< dst = words[min(unsigned a, k)]
   kRam,          ///< i = min(unsigned a, k); dst = cells[i];
                  ///< if c: cells[i] = wrap(b)
   kOutputState,  ///< block->output_state()
   kPropagate,    ///< block->propagate()
-  kLatch,        ///< block->latch()
+  kLatch,        ///< block->latch(); a change unless
+                 ///< block->latch_changed() says otherwise
   kEnd,          ///< end of the tape
 };
 
@@ -126,13 +136,21 @@ struct Op {
 /// The lowered model: the op tape and the storage it points into.
 class Kernel {
  public:
-  /// Advance one clock cycle. Only a kernel from Lowering::finish() runs.
-  void run();
+  /// Advance one clock cycle and snapshot the inputs it read. Returns
+  /// whether any state op changed its slot. Only a kernel from
+  /// Lowering::finish() runs.
+  [[nodiscard]] bool run();
+
+  /// True when every registered input still holds the value the last
+  /// run() read.
+  [[nodiscard]] bool inputs_unchanged() const noexcept;
 
  private:
   friend class Lowering;
 
   std::vector<Op> tape_;
+  std::vector<const i64*> inputs_;
+  std::vector<i64> snapshot_;
   std::deque<i64> temps_;
   std::deque<Cast> casts_;
   std::vector<std::vector<const i64*>> tables_;
@@ -155,6 +173,13 @@ class Lowering {
   /// conversions fuse into op.wrap; others run as a kCast after it.
   void emit_converted(Phase phase, Op op, FixFormat to, int shift,
                       Quantization quantization, Overflow overflow);
+
+  /// Register a slot the environment writes between cycles (a GatewayIn's
+  /// pending value); the kernel compares it against its last pass.
+  void input(const i64* slot) {
+    kernel_.inputs_.push_back(slot);
+    kernel_.snapshot_.push_back(*slot);
+  }
 
   /// A scratch slot, private to the op that writes it.
   [[nodiscard]] i64* temp() { return &kernel_.temps_.emplace_back(0); }

@@ -120,16 +120,25 @@ void Model::reset() {
   for (auto& signal : signals_) signal.reset();
   for (const auto& block : blocks_) block->reset();
   cycle_ = 0;
+  settled_ = false;
 }
 
 void Model::step() {
   if (!elaborated_) elaborate();
-  kernel_.run();
+  // Signals are a function of state and inputs: unchanged state under
+  // unchanged inputs repeats the last pass, so the pass is skipped.
+  if (!settled()) settled_ = !kernel_.run();
   ++cycle_;
 }
 
 void Model::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) step();
+  for (Cycle i = 0; i < cycles; ++i) {
+    step();
+    if (settled()) {  // nothing sets the inputs in between
+      cycle_ += cycles - i - 1;
+      return;
+    }
+  }
 }
 
 ResourceVec Model::resources() const {
@@ -154,6 +163,7 @@ void Model::save_state(ckpt::Writer& writer) const {
 }
 
 bool Model::load_state(ckpt::Reader& reader) {
+  settled_ = false;
   cycle_ = reader.read_u64();
   if (reader.read_u64() != signals_.size()) return false;
   for (Signal& signal : signals_) signal.drive_raw(reader.read_i64());

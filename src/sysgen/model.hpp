@@ -55,10 +55,19 @@ class Model {
   /// Reset every block and signal; keeps the elaboration.
   void reset();
 
-  /// Advance one clock cycle: one pass over the op tape (phases 0/1/2).
+  /// Advance one clock cycle: one pass over the op tape (phases 0/1/2),
+  /// or none when the cycle provably repeats the last one (settled()).
   void step();
-  /// Advance n cycles.
+  /// Advance n cycles; once the model settles, the rest cost nothing.
   void run(Cycle cycles);
+
+  /// True when the next step() would repeat the last one exactly: that
+  /// step changed no state and the gateway inputs have not been set to
+  /// new values since. Between steps only the GatewayIn setters, reset()
+  /// and load_state() may write model state.
+  [[nodiscard]] bool settled() const noexcept {
+    return settled_ && kernel_.inputs_unchanged();
+  }
 
   [[nodiscard]] Cycle cycle() const noexcept { return cycle_; }
 
@@ -95,6 +104,7 @@ class Model {
   std::deque<Signal> signals_;  // deque: stable addresses for the ops
   Kernel kernel_;
   bool elaborated_ = false;
+  bool settled_ = false;  ///< the last pass changed no state
   Cycle cycle_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -537,6 +538,49 @@ TEST_F(ServerE2E, KeepAliveConnectionServesSequentialRequests) {
   EXPECT_EQ(last.headers["connection"], "close");
   drain(*wire, 5000);
   EXPECT_TRUE(wire->closed());
+}
+
+/// A "/proc/self/status" field ("VmSize" in kB, "Threads" as a count);
+/// -1 when absent.
+long long proc_status(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::atoll(line.c_str() + field.size() + 1);
+    }
+  }
+  return -1;
+}
+
+TEST_F(ServerE2E, ManyShortConnectionsKeepThreadsAndVmSizeFlat) {
+  // One connection thread per request without keep-alive: the accept
+  // loop must join each one after it finishes. A server that kept them
+  // until stop() would hold every thread's stack mapped (8 MB of VmSize
+  // each) and run out of mappings after ~32k requests.
+  auto burst = [this](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      const HttpReply reply = http(port_, "GET", "/healthz");
+      if (reply.status != 200) return i;
+    }
+    return requests;
+  };
+  // The accept loop reaps at least every 100 ms.
+  auto settle = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+  ASSERT_EQ(burst(1'000), 1'000);
+  settle();
+  const long long threads_before = proc_status("Threads");
+  const long long vmsize_before_kb = proc_status("VmSize");
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vmsize_before_kb, 0);
+
+  ASSERT_EQ(burst(40'000), 40'000);
+  settle();
+  EXPECT_LE(proc_status("Threads"), threads_before);
+  EXPECT_LE(proc_status("VmSize"), vmsize_before_kb + 64 * 1024)
+      << "VmSize grew from " << vmsize_before_kb << " kB";
 }
 
 TEST(ServerE2EDurability, RecoveryAcrossServiceRestartMatchesBatch) {
