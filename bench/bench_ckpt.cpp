@@ -40,7 +40,7 @@ constexpr mbcosim::Cycle kBudget = 1'600'000;
 mbcosim::Expected<mbcosim::sim::SimSystem> long_factory(
     const mbcosim::fault::FaultPlan* plan) {
   mbcosim::sim::SimSystem::Builder builder;
-  builder.program(kLongProgram);
+  builder.machine(mbcosim::machine::MachineDesc::single_core(kLongProgram));
   if (plan != nullptr) builder.fault(*plan);
   return builder.build();
 }

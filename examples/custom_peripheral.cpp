@@ -112,7 +112,7 @@ int main() {
   memory.load_program(program);
   fsl::FslHub hub;
   iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
-  core::CoSimEngine engine(cpu, filter.model, hub);
+  core::CoSimEngine engine(cpu, &filter.model, hub);
 
   core::SlaveBinding slave;
   slave.channel = 0;

@@ -1,5 +1,6 @@
-// Quickstart: assemble a small program, build a tiny hardware peripheral
-// out of sysgen blocks, hand both to the SimSystem facade and run.
+// Quickstart: build a tiny hardware peripheral out of sysgen blocks,
+// register it by type name, describe a one-core machine that runs a small
+// program with that peripheral on FSL channel 0, and run it.
 //
 // The "application" computes 3 * x + 1 for a few inputs: the multiply
 // happens in hardware (one Mult block behind an FSL), the +1 and the
@@ -9,11 +10,43 @@
 #include <cstdio>
 #include <memory>
 
+#include "machine/machine_desc.hpp"
+#include "sim/peripheral_registry.hpp"
 #include "sim/sim_system.hpp"
 #include "sysgen/blocks_basic.hpp"
 
 using namespace mbcosim;
 namespace sg = mbcosim::sysgen;
+
+namespace {
+
+// ---- The hardware: a one-multiplier peripheral. -----------------------------
+// A factory builds one fresh instance per system: the sysgen model plus the
+// gateways it exposes on the FSL channel the machine description names.
+sim::HardwareBundle make_times_three(const machine::PeripheralDesc& desc) {
+  const FixFormat word32 = FixFormat::signed_fix(32, 0);
+  const FixFormat boolf = FixFormat::unsigned_fix(1, 0);
+  auto hw = std::make_unique<sg::Model>("times_three");
+  auto& data_in = hw->add<sg::GatewayIn>("fsl.data", word32);
+  auto& exists = hw->add<sg::GatewayIn>("fsl.exists", boolf);
+  auto& control = hw->add<sg::GatewayIn>("fsl.control", boolf);
+  auto& read_ack = hw->add<sg::GatewayOut>("fsl.read", exists.out());
+  auto& three = hw->add<sg::Constant>("three", Fix::from_int(word32, 3));
+  auto& product = hw->add<sg::Mult>("mult", data_in.out(), three.out(), word32,
+                                    /*latency=*/0);
+  auto& data_out = hw->add<sg::GatewayOut>("fsl.dout", product.out());
+  auto& write = hw->add<sg::GatewayOut>("fsl.write", exists.out());
+
+  sim::HardwareBundle bundle;
+  bundle.channels.push_back(
+      {desc.channel, {.s_data = &data_in, .s_exists = &exists,
+                      .s_control = &control, .s_read = &read_ack,
+                      .m_data = &data_out, .m_write = &write}});
+  bundle.model = std::move(hw);
+  return bundle;
+}
+
+}  // namespace
 
 int main() {
   // ---- 1. The software: an MB32 assembly program. --------------------------
@@ -39,26 +72,17 @@ int main() {
     outputs: .space 16
   )";
 
-  // ---- 2. The hardware: a one-multiplier peripheral. ------------------------
-  const FixFormat word32 = FixFormat::signed_fix(32, 0);
-  const FixFormat boolf = FixFormat::unsigned_fix(1, 0);
-  auto hw = std::make_unique<sg::Model>("times_three");
-  auto& data_in = hw->add<sg::GatewayIn>("fsl.data", word32);
-  auto& exists = hw->add<sg::GatewayIn>("fsl.exists", boolf);
-  auto& control = hw->add<sg::GatewayIn>("fsl.control", boolf);
-  auto& read_ack = hw->add<sg::GatewayOut>("fsl.read", exists.out());
-  auto& three = hw->add<sg::Constant>("three", Fix::from_int(word32, 3));
-  auto& product = hw->add<sg::Mult>("mult", data_in.out(), three.out(), word32,
-                                    /*latency=*/0);
-  auto& data_out = hw->add<sg::GatewayOut>("fsl.dout", product.out());
-  auto& write = hw->add<sg::GatewayOut>("fsl.write", exists.out());
+  // ---- 2. The machine: one core running kSource, the peripheral on FSL 0. ---
+  (void)sim::PeripheralRegistry::instance().add("times_three",
+                                                make_times_three);
+  machine::MachineDesc desc = machine::MachineDesc::single_core(kSource);
+  machine::PeripheralDesc peripheral;
+  peripheral.core = "cpu0";
+  peripheral.type = "times_three";  // on FSL channel 0 (the default)
+  desc.peripherals.push_back(peripheral);
 
-  // ---- 3. Hand program + hardware to the facade and run. -------------------
-  const sim::FslGateways fsl{.s_data = &data_in, .s_exists = &exists,
-                             .s_control = &control, .s_read = &read_ack,
-                             .m_data = &data_out, .m_write = &write};
-  auto built = sim::SimSystem::Builder().program(kSource)
-                   .hardware(std::move(hw)).bind_fsl(0, fsl).build();
+  // ---- 3. Build and run. ---------------------------------------------------
+  auto built = sim::SimSystem::Builder().machine(std::move(desc)).build();
   if (!built) { std::fprintf(stderr, "%s\n", built.error().c_str()); return 1; }
   sim::SimSystem system = std::move(built).value();
   const core::StopReason reason = system.run();

@@ -3,26 +3,12 @@
 #include <string>
 #include <utility>
 
+#include "apps/machine_peripherals.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "machine/machine_desc.hpp"
 
 namespace mbcosim::apps::cordic {
-
-namespace {
-
-sim::FslGateways to_gateways(const CordicPipelineIo& io) {
-  sim::FslGateways gateways;
-  gateways.s_data = io.s_data;
-  gateways.s_exists = io.s_exists;
-  gateways.s_control = io.s_control;
-  gateways.s_read = io.s_read;
-  gateways.m_data = io.m_data;
-  gateways.m_write = io.m_write;
-  gateways.m_full = io.m_full;
-  return gateways;
-}
-
-}  // namespace
 
 std::pair<std::vector<i32>, std::vector<i32>> make_cordic_dataset(
     unsigned items, u64 seed) {
@@ -74,26 +60,23 @@ Expected<sim::SimSystem> make_cordic_system(const CordicRunConfig& config,
 
   // Processor configuration: the pure-software barrel-shifter strategy is
   // the only one that needs the barrel shifter option.
-  isa::CpuConfig cpu_config;
-  cpu_config.has_multiplier = true;  // baseline MicroBlaze config (3 mults)
-  cpu_config.has_barrel_shifter =
+  machine::MachineDesc desc = machine::MachineDesc::single_core(source);
+  machine::CoreDesc& core = desc.cores.front();
+  core.has_multiplier = true;  // baseline MicroBlaze config (3 mults)
+  core.has_barrel_shifter =
       pure_software && config.sw_strategy == ShiftStrategy::kBarrelShifter;
-
-  sim::SimSystem::Builder builder;
-  builder.program(source).cpu_config(cpu_config).fifo_depth(config.fifo_depth);
+  desc.fifo_depth = config.fifo_depth;
   if (!pure_software) {
-    const unsigned num_pes = config.num_pes;
-    builder.hardware([num_pes] {
-      CordicPipeline pipeline = build_cordic_pipeline(num_pes);
-      sim::HardwareBundle bundle;
-      bundle.channels.push_back({0, to_gateways(pipeline.io)});
-      bundle.model = std::move(pipeline.model);
-      return bundle;
-    });
-    // Drain bound: P pipeline stages + deserializer/serializer latency.
-    builder.quiescence(config.num_pes + 16);
+    // The registered "cordic" peripheral: the pipeline on FSL channel 0,
+    // with its P + 16 drain bound as the quiescence window.
+    register_machine_peripherals();
+    machine::PeripheralDesc peripheral;
+    peripheral.core = core.name;
+    peripheral.type = "cordic";
+    peripheral.params["num_pes"] = config.num_pes;
+    desc.peripherals.push_back(std::move(peripheral));
   }
-  return builder.build();
+  return sim::SimSystem::Builder().machine(std::move(desc)).build();
 }
 
 CordicRunResult run_cordic(const CordicRunConfig& config,

@@ -65,8 +65,7 @@ sim::HardwareBundle make_cordic(const machine::PeripheralDesc& desc) {
   sim::HardwareBundle bundle;
   bundle.channels.push_back({desc.channel, to_gateways(pipeline.io)});
   bundle.model = std::move(pipeline.model);
-  // Drain bound: P pipeline stages + deserializer/serializer latency
-  // (the same window make_cordic_system configures).
+  // Drain bound: P pipeline stages + deserializer/serializer latency.
   bundle.quiescence = static_cast<Cycle>(num_pes) + 16;
   return bundle;
 }
@@ -89,10 +88,15 @@ sim::HardwareBundle make_matmul(const machine::PeripheralDesc& desc) {
 }  // namespace
 
 void register_machine_peripherals() {
-  sim::PeripheralRegistry& registry = sim::PeripheralRegistry::instance();
-  // Duplicate registration is the expected second call; ignore it.
-  (void)registry.add("cordic", make_cordic);
-  (void)registry.add("matmul", make_matmul);
+  // Once per process; a function-local static also makes concurrent
+  // first calls (the app factories run on sweep worker threads) safe.
+  static const bool registered = [] {
+    sim::PeripheralRegistry& registry = sim::PeripheralRegistry::instance();
+    (void)registry.add("cordic", make_cordic);
+    (void)registry.add("matmul", make_matmul);
+    return true;
+  }();
+  (void)registered;
 }
 
 }  // namespace mbcosim::apps

@@ -3,25 +3,11 @@
 #include <string>
 #include <utility>
 
+#include "apps/machine_peripherals.hpp"
 #include "common/status.hpp"
+#include "machine/machine_desc.hpp"
 
 namespace mbcosim::apps::matmul {
-
-namespace {
-
-sim::FslGateways to_gateways(const MatmulPeripheralIo& io) {
-  sim::FslGateways gateways;
-  gateways.s_data = io.s_data;
-  gateways.s_exists = io.s_exists;
-  gateways.s_control = io.s_control;
-  gateways.s_read = io.s_read;
-  gateways.m_data = io.m_data;
-  gateways.m_write = io.m_write;
-  gateways.m_full = io.m_full;
-  return gateways;
-}
-
-}  // namespace
 
 Expected<sim::SimSystem> make_matmul_system(const MatmulRunConfig& config,
                                             const Matrix& a, const Matrix& b) {
@@ -35,25 +21,22 @@ Expected<sim::SimSystem> make_matmul_system(const MatmulRunConfig& config,
       pure_software ? pure_software_program(a, b)
                     : hw_driver_program(a, b, config.block_size);
 
-  isa::CpuConfig cpu_config;
-  cpu_config.has_multiplier = true;
-  cpu_config.has_barrel_shifter = false;
-
-  sim::SimSystem::Builder builder;
-  builder.program(source).cpu_config(cpu_config).memory_bytes(256 * 1024);
+  machine::MachineDesc desc = machine::MachineDesc::single_core(source);
+  machine::CoreDesc& core = desc.cores.front();
+  core.has_multiplier = true;
+  core.has_barrel_shifter = false;
+  core.memory_bytes = 256 * 1024;
   if (!pure_software) {
-    const unsigned block_size = config.block_size;
-    builder.hardware([block_size] {
-      MatmulPeripheral peripheral = build_matmul_peripheral(block_size);
-      sim::HardwareBundle bundle;
-      bundle.channels.push_back({0, to_gateways(peripheral.io)});
-      bundle.model = std::move(peripheral.model);
-      return bundle;
-    });
-    // Drain bound: one block row in the MAC array + the serializer.
-    builder.quiescence(2 * config.block_size + 16);
+    // The registered "matmul" peripheral: the MAC array on FSL channel 0,
+    // with its 2 * block_size + 16 drain bound as the quiescence window.
+    register_machine_peripherals();
+    machine::PeripheralDesc peripheral;
+    peripheral.core = core.name;
+    peripheral.type = "matmul";
+    peripheral.params["block_size"] = config.block_size;
+    desc.peripherals.push_back(std::move(peripheral));
   }
-  return builder.build();
+  return sim::SimSystem::Builder().machine(std::move(desc)).build();
 }
 
 MatmulRunResult run_matmul(const MatmulRunConfig& config, const Matrix& a,

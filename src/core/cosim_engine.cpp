@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "ckpt/ckpt.hpp"
+#include "core/stall_streak.hpp"
 #include "isa/isa.hpp"
 
 namespace mbcosim::core {
@@ -49,7 +50,7 @@ DeadlockDiagnosis diagnose_deadlock(const iss::Processor& cpu,
 
 void CoSimEngine::reset(Addr pc) {
   cpu_.reset(pc);
-  hardware_.reset();
+  if (hardware_ != nullptr) hardware_->reset();
   bridge_.hub().clear();
   hw_cycles_ = 0;
   idle_streak_ = 0;
@@ -58,6 +59,7 @@ void CoSimEngine::reset(Addr pc) {
 }
 
 void CoSimEngine::tick_hardware(Cycle cycles) {
+  if (hardware_ == nullptr) return;
   Cycle skipped_this_call = 0;
   for (Cycle i = 0; i < cycles; ++i) {
     if (quiescence_window_ > 0) {
@@ -74,10 +76,10 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
     }
     if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_);
     bridge_.pre_cycle();
-    hardware_.step();
+    hardware_->step();
     const bool moved = bridge_.post_cycle();
     ++hw_cycles_;
-    if (!moved && hardware_.settled()) {
+    if (!moved && hardware_->settled()) {
       // No word moved, so the FIFOs and the next cycle's inputs are
       // unchanged, and the model repeats itself under them: every
       // remaining cycle of this call is this one again.
@@ -107,7 +109,7 @@ Cycle CoSimEngine::fast_forward(Cycle cycles) {
     idle_streak_ += cycles;
   }
   if (stepped != 0) {
-    hardware_.run(stepped);
+    hardware_->run(stepped);
     if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_ + stepped - 1);
   }
   const Cycle skipped = cycles - stepped;
@@ -122,10 +124,23 @@ iss::StepResult CoSimEngine::debug_step() {
   return result;
 }
 
+StopReason CoSimEngine::declare_deadlock(Cycle blocked_cycles) {
+  last_deadlock_ = diagnose_deadlock(cpu_, bridge_.hub(), blocked_cycles);
+  if (trace_bus_ != nullptr && trace_bus_->enabled()) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kDeadlock;
+    event.cycle = cpu_.cycle();
+    event.cycles = blocked_cycles;
+    event.channel = last_deadlock_->channel.empty()
+                        ? nullptr
+                        : last_deadlock_->channel.c_str();
+    trace_bus_->emit(event);
+  }
+  return StopReason::kDeadlock;
+}
+
 StopReason CoSimEngine::run(Cycle max_cycles) {
-  Cycle blocked_streak = 0;
-  u64 last_traffic = bridge_.stats().words_to_hw +
-                     bridge_.stats().words_from_hw;
+  StallStreak streak(deadlock_threshold_, fifo_traffic());
   while (!cpu_.halted() && cpu_.cycle() < max_cycles) {
     if (cpu_.fast_path_available()) {
       // Multi-cycle quantum: run the CPU ahead through code that cannot
@@ -137,9 +152,7 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       const iss::BatchResult batch = cpu_.run_batch(max_cycles, true);
       if (batch.cycles != 0) {
         tick_hardware(batch.cycles);
-        blocked_streak = 0;
-        last_traffic = bridge_.stats().words_to_hw +
-                       bridge_.stats().words_from_hw;
+        streak.restart(fifo_traffic());
       }
       if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
       if (batch.stop == iss::BatchStop::kIllegal) return StopReason::kIllegal;
@@ -150,41 +163,10 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
     const iss::StepResult result = cpu_.step();
     // Keep the hardware clock in lock step with the processor clock.
     tick_hardware(result.cycles);
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return StopReason::kIllegal;
-      case iss::Event::kFslStall: {
-        const u64 traffic = bridge_.stats().words_to_hw +
-                            bridge_.stats().words_from_hw;
-        if (traffic == last_traffic) {
-          if (++blocked_streak >= deadlock_threshold_) {
-            last_deadlock_ =
-                diagnose_deadlock(cpu_, bridge_.hub(), blocked_streak);
-            if (trace_bus_ != nullptr && trace_bus_->enabled()) {
-              obs::TraceEvent event;
-              event.kind = obs::EventKind::kDeadlock;
-              event.cycle = cpu_.cycle();
-              event.cycles = blocked_streak;
-              event.channel = last_deadlock_->channel.empty()
-                                  ? nullptr
-                                  : last_deadlock_->channel.c_str();
-              trace_bus_->emit(event);
-            }
-            return StopReason::kDeadlock;
-          }
-        } else {
-          blocked_streak = 0;
-          last_traffic = traffic;
-        }
-        break;
-      }
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        last_traffic = bridge_.stats().words_to_hw +
-                       bridge_.stats().words_from_hw;
-        break;
+    if (result.event == iss::Event::kHalted) return StopReason::kHalted;
+    if (result.event == iss::Event::kIllegal) return StopReason::kIllegal;
+    if (streak.deadlocked(result.event, fifo_traffic())) {
+      return declare_deadlock(streak.length());
     }
   }
   return cpu_.halted() ? StopReason::kHalted : StopReason::kCycleLimit;

@@ -88,12 +88,21 @@ struct DeadlockDiagnosis {
 
 class CoSimEngine {
  public:
-  CoSimEngine(iss::Processor& cpu, sysgen::Model& hardware, fsl::FslHub& hub)
+  /// `hardware` may be null: a core with no peripheral, whose hardware
+  /// side is never ticked.
+  CoSimEngine(iss::Processor& cpu, sysgen::Model* hardware, fsl::FslHub& hub)
       : cpu_(cpu), hardware_(hardware), bridge_(hub) {}
 
   [[nodiscard]] FslBridge& bridge() noexcept { return bridge_; }
   [[nodiscard]] iss::Processor& cpu() noexcept { return cpu_; }
-  [[nodiscard]] sysgen::Model& hardware() noexcept { return hardware_; }
+  /// The peripheral model; nullptr for a core with no peripheral.
+  [[nodiscard]] sysgen::Model* hardware() noexcept { return hardware_; }
+
+  /// Words the bridge has moved in either direction — the progress
+  /// measure of the deadlock heuristic (core::StallStreak).
+  [[nodiscard]] u64 fifo_traffic() const noexcept {
+    return bridge_.stats().words_to_hw + bridge_.stats().words_from_hw;
+  }
 
   /// Reset processor (to `pc`), hardware model and FIFOs.
   void reset(Addr pc = 0);
@@ -116,6 +125,7 @@ class CoSimEngine {
   /// Once a stepped cycle moves no FIFO word and leaves the model
   /// settled, the rest of the call repeats it and costs O(1), with every
   /// counter, statistic and trace event as the per-cycle loop leaves them.
+  /// Without a model this returns at once and changes nothing.
   void tick_hardware(Cycle cycles);
 
   /// One precise lock-step unit for a debugger: step the processor once
@@ -126,12 +136,21 @@ class CoSimEngine {
 
   [[nodiscard]] CoSimStats stats() const;
 
-  /// Diagnosis of the most recent StopReason::kDeadlock from run();
-  /// empty until a deadlock has been detected. Cleared by reset().
+  /// Diagnosis of the most recent StopReason::kDeadlock; empty until a
+  /// deadlock has been detected. Cleared by reset() and load_state().
   [[nodiscard]] const std::optional<DeadlockDiagnosis>& deadlock_diagnosis()
       const noexcept {
     return last_deadlock_;
   }
+  /// Forget the diagnosis, as a restore does (a core without a model has
+  /// no engine payload in a checkpoint image, so load_state() never runs).
+  void clear_deadlock_diagnosis() noexcept { last_deadlock_.reset(); }
+
+  /// Record a deadlock after a streak of `blocked_cycles` stalled cycles:
+  /// diagnose it, emit the `deadlock` trace event and return
+  /// StopReason::kDeadlock. run() calls this; so does a caller stepping
+  /// the engine with debug_step() under its own StallStreak.
+  StopReason declare_deadlock(Cycle blocked_cycles);
 
   /// Deadlock heuristic: how many consecutive blocked processor cycles
   /// with zero FIFO movement before run() gives up.
@@ -176,7 +195,7 @@ class CoSimEngine {
   Cycle fast_forward(Cycle cycles);
 
   iss::Processor& cpu_;
-  sysgen::Model& hardware_;
+  sysgen::Model* hardware_;
   FslBridge bridge_;
   Cycle hw_cycles_ = 0;
   Cycle deadlock_threshold_ = 100'000;

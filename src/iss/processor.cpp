@@ -28,10 +28,6 @@ void Processor::reset(Addr pc) {
   invalidate_predecode();
 }
 
-void Processor::set_predecode(bool enabled) {
-  set_exec_tier(enabled ? ExecTier::kDbt : ExecTier::kPrecise);
-}
-
 void Processor::set_exec_tier(ExecTier tier) {
   if (exec_tier_ == tier) return;
   exec_tier_ = tier;

@@ -188,9 +188,7 @@ class Processor {
     return dbt_stats_;
   }
 
-  /// Legacy on/off knob, kept for the `--no-predecode` era: `true`
-  /// selects the default tier (kDbt), `false` selects kPrecise.
-  void set_predecode(bool enabled);
+  /// True on the predecode and dbt tiers (set_exec_tier).
   [[nodiscard]] bool predecode_enabled() const noexcept {
     return predecode_enabled_;
   }

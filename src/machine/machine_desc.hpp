@@ -54,8 +54,8 @@ inline constexpr const char* kDescErrorCodes[] = {
     "[bad-exec-tier]",   // exec_tier is not precise/predecode/dbt
 };
 
-/// One soft processor: its program plus the ISA/memory options that the
-/// single-core Builder used to take directly.
+/// One soft processor: its program plus its ISA, memory and execution
+/// tier options.
 struct CoreDesc {
   std::string name;          ///< unique id, [A-Za-z0-9_]+ ("cpu0", "feeder")
   std::string program;       ///< inline MB32 assembly source, or
@@ -101,9 +101,8 @@ struct MachineDesc {
   /// but worker-count-independent (DESIGN.md §10).
   Cycle quantum = 64;
 
-  /// The historical single-core shape: one core named "cpu0" running
-  /// `program`, no links, no declared peripherals (the legacy Builder
-  /// attaches its hardware() bundle to it directly).
+  /// The single-core shape: one core named "cpu0" running `program`, no
+  /// links, no peripherals (add a PeripheralDesc on "cpu0" to attach one).
   [[nodiscard]] static MachineDesc single_core(std::string program);
 
   /// `count` copies of `core_template`, named <stem>0..<stem>N-1 (the

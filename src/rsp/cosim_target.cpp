@@ -1,5 +1,7 @@
 #include "rsp/cosim_target.hpp"
 
+#include "core/stall_streak.hpp"
+
 namespace mbcosim::rsp {
 
 Word CoSimTarget::read_reg(unsigned index) {
@@ -56,15 +58,14 @@ bool CoSimTarget::write_mem(Addr addr, std::string_view bytes) {
 
 iss::StepResult CoSimTarget::machine_step() {
   if (step_fn_) return step_fn_();
-  if (engine_ != nullptr) return engine_->debug_step();
-  return dbg_.cpu().step();
+  return engine_.debug_step();
 }
 
 StopInfo CoSimTarget::resume(Cycle max_cycles, bool step_off_breakpoint) {
   iss::Processor& cpu = dbg_.cpu();
   if (cpu.halted()) return {StopInfo::Kind::kHalted, cpu.pc()};
   const Cycle start = cpu.cycle();
-  Cycle stall_streak = 0;
+  core::StallStreak streak(stall_threshold_, engine_.fifo_traffic());
   bool first = step_off_breakpoint;
   while (cpu.cycle() - start < max_cycles) {
     if (!first && dbg_.has_breakpoint(cpu.pc())) {
@@ -78,14 +79,10 @@ StopInfo CoSimTarget::resume(Cycle max_cycles, bool step_off_breakpoint) {
       case iss::Event::kIllegal:
         return {StopInfo::Kind::kIllegal, cpu.pc()};
       case iss::Event::kFslStall:
-        // With an engine attached the hardware just advanced one cycle
-        // and may yet unblock the access; without one nothing can.
-        if (++stall_streak >= stall_threshold_) {
+      case iss::Event::kRetired:
+        if (streak.deadlocked(result.event, engine_.fifo_traffic())) {
           return {StopInfo::Kind::kStalled, cpu.pc()};
         }
-        break;
-      case iss::Event::kRetired:
-        stall_streak = 0;
         break;
     }
   }
@@ -95,7 +92,7 @@ StopInfo CoSimTarget::resume(Cycle max_cycles, bool step_off_breakpoint) {
 StopInfo CoSimTarget::step_one() {
   iss::Processor& cpu = dbg_.cpu();
   if (cpu.halted()) return {StopInfo::Kind::kHalted, cpu.pc()};
-  Cycle stall_streak = 0;
+  core::StallStreak streak(stall_threshold_, engine_.fifo_traffic());
   while (true) {
     const iss::StepResult result = machine_step();
     switch (result.event) {
@@ -106,7 +103,7 @@ StopInfo CoSimTarget::step_one() {
       case iss::Event::kRetired:
         return {StopInfo::Kind::kStep, cpu.pc()};
       case iss::Event::kFslStall:
-        if (++stall_streak >= stall_threshold_) {
+        if (streak.deadlocked(result.event, engine_.fifo_traffic())) {
           return {StopInfo::Kind::kStalled, cpu.pc()};
         }
         break;  // ride out the stall: the hardware side is catching up

@@ -2,10 +2,9 @@
 // registers and memory come from iss::Processor (through the
 // iss::Debugger run-control front end, whose breakpoint set and
 // `monitor` command vocabulary are reused verbatim), and run control
-// advances either the bare ISS or — when a core::CoSimEngine is
-// attached — the full co-simulated system, one precise lock-step unit
-// at a time, so the hardware model and the FSL channels stay at cycle
-// parity with the software at every stop.
+// advances the core's core::CoSimEngine — the full co-simulated system —
+// one precise lock-step unit at a time, so the hardware model and the
+// FSL channels stay at cycle parity with the software at every stop.
 #pragma once
 
 #include <functional>
@@ -19,10 +18,9 @@ namespace mbcosim::rsp {
 
 class CoSimTarget final : public Target {
  public:
-  /// `engine` may be null: a software-only target (bare ISS). Both
-  /// references are aliased, not owned.
-  explicit CoSimTarget(iss::Debugger& debugger,
-                       core::CoSimEngine* engine = nullptr)
+  /// `engine` drives the debugger's processor. Both references are
+  /// aliased, not owned.
+  CoSimTarget(iss::Debugger& debugger, core::CoSimEngine& engine)
       : dbg_(debugger), engine_(engine) {}
 
   /// Extra monitor-command handler consulted before the debugger's own
@@ -32,8 +30,9 @@ class CoSimTarget final : public Target {
     monitor_extra_ = std::move(extra);
   }
 
-  /// Consecutive stalled cycles with no retired instruction before a
-  /// resume reports StopInfo::Kind::kStalled (FSL deadlock heuristic).
+  /// Consecutive stalled cycles with no retired instruction and no FIFO
+  /// word moved before a resume reports StopInfo::Kind::kStalled (the
+  /// core::StallStreak deadlock heuristic).
   void set_stall_threshold(Cycle threshold) noexcept {
     stall_threshold_ = threshold;
   }
@@ -42,7 +41,7 @@ class CoSimTarget final : public Target {
   /// debugger focuses one core but every step must advance the whole
   /// system coherently, so sim::SimSystem installs
   /// core::ManyCoreEngine::debug_step(core) here; resume/step then use
-  /// it instead of the single-core engine/processor.
+  /// it instead of the core's own engine.
   void set_step_fn(std::function<iss::StepResult()> step) {
     step_fn_ = std::move(step);
   }
@@ -64,12 +63,12 @@ class CoSimTarget final : public Target {
   }
 
  private:
-  /// One precise machine step: the bare processor, or the processor plus
-  /// the hardware model brought to cycle parity.
+  /// One precise machine step: the processor plus the hardware model
+  /// brought to cycle parity.
   iss::StepResult machine_step();
 
   iss::Debugger& dbg_;
-  core::CoSimEngine* engine_;
+  core::CoSimEngine& engine_;
   Cycle stall_threshold_ = 100'000;
   std::function<iss::StepResult()> step_fn_;
   std::function<std::string(std::string_view)> monitor_extra_;

@@ -1,15 +1,15 @@
 // PeripheralRegistry: the name -> hardware-factory table that lets a
-// declarative machine description say `"type": "cordic"` and get the
-// same sysgen model + FSL gateway bindings an explicit
-// Builder::hardware() call would wire. Applications register their
-// peripheral types once at startup (apps::register_machine_peripherals
-// installs the built-ins) and SimSystem::Builder resolves
-// machine::PeripheralDesc entries against the table at build() time.
+// declarative machine description say `"type": "cordic"` and get a fresh
+// sysgen model + FSL gateway bindings on the declared channel — the only
+// way a peripheral reaches a SimSystem. Applications register their
+// peripheral types once (apps::register_machine_peripherals installs the
+// built-ins) and SimSystem::Builder resolves machine::PeripheralDesc
+// entries against the table at build() time.
 //
-// Registration must finish before builds start; lookups afterwards are
-// const and safe from the concurrent builds of a sweep. Factories
-// signal bad parameters by throwing SimError — the builder catches it
-// and reports through its Expected channel, like hardware factories.
+// Registration must finish before builds that use it start; lookups
+// afterwards are const and safe from the concurrent builds of a sweep.
+// Factories signal bad parameters by throwing SimError — the builder
+// catches it and reports through its Expected channel.
 #pragma once
 
 #include <functional>

@@ -5,7 +5,8 @@
 //   u64 core count          shape check against the built system
 //   per core, in machine order:
 //     cpu, memory, hub      component save_state payloads
-//     bool has engine       + hardware model, engine (iff engaged)
+//     bool has hardware     + hardware model, engine (iff the core has a
+//                             model; a model-less engine is all zeros)
 //     bool has opb          + bus and peripheral payloads (iff attached)
 //   bool has machine engine + round progress (iff multi-core)
 //
@@ -46,10 +47,10 @@ std::vector<unsigned char> SimSystem::snapshot() const {
     core->cpu.save_state(writer);
     core->memory.save_state(writer);
     core->hub.save_state(writer);
-    writer.write_bool(core->engine.has_value());
-    if (core->engine) {
+    writer.write_bool(core->hardware != nullptr);
+    if (core->hardware) {
       core->hardware->save_state(writer);
-      core->engine->save_state(writer);
+      core->engine.save_state(writer);
     }
     writer.write_bool(core->opb != nullptr);
     if (core->opb) core->opb->save_state(writer);
@@ -83,14 +84,14 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (!core->hub.load_state(reader)) {
       return shape_error(prefix + "FSL hub state does not fit");
     }
-    if (reader.read_bool() != core->engine.has_value()) {
-      return shape_error(prefix + "engine presence does not match");
+    if (reader.read_bool() != (core->hardware != nullptr)) {
+      return shape_error(prefix + "hardware model presence does not match");
     }
-    if (core->engine) {
+    if (core->hardware) {
       if (!core->hardware->load_state(reader)) {
         return shape_error(prefix + "hardware model state does not fit");
       }
-      if (!core->engine->load_state(reader)) {
+      if (!core->engine.load_state(reader)) {
         return shape_error(prefix + "engine state does not fit");
       }
     }
@@ -100,7 +101,7 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (core->opb && !core->opb->load_state(reader)) {
       return shape_error(prefix + "OPB bus state does not fit");
     }
-    core->last_deadlock.reset();
+    core->engine.clear_deadlock_diagnosis();
   }
   if (reader.read_bool() != state_->machine_engine.has_value()) {
     return shape_error("machine engine presence does not match");

@@ -22,20 +22,20 @@ namespace mbcosim::sim {
 // per-core state lives in one heap block so SimSystem stays movable
 // while the internal references (Processor -> LmbMemory/FslHub,
 // CoSimEngine -> Processor/Model/FslHub, TraceEvent::origin ->
-// Core::name) stay stable. A single-core machine — which is what every
-// legacy Builder call produces — is exactly one of these, and behaves
-// byte-for-byte like the pre-machine SimSystem.
+// Core::name) stay stable. A single-core machine is exactly one of these.
 struct SimSystem::State {
   struct Core {
     Core(std::string core_name, assembler::Program p,
          const isa::CpuConfig& config, u32 mem_bytes, std::size_t fifo_depth,
-         const std::string& hub_prefix)
+         const std::string& hub_prefix, std::unique_ptr<sysgen::Model> model)
         : name(std::move(core_name)),
           program(std::move(p)),
           cpu_config(config),
           memory(mem_bytes),
           hub(fifo_depth, hub_prefix),
-          cpu(config, memory, &hub) {}
+          cpu(config, memory, &hub),
+          hardware(std::move(model)),
+          engine(cpu, hardware.get(), hub) {}
 
     std::string name;  ///< stable: TraceBus origin points at it
     assembler::Program program;
@@ -43,15 +43,14 @@ struct SimSystem::State {
     iss::LmbMemory memory;
     fsl::FslHub hub;
     iss::Processor cpu;
-    std::unique_ptr<sysgen::Model> hardware;  ///< null for software-only
-    std::optional<core::CoSimEngine> engine;  ///< engaged iff hardware
-    std::unique_ptr<bus::OpbBus> opb;         ///< null unless Builder::opb
+    /// Null for a peripheral-free single core; a multi-core machine
+    /// gives such a core an empty "<name>.none" model instead.
+    std::unique_ptr<sysgen::Model> hardware;
+    core::CoSimEngine engine;
+    std::unique_ptr<bus::OpbBus> opb;  ///< null unless Builder::opb
     unsigned fsl_links = 0;
     obs::TraceBus trace_bus;
     obs::MetricsRegistry* metrics = nullptr;  ///< owned by trace_bus if set
-    /// Deadlock diagnosis of the software-only loop (the engine keeps
-    /// its own); SimSystem::deadlock_diagnosis() merges them.
-    std::optional<core::DeadlockDiagnosis> last_deadlock;
   };
 
   /// The estimator view of one core (its slice of the whole design).
@@ -73,7 +72,7 @@ struct SimSystem::State {
   std::vector<std::unique_ptr<Core>> cores;  ///< machine order, never empty
   machine::MachineDesc desc;                 ///< what this machine is
   /// Engaged iff cores.size() > 1; a lone core runs through its own
-  /// CoSimEngine exactly as it always has.
+  /// CoSimEngine.
   std::optional<core::ManyCoreEngine> machine_engine;
   std::size_t stop_core = 0;   ///< culprit of the last terminal stop
   std::size_t gdb_core = 0;    ///< Builder::gdb_core

@@ -9,6 +9,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/stopwatch.hpp"
+#include "core/stall_streak.hpp"
 #include "fault/injector.hpp"
 #include "isa/isa.hpp"
 #include "iss/debugger.hpp"
@@ -35,6 +36,68 @@ std::string per_core_path(const std::string& path, const std::string& name) {
   return path.substr(0, dot) + "." + name + path.substr(dot);
 }
 
+/// Validate a peripheral's FSL channel bindings and wire them onto the
+/// core's bridge, counting the FSL links they use into `links`; error
+/// messages start with `prefix`.
+Status bind_channels(
+    core::FslBridge& bridge,
+    const std::vector<HardwareBundle::ChannelBinding>& channels,
+    const std::string& prefix, unsigned& links) {
+  std::set<unsigned> bound;
+  for (const auto& binding : channels) {
+    const std::string channel = std::to_string(binding.channel);
+    if (binding.channel >= fsl::FslHub::kChannels) {
+      return Status::failure(prefix + "FSL channel " + channel +
+                             " is out of range (0.." +
+                             std::to_string(fsl::FslHub::kChannels - 1) + ")");
+    }
+    if (!bound.insert(binding.channel).second) {
+      return Status::failure(prefix + "FSL channel " + channel +
+                             " is bound twice");
+    }
+    const FslGateways& io = binding.io;
+    if (!io.has_slave() && !io.has_master()) {
+      return Status::failure(prefix + "FSL channel " + channel +
+                             " binds no gateways");
+    }
+    if (io.has_slave() && (io.s_data == nullptr || io.s_exists == nullptr ||
+                           io.s_read == nullptr)) {
+      return Status::failure(prefix + "the slave side of FSL channel " +
+                             channel +
+                             " needs the s_data, s_exists and s_read gateways");
+    }
+    if (io.has_master() && (io.m_data == nullptr || io.m_write == nullptr)) {
+      return Status::failure(prefix + "the master side of FSL channel " +
+                             channel +
+                             " needs the m_data and m_write gateways");
+    }
+  }
+  for (const auto& binding : channels) {
+    const FslGateways& io = binding.io;
+    if (io.has_slave()) {
+      core::SlaveBinding slave;
+      slave.channel = binding.channel;
+      slave.data = io.s_data;
+      slave.exists = io.s_exists;
+      slave.control = io.s_control;
+      slave.read = io.s_read;
+      bridge.bind_slave(slave);
+      ++links;
+    }
+    if (io.has_master()) {
+      core::MasterBinding master;
+      master.channel = binding.channel;
+      master.data = io.m_data;
+      master.control = io.m_control;
+      master.write = io.m_write;
+      master.full = io.m_full;
+      bridge.bind_master(master);
+      ++links;
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 SimSystem::SimSystem(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -44,13 +107,7 @@ SimSystem::~SimSystem() = default;
 
 void SimSystem::reset() {
   for (auto& core : state_->cores) {
-    if (core->engine) {
-      core->engine->reset(core->program.entry());
-    } else {
-      core->cpu.reset(core->program.entry());
-      core->hub.clear();
-    }
-    core->last_deadlock.reset();
+    core->engine.reset(core->program.entry());
     // Return every component to fault-free operation, then re-arm the
     // configured plan with fresh one-shot state for the new run.
     core->hub.clear_faults();
@@ -66,138 +123,42 @@ void SimSystem::reset() {
   }
 }
 
-core::StopReason SimSystem::run_software_only(Cycle max_cycles) {
-  // Mirror of CoSimEngine::run without a hardware side: with no
-  // peripheral attached nothing can ever unblock a blocking FSL access,
-  // so a stall streak of deadlock_threshold cycles is reported as a
-  // deadlock instead of burning the whole cycle budget.
-  State::Core& core = state_->c0();
-  iss::Processor& cpu = core.cpu;
-  Cycle blocked_streak = 0;
-  while (!cpu.halted() && cpu.cycle() < max_cycles) {
-    if (cpu.fast_path_available()) {
-      const iss::BatchResult batch = cpu.run_batch(max_cycles, false);
-      switch (batch.stop) {
-        case iss::BatchStop::kHalted:
-          return core::StopReason::kHalted;
-        case iss::BatchStop::kIllegal:
-          return core::StopReason::kIllegal;
-        case iss::BatchStop::kFslStall:
-          // A stall costs exactly one cycle, so cycles > 1 means the
-          // batch retired instructions first — the streak restarts.
-          blocked_streak = batch.cycles > 1 ? 1 : blocked_streak + 1;
-          if (blocked_streak >= state_->deadlock_threshold) {
-            core.last_deadlock =
-                core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-            return core::StopReason::kDeadlock;  // bus disabled: no event
-          }
-          continue;
-        case iss::BatchStop::kBudget:
-          continue;  // loop condition exits
-        case iss::BatchStop::kFslPending:  // unreachable: stop_before_fsl off
-        case iss::BatchStop::kPrecise:
-          break;  // fall through to the precise step below
-      }
-    }
-    const iss::StepResult result = cpu.step();
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return core::StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return core::StopReason::kIllegal;
-      case iss::Event::kFslStall:
-        if (++blocked_streak >= state_->deadlock_threshold) {
-          core.last_deadlock =
-              core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-          if (core.trace_bus.enabled()) {
-            obs::TraceEvent event;
-            event.kind = obs::EventKind::kDeadlock;
-            event.cycle = cpu.cycle();
-            event.cycles = blocked_streak;
-            event.channel = core.last_deadlock->channel.empty()
-                                ? nullptr
-                                : core.last_deadlock->channel.c_str();
-            core.trace_bus.emit(event);
-          }
-          return core::StopReason::kDeadlock;
-        }
-        break;
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        break;
-    }
-  }
-  return cpu.halted() ? core::StopReason::kHalted
-                      : core::StopReason::kCycleLimit;
-}
-
-core::StopReason SimSystem::run_segment(Cycle max_cycles) {
-  State::Core& core = state_->c0();
-  return core.engine ? core.engine->run(max_cycles)
-                     : run_software_only(max_cycles);
-}
-
 core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
-  State::Core& core = state_->c0();
   fault::Injector& injector = *state_->injector;
   const fault::FaultPlan& plan = injector.plan();
+  State::Core& core = *state_->cores[state_->fault_core];
   if (plan.trigger == fault::TriggerKind::kCycle) {
     // Run to the trigger cycle, inject, continue. If the software ends
     // before the trigger the fault never fires (masked by timing).
     const Cycle target = std::min<Cycle>(plan.trigger_value, max_cycles);
-    const core::StopReason before = run_segment(target);
+    const core::StopReason before = run_unfaulted(target);
     if (before != core::StopReason::kCycleLimit) return before;
     injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus);
-    return run_segment(max_cycles);
+    return run_unfaulted(max_cycles);
   }
-  // PC trigger: precise lock-step until the processor is about to
-  // execute the trigger PC. A blocked or runaway program is bounded by
-  // the deadlock threshold / cycle budget, like any other run.
+  // PC trigger (single-core only: build()/arm_fault reject it on a
+  // machine): precise lock-step until the processor is about to execute
+  // the trigger PC. A blocked or runaway program is bounded by the
+  // deadlock threshold / cycle budget, like any other run.
   iss::Processor& cpu = core.cpu;
-  Cycle blocked_streak = 0;
+  core::StallStreak streak(state_->deadlock_threshold,
+                           core.engine.fifo_traffic());
   while (!cpu.halted() && cpu.cycle() < max_cycles) {
     if (cpu.pc() == static_cast<Addr>(plan.trigger_value)) {
       injector.fire(cpu, &core.hub, core.opb.get(), &core.trace_bus);
-      return run_segment(max_cycles);
+      return run_unfaulted(max_cycles);
     }
-    const iss::StepResult result =
-        core.engine ? core.engine->debug_step() : cpu.step();
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return core::StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return core::StopReason::kIllegal;
-      case iss::Event::kFslStall:
-        if (++blocked_streak >= state_->deadlock_threshold) {
-          core.last_deadlock =
-              core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-          return core::StopReason::kDeadlock;
-        }
-        break;
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        break;
+    const iss::StepResult result = core.engine.debug_step();
+    if (result.event == iss::Event::kHalted) return core::StopReason::kHalted;
+    if (result.event == iss::Event::kIllegal) {
+      return core::StopReason::kIllegal;
+    }
+    if (streak.deadlocked(result.event, core.engine.fifo_traffic())) {
+      return core.engine.declare_deadlock(streak.length());
     }
   }
   return cpu.halted() ? core::StopReason::kHalted
                       : core::StopReason::kCycleLimit;
-}
-
-core::StopReason SimSystem::run_machine_faulted(Cycle max_cycles) {
-  // Only cycle triggers reach here: build()/arm_fault reject pc
-  // triggers on multi-core machines (a PC is ambiguous across cores).
-  fault::Injector& injector = *state_->injector;
-  State::Core& target_core = *state_->cores[state_->fault_core];
-  const Cycle target =
-      std::min<Cycle>(injector.plan().trigger_value, max_cycles);
-  core::MachineStop stop = state_->machine_engine->run(target);
-  state_->stop_core = stop.core;
-  if (stop.reason != core::StopReason::kCycleLimit) return stop.reason;
-  injector.fire(target_core.cpu, &target_core.hub, target_core.opb.get(),
-                &target_core.trace_bus);
-  stop = state_->machine_engine->run(max_cycles);
-  state_->stop_core = stop.core;
-  return stop.reason;
 }
 
 core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
@@ -206,7 +167,7 @@ core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
     state_->stop_core = stop.core;
     return stop.reason;
   }
-  return run_segment(max_cycles);
+  return state_->c0().engine.run(max_cycles);
 }
 
 core::StopReason SimSystem::run_checkpointed(Cycle max_cycles) {
@@ -240,8 +201,7 @@ core::StopReason SimSystem::run(Cycle max_cycles) {
                                    !state_->injector->armed_or_fired();
   core::StopReason reason;
   if (pending_point_fault) {
-    reason = state_->machine_engine ? run_machine_faulted(max_cycles)
-                                    : run_faulted(max_cycles);
+    reason = run_faulted(max_cycles);
   } else if (state_->checkpoint_interval != 0) {
     reason = run_checkpointed(max_cycles);
   } else {
@@ -260,13 +220,7 @@ core::CoSimStats SimSystem::stats() const {
 }
 
 core::CoSimStats SimSystem::core_stats(std::size_t index) const {
-  const State::Core& core = *state_->cores[index];
-  if (core.engine) return core.engine->stats();
-  core::CoSimStats stats;
-  stats.cycles = core.cpu.stats().cycles;
-  stats.instructions = core.cpu.stats().instructions;
-  stats.fsl_stall_cycles = core.cpu.stats().fsl_stall_cycles;
-  return stats;
+  return state_->cores[index]->engine.stats();
 }
 
 obs::TraceBus& SimSystem::trace_bus(std::size_t index) {
@@ -309,8 +263,7 @@ energy::EnergyReport SimSystem::energy_report() const {
         estimate::estimate_system(State::describe(*core));
     const energy::EnergyReport slice = energy::estimate_energy(
         core->cpu.stats(), core->hardware.get(),
-        core->engine ? core->engine->stats().hw_cycles_stepped : 0,
-        report.implemented);
+        core->engine.stats().hw_cycles_stepped, report.implemented);
     total.processor_nj += slice.processor_nj;
     total.peripheral_nj += slice.peripheral_nj;
     total.static_nj += slice.static_nj;
@@ -414,9 +367,8 @@ sysgen::Model* SimSystem::hardware() noexcept {
 const sysgen::Model* SimSystem::hardware() const noexcept {
   return state_->c0().hardware.get();
 }
-core::CoSimEngine* SimSystem::engine() noexcept {
-  State::Core& core = state_->c0();
-  return core.engine ? &*core.engine : nullptr;
+core::CoSimEngine& SimSystem::engine() noexcept {
+  return state_->c0().engine;
 }
 
 fsl::FslHub& SimSystem::fsl_hub() noexcept { return state_->c0().hub; }
@@ -495,14 +447,12 @@ const fault::Injector* SimSystem::fault_injector() const noexcept {
 }
 
 std::optional<core::DeadlockDiagnosis> SimSystem::deadlock_diagnosis() const {
-  if (state_->machine_engine && state_->machine_engine->deadlock_diagnosis()) {
+  // A machine's cores never deadlock alone (the machine engine sets
+  // their thresholds to infinity); a lone core's engine is the verdict.
+  if (state_->machine_engine) {
     return state_->machine_engine->deadlock_diagnosis();
   }
-  const State::Core& core = state_->c0();
-  if (core.engine && core.engine->deadlock_diagnosis()) {
-    return core.engine->deadlock_diagnosis();
-  }
-  return core.last_deadlock;
+  return state_->c0().engine.deadlock_diagnosis();
 }
 
 Status SimSystem::sink_status() const {
@@ -549,8 +499,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // through ManyCoreEngine::debug_step so cross-links stay live.
   State::Core& debugged = *state_->cores[state_->gdb_core];
   iss::Debugger debugger(debugged.cpu);
-  rsp::CoSimTarget target(debugger,
-                          debugged.engine ? &*debugged.engine : nullptr);
+  rsp::CoSimTarget target(debugger, debugged.engine);
   target.set_stall_threshold(state_->deadlock_threshold);
   if (state_->machine_engine) {
     target.set_step_fn([this] {
@@ -661,81 +610,8 @@ SimSystem::Builder& SimSystem::Builder::gdb_core(std::size_t index) {
   return *this;
 }
 
-SimSystem::Builder& SimSystem::Builder::program(std::string_view source) {
-  source_ = std::string(source);
-  image_.reset();
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::program(assembler::Program image) {
-  image_ = std::move(image);
-  source_.reset();
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::cpu_config(
-    const isa::CpuConfig& config) {
-  cpu_config_ = config;
-  single_core_setter_ = "cpu_config";
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::memory_bytes(u32 bytes) {
-  memory_bytes_ = bytes;
-  single_core_setter_ = "memory_bytes";
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::fifo_depth(std::size_t depth) {
-  fifo_depth_ = depth;
-  single_core_setter_ = "fifo_depth";
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::hardware(
-    std::unique_ptr<sysgen::Model> model) {
-  model_ = std::move(model);
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::hardware(HardwareFactory factory) {
-  factory_ = std::move(factory);
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::bind_fsl(unsigned channel,
-                                                 const FslGateways& io) {
-  bindings_.push_back({channel, io});
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::predecode(bool enabled) {
-  predecode_ = enabled;
-  single_core_setter_ = "predecode";
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::exec_tier(iss::ExecTier tier) {
-  exec_tier_ = tier;
-  predecode_ = tier != iss::ExecTier::kPrecise;
-  single_core_setter_ = "exec_tier";
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::quiescence(Cycle drain_cycles) {
-  quiescence_ = drain_cycles;
-  single_core_setter_ = "quiescence";
-  return *this;
-}
-
 SimSystem::Builder& SimSystem::Builder::deadlock_threshold(Cycle threshold) {
   deadlock_threshold_ = threshold;
-  return *this;
-}
-
-SimSystem::Builder& SimSystem::Builder::custom_instruction(
-    unsigned slot, iss::CustomInstruction unit) {
-  custom_.emplace_back(slot, std::move(unit));
   return *this;
 }
 
@@ -778,303 +654,123 @@ SimSystem::Builder& SimSystem::Builder::gdb_server(u16 port) {
 Expected<SimSystem> SimSystem::Builder::build() {
   using Failure = Expected<SimSystem>;
 
-  // 0. Settle on the machine description: the one given to machine(),
-  // or one synthesized from the legacy single-core setters (the shim
-  // path every pre-machine caller takes). Mixing the two is ambiguous
-  // and rejected with a setter-specific diagnostic.
-  const bool from_machine = machine_.has_value();
-  if (from_machine) {
-    if (source_ || image_) {
-      return Failure::failure(
-          "SimSystem: machine() and program() are mutually exclusive — core "
-          "programs come from the machine description");
-    }
-    if (model_ || factory_) {
-      return Failure::failure(
-          "SimSystem: machine() and hardware() are mutually exclusive — "
-          "peripherals come from the machine description via the "
-          "PeripheralRegistry");
-    }
-    if (!bindings_.empty()) {
-      return Failure::failure(
-          "SimSystem: machine() and bind_fsl() are mutually exclusive — "
-          "peripheral channels come from the machine description");
-    }
-    if (opb_) {
-      return Failure::failure(
-          "SimSystem: machine() and opb() are mutually exclusive — OPB "
-          "buses are not describable per core yet");
-    }
-    if (!custom_.empty()) {
-      return Failure::failure(
-          "SimSystem: machine() and custom_instruction() are mutually "
-          "exclusive — custom instructions are not describable per core yet");
-    }
-    if (single_core_setter_ != nullptr) {
-      return Failure::failure(std::string("SimSystem: machine() and ") +
-                              single_core_setter_ +
-                              "() are mutually exclusive — per-core options "
-                              "come from the machine description");
-    }
-  } else if (!source_ && !image_) {
+  if (!machine_) {
     return Failure::failure(
-        "SimSystem: no program was given (call Builder::program)");
+        "SimSystem: no machine was given (call Builder::machine)");
   }
-  machine::MachineDesc desc;
-  if (from_machine) {
-    desc = std::move(*machine_);
-    if (const Status valid = desc.validate(); !valid.ok) {
-      return Failure::failure("SimSystem: " + valid.message);
-    }
-  } else {
-    machine::CoreDesc core;
-    core.name = "cpu0";
-    if (source_) core.program = *source_;
-    core.memory_bytes = memory_bytes_;
-    core.has_barrel_shifter = cpu_config_.has_barrel_shifter;
-    core.has_multiplier = cpu_config_.has_multiplier;
-    core.has_divider = cpu_config_.has_divider;
-    core.predecode = predecode_;
-    core.exec_tier = exec_tier_;
-    desc.cores.push_back(std::move(core));
-    desc.fifo_depth = fifo_depth_;
+  machine::MachineDesc desc = std::move(*machine_);
+  if (const Status valid = desc.validate(); !valid.ok) {
+    return Failure::failure("SimSystem: " + valid.message);
   }
   const bool multi = desc.cores.size() > 1;
 
-  // 1. Software and per-core skeletons (program, memory, FIFOs, CPU).
+  // 1. Programs, assembled up front so a broken one is reported first.
+  std::vector<assembler::Program> programs;
+  for (const machine::CoreDesc& core_desc : desc.cores) {
+    std::string source = core_desc.program;
+    if (source.empty()) {
+      std::ifstream in(core_desc.program_file, std::ios::binary);
+      if (!in) {
+        return Failure::failure("SimSystem: [file-io] cannot read program "
+                                "file '" + core_desc.program_file +
+                                "' for core '" + core_desc.name + "'");
+      }
+      std::ostringstream text;
+      text << in.rdbuf();
+      source = text.str();
+    }
+    Expected<assembler::Program> assembled = assembler::assemble(source);
+    if (!assembled) {
+      return Failure::failure("SimSystem: core '" + core_desc.name +
+                              "': program does not assemble: " +
+                              assembled.error());
+    }
+    programs.push_back(std::move(assembled).value());
+  }
+
+  // 2. Peripherals, resolved against the registry: at most one hardware
+  // model per core.
+  std::vector<HardwareBundle> bundles(desc.cores.size());
+  for (const machine::PeripheralDesc& peripheral : desc.peripherals) {
+    HardwareBundle& bundle = bundles[desc.core_index(peripheral.core)];
+    if (bundle.model != nullptr) {
+      return Failure::failure("SimSystem: core '" + peripheral.core +
+                              "' has more than one peripheral; a core "
+                              "hosts at most one hardware model");
+    }
+    const PeripheralFactory* factory =
+        PeripheralRegistry::instance().find(peripheral.type);
+    if (factory == nullptr) {
+      std::string known;
+      for (const std::string& type : PeripheralRegistry::instance().types()) {
+        known += known.empty() ? type : ", " + type;
+      }
+      return Failure::failure(
+          "SimSystem: unknown peripheral type '" + peripheral.type +
+          "' on core '" + peripheral.core + "'" +
+          (known.empty() ? std::string(" (no types are registered; call "
+                                       "apps::register_machine_peripherals)")
+                         : " (registered: " + known + ")"));
+    }
+    try {
+      bundle = (*factory)(peripheral);
+    } catch (const std::exception& error) {
+      return Failure::failure("SimSystem: peripheral '" + peripheral.type +
+                              "' on core '" + peripheral.core +
+                              "': " + error.what());
+    }
+    if (bundle.model == nullptr) {
+      return Failure::failure("SimSystem: peripheral '" + peripheral.type +
+                              "' on core '" + peripheral.core +
+                              "' produced no model");
+    }
+  }
+
+  // 3. The cores: processor, memory, FIFOs and a lock-step engine each.
+  // A peripheral-free core of a multi-core machine gets an empty model
+  // (zero blocks, zero resources), which its checkpoint image records.
   auto state = std::make_unique<State>();
   state->deadlock_threshold = deadlock_threshold_;
   state->gdb_port = gdb_port_;
   state->checkpoint_interval = checkpoint_interval_;
   state->checkpoint_prefix = checkpoint_prefix_;
-  for (const machine::CoreDesc& core_desc : desc.cores) {
-    assembler::Program program;
-    if (!from_machine && image_) {
-      program = std::move(*image_);
-    } else {
-      std::string source;
-      if (!from_machine) {
-        source = *source_;
-      } else if (!core_desc.program.empty()) {
-        source = core_desc.program;
-      } else {
-        std::ifstream in(core_desc.program_file, std::ios::binary);
-        if (!in) {
-          return Failure::failure("SimSystem: [file-io] cannot read program "
-                                  "file '" + core_desc.program_file +
-                                  "' for core '" + core_desc.name + "'");
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        source = text.str();
-      }
-      Expected<assembler::Program> assembled = assembler::assemble(source);
-      if (!assembled) {
-        return Failure::failure(
-            from_machine
-                ? "SimSystem: core '" + core_desc.name +
-                      "': program does not assemble: " + assembled.error()
-                : "SimSystem: program does not assemble: " + assembled.error());
-      }
-      program = std::move(assembled).value();
+  for (std::size_t index = 0; index < desc.cores.size(); ++index) {
+    const machine::CoreDesc& core_desc = desc.cores[index];
+    HardwareBundle& bundle = bundles[index];
+    if (multi && bundle.model == nullptr) {
+      bundle.model = std::make_unique<sysgen::Model>(core_desc.name + ".none");
     }
-
-    isa::CpuConfig config = cpu_config_;
-    if (from_machine) {
-      config = isa::CpuConfig{};
-      config.has_barrel_shifter = core_desc.has_barrel_shifter;
-      config.has_multiplier = core_desc.has_multiplier;
-      config.has_divider = core_desc.has_divider;
-    }
+    isa::CpuConfig config;
+    config.has_barrel_shifter = core_desc.has_barrel_shifter;
+    config.has_multiplier = core_desc.has_multiplier;
+    config.has_divider = core_desc.has_divider;
     // The FSL channel names (and with them trace/VCD signal names) are
-    // scoped by the core name only on real multi-core machines, so a
-    // single-core system's output stays byte-identical to before.
+    // scoped by the core name only on real multi-core machines.
     const std::string hub_prefix =
         multi ? core_desc.name + "." : std::string();
     auto core = std::make_unique<State::Core>(
-        core_desc.name, std::move(program), config,
-        static_cast<u32>(core_desc.memory_bytes), desc.fifo_depth, hub_prefix);
-    // The legacy predecode flag dominates: false forces the precise
-    // tier regardless of the declared exec_tier.
+        core_desc.name, std::move(programs[index]), config,
+        static_cast<u32>(core_desc.memory_bytes), desc.fifo_depth, hub_prefix,
+        std::move(bundle.model));
+    // CoreDesc::predecode = false forces the precise tier regardless of
+    // the declared exec_tier.
     core->cpu.set_exec_tier(core_desc.predecode ? core_desc.exec_tier
                                                 : iss::ExecTier::kPrecise);
+    if (Status status =
+            bind_channels(core->engine.bridge(), bundle.channels,
+                          "SimSystem: core '" + core_desc.name + "': ",
+                          core->fsl_links);
+        !status.ok) {
+      return Failure::failure(status.message);
+    }
+    core->engine.set_quiescence_window(bundle.quiescence);
+    core->engine.set_deadlock_threshold(deadlock_threshold_);
+    core->engine.set_trace_bus(&core->trace_bus);
     state->cores.push_back(std::move(core));
   }
   State::Core& c0 = state->c0();
 
-  // 2. Hardware. Shared attachment logic: validate a bundle's channel
-  // bindings, then stand up the core's lock-step engine around it.
-  const Cycle threshold = deadlock_threshold_;
-  const auto attach = [threshold](State::Core& core, HardwareBundle bundle,
-                                  const std::string& prefix) -> Status {
-    std::set<unsigned> bound;
-    unsigned links = 0;
-    for (const auto& binding : bundle.channels) {
-      if (binding.channel >= fsl::FslHub::kChannels) {
-        return Status::failure(
-            prefix + "FSL channel " + std::to_string(binding.channel) +
-            " is out of range (0.." +
-            std::to_string(fsl::FslHub::kChannels - 1) + ")");
-      }
-      if (!bound.insert(binding.channel).second) {
-        return Status::failure(prefix + "FSL channel " +
-                               std::to_string(binding.channel) +
-                               " is bound twice");
-      }
-      const FslGateways& io = binding.io;
-      if (!io.has_slave() && !io.has_master()) {
-        return Status::failure(prefix + "FSL channel " +
-                               std::to_string(binding.channel) +
-                               " binds no gateways");
-      }
-      if (io.has_slave() && (io.s_data == nullptr || io.s_exists == nullptr ||
-                             io.s_read == nullptr)) {
-        return Status::failure(
-            prefix + "the slave side of FSL channel " +
-            std::to_string(binding.channel) +
-            " needs the s_data, s_exists and s_read gateways");
-      }
-      if (io.has_master() && (io.m_data == nullptr || io.m_write == nullptr)) {
-        return Status::failure(prefix + "the master side of FSL channel " +
-                               std::to_string(binding.channel) +
-                               " needs the m_data and m_write gateways");
-      }
-      links += (io.has_slave() ? 1u : 0u) + (io.has_master() ? 1u : 0u);
-    }
-    core.fsl_links += links;
-    core.hardware = std::move(bundle.model);
-    core.engine.emplace(core.cpu, *core.hardware, core.hub);
-    for (const auto& binding : bundle.channels) {
-      const FslGateways& io = binding.io;
-      if (io.has_slave()) {
-        core::SlaveBinding slave;
-        slave.channel = binding.channel;
-        slave.data = io.s_data;
-        slave.exists = io.s_exists;
-        slave.control = io.s_control;
-        slave.read = io.s_read;
-        core.engine->bridge().bind_slave(slave);
-      }
-      if (io.has_master()) {
-        core::MasterBinding master;
-        master.channel = binding.channel;
-        master.data = io.m_data;
-        master.control = io.m_control;
-        master.write = io.m_write;
-        master.full = io.m_full;
-        core.engine->bridge().bind_master(master);
-      }
-    }
-    core.engine->set_quiescence_window(bundle.quiescence);
-    core.engine->set_deadlock_threshold(threshold);
-    core.engine->set_trace_bus(&core.trace_bus);
-    return {};
-  };
-
-  if (model_ && factory_) {
-    return Failure::failure(
-        "SimSystem: both a hardware model and a hardware factory were "
-        "given; they are mutually exclusive");
-  }
-  if (!from_machine) {
-    // Legacy path: a ready-made model, or a factory that also carries
-    // its own channel bindings, wired onto the (only) core.
-    std::unique_ptr<sysgen::Model> model = std::move(model_);
-    if (factory_) {
-      try {
-        HardwareBundle produced = factory_();
-        model = std::move(produced.model);
-        for (const auto& binding : produced.channels) {
-          bindings_.push_back(binding);
-        }
-      } catch (const std::exception& error) {
-        return Failure::failure(std::string("SimSystem: hardware factory "
-                                            "failed: ") + error.what());
-      }
-      if (model == nullptr) {
-        return Failure::failure(
-            "SimSystem: the hardware factory returned no model");
-      }
-    }
-    if (model == nullptr && !bindings_.empty()) {
-      return Failure::failure(
-          "SimSystem: bind_fsl was called but no hardware model was given");
-    }
-    if (model != nullptr) {
-      HardwareBundle bundle;
-      bundle.model = std::move(model);
-      bundle.channels = std::move(bindings_);
-      bundle.quiescence = quiescence_;
-      if (Status status = attach(c0, std::move(bundle), "SimSystem: ");
-          !status.ok) {
-        return Failure::failure(status.message);
-      }
-    }
-  } else {
-    // Machine path: peripherals resolved against the registry. One
-    // hardware model per core — a core's peripherals must be merged
-    // into one model type, exactly like one Builder::hardware() call.
-    std::set<std::size_t> with_peripheral;
-    for (const machine::PeripheralDesc& peripheral : desc.peripherals) {
-      const std::size_t index = desc.core_index(peripheral.core);
-      if (!with_peripheral.insert(index).second) {
-        return Failure::failure("SimSystem: core '" + peripheral.core +
-                                "' has more than one peripheral; a core "
-                                "hosts at most one hardware model");
-      }
-      const PeripheralFactory* factory =
-          PeripheralRegistry::instance().find(peripheral.type);
-      if (factory == nullptr) {
-        std::string known;
-        for (const std::string& type : PeripheralRegistry::instance().types()) {
-          known += known.empty() ? type : ", " + type;
-        }
-        return Failure::failure(
-            "SimSystem: unknown peripheral type '" + peripheral.type +
-            "' on core '" + peripheral.core + "'" +
-            (known.empty() ? std::string(" (no types are registered; call "
-                                         "apps::register_machine_peripherals)")
-                           : " (registered: " + known + ")"));
-      }
-      HardwareBundle bundle;
-      try {
-        bundle = (*factory)(peripheral);
-      } catch (const std::exception& error) {
-        return Failure::failure("SimSystem: peripheral '" + peripheral.type +
-                                "' on core '" + peripheral.core +
-                                "': " + error.what());
-      }
-      if (bundle.model == nullptr) {
-        return Failure::failure("SimSystem: peripheral '" + peripheral.type +
-                                "' on core '" + peripheral.core +
-                                "' produced no model");
-      }
-      const std::string prefix =
-          "SimSystem: core '" + peripheral.core + "': ";
-      if (Status status =
-              attach(*state->cores[index], std::move(bundle), prefix);
-          !status.ok) {
-        return Failure::failure(status.message);
-      }
-    }
-    if (multi) {
-      // Every core of a machine needs a lock-step engine for the
-      // machine engine to drive; peripheral-less cores get an empty
-      // hardware model (zero blocks, zero resources).
-      for (auto& core : state->cores) {
-        if (core->engine) continue;
-        HardwareBundle bundle;
-        bundle.model = std::make_unique<sysgen::Model>(core->name + ".none");
-        if (Status status =
-                attach(*core, std::move(bundle), "SimSystem: ");
-            !status.ok) {
-          return Failure::failure(status.message);
-        }
-      }
-    }
-  }
-
-  // 3. Fault plan, debug-core and machine-wide option checks.
+  // 4. Fault plan, debug-core and machine-wide option checks.
   if (fault_plan_) {
     if (const Status valid = fault::validate_plan(*fault_plan_); !valid.ok) {
       return Failure::failure("SimSystem: " + valid.message);
@@ -1105,7 +801,7 @@ Expected<SimSystem> SimSystem::Builder::build() {
     c0.cpu.attach_opb(c0.opb.get());
   }
 
-  // 4. Observability sinks, one set per core. The buses live inside the
+  // 5. Observability sinks, one set per core. The buses live inside the
   // heap-allocated core blocks, so the pointers handed to the
   // components survive moves of the SimSystem itself. On multi-core
   // machines file sinks split per core ("t.jsonl" -> "t.cpu1.jsonl")
@@ -1150,13 +846,10 @@ Expected<SimSystem> SimSystem::Builder::build() {
     if (extra != nullptr) c0.trace_bus.add_sink(std::move(extra));
   }
 
-  // 5. Load programs, custom instructions, and the machine engine.
+  // 6. Load programs and stand up the machine engine.
   try {
     for (auto& core : state->cores) {
       core->memory.load_program(core->program);
-    }
-    for (auto& [slot, unit] : custom_) {
-      c0.cpu.register_custom_instruction(slot, std::move(unit));
     }
   } catch (const std::exception& error) {
     return Failure::failure(std::string("SimSystem: ") + error.what());
@@ -1166,7 +859,7 @@ Expected<SimSystem> SimSystem::Builder::build() {
     state->machine_engine->set_workers(workers_);
     state->machine_engine->set_deadlock_threshold(deadlock_threshold_);
     for (auto& core : state->cores) {
-      state->machine_engine->add_core(core->name, core->cpu, *core->engine,
+      state->machine_engine->add_core(core->name, core->cpu, core->engine,
                                       core->hub);
     }
     for (const machine::LinkDesc& link : desc.links) {

@@ -16,17 +16,11 @@
 //   sim::SimSystem system = std::move(built).value();
 //   system.run();
 //
-// The historical single-core surface is a thin preset over the same
-// machinery and remains fully supported (deprecated in spirit, not in
-// ABI): program()/hardware()/bind_fsl() describe the one core of a
-// machine::MachineDesc::single_core machine, and their outputs — stats,
-// traces, waveforms — are byte-identical to earlier releases:
-//
-//   auto built = sim::SimSystem::Builder()
-//                    .program(source)                 // MB32 assembly
-//                    .hardware(std::move(model))      // or a factory
-//                    .bind_fsl(0, gateways)
-//                    .build();
+// A single-core design is MachineDesc::single_core(source), with its
+// peripheral (if any) declared by type and resolved through the
+// PeripheralRegistry. A pure-software design is the same machine with no
+// peripheral: its core runs through the same CoSimEngine loop, whose
+// hardware side is then empty and free.
 //
 // Construction problems (missing program, assembly errors, bad FSL
 // bindings, invalid machine topologies) come back through the Expected
@@ -49,7 +43,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "asm/program.hpp"
@@ -61,7 +54,6 @@
 #include "energy/energy_model.hpp"
 #include "estimate/estimator.hpp"
 #include "fault/fault_plan.hpp"
-#include "fsl/fsl_channel.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
 #include "machine/machine_desc.hpp"
@@ -103,8 +95,8 @@ struct FslGateways {
 };
 
 /// A hardware model together with its FSL channel bindings — what a
-/// hardware factory hands to the builder (the factory form exists so a
-/// sweep can stamp out one fresh model per configuration point).
+/// PeripheralRegistry factory hands to the builder, one fresh model per
+/// built system.
 struct HardwareBundle {
   struct ChannelBinding {
     unsigned channel = 0;
@@ -114,12 +106,8 @@ struct HardwareBundle {
   std::vector<ChannelBinding> channels;
   /// Quiescence fast-forward window this peripheral is safe with (an
   /// upper bound on its pipeline drain time); 0 = never fast-forward.
-  /// Used by the machine-description build path, where no explicit
-  /// Builder::quiescence call exists per core.
   Cycle quiescence = 0;
 };
-
-using HardwareFactory = std::function<HardwareBundle()>;
 
 class SimSystem {
  public:
@@ -172,8 +160,7 @@ class SimSystem {
 
   // -- component access ------------------------------------------------
   // The no-index accessors refer to core 0 — for a single-core machine
-  // (every legacy build) that is the whole system, which keeps all
-  // historical call sites working unchanged.
+  // that is the whole system.
   [[nodiscard]] iss::Processor& cpu() noexcept;
   [[nodiscard]] const iss::Processor& cpu() const noexcept;
   [[nodiscard]] iss::LmbMemory& memory() noexcept;
@@ -182,15 +169,15 @@ class SimSystem {
   /// Hardware model; nullptr for a software-only system.
   [[nodiscard]] sysgen::Model* hardware() noexcept;
   [[nodiscard]] const sysgen::Model* hardware() const noexcept;
-  /// Co-simulation engine; nullptr for a software-only system.
-  [[nodiscard]] core::CoSimEngine* engine() noexcept;
+  /// Core 0's co-simulation engine (present on every core).
+  [[nodiscard]] core::CoSimEngine& engine() noexcept;
   /// The processor's FSL channel hub (always present).
   [[nodiscard]] fsl::FslHub& fsl_hub() noexcept;
   /// Memory-mapped OPB bus; nullptr unless Builder::opb attached one.
   [[nodiscard]] bus::OpbBus* opb() noexcept;
 
   // -- machine (multi-core) access -------------------------------------
-  /// Number of cores in the machine (1 for every legacy build).
+  /// Number of cores in the machine.
   [[nodiscard]] std::size_t core_count() const noexcept;
   /// Name of core `index` as declared in the machine description.
   [[nodiscard]] const std::string& core_name(std::size_t index) const;
@@ -209,8 +196,7 @@ class SimSystem {
   /// core::MachineStop::kNoCore when no core is attributable. 0 for
   /// single-core systems.
   [[nodiscard]] std::size_t stop_core() const noexcept;
-  /// The machine description this system was built from (synthesized
-  /// for legacy single-core builds).
+  /// The machine description this system was built from.
   [[nodiscard]] const machine::MachineDesc& machine_desc() const noexcept;
   /// Address of a symbol in core `index`'s program / the `word_index`-th
   /// word of the array there (throws SimError if undefined).
@@ -229,8 +215,8 @@ class SimSystem {
   /// The armed injector, or nullptr when the system runs fault-free.
   [[nodiscard]] const fault::Injector* fault_injector() const noexcept;
 
-  /// Diagnosis of the most recent StopReason::kDeadlock (engine or
-  /// software-only run); empty until a deadlock has been detected.
+  /// Diagnosis of the most recent StopReason::kDeadlock (core 0's engine,
+  /// or the machine engine); empty until a deadlock has been detected.
   [[nodiscard]] std::optional<core::DeadlockDiagnosis> deadlock_diagnosis()
       const;
 
@@ -311,20 +297,14 @@ class SimSystem {
   struct State;
   explicit SimSystem(std::unique_ptr<State> state);
 
-  core::StopReason run_software_only(Cycle max_cycles);
-  /// Fault-free dispatch: machine engine or lone-core segment.
+  /// Fault-free dispatch: the machine engine, or core 0's CoSimEngine.
   core::StopReason run_unfaulted(Cycle max_cycles);
   /// run_unfaulted chunked at Builder::checkpoint_every boundaries,
   /// writing "<prefix>NNNNNN.ckpt" at each one.
   core::StopReason run_checkpointed(Cycle max_cycles);
-  /// Engine or software-only run, without the wall-clock / flush
-  /// bookkeeping of run() (used for the segments of a faulted run).
-  core::StopReason run_segment(Cycle max_cycles);
   /// Run-to-trigger, fire the injection, continue — the orchestration
   /// of a cycle/pc point-triggered fault plan.
   core::StopReason run_faulted(Cycle max_cycles);
-  /// Same orchestration for the multi-core engine (cycle triggers only).
-  core::StopReason run_machine_faulted(Cycle max_cycles);
 
   std::unique_ptr<State> state_;
 };
@@ -334,13 +314,10 @@ class SimSystem {
 /// through Expected instead of throwing.
 class SimSystem::Builder {
  public:
-  /// Build from a declarative machine description — the primary entry
-  /// point. Core programs, memory sizes, FIFO depth, peripherals (via
-  /// the PeripheralRegistry) and cross-core links all come from the
-  /// description; mixing machine() with the per-core setters below
-  /// (program/hardware/bind_fsl/opb/custom_instruction/cpu_config/
-  /// memory_bytes/fifo_depth/quiescence/predecode/exec_tier) is a
-  /// build() error.
+  /// Build from a declarative machine description (required). Core
+  /// programs, ISA options, memory sizes, execution tiers, FIFO depth,
+  /// peripherals (via the PeripheralRegistry) and cross-core links all
+  /// come from the description.
   Builder& machine(machine::MachineDesc desc);
   /// Host worker threads for multi-core rounds (0 = one per hardware
   /// thread; ignored for single-core machines). Results are identical
@@ -349,52 +326,13 @@ class SimSystem::Builder {
   /// Core serve_gdb() attaches the debugger to (default 0).
   Builder& gdb_core(std::size_t index);
 
-  /// MB32 assembly source, assembled at build() time.
-  Builder& program(std::string_view source);
-  /// Pre-assembled image (overrides a previously-set source and vice
-  /// versa: the last program() call wins).
-  Builder& program(assembler::Program image);
-
-  Builder& cpu_config(const isa::CpuConfig& config);
-  /// LMB BRAM size (default 64 KiB).
-  Builder& memory_bytes(u32 bytes);
-  /// Depth of every FSL FIFO (default fsl::FslChannel::kDefaultDepth).
-  Builder& fifo_depth(std::size_t depth);
-
-  /// Attach a hardware model built elsewhere; bind its gateways with
-  /// bind_fsl(). Mutually exclusive with the factory overload.
-  Builder& hardware(std::unique_ptr<sysgen::Model> model);
-  /// Attach a factory producing the model plus its channel bindings;
-  /// invoked (and its SimError caught) at build() time.
-  Builder& hardware(HardwareFactory factory);
-
-  /// Bind peripheral gateways onto FSL channel `channel`.
-  Builder& bind_fsl(unsigned channel, const FslGateways& io);
-
-  /// Enable/disable the processor's predecode cache and batched fast
-  /// path (default: enabled). Disabling restores decode-per-step
-  /// execution — the `--no-predecode` A/B baseline; simulated cycle
-  /// counts and statistics are identical either way.
-  Builder& predecode(bool enabled);
-
-  /// Select the processor execution tier (default iss::ExecTier::kDbt;
-  /// see DESIGN.md §12). Subsumes predecode(): kPrecise ==
-  /// predecode(false). Simulated cycle counts and statistics are
-  /// bit-identical across tiers.
-  Builder& exec_tier(iss::ExecTier tier);
-
-  /// Quiescence fast-forward window in cycles (0 = disabled); see
-  /// CoSimEngine::set_quiescence_window.
-  Builder& quiescence(Cycle drain_cycles);
   /// Consecutive blocked cycles with no FIFO movement before run()
   /// reports StopReason::kDeadlock.
   Builder& deadlock_threshold(Cycle threshold);
 
-  /// Install a Nios-style custom instruction in `slot` (0..7).
-  Builder& custom_instruction(unsigned slot, iss::CustomInstruction unit);
-
   /// Attach a memory-mapped OPB bus (with its peripherals already
-  /// mapped); data accesses outside the LMB memory decode on it.
+  /// mapped) to core 0; its data accesses outside the LMB memory decode
+  /// on it.
   Builder& opb(std::unique_ptr<bus::OpbBus> bus);
 
   /// Arm a fault plan: the fault fires during run() at the plan's
@@ -438,24 +376,7 @@ class SimSystem::Builder {
   std::optional<machine::MachineDesc> machine_;
   unsigned workers_ = 0;
   std::size_t gdb_core_ = 0;
-  /// Name of the first value-typed per-core setter that was called
-  /// (cpu_config/memory_bytes/...), for the machine() contradiction
-  /// diagnostic — these have in-band defaults, so a flag must record
-  /// that the caller touched them.
-  const char* single_core_setter_ = nullptr;
-  std::optional<std::string> source_;
-  std::optional<assembler::Program> image_;
-  isa::CpuConfig cpu_config_{};
-  u32 memory_bytes_ = 64 * 1024;
-  std::size_t fifo_depth_ = fsl::FslChannel::kDefaultDepth;
-  std::unique_ptr<sysgen::Model> model_;
-  HardwareFactory factory_;
-  std::vector<HardwareBundle::ChannelBinding> bindings_;
-  bool predecode_ = true;
-  iss::ExecTier exec_tier_ = iss::ExecTier::kDbt;
-  Cycle quiescence_ = 0;
   Cycle deadlock_threshold_ = 100'000;
-  std::vector<std::pair<unsigned, iss::CustomInstruction>> custom_;
   std::unique_ptr<bus::OpbBus> opb_;
   std::optional<fault::FaultPlan> fault_plan_;
   std::optional<std::string> trace_path_;

@@ -310,20 +310,27 @@ void expect_same(const FinalState& got, const FinalState& want) {
   EXPECT_EQ(got.result, want.result);
 }
 
+/// A builder for the one-core machine running `source`.
+sim::SimSystem::Builder one_core(std::string source) {
+  sim::SimSystem::Builder builder;
+  builder.machine(machine::MachineDesc::single_core(std::move(source)));
+  return builder;
+}
+
 TEST(CkptSystem, SingleCoreRestoreRunMatchesFreeRun) {
-  auto free_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto free_built = one_core(kSumProgram).build();
   ASSERT_TRUE(free_built.ok()) << free_built.error();
   sim::SimSystem free_run = std::move(free_built).value();
   const FinalState want = finish(free_run);
   ASSERT_EQ(want.result, 20100u);  // sum 1..200
 
-  auto saver_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto saver_built = one_core(kSumProgram).build();
   ASSERT_TRUE(saver_built.ok()) << saver_built.error();
   sim::SimSystem saver = std::move(saver_built).value();
   ASSERT_EQ(saver.run(500), core::StopReason::kCycleLimit);
   const std::vector<unsigned char> image = saver.snapshot();
 
-  auto resumed_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto resumed_built = one_core(kSumProgram).build();
   ASSERT_TRUE(resumed_built.ok()) << resumed_built.error();
   sim::SimSystem resumed = std::move(resumed_built).value();
   ASSERT_TRUE(resumed.restore_image(image).ok);
@@ -340,12 +347,12 @@ TEST(CkptSystem, SingleCoreRestoreRunMatchesFreeRun) {
 // pre-restore image), restart the dbt counters, regenerate the blocks
 // lazily and still replay to the bit-exact same end state.
 TEST(CkptSystem, RestoreAcrossHotBlockRegeneratesTranslations) {
-  auto free_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto free_built = one_core(kSumProgram).build();
   ASSERT_TRUE(free_built.ok()) << free_built.error();
   sim::SimSystem free_run = std::move(free_built).value();
   const FinalState want = finish(free_run);
 
-  auto saver_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto saver_built = one_core(kSumProgram).build();
   ASSERT_TRUE(saver_built.ok()) << saver_built.error();
   sim::SimSystem saver = std::move(saver_built).value();
   ASSERT_EQ(saver.cpu().exec_tier(), iss::ExecTier::kDbt);
@@ -356,7 +363,7 @@ TEST(CkptSystem, RestoreAcrossHotBlockRegeneratesTranslations) {
   ASSERT_GT(at_save.dbt_instructions, 0u);
   const std::vector<unsigned char> image = saver.snapshot();
 
-  auto resumed_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto resumed_built = one_core(kSumProgram).build();
   ASSERT_TRUE(resumed_built.ok()) << resumed_built.error();
   sim::SimSystem resumed = std::move(resumed_built).value();
   ASSERT_TRUE(resumed.restore_image(image).ok);
@@ -372,14 +379,14 @@ TEST(CkptSystem, RestoreAcrossHotBlockRegeneratesTranslations) {
 
 TEST(CkptSystem, SaveCheckpointRestoreFileRoundTrip) {
   const std::string path = tmp_path("ckpt_single_core.ckpt");
-  auto a_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto a_built = one_core(kSumProgram).build();
   ASSERT_TRUE(a_built.ok()) << a_built.error();
   sim::SimSystem a = std::move(a_built).value();
   ASSERT_EQ(a.run(300), core::StopReason::kCycleLimit);
   ASSERT_TRUE(a.save_checkpoint(path).ok);
   const FinalState want = finish(a);
 
-  auto b_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto b_built = one_core(kSumProgram).build();
   ASSERT_TRUE(b_built.ok()) << b_built.error();
   sim::SimSystem b = std::move(b_built).value();
   ASSERT_TRUE(b.restore(path).ok);
@@ -387,12 +394,12 @@ TEST(CkptSystem, SaveCheckpointRestoreFileRoundTrip) {
 }
 
 TEST(CkptSystem, RestoreRejectsADifferentMachineShape) {
-  auto a_built = sim::SimSystem::Builder().program(kSumProgram).build();
+  auto a_built = one_core(kSumProgram).build();
   ASSERT_TRUE(a_built.ok()) << a_built.error();
   sim::SimSystem a = std::move(a_built).value();
   const std::vector<unsigned char> image = a.snapshot();
 
-  auto b_built = sim::SimSystem::Builder().program("halt\n").build();
+  auto b_built = one_core("halt\n").build();
   ASSERT_TRUE(b_built.ok()) << b_built.error();
   sim::SimSystem b = std::move(b_built).value();
   const Status status = b.restore_image(image);
@@ -406,8 +413,7 @@ TEST(CkptSystem, RestoreRejectsADifferentMachineShape) {
 
 TEST(CkptSystem, PeriodicCheckpointsReplayToTheSameEnd) {
   const std::string prefix = tmp_path("ckpt_every_");
-  auto chunked_built = sim::SimSystem::Builder()
-                           .program(kSumProgram)
+  auto chunked_built = one_core(kSumProgram)
                            .checkpoint_every(400, prefix)
                            .build();
   ASSERT_TRUE(chunked_built.ok()) << chunked_built.error();
@@ -416,7 +422,7 @@ TEST(CkptSystem, PeriodicCheckpointsReplayToTheSameEnd) {
 
   // The run is ~1.2k cycles: at least two periodic snapshots landed.
   for (const char* name : {"000000.ckpt", "000001.ckpt"}) {
-    auto resumed_built = sim::SimSystem::Builder().program(kSumProgram).build();
+    auto resumed_built = one_core(kSumProgram).build();
     ASSERT_TRUE(resumed_built.ok()) << resumed_built.error();
     sim::SimSystem resumed = std::move(resumed_built).value();
     ASSERT_TRUE(resumed.restore(prefix + name).ok) << name;

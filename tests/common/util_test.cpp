@@ -1,10 +1,8 @@
-// Tests for the RNG, logger and Expected utilities.
+// Tests for the RNG and Expected utilities.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 
@@ -59,50 +57,6 @@ TEST(Rng, ReseedRestoresSequence) {
   rng.next_u64();
   rng.reseed(55);
   EXPECT_EQ(rng.next_u64(), first);
-}
-
-class LogCapture {
- public:
-  LogCapture() {
-    previous_level_ = Log::level();
-    Log::set_level(LogLevel::kTrace);
-    previous_ = Log::set_sink([this](LogLevel level, std::string_view msg) {
-      lines_.emplace_back(Log::level_name(level) + std::string(": ") +
-                          std::string(msg));
-    });
-  }
-  ~LogCapture() {
-    Log::set_sink(std::move(previous_));
-    Log::set_level(previous_level_);
-  }
-  std::vector<std::string> lines_;
-
- private:
-  Log::Sink previous_;
-  LogLevel previous_level_;
-};
-
-TEST(Log, SinkReceivesMessages) {
-  LogCapture capture;
-  MBC_INFO << "hello " << 42;
-  ASSERT_EQ(capture.lines_.size(), 1u);
-  EXPECT_EQ(capture.lines_[0], "INFO: hello 42");
-}
-
-TEST(Log, LevelFilters) {
-  LogCapture capture;
-  Log::set_level(LogLevel::kError);
-  MBC_DEBUG << "dropped";
-  MBC_ERROR << "kept";
-  ASSERT_EQ(capture.lines_.size(), 1u);
-  EXPECT_EQ(capture.lines_[0], "ERROR: kept");
-}
-
-TEST(Log, OffSilencesEverything) {
-  LogCapture capture;
-  Log::set_level(LogLevel::kOff);
-  MBC_ERROR << "nope";
-  EXPECT_TRUE(capture.lines_.empty());
 }
 
 TEST(Expected, HoldsValue) {

@@ -59,7 +59,7 @@ struct CoSimFixture {
       : program(assembler::assemble_or_throw(source)),
         memory(64 * 1024),
         cpu(isa::CpuConfig{}, memory, &hub),
-        engine(cpu, hw.model, hub) {
+        engine(cpu, &hw.model, hub) {
     memory.load_program(program);
     hw.bind(engine.bridge());
     engine.reset(program.entry());

@@ -75,7 +75,7 @@ struct Rig {
       : memory(4 * 1024),
         cpu(isa::CpuConfig{}, memory, &hub),
         model("dut"),
-        engine(cpu, model, hub) {
+        engine(cpu, &model, hub) {
     model.add<sysgen::ElisionSwitch>(settles);
     build(model, engine.bridge());
     model.elaborate();
@@ -230,7 +230,7 @@ TEST(ElidedTicks, PeripheralFreeTickIsConstantTime) {
   iss::LmbMemory memory(4 * 1024);
   iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
   sysgen::Model empty("empty");
-  CoSimEngine engine(cpu, empty, hub);
+  CoSimEngine engine(cpu, &empty, hub);
   constexpr Cycle kCycles = 1'000'000'000'000;
   engine.tick_hardware(kCycles);
   engine.tick_hardware(kCycles);

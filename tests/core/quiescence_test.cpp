@@ -19,7 +19,7 @@ struct CordicRig {
         memory(64 * 1024),
         cpu(make_config(), memory, &hub),
         pipeline(apps::cordic::build_cordic_pipeline(num_pes)),
-        engine(cpu, *pipeline.model, hub) {
+        engine(cpu, pipeline.model.get(), hub) {
     memory.load_program(program);
     pipeline.bind(engine.bridge(), 0);
     engine.reset(program.entry());

@@ -44,7 +44,8 @@ Expected<sim::SimSystem> victim_factory(const FaultPlan* plan) {
   sim::SimSystem::Builder builder;
   auto opb = std::make_unique<bus::OpbBus>();
   opb->map("scratch", 0xc000'0000, 64, std::make_unique<bus::OpbScratchpad>(8));
-  builder.program(kVictimSource).opb(std::move(opb));
+  builder.machine(machine::MachineDesc::single_core(kVictimSource))
+      .opb(std::move(opb));
   if (plan != nullptr) builder.fault(*plan);
   return builder.build();
 }
@@ -218,7 +219,10 @@ TEST(Campaign, HistogramsAddUpAndEveryRowIsAccounted) {
 TEST(Campaign, GoldenFailureIsTheCampaignError) {
   const SystemFactory never_halts = [](const FaultPlan*)
       -> Expected<sim::SimSystem> {
-    return sim::SimSystem::Builder().program("loop: addik r3, r3, 1\nbri loop\nhalt\n").build();
+    return sim::SimSystem::Builder()
+        .machine(machine::MachineDesc::single_core(
+            "loop: addik r3, r3, 1\nbri loop\nhalt\n"))
+        .build();
   };
   const auto report = run_campaign(small_campaign(1), never_halts,
                                    [](sim::SimSystem&) {

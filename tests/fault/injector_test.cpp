@@ -137,14 +137,25 @@ constexpr const char* kAddLoop = R"(
   output: .space 4
 )";
 
+/// A builder for the one-core machine running `source`.
+sim::SimSystem::Builder one_core(std::string source) {
+  sim::SimSystem::Builder builder;
+  builder.machine(machine::MachineDesc::single_core(std::move(source)));
+  return builder;
+}
+
 sim::SimSystem build_or_die(sim::SimSystem::Builder& builder) {
   auto built = builder.build();
   if (!built.ok()) throw SimError(built.error());
   return std::move(built).value();
 }
 
+sim::SimSystem build_or_die(sim::SimSystem::Builder&& builder) {
+  return build_or_die(builder);
+}
+
 TEST(Injector, RegisterFlipAtPcChangesTheResult) {
-  auto system = build_or_die(sim::SimSystem::Builder().program(kAddLoop));
+  auto system = build_or_die(one_core(kAddLoop));
   FaultPlan plan;
   plan.site = FaultSite::kRegister;
   plan.mode = FaultMode::kBitFlip;
@@ -160,7 +171,7 @@ TEST(Injector, RegisterFlipAtPcChangesTheResult) {
 }
 
 TEST(Injector, MemoryFlipOnInputDataPropagates) {
-  auto system = build_or_die(sim::SimSystem::Builder().program(kAddLoop));
+  auto system = build_or_die(one_core(kAddLoop));
   FaultPlan plan;
   plan.site = FaultSite::kMemory;
   plan.mode = FaultMode::kBitFlip;
@@ -178,7 +189,7 @@ TEST(Injector, MemoryFlipOnTextInvalidatesPredecode) {
   // this only takes effect if the injection invalidates the line (the
   // SMC path). An `addik r3, r3, 1` with bit 1 flipped in the immediate
   // becomes `addik r3, r3, 3`.
-  auto system = build_or_die(sim::SimSystem::Builder().program(kAddLoop));
+  auto system = build_or_die(one_core(kAddLoop));
   FaultPlan plan;
   plan.site = FaultSite::kMemory;
   plan.mode = FaultMode::kBitFlip;
@@ -192,7 +203,7 @@ TEST(Injector, MemoryFlipOnTextInvalidatesPredecode) {
 }
 
 TEST(Injector, FlipOutsideMemoryIsMaskedByConstruction) {
-  auto system = build_or_die(sim::SimSystem::Builder().program(kAddLoop));
+  auto system = build_or_die(one_core(kAddLoop));
   FaultPlan plan;
   plan.site = FaultSite::kMemory;
   plan.mode = FaultMode::kBitFlip;
@@ -210,7 +221,7 @@ TEST(Injector, FlipOutsideMemoryIsMaskedByConstruction) {
 
 TEST(Injector, NeverFiringPlanLeavesRunBitIdentical) {
   // Baseline without any fault subsystem involvement.
-  auto golden = build_or_die(sim::SimSystem::Builder().program(kAddLoop));
+  auto golden = build_or_die(one_core(kAddLoop));
   ASSERT_EQ(golden.run(), core::StopReason::kHalted);
   const core::CoSimStats golden_stats = golden.stats();
 
@@ -222,7 +233,7 @@ TEST(Injector, NeverFiringPlanLeavesRunBitIdentical) {
   plan.trigger_value = 1'000'000;
   plan.address = 0;
   auto armed = build_or_die(
-      sim::SimSystem::Builder().program(kAddLoop).fault(plan));
+      one_core(kAddLoop).fault(plan));
   ASSERT_EQ(armed.run(), core::StopReason::kHalted);
   const core::CoSimStats armed_stats = armed.stats();
 
@@ -241,7 +252,7 @@ TEST(Injector, BuilderRejectsInconsistentPlan) {
   plan.trigger = TriggerKind::kCycle;
   plan.trigger_value = 1;
   auto built =
-      sim::SimSystem::Builder().program(kAddLoop).fault(plan).build();
+      one_core(kAddLoop).fault(plan).build();
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("buserror or timeout"), std::string::npos);
 }

@@ -186,11 +186,6 @@ TEST(Dbt, TierDowngradeMidRunKeepsExecutingCorrectly) {
   EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPredecode);
   EXPECT_EQ(m.run(), Event::kHalted);
   EXPECT_EQ(m.cpu.reg(3), 120u);
-  // And the legacy knob still maps false -> precise, true -> default.
-  m.cpu.set_predecode(false);
-  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPrecise);
-  m.cpu.set_predecode(true);
-  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kDbt);
 }
 
 // A trace hook forces the precise per-step path even on the dbt tier;

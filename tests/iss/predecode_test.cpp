@@ -20,7 +20,7 @@ using testing::TestMachine;
 CpuStats run_with_predecode(const std::string& source, bool predecode,
                             Word* r3_out = nullptr) {
   TestMachine m(source);
-  m.cpu.set_predecode(predecode);
+  m.cpu.set_exec_tier(predecode ? ExecTier::kDbt : ExecTier::kPrecise);
   const Event event = m.run();
   EXPECT_EQ(event, Event::kHalted);
   if (r3_out != nullptr) *r3_out = m.cpu.reg(3);
@@ -161,7 +161,7 @@ TEST(Predecode, DisableMidRunKeepsExecutingCorrectly) {
   // Execute a few steps with the cache warm, then turn it off.
   for (int i = 0; i < 4; ++i) m.cpu.step();
   EXPECT_TRUE(m.cpu.predecode_enabled());
-  m.cpu.set_predecode(false);
+  m.cpu.set_exec_tier(ExecTier::kPrecise);
   EXPECT_FALSE(m.cpu.predecode_enabled());
   EXPECT_FALSE(m.cpu.fast_path_available());
   EXPECT_EQ(m.run(), Event::kHalted);

@@ -4,8 +4,8 @@
 //
 //   1. determinism: stats and traces are byte-identical no matter how
 //      many host workers advance the cores, and
-//   2. compatibility: a single-core machine behaves exactly like the
-//      legacy Builder shim it replaced.
+//   2. compatibility: a single-core machine behaves exactly like one
+//      processor stepped by a hand-wired CoSimEngine.
 //
 // Also the home of the two-core FSL pipeline golden trace. Regenerate
 // with:
@@ -23,8 +23,10 @@
 #include "apps/cordic/cordic_reference.hpp"
 #include "apps/machine_peripherals.hpp"
 #include "apps/matmul/matmul_app.hpp"
+#include "asm/assembler.hpp"
 #include "core/manycore.hpp"
 #include "fault/fault_plan.hpp"
+#include "iss/memory.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "sim/sim_system.hpp"
@@ -341,7 +343,7 @@ TEST(ManyCore, ResultsAreIndependentOfWorkerCount) {
   }
 }
 
-// ----------------------------------------------------- single-core shim
+// ------------------------------------------------------ single-core machine
 
 constexpr const char* kShimProgram = R"(
 start:
@@ -358,38 +360,43 @@ result: .space 4
 )";
 
 TEST(ManyCore, SingleCoreMachineMatchesTheLegacyBuilder) {
-  auto legacy = SimSystem::Builder().program(kShimProgram).build();
-  ASSERT_TRUE(legacy.ok()) << legacy.error();
+  // One processor with its memory and FIFOs, stepped by a hand-wired
+  // CoSimEngine with no peripheral: a one-core machine must run
+  // byte-identically to it (trace and statistics) and needs no machine
+  // engine.
+  const assembler::Program program = assembler::assemble_or_throw(kShimProgram);
+  iss::LmbMemory memory;
+  memory.load_program(program);
+  fsl::FslHub hub;
+  iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
+  core::CoSimEngine engine(cpu, nullptr, hub);
+  obs::TraceBus bus;
+  std::ostringstream wired_trace;
+  bus.add_sink(std::make_unique<obs::JsonlSink>(wired_trace));
+  cpu.set_trace_bus(&bus);
+  hub.set_trace_bus(&bus);
+  engine.set_trace_bus(&bus);
+  engine.reset(program.entry());
+  ASSERT_EQ(engine.run(), core::StopReason::kHalted);
+  bus.flush();
+
   auto described = SimSystem::Builder()
                        .machine(machine::MachineDesc::single_core(kShimProgram))
                        .build();
   ASSERT_TRUE(described.ok()) << described.error();
+  SimSystem system = std::move(described).value();
+  std::ostringstream machine_trace;
+  system.trace_bus().add_sink(std::make_unique<obs::JsonlSink>(machine_trace));
+  EXPECT_EQ(system.run(), core::StopReason::kHalted);
+  EXPECT_EQ(system.word_on(0, "result"), 55u);
 
-  auto run_traced = [](SimSystem system) {
-    std::ostringstream trace;
-    system.trace_bus().add_sink(std::make_unique<obs::JsonlSink>(trace));
-    EXPECT_EQ(system.run(), core::StopReason::kHalted);
-    EXPECT_EQ(system.word_on(0, "result"), 55u);
-    return std::make_pair(trace.str(), system.stats());
-  };
-  const auto [legacy_trace, legacy_stats] =
-      run_traced(std::move(legacy).value());
-  const auto [machine_trace, machine_stats] =
-      run_traced(std::move(described).value());
-
-  // The shim promise: byte-identical trace (no core origins, same
-  // channel names) and identical statistics.
-  ASSERT_FALSE(legacy_trace.empty());
-  EXPECT_EQ(machine_trace, legacy_trace);
-  EXPECT_EQ(machine_stats.cycles, legacy_stats.cycles);
-  EXPECT_EQ(machine_stats.instructions, legacy_stats.instructions);
-  // A single-core machine needs no machine engine at all.
-  auto rebuilt = SimSystem::Builder()
-                     .machine(machine::MachineDesc::single_core(kShimProgram))
-                     .build();
-  ASSERT_TRUE(rebuilt.ok());
-  SimSystem single = std::move(rebuilt).value();
-  EXPECT_EQ(single.machine_engine(), nullptr);
+  // Byte-identical trace (no core origins, same channel names) and
+  // identical statistics.
+  ASSERT_FALSE(wired_trace.str().empty());
+  EXPECT_EQ(machine_trace.str(), wired_trace.str());
+  EXPECT_EQ(system.stats().cycles, engine.stats().cycles);
+  EXPECT_EQ(system.stats().instructions, engine.stats().instructions);
+  EXPECT_EQ(system.machine_engine(), nullptr);
 }
 
 // ------------------------------------- halt attribution & debugger stepping
@@ -582,25 +589,6 @@ TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
   ASSERT_TRUE(diagnosis.has_value());
   EXPECT_NE(diagnosis->channel.find("hw_to_mb1"), std::string::npos)
       << diagnosis->channel;
-}
-
-TEST(ManyCore, BuilderRejectsMachinePlusLegacySetters) {
-  auto with_program = SimSystem::Builder()
-                          .machine(two_core_pipeline())
-                          .program("halt\n")
-                          .build();
-  ASSERT_FALSE(with_program.ok());
-  EXPECT_NE(with_program.error().find("mutually exclusive"),
-            std::string::npos)
-      << with_program.error();
-
-  auto with_memory = SimSystem::Builder()
-                         .machine(two_core_pipeline())
-                         .memory_bytes(4096)
-                         .build();
-  ASSERT_FALSE(with_memory.ok());
-  EXPECT_NE(with_memory.error().find("memory_bytes()"), std::string::npos)
-      << with_memory.error();
 }
 
 TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {

@@ -348,9 +348,15 @@ TEST(ObsWiring, DisabledBusEmitsNothing) {
 // ---------------------------------------------------------------------------
 // SimSystem integration
 
+/// A builder for the one-core machine running `source`.
+sim::SimSystem::Builder one_core(std::string source) {
+  sim::SimSystem::Builder builder;
+  builder.machine(machine::MachineDesc::single_core(std::move(source)));
+  return builder;
+}
+
 TEST(ObsSimSystem, MetricsBuilderExposesSnapshot) {
-  auto built = sim::SimSystem::Builder()
-                   .program("add r3, r4, r5\nmul r4, r3, r3\nhalt\n")
+  auto built = one_core("add r3, r4, r5\nmul r4, r3, r3\nhalt\n")
                    .metrics()
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
@@ -364,7 +370,7 @@ TEST(ObsSimSystem, MetricsBuilderExposesSnapshot) {
 }
 
 TEST(ObsSimSystem, WithoutMetricsSnapshotIsEmpty) {
-  auto built = sim::SimSystem::Builder().program("halt\n").build();
+  auto built = one_core("halt\n").build();
   ASSERT_TRUE(built.ok()) << built.error();
   sim::SimSystem system = std::move(built).value();
   system.run();
@@ -374,8 +380,7 @@ TEST(ObsSimSystem, WithoutMetricsSnapshotIsEmpty) {
 TEST(ObsSimSystem, CustomSinkSeesTheRun) {
   auto sink = std::make_unique<RecordingSink>();
   RecordingSink* raw = sink.get();
-  auto built = sim::SimSystem::Builder()
-                   .program("add r3, r4, r5\nhalt\n")
+  auto built = one_core("add r3, r4, r5\nhalt\n")
                    .sink(std::move(sink))
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
@@ -387,8 +392,7 @@ TEST(ObsSimSystem, CustomSinkSeesTheRun) {
 }
 
 TEST(ObsSimSystem, UnopenableTracePathFailsTheBuild) {
-  auto built = sim::SimSystem::Builder()
-                   .program("halt\n")
+  auto built = one_core("halt\n")
                    .trace("/nonexistent-dir-zz/out.jsonl")
                    .build();
   EXPECT_FALSE(built.ok());
@@ -396,8 +400,7 @@ TEST(ObsSimSystem, UnopenableTracePathFailsTheBuild) {
 }
 
 TEST(ObsSimSystem, SoftwareOnlyDeadlockIsReported) {
-  auto built = sim::SimSystem::Builder()
-                   .program("get r4, rfsl0\nhalt\n")
+  auto built = one_core("get r4, rfsl0\nhalt\n")
                    .deadlock_threshold(25)
                    .metrics()
                    .build();

@@ -95,10 +95,11 @@ TEST(SinkStatus, TraceBusSurfacesTheFirstFailingSink) {
 }
 
 TEST(SinkStatus, SimSystemExposesSinkHealth) {
-  auto system_built = sim::SimSystem::Builder()
-                          .program("addik r3, r3, 1\nhalt\n")
-                          .metrics()  // a healthy sink
-                          .build();
+  auto system_built =
+      sim::SimSystem::Builder()
+          .machine(machine::MachineDesc::single_core("addik r3, r3, 1\nhalt\n"))
+          .metrics()  // a healthy sink
+          .build();
   ASSERT_TRUE(system_built.ok()) << system_built.error();
   sim::SimSystem system = std::move(system_built).value();
   EXPECT_EQ(system.run(), core::StopReason::kHalted);

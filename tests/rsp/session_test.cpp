@@ -29,7 +29,9 @@ using testclient::RspTestClient;
 struct LoopbackSession {
   explicit LoopbackSession(TestMachine& machine,
                            RspServer::Options options = RspServer::Options{})
-      : debugger(machine.cpu), target(debugger) {
+      : debugger(machine.cpu),
+        engine(machine.cpu, nullptr, machine.hub),
+        target(debugger, engine) {
     auto [server_side, client_side] = make_loopback();
     server_transport = std::move(server_side);
     client_transport = std::move(client_side);
@@ -38,6 +40,7 @@ struct LoopbackSession {
   }
 
   iss::Debugger debugger;
+  core::CoSimEngine engine;  ///< no peripheral: the bare processor
   CoSimTarget target;
   std::unique_ptr<Transport> server_transport;
   std::unique_ptr<Transport> client_transport;

@@ -28,6 +28,13 @@ using testclient::RspTestClient;
 
 constexpr int kClientTimeoutMs = 30'000;
 
+/// A builder for the one-core machine running `source`.
+sim::SimSystem::Builder one_core(std::string source) {
+  sim::SimSystem::Builder builder;
+  builder.machine(machine::MachineDesc::single_core(std::move(source)));
+  return builder;
+}
+
 TEST(RspTcpE2E, AttachBreakResumeWithStatsParity) {
   apps::cordic::CordicRunConfig config;
   config.num_pes = 2;
@@ -124,8 +131,7 @@ TEST(RspTcpE2E, AttachBreakResumeWithStatsParity) {
 }
 
 TEST(RspTcpE2E, SecondClientGetsStructuredBusyError) {
-  auto built = sim::SimSystem::Builder()
-                   .program("loop: bri loop2\nloop2: bri loop\n")
+  auto built = one_core("loop: bri loop2\nloop2: bri loop\n")
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
   sim::SimSystem system = std::move(built).value();
@@ -165,8 +171,7 @@ TEST(RspTcpE2E, SecondClientGetsStructuredBusyError) {
 
 TEST(RspTcpE2E, InterruptOverTcp) {
   // A program that never halts: the raw \x03 byte must break it out.
-  auto built = sim::SimSystem::Builder()
-                   .program("loop: bri loop2\nloop2: bri loop\n")
+  auto built = one_core("loop: bri loop2\nloop2: bri loop\n")
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
   sim::SimSystem system = std::move(built).value();

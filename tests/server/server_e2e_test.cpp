@@ -268,9 +268,20 @@ TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
   ASSERT_NE(stream_wire, nullptr);
   ASSERT_TRUE(stream_wire->send(request_text(
       "GET", "/sessions/" + std::to_string(traced) + "/stream", "", "")));
+  // The server subscribes before it sends the response head, so once the
+  // head is here no event of the run below can be missed.
+  std::string stream_head;
+  const auto head_start = std::chrono::steady_clock::now();
+  while (stream_head.find("\r\n\r\n") == std::string::npos &&
+         !stream_wire->closed() &&
+         std::chrono::steady_clock::now() - head_start <
+             std::chrono::milliseconds(kDeadlineMs)) {
+    stream_head += stream_wire->recv(50);
+  }
+  ASSERT_NE(stream_head.find("\r\n\r\n"), std::string::npos) << stream_head;
   std::string stream_raw;
   std::thread stream_reader(
-      [&] { stream_raw = drain(*stream_wire); });
+      [&] { stream_raw = stream_head + drain(*stream_wire); });
 
   // Kick all four off together; `stepped` stops at absolute cycle 192
   // so a mid-run checkpoint exists to ship over the wire.

@@ -2,12 +2,14 @@
 // comes back through Expected, never a throw) and equivalence with the
 // hand-wired low-level API (identical cycle counts and results).
 #include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hpp"
 #include "core/cosim_engine.hpp"
+#include "sim/peripheral_registry.hpp"
 #include "sim/sim_system.hpp"
 #include "sysgen/blocks_basic.hpp"
 
@@ -65,101 +67,110 @@ TimesThree build_times_three() {
   return hw;
 }
 
+/// Build `source` on one core whose FSL channel 0 hosts the peripheral
+/// `type`, registering `type` with `factory` on first use (each test
+/// peripheral gets a name of its own).
+Expected<SimSystem> build_with(const std::string& type,
+                               PeripheralFactory factory,
+                               const std::string& source,
+                               Cycle deadlock_threshold = 100'000) {
+  (void)PeripheralRegistry::instance().add(type, std::move(factory));
+  machine::MachineDesc desc = machine::MachineDesc::single_core(source);
+  machine::PeripheralDesc peripheral;
+  peripheral.core = desc.cores.front().name;
+  peripheral.type = type;
+  desc.peripherals.push_back(peripheral);
+  return SimSystem::Builder()
+      .machine(std::move(desc))
+      .deadlock_threshold(deadlock_threshold)
+      .build();
+}
+
+/// The times-three peripheral bound to channel `channel` with gateways
+/// `edit` may damage.
+PeripheralFactory times_three(unsigned channel,
+                              void (*edit)(FslGateways&) = nullptr) {
+  return [channel, edit](const machine::PeripheralDesc&) {
+    TimesThree hw = build_times_three();
+    if (edit != nullptr) edit(hw.io);
+    HardwareBundle bundle;
+    bundle.channels.push_back({channel, hw.io});
+    bundle.model = std::move(hw.model);
+    return bundle;
+  };
+}
+
 TEST(SimSystemBuilder, MissingProgramIsAnError) {
   auto built = SimSystem::Builder().build();
   ASSERT_FALSE(built.ok());
-  EXPECT_NE(built.error().find("no program"), std::string::npos);
+  EXPECT_NE(built.error().find("no machine"), std::string::npos);
 }
 
 TEST(SimSystemBuilder, BadAssemblyIsAnError) {
-  auto built = SimSystem::Builder().program("frobnicate r1, r2\n").build();
+  auto built = SimSystem::Builder()
+                   .machine(machine::MachineDesc::single_core(
+                       "frobnicate r1, r2\n"))
+                   .build();
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("does not assemble"), std::string::npos);
 }
 
 TEST(SimSystemBuilder, ChannelOutOfRangeIsAnError) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(8, hw.io)
-                   .build();
+  auto built = build_with("test.times_three_ch8", times_three(8), "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("out of range"), std::string::npos);
 }
 
 TEST(SimSystemBuilder, ChannelBoundTwiceIsAnError) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, hw.io)
-                   .bind_fsl(0, hw.io)
-                   .build();
+  auto built = build_with(
+      "test.times_three_twice",
+      [](const machine::PeripheralDesc&) {
+        TimesThree hw = build_times_three();
+        HardwareBundle bundle;
+        bundle.channels.push_back({0, hw.io});
+        bundle.channels.push_back({0, hw.io});
+        bundle.model = std::move(hw.model);
+        return bundle;
+      },
+      "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("bound twice"), std::string::npos);
 }
 
-TEST(SimSystemBuilder, BindWithoutHardwareIsAnError) {
-  TimesThree hw = build_times_three();  // keeps the gateways alive
-  auto built =
-      SimSystem::Builder().program("halt\n").bind_fsl(0, hw.io).build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_NE(built.error().find("no hardware model"), std::string::npos);
-}
-
 TEST(SimSystemBuilder, IncompleteSlaveSideIsAnError) {
-  TimesThree hw = build_times_three();
-  FslGateways io = hw.io;
-  io.s_read = nullptr;  // slave side now lacks its required read ack
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, io)
-                   .build();
+  // The slave side lacks its required read ack.
+  auto built = build_with(
+      "test.times_three_no_read",
+      times_three(0, [](FslGateways& io) { io.s_read = nullptr; }), "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("s_read"), std::string::npos);
 }
 
 TEST(SimSystemBuilder, EmptyGatewaySetIsAnError) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, FslGateways{})
-                   .build();
+  auto built = build_with("test.times_three_empty",
+                          times_three(0, [](FslGateways& io) { io = {}; }),
+                          "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("binds no gateways"), std::string::npos);
 }
 
-TEST(SimSystemBuilder, ModelAndFactoryAreMutuallyExclusive) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware(std::move(hw.model))
-                   .hardware([] { return HardwareBundle{}; })
-                   .build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_NE(built.error().find("mutually exclusive"), std::string::npos);
-}
-
 TEST(SimSystemBuilder, FactoryExceptionIsCaptured) {
-  auto built = SimSystem::Builder()
-                   .program("halt\n")
-                   .hardware([]() -> HardwareBundle {
-                     throw SimError("peripheral generator exploded");
-                   })
-                   .build();
+  auto built = build_with(
+      "test.exploding",
+      [](const machine::PeripheralDesc&) -> HardwareBundle {
+        throw SimError("peripheral generator exploded");
+      },
+      "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("peripheral generator exploded"),
             std::string::npos);
 }
 
 TEST(SimSystemBuilder, ProgramTooLargeForMemoryIsAnError) {
-  auto built = SimSystem::Builder()
-                   .program(".space 4096\nhalt\n")
-                   .memory_bytes(1024)
-                   .build();
+  machine::MachineDesc desc =
+      machine::MachineDesc::single_core(".space 4096\nhalt\n");
+  desc.cores.front().memory_bytes = 1024;
+  auto built = SimSystem::Builder().machine(std::move(desc)).build();
   ASSERT_FALSE(built.ok());
 }
 
@@ -174,7 +185,7 @@ TEST(SimSystem, MatchesManualWiring) {
   memory.load_program(program);
   fsl::FslHub hub;
   iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
-  core::CoSimEngine engine(cpu, *manual_hw.model, hub);
+  core::CoSimEngine engine(cpu, manual_hw.model.get(), hub);
   core::SlaveBinding slave;
   slave.channel = 0;
   slave.data = manual_hw.io.s_data;
@@ -191,12 +202,8 @@ TEST(SimSystem, MatchesManualWiring) {
   const core::CoSimStats manual_stats = engine.stats();
 
   // The same design through the facade.
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program(kTimesThreeSource)
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, hw.io)
-                   .build();
+  auto built =
+      build_with("test.times_three", times_three(0), kTimesThreeSource);
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   const core::StopReason reason = system.run();
@@ -216,7 +223,7 @@ TEST(SimSystem, MatchesManualWiring) {
 
 TEST(SimSystem, SoftwareOnlySystemRuns) {
   auto built = SimSystem::Builder()
-                   .program(R"(
+                   .machine(machine::MachineDesc::single_core(R"(
                      li  r3, 0
                      li  r4, 10
                    loop:
@@ -227,12 +234,11 @@ TEST(SimSystem, SoftwareOnlySystemRuns) {
                      swi r3, r5, 0
                      halt
                    result: .space 4
-                   )")
+                   )"))
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   EXPECT_EQ(system.hardware(), nullptr);
-  EXPECT_EQ(system.engine(), nullptr);
   EXPECT_EQ(system.run(), core::StopReason::kHalted);
   EXPECT_EQ(system.word("result"), 70u);
   EXPECT_GT(system.stats().cycles, 0u);
@@ -242,7 +248,8 @@ TEST(SimSystem, SoftwareOnlySystemRuns) {
 TEST(SimSystem, SoftwareOnlyDeadlockIsReported) {
   // A blocking FSL read with no hardware attached can never complete.
   auto built = SimSystem::Builder()
-                   .program("get r4, rfsl0\nhalt\n")
+                   .machine(machine::MachineDesc::single_core(
+                       "get r4, rfsl0\nhalt\n"))
                    .deadlock_threshold(200)
                    .build();
   ASSERT_TRUE(built.ok()) << built.error();
@@ -253,36 +260,31 @@ TEST(SimSystem, SoftwareOnlyDeadlockIsReported) {
 TEST(SimSystem, HardwareDeadlockIsReported) {
   // A peripheral that never reads nor writes: the processor's blocking
   // get starves and the engine's deadlock heuristic must fire.
-  auto model = std::make_unique<sg::Model>("dead");
-  const FixFormat word32 = FixFormat::signed_fix(32, 0);
-  const FixFormat boolf = FixFormat::unsigned_fix(1, 0);
-  auto& data_in = model->add<sg::GatewayIn>("fsl.data", word32);
-  auto& exists = model->add<sg::GatewayIn>("fsl.exists", boolf);
-  auto& never =
-      model->add<sg::Constant>("never", Fix::from_int(boolf, 0));
-  auto& read_ack = model->add<sg::GatewayOut>("fsl.read", never.out());
-  FslGateways io;
-  io.s_data = &data_in;
-  io.s_exists = &exists;
-  io.s_read = &read_ack;
-  auto built = SimSystem::Builder()
-                   .program("put r3, rfsl0\nget r4, rfsl0\nhalt\n")
-                   .hardware(std::move(model))
-                   .bind_fsl(0, io)
-                   .deadlock_threshold(500)
-                   .build();
+  const auto dead = [](const machine::PeripheralDesc&) {
+    auto model = std::make_unique<sg::Model>("dead");
+    const FixFormat word32 = FixFormat::signed_fix(32, 0);
+    const FixFormat boolf = FixFormat::unsigned_fix(1, 0);
+    auto& data_in = model->add<sg::GatewayIn>("fsl.data", word32);
+    auto& exists = model->add<sg::GatewayIn>("fsl.exists", boolf);
+    auto& never =
+        model->add<sg::Constant>("never", Fix::from_int(boolf, 0));
+    auto& read_ack = model->add<sg::GatewayOut>("fsl.read", never.out());
+    HardwareBundle bundle;
+    bundle.channels.push_back({0, {.s_data = &data_in, .s_exists = &exists,
+                                   .s_read = &read_ack}});
+    bundle.model = std::move(model);
+    return bundle;
+  };
+  auto built = build_with("test.dead", dead,
+                          "put r3, rfsl0\nget r4, rfsl0\nhalt\n", 500);
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   EXPECT_EQ(system.run(), core::StopReason::kDeadlock);
 }
 
 TEST(SimSystem, ResetAllowsRerun) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program(kTimesThreeSource)
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, hw.io)
-                   .build();
+  auto built =
+      build_with("test.times_three", times_three(0), kTimesThreeSource);
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   ASSERT_EQ(system.run(), core::StopReason::kHalted);
@@ -293,12 +295,8 @@ TEST(SimSystem, ResetAllowsRerun) {
 }
 
 TEST(SimSystem, ResourceAndEnergyReportsCoverTheWholeDesign) {
-  TimesThree hw = build_times_three();
-  auto built = SimSystem::Builder()
-                   .program(kTimesThreeSource)
-                   .hardware(std::move(hw.model))
-                   .bind_fsl(0, hw.io)
-                   .build();
+  auto built =
+      build_with("test.times_three", times_three(0), kTimesThreeSource);
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   ASSERT_EQ(system.run(), core::StopReason::kHalted);

@@ -98,19 +98,25 @@ TEST(Sweep, ResultsKeepAddOrderOnManyThreads) {
   EXPECT_EQ(results[3].label, "P=4");
 }
 
+/// A builder for the one-core machine running `source`.
+SimSystem::Builder one_core(std::string source) {
+  SimSystem::Builder builder;
+  builder.machine(machine::MachineDesc::single_core(std::move(source)));
+  return builder;
+}
+
 TEST(Sweep, FailingPointsDoNotPoisonTheOthers) {
   Sweep sweep;
   // Point 0: healthy software-only run.
   sweep.add("good", [] {
-    return SimSystem::Builder().program("li r3, 5\nhalt\n").build();
+    return one_core("li r3, 5\nhalt\n").build();
   });
   // Point 1: the factory itself reports a build error.
   sweep.add("unbuildable", [] { return SimSystem::Builder().build(); });
   // Point 2: builds, but the software blocks on an FSL that no hardware
   // ever serves — a deadlocked configuration point.
   sweep.add("deadlocked", [] {
-    return SimSystem::Builder()
-        .program("get r4, rfsl0\nhalt\n")
+    return one_core("get r4, rfsl0\nhalt\n")
         .deadlock_threshold(200)
         .build();
   });
@@ -120,7 +126,7 @@ TEST(Sweep, FailingPointsDoNotPoisonTheOthers) {
   });
   // Point 4: healthy again — must be unaffected by its neighbours.
   sweep.add("good-too", [] {
-    return SimSystem::Builder().program("li r3, 6\nhalt\n").build();
+    return one_core("li r3, 6\nhalt\n").build();
   });
 
   const auto results = sweep.run({.threads = 4});
@@ -130,7 +136,7 @@ TEST(Sweep, FailingPointsDoNotPoisonTheOthers) {
   EXPECT_EQ(results[0].stop, core::StopReason::kHalted);
 
   EXPECT_FALSE(results[1].ok);
-  EXPECT_NE(results[1].error.find("no program"), std::string::npos);
+  EXPECT_NE(results[1].error.find("no machine"), std::string::npos);
 
   EXPECT_FALSE(results[2].ok);
   EXPECT_TRUE(results[2].error.empty());
@@ -148,15 +154,14 @@ TEST(Sweep, CollectorRunsForEveryPointThatRan) {
   std::atomic<int> saw_deadlock{0};
   Sweep sweep;
   sweep.add(
-      "halts", [] { return SimSystem::Builder().program("halt\n").build(); },
+      "halts", [] { return one_core("halt\n").build(); },
       [&collected](SimSystem&, SweepPointResult&) { ++collected; });
   // A deadlocked point still ran: its collector must fire too (with
   // result.ok == false), so a sweep can autopsy the stuck system.
   sweep.add(
       "deadlocks",
       [] {
-        return SimSystem::Builder()
-            .program("get r4, rfsl0\nhalt\n")
+        return one_core("get r4, rfsl0\nhalt\n")
             .deadlock_threshold(100)
             .build();
       },
@@ -181,19 +186,17 @@ TEST(Sweep, CollectorRunsForEveryPointThatRan) {
 TEST(Sweep, MetricsSnapshotIsCapturedPerPoint) {
   Sweep sweep;
   sweep.add("with-metrics", [] {
-    return SimSystem::Builder()
-        .program("add r3, r4, r5\nhalt\n")
+    return one_core("add r3, r4, r5\nhalt\n")
         .metrics()
         .build();
   });
   sweep.add("without-metrics", [] {
-    return SimSystem::Builder().program("add r3, r4, r5\nhalt\n").build();
+    return one_core("add r3, r4, r5\nhalt\n").build();
   });
   // Metrics reach the result row even for a deadlocked point — that is
   // precisely when the aggregated stall counters matter most.
   sweep.add("deadlocked-with-metrics", [] {
-    return SimSystem::Builder()
-        .program("get r4, rfsl0\nhalt\n")
+    return one_core("get r4, rfsl0\nhalt\n")
         .deadlock_threshold(50)
         .metrics()
         .build();
@@ -211,7 +214,7 @@ TEST(Sweep, MetricsSnapshotIsCapturedPerPoint) {
 
 TEST(Sweep, EstimatesCanBeSkipped) {
   Sweep sweep;
-  sweep.add("sw", [] { return SimSystem::Builder().program("halt\n").build(); });
+  sweep.add("sw", [] { return one_core("halt\n").build(); });
   const auto with = sweep.run({.threads = 1, .estimates = true});
   const auto without = sweep.run({.threads = 1, .estimates = false});
   EXPECT_GT(with[0].estimated_resources.slices, 0u);

@@ -3,7 +3,11 @@
 // Usage:
 //   mbcsim [options] --machine machine.json     (declarative machine)
 //   mbcsim [options] --cores N program.s        (replicated-core preset)
-//   mbcsim [options] program.s                  (deprecated single-core shim)
+//   mbcsim [options] program.s                  (one core, no peripheral)
+//
+// Every run mode builds a machine description and runs it through
+// sim::SimSystem; `mbcsim program.s` is the one-core machine
+// MachineDesc::single_core(program.s) with the per-core flags applied.
 //
 // Machine options:
 //   --machine FILE      build and run the machine described by FILE
@@ -16,13 +20,15 @@
 //   --workers N         host threads for the multi-core rounds (0 = one
 //                       per hardware thread). Purely a host-performance
 //                       knob: results are identical at every value.
+//   --save-ckpt FILE    write a checkpoint of the machine after the run
+//   --load-ckpt FILE    restore a checkpoint before running
 //   --gdb-core N        core --gdb attaches the debugger to (default 0)
 //
 // Options:
 //   --disasm            assemble and print the listing, do not run
 //   --trace FILE        write a JSONL event log of the run to FILE
-//                       ("-" = stdout): instruction retire/stall/halt/
-//                       trap events plus FSL FIFO traffic
+//                       ("-" = stdout on a one-core machine): instruction
+//                       retire/stall/halt/trap events plus FSL FIFO traffic
 //   --vcd FILE          write a GTKWave-compatible waveform to FILE
 //                       (ISS runs use the observability VCD sink; --rtl
 //                       runs sample the pc/halted nets directly)
@@ -39,9 +45,10 @@
 //                       dispatch) or dbt (superblock threaded code, the
 //                       default). Cycle counts are identical across
 //                       tiers (DESIGN.md §12)
-//   --no-predecode      deprecated alias for --exec-tier precise
 //   --rtl               run on the low-level RTL system instead of the
-//                       ISS (no peripheral; for timing cross-checks)
+//                       ISS (one core, no peripheral; for timing
+//                       cross-checks; not with --machine/--cores/--gdb/
+//                       --fault)
 //   --gdb PORT          do not run: serve one GDB Remote Serial Protocol
 //                       session on 127.0.0.1:PORT (0 = ephemeral; the
 //                       bound port is printed) and let the client drive
@@ -72,12 +79,8 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "iss/memory.hpp"
-#include "iss/processor.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace_bus.hpp"
-#include "obs/vcd_sink.hpp"
 #include "rtl/vcd.hpp"
 #include "rtlmodels/system_rtl.hpp"
 #include "sim/sim_system.hpp"
@@ -121,7 +124,7 @@ void usage() {
                "              [--max-cycles N] [--no-multiplier]\n"
                "              [--no-barrel-shifter] [--divider] [--rtl]\n"
                "              [--exec-tier {precise,predecode,dbt}]\n"
-               "              [--no-predecode] [--gdb PORT]\n"
+               "              [--gdb PORT]\n"
                "              [--fault SPEC] [--fault-seed S]\n"
                "              [--save-ckpt FILE] [--load-ckpt FILE]\n");
 }
@@ -219,12 +222,6 @@ bool parse_args(int argc, char** argv, Options& options) {
       }
       options.exec_tier = *tier;
       if (options.per_core_flag.empty()) options.per_core_flag = arg;
-    } else if (arg == "--no-predecode") {
-      std::fprintf(stderr,
-                   "mbcsim: --no-predecode is deprecated; use "
-                   "--exec-tier precise\n");
-      options.exec_tier = iss::ExecTier::kPrecise;
-      if (options.per_core_flag.empty()) options.per_core_flag = arg;
     } else if (arg == "--vcd") {
       const char* value = flag_value(argc, argv, i, arg);
       if (value == nullptr) return false;
@@ -299,7 +296,7 @@ bool parse_args(int argc, char** argv, Options& options) {
   }
   // Mode resolution + contradiction diagnostics: the machine file is
   // the single source of truth for everything per-core, so mixing it
-  // with the legacy per-core surface is rejected, not merged.
+  // with the per-core flags is rejected, not merged.
   const bool machine_mode = !options.machine_path.empty() || options.cores > 0;
   if (!options.machine_path.empty()) {
     if (!options.source_path.empty()) {
@@ -329,32 +326,16 @@ bool parse_args(int argc, char** argv, Options& options) {
     std::fprintf(stderr, "no program file given\n");
     return false;
   }
-  if ((!options.save_ckpt_path.empty() || !options.load_ckpt_path.empty()) &&
-      !machine_mode) {
+  if (options.use_rtl &&
+      (machine_mode || options.gdb_port || !options.fault_spec.empty())) {
     std::fprintf(stderr,
-                 "--save-ckpt/--load-ckpt require --machine or --cores "
-                 "(snapshots cover the full SimSystem)\n");
+                 "--rtl runs one RTL core alone (no --machine, --cores, "
+                 "--gdb or --fault)\n");
     return false;
   }
-  if (machine_mode && options.use_rtl) {
-    std::fprintf(stderr,
-                 "--rtl supports only the single-core command line "
-                 "(no --machine/--cores)\n");
+  if (options.gdb_core && !options.gdb_port) {
+    std::fprintf(stderr, "--gdb-core requires --gdb PORT\n");
     return false;
-  }
-  if (options.workers && !machine_mode) {
-    std::fprintf(stderr, "--workers requires --machine or --cores\n");
-    return false;
-  }
-  if (options.gdb_core) {
-    if (!options.gdb_port) {
-      std::fprintf(stderr, "--gdb-core requires --gdb PORT\n");
-      return false;
-    }
-    if (!machine_mode) {
-      std::fprintf(stderr, "--gdb-core requires --machine or --cores\n");
-      return false;
-    }
   }
   return true;
 }
@@ -371,194 +352,6 @@ void dump_memory(const Options& options, iss::LmbMemory& memory) {
                   static_cast<i32>(memory.read_word(a)));
     }
   }
-}
-
-int run_on_iss(const Options& options, const assembler::Program& program) {
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  fsl::FslHub hub;
-  iss::Processor cpu(options.cpu, memory, &hub);
-  cpu.set_exec_tier(options.exec_tier);
-
-  // Observability: one bus feeding whatever sinks the flags asked for.
-  obs::TraceBus bus;
-  obs::MetricsRegistry* metrics = nullptr;
-  if (!options.trace_path.empty()) {
-    auto sink = options.trace_path == "-"
-                    ? std::make_unique<obs::JsonlSink>(std::cout)
-                    : std::make_unique<obs::JsonlSink>(options.trace_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "cannot open %s\n", options.trace_path.c_str());
-      return 1;
-    }
-    sink->set_disassembler(
-        [](Addr, Word raw) { return isa::disassemble(raw); });
-    bus.add_sink(std::move(sink));
-  }
-  if (!options.vcd_path.empty()) {
-    auto sink = std::make_unique<obs::VcdSink>(options.vcd_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "cannot open %s\n", options.vcd_path.c_str());
-      return 1;
-    }
-    bus.add_sink(std::move(sink));
-  }
-  if (options.metrics) {
-    auto registry = std::make_unique<obs::MetricsRegistry>();
-    metrics = registry.get();
-    bus.add_sink(std::move(registry));
-  }
-  if (bus.enabled()) {
-    cpu.set_trace_bus(&bus);
-    hub.set_trace_bus(&bus);
-  }
-
-  cpu.reset(program.entry());
-  const iss::Event event = cpu.run(options.max_cycles);
-  bus.flush();
-
-  const auto& stats = cpu.stats();
-  std::printf("stopped: %s after %llu cycles (%.2f usec @ 50 MHz), "
-              "%llu instructions\n",
-              event == iss::Event::kHalted    ? "halted"
-              : event == iss::Event::kIllegal ? "illegal instruction"
-                                              : "cycle budget exhausted",
-              static_cast<unsigned long long>(stats.cycles),
-              cycles_to_usec(stats.cycles),
-              static_cast<unsigned long long>(stats.instructions));
-  if (!options.vcd_path.empty()) {
-    std::printf("wrote waveform to %s\n", options.vcd_path.c_str());
-  }
-  if (metrics != nullptr) {
-    std::printf("%s", metrics->snapshot().to_string().c_str());
-  }
-  if (options.dump_regs) {
-    for (unsigned r = 0; r < isa::kNumRegisters; ++r) {
-      std::printf("  r%-2u = 0x%08x%s", r, cpu.reg(r),
-                  (r % 4 == 3) ? "\n" : "  ");
-    }
-  }
-  dump_memory(options, memory);
-  if (event == iss::Event::kHalted) return 0;
-  return event == iss::Event::kIllegal ? 2 : 3;
-}
-
-/// Report facilities shared by the SimSystem-based run modes: the
-/// structured deadlock diagnosis and any trace-sink I/O failure.
-void report_system_health(sim::SimSystem& system) {
-  if (const auto diagnosis = system.deadlock_diagnosis(); diagnosis) {
-    std::printf("%s\n", diagnosis->to_string().c_str());
-  }
-  if (const Status sinks = system.sink_status(); !sinks.ok) {
-    std::fprintf(stderr, "warning: %s\n", sinks.message.c_str());
-  }
-}
-
-int run_fault(const Options& options, const assembler::Program& program) {
-  const Expected<fault::FaultPlan> parsed =
-      fault::parse_plan(options.fault_spec, options.fault_seed);
-  if (!parsed) {
-    std::fprintf(stderr, "%s\n", parsed.error().c_str());
-    return 1;
-  }
-  std::printf("fault plan: %s\n", parsed.value().to_string().c_str());
-
-  sim::SimSystem::Builder builder;
-  builder.program(program)
-      .cpu_config(options.cpu)
-      .exec_tier(options.exec_tier)
-      .fault(parsed.value());
-  if (!options.trace_path.empty()) builder.trace(options.trace_path);
-  if (!options.vcd_path.empty()) builder.vcd(options.vcd_path);
-  if (options.metrics) builder.metrics();
-  Expected<sim::SimSystem> built = builder.build();
-  if (!built) {
-    std::fprintf(stderr, "%s\n", built.error().c_str());
-    return 1;
-  }
-  sim::SimSystem system = std::move(built).value();
-
-  const core::StopReason reason = system.run(options.max_cycles);
-  const core::CoSimStats stats = system.stats();
-  std::printf("stopped: %s after %llu cycles (%.2f usec @ 50 MHz), "
-              "%llu instructions\n",
-              core::stop_reason_name(reason),
-              static_cast<unsigned long long>(stats.cycles),
-              cycles_to_usec(stats.cycles),
-              static_cast<unsigned long long>(stats.instructions));
-  if (const fault::Injector* injector = system.fault_injector();
-      injector != nullptr && injector->armed_or_fired()) {
-    std::printf("fault: %s\n", injector->detail().empty()
-                                   ? "armed (did not fire)"
-                                   : injector->detail().c_str());
-  } else {
-    std::printf("fault: trigger not reached\n");
-  }
-  report_system_health(system);
-  if (options.metrics) {
-    std::printf("%s", system.metrics_snapshot().to_string().c_str());
-  }
-  if (options.dump_regs) {
-    for (unsigned r = 0; r < isa::kNumRegisters; ++r) {
-      std::printf("  r%-2u = 0x%08x%s", r, system.cpu().reg(r),
-                  (r % 4 == 3) ? "\n" : "  ");
-    }
-  }
-  dump_memory(options, system.memory());
-  switch (reason) {
-    case core::StopReason::kHalted: return 0;
-    case core::StopReason::kIllegal: return 2;
-    case core::StopReason::kCycleLimit: return 3;
-    case core::StopReason::kDeadlock: return 4;
-  }
-  return 1;
-}
-
-int run_gdb(const Options& options, const assembler::Program& program) {
-  sim::SimSystem::Builder builder;
-  builder.program(program)
-      .cpu_config(options.cpu)
-      .exec_tier(options.exec_tier);
-  if (!options.trace_path.empty()) builder.trace(options.trace_path);
-  if (!options.vcd_path.empty()) builder.vcd(options.vcd_path);
-  if (options.metrics) builder.metrics();
-  Expected<sim::SimSystem> built = builder.build();
-  if (!built) {
-    std::fprintf(stderr, "%s\n", built.error().c_str());
-    return 1;
-  }
-  sim::SimSystem system = std::move(built).value();
-
-  const Expected<rsp::SessionEnd> end =
-      system.serve_gdb(*options.gdb_port, [](u16 port) {
-        std::printf("gdb server listening on 127.0.0.1:%u\n",
-                    static_cast<unsigned>(port));
-        std::fflush(stdout);
-      });
-  if (!end) {
-    std::fprintf(stderr, "%s\n", end.error().c_str());
-    return 1;
-  }
-
-  const core::CoSimStats stats = system.stats();
-  std::printf("gdb client %s after %llu cycles (%.2f usec @ 50 MHz), "
-              "%llu instructions\n",
-              rsp::to_string(end.value()),
-              static_cast<unsigned long long>(stats.cycles),
-              cycles_to_usec(stats.cycles),
-              static_cast<unsigned long long>(stats.instructions));
-  report_system_health(system);
-  if (options.metrics) {
-    std::printf("%s", system.metrics_snapshot().to_string().c_str());
-  }
-  if (options.dump_regs) {
-    for (unsigned r = 0; r < isa::kNumRegisters; ++r) {
-      std::printf("  r%-2u = 0x%08x%s", r, system.cpu().reg(r),
-                  (r % 4 == 3) ? "\n" : "  ");
-    }
-  }
-  dump_memory(options, system.memory());
-  return 0;
 }
 
 int exit_code(core::StopReason reason) {
@@ -583,8 +376,8 @@ void dump_machine_regs(sim::SimSystem& system) {
   }
 }
 
-/// The --machine / --cores run mode: build the described machine and
-/// run (or debug) it, reporting machine totals plus per-core figures.
+/// Build the described machine and run (or debug) it, reporting machine
+/// totals plus, on a multi-core machine, per-core figures.
 int run_machine(const Options& options, machine::MachineDesc desc) {
   apps::register_machine_peripherals();
   std::printf("machine: %zu core(s), %zu link(s), %zu peripheral(s), "
@@ -604,12 +397,20 @@ int run_machine(const Options& options, machine::MachineDesc desc) {
     std::printf("fault plan: %s\n", plan->to_string().c_str());
   }
 
+  const std::size_t desc_cores = desc.cores.size();
   sim::SimSystem::Builder builder;
   builder.machine(std::move(desc));
   if (options.workers) builder.workers(*options.workers);
   if (options.gdb_core) builder.gdb_core(*options.gdb_core);
   if (plan) builder.fault(*plan);
-  if (!options.trace_path.empty()) builder.trace(options.trace_path);
+  if (options.trace_path == "-" && desc_cores == 1) {
+    auto sink = std::make_unique<obs::JsonlSink>(std::cout);
+    sink->set_disassembler(
+        [](Addr, Word raw) { return isa::disassemble(raw); });
+    builder.sink(std::move(sink));
+  } else if (!options.trace_path.empty()) {
+    builder.trace(options.trace_path);
+  }
   if (!options.vcd_path.empty()) builder.vcd(options.vcd_path);
   if (options.metrics) builder.metrics();
   Expected<sim::SimSystem> built = builder.build();
@@ -827,31 +628,19 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
+    if (options.use_rtl) return run_on_rtl(options, program);
+    machine::MachineDesc desc = machine::MachineDesc::single_core(buffer.str());
+    machine::CoreDesc& core = desc.cores.front();
+    core.has_multiplier = options.cpu.has_multiplier;
+    core.has_barrel_shifter = options.cpu.has_barrel_shifter;
+    core.has_divider = options.cpu.has_divider;
+    core.predecode = options.exec_tier != iss::ExecTier::kPrecise;
+    core.exec_tier = options.exec_tier;
     if (options.cores > 0) {
-      machine::CoreDesc core_template;
-      core_template.program = buffer.str();
-      core_template.has_multiplier = options.cpu.has_multiplier;
-      core_template.has_barrel_shifter = options.cpu.has_barrel_shifter;
-      core_template.has_divider = options.cpu.has_divider;
-      core_template.predecode = options.exec_tier != iss::ExecTier::kPrecise;
-      core_template.exec_tier = options.exec_tier;
-      return run_machine(options, machine::MachineDesc::replicated(
-                                      options.cores,
-                                      std::move(core_template)));
+      core.name.clear();  // replicated() names the copies cpu0..cpuN-1
+      desc = machine::MachineDesc::replicated(options.cores, core);
     }
-    std::fprintf(stderr,
-                 "note: the single-core command line is a deprecated shim; "
-                 "prefer --machine FILE (see examples/machines/)\n");
-    if (options.gdb_port) return run_gdb(options, program);
-    if (!options.fault_spec.empty()) {
-      if (options.use_rtl) {
-        std::fprintf(stderr, "--fault is not supported with --rtl\n");
-        return 1;
-      }
-      return run_fault(options, program);
-    }
-    return options.use_rtl ? run_on_rtl(options, program)
-                           : run_on_iss(options, program);
+    return run_machine(options, std::move(desc));
   } catch (const SimError& error) {
     std::fprintf(stderr, "simulation error: %s\n", error.what());
     return 1;
