@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "apps/cordic/cordic_hw.hpp"
+#include "apps/cordic/cordic_reference.hpp"
 #include "bench_common.hpp"
 #include "rtl/kernel.hpp"
 #include "rtl/primitives.hpp"
@@ -56,7 +57,37 @@ void BM_SysgenModelStep(benchmark::State& state) {
   state.counters["blocks"] =
       static_cast<double>(pipeline.model->block_count());
 }
-BENCHMARK(BM_SysgenModelStep)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_SysgenModelStep)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// One CORDIC item travelling through an otherwise idle pipeline: every
+// P + 8 cycles the FSL presents a control word and an (X, Y, Z) triple,
+// then nothing. Most stepped cycles change one stage, so each pass runs
+// only the few regions whose inputs changed (DESIGN.md §15).
+void BM_SysgenModelStepSparse(benchmark::State& state) {
+  const auto pes = static_cast<unsigned>(state.range(0));
+  auto pipeline = apps::cordic::build_cordic_pipeline(pes);
+  const apps::cordic::CordicPipelineIo& io = pipeline.io;
+  const u64 period = pes + 8;
+  u64 cycles = 0;
+  for (auto _ : state) {
+    const u64 phase = cycles % period;
+    const i64 item = static_cast<i64>(cycles / period);
+    io.s_exists->set_bool(phase < 4);
+    io.s_control->set_bool(phase == 0);
+    io.s_data->set_raw(phase == 0   ? 0
+                       : phase == 1 ? apps::cordic::kOneRaw + item
+                       : phase == 2 ? (item % 97) << 16
+                                    : 0);
+    pipeline.model->step();
+    ++cycles;
+  }
+  state.counters["hw_cycles_per_second"] =
+      benchmark::Counter(static_cast<double>(cycles),
+                         benchmark::Counter::kIsRate);
+  state.counters["regions"] =
+      static_cast<double>(pipeline.model->region_count());
+}
+BENCHMARK(BM_SysgenModelStepSparse)->Arg(4)->Arg(8)->Arg(16);
 
 // An elided step: the idle pipeline has drained and its inputs hold, so
 // each step repeats the last one (Model::settled()).
@@ -77,6 +108,17 @@ void BM_SysgenModelStepSettled(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SysgenModelStepSettled)->Arg(2)->Arg(4)->Arg(8);
+
+// Building a CORDIC pipeline model and elaborating it: block and signal
+// construction, topological order, lowering and the region partition.
+void BM_SysgenElaborate(benchmark::State& state) {
+  const auto pes = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    auto pipeline = apps::cordic::build_cordic_pipeline(pes);
+    benchmark::DoNotOptimize(pipeline.model->region_count());
+  }
+}
+BENCHMARK(BM_SysgenElaborate)->Arg(1)->Arg(8)->Arg(16);
 
 void BM_FslChannelOps(benchmark::State& state) {
   fsl::FslChannel channel(16);

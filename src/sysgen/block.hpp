@@ -21,9 +21,13 @@
 // runs its phase methods through one fallback op per phase it takes part
 // in: output_state() and latch() when it is sequential, propagate() when
 // it is not. Its phase methods must be functions of its inputs and its
-// own state, and its state may change only in latch() (or in reset() and
-// load_state()); a sequential block that reports unchanged latches
-// through latch_changed() lets its model elide repeated cycles.
+// own state — output_state() of its own state alone — and its state may
+// change only in latch() (or in reset() and load_state()). The kernel
+// runs a block's ops only when its region is pending (kernel.hpp): when
+// an input it reads changed, or when its latch_changed() reported a
+// change on the last cycle. A sequential block that reports unchanged
+// latches therefore lets its region rest and its model elide repeated
+// cycles.
 #pragma once
 
 #include <string>
@@ -59,9 +63,10 @@ class Block {
   /// Phase 2: capture inputs into state (sequential blocks only).
   virtual void latch() {}
   /// Whether the last latch() may have changed the state output_state()
-  /// reads. A block that returns false lets the model skip the cycles
-  /// that provably repeat the last one (DESIGN.md §15, "Elided cycles");
-  /// the default, true, keeps every cycle of its model evaluated.
+  /// or latch() reads. True runs the block again on the next cycle; false
+  /// lets it rest until an input changes, and lets the model skip the
+  /// cycles that provably repeat the last one (DESIGN.md §15). The
+  /// default, true, keeps the block and its model evaluated every cycle.
   [[nodiscard]] virtual bool latch_changed() const { return true; }
   /// Return all state to power-on values.
   virtual void reset() {}
@@ -110,9 +115,12 @@ class Block {
   Model& model_;
 
  private:
+  friend class Model;
+
   std::string name_;
   std::vector<Signal*> inputs_;
   std::vector<Signal*> outputs_;
+  std::size_t ordinal_ = 0;  ///< position in the model's creation order
 };
 
 }  // namespace mbcosim::sysgen

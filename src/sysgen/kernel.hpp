@@ -1,24 +1,33 @@
 // The compiled sysgen kernel (DESIGN.md §15). Model::elaborate() lowers
 // the block graph once into a flat tape of ops over raw i64 slots — each
-// signal's value, each block's state — and Model::step() is one loop over
-// that tape. Formats are checked once, while lowering; every op carries
-// the shifts, masks and bounds its conversion needs, precomputed, so a
-// stepped cycle does no virtual dispatch, builds no Fix and validates no
-// format. The tape is laid out in the three phases of the cycle-based
-// semantics (see block.hpp): sequential outputs in block creation order,
-// combinational ops in topological order, then latches in creation order.
+// signal's value, each block's state — and Model::step() runs it. Formats
+// are checked once, while lowering; every op carries the shifts, masks
+// and bounds its conversion needs, precomputed, so a stepped cycle does
+// no virtual dispatch, builds no Fix and validates no format.
 //
 // Ops point into storage that never moves after elaboration: the model's
 // signal deque, blocks held by unique_ptr (whose state buffers are sized
 // at construction) and the kernel's own temps, cast specs and tables.
 //
-// A pass also reports whether it changed any state (DESIGN.md §15,
-// "Elided cycles"). Only the latch-phase state ops write slots that live
-// from one cycle to the next — kRegister, kCounter, kRingPush, kRom,
-// kRam and the kLatch fallback — and each ORs "my slot changed" into the
-// pass's result; every other op writes a signal or a temp, which the next
-// pass recomputes from state and inputs. The inputs are the GatewayIn
-// slots the lowering registers; the kernel snapshots them on every pass.
+// Activity-driven passes (DESIGN.md §15, "Activity-driven passes").
+// Lowering::finish() partitions the ops into regions: an op that reads a
+// value computed within the cycle — a phase-1 result or a latch-phase
+// temp — shares its writer's region, and all ops of one block share a
+// region. The phase-0 ops (functions of their block's state) and the
+// source ops (copies of a constant or a gateway input) do not unite with
+// their readers; they mark the readers' regions pending, through a
+// fanout list, when they change their slot. A region's ops sit on the
+// tape as two segments, each ending in kEnd: its phase-0 ops, and its
+// body, the phase-1 ops then the phase-2 ops in the cycle-based order
+// (see block.hpp). A pass runs the pending sources, then the phase-0
+// segments, then the bodies of the pending regions. A region is pending
+// when its state changed on the last pass (only the latch-phase state
+// ops write slots that live from one cycle to the next: kRegister,
+// kCounter, kRingPush, kRom, kRam and the kLatch fallback), or when an
+// input it reads changed this pass (a fanout mark, or a gateway slot
+// that differs from its snapshot). A region that is not pending would
+// compute exactly what its slots already hold. After Lowering::finish()
+// and invalidate() every region is pending, and the pass runs every op.
 #pragma once
 
 #include <deque>
@@ -109,7 +118,12 @@ enum class OpCode : u8 {
   kPropagate,    ///< block->propagate()
   kLatch,        ///< block->latch(); a change unless
                  ///< block->latch_changed() says otherwise
-  kEnd,          ///< end of the tape
+  // Set by Lowering::finish() on ops with readers in other regions; they
+  // mark the regions fanout[k, k2) pending. Blocks never emit them.
+  kCopyFan,          ///< kCopy; marks when dst changes
+  kRingReadFan,      ///< kRingRead; marks when dst changes
+  kOutputStateFan,   ///< kOutputState; always marks
+  kEnd,          ///< end of a segment
 };
 
 /// One instruction of the tape.
@@ -133,24 +147,70 @@ struct Op {
   } ext{};
 };
 
-/// The lowered model: the op tape and the storage it points into.
+/// The lowered model: the op tape, its regions and the storage it points
+/// into.
 class Kernel {
  public:
-  /// Advance one clock cycle and snapshot the inputs it read. Returns
-  /// whether any state op changed its slot. Only a kernel from
+  /// Advance one clock cycle: run the pending regions, then leave pending
+  /// the regions whose state changed. Only a kernel from
   /// Lowering::finish() runs.
-  [[nodiscard]] bool run();
+  void run();
 
-  /// True when every registered input still holds the value the last
-  /// run() read.
-  [[nodiscard]] bool inputs_unchanged() const noexcept;
+  /// True when run() would do nothing: no region is pending and every
+  /// registered input still holds the value the last run() read.
+  [[nodiscard]] bool settled() const noexcept {
+    return !full_ && bodies_queue_.size == 0 && inputs_unchanged();
+  }
+
+  /// Make every region pending, so that the next run() is a full pass;
+  /// for state written from outside the tape (reset, checkpoint restore).
+  void invalidate() noexcept { full_ = true; }
+
+  [[nodiscard]] std::size_t region_count() const noexcept {
+    return regions_.size();
+  }
 
  private:
   friend class Lowering;
 
+  static constexpr u32 kNoSegment = ~u32{0};
+  /// Where a region's ops start on the tape: its phase-0 ops, and its
+  /// phase-1 ops followed by its phase-2 ops (its body).
+  struct Region {
+    u32 outputs = kNoSegment;
+    u32 body = kNoSegment;
+  };
+  /// Segments to run in one pass: tape offsets, each at most once.
+  struct Queue {
+    std::vector<u32> segments;
+    u32 size = 0;
+    void push(u32 segment) noexcept { segments[size++] = segment; }
+  };
+
+  [[nodiscard]] bool inputs_unchanged() const noexcept;
+  /// Queue every segment of a region for this pass, once.
+  void schedule(u32 region) noexcept;
+
   std::vector<Op> tape_;
+  std::vector<Region> regions_;
+  u32 sources_ = 0;  ///< regions [0, sources_) are single source ops
+  std::vector<u32> fanout_;  ///< region lists the fan ops and inputs index
   std::vector<const i64*> inputs_;
   std::vector<i64> snapshot_;
+  /// Input i marks the regions fanout_[input_fanout_[i], [i + 1]).
+  std::vector<u32> input_fanout_;
+  // Scheduling state, sized once. A region is pending for the pass its
+  // stamp names. A pass runs the queued sources, then the queued phase-0
+  // segments, then the queued bodies; a body whose state ops changed a
+  // slot queues its region for the next pass.
+  std::vector<u64> stamp_;
+  u64 pass_ = 1;
+  Queue sources_queue_;
+  Queue outputs_queue_;
+  Queue bodies_queue_;
+  Queue next_outputs_;
+  Queue next_bodies_;
+  bool full_ = true;
   std::deque<i64> temps_;
   std::deque<Cast> casts_;
   std::vector<std::vector<const i64*>> tables_;
@@ -164,8 +224,13 @@ enum class Phase : u8 { kOutput, kPropagate, kLatch };
 /// block appends its ops to the phases it runs in.
 class Lowering {
  public:
+  /// Lower one block (Block::lower): the ops it emits belong to it.
+  void lower(Block& block);
+
   void emit(Phase phase, const Op& op) {
-    phases_[static_cast<std::size_t>(phase)].push_back(op);
+    ops_.push_back(op);
+    phases_.push_back(phase);
+    owners_.push_back(blocks_);
   }
 
   /// Emit `op`, whose exact result has `shift` fewer fraction bits than
@@ -192,12 +257,17 @@ class Lowering {
   [[nodiscard]] static const i64* one() noexcept;
   [[nodiscard]] static const i64* zero() noexcept;
 
-  /// The finished kernel: output, propagate, then latch ops.
+  /// The finished kernel: the ops partitioned into regions, every region
+  /// pending.
   [[nodiscard]] Kernel finish() &&;
 
  private:
   Kernel kernel_;
-  std::vector<Op> phases_[3];
+  // One entry per emitted op, in emission order.
+  std::vector<Op> ops_;
+  std::vector<Phase> phases_;
+  std::vector<u32> owners_;  ///< ordinal of the block that emitted it
+  u32 blocks_ = 0;           ///< blocks lowered so far
 };
 
 }  // namespace mbcosim::sysgen

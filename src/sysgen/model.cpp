@@ -1,7 +1,7 @@
 #include "sysgen/model.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
 
 #include "ckpt/ckpt.hpp"
 
@@ -47,59 +47,97 @@ Signal& Model::make_signal(std::string signal_name, FixFormat format) {
     throw SimError("Model '" + name_ + "': duplicate signal '" + signal_name +
                    "'");
   }
-  signals_.emplace_back(std::move(signal_name), format);
-  return signals_.back();
+  Signal& signal = signals_.emplace_back(std::move(signal_name), format);
+  if (2 * signals_.size() > signal_index_.size()) {
+    // Keep the index at most half full: double it, re-place every signal.
+    signal_index_.assign(std::max<std::size_t>(16, 2 * signal_index_.size()),
+                         nullptr);
+    for (Signal& placed : signals_) {
+      signal_index_[index_position(placed.name())] = &placed;
+    }
+  } else {
+    signal_index_[index_position(signal.name())] = &signal;
+  }
+  return signal;
+}
+
+std::size_t Model::index_position(std::string_view signal_name) const {
+  const std::size_t mask = signal_index_.size() - 1;
+  std::size_t i = std::hash<std::string_view>{}(signal_name) & mask;
+  while (signal_index_[i] != nullptr && signal_index_[i]->name() != signal_name) {
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
 void Model::elaborate() {
   if (elaborated_) return;
   for (const auto& block : blocks_) block->check();
 
-  std::vector<Block*> sequential;
-  std::vector<Block*> combinational;
-  for (const auto& block : blocks_) {
-    if (block->is_sequential()) {
-      sequential.push_back(block.get());
-    } else {
-      combinational.push_back(block.get());
-    }
-  }
-
   // Kahn's algorithm over the combinational dependency graph: an edge
   // A -> B exists when combinational block B reads a signal driven by
   // combinational block A. Sequential drivers impose no ordering (their
-  // outputs are valid from phase 0).
-  std::unordered_map<Block*, std::vector<Block*>> consumers;
-  std::unordered_map<Block*, unsigned> pending;
-  for (Block* block : combinational) pending[block] = 0;
-  for (Block* block : combinational) {
-    for (const Signal* input : block->inputs()) {
-      Block* driver = input->driver();
-      if (driver != nullptr && !driver->is_sequential()) {
-        consumers[driver].push_back(block);
-        pending[block] += 1;
+  // outputs are valid from phase 0). Per-block vectors are indexed by
+  // creation order; `first` and `consumers` hold each block's consumers.
+  const std::size_t count = blocks_.size();
+  std::vector<u8> sequential(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    sequential[i] = blocks_[i]->is_sequential() ? 1 : 0;
+  }
+  auto combinational_driver = [&](const Signal* input) -> const Block* {
+    const Block* driver = input->driver();
+    return driver != nullptr && &driver->model_ == this &&
+                   sequential[driver->ordinal_] == 0
+               ? driver
+               : nullptr;
+  };
+  std::vector<u32> pending(count, 0);
+  std::vector<u32> first(count + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sequential[i] != 0) continue;
+    for (const Signal* input : blocks_[i]->inputs()) {
+      if (const Block* driver = combinational_driver(input)) {
+        ++first[driver->ordinal_ + 1];
+        ++pending[i];
       }
     }
   }
-  std::vector<Block*> ready;
-  for (Block* block : combinational) {
-    if (pending[block] == 0) ready.push_back(block);
-  }
-  std::vector<Block*> order;
-  while (!ready.empty()) {
-    Block* block = ready.back();
-    ready.pop_back();
-    order.push_back(block);
-    for (Block* next : consumers[block]) {
-      if (--pending[next] == 0) ready.push_back(next);
+  for (std::size_t i = 0; i < count; ++i) first[i + 1] += first[i];
+  std::vector<u32> consumers(first[count]);
+  {
+    std::vector<u32> fill(first.begin(), first.end() - 1);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (sequential[i] != 0) continue;
+      for (const Signal* input : blocks_[i]->inputs()) {
+        if (const Block* driver = combinational_driver(input)) {
+          consumers[fill[driver->ordinal_]++] = static_cast<u32>(i);
+        }
+      }
     }
   }
-  if (order.size() != combinational.size()) {
+  std::vector<u32> ready;
+  std::size_t combinational = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sequential[i] != 0) continue;
+    ++combinational;
+    if (pending[i] == 0) ready.push_back(static_cast<u32>(i));
+  }
+  std::vector<Block*> order;
+  order.reserve(combinational);
+  while (!ready.empty()) {
+    const u32 block = ready.back();
+    ready.pop_back();
+    order.push_back(blocks_[block].get());
+    for (u32 e = first[block]; e < first[block + 1]; ++e) {
+      if (--pending[consumers[e]] == 0) ready.push_back(consumers[e]);
+    }
+  }
+  if (order.size() != combinational) {
     std::string cycle_members;
-    for (Block* block : combinational) {
-      if (pending[block] != 0) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (sequential[i] == 0 && pending[i] != 0) {
         if (!cycle_members.empty()) cycle_members += ", ";
-        cycle_members += block->name();
+        cycle_members += blocks_[i]->name();
       }
     }
     throw SimError("Model '" + name_ +
@@ -110,8 +148,10 @@ void Model::elaborate() {
   // Sequential blocks emit their phase 0 and phase 2 ops in creation
   // order, combinational blocks their phase 1 ops in topological order.
   Lowering lowering;
-  for (Block* block : sequential) block->lower(lowering);
-  for (Block* block : order) block->lower(lowering);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sequential[i] != 0) lowering.lower(*blocks_[i]);
+  }
+  for (Block* block : order) lowering.lower(*block);
   kernel_ = std::move(lowering).finish();
   elaborated_ = true;
 }
@@ -120,14 +160,12 @@ void Model::reset() {
   for (auto& signal : signals_) signal.reset();
   for (const auto& block : blocks_) block->reset();
   cycle_ = 0;
-  settled_ = false;
+  kernel_.invalidate();
 }
 
 void Model::step() {
   if (!elaborated_) elaborate();
-  // Signals are a function of state and inputs: unchanged state under
-  // unchanged inputs repeats the last pass, so the pass is skipped.
-  if (!settled()) settled_ = !kernel_.run();
+  if (!settled()) kernel_.run();
   ++cycle_;
 }
 
@@ -163,7 +201,7 @@ void Model::save_state(ckpt::Writer& writer) const {
 }
 
 bool Model::load_state(ckpt::Reader& reader) {
-  settled_ = false;
+  kernel_.invalidate();
   cycle_ = reader.read_u64();
   if (reader.read_u64() != signals_.size()) return false;
   for (Signal& signal : signals_) signal.drive_raw(reader.read_i64());
@@ -175,12 +213,9 @@ bool Model::load_state(ckpt::Reader& reader) {
 }
 
 Signal* Model::find_signal(const std::string& signal_name) const {
-  for (const auto& signal : signals_) {
-    if (signal.name() == signal_name) {
-      return const_cast<Signal*>(&signal);
-    }
-  }
-  return nullptr;
+  return signal_index_.empty()
+             ? nullptr
+             : signal_index_[index_position(signal_name)];
 }
 
 }  // namespace mbcosim::sysgen

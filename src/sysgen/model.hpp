@@ -3,12 +3,15 @@
 // the customized hardware peripherals by calling step() once per simulated
 // clock cycle (paper Section III-A: "whenever there is data coming from
 // the processor, simulation of these hardware designs is carried out
-// within the Simulink modeling environment").
+// within the Simulink modeling environment"). A step re-evaluates only
+// the regions of the design whose inputs or state changed (kernel.hpp),
+// and costs nothing once the design has settled.
 #pragma once
 
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +40,7 @@ class Model {
     }
     auto block = std::make_unique<BlockType>(*this, std::forward<Args>(args)...);
     BlockType& ref = *block;
+    ref.Block::ordinal_ = blocks_.size();
     blocks_.push_back(std::move(block));
     return ref;
   }
@@ -55,19 +59,20 @@ class Model {
   /// Reset every block and signal; keeps the elaboration.
   void reset();
 
-  /// Advance one clock cycle: one pass over the op tape (phases 0/1/2),
-  /// or none when the cycle provably repeats the last one (settled()).
+  /// Advance one clock cycle: one pass over the regions of the op tape
+  /// whose inputs or state changed (phases 0/1/2; every region after
+  /// elaborate(), reset() and load_state()), or none when the cycle
+  /// provably repeats the last one (settled()).
   void step();
   /// Advance n cycles; once the model settles, the rest cost nothing.
   void run(Cycle cycles);
 
-  /// True when the next step() would repeat the last one exactly: that
-  /// step changed no state and the gateway inputs have not been set to
-  /// new values since. Between steps only the GatewayIn setters, reset()
-  /// and load_state() may write model state.
-  [[nodiscard]] bool settled() const noexcept {
-    return settled_ && kernel_.inputs_unchanged();
-  }
+  /// True when the next step() would repeat the last one exactly: no
+  /// region is pending — so the last step changed no state — and the
+  /// gateway inputs have not been set to new values since. Between steps
+  /// only the GatewayIn setters, reset() and load_state() may write model
+  /// state.
+  [[nodiscard]] bool settled() const noexcept { return kernel_.settled(); }
 
   [[nodiscard]] Cycle cycle() const noexcept { return cycle_; }
 
@@ -76,6 +81,10 @@ class Model {
   }
   [[nodiscard]] std::size_t signal_count() const noexcept {
     return signals_.size();
+  }
+  /// Regions the elaborated op tape is partitioned into (DESIGN.md §15).
+  [[nodiscard]] std::size_t region_count() const noexcept {
+    return kernel_.region_count();
   }
 
   /// Sum of the per-block resource estimates (the System Generator
@@ -99,12 +108,18 @@ class Model {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  /// The index entry holding the signal named `signal_name`, or the free
+  /// entry where it would go. The index must not be empty.
+  [[nodiscard]] std::size_t index_position(std::string_view signal_name) const;
+
   std::string name_;
   std::vector<std::unique_ptr<Block>> blocks_;
   std::deque<Signal> signals_;  // deque: stable addresses for the ops
+  /// Signals by name, by open addressing on the names' hashes; free
+  /// entries are null, and at most half the entries are taken.
+  std::vector<Signal*> signal_index_;
   Kernel kernel_;
   bool elaborated_ = false;
-  bool settled_ = false;  ///< the last pass changed no state
   Cycle cycle_ = 0;
 };
 

@@ -606,5 +606,59 @@ TEST(Lowering, SinglePortRamMatchesFix) {
   }
 }
 
+
+/// A user block whose own lowering breaks one rule the partition into
+/// regions relies on (DESIGN.md §15, "Activity-driven passes").
+class BadLowering : public Block {
+ public:
+  enum class Rule { kStateOpInPhase0, kPhase0ReadsInput, kTwoWriters };
+
+  BadLowering(Model& model, Signal& in, Rule rule)
+      : Block(model, "bad"), rule_(rule), out_(make_output("out", in.format())) {
+    connect_input(in);
+  }
+
+  void lower(Lowering& lowering) override {
+    const i64* in_slot = in(0).slot();
+    switch (rule_) {
+      case Rule::kStateOpInPhase0:
+        lowering.emit(Phase::kOutput, {.code = OpCode::kRegister,
+                                       .dst = &state_,
+                                       .a = in_slot,
+                                       .c = Lowering::one()});
+        break;
+      case Rule::kPhase0ReadsInput:
+        lowering.emit(Phase::kOutput, {.code = OpCode::kCopy,
+                                       .dst = out_.slot(),
+                                       .a = in_slot});
+        break;
+      case Rule::kTwoWriters:
+        lowering.emit(Phase::kPropagate, {.code = OpCode::kCopy,
+                                          .dst = out_.slot(),
+                                          .a = in_slot});
+        lowering.emit(Phase::kPropagate, {.code = OpCode::kNot,
+                                          .dst = out_.slot(),
+                                          .a = in_slot});
+        break;
+    }
+  }
+
+ private:
+  Rule rule_;
+  Signal& out_;
+  i64 state_ = 0;
+};
+
+TEST(Lowering, RejectsOpsThatBreakThePartitionRules) {
+  for (const auto rule : {BadLowering::Rule::kStateOpInPhase0,
+                          BadLowering::Rule::kPhase0ReadsInput,
+                          BadLowering::Rule::kTwoWriters}) {
+    Model m("bad");
+    auto& in = m.add<GatewayIn>("in", FixFormat::signed_fix(8, 0));
+    m.add<BadLowering>(in.out(), rule);
+    EXPECT_THROW(m.elaborate(), SimError) << static_cast<int>(rule);
+  }
+}
+
 }  // namespace
 }  // namespace mbcosim::sysgen
