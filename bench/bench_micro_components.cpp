@@ -66,7 +66,7 @@ BENCHMARK(BM_SysgenModelStep)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void BM_SysgenModelStepSparse(benchmark::State& state) {
   const auto pes = static_cast<unsigned>(state.range(0));
   auto pipeline = apps::cordic::build_cordic_pipeline(pes);
-  const apps::cordic::CordicPipelineIo& io = pipeline.io;
+  const core::FslPort& io = pipeline.io;
   const u64 period = pes + 8;
   u64 cycles = 0;
   for (auto _ : state) {

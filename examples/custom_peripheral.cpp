@@ -28,12 +28,7 @@ namespace {
 /// Everything needed to co-simulate the filter.
 struct FilterDesign {
   sg::Model model{"moving_average4"};
-  sg::GatewayIn* data = nullptr;
-  sg::GatewayIn* exists = nullptr;
-  sg::GatewayIn* control = nullptr;
-  sg::GatewayOut* read = nullptr;
-  sg::GatewayOut* dout = nullptr;
-  sg::GatewayOut* write = nullptr;
+  core::FslPort port;  ///< the FSL gateways, on channel 0
 };
 
 /// y[n] = (x[n] + x[n-1] + x[n-2] + x[n-3]) >> 2, in Fix16_8.
@@ -43,23 +38,24 @@ void build_filter(FilterDesign& d) {
   const FixFormat kSum = FixFormat::signed_fix(18, 8);
   const FixFormat kBool = FixFormat::unsigned_fix(1, 0);
 
-  d.data = &m.add<sg::GatewayIn>("fsl.data", kSample);
-  d.exists = &m.add<sg::GatewayIn>("fsl.exists", kBool);
-  d.control = &m.add<sg::GatewayIn>("fsl.control", kBool);
-  d.read = &m.add<sg::GatewayOut>("fsl.read", d.exists->out());
+  core::FslPort& io = d.port;
+  io.s_data = &m.add<sg::GatewayIn>("fsl.data", kSample);
+  io.s_exists = &m.add<sg::GatewayIn>("fsl.exists", kBool);
+  io.s_control = &m.add<sg::GatewayIn>("fsl.control", kBool);
+  io.s_read = &m.add<sg::GatewayOut>("fsl.read", io.s_exists->out());
 
   // Tap delay line, clocked only when a sample arrives (enable = exists).
   const Fix zero = Fix::from_raw(kSample, 0);
-  auto& tap1 = m.add<sg::Register>("tap1", d.data->out(), zero,
-                                   &d.exists->out());
+  auto& tap1 = m.add<sg::Register>("tap1", io.s_data->out(), zero,
+                                   &io.s_exists->out());
   auto& tap2 = m.add<sg::Register>("tap2", tap1.out(), zero,
-                                   &d.exists->out());
+                                   &io.s_exists->out());
   auto& tap3 = m.add<sg::Register>("tap3", tap2.out(), zero,
-                                   &d.exists->out());
+                                   &io.s_exists->out());
 
   // Adder tree and scale.
   auto& sum01 = m.add<sg::AddSub>("sum01", sg::AddSub::Mode::kAdd,
-                                  d.data->out(), tap1.out(), kSum);
+                                  io.s_data->out(), tap1.out(), kSum);
   auto& sum23 = m.add<sg::AddSub>("sum23", sg::AddSub::Mode::kAdd, tap2.out(),
                                   tap3.out(), kSum);
   auto& total = m.add<sg::AddSub>("total", sg::AddSub::Mode::kAdd,
@@ -68,8 +64,8 @@ void build_filter(FilterDesign& d) {
       "scale", total.out(), sg::ShiftConst::Direction::kRightArithmetic, 2);
   auto& out16 = m.add<sg::Convert>("out16", scaled.out(), kSample);
 
-  d.dout = &m.add<sg::GatewayOut>("fsl.dout", out16.out());
-  d.write = &m.add<sg::GatewayOut>("fsl.write", d.exists->out());
+  io.m_data = &m.add<sg::GatewayOut>("fsl.dout", out16.out());
+  io.m_write = &m.add<sg::GatewayOut>("fsl.write", io.s_exists->out());
 }
 
 }  // namespace
@@ -114,18 +110,10 @@ int main() {
   iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
   core::CoSimEngine engine(cpu, &filter.model, hub);
 
-  core::SlaveBinding slave;
-  slave.channel = 0;
-  slave.data = filter.data;
-  slave.exists = filter.exists;
-  slave.control = filter.control;
-  slave.read = filter.read;
-  engine.bridge().bind_slave(slave);
-  core::MasterBinding master;
-  master.channel = 0;
-  master.data = filter.dout;
-  master.write = filter.write;
-  engine.bridge().bind_master(master);
+  if (const Status bound = engine.bridge().bind(filter.port); !bound.ok) {
+    std::printf("binding failed: %s\n", bound.message.c_str());
+    return 1;
+  }
 
   engine.reset(program.entry());
   if (engine.run() != core::StopReason::kHalted) {

@@ -38,10 +38,13 @@ sim::HardwareBundle make_times_three(const machine::PeripheralDesc& desc) {
   auto& write = hw->add<sg::GatewayOut>("fsl.write", exists.out());
 
   sim::HardwareBundle bundle;
-  bundle.channels.push_back(
-      {desc.channel, {.s_data = &data_in, .s_exists = &exists,
-                      .s_control = &control, .s_read = &read_ack,
-                      .m_data = &data_out, .m_write = &write}});
+  bundle.ports.push_back({.channel = desc.channel,
+                          .s_data = &data_in,
+                          .s_exists = &exists,
+                          .s_control = &control,
+                          .s_read = &read_ack,
+                          .m_data = &data_out,
+                          .m_write = &write});
   bundle.model = std::move(hw);
   return bundle;
 }

@@ -86,7 +86,7 @@ StageOutputs add_pe(sg::Model& m, const std::string& prefix,
 
 }  // namespace
 
-CordicPipelineIo add_cordic_pipeline(sg::Model& m, unsigned num_pes) {
+core::FslPort add_cordic_pipeline(sg::Model& m, unsigned num_pes) {
   if (num_pes == 0 || num_pes > 32) {
     throw SimError("build_cordic_pipeline: P must be in [1, 32]");
   }
@@ -165,8 +165,13 @@ CordicPipelineIo add_cordic_pipeline(sg::Model& m, unsigned num_pes) {
   auto& m_data = m.add<sg::GatewayOut>("fsl_m.data", serializer.data());
   auto& m_write = m.add<sg::GatewayOut>("fsl_m.write", serializer.write());
 
-  return CordicPipelineIo{&s_data, &s_exists, &s_control, &s_read,
-                          &m_data, &m_write, &m_full};
+  return core::FslPort{.s_data = &s_data,
+                       .s_exists = &s_exists,
+                       .s_control = &s_control,
+                       .s_read = &s_read,
+                       .m_data = &m_data,
+                       .m_write = &m_write,
+                       .m_full = &m_full};
 }
 
 CordicPipeline build_cordic_pipeline(unsigned num_pes) {
@@ -177,23 +182,6 @@ CordicPipeline build_cordic_pipeline(unsigned num_pes) {
   pipeline.io = add_cordic_pipeline(*pipeline.model, num_pes);
   pipeline.model->elaborate();
   return pipeline;
-}
-
-void CordicPipeline::bind(core::FslBridge& bridge, unsigned channel) const {
-  core::SlaveBinding slave;
-  slave.channel = channel;
-  slave.data = io.s_data;
-  slave.exists = io.s_exists;
-  slave.control = io.s_control;
-  slave.read = io.s_read;
-  bridge.bind_slave(slave);
-
-  core::MasterBinding master;
-  master.channel = channel;
-  master.data = io.m_data;
-  master.write = io.m_write;
-  master.full = io.m_full;
-  bridge.bind_master(master);
 }
 
 }  // namespace mbcosim::apps::cordic

@@ -21,32 +21,19 @@
 
 namespace mbcosim::apps::cordic {
 
-/// Handles to the FSL-facing gateways of the pipeline model.
-struct CordicPipelineIo {
-  sysgen::GatewayIn* s_data = nullptr;
-  sysgen::GatewayIn* s_exists = nullptr;
-  sysgen::GatewayIn* s_control = nullptr;
-  sysgen::GatewayOut* s_read = nullptr;
-  sysgen::GatewayOut* m_data = nullptr;
-  sysgen::GatewayOut* m_write = nullptr;
-  sysgen::GatewayIn* m_full = nullptr;
-};
-
 struct CordicPipeline {
   std::unique_ptr<sysgen::Model> model;
-  CordicPipelineIo io;
+  core::FslPort io;  ///< FSL-facing gateways, on channel 0
   unsigned num_pes = 0;
-
-  /// Bind the pipeline onto FSL channel `channel` of a bridge.
-  void bind(core::FslBridge& bridge, unsigned channel = 0) const;
 };
 
 /// Build the pipeline with `num_pes` processing elements (paper's P).
 [[nodiscard]] CordicPipeline build_cordic_pipeline(unsigned num_pes);
 
 /// Add the same blocks to `model`, which is not elaborated yet, so that
-/// other blocks can sit beside them; returns the FSL-facing gateways.
-[[nodiscard]] CordicPipelineIo add_cordic_pipeline(sysgen::Model& model,
-                                                   unsigned num_pes);
+/// other blocks can sit beside them; returns the FSL-facing gateways as a
+/// port on channel 0.
+[[nodiscard]] core::FslPort add_cordic_pipeline(
+    sysgen::Model& model, unsigned num_pes);
 
 }  // namespace mbcosim::apps::cordic

@@ -31,30 +31,6 @@ long long required_param(const machine::PeripheralDesc& desc,
   return it->second;
 }
 
-sim::FslGateways to_gateways(const cordic::CordicPipelineIo& io) {
-  sim::FslGateways gateways;
-  gateways.s_data = io.s_data;
-  gateways.s_exists = io.s_exists;
-  gateways.s_control = io.s_control;
-  gateways.s_read = io.s_read;
-  gateways.m_data = io.m_data;
-  gateways.m_write = io.m_write;
-  gateways.m_full = io.m_full;
-  return gateways;
-}
-
-sim::FslGateways to_gateways(const matmul::MatmulPeripheralIo& io) {
-  sim::FslGateways gateways;
-  gateways.s_data = io.s_data;
-  gateways.s_exists = io.s_exists;
-  gateways.s_control = io.s_control;
-  gateways.s_read = io.s_read;
-  gateways.m_data = io.m_data;
-  gateways.m_write = io.m_write;
-  gateways.m_full = io.m_full;
-  return gateways;
-}
-
 sim::HardwareBundle make_cordic(const machine::PeripheralDesc& desc) {
   const long long num_pes = required_param(desc, "num_pes");
   if (num_pes < 1 || num_pes > 32) {
@@ -62,8 +38,9 @@ sim::HardwareBundle make_cordic(const machine::PeripheralDesc& desc) {
   }
   cordic::CordicPipeline pipeline =
       cordic::build_cordic_pipeline(static_cast<unsigned>(num_pes));
+  pipeline.io.channel = desc.channel;
   sim::HardwareBundle bundle;
-  bundle.channels.push_back({desc.channel, to_gateways(pipeline.io)});
+  bundle.ports.push_back(pipeline.io);
   bundle.model = std::move(pipeline.model);
   // Drain bound: P pipeline stages + deserializer/serializer latency.
   bundle.quiescence = static_cast<Cycle>(num_pes) + 16;
@@ -77,8 +54,9 @@ sim::HardwareBundle make_matmul(const machine::PeripheralDesc& desc) {
   }
   matmul::MatmulPeripheral peripheral =
       matmul::build_matmul_peripheral(static_cast<unsigned>(block_size));
+  peripheral.io.channel = desc.channel;
   sim::HardwareBundle bundle;
-  bundle.channels.push_back({desc.channel, to_gateways(peripheral.io)});
+  bundle.ports.push_back(peripheral.io);
   bundle.model = std::move(peripheral.model);
   // Drain bound: one block row in the MAC array + the serializer.
   bundle.quiescence = static_cast<Cycle>(2 * block_size) + 16;

@@ -25,7 +25,7 @@ u8 counter_bits(unsigned limit) {
 }
 }  // namespace
 
-MatmulPeripheralIo add_matmul_peripheral(sg::Model& m, unsigned block_size) {
+core::FslPort add_matmul_peripheral(sg::Model& m, unsigned block_size) {
   if (block_size < 2 || block_size > 4) {
     throw SimError("build_matmul_peripheral: block size must be in [2, 4]");
   }
@@ -131,8 +131,13 @@ MatmulPeripheralIo add_matmul_peripheral(sg::Model& m, unsigned block_size) {
   auto& m_data = m.add<sg::GatewayOut>("fsl_m.data", serializer.data());
   auto& m_write = m.add<sg::GatewayOut>("fsl_m.write", serializer.write());
 
-  return MatmulPeripheralIo{&s_data, &s_exists, &s_control, &s_read,
-                            &m_data, &m_write, &m_full};
+  return core::FslPort{.s_data = &s_data,
+                       .s_exists = &s_exists,
+                       .s_control = &s_control,
+                       .s_read = &s_read,
+                       .m_data = &m_data,
+                       .m_write = &m_write,
+                       .m_full = &m_full};
 }
 
 MatmulPeripheral build_matmul_peripheral(unsigned block_size) {
@@ -144,23 +149,6 @@ MatmulPeripheral build_matmul_peripheral(unsigned block_size) {
   peripheral.io = add_matmul_peripheral(*peripheral.model, block_size);
   peripheral.model->elaborate();
   return peripheral;
-}
-
-void MatmulPeripheral::bind(core::FslBridge& bridge, unsigned channel) const {
-  core::SlaveBinding slave;
-  slave.channel = channel;
-  slave.data = io.s_data;
-  slave.exists = io.s_exists;
-  slave.control = io.s_control;
-  slave.read = io.s_read;
-  bridge.bind_slave(slave);
-
-  core::MasterBinding master;
-  master.channel = channel;
-  master.data = io.m_data;
-  master.write = io.m_write;
-  master.full = io.m_full;
-  bridge.bind_master(master);
 }
 
 }  // namespace mbcosim::apps::matmul

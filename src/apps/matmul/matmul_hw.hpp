@@ -24,30 +24,19 @@
 
 namespace mbcosim::apps::matmul {
 
-struct MatmulPeripheralIo {
-  sysgen::GatewayIn* s_data = nullptr;
-  sysgen::GatewayIn* s_exists = nullptr;
-  sysgen::GatewayIn* s_control = nullptr;
-  sysgen::GatewayOut* s_read = nullptr;
-  sysgen::GatewayOut* m_data = nullptr;
-  sysgen::GatewayOut* m_write = nullptr;
-  sysgen::GatewayIn* m_full = nullptr;
-};
-
 struct MatmulPeripheral {
   std::unique_ptr<sysgen::Model> model;
-  MatmulPeripheralIo io;
+  core::FslPort io;  ///< FSL-facing gateways, on channel 0
   unsigned block_size = 0;  ///< n (paper evaluates n = 2 and n = 4)
-
-  void bind(core::FslBridge& bridge, unsigned channel = 0) const;
 };
 
 /// Build the n x n block multiplier (n in [2, 4]).
 [[nodiscard]] MatmulPeripheral build_matmul_peripheral(unsigned block_size);
 
 /// Add the same blocks to `model`, which is not elaborated yet, so that
-/// other blocks can sit beside them; returns the FSL-facing gateways.
-[[nodiscard]] MatmulPeripheralIo add_matmul_peripheral(sysgen::Model& model,
-                                                       unsigned block_size);
+/// other blocks can sit beside them; returns the FSL-facing gateways as a
+/// port on channel 0.
+[[nodiscard]] core::FslPort add_matmul_peripheral(
+    sysgen::Model& model, unsigned block_size);
 
 }  // namespace mbcosim::apps::matmul

@@ -13,6 +13,10 @@
 //     counted): a correct master observes FSL_M_Full and re-presents the
 //     word, so no data is lost -- the paper instead sizes the data sets
 //     so results "would not overflow the FIFOs" (Section IV-A).
+//
+// A peripheral describes its interface on one channel as one FslPort,
+// from the app that builds the model through the PeripheralRegistry to
+// this bridge; FslBridge::bind is the only place a port is validated.
 #pragma once
 
 #include <vector>
@@ -24,22 +28,31 @@
 
 namespace mbcosim::core {
 
-/// Processor-to-hardware channel binding (hardware reads).
-struct SlaveBinding {
+/// The FSL-facing gateways of one hardware peripheral on one channel:
+/// the slave side (processor -> hardware, the hardware reads) and/or the
+/// master side (hardware -> processor, the hardware writes). Unused
+/// pointers stay null, so a port may bind only one direction. A port
+/// with any slave gateway needs s_data, s_exists and s_read; one with any
+/// master gateway needs m_data and m_write.
+struct FslPort {
   unsigned channel = 0;
-  sysgen::GatewayIn* data = nullptr;     ///< FSL_S_Data (required)
-  sysgen::GatewayIn* control = nullptr;  ///< FSL_S_Control (optional)
-  sysgen::GatewayIn* exists = nullptr;   ///< FSL_S_Exists (required)
-  sysgen::GatewayOut* read = nullptr;    ///< FSL_S_Read ack (required)
-};
+  sysgen::GatewayIn* s_data = nullptr;     ///< FSL_S_Data
+  sysgen::GatewayIn* s_exists = nullptr;   ///< FSL_S_Exists
+  sysgen::GatewayIn* s_control = nullptr;  ///< FSL_S_Control (optional)
+  sysgen::GatewayOut* s_read = nullptr;    ///< FSL_S_Read ack
+  sysgen::GatewayOut* m_data = nullptr;    ///< FSL_M_Data
+  sysgen::GatewayOut* m_control = nullptr; ///< FSL_M_Control (optional)
+  sysgen::GatewayOut* m_write = nullptr;   ///< FSL_M_Write
+  sysgen::GatewayIn* m_full = nullptr;     ///< FSL_M_Full (optional)
 
-/// Hardware-to-processor channel binding (hardware writes).
-struct MasterBinding {
-  unsigned channel = 0;
-  sysgen::GatewayOut* data = nullptr;    ///< FSL_M_Data (required)
-  sysgen::GatewayOut* control = nullptr; ///< FSL_M_Control (optional)
-  sysgen::GatewayOut* write = nullptr;   ///< FSL_M_Write (required)
-  sysgen::GatewayIn* full = nullptr;     ///< FSL_M_Full (optional)
+  [[nodiscard]] bool has_slave() const noexcept {
+    return s_data != nullptr || s_exists != nullptr || s_control != nullptr ||
+           s_read != nullptr;
+  }
+  [[nodiscard]] bool has_master() const noexcept {
+    return m_data != nullptr || m_control != nullptr || m_write != nullptr ||
+           m_full != nullptr;
+  }
 };
 
 struct BridgeStats {
@@ -52,8 +65,11 @@ class FslBridge {
  public:
   explicit FslBridge(fsl::FslHub& hub) : hub_(hub) {}
 
-  void bind_slave(const SlaveBinding& binding);
-  void bind_master(const MasterBinding& binding);
+  /// Validate `port` and wire its sides onto the FIFOs of its channel.
+  /// Fails, leaving the bridge as it was, when the channel is out of
+  /// range or already bound, when the port binds no gateway, or when a
+  /// side it binds lacks a required gateway.
+  [[nodiscard]] Status bind(const FslPort& port);
 
   /// Drive the model's FSL-facing inputs from the FIFO state. Call
   /// immediately before Model::step().
@@ -76,7 +92,7 @@ class FslBridge {
   [[nodiscard]] fsl::FslHub& hub() noexcept { return hub_; }
 
   /// Checkpoint the traffic counters and the quiescence write-tracking
-  /// flag (bindings are structural; the hub is serialized by its owner).
+  /// flag (ports are structural; the hub is serialized by its owner).
   void save_state(ckpt::Writer& writer) const {
     writer.write_u64(stats_.words_to_hw);
     writer.write_u64(stats_.words_from_hw);
@@ -93,8 +109,8 @@ class FslBridge {
 
  private:
   fsl::FslHub& hub_;
-  std::vector<SlaveBinding> slaves_;
-  std::vector<MasterBinding> masters_;
+  std::vector<FslPort> slaves_;   ///< ports with a slave side, bind order
+  std::vector<FslPort> masters_;  ///< ports with a master side, bind order
   BridgeStats stats_;
   bool wrote_last_cycle_ = false;
 };

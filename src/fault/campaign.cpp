@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/sweep.hpp"
 
 namespace mbcosim::fault {
@@ -11,32 +13,6 @@ namespace {
 
 constexpr std::array<Outcome, 4> kOutcomes = {
     Outcome::kMasked, Outcome::kSdc, Outcome::kHang, Outcome::kTrap};
-
-/// Minimal JSON string escaper for detail/error text (quotes,
-/// backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void append_histogram(
     std::string& out, const char* key,
@@ -108,10 +84,10 @@ std::string CampaignReport::to_json() const {
                   row.injected ? "true" : "false");
     out += buf;
     if (!row.detail.empty()) {
-      out += ", \"detail\": \"" + json_escape(row.detail) + "\"";
+      out += ", \"detail\": \"" + common::json::escape(row.detail) + "\"";
     }
     if (!row.error.empty()) {
-      out += ", \"error\": \"" + json_escape(row.error) + "\"";
+      out += ", \"error\": \"" + common::json::escape(row.error) + "\"";
     }
     out += "}";
   }
@@ -182,7 +158,7 @@ Expected<CampaignReport> run_campaign(const CampaignConfig& config,
 
   report.results.resize(plans.size());
   {
-    sim::ThreadPool pool(config.threads);
+    ThreadPool pool(config.threads);
     const GoldenReference& reference = golden.value();
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const std::vector<unsigned char>* image =

@@ -1,7 +1,7 @@
 // fault::Campaign: a Monte Carlo fault-injection campaign. One seeded
 // RNG samples N FaultPlans from a PlanSpace, each plan becomes one
 // fault::Experiment against a shared golden reference, and the
-// experiments fan out on a sim::ThreadPool (every SimSystem is
+// experiments fan out on a ThreadPool (every SimSystem is
 // self-contained, so experiments are embarrassingly parallel). The
 // report — outcome totals plus per-site and per-mode histograms — is
 // the design's vulnerability profile, the co-simulation analog of a

@@ -15,8 +15,8 @@ namespace mbcosim::iss {
 /// tier retires the same instruction stream with bit-identical
 /// architectural state and CpuStats; they only trade decode/dispatch
 /// overhead for speed:
-///   kPrecise    decode every word on every step() — the path every
-///               observer (trace hook, enabled trace bus) sees;
+///   kPrecise    decode every word on every step() — the path an
+///               enabled trace bus (the one observer) sees;
 ///   kPredecode  cached decode + batched dispatch (the PR 3 fast path);
 ///   kDbt        superblock translation: hot basic blocks stitched into
 ///               threaded code and executed whole (the default).

@@ -202,11 +202,7 @@ Event Processor::store_data(Addr addr, unsigned bytes, Word value) {
   return Event::kRetired;
 }
 
-void Processor::record_step(Event event, Addr pc, Word raw,
-                            const Instruction& in, Cycle cycles) {
-  if (trace_) {
-    trace_(TraceRecord{pc, raw, in, cycles, stats_.cycles, event});
-  }
+void Processor::record_step(Event event, Addr pc, Word raw, Cycle cycles) {
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     obs::TraceEvent out;
     switch (event) {
@@ -235,7 +231,7 @@ StepResult Processor::step() {
     // exactly like the execute-stage illegal path below.
     halted_ = true;
     stats_.cycles += 1;
-    record_step(Event::kIllegal, pc_, 0, Instruction{}, 1);
+    record_step(Event::kIllegal, pc_, 0, 1);
     return StepResult{Event::kIllegal, 1};
   }
   const Addr fetch_pc = pc_;
@@ -259,7 +255,7 @@ StepResult Processor::step() {
     // hardware model can advance and eventually unblock us.
     stats_.cycles += 1;
     stats_.fsl_stall_cycles += 1;
-    record_step(Event::kFslStall, fetch_pc, raw, in, 1);
+    record_step(Event::kFslStall, fetch_pc, raw, 1);
     return StepResult{Event::kFslStall, 1};
   }
   if (outcome.event == Event::kIllegal) {
@@ -268,7 +264,7 @@ StepResult Processor::step() {
     // preempts them (and they must not leak into a post-reset step).
     pending_wait_states_ = 0;
     stats_.cycles += 1;
-    record_step(Event::kIllegal, fetch_pc, raw, in, 1);
+    record_step(Event::kIllegal, fetch_pc, raw, 1);
     return StepResult{Event::kIllegal, 1};
   }
   if (outcome.event == Event::kHalted) {
@@ -277,7 +273,7 @@ StepResult Processor::step() {
     const Cycle cycles = isa::base_latency(in, true);
     stats_.cycles += cycles;
     stats_.instructions += 1;
-    record_step(Event::kHalted, fetch_pc, raw, in, cycles);
+    record_step(Event::kHalted, fetch_pc, raw, cycles);
     return StepResult{Event::kHalted, cycles};
   }
 
@@ -289,7 +285,7 @@ StepResult Processor::step() {
   }
   stats_.cycles += cycles;
   stats_.instructions += 1;
-  record_step(Event::kRetired, fetch_pc, raw, in, cycles);
+  record_step(Event::kRetired, fetch_pc, raw, cycles);
   return StepResult{Event::kRetired, cycles};
 }
 

@@ -52,8 +52,8 @@ enum class BatchStop : u8 {
                 ///< cycle charged, PC unchanged)
   kHalted,      ///< branch-to-self retired; processor is halted
   kIllegal,     ///< architectural error; processor is halted
-  kPrecise,     ///< the fast path is unavailable (trace hook or enabled
-                ///< trace bus attached, or predecode disabled); nothing ran
+  kPrecise,     ///< the fast path is unavailable (enabled trace bus
+                ///< attached, or predecode disabled); nothing ran
 };
 
 struct BatchResult {
@@ -89,21 +89,6 @@ struct DbtStats {
   u64 smc_retirements = 0;    ///< stores into translated text retiring blocks
   u64 dbt_instructions = 0;   ///< instructions retired inside block dispatch
                               ///< (fast-path share = this / instructions)
-};
-
-/// Record passed to the optional trace hook after every processor step:
-/// retired instructions, FSL stall cycles, the final halting branch and
-/// illegal/fetch-fault events all reach the hook, distinguished by
-/// `event` (so a trace shows *why* a simulation stopped or stalled, not
-/// just the happy path). On an instruction-fetch fault `raw` is 0 and
-/// `instruction` is default-constructed.
-struct TraceRecord {
-  Addr pc = 0;
-  Word raw = 0;
-  isa::Instruction instruction;
-  Cycle cycles = 0;
-  Cycle total_cycles = 0;
-  Event event = Event::kRetired;
 };
 
 /// A user-customized instruction datapath (Nios-style ISA customization,
@@ -158,8 +143,8 @@ class Processor {
   /// back to the precise step() inside the batch for instructions that
   /// need it (IMM prefix pending, delay slot, custom slot, FSL access
   /// when `stop_before_fsl` is false). Returns immediately with
-  /// BatchStop::kPrecise (zero cycles) when a trace hook or an enabled
-  /// trace bus is attached or the predecode cache is disabled.
+  /// BatchStop::kPrecise (zero cycles) when an enabled trace bus is
+  /// attached or the predecode cache is disabled.
   ///
   /// With `stop_before_fsl` a pending FSL access is *not* executed:
   /// control returns with BatchStop::kFslPending so a co-simulation
@@ -168,10 +153,10 @@ class Processor {
   /// boundary.
   BatchResult run_batch(Cycle max_cycles, bool stop_before_fsl);
 
-  /// True when run_batch would make progress: predecode on, no trace
-  /// hook, no enabled trace bus.
+  /// True when run_batch would make progress: predecode on, no enabled
+  /// trace bus.
   [[nodiscard]] bool fast_path_available() const noexcept {
-    return predecode_enabled_ && !trace_ &&
+    return predecode_enabled_ &&
            (trace_bus_ == nullptr || !trace_bus_->enabled());
   }
 
@@ -248,12 +233,6 @@ class Processor {
   [[nodiscard]] const LmbMemory& memory() const noexcept { return memory_; }
   [[nodiscard]] const isa::CpuConfig& config() const noexcept {
     return config_;
-  }
-
-  /// Install a per-step trace hook (empty function to remove); fires on
-  /// every step result, see TraceRecord.
-  void set_trace(std::function<void(const TraceRecord&)> hook) {
-    trace_ = std::move(hook);
   }
 
   /// Attach the observability bus (nullptr to detach). The processor
@@ -357,9 +336,8 @@ class Processor {
   Event store_data(Addr addr, unsigned bytes, Word value);
 
   ExecOutcome execute(const isa::Instruction& in);
-  /// Deliver one step result to the trace hook and the trace bus.
-  void record_step(Event event, Addr pc, Word raw, const isa::Instruction& in,
-                   Cycle cycles);
+  /// Deliver one step result to the trace bus.
+  void record_step(Event event, Addr pc, Word raw, Cycle cycles);
   [[nodiscard]] u32 operand_b(const isa::Instruction& in) const;
   void write_rd(u8 rd, Word value);
   void add_family(const isa::Instruction& in, bool subtract, bool use_carry,
@@ -405,7 +383,6 @@ class Processor {
   DbtStats dbt_stats_;
 
   CpuStats stats_;
-  std::function<void(const TraceRecord&)> trace_;
   obs::TraceBus* trace_bus_ = nullptr;
   std::array<std::optional<CustomInstruction>, isa::kNumCustomSlots>
       custom_units_;

@@ -21,7 +21,7 @@ inline constexpr const char* kSrvErrorCodes[] = {
     "[srv-journal-io]",       // state dir / journal file unreadable or unwritable
     "[srv-journal-version]",  // state dir written by an incompatible format
     "[srv-journal-corrupt]",  // journal entry unparseable (skipped at recovery)
-    "[srv-deadline]",         // watchdog: wall-clock or cycle deadline exceeded
+    "[srv-deadline]",         // wall-clock or cycle deadline exceeded
     "[srv-deadlock]",         // machine deadlock diagnosis (terminal stop state)
     "[srv-draining]",         // daemon is draining; no new work admitted
 };

@@ -130,6 +130,15 @@ std::string stats_text(const sim::SimSystem& system) {
   return out;
 }
 
+unsigned session_cost(const SessionConfig& config) {
+  const std::size_t cores = config.desc.cores.size();
+  if (cores <= 1) return 1;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return 1 + (config.workers != 0
+                  ? config.workers
+                  : std::min<unsigned>(hw, static_cast<unsigned>(cores)));
+}
+
 Expected<std::shared_ptr<Session>> Session::create(
     u64 id, SessionConfig config, std::unique_ptr<SessionJournal> journal) {
   using Failure = Expected<std::shared_ptr<Session>>;
@@ -173,15 +182,6 @@ Expected<std::shared_ptr<Session>> Session::create(
       }
     }
   }
-  if (system.core_count() > 1) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned engine_workers =
-        session->config_.workers != 0
-            ? session->config_.workers
-            : std::min<unsigned>(
-                  hw, static_cast<unsigned>(system.core_count()));
-    session->cost_ = 1 + engine_workers;
-  }
   journal_event(session->journal_.get(), id, "created", 0);
   return session;
 }
@@ -213,41 +213,37 @@ std::string Session::run_async(Cycle max_cycles) {
   reap_worker();
   has_run_ = true;
   pause_requested_.store(false, std::memory_order_relaxed);
-  deadline_exceeded_.store(false, std::memory_order_relaxed);
-  run_deadline_.reset();
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   if (config_.deadline_ms != 0) {
-    run_deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(config_.deadline_ms);
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(config_.deadline_ms);
   }
   state_ = SessionState::kRunning;
   journal_event(journal_.get(), id_, "running", cached_cycles_);
   publish_state("running", cached_cycles_, {});
-  worker_ = std::thread([this, max_cycles] { worker_run(max_cycles); });
+  worker_ = std::thread(
+      [this, max_cycles, deadline] { worker_run(max_cycles, deadline); });
   return {};
 }
 
-void Session::worker_run(Cycle max_cycles) {
+void Session::worker_run(
+    Cycle max_cycles,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   // Exclusive owner of system_ until the state flips back to idle.
   core::StopReason reason = core::StopReason::kCycleLimit;
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    deadline = run_deadline_;
-  }
   std::string expired;  // non-empty: [srv-deadline] terminal teardown
   while (true) {
     const Cycle current = system_->stats().cycles;
     if (current >= max_cycles) break;
     // Supervision, on the quantum boundary: the lifetime cycle budget
-    // and the wall-clock deadline (checked here and flagged by the
-    // manager's watchdog, which covers long quanta).
+    // and the wall-clock deadline. A quantum is never interrupted, so a
+    // deadline that passes mid-quantum expires at its end.
     if (config_.max_cycles != 0 && current >= config_.max_cycles) {
       expired = "[srv-deadline] cycle budget exhausted (max_cycles=" +
                 std::to_string(config_.max_cycles) + ")";
       break;
     }
-    if (deadline_exceeded_.load(std::memory_order_relaxed) ||
-        (deadline && std::chrono::steady_clock::now() >= *deadline)) {
+    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
       expired = "[srv-deadline] wall-clock deadline exceeded (deadline_ms=" +
                 std::to_string(config_.deadline_ms) + ")";
       break;
@@ -384,14 +380,6 @@ std::string Session::adopt_recovery(const JournalCheckpoint& record) {
   journal_has_checkpoint_ = true;
   publish_state("recovered", cached_cycles_, {});
   return {};
-}
-
-void Session::poll_supervision(std::chrono::steady_clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == SessionState::kRunning && run_deadline_ &&
-      now >= *run_deadline_) {
-    deadline_exceeded_.store(true, std::memory_order_relaxed);
-  }
 }
 
 void Session::drain(std::chrono::steady_clock::time_point deadline) {

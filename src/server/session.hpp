@@ -13,10 +13,10 @@
 // state back to idle under the same mutex, so the handover is a proper
 // happens-before edge.
 //
-// Determinism: control points (pause, kill, metrics records) land on
-// control-quantum boundaries of run(), which has the same semantics as
-// batch checkpoint_every chunking — simulated results are identical to
-// an unchunked run (the deadlock blocked-streak counters restart per
+// Determinism: control points (pause, kill, metrics records, and the
+// wall-clock and cycle budgets) land on control-quantum boundaries of
+// run(), so the run is chunked — simulated results are identical to an
+// unchunked run (the deadlock blocked-streak counters restart per
 // chunk, same caveat as DESIGN.md §11). Telemetry is sink-only, so
 // subscribing, lagging or disconnecting clients cannot perturb results.
 #pragma once
@@ -96,6 +96,10 @@ enum class SessionState : u8 { kIdle, kRunning, kDebug, kKilled };
 /// two render identically by construction.
 [[nodiscard]] std::string stats_text(const sim::SimSystem& system);
 
+/// Admission weight of a session: 1 control thread, plus the engine
+/// workers of a multi-core machine. Known before the system is built.
+[[nodiscard]] unsigned session_cost(const SessionConfig& config);
+
 class Session {
  public:
   /// Build the simulated system and wrap it in an idle session. Build
@@ -115,8 +119,8 @@ class Session {
 
   [[nodiscard]] u64 id() const noexcept { return id_; }
   [[nodiscard]] SessionState state() const;
-  /// Admission weight: 1 control thread + engine workers (multi-core).
-  [[nodiscard]] unsigned cost() const noexcept { return cost_; }
+  /// Admission weight, session_cost() of the session's config.
+  [[nodiscard]] unsigned cost() const { return session_cost(config_); }
 
   // -- operations. String-returning ops yield "" on success or a
   // -- "[srv-*]" message; see errors.hpp.
@@ -144,16 +148,12 @@ class Session {
   /// session (recovery path; call before any run). "" on success.
   [[nodiscard]] std::string adopt_recovery(const JournalCheckpoint& record);
 
-  /// Called (off this session's mutex) when the watchdog/deadline path
-  /// kills the session from its own worker thread, so the manager can
+  /// Called (off this session's mutex) when the deadline path kills
+  /// the session from its own worker thread, so the manager can
   /// release its admission budget while keeping it visible in the pool.
   void set_on_expire(std::function<void(u64)> on_expire) {
     on_expire_ = std::move(on_expire);
   }
-
-  /// Watchdog hook: flag a running session whose wall-clock deadline
-  /// has passed; the worker kills it at the next quantum boundary.
-  void poll_supervision(std::chrono::steady_clock::time_point now);
 
   /// Graceful-drain step: publish a terminal {"stream":"draining"}
   /// record, stop any run at the next quantum boundary (waiting no
@@ -179,8 +179,11 @@ class Session {
   Session(u64 id, SessionConfig config)
       : id_(id), config_(std::move(config)), hub_(config_.stream_queue) {}
 
-  /// Chunked run loop (worker thread).
-  void worker_run(Cycle max_cycles);
+  /// Chunked run loop (worker thread); `deadline` is the wall-clock end
+  /// of this run, checked at every control-quantum boundary.
+  void worker_run(
+      Cycle max_cycles,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
   /// Accept-and-serve RSP loop (worker thread).
   void worker_debug(rsp::TcpListener listener);
   /// Worker thread, owning system_: persist a checkpoint record (cycle,
@@ -202,7 +205,6 @@ class Session {
   const u64 id_;
   SessionConfig config_;
   StreamHub hub_;
-  unsigned cost_ = 1;
   std::unique_ptr<SessionJournal> journal_;
   std::function<void(u64)> on_expire_;
 
@@ -216,12 +218,6 @@ class Session {
   std::thread worker_;
   std::atomic<bool> pause_requested_{false};
   std::atomic<bool> kill_requested_{false};
-  /// Watchdog verdict: wall-clock deadline passed while running. The
-  /// worker turns it into a [srv-deadline] kill at the next boundary.
-  std::atomic<bool> deadline_exceeded_{false};
-  /// Deadline of the run in flight (mutex_): set by run_async when
-  /// config_.deadline_ms != 0.
-  std::optional<std::chrono::steady_clock::time_point> run_deadline_;
   /// Set (under mutex_) by the first kill() before it releases the lock
   /// to join the worker. Guards the window between that release and the
   /// final state_ = kKilled: run_async/start_debug must not spawn a new

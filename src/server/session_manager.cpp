@@ -8,38 +8,6 @@
 
 namespace mbcosim::server {
 
-namespace {
-
-/// Admission weight of a request, computed before paying for the build.
-unsigned weigh(const SessionConfig& config) {
-  const std::size_t cores = config.desc.cores.size();
-  unsigned cost = 1;
-  if (cores > 1) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    cost += config.workers != 0
-                ? config.workers
-                : std::min<unsigned>(hw, static_cast<unsigned>(cores));
-  }
-  return cost;
-}
-
-}  // namespace
-
-SessionManager::~SessionManager() {
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
-void SessionManager::watchdog_loop() {
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const auto now = std::chrono::steady_clock::now();
-    for (const std::shared_ptr<Session>& session : list()) {
-      session->poll_supervision(now);
-    }
-  }
-}
-
 Expected<std::shared_ptr<Session>> SessionManager::create(
     SessionConfig config) {
   using Failure = Expected<std::shared_ptr<Session>>;
@@ -49,7 +17,7 @@ Expected<std::shared_ptr<Session>> SessionManager::create(
         "[srv-busy] session limit reached (" +
         std::to_string(limits_.max_sessions) + " live sessions)");
   }
-  const unsigned cost = weigh(config);
+  const unsigned cost = session_cost(config);
   if (used_budget_ + cost > limits_.worker_budget) {
     return Failure::failure(
         "[srv-busy] worker budget exhausted (" + std::to_string(used_budget_) +
@@ -148,7 +116,7 @@ SessionManager::RecoveryReport SessionManager::recover() {
   for (JournalStore::ScanEntry& entry : entries) {
     const std::string tag = "session " + std::to_string(entry.id);
     if (entry.last_event == "deadline") {
-      // Terminal: the watchdog killed it; nothing to resume.
+      // Terminal: its deadline killed it; nothing to resume.
       (void)store_->remove_session(entry.id);
       report.log.push_back(tag + ": terminal (" + entry.last_event +
                            "), journal removed");
@@ -180,7 +148,7 @@ SessionManager::RecoveryReport SessionManager::recover() {
       report.log.push_back(tag + ": " + config.error() + ", skipped");
       continue;
     }
-    const unsigned cost = weigh(config.value());
+    const unsigned cost = session_cost(config.value());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       next_id_ = std::max(next_id_, entry.id + 1);

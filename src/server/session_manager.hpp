@@ -10,7 +10,7 @@
 // queues.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,10 +39,7 @@ class SessionManager {
       limits_.worker_budget =
           std::max(4u, 2 * std::thread::hardware_concurrency());
     }
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   }
-
-  ~SessionManager();
 
   /// Attach a journal store: every session created from here on is
   /// durable. Call before serving (not thread-safe against create).
@@ -96,9 +93,6 @@ class SessionManager {
  private:
   /// Idempotent budget release (deadline expiry and DELETE can race).
   void release_budget(u64 id);
-  /// Poll running sessions for overdue wall-clock deadlines; the worker
-  /// performs the kill on its next quantum boundary.
-  void watchdog_loop();
 
   Limits limits_;
   JournalStore* store_ = nullptr;
@@ -109,8 +103,6 @@ class SessionManager {
   std::map<u64, unsigned> charges_;
   u64 next_id_ = 1;
   unsigned used_budget_ = 0;
-  std::atomic<bool> watchdog_stop_{false};
-  std::thread watchdog_;
 };
 
 }  // namespace mbcosim::server

@@ -1,6 +1,6 @@
 // PeripheralRegistry: the name -> hardware-factory table that lets a
 // declarative machine description say `"type": "cordic"` and get a fresh
-// sysgen model + FSL gateway bindings on the declared channel — the only
+// sysgen model + its core::FslPort on the declared channel — the only
 // way a peripheral reaches a SimSystem. Applications register their
 // peripheral types once (apps::register_machine_peripherals installs the
 // built-ins) and SimSystem::Builder resolves machine::PeripheralDesc

@@ -167,11 +167,4 @@ Status SimSystem::restore(const std::string& path) {
   return restore_image(image.value());
 }
 
-SimSystem::Builder& SimSystem::Builder::checkpoint_every(
-    Cycle interval, std::string path_prefix) {
-  checkpoint_interval_ = interval;
-  checkpoint_prefix_ = std::move(path_prefix);
-  return *this;
-}
-
 }  // namespace mbcosim::sim

@@ -79,12 +79,7 @@ struct SimSystem::State {
   std::size_t fault_core = 0;  ///< FaultPlan::core of the armed plan
   Cycle deadlock_threshold = 100'000;
   double last_run_wall_seconds = 0.0;
-  std::optional<u16> gdb_port;                ///< Builder::gdb_server
   std::unique_ptr<fault::Injector> injector;  ///< null = fault-free
-  /// Builder::checkpoint_every — run() writes "<prefix>NNNNNN.ckpt"
-  /// every `checkpoint_interval` cycles; 0 = disabled.
-  Cycle checkpoint_interval = 0;
-  std::string checkpoint_prefix;
 
   [[nodiscard]] Core& c0() noexcept { return *cores.front(); }
   [[nodiscard]] const Core& c0() const noexcept { return *cores.front(); }

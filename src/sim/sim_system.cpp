@@ -1,9 +1,7 @@
 #include "sim/sim_system.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -34,68 +32,6 @@ std::string per_core_path(const std::string& path, const std::string& name) {
     return path + "." + name;
   }
   return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
-/// Validate a peripheral's FSL channel bindings and wire them onto the
-/// core's bridge, counting the FSL links they use into `links`; error
-/// messages start with `prefix`.
-Status bind_channels(
-    core::FslBridge& bridge,
-    const std::vector<HardwareBundle::ChannelBinding>& channels,
-    const std::string& prefix, unsigned& links) {
-  std::set<unsigned> bound;
-  for (const auto& binding : channels) {
-    const std::string channel = std::to_string(binding.channel);
-    if (binding.channel >= fsl::FslHub::kChannels) {
-      return Status::failure(prefix + "FSL channel " + channel +
-                             " is out of range (0.." +
-                             std::to_string(fsl::FslHub::kChannels - 1) + ")");
-    }
-    if (!bound.insert(binding.channel).second) {
-      return Status::failure(prefix + "FSL channel " + channel +
-                             " is bound twice");
-    }
-    const FslGateways& io = binding.io;
-    if (!io.has_slave() && !io.has_master()) {
-      return Status::failure(prefix + "FSL channel " + channel +
-                             " binds no gateways");
-    }
-    if (io.has_slave() && (io.s_data == nullptr || io.s_exists == nullptr ||
-                           io.s_read == nullptr)) {
-      return Status::failure(prefix + "the slave side of FSL channel " +
-                             channel +
-                             " needs the s_data, s_exists and s_read gateways");
-    }
-    if (io.has_master() && (io.m_data == nullptr || io.m_write == nullptr)) {
-      return Status::failure(prefix + "the master side of FSL channel " +
-                             channel +
-                             " needs the m_data and m_write gateways");
-    }
-  }
-  for (const auto& binding : channels) {
-    const FslGateways& io = binding.io;
-    if (io.has_slave()) {
-      core::SlaveBinding slave;
-      slave.channel = binding.channel;
-      slave.data = io.s_data;
-      slave.exists = io.s_exists;
-      slave.control = io.s_control;
-      slave.read = io.s_read;
-      bridge.bind_slave(slave);
-      ++links;
-    }
-    if (io.has_master()) {
-      core::MasterBinding master;
-      master.channel = binding.channel;
-      master.data = io.m_data;
-      master.control = io.m_control;
-      master.write = io.m_write;
-      master.full = io.m_full;
-      bridge.bind_master(master);
-      ++links;
-    }
-  }
-  return {};
 }
 
 }  // namespace
@@ -170,30 +106,6 @@ core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
   return state_->c0().engine.run(max_cycles);
 }
 
-core::StopReason SimSystem::run_checkpointed(Cycle max_cycles) {
-  // Chunk the run at absolute-cycle checkpoint boundaries. Engine run
-  // targets are per-core clocks, so the next boundary climbs from the
-  // current clock; numbering restarts at 0 each run().
-  u64 seq = 0;
-  for (;;) {
-    const Cycle boundary = stats().cycles + state_->checkpoint_interval;
-    const Cycle target = std::min(boundary, max_cycles);
-    const core::StopReason reason = run_unfaulted(target);
-    if (reason != core::StopReason::kCycleLimit || target == max_cycles) {
-      return reason;
-    }
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, "%06llu.ckpt",
-                  static_cast<unsigned long long>(seq++));
-    if (const Status saved =
-            save_checkpoint(state_->checkpoint_prefix + suffix);
-        !saved.ok) {
-      std::fprintf(stderr, "SimSystem: periodic checkpoint failed: %s\n",
-                   saved.message.c_str());
-    }
-  }
-}
-
 core::StopReason SimSystem::run(Cycle max_cycles) {
   Stopwatch watch;
   const bool pending_point_fault = state_->injector != nullptr &&
@@ -202,8 +114,6 @@ core::StopReason SimSystem::run(Cycle max_cycles) {
   core::StopReason reason;
   if (pending_point_fault) {
     reason = run_faulted(max_cycles);
-  } else if (state_->checkpoint_interval != 0) {
-    reason = run_checkpointed(max_cycles);
   } else {
     reason = run_unfaulted(max_cycles);
   }
@@ -462,18 +372,6 @@ Status SimSystem::sink_status() const {
   return {};
 }
 
-std::optional<u16> SimSystem::gdb_port() const noexcept {
-  return state_->gdb_port;
-}
-
-Expected<rsp::SessionEnd> SimSystem::serve_gdb() {
-  if (!state_->gdb_port) {
-    return Expected<rsp::SessionEnd>::failure(
-        "SimSystem: no gdb port configured (call Builder::gdb_server)");
-  }
-  return serve_gdb(*state_->gdb_port);
-}
-
 Expected<rsp::SessionEnd> SimSystem::serve_gdb(
     u16 port, std::function<void(u16)> on_listen) {
   using Failure = Expected<rsp::SessionEnd>;
@@ -646,11 +544,6 @@ SimSystem::Builder& SimSystem::Builder::sink(
   return *this;
 }
 
-SimSystem::Builder& SimSystem::Builder::gdb_server(u16 port) {
-  gdb_port_ = port;
-  return *this;
-}
-
 Expected<SimSystem> SimSystem::Builder::build() {
   using Failure = Expected<SimSystem>;
 
@@ -731,9 +624,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
   // (zero blocks, zero resources), which its checkpoint image records.
   auto state = std::make_unique<State>();
   state->deadlock_threshold = deadlock_threshold_;
-  state->gdb_port = gdb_port_;
-  state->checkpoint_interval = checkpoint_interval_;
-  state->checkpoint_prefix = checkpoint_prefix_;
   for (std::size_t index = 0; index < desc.cores.size(); ++index) {
     const machine::CoreDesc& core_desc = desc.cores[index];
     HardwareBundle& bundle = bundles[index];
@@ -756,12 +646,14 @@ Expected<SimSystem> SimSystem::Builder::build() {
     // the declared exec_tier.
     core->cpu.set_exec_tier(core_desc.predecode ? core_desc.exec_tier
                                                 : iss::ExecTier::kPrecise);
-    if (Status status =
-            bind_channels(core->engine.bridge(), bundle.channels,
-                          "SimSystem: core '" + core_desc.name + "': ",
-                          core->fsl_links);
-        !status.ok) {
-      return Failure::failure(status.message);
+    for (const core::FslPort& port : bundle.ports) {
+      if (Status status = core->engine.bridge().bind(port); !status.ok) {
+        return Failure::failure("SimSystem: core '" + core_desc.name +
+                                "': " + status.message);
+      }
+      // One FSL link per bound side, for the resource estimate.
+      if (port.has_slave()) ++core->fsl_links;
+      if (port.has_master()) ++core->fsl_links;
     }
     core->engine.set_quiescence_window(bundle.quiescence);
     core->engine.set_deadlock_threshold(deadlock_threshold_);

@@ -18,16 +18,17 @@
 //
 // A single-core design is MachineDesc::single_core(source), with its
 // peripheral (if any) declared by type and resolved through the
-// PeripheralRegistry. A pure-software design is the same machine with no
-// peripheral: its core runs through the same CoSimEngine loop, whose
-// hardware side is then empty and free.
+// PeripheralRegistry, whose factory returns the model and its
+// core::FslPort list (HardwareBundle). A pure-software design is the
+// same machine with no peripheral: its core runs through the same
+// CoSimEngine loop, whose hardware side is then empty and free.
 //
-// Construction problems (missing program, assembly errors, bad FSL
-// bindings, invalid machine topologies) come back through the Expected
-// error channel instead of throwing from deep inside component
-// constructors, so a design-space sweep can report a broken
-// configuration point and keep going. Machine-description problems keep
-// their stable "[code]" prefixes (machine::kDescErrorCodes).
+// Construction problems (missing program, assembly errors, FSL ports
+// that FslBridge::bind rejects, invalid machine topologies) come back
+// through the Expected error channel instead of throwing from deep
+// inside component constructors, so a design-space sweep can report a
+// broken configuration point and keep going. Machine-description
+// problems keep their stable "[code]" prefixes (machine::kDescErrorCodes).
 //
 // Thread-safety contract: a SimSystem is self-contained. Different
 // SimSystem instances share no mutable state, so any number of them may
@@ -68,42 +69,12 @@ class Injector;
 
 namespace mbcosim::sim {
 
-/// The FSL-facing gateways of one hardware peripheral on one channel —
-/// the slave side (processor -> hardware) and/or the master side
-/// (hardware -> processor). Unused pointers stay null: a peripheral may
-/// bind only one direction. Required when any slave gateway is set:
-/// s_data, s_exists, s_read; required for the master side: m_data,
-/// m_write.
-struct FslGateways {
-  sysgen::GatewayIn* s_data = nullptr;     ///< FSL_S_Data
-  sysgen::GatewayIn* s_exists = nullptr;   ///< FSL_S_Exists
-  sysgen::GatewayIn* s_control = nullptr;  ///< FSL_S_Control (optional)
-  sysgen::GatewayOut* s_read = nullptr;    ///< FSL_S_Read ack
-  sysgen::GatewayOut* m_data = nullptr;    ///< FSL_M_Data
-  sysgen::GatewayOut* m_control = nullptr; ///< FSL_M_Control (optional)
-  sysgen::GatewayOut* m_write = nullptr;   ///< FSL_M_Write
-  sysgen::GatewayIn* m_full = nullptr;     ///< FSL_M_Full (optional)
-
-  [[nodiscard]] bool has_slave() const noexcept {
-    return s_data != nullptr || s_exists != nullptr || s_control != nullptr ||
-           s_read != nullptr;
-  }
-  [[nodiscard]] bool has_master() const noexcept {
-    return m_data != nullptr || m_control != nullptr || m_write != nullptr ||
-           m_full != nullptr;
-  }
-};
-
-/// A hardware model together with its FSL channel bindings — what a
+/// A hardware model together with its FSL ports — what a
 /// PeripheralRegistry factory hands to the builder, one fresh model per
-/// built system.
+/// built system. The builder binds each port onto the core's bridge.
 struct HardwareBundle {
-  struct ChannelBinding {
-    unsigned channel = 0;
-    FslGateways io;
-  };
   std::unique_ptr<sysgen::Model> model;
-  std::vector<ChannelBinding> channels;
+  std::vector<core::FslPort> ports;
   /// Quiescence fast-forward window this peripheral is safe with (an
   /// upper bound on its pipeline drain time); 0 = never fast-forward.
   Cycle quiescence = 0;
@@ -263,8 +234,6 @@ class SimSystem {
   /// learns an ephemeral port (and when it is safe to connect).
   [[nodiscard]] Expected<rsp::SessionEnd> serve_gdb(
       u16 port, std::function<void(u16)> on_listen = {});
-  /// Same, on the port configured with Builder::gdb_server.
-  [[nodiscard]] Expected<rsp::SessionEnd> serve_gdb();
 
   /// Embedding hooks for serve_gdb_on: a listener whose late-arriving
   /// clients get a framed "E.srv-busy" rejection while the session is
@@ -285,8 +254,6 @@ class SimSystem {
       rsp::Transport& transport) {
     return serve_gdb_on(transport, GdbServeHooks{});
   }
-  /// Port configured with Builder::gdb_server, if any.
-  [[nodiscard]] std::optional<u16> gdb_port() const noexcept;
 
   /// Address of a program symbol (throws SimError if undefined).
   [[nodiscard]] Addr symbol(const std::string& name) const;
@@ -299,9 +266,6 @@ class SimSystem {
 
   /// Fault-free dispatch: the machine engine, or core 0's CoSimEngine.
   core::StopReason run_unfaulted(Cycle max_cycles);
-  /// run_unfaulted chunked at Builder::checkpoint_every boundaries,
-  /// writing "<prefix>NNNNNN.ckpt" at each one.
-  core::StopReason run_checkpointed(Cycle max_cycles);
   /// Run-to-trigger, fire the injection, continue — the orchestration
   /// of a cycle/pc point-triggered fault plan.
   core::StopReason run_faulted(Cycle max_cycles);
@@ -355,19 +319,6 @@ class SimSystem::Builder {
   /// stream in a test).
   Builder& sink(std::unique_ptr<obs::TraceSink> sink);
 
-  /// Configure the port SimSystem::serve_gdb() (no-argument form) will
-  /// listen on; 0 picks an ephemeral port. Build-time configuration
-  /// only — the socket opens when serve_gdb is called.
-  Builder& gdb_server(u16 port);
-
-  /// Write a checkpoint every `interval` simulated cycles during run():
-  /// "<path_prefix>NNNNNN.ckpt", numbered from 0. The run is chunked at
-  /// checkpoint boundaries, which restarts the deadlock-streak counters
-  /// there (see DESIGN.md §11); cycle counts and results are otherwise
-  /// identical. 0 disables periodic checkpoints. Ignored while a fault
-  /// plan drives the run (the campaign engine owns its own snapshots).
-  Builder& checkpoint_every(Cycle interval, std::string path_prefix);
-
   /// Assemble, construct and wire everything; leaves the system reset at
   /// the program entry. All errors come back as Expected failures.
   [[nodiscard]] Expected<SimSystem> build();
@@ -383,9 +334,6 @@ class SimSystem::Builder {
   std::optional<std::string> vcd_path_;
   bool metrics_ = false;
   std::vector<std::unique_ptr<obs::TraceSink>> extra_sinks_;
-  std::optional<u16> gdb_port_;
-  Cycle checkpoint_interval_ = 0;
-  std::string checkpoint_prefix_;
 };
 
 }  // namespace mbcosim::sim

@@ -37,11 +37,6 @@
 
 namespace mbcosim::sim {
 
-/// The worker pool now lives in common/thread_pool.hpp so the manycore
-/// co-simulation engine (core::ManyCoreEngine) can share it; this alias
-/// keeps the historical sim::ThreadPool spelling working.
-using ThreadPool = mbcosim::ThreadPool;
-
 /// One row of the sweep result table.
 struct SweepPointResult {
   std::size_t index = 0;  ///< position in the sweep (results are ordered)

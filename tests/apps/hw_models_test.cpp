@@ -15,10 +15,9 @@ namespace {
 
 /// Drives a peripheral's FSL gateways like the bridge would: a scripted
 /// input stream in, collected output words out.
-template <typename Io>
 class GatewayDriver {
  public:
-  explicit GatewayDriver(sysgen::Model& model, const Io& io)
+  explicit GatewayDriver(sysgen::Model& model, const core::FslPort& io)
       : model_(model), io_(io) {}
 
   void push_word(Word data, bool control) { input_.push_back({data, control}); }
@@ -47,7 +46,7 @@ class GatewayDriver {
 
  private:
   sysgen::Model& model_;
-  const Io& io_;
+  const core::FslPort& io_;
 };
 
 TEST(CordicHwModel, SingleItemThroughPipeline) {

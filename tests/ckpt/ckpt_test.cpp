@@ -6,8 +6,8 @@
 //     bit-exactly in a freshly elaborated kernel),
 //   - SimSystem save -> restore -> run golden-state comparisons against
 //     an uninterrupted run: single-core, the 3-core CORDIC farm from
-//     examples/machines at 1/2/8 workers, a mid-quantum debugger stop,
-//     and the Builder::checkpoint_every periodic-snapshot path.
+//     examples/machines at 1/2/8 workers, and a mid-quantum debugger
+//     stop.
 //
 // Runs as its own executable under the `ckpt` ctest label so the asan
 // and tsan presets can sweep it next to the machine tests.
@@ -409,25 +409,6 @@ TEST(CkptSystem, RestoreRejectsADifferentMachineShape) {
   // Not-a-checkpoint bytes through the same entry point.
   std::vector<unsigned char> garbage(64, 0x5a);
   expect_code(b.restore_image(garbage).message, 1);
-}
-
-TEST(CkptSystem, PeriodicCheckpointsReplayToTheSameEnd) {
-  const std::string prefix = tmp_path("ckpt_every_");
-  auto chunked_built = one_core(kSumProgram)
-                           .checkpoint_every(400, prefix)
-                           .build();
-  ASSERT_TRUE(chunked_built.ok()) << chunked_built.error();
-  sim::SimSystem chunked = std::move(chunked_built).value();
-  const FinalState want = finish(chunked);
-
-  // The run is ~1.2k cycles: at least two periodic snapshots landed.
-  for (const char* name : {"000000.ckpt", "000001.ckpt"}) {
-    auto resumed_built = one_core(kSumProgram).build();
-    ASSERT_TRUE(resumed_built.ok()) << resumed_built.error();
-    sim::SimSystem resumed = std::move(resumed_built).value();
-    ASSERT_TRUE(resumed.restore(prefix + name).ok) << name;
-    expect_same(finish(resumed), want);
-  }
 }
 
 // ----------------------------------------------- 3-core CORDIC farm

@@ -1,5 +1,5 @@
 // FslBridge unit tests: gateway driving, pops on read-ack, pushes on
-// write, full-flag behaviour.
+// write, full-flag behaviour, and port validation.
 #include "core/fsl_bridge.hpp"
 
 #include <gtest/gtest.h>
@@ -28,21 +28,19 @@ struct Loopback {
         data_out(model.add<sg::GatewayOut>("m.data", plus_one.out())),
         write_out(model.add<sg::GatewayOut>("m.write", exists_in.out())) {}
 
-  void bind(FslBridge& bridge) {
-    SlaveBinding slave;
-    slave.channel = 0;
-    slave.data = &data_in;
-    slave.exists = &exists_in;
-    slave.control = &control_in;
-    slave.read = &read_out;
-    bridge.bind_slave(slave);
-    MasterBinding master;
-    master.channel = 0;
-    master.data = &data_out;
-    master.write = &write_out;
-    master.full = &full_in;
-    bridge.bind_master(master);
+  /// Both sides on channel 0.
+  FslPort port() {
+    return {.channel = 0,
+            .s_data = &data_in,
+            .s_exists = &exists_in,
+            .s_control = &control_in,
+            .s_read = &read_out,
+            .m_data = &data_out,
+            .m_write = &write_out,
+            .m_full = &full_in};
   }
+
+  void bind(FslBridge& bridge) { ASSERT_TRUE(bridge.bind(port()).ok); }
 
   void cycle(FslBridge& bridge) {
     bridge.pre_cycle();
@@ -129,12 +127,94 @@ TEST(Bridge, ControlBitForwarded) {
 }
 
 TEST(Bridge, BindingValidation) {
+  struct Case {
+    const char* what;
+    FslPort (*edit)(FslPort);  ///< damages a complete channel-0 port
+    bool taken;                ///< channel 0 is already bound
+    const char* error;
+  };
+  const Case cases[] = {
+      {"out of range",
+       [](FslPort port) {
+         port.channel = fsl::FslHub::kChannels;
+         return port;
+       },
+       false, "FSL channel 8 is out of range (0..7)"},
+      {"bound twice", [](FslPort port) { return port; }, true,
+       "FSL channel 0 is bound twice"},
+      {"no gateways", [](FslPort) { return FslPort{.channel = 0}; }, false,
+       "FSL channel 0 binds no gateways"},
+      {"incomplete slave side",
+       [](FslPort port) {
+         port.s_read = nullptr;
+         return port;
+       },
+       false,
+       "the slave side of FSL channel 0 needs the s_data, s_exists and "
+       "s_read gateways"},
+      {"incomplete master side",
+       [](FslPort port) {
+         port.m_write = nullptr;
+         return port;
+       },
+       false,
+       "the master side of FSL channel 0 needs the m_data and m_write "
+       "gateways"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    fsl::FslHub hub;
+    FslBridge bridge(hub);
+    Loopback rejected;
+    Loopback earlier;
+    if (c.taken) earlier.bind(bridge);
+    const Status status = bridge.bind(c.edit(rejected.port()));
+    EXPECT_FALSE(status.ok);
+    EXPECT_EQ(status.message, c.error);
+
+    // The rejected port left no side behind: only the earlier port, if
+    // any, moves words, and channel 0 is still free without it.
+    hub.to_hw(0).try_write(1, false);
+    hub.to_hw(0).try_write(2, false);
+    bridge.pre_cycle();
+    rejected.model.step();
+    earlier.model.step();
+    bridge.post_cycle();
+    const u64 moved = c.taken ? 1 : 0;
+    EXPECT_EQ(bridge.stats().words_to_hw, moved);
+    EXPECT_EQ(bridge.stats().words_from_hw, moved);
+    if (!c.taken) {
+      EXPECT_TRUE(bridge.bind(rejected.port()).ok);
+    }
+  }
+
+  // A port may bind one side only: one loopback split over two channels
+  // reads channel 0 and echoes into channel 1.
   fsl::FslHub hub;
   FslBridge bridge(hub);
-  SlaveBinding incomplete;
-  EXPECT_THROW(bridge.bind_slave(incomplete), SimError);
-  MasterBinding bad_master;
-  EXPECT_THROW(bridge.bind_master(bad_master), SimError);
+  Loopback hw;
+  FslPort in = hw.port();
+  in.m_data = nullptr;
+  in.m_write = nullptr;
+  in.m_full = nullptr;
+  ASSERT_TRUE(bridge.bind(in).ok);
+  FslPort out = hw.port();
+  out.channel = 1;
+  out.s_data = nullptr;
+  out.s_exists = nullptr;
+  out.s_control = nullptr;
+  out.s_read = nullptr;
+  ASSERT_TRUE(bridge.bind(out).ok);
+
+  hub.to_hw(0).try_write(41, false);
+  hw.cycle(bridge);
+  EXPECT_FALSE(hub.to_hw(0).exists());
+  EXPECT_FALSE(hub.from_hw(0).exists());
+  const auto echoed = hub.from_hw(1).try_read();
+  ASSERT_TRUE(echoed.has_value());
+  EXPECT_EQ(echoed->data, 42u);
+  EXPECT_EQ(bridge.stats().words_to_hw, 1u);
+  EXPECT_EQ(bridge.stats().words_from_hw, 1u);
 }
 
 }  // namespace

@@ -28,19 +28,14 @@ struct EchoHw {
         data_out(model.add<sg::GatewayOut>("m.data", inc.out())),
         write_out(model.add<sg::GatewayOut>("m.write", exists_in.out())) {}
 
-  void bind(FslBridge& bridge) {
-    SlaveBinding slave;
-    slave.channel = 0;
-    slave.data = &data_in;
-    slave.exists = &exists_in;
-    slave.control = &control_in;
-    slave.read = &read_out;
-    bridge.bind_slave(slave);
-    MasterBinding master;
-    master.channel = 0;
-    master.data = &data_out;
-    master.write = &write_out;
-    bridge.bind_master(master);
+  [[nodiscard]] Status bind(FslBridge& bridge) {
+    return bridge.bind({.channel = 0,
+                        .s_data = &data_in,
+                        .s_exists = &exists_in,
+                        .s_control = &control_in,
+                        .s_read = &read_out,
+                        .m_data = &data_out,
+                        .m_write = &write_out});
   }
 
   sg::Model model;
@@ -61,7 +56,9 @@ struct CoSimFixture {
         cpu(isa::CpuConfig{}, memory, &hub),
         engine(cpu, &hw.model, hub) {
     memory.load_program(program);
-    hw.bind(engine.bridge());
+    if (!hw.bind(engine.bridge()).ok) {
+      throw SimError("CoSimFixture: the echo peripheral does not bind");
+    }
     engine.reset(program.entry());
   }
 

@@ -57,19 +57,6 @@ class Recorder : public obs::TraceSink {
 /// Adds a peripheral to a model and binds it onto FSL channel 0.
 using Build = std::function<void(sysgen::Model&, FslBridge&)>;
 
-template <typename Io>
-void bind(FslBridge& bridge, const Io& io) {
-  bridge.bind_slave({.channel = 0,
-                     .data = io.s_data,
-                     .control = io.s_control,
-                     .exists = io.s_exists,
-                     .read = io.s_read});
-  bridge.bind_master({.channel = 0,
-                      .data = io.m_data,
-                      .write = io.m_write,
-                      .full = io.m_full});
-}
-
 struct Rig {
   Rig(const Build& build, bool settles, Cycle window)
       : memory(4 * 1024),
@@ -192,15 +179,18 @@ TEST(ElidedTicks, ChunkedTicksMatchPerCycleStepping) {
   for (unsigned p : {1u, 3u, 8u}) {
     designs.push_back({"cordic P=" + std::to_string(p),
                        [p](sysgen::Model& m, FslBridge& bridge) {
-                         bind(bridge, apps::cordic::add_cordic_pipeline(m, p));
+                         const FslPort port =
+                             apps::cordic::add_cordic_pipeline(m, p);
+                         ASSERT_TRUE(bridge.bind(port).ok);
                        },
                        p + 16});
   }
   for (unsigned n : {2u, 4u}) {
     designs.push_back({"matmul n=" + std::to_string(n),
                        [n](sysgen::Model& m, FslBridge& bridge) {
-                         bind(bridge,
-                              apps::matmul::add_matmul_peripheral(m, n));
+                         const FslPort port =
+                             apps::matmul::add_matmul_peripheral(m, n);
+                         ASSERT_TRUE(bridge.bind(port).ok);
                        },
                        2 * n + 16});
   }

@@ -21,7 +21,9 @@ struct CordicRig {
         pipeline(apps::cordic::build_cordic_pipeline(num_pes)),
         engine(cpu, pipeline.model.get(), hub) {
     memory.load_program(program);
-    pipeline.bind(engine.bridge(), 0);
+    if (!engine.bridge().bind(pipeline.io).ok) {
+      throw SimError("CordicRig: the pipeline does not bind");
+    }
     engine.reset(program.entry());
   }
 

@@ -188,8 +188,8 @@ TEST(Dbt, TierDowngradeMidRunKeepsExecutingCorrectly) {
   EXPECT_EQ(m.cpu.reg(3), 120u);
 }
 
-// A trace hook forces the precise per-step path even on the dbt tier;
-// every retired instruction must reach the hook.
+// A trace sink forces the precise per-step path even on the dbt tier;
+// every retired instruction must reach the sink.
 TEST(Dbt, TraceHookDisablesFastPath) {
   TestMachine m(
       "  li r4, 20\n"
@@ -199,11 +199,10 @@ TEST(Dbt, TraceHookDisablesFastPath) {
       "  bnei r4, loop\n"
       "  halt\n");
   EXPECT_TRUE(m.cpu.fast_path_available());
-  u64 hook_steps = 0;
-  m.cpu.set_trace([&hook_steps](const TraceRecord&) { ++hook_steps; });
+  const std::vector<obs::TraceEvent>& steps = m.record_events();
   EXPECT_FALSE(m.cpu.fast_path_available());
   EXPECT_EQ(m.run(), Event::kHalted);
-  EXPECT_EQ(hook_steps, m.cpu.stats().instructions);
+  EXPECT_EQ(steps.size(), m.cpu.stats().instructions);
   EXPECT_EQ(m.cpu.reg(3), 40u);
   EXPECT_EQ(m.cpu.dbt_stats().block_dispatches, 0u);
 }

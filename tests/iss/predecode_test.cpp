@@ -112,7 +112,7 @@ TEST(Predecode, MixedWorkloadStatsIdentical) {
   EXPECT_EQ(fast_r3, 70u);
 }
 
-// run() batches only when nothing is observing; an attached trace hook
+// run() batches only when nothing is observing; an attached trace sink
 // must force the precise per-step path (and still halt correctly).
 TEST(Predecode, TraceHookDisablesFastPath) {
   TestMachine m(
@@ -123,11 +123,10 @@ TEST(Predecode, TraceHookDisablesFastPath) {
       "  bnei r4, loop\n"
       "  halt\n");
   EXPECT_TRUE(m.cpu.fast_path_available());
-  u64 hook_steps = 0;
-  m.cpu.set_trace([&hook_steps](const TraceRecord&) { ++hook_steps; });
+  const std::vector<obs::TraceEvent>& steps = m.record_events();
   EXPECT_FALSE(m.cpu.fast_path_available());
   EXPECT_EQ(m.run(), Event::kHalted);
-  EXPECT_EQ(hook_steps, m.cpu.stats().instructions);
+  EXPECT_EQ(steps.size(), m.cpu.stats().instructions);
   EXPECT_EQ(m.cpu.reg(3), 10u);
 }
 

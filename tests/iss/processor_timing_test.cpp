@@ -93,46 +93,43 @@ TEST(CycleAccuracy, TraceHookSeesEveryStepIncludingTheHalt) {
       "  add r3, r0, r0\n"
       "  mul r4, r3, r3\n"
       "  halt\n");
-  std::vector<TraceRecord> records;
-  m.cpu.set_trace([&records](const TraceRecord& r) { records.push_back(r); });
+  const std::vector<obs::TraceEvent>& records = m.record_events();
   m.run();
-  // Every step reaches the hook — the two body instructions and the
+  // Every step reaches the sink — the two body instructions and the
   // final halting branch (which retires and pays its cycles like any
   // other instruction before ending the simulation).
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].pc, 0u);
   EXPECT_EQ(records[0].cycles, 1u);
-  EXPECT_EQ(records[0].event, Event::kRetired);
+  EXPECT_EQ(records[0].kind, obs::EventKind::kInstrRetire);
   EXPECT_EQ(records[1].pc, 4u);
   EXPECT_EQ(records[1].cycles, 3u);
-  EXPECT_EQ(records[1].instruction.op, isa::Op::kMul);
+  EXPECT_EQ(isa::decode(records[1].raw).op, isa::Op::kMul);
   EXPECT_EQ(records[2].pc, 8u);
-  EXPECT_EQ(records[2].event, Event::kHalted);
-  EXPECT_EQ(records[2].total_cycles, m.cpu.stats().cycles);
+  EXPECT_EQ(records[2].kind, obs::EventKind::kInstrHalt);
+  EXPECT_EQ(records[2].cycle, m.cpu.stats().cycles);
 }
 
 TEST(CycleAccuracy, TraceHookSeesStallsAndIllegal) {
   TestMachine m("get r3, rfsl0\nhalt\n");
-  std::vector<TraceRecord> records;
-  m.cpu.set_trace([&records](const TraceRecord& r) { records.push_back(r); });
+  const std::vector<obs::TraceEvent>& records = m.record_events();
   for (int i = 0; i < 3; ++i) m.cpu.step();  // blocked: 3 stall steps
   ASSERT_EQ(records.size(), 3u);
-  for (const TraceRecord& r : records) {
-    EXPECT_EQ(r.event, Event::kFslStall);
+  for (const obs::TraceEvent& r : records) {
+    EXPECT_EQ(r.kind, obs::EventKind::kInstrStall);
     EXPECT_EQ(r.pc, 0u);
     EXPECT_EQ(r.cycles, 1u);
   }
   m.hub.from_hw(0).try_write(1, false);
   m.run();
   ASSERT_EQ(records.size(), 5u);  // + get retires, halt
-  EXPECT_EQ(records[3].event, Event::kRetired);
-  EXPECT_EQ(records[4].event, Event::kHalted);
+  EXPECT_EQ(records[3].kind, obs::EventKind::kInstrRetire);
+  EXPECT_EQ(records[4].kind, obs::EventKind::kInstrHalt);
 }
 
 TEST(CycleAccuracy, FetchFaultChargesACycleAndReachesTheHook) {
   TestMachine m("halt\n");
-  std::vector<TraceRecord> records;
-  m.cpu.set_trace([&records](const TraceRecord& r) { records.push_back(r); });
+  const std::vector<obs::TraceEvent>& records = m.record_events();
   // Jump the PC outside the 64 KiB LMB BRAM: the fetch faults.
   m.cpu.reset(0x10000);
   const StepResult result = m.cpu.step();
@@ -141,7 +138,7 @@ TEST(CycleAccuracy, FetchFaultChargesACycleAndReachesTheHook) {
   // The faulting fetch consumed a simulated cycle like every other step.
   EXPECT_EQ(m.cpu.stats().cycles, 1u);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].event, Event::kIllegal);
+  EXPECT_EQ(records[0].kind, obs::EventKind::kInstrIllegal);
   EXPECT_EQ(records[0].pc, 0x10000u);
   EXPECT_EQ(records[0].raw, 0u);
 }

@@ -5,7 +5,7 @@
 // over deterministic loopback transports, the tier-invariant dbt
 // counter schema in metrics snapshots, and the durability layer:
 // journal crash-recovery (byte-identical resume, corrupt-tail
-// fallback), watchdog deadlines, deadlock mapping, keep-alive
+// fallback), run deadlines, deadlock mapping, keep-alive
 // connections and graceful drain.
 #include <chrono>
 #include <cstdlib>
@@ -741,7 +741,7 @@ TEST(ServerSupervision, WallClockDeadlineKillsAndReleasesBudget) {
   std::shared_ptr<Session> session = created.value();
   ASSERT_EQ(session->run_async(Cycle{1} << 40), "");
 
-  // The watchdog flags the overrun; the worker kills at a boundary.
+  // The worker sees the overrun at a quantum boundary and kills.
   ASSERT_TRUE(wait_until_state(*session, SessionState::kKilled));
   const std::string info = session->info_json();
   EXPECT_NE(info.find("[srv-deadline]"), std::string::npos) << info;

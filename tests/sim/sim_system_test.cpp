@@ -42,7 +42,7 @@ constexpr const char* kTimesThreeSource = R"(
 
 struct TimesThree {
   std::unique_ptr<sg::Model> model;
-  FslGateways io;
+  core::FslPort io;
 };
 
 TimesThree build_times_three() {
@@ -86,15 +86,16 @@ Expected<SimSystem> build_with(const std::string& type,
       .build();
 }
 
-/// The times-three peripheral bound to channel `channel` with gateways
+/// The times-three peripheral bound to channel `channel` with a port
 /// `edit` may damage.
 PeripheralFactory times_three(unsigned channel,
-                              void (*edit)(FslGateways&) = nullptr) {
+                              void (*edit)(core::FslPort&) = nullptr) {
   return [channel, edit](const machine::PeripheralDesc&) {
     TimesThree hw = build_times_three();
     if (edit != nullptr) edit(hw.io);
+    hw.io.channel = channel;
     HardwareBundle bundle;
-    bundle.channels.push_back({channel, hw.io});
+    bundle.ports.push_back(hw.io);
     bundle.model = std::move(hw.model);
     return bundle;
   };
@@ -127,8 +128,8 @@ TEST(SimSystemBuilder, ChannelBoundTwiceIsAnError) {
       [](const machine::PeripheralDesc&) {
         TimesThree hw = build_times_three();
         HardwareBundle bundle;
-        bundle.channels.push_back({0, hw.io});
-        bundle.channels.push_back({0, hw.io});
+        bundle.ports.push_back(hw.io);
+        bundle.ports.push_back(hw.io);
         bundle.model = std::move(hw.model);
         return bundle;
       },
@@ -141,14 +142,15 @@ TEST(SimSystemBuilder, IncompleteSlaveSideIsAnError) {
   // The slave side lacks its required read ack.
   auto built = build_with(
       "test.times_three_no_read",
-      times_three(0, [](FslGateways& io) { io.s_read = nullptr; }), "halt\n");
+      times_three(0, [](core::FslPort& io) { io.s_read = nullptr; }),
+      "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("s_read"), std::string::npos);
 }
 
 TEST(SimSystemBuilder, EmptyGatewaySetIsAnError) {
   auto built = build_with("test.times_three_empty",
-                          times_three(0, [](FslGateways& io) { io = {}; }),
+                          times_three(0, [](core::FslPort& io) { io = {}; }),
                           "halt\n");
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("binds no gateways"), std::string::npos);
@@ -186,17 +188,7 @@ TEST(SimSystem, MatchesManualWiring) {
   fsl::FslHub hub;
   iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
   core::CoSimEngine engine(cpu, manual_hw.model.get(), hub);
-  core::SlaveBinding slave;
-  slave.channel = 0;
-  slave.data = manual_hw.io.s_data;
-  slave.exists = manual_hw.io.s_exists;
-  slave.read = manual_hw.io.s_read;
-  engine.bridge().bind_slave(slave);
-  core::MasterBinding master;
-  master.channel = 0;
-  master.data = manual_hw.io.m_data;
-  master.write = manual_hw.io.m_write;
-  engine.bridge().bind_master(master);
+  ASSERT_TRUE(engine.bridge().bind(manual_hw.io).ok);
   engine.reset(program.entry());
   const core::StopReason manual_reason = engine.run();
   const core::CoSimStats manual_stats = engine.stats();
@@ -270,8 +262,8 @@ TEST(SimSystem, HardwareDeadlockIsReported) {
         model->add<sg::Constant>("never", Fix::from_int(boolf, 0));
     auto& read_ack = model->add<sg::GatewayOut>("fsl.read", never.out());
     HardwareBundle bundle;
-    bundle.channels.push_back({0, {.s_data = &data_in, .s_exists = &exists,
-                                   .s_read = &read_ack}});
+    bundle.ports.push_back(
+        {.s_data = &data_in, .s_exists = &exists, .s_read = &read_ack});
     bundle.model = std::move(model);
     return bundle;
   };

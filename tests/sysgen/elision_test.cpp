@@ -194,7 +194,7 @@ TEST(Elision, ShippedPeripheralsMatchFullEvaluation) {
   Tally tally;
   for (unsigned p : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 16u}) {
     const Build cordic = [p](Model& m) {
-      const apps::cordic::CordicPipelineIo io =
+      const core::FslPort io =
           apps::cordic::add_cordic_pipeline(m, p);
       return std::vector<GatewayIn*>{io.s_data, io.s_exists, io.s_control,
                                      io.m_full};
@@ -204,7 +204,7 @@ TEST(Elision, ShippedPeripheralsMatchFullEvaluation) {
   }
   for (unsigned n : {2u, 4u}) {
     const Build matmul = [n](Model& m) {
-      const apps::matmul::MatmulPeripheralIo io =
+      const core::FslPort io =
           apps::matmul::add_matmul_peripheral(m, n);
       return std::vector<GatewayIn*>{io.s_data, io.s_exists, io.s_control,
                                      io.m_full};
