@@ -1,14 +1,18 @@
-// Driving the ISS through the textual debugger interface — the analog of
+// Driving a system through the debugger's textual verbs — the analog of
 // the paper's mb-gdb-in-a-TCL-pipe arrangement (Section III-A), where the
 // MicroBlaze Simulink block sends commands to inspect and modify the
-// processor state while the simulation runs.
+// processor state while the simulation runs. The same verbs answer gdb's
+// `monitor` command on a live debug session.
 //
 // Build & run:   ./build/examples/debugger_session
+// Its stdout is checked against examples/debugger_session.expected.
 #include <cstdio>
+#include <utility>
 
-#include "asm/assembler.hpp"
 #include "asm/objdump.hpp"
-#include "iss/debugger.hpp"
+#include "machine/machine_desc.hpp"
+#include "rsp/cosim_target.hpp"
+#include "sim/sim_system.hpp"
 
 using namespace mbcosim;
 
@@ -25,16 +29,19 @@ int main() {
       halt
     result: .space 4
   )";
-  const auto program = assembler::assemble_or_throw(kSource);
+  auto built = sim::SimSystem::Builder()
+                   .machine(machine::MachineDesc::single_core(kSource))
+                   .build();
+  if (!built) {
+    std::fprintf(stderr, "%s\n", built.error().c_str());
+    return 1;
+  }
+  sim::SimSystem system = std::move(built).value();
 
   std::printf("disassembly (mb-objdump analog):\n%s\n",
-              assembler::listing(program).c_str());
+              assembler::listing(system.program()).c_str());
 
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(isa::CpuConfig{}, memory, nullptr);
-  cpu.reset(program.entry());
-  iss::Debugger debugger(cpu);
+  rsp::CoSimTarget debugger(system.engine());
 
   // A scripted debug session, exactly the command traffic the Simulink
   // block exchanges with the simulator.
@@ -51,11 +58,10 @@ int main() {
   };
   for (const char* command : kSession) {
     std::printf("(mb-gdb) %-16s -> %s\n", command,
-                debugger.command(command).c_str());
+                debugger.monitor(command).c_str());
   }
 
-  const Addr result = program.symbol("result");
   std::printf("\nmemory[result] = %u (sum of 3..1 is 6 after the poke)\n",
-              memory.read_word(result));
+              system.word("result"));
   return 0;
 }

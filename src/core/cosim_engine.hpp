@@ -148,8 +148,8 @@ class CoSimEngine {
 
   /// Record a deadlock after a streak of `blocked_cycles` stalled cycles:
   /// diagnose it, emit the `deadlock` trace event and return
-  /// StopReason::kDeadlock. run() calls this; so does a caller stepping
-  /// the engine with debug_step() under its own StallStreak.
+  /// StopReason::kDeadlock. run() calls this; so does a caller whose
+  /// debug_step() loop (rsp::CoSimTarget) stopped on a stall streak.
   StopReason declare_deadlock(Cycle blocked_cycles);
 
   /// Deadlock heuristic: how many consecutive blocked processor cycles

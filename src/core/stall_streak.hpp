@@ -2,9 +2,10 @@
 // blocked on an FSL access is called deadlocked once it has stalled for
 // `threshold` consecutive cycles while no FIFO word crossed its hardware
 // bridge: a retired instruction or a moved word restarts the count.
-// CoSimEngine::run, the PC-trigger fault loop and the RSP target all
-// count with it. (core::ManyCoreEngine counts whole-machine rounds with
-// a rule of its own.)
+// Two loops count with it: CoSimEngine::run and the stepping loop of
+// rsp::CoSimTarget, the debugger that gdb, `monitor` verbs and
+// PC-triggered faults all drive. (core::ManyCoreEngine counts
+// whole-machine rounds with a rule of its own.)
 #pragma once
 
 #include "common/types.hpp"

@@ -1,76 +1,139 @@
-// Target adapter bridging the RSP server onto the simulated machine:
-// registers and memory come from iss::Processor (through the
-// iss::Debugger run-control front end, whose breakpoint set and
-// `monitor` command vocabulary are reused verbatim), and run control
-// advances the core's core::CoSimEngine — the full co-simulated system —
-// one precise lock-step unit at a time, so the hardware model and the
-// FSL channels stay at cycle parity with the software at every stop.
+// CoSimTarget: the one debugger of the simulated machine — the analog of
+// mb-gdb in the paper's architecture (Figure 2), driven by the RSP
+// server, by `monitor` verbs and by the PC trigger of a fault plan. It
+// owns the breakpoint set, the mb-gdb-style text verbs (reg, setreg,
+// pc, msr, mem, setmem, step, cont, break, delete, cycles, disasm) and
+// the one breakpoint-aware stepping loop. That loop advances the whole
+// co-simulated system one precise lock-step unit at a time through a
+// machine-step primitive fixed at construction:
+// core::CoSimEngine::debug_step for a lone core, or
+// core::ManyCoreEngine::debug_step(core) on a machine, which brings
+// every other core to parity. So gdb `c`/`s`, `monitor cont`/`step` and
+// a PC trigger all keep the hardware models and FSL channels at cycle
+// parity with the software at every stop, exactly as a free run does.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 
+#include "common/types.hpp"
 #include "core/cosim_engine.hpp"
-#include "iss/debugger.hpp"
-#include "rsp/target.hpp"
+#include "core/manycore.hpp"
 
 namespace mbcosim::rsp {
 
-class CoSimTarget final : public Target {
- public:
-  /// `engine` drives the debugger's processor. Both references are
-  /// aliased, not owned.
-  CoSimTarget(iss::Debugger& debugger, core::CoSimEngine& engine)
-      : dbg_(debugger), engine_(engine) {}
+/// Stand-in register numbering of the MB32 remote target (DESIGN.md
+/// "Remote debug"): gdb register 0..31 are r0..r31, 32 is the PC, 33 is
+/// the machine status register. All are 32-bit, little-endian on the
+/// wire like the LMB memory.
+inline constexpr unsigned kNumRegs = 34;
+inline constexpr unsigned kRegPc = 32;
+inline constexpr unsigned kRegMsr = 33;
 
-  /// Extra monitor-command handler consulted before the debugger's own
-  /// vocabulary (an empty reply falls through). SimSystem installs the
-  /// `metrics` / `stats` verbs here.
+/// Why a resume / step returned control to its caller.
+struct StopInfo {
+  enum class Kind : u8 {
+    kBreakpoint,  ///< stopped on a software breakpoint
+    kStep,        ///< single step retired
+    kHalted,      ///< program end (branch-to-self) — maps to an exit reply
+    kIllegal,     ///< architectural error (undecodable word / bad unit)
+    kStalled,     ///< FSL deadlock heuristic fired (no progress possible)
+    kBudget,      ///< cycle quantum exhausted; the target can keep running
+  };
+  Kind kind = Kind::kStep;
+  Addr pc = 0;
+  /// kStalled: length of the blocked streak (core::StallStreak).
+  Cycle blocked_cycles = 0;
+};
+
+class CoSimTarget {
+ public:
+  /// Debug a lone core: each step is `engine.debug_step()`. A resume
+  /// reports kStalled after `stall_threshold` consecutive stalled cycles
+  /// with no FIFO word moved (the core::StallStreak rule). The engine is
+  /// aliased, not owned.
+  explicit CoSimTarget(core::CoSimEngine& engine,
+                       Cycle stall_threshold = 100'000)
+      : engine_(engine), stall_threshold_(stall_threshold) {}
+
+  /// Debug core `index` of a machine, whose own engine is `engine`: each
+  /// step is `machine.debug_step(index)`, which advances every core.
+  CoSimTarget(core::CoSimEngine& engine, core::ManyCoreEngine& machine,
+              std::size_t index, Cycle stall_threshold)
+      : engine_(engine),
+        machine_(&machine),
+        index_(index),
+        stall_threshold_(stall_threshold) {}
+
+  /// Extra monitor-command handler consulted before the target's own
+  /// verbs (an empty reply falls through). SimSystem installs the
+  /// `metrics` / `stats` / `fault` / `checkpoint` / `restore` verbs here.
   void set_monitor_extra(std::function<std::string(std::string_view)> extra) {
     monitor_extra_ = std::move(extra);
   }
 
-  /// Consecutive stalled cycles with no retired instruction and no FIFO
-  /// word moved before a resume reports StopInfo::Kind::kStalled (the
-  /// core::StallStreak deadlock heuristic).
-  void set_stall_threshold(Cycle threshold) noexcept {
-    stall_threshold_ = threshold;
-  }
+  /// Value of gdb register `index` (see the numbering above); 0 for an
+  /// index outside the file.
+  [[nodiscard]] Word read_reg(unsigned index) const;
+  /// False for an index outside the file (writes to r0 succeed as no-ops).
+  bool write_reg(unsigned index, Word value);
 
-  /// Override the machine-step primitive. On a multi-core machine the
-  /// debugger focuses one core but every step must advance the whole
-  /// system coherently, so sim::SimSystem installs
-  /// core::ManyCoreEngine::debug_step(core) here; resume/step then use
-  /// it instead of the core's own engine.
-  void set_step_fn(std::function<iss::StepResult()> step) {
-    step_fn_ = std::move(step);
-  }
+  /// Append `length` guest bytes starting at `addr` to `out`; false when
+  /// the range leaves the guest memory (nothing appended).
+  bool read_mem(Addr addr, u32 length, std::string& out) const;
+  /// Write raw bytes into guest memory; false when out of range.
+  bool write_mem(Addr addr, std::string_view bytes);
 
-  [[nodiscard]] iss::Debugger& debugger() noexcept { return dbg_; }
+  void add_breakpoint(Addr addr) { breakpoints_.insert(addr); }
+  void remove_breakpoint(Addr addr) { breakpoints_.erase(addr); }
 
-  // -- Target ----------------------------------------------------------
-  [[nodiscard]] Word read_reg(unsigned index) override;
-  bool write_reg(unsigned index, Word value) override;
-  bool read_mem(Addr addr, u32 length, std::string& out) override;
-  bool write_mem(Addr addr, std::string_view bytes) override;
-  void add_breakpoint(Addr addr) override { dbg_.add_breakpoint(addr); }
-  void remove_breakpoint(Addr addr) override { dbg_.remove_breakpoint(addr); }
-  StopInfo resume(Cycle max_cycles, bool step_off_breakpoint) override;
-  StopInfo step_one() override;
-  std::string monitor(std::string_view line) override;
-  [[nodiscard]] Cycle cycles() const override {
-    return dbg_.cpu().cycle();
-  }
+  /// Run until a breakpoint, halt, illegal event, the stall heuristic, or
+  /// at most `max_cycles` simulated cycles (Kind::kBudget).
+  /// `step_off_breakpoint` suppresses the breakpoint check before the
+  /// first instruction so a resume from a breakpoint address makes
+  /// progress.
+  StopInfo resume(Cycle max_cycles, bool step_off_breakpoint);
+
+  /// Execute exactly one instruction, riding out FSL stalls until it
+  /// retires or the stall heuristic fires.
+  StopInfo step_one();
+
+  /// Execute one `monitor` command (gdb `qRcmd`) and return its reply:
+  ///   reg <n>            -> register value
+  ///   setreg <n> <value> -> write register
+  ///   pc                 -> current PC
+  ///   msr                -> machine status register
+  ///   mem <addr>         -> word at addr
+  ///   setmem <addr> <v>  -> write word
+  ///   step               -> one instruction (step_one)
+  ///   cont [cycles]      -> run, optionally bounded (resume; a
+  ///                         breakpoint at the current PC stops at once)
+  ///   break <addr>       -> set breakpoint
+  ///   delete <addr>      -> clear breakpoint
+  ///   cycles             -> cycle counter
+  ///   disasm             -> disassemble at PC
+  /// Unknown input returns "error: ...".
+  std::string monitor(std::string_view line);
 
  private:
-  /// One precise machine step: the processor plus the hardware model
-  /// brought to cycle parity.
-  iss::StepResult machine_step();
+  /// The one stepping loop behind resume, step_one and the verbs.
+  StopInfo advance(Cycle max_cycles, bool single_step, bool check_first);
+  /// One precise machine step through the primitive fixed at
+  /// construction.
+  iss::StepResult machine_step() {
+    return machine_ != nullptr ? machine_->debug_step(index_)
+                               : engine_.debug_step();
+  }
+  [[nodiscard]] iss::Processor& cpu() const noexcept { return engine_.cpu(); }
 
-  iss::Debugger& dbg_;
   core::CoSimEngine& engine_;
-  Cycle stall_threshold_ = 100'000;
-  std::function<iss::StepResult()> step_fn_;
+  core::ManyCoreEngine* machine_ = nullptr;
+  std::size_t index_ = 0;
+  Cycle stall_threshold_;
+  std::set<Addr> breakpoints_;
   std::function<std::string(std::string_view)> monitor_extra_;
 };
 

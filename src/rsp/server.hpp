@@ -5,14 +5,14 @@
 //
 // The server owns no sockets and no machine: it speaks through a
 // Transport (loopback pair in tests, TCP for live clients) and drives a
-// Target (the ISS / co-sim adapter). Two operating modes:
+// CoSimTarget (the machine's debugger). Two operating modes:
 //   - serve(): blocking session loop for a live client;
 //   - pump():  process exactly the bytes already queued — the
 //     deterministic entry the loopback protocol tests use.
 //
 // Supported packets: qSupported, ?, g/G, p/P, m/M/X, c, s, vCont,
 // Z0/z0 (and Z1/z1, same mechanism), k, D, H/T thread stubs, qRcmd
-// (monitor commands, forwarded to the target's command interpreter) and
+// (monitor commands, forwarded to the target's verbs) and
 // the common handshake queries. Unknown packets get the standard empty
 // reply so clients can probe features.
 #pragma once
@@ -24,8 +24,8 @@
 #include <string_view>
 
 #include "common/types.hpp"
+#include "rsp/cosim_target.hpp"
 #include "rsp/packet.hpp"
-#include "rsp/target.hpp"
 #include "rsp/transport.hpp"
 
 namespace mbcosim::rsp {
@@ -59,9 +59,9 @@ class RspServer {
     int poll_ms = 20;
   };
 
-  RspServer(Transport& transport, Target& target, Options options)
+  RspServer(Transport& transport, CoSimTarget& target, Options options)
       : transport_(transport), target_(target), options_(options) {}
-  RspServer(Transport& transport, Target& target)
+  RspServer(Transport& transport, CoSimTarget& target)
       : RspServer(transport, target, Options{}) {}
 
   /// While a session is live, poll-accept further clients on this
@@ -105,7 +105,7 @@ class RspServer {
   void transmit(std::string_view payload);
 
   Transport& transport_;
-  Target& target_;
+  CoSimTarget& target_;
   Options options_;
   TcpListener* busy_listener_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;

@@ -100,36 +100,6 @@ Expected<SessionConfig> session_config_from_json(
   return config;
 }
 
-std::string stats_text(const sim::SimSystem& system) {
-  const core::CoSimStats s = system.stats();
-  std::string out;
-  out += "cycles " + std::to_string(s.cycles);
-  out += "\ninstructions " + std::to_string(s.instructions);
-  out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
-  out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
-  out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
-  out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
-  out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
-  const iss::DbtStats dbt = system.dbt_stats();
-  out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
-  out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
-  out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
-  out += "\ndbt_fast_path_instructions " + std::to_string(dbt.dbt_instructions);
-  if (system.core_count() > 1) {
-    for (std::size_t i = 0; i < system.core_count(); ++i) {
-      const core::CoSimStats cs = system.core_stats(i);
-      const std::string& name = system.core_name(i);
-      out += "\ncore." + name + ".cycles " + std::to_string(cs.cycles);
-      out += "\ncore." + name + ".instructions " +
-             std::to_string(cs.instructions);
-      out += "\ncore." + name + ".fsl_stall_cycles " +
-             std::to_string(cs.fsl_stall_cycles);
-    }
-  }
-  out += "\n";
-  return out;
-}
-
 unsigned session_cost(const SessionConfig& config) {
   const std::size_t cores = config.desc.cores.size();
   if (cores <= 1) return 1;
@@ -497,7 +467,7 @@ void Session::worker_debug(rsp::TcpListener listener) {
   }
   std::string end = "cancelled";
   if (client != nullptr) {
-    sim::SimSystem::GdbServeHooks hooks;
+    sim::GdbServeHooks hooks;
     hooks.busy_listener = &listener;
     hooks.cancel = &kill_requested_;
     const Expected<rsp::SessionEnd> served =

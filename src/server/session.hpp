@@ -90,11 +90,10 @@ enum class SessionState : u8 { kIdle, kRunning, kDebug, kKilled };
   return "?";
 }
 
-/// The `monitor stats` text of a system, plus per-core breakdown lines
-/// ("core.<name>.cycles N" ...) on multi-core machines. Shared by the
-/// GET /sessions/N/stats endpoint and batch-equivalence tests, so the
-/// two render identically by construction.
-[[nodiscard]] std::string stats_text(const sim::SimSystem& system);
+/// The GET /sessions/N/stats page: sim::stats_text, the renderer
+/// `monitor stats` uses too, so the two read identically by
+/// construction.
+using sim::stats_text;
 
 /// Admission weight of a session: 1 control thread, plus the engine
 /// workers of a multi-core machine. Known before the system is built.

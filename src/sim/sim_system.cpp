@@ -7,10 +7,8 @@
 
 #include "asm/assembler.hpp"
 #include "common/stopwatch.hpp"
-#include "core/stall_streak.hpp"
 #include "fault/injector.hpp"
 #include "isa/isa.hpp"
-#include "iss/debugger.hpp"
 #include "iss/memory.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/vcd_sink.hpp"
@@ -73,28 +71,27 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
     return run_unfaulted(max_cycles);
   }
   // PC trigger (single-core only: build()/arm_fault reject it on a
-  // machine): precise lock-step until the processor is about to execute
-  // the trigger PC. A blocked or runaway program is bounded by the
-  // deadlock threshold / cycle budget, like any other run.
-  iss::Processor& cpu = core.cpu;
-  core::StallStreak streak(state_->deadlock_threshold,
-                           core.engine.fifo_traffic());
-  while (!cpu.halted() && cpu.cycle() < max_cycles) {
-    if (cpu.pc() == static_cast<Addr>(plan.trigger_value)) {
-      injector.fire(cpu, &core.hub, core.opb.get(), &core.trace_bus);
+  // machine): the trigger PC is a breakpoint of the core's debugger, whose
+  // stepping loop runs the core in precise lock step up to it. A blocked
+  // or runaway program is bounded by the deadlock threshold / cycle
+  // budget, like any other run.
+  rsp::CoSimTarget debugger(core.engine, state_->deadlock_threshold);
+  debugger.add_breakpoint(static_cast<Addr>(plan.trigger_value));
+  const Cycle now = core.cpu.cycle();
+  const rsp::StopInfo stop =
+      debugger.resume(max_cycles > now ? max_cycles - now : 0, false);
+  switch (stop.kind) {
+    case rsp::StopInfo::Kind::kBreakpoint:
+      injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus);
       return run_unfaulted(max_cycles);
-    }
-    const iss::StepResult result = core.engine.debug_step();
-    if (result.event == iss::Event::kHalted) return core::StopReason::kHalted;
-    if (result.event == iss::Event::kIllegal) {
-      return core::StopReason::kIllegal;
-    }
-    if (streak.deadlocked(result.event, core.engine.fifo_traffic())) {
-      return core.engine.declare_deadlock(streak.length());
-    }
+    case rsp::StopInfo::Kind::kHalted: return core::StopReason::kHalted;
+    case rsp::StopInfo::Kind::kIllegal: return core::StopReason::kIllegal;
+    case rsp::StopInfo::Kind::kStalled:
+      return core.engine.declare_deadlock(stop.blocked_cycles);
+    case rsp::StopInfo::Kind::kStep:
+    case rsp::StopInfo::Kind::kBudget: break;
   }
-  return cpu.halted() ? core::StopReason::kHalted
-                      : core::StopReason::kCycleLimit;
+  return core::StopReason::kCycleLimit;
 }
 
 core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
@@ -396,15 +393,12 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // multi-core machine each of its steps advances the whole machine
   // through ManyCoreEngine::debug_step so cross-links stay live.
   State::Core& debugged = *state_->cores[state_->gdb_core];
-  iss::Debugger debugger(debugged.cpu);
-  rsp::CoSimTarget target(debugger, debugged.engine);
-  target.set_stall_threshold(state_->deadlock_threshold);
-  if (state_->machine_engine) {
-    target.set_step_fn([this] {
-      return state_->machine_engine->debug_step(state_->gdb_core);
-    });
-  }
-  // System-level monitor verbs layered over the debugger's vocabulary,
+  rsp::CoSimTarget target =
+      state_->machine_engine
+          ? rsp::CoSimTarget(debugged.engine, *state_->machine_engine,
+                             state_->gdb_core, state_->deadlock_threshold)
+          : rsp::CoSimTarget(debugged.engine, state_->deadlock_threshold);
+  // System-level monitor verbs layered over the target's own verbs,
   // so `monitor metrics` / `monitor stats` work from a gdb prompt.
   target.set_monitor_extra([this](std::string_view line) -> std::string {
     if (line == "metrics") {
@@ -451,24 +445,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
       }
       return "restore: restored from " + path;
     }
-    if (line == "stats") {
-      const core::CoSimStats s = stats();
-      std::string out;
-      out += "cycles " + std::to_string(s.cycles);
-      out += "\ninstructions " + std::to_string(s.instructions);
-      out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
-      out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
-      out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
-      out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
-      out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
-      const iss::DbtStats dbt = dbt_stats();
-      out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
-      out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
-      out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
-      out += "\ndbt_fast_path_instructions " +
-             std::to_string(dbt.dbt_instructions);
-      return out;
-    }
+    if (line == "stats") return stats_text(*this);
     return {};
   });
 
@@ -488,6 +465,36 @@ Addr SimSystem::symbol(const std::string& name) const {
 
 Word SimSystem::word(const std::string& name, u32 index) const {
   return state_->c0().memory.read_word(symbol(name) + 4 * index);
+}
+
+std::string stats_text(const SimSystem& system) {
+  const core::CoSimStats s = system.stats();
+  std::string out;
+  out += "cycles " + std::to_string(s.cycles);
+  out += "\ninstructions " + std::to_string(s.instructions);
+  out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
+  out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
+  out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
+  out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
+  out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
+  const iss::DbtStats dbt = system.dbt_stats();
+  out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
+  out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
+  out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
+  out += "\ndbt_fast_path_instructions " + std::to_string(dbt.dbt_instructions);
+  if (system.core_count() > 1) {
+    for (std::size_t i = 0; i < system.core_count(); ++i) {
+      const core::CoSimStats cs = system.core_stats(i);
+      const std::string& name = system.core_name(i);
+      out += "\ncore." + name + ".cycles " + std::to_string(cs.cycles);
+      out += "\ncore." + name + ".instructions " +
+             std::to_string(cs.instructions);
+      out += "\ncore." + name + ".fsl_stall_cycles " +
+             std::to_string(cs.fsl_stall_cycles);
+    }
+  }
+  out += "\n";
+  return out;
 }
 
 // ---------------------------------------------------------------------------

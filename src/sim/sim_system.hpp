@@ -80,6 +80,16 @@ struct HardwareBundle {
   Cycle quiescence = 0;
 };
 
+/// Embedding hooks for SimSystem::serve_gdb_on: a listener whose
+/// late-arriving clients get a framed "E.srv-busy" rejection while the
+/// session is live, and an external cancellation flag that ends the
+/// session at the next packet/resume-quantum boundary. Both optional,
+/// both must outlive the call.
+struct GdbServeHooks {
+  rsp::TcpListener* busy_listener = nullptr;
+  const std::atomic<bool>* cancel = nullptr;
+};
+
 class SimSystem {
  public:
   class Builder;
@@ -235,25 +245,12 @@ class SimSystem {
   [[nodiscard]] Expected<rsp::SessionEnd> serve_gdb(
       u16 port, std::function<void(u16)> on_listen = {});
 
-  /// Embedding hooks for serve_gdb_on: a listener whose late-arriving
-  /// clients get a framed "E.srv-busy" rejection while the session is
-  /// live, and an external cancellation flag that ends the session at
-  /// the next packet/resume-quantum boundary. Both optional, both must
-  /// outlive the call.
-  struct GdbServeHooks {
-    rsp::TcpListener* busy_listener = nullptr;
-    const std::atomic<bool>* cancel = nullptr;
-  };
   /// Serve one RSP session on an already-connected transport — the
   /// accept-free core of serve_gdb(), for embeddings that own the
   /// listener themselves (the simulation server's per-session debug
   /// ports, loopback tests). Blocks until the session ends.
   [[nodiscard]] Expected<rsp::SessionEnd> serve_gdb_on(
-      rsp::Transport& transport, const GdbServeHooks& hooks);
-  [[nodiscard]] Expected<rsp::SessionEnd> serve_gdb_on(
-      rsp::Transport& transport) {
-    return serve_gdb_on(transport, GdbServeHooks{});
-  }
+      rsp::Transport& transport, const GdbServeHooks& hooks = {});
 
   /// Address of a program symbol (throws SimError if undefined).
   [[nodiscard]] Addr symbol(const std::string& name) const;
@@ -272,6 +269,12 @@ class SimSystem {
 
   std::unique_ptr<State> state_;
 };
+
+/// The `monitor stats` text of a system: "name value" lines of the
+/// aggregate CoSimStats and superblock-tier counters, plus per-core
+/// lines ("core.<name>.cycles N" ...) on multi-core machines, each line
+/// newline-terminated. GET /sessions/N/stats serves the same text.
+[[nodiscard]] std::string stats_text(const SimSystem& system);
 
 /// Builder for SimSystem. Every setter returns *this for chaining;
 /// build() consumes the builder and reports all configuration problems

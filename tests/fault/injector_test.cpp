@@ -3,13 +3,20 @@
 // invalidation on a text hit), and the zero-cost contract — a system
 // with no plan armed is bit-identical to one that never heard of the
 // fault subsystem.
+#include <memory>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "apps/cordic/cordic_app.hpp"
+#include "apps/machine_peripherals.hpp"
 #include "bus/opb_bus.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "fsl/fsl_channel.hpp"
 #include "fsl/fsl_hub.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "sim/sim_system.hpp"
 
 namespace mbcosim::fault {
@@ -255,6 +262,112 @@ TEST(Injector, BuilderRejectsInconsistentPlan) {
       one_core(kAddLoop).fault(plan).build();
   ASSERT_FALSE(built.ok());
   EXPECT_NE(built.error().find("buserror or timeout"), std::string::npos);
+}
+
+// -- PC triggers on a co-simulated design -----------------------------------
+
+/// The P=2 CORDIC design the RSP parity tests debug.
+sim::SimSystem cordic_p2() {
+  apps::cordic::CordicRunConfig config;
+  config.num_pes = 2;
+  config.iterations = 24;
+  config.items = 6;
+  config.set_size = 2;
+  const auto [x, y] = apps::cordic::make_cordic_dataset(config.items, 0x5E55);
+  auto built = apps::cordic::make_cordic_system(config, x, y);
+  if (!built.ok()) throw SimError(built.error());
+  return std::move(built).value();
+}
+
+TEST(Injector, PcTriggeredFlipOnCoSimulatedCordic) {
+  // Flip the first stored quotient just before the `swi` writes it out.
+  // Reaching the trigger steps the hardware in lock step with the
+  // processor, so the run's timing is the fault-free run's.
+  sim::SimSystem clean = cordic_p2();
+  ASSERT_EQ(clean.run(), core::StopReason::kHalted);
+  sim::SimSystem faulted = cordic_p2();
+  FaultPlan plan;
+  plan.site = FaultSite::kRegister;
+  plan.mode = FaultMode::kBitFlip;
+  plan.trigger = TriggerKind::kPc;
+  plan.trigger_value = faulted.symbol("store_loop") + 4;  // the swi
+  plan.reg = 3;
+  plan.mask = 0x40;
+  ASSERT_TRUE(faulted.arm_fault(plan).ok);
+  EXPECT_EQ(faulted.run(), core::StopReason::kHalted);
+  ASSERT_NE(faulted.fault_injector(), nullptr);
+  EXPECT_TRUE(faulted.fault_injector()->applied());
+
+  const core::CoSimStats s = faulted.stats();
+  EXPECT_EQ(s.cycles, 3358u);
+  EXPECT_EQ(s.instructions, 2188u);
+  EXPECT_EQ(s.fsl_stall_cycles, 0u);
+  EXPECT_EQ(s.hw_cycles_stepped, 2178u);
+  EXPECT_EQ(s.hw_cycles_skipped, 1180u);
+  EXPECT_EQ(s.bridge.words_to_hw, 252u);
+  EXPECT_EQ(s.bridge.words_from_hw, 216u);
+  const core::CoSimStats c = clean.stats();
+  EXPECT_EQ(s.cycles, c.cycles);
+  EXPECT_EQ(s.instructions, c.instructions);
+  EXPECT_EQ(s.fsl_stall_cycles, c.fsl_stall_cycles);
+  EXPECT_EQ(s.hw_cycles_stepped + s.hw_cycles_skipped,
+            c.hw_cycles_stepped + c.hw_cycles_skipped);
+  for (u32 i = 0; i < 6; ++i) {
+    EXPECT_EQ(faulted.word("results", i),
+              clean.word("results", i) ^ (i == 0 ? 0x40u : 0u))
+        << "item " << i;
+  }
+  EXPECT_EQ(faulted.word("results", 0), 0xff18b112u);
+}
+
+TEST(Injector, PcTriggerBehindABlockedGetReportsTheDeadlock) {
+  // The CORDIC pipeline never gets an input, so the first `get` blocks
+  // for good and the trigger PC behind it is never reached: the run is
+  // a deadlock, diagnosed and traced once, and the fault never fires.
+  apps::register_machine_peripherals();
+  machine::MachineDesc desc = machine::MachineDesc::single_core(
+      "  get r3, rfsl0\n"
+      "never:\n"
+      "  addik r3, r3, 1\n"
+      "  halt\n");
+  machine::PeripheralDesc peripheral;
+  peripheral.core = desc.cores.front().name;
+  peripheral.type = "cordic";
+  peripheral.params["num_pes"] = 2;
+  desc.peripherals.push_back(std::move(peripheral));
+  std::ostringstream trace;
+  sim::SimSystem::Builder builder;
+  builder.machine(std::move(desc))
+      .deadlock_threshold(1000)
+      .sink(std::make_unique<obs::JsonlSink>(trace));
+  auto system = build_or_die(builder);
+  FaultPlan plan;
+  plan.site = FaultSite::kRegister;
+  plan.mode = FaultMode::kBitFlip;
+  plan.trigger = TriggerKind::kPc;
+  plan.trigger_value = system.symbol("never");
+  plan.reg = 3;
+  plan.mask = 0x40;
+  ASSERT_TRUE(system.arm_fault(plan).ok);
+
+  EXPECT_EQ(system.run(), core::StopReason::kDeadlock);
+  ASSERT_NE(system.fault_injector(), nullptr);
+  EXPECT_FALSE(system.fault_injector()->applied());
+  const auto diagnosis = system.deadlock_diagnosis();
+  ASSERT_TRUE(diagnosis.has_value());
+  EXPECT_EQ(diagnosis->to_string(), 
+            "deadlock: blocking get on hw_to_mb0 (fsl 0) at pc 0x00000000, "
+            "fifo 0/16, blocked 1000 cycles");
+  EXPECT_EQ(system.stats().cycles, 1000u);
+
+  std::istringstream lines(trace.str());
+  int deadlock_events = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(R"("kind":"deadlock")") != std::string::npos) {
+      ++deadlock_events;
+    }
+  }
+  EXPECT_EQ(deadlock_events, 1);
 }
 
 }  // namespace

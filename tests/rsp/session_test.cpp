@@ -7,12 +7,14 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/cordic/cordic_app.hpp"
-#include "iss/debugger.hpp"
+#include "apps/machine_peripherals.hpp"
 #include "iss/test_helpers.hpp"
+#include "machine/machine_desc.hpp"
 #include "rsp/cosim_target.hpp"
 #include "rsp/server.hpp"
 #include "rsp/transport.hpp"
@@ -29,9 +31,7 @@ using testclient::RspTestClient;
 struct LoopbackSession {
   explicit LoopbackSession(TestMachine& machine,
                            RspServer::Options options = RspServer::Options{})
-      : debugger(machine.cpu),
-        engine(machine.cpu, nullptr, machine.hub),
-        target(debugger, engine) {
+      : engine(machine.cpu, nullptr, machine.hub), target(engine) {
     auto [server_side, client_side] = make_loopback();
     server_transport = std::move(server_side);
     client_transport = std::move(client_side);
@@ -39,7 +39,6 @@ struct LoopbackSession {
     client.emplace(*client_transport, [this] { server->pump(); });
   }
 
-  iss::Debugger debugger;
   core::CoSimEngine engine;  ///< no peripheral: the bare processor
   CoSimTarget target;
   std::unique_ptr<Transport> server_transport;
@@ -220,9 +219,10 @@ TEST(RspSession, DisconnectEndsSession) {
 }
 
 /// The full co-simulated system behind the protocol: set a breakpoint in
-/// the CORDIC hardware-driver program, continue to it, then run to the
-/// halt — and the engine statistics must be identical to an undebugged
-/// free run of an identically-built system, cycle for cycle.
+/// the CORDIC hardware-driver program, continue to it, advance with the
+/// `monitor cont` and `monitor step` verbs, then run to the halt — and
+/// the engine statistics must be identical to an undebugged free run of
+/// an identically-built system, cycle for cycle.
 TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
   apps::cordic::CordicRunConfig config;
   config.num_pes = 2;
@@ -238,8 +238,7 @@ TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
   ASSERT_TRUE(free_built.ok()) << free_built.error();
   sim::SimSystem free_run = std::move(free_built).value();
 
-  iss::Debugger debugger(debugged.cpu());
-  CoSimTarget target(debugger, debugged.engine());
+  CoSimTarget target(debugged.engine());
   auto [server_side, client_side] = make_loopback();
   RspServer server(*server_side, target);
   RspTestClient client(*client_side, [&server] { server.pump(); });
@@ -268,6 +267,15 @@ TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
   EXPECT_EQ(debugged.cpu().reg(18), saved);
 
   EXPECT_EQ(client.transact(std::string("z0,") + addr_hex + ",4"), "OK");
+  // The monitor verbs advance the hardware with the processor, too.
+  EXPECT_EQ(client.monitor("cont 200"), "cycle-limit\n");
+  EXPECT_GE(debugged.cpu().cycle(), stop_cycle + 200);
+  const auto stepped = client.monitor("step");
+  ASSERT_TRUE(stepped.has_value());
+  EXPECT_EQ(stepped->rfind("stopped pc=", 0), 0u) << *stepped;
+  const core::CoSimStats mid = debugged.stats();
+  EXPECT_EQ(mid.hw_cycles_stepped + mid.hw_cycles_skipped, mid.cycles);
+
   EXPECT_EQ(client.transact("c"), "W00");
   EXPECT_GT(debugged.cpu().cycle(), stop_cycle);
 
@@ -282,6 +290,70 @@ TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
             b.hw_cycles_stepped + b.hw_cycles_skipped);
   EXPECT_EQ(a.bridge.words_to_hw, b.bridge.words_to_hw);
   EXPECT_EQ(a.bridge.words_from_hw, b.bridge.words_from_hw);
+}
+
+/// The CORDIC farm machine behind SimSystem::serve_gdb_on: `monitor
+/// step` on the focused core advances every core, so at the detach each
+/// core stands where a free run of the machine to the same cycle leaves
+/// it, hardware included.
+TEST(RspSession, MachineMonitorStepKeepsEveryCoreAtParity) {
+  apps::register_machine_peripherals();
+  const auto desc = machine::MachineDesc::from_file(
+      std::string(MBCOSIM_EXAMPLES_DIR) + "/machines/cordic_farm.json");
+  ASSERT_TRUE(desc.ok()) << desc.error();
+  auto debugged_built = sim::SimSystem::Builder().machine(desc.value()).build();
+  ASSERT_TRUE(debugged_built.ok()) << debugged_built.error();
+  sim::SimSystem debugged = std::move(debugged_built).value();
+  auto free_built = sim::SimSystem::Builder().machine(desc.value()).build();
+  ASSERT_TRUE(free_built.ok()) << free_built.error();
+  sim::SimSystem free_run = std::move(free_built).value();
+
+  // Queue the whole session up front: serve_gdb_on handles it on this
+  // thread and returns at the detach.
+  auto [server_side, client_side] = make_loopback();
+  for (const char* command : {"step", "step", "step", "stats"}) {
+    client_side->send(frame_packet("qRcmd," + to_hex(command)));
+  }
+  client_side->send(frame_packet("D"));
+  const Expected<SessionEnd> end = debugged.serve_gdb_on(*server_side);
+  ASSERT_TRUE(end.ok()) << end.error();
+  EXPECT_EQ(end.value(), SessionEnd::kDetached);
+
+  RspTestClient client(*client_side);
+  std::vector<std::string> replies;
+  while (std::optional<DecoderEvent> event = client.next_event()) {
+    if (event->kind != DecoderEvent::Kind::kPacket) continue;
+    const Expected<std::string> text = from_hex(event->payload);
+    replies.push_back(text.ok() ? text.value() : event->payload);
+  }
+  ASSERT_EQ(replies.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(replies[i].rfind("stopped pc=", 0), 0u) << replies[i];
+  }
+  EXPECT_EQ(replies[3], sim::stats_text(debugged));
+  EXPECT_NE(replies[3].find("\ncore.collector.cycles "), std::string::npos);
+  EXPECT_EQ(replies[4], "OK");
+
+  const Cycle stop_cycle = debugged.core_stats(0).cycles;
+  ASSERT_GT(stop_cycle, 0u);
+  ASSERT_EQ(free_run.run(stop_cycle), core::StopReason::kCycleLimit);
+  for (std::size_t i = 0; i < debugged.core_count(); ++i) {
+    const core::CoSimStats a = debugged.core_stats(i);
+    const core::CoSimStats b = free_run.core_stats(i);
+    const std::string& name = debugged.core_name(i);
+    EXPECT_GE(a.cycles, stop_cycle) << name;
+    EXPECT_EQ(a.cycles, b.cycles) << name;
+    EXPECT_EQ(a.instructions, b.instructions) << name;
+    EXPECT_EQ(a.fsl_stall_cycles, b.fsl_stall_cycles) << name;
+    EXPECT_EQ(a.hw_cycles_stepped + a.hw_cycles_skipped, a.cycles) << name;
+    EXPECT_EQ(a.hw_cycles_stepped + a.hw_cycles_skipped,
+              b.hw_cycles_stepped + b.hw_cycles_skipped)
+        << name;
+    EXPECT_EQ(a.bridge.words_to_hw, b.bridge.words_to_hw) << name;
+    EXPECT_EQ(a.bridge.words_from_hw, b.bridge.words_from_hw) << name;
+  }
+  EXPECT_EQ(debugged.machine_engine()->link_words(),
+            free_run.machine_engine()->link_words());
 }
 
 }  // namespace
