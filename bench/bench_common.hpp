@@ -14,6 +14,7 @@
 #include "apps/matmul/matmul_sw.hpp"
 #include "asm/assembler.hpp"
 #include "common/stopwatch.hpp"
+#include "machine/machine_desc.hpp"
 #include "rtlmodels/system_rtl.hpp"
 
 namespace mbcosim::bench {
@@ -193,6 +194,134 @@ inline Cycle run_matmul_rtl(const apps::matmul::Matrix& a,
     std::fprintf(stderr, "RTL matmul run did not halt!\n");
   }
   return rtl.cycles();
+}
+
+/// `farms` copies of the examples/machines CORDIC farm side by side, each
+/// with a round counter wrapped around every core's loop: the feeder
+/// streams the 8-pair dataset `rounds` times, the worker runs 2 sets of
+/// 4 per round through its 16-PE pipeline, the collector overwrites the
+/// same 8-word result buffer each round (~340 cycles per round). One
+/// farm keeps the plain names feeder/worker/collector; copy k of several
+/// appends k to each name.
+inline machine::MachineDesc cordic_farm(unsigned farms, unsigned rounds) {
+  const std::string count = std::to_string(rounds);
+  machine::MachineDesc desc;
+  desc.quantum = 64;
+  desc.fifo_depth = 16;
+
+  machine::CoreDesc feeder;
+  feeder.name = "feeder";
+  feeder.program = R"(
+start:
+  li r25, )" + count + R"(
+round_loop:
+  la r21, data_x
+  la r22, data_y
+  li r29, 32              # 8 items * 4 bytes
+  addk r10, r0, r0
+item_loop:
+  lw r3, r21, r10
+  put r3, rfsl1           # X (divisor)
+  lw r4, r22, r10
+  put r4, rfsl1           # Y (dividend)
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, item_loop
+  addik r25, r25, -1
+  bnei r25, round_loop
+  halt
+
+data_x:                   # divisors, Fix32_24
+  .word 0x01000000
+  .word 0x02000000
+  .word 0x01800000
+  .word 0x04000000
+  .word 0x01000000
+  .word 0x03000000
+  .word 0x01400000
+  .word 0x02800000
+data_y:                   # dividends, Fix32_24
+  .word 0x00800000
+  .word 0x03000000
+  .word 0x00c00000
+  .word 0x01000000
+  .word 0xff800000
+  .word 0x02000000
+  .word 0x01000000
+  .word 0x00a00000
+)";
+
+  machine::CoreDesc worker;
+  worker.name = "worker";
+  worker.program = R"(
+start:
+  li r25, )" + count + R"(
+round_loop:
+  li r20, 2               # sets of 4 items per round
+set_loop:
+  cput r0, rfsl0          # control word: initial shift amount s0 = 0
+  li r5, 4
+send_loop:
+  get r3, rfsl1           # X from the feeder
+  put r3, rfsl0
+  get r3, rfsl1           # Y from the feeder
+  put r3, rfsl0
+  put r0, rfsl0           # Z = 0
+  addik r5, r5, -1
+  bnei r5, send_loop
+  li r5, 4
+recv_loop:
+  get r3, rfsl0           # X out (discarded)
+  get r3, rfsl0           # Y residue (discarded)
+  get r3, rfsl0           # Z out = quotient
+  put r3, rfsl2           # forward to the collector
+  addik r5, r5, -1
+  bnei r5, recv_loop
+  addik r20, r20, -1
+  bnei r20, set_loop
+  addik r25, r25, -1
+  bnei r25, round_loop
+  halt
+)";
+
+  machine::CoreDesc collector;
+  collector.name = "collector";
+  collector.program = R"(
+start:
+  li r25, )" + count + R"(
+round_loop:
+  la r28, results
+  li r29, 32              # 8 quotients * 4 bytes
+  addk r10, r0, r0
+store_loop:
+  get r3, rfsl1
+  sw r3, r28, r10
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, store_loop
+  addik r25, r25, -1
+  bnei r25, round_loop
+  halt
+
+results: .space 32
+)";
+
+  for (unsigned farm = 0; farm < farms; ++farm) {
+    const std::string suffix = farms == 1 ? "" : std::to_string(farm);
+    for (machine::CoreDesc core : {feeder, worker, collector}) {
+      core.name += suffix;
+      desc.cores.push_back(std::move(core));
+    }
+    desc.links.push_back({"feeder" + suffix, 1, "worker" + suffix, 1});
+    desc.links.push_back({"worker" + suffix, 2, "collector" + suffix, 1});
+    machine::PeripheralDesc cordic;
+    cordic.core = "worker" + suffix;
+    cordic.type = "cordic";
+    cordic.channel = 0;
+    cordic.params["num_pes"] = 16;
+    desc.peripherals.push_back(std::move(cordic));
+  }
+  return desc;
 }
 
 }  // namespace mbcosim::bench

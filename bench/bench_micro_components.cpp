@@ -1,14 +1,17 @@
 // Micro-benchmarks (google-benchmark) of the individual substrates:
 // instruction throughput of the ISS, block-model step rate, FSL FIFO
-// operations, fixed-point arithmetic and event-kernel throughput. These
-// are the constants behind the system-level numbers in Tables I/II.
+// operations, fixed-point arithmetic, event-kernel throughput and the
+// manycore engine's quantum rounds. These are the constants behind the
+// system-level numbers in Tables I/II and the hosted farm.
 #include <benchmark/benchmark.h>
 
 #include "apps/cordic/cordic_hw.hpp"
 #include "apps/cordic/cordic_reference.hpp"
+#include "apps/machine_peripherals.hpp"
 #include "bench_common.hpp"
 #include "rtl/kernel.hpp"
 #include "rtl/primitives.hpp"
+#include "sim/sim_system.hpp"
 
 namespace {
 
@@ -119,6 +122,36 @@ void BM_SysgenElaborate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SysgenElaborate)->Arg(1)->Arg(8)->Arg(16);
+
+// The quantum-round engine on CORDIC farms built from a MachineDesc,
+// advanced in 6,400-cycle chunks the way a hosted session runs them.
+// range(0) farms side by side (1 = the 3-core farm: one busy 16-PE
+// worker core; 4 = four busy worker cores), range(1) engine workers.
+void BM_ManyCoreFarm(benchmark::State& state) {
+  constexpr Cycle kChunk = 6'400;
+  apps::register_machine_peripherals();
+  auto built = sim::SimSystem::Builder()
+                   .machine(cordic_farm(static_cast<unsigned>(state.range(0)),
+                                        1'000'000))
+                   .workers(static_cast<unsigned>(state.range(1)))
+                   .build();
+  if (!built.ok()) {
+    state.SkipWithError(built.error().c_str());
+    return;
+  }
+  sim::SimSystem system = std::move(built).value();
+  Cycle target = 0;
+  for (auto _ : state) {
+    target += kChunk;
+    benchmark::DoNotOptimize(system.run(target));
+  }
+  state.counters["sim_cycles_per_second"] = benchmark::Counter(
+      static_cast<double>(target), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ManyCoreFarm)
+    ->ArgsProduct({{1, 4}, {1, 2, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FslChannelOps(benchmark::State& state) {
   fsl::FslChannel channel(16);

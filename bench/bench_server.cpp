@@ -22,6 +22,7 @@
 #include "machine/machine_desc.hpp"
 #include "server/journal.hpp"
 #include "server/session.hpp"
+#include "sim/sim_system.hpp"
 
 namespace {
 
@@ -41,129 +42,11 @@ constexpr Cycle kDefaultCkptEvery = 1'000'000;
 constexpr Cycle kAggressiveCkptEvery = 100'000;
 constexpr Cycle kRunForever = Cycle{1} << 36;
 constexpr int kRepeats = 3;  // min-of-N wall clock
-
-/// The examples/machines CORDIC farm with a round counter wrapped around
-/// each core's loop: feeder streams the 8-pair dataset kRounds times,
-/// the worker runs 2 sets of 4 per round, the collector overwrites the
-/// same 8-word result buffer each round. Same topology, same 16-PE
-/// pipeline, ~340 cycles per round.
-machine::MachineDesc farm_desc(unsigned rounds) {
-  const std::string count = std::to_string(rounds);
-  machine::MachineDesc desc;
-  desc.quantum = 64;
-  desc.fifo_depth = 16;
-
-  machine::CoreDesc feeder;
-  feeder.name = "feeder";
-  feeder.program = R"(
-start:
-  li r25, )" + count + R"(
-round_loop:
-  la r21, data_x
-  la r22, data_y
-  li r29, 32              # 8 items * 4 bytes
-  addk r10, r0, r0
-item_loop:
-  lw r3, r21, r10
-  put r3, rfsl1           # X (divisor)
-  lw r4, r22, r10
-  put r4, rfsl1           # Y (dividend)
-  addik r10, r10, 4
-  rsub r3, r10, r29
-  bnei r3, item_loop
-  addik r25, r25, -1
-  bnei r25, round_loop
-  halt
-
-data_x:                   # divisors, Fix32_24
-  .word 0x01000000
-  .word 0x02000000
-  .word 0x01800000
-  .word 0x04000000
-  .word 0x01000000
-  .word 0x03000000
-  .word 0x01400000
-  .word 0x02800000
-data_y:                   # dividends, Fix32_24
-  .word 0x00800000
-  .word 0x03000000
-  .word 0x00c00000
-  .word 0x01000000
-  .word 0xff800000
-  .word 0x02000000
-  .word 0x01000000
-  .word 0x00a00000
-)";
-
-  machine::CoreDesc worker;
-  worker.name = "worker";
-  worker.program = R"(
-start:
-  li r25, )" + count + R"(
-round_loop:
-  li r20, 2               # sets of 4 items per round
-set_loop:
-  cput r0, rfsl0          # control word: initial shift amount s0 = 0
-  li r5, 4
-send_loop:
-  get r3, rfsl1           # X from the feeder
-  put r3, rfsl0
-  get r3, rfsl1           # Y from the feeder
-  put r3, rfsl0
-  put r0, rfsl0           # Z = 0
-  addik r5, r5, -1
-  bnei r5, send_loop
-  li r5, 4
-recv_loop:
-  get r3, rfsl0           # X out (discarded)
-  get r3, rfsl0           # Y residue (discarded)
-  get r3, rfsl0           # Z out = quotient
-  put r3, rfsl2           # forward to the collector
-  addik r5, r5, -1
-  bnei r5, recv_loop
-  addik r20, r20, -1
-  bnei r20, set_loop
-  addik r25, r25, -1
-  bnei r25, round_loop
-  halt
-)";
-
-  machine::CoreDesc collector;
-  collector.name = "collector";
-  collector.program = R"(
-start:
-  li r25, )" + count + R"(
-round_loop:
-  la r28, results
-  li r29, 32              # 8 quotients * 4 bytes
-  addk r10, r0, r0
-store_loop:
-  get r3, rfsl1
-  sw r3, r28, r10
-  addik r10, r10, 4
-  rsub r3, r10, r29
-  bnei r3, store_loop
-  addik r25, r25, -1
-  bnei r25, round_loop
-  halt
-
-results: .space 32
-)";
-
-  desc.cores = {feeder, worker, collector};
-  desc.links = {{"feeder", 1, "worker", 1}, {"worker", 2, "collector", 1}};
-  machine::PeripheralDesc cordic;
-  cordic.core = "worker";
-  cordic.type = "cordic";
-  cordic.channel = 0;
-  cordic.params["num_pes"] = 16;
-  desc.peripherals = {cordic};
-  return desc;
-}
+constexpr unsigned kProfileRounds = 500;  // per-core host time probe
 
 server::SessionConfig session_config(Cycle ckpt_every) {
   server::SessionConfig config;
-  config.desc = farm_desc(kRounds);
+  config.desc = bench::cordic_farm(1, kRounds);
   // Single-threaded rounds: worker count never changes results, only
   // wall-clock, and one thread keeps the measurement about the journal
   // instead of about thread-pool barrier latency at a 64-cycle quantum.
@@ -242,6 +125,41 @@ RunResult hosted_run(u64 id, Cycle ckpt_every, const std::string& state_dir) {
     std::exit(1);
   }
   return result;
+}
+
+/// Where the farm's host time goes, core by core: the same farm run
+/// in-process at the sessions' control quantum and worker count for
+/// kProfileRounds rounds, read from ManyCoreEngine::node_host_ns.
+void print_core_host_time() {
+  const server::SessionConfig config = session_config(0);
+  auto built = sim::SimSystem::Builder()
+                   .machine(bench::cordic_farm(1, kProfileRounds))
+                   .workers(config.workers)
+                   .metrics()
+                   .build();
+  if (!built.ok()) {
+    std::fprintf(stderr, "farm build failed: %s\n", built.error().c_str());
+    std::exit(1);
+  }
+  sim::SimSystem system = std::move(built).value();
+  for (Cycle target = config.control_quantum;
+       system.run(target) == core::StopReason::kCycleLimit;
+       target += config.control_quantum) {
+  }
+  const core::ManyCoreEngine& engine = *system.machine_engine();
+  u64 total_ns = 0;
+  for (std::size_t i = 0; i < engine.core_count(); ++i) {
+    total_ns += engine.node_host_ns(i);
+  }
+  for (std::size_t i = 0; i < engine.core_count(); ++i) {
+    const u64 ns = engine.node_host_ns(i);
+    std::printf("%-32s %12.4f s  (%4.1f%% of core time)\n",
+                ("core " + engine.core_name(i) + " host time").c_str(),
+                static_cast<double>(ns) / 1e9,
+                total_ns > 0 ? 100.0 * static_cast<double>(ns) /
+                                   static_cast<double>(total_ns)
+                             : 0.0);
+  }
 }
 
 /// Min-of-kRepeats wall clock; stats/cycles from the first repeat (they
@@ -326,6 +244,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("journaled stats are byte-identical to the baseline\n");
+  print_core_host_time();
   if (overhead(journaled) >= 5.0) {
     std::printf("note: default-interval journal overhead %+.2f%% exceeds "
                 "the 5%% budget (loaded host?)\n", overhead(journaled));

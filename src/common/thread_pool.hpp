@@ -1,7 +1,9 @@
-// A fixed pool of std::jthread workers draining a FIFO work queue.
-// Shared by the design-space sweep engine (sim::Sweep, one job per
-// configuration point) and the manycore co-simulation engine
-// (core::ManyCoreEngine, one job per core per quantum round).
+// A fixed pool of std::jthread workers draining a FIFO work queue, used
+// by the design-space sweep engine (sim::Sweep, one job per
+// configuration point) and fault campaigns (one job per experiment).
+// Those jobs last milliseconds to seconds; the manycore engine's ~50 µs
+// quantum rounds use its own persistent round workers instead
+// (core/manycore.hpp).
 // Destroying the pool stops the workers after their current job; jobs
 // still queued are abandoned (call wait_idle() first to drain).
 #pragma once

@@ -1,10 +1,10 @@
 #include "core/manycore.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 #include "ckpt/ckpt.hpp"
-#include "common/thread_pool.hpp"
 
 namespace mbcosim::core {
 
@@ -15,7 +15,35 @@ namespace {
 /// and only the machine-level heuristic may call it a deadlock.
 constexpr Cycle kNeverDeadlock = ~Cycle{0} >> 1;
 
+/// Polls of a round-barrier word before the waiter parks on it, about
+/// 100 µs on a current x86 core: long enough to cover the gap between
+/// two 64-cycle rounds without a futex round trip, short enough that an
+/// idle engine soon sleeps.
+constexpr unsigned kSpinBudget = 4096;
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Wait until `word` no longer holds `value`: spin, then park. Returns
+/// the new value (acquire: the writer's preceding stores are visible).
+u32 await_change(const std::atomic<u32>& word, u32 value) noexcept {
+  for (unsigned spin = 0; spin < kSpinBudget; ++spin) {
+    const u32 now = word.load(std::memory_order_acquire);
+    if (now != value) return now;
+    cpu_relax();
+  }
+  word.wait(value, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
 }  // namespace
+
+ManyCoreEngine::~ManyCoreEngine() { stop_helpers(); }
 
 std::size_t ManyCoreEngine::add_core(std::string name, iss::Processor& cpu,
                                      CoSimEngine& engine, fsl::FslHub& hub) {
@@ -61,23 +89,97 @@ u64 ManyCoreEngine::transfer_links() {
   return moved;
 }
 
-std::size_t ManyCoreEngine::run_round(Cycle target, ThreadPool* pool) {
-  // Each job touches only its own node: the core's processor, hardware
-  // model, FIFOs and trace bus are private until the barrier below.
-  auto advance = [this, target](std::size_t index) {
-    Node& node = nodes_[index];
-    node.last = node.engine->run(target);
+void ManyCoreEngine::ensure_helpers(std::size_t count) {
+  if (helpers_.size() == count) return;
+  stop_helpers();
+  // No round is in flight: each helper starts waiting for the epoch
+  // after this one.
+  const u32 epoch = epoch_.load(std::memory_order_relaxed);
+  for (std::size_t thread = 1; thread <= count; ++thread) {
+    helpers_.emplace_back([this, thread, epoch] {
+      u32 seen = epoch;
+      while (true) {
+        seen = await_change(epoch_, seen);
+        if (stopping_) return;
+        advance_share(thread);
+        done_.fetch_add(1, std::memory_order_release);
+        done_.notify_one();
+      }
+    });
+  }
+}
+
+void ManyCoreEngine::stop_helpers() {
+  if (helpers_.empty()) return;
+  stopping_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  helpers_.clear();  // joins
+  stopping_ = false;
+}
+
+void ManyCoreEngine::place() {
+  shares_.assign(helpers_.size() + 1, {});
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i].finished) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return nodes_[a].window_ns > nodes_[b].window_ns;
+                   });
+  std::vector<u64> load(shares_.size(), 0);
+  for (const std::size_t i : order) {
+    const std::size_t thread = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    shares_[thread].push_back(i);
+    // +1: cores not yet measured still spread across the threads.
+    load[thread] += nodes_[i].window_ns + 1;
+    nodes_[i].window_ns = 0;
+  }
+  for (std::vector<std::size_t>& share : shares_) {
+    std::sort(share.begin(), share.end());
+  }
+  helpers_have_work_ =
+      std::any_of(shares_.begin() + 1, shares_.end(),
+                  [](const std::vector<std::size_t>& share) {
+                    return !share.empty();
+                  });
+}
+
+void ManyCoreEngine::advance_share(std::size_t thread) {
+  // Touches only the share's own nodes: each core's processor, hardware
+  // model, FIFOs and trace bus are private until the round barrier.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start = Clock::now();
+  for (const std::size_t i : shares_[thread]) {
+    Node& node = nodes_[i];
+    if (node.finished) continue;
+    node.last = node.engine->run(round_target_);
     if (node.last == StopReason::kHalted) node.finished = true;
-  };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].finished) advance(i);
+    const Clock::time_point end = Clock::now();
+    const u64 ns = static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+            .count());
+    node.host_ns += ns;
+    node.window_ns += ns;
+    start = end;
+  }
+}
+
+std::size_t ManyCoreEngine::run_round(Cycle target) {
+  round_target_ = target;
+  if (helpers_have_work_) {
+    done_.store(0, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+  }
+  advance_share(0);
+  if (helpers_have_work_) {
+    const u32 helpers = static_cast<u32>(helpers_.size());
+    for (u32 done = done_.load(std::memory_order_acquire); done != helpers;) {
+      done = await_change(done_, done);
     }
-  } else {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i].finished) pool->submit([advance, i] { advance(i); });
-    }
-    pool->wait_idle();
   }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].finished && nodes_[i].last == StopReason::kIllegal) {
@@ -115,17 +217,19 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   workers = std::max(workers, 1u);
   workers = static_cast<unsigned>(
       std::min<std::size_t>(workers, nodes_.size()));
-  // The pool persists across rounds; worker count never affects results
-  // (see the file comment), only host wall-clock.
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && live > 1) pool.emplace(workers);
+  // Worker count and placement never affect results (see the file
+  // comment), only host wall-clock.
+  if (live > 1) ensure_helpers(workers - 1);
+  place();
 
   Cycle stalled = 0;
-  // Halt attribution: run_round flips finished flags on worker threads,
+  unsigned rounds = 0;
+  // Halt attribution: run_round flips finished flags on helper threads,
   // so which cores halted this round is recovered here by diffing the
   // flags across the barrier — note_halt runs orchestrator-side only.
   std::vector<char> was_finished(nodes_.size(), 0);
   while (global < max_cycles) {
+    if (++rounds % kPlacementRounds == 0) place();
     const Cycle target = std::min(global + quantum_, max_cycles);
     u64 instructions_before = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -133,8 +237,7 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
       was_finished[i] = nodes_[i].finished ? 1 : 0;
     }
 
-    const std::size_t trapped =
-        run_round(target, pool.has_value() ? &*pool : nullptr);
+    const std::size_t trapped = run_round(target);
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       if (was_finished[i] == 0 && nodes_[i].finished) note_halt(i);
     }

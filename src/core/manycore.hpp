@@ -10,8 +10,8 @@
 // Execution model (conservative quantum synchronization):
 //   - Time advances in rounds. In each round every unfinished core runs
 //     alone — its processor, its peripherals, its private FIFOs — up to
-//     the shared target `global_cycle + quantum`, possibly on a worker
-//     thread. Cores share no mutable state during a round.
+//     the shared target `global_cycle + quantum`. Cores share no mutable
+//     state during a round.
 //   - At the round barrier the orchestrator thread moves words across
 //     the declared cross-core links in declaration order, bounded by
 //     destination FIFO space. A word written in round R is thus visible
@@ -21,17 +21,29 @@
 //     processor blocked on slow hardware, so cycle accounting never
 //     depends on what the other cores happened to be doing.
 //
+// Host threads (round workers): with W effective workers the engine
+// keeps W-1 helper threads, created by the first parallel run() and
+// joined by the destructor; between rounds and between run() calls
+// they spin briefly on an atomic round epoch, then park on it. The
+// orchestrator (the thread calling run()) advances its own share of the
+// cores, so W threads advance cores in each round. Cores are placed on
+// threads longest-processing-time first by the host time each took in
+// the previous rounds (node_host_ns), re-placed only at run() entry and
+// every kPlacementRounds rounds, so a core keeps its thread's cache.
+//
 // Determinism: rounds are sequential; within a round each core touches
 // only core-local state; barrier transfers run on one thread in fixed
-// order. Worker count changes which host thread executes a core's
-// quantum — never the order of operations any simulated component
-// observes. The machine determinism test asserts byte-identical stats
-// and traces at 1, 2 and N workers (tests/machine).
+// order. Worker count and placement change which host thread executes
+// a core's quantum — never the order of operations any simulated
+// component observes. The machine determinism test asserts
+// byte-identical stats and traces at 1, 2 and N workers (tests/machine).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.hpp"
@@ -40,10 +52,6 @@
 #include "fsl/fsl_channel.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
-
-namespace mbcosim {
-class ThreadPool;  // common/thread_pool.hpp
-}
 
 namespace mbcosim::ckpt {
 class Writer;
@@ -68,6 +76,11 @@ struct MachineStop {
 class ManyCoreEngine {
  public:
   explicit ManyCoreEngine(Cycle quantum = 64) : quantum_(quantum) {}
+  /// Joins the round workers (they are parked: no run is in flight).
+  ~ManyCoreEngine();
+  // Helper threads and the nodes they advance point into the engine.
+  ManyCoreEngine(const ManyCoreEngine&) = delete;
+  ManyCoreEngine& operator=(const ManyCoreEngine&) = delete;
 
   /// Register a core. The processor/engine/hub are owned by the caller
   /// (sim::SimSystem keeps them in per-core state blocks) and must
@@ -84,9 +97,12 @@ class ManyCoreEngine {
   Status link(std::size_t from_core, unsigned from_channel,
               std::size_t to_core, unsigned to_channel);
 
-  /// Worker threads for the per-round core fan-out. 0 = one per host
-  /// hardware thread; 1 = fully serial. Purely a host-performance knob:
-  /// results are identical for every value.
+  /// Host threads that advance cores in each round, the calling thread
+  /// included: 0 = one per host hardware thread, 1 = fully serial on the
+  /// caller, W > 1 = the caller plus W-1 helper threads (capped at the
+  /// core count). Helpers persist across run() calls and park between
+  /// them; cores are placed on threads by measured host cost. Purely a
+  /// host-performance knob: results are identical for every value.
   void set_workers(unsigned workers) noexcept { workers_ = workers; }
 
   /// Machine-level deadlock heuristic: after this many consecutive
@@ -122,6 +138,13 @@ class ManyCoreEngine {
   [[nodiscard]] CoSimStats aggregate_stats() const;
   /// Words moved across every cross-core link so far.
   [[nodiscard]] u64 link_words() const noexcept { return link_words_; }
+  /// Host steady-clock nanoseconds core `index` has spent in run()
+  /// rounds since the engine was built — the cost placement balances.
+  /// Host-side only: never part of stats, metrics or checkpoints. Read
+  /// it between run() calls.
+  [[nodiscard]] u64 node_host_ns(std::size_t index) const {
+    return nodes_[index].host_ns;
+  }
 
   /// Diagnosis of the most recent machine deadlock (empty otherwise):
   /// the first blocked core's parked FSL access, channel and FIFO state.
@@ -168,6 +191,8 @@ class ManyCoreEngine {
     fsl::FslHub* hub = nullptr;
     bool finished = false;       ///< halted (terminal; ignored in rounds)
     StopReason last = StopReason::kCycleLimit;
+    u64 host_ns = 0;    ///< lifetime host time in rounds
+    u64 window_ns = 0;  ///< host time since the last placement
   };
 
   struct CrossLink {
@@ -180,9 +205,26 @@ class ManyCoreEngine {
   /// Drain every link's source FIFO into its sink FIFO, bounded by
   /// space; returns the number of words moved. Runs on one thread only.
   u64 transfer_links();
-  /// Advance every unfinished core to `target`, serially (null pool) or
-  /// fanned out; returns the index of a trapped core, or nodes_.size().
-  std::size_t run_round(Cycle target, ThreadPool* pool);
+  /// Rounds between re-placements within one run() call.
+  static constexpr unsigned kPlacementRounds = 128;
+
+  /// Keep `count` helper threads (joining and respawning on a change).
+  /// Helper `thread` (1-based; 0 is the orchestrator) waits for each
+  /// round epoch, advances its share and counts itself done.
+  void ensure_helpers(std::size_t count);
+  /// Wake every helper with stopping_ set and join it.
+  void stop_helpers();
+  /// Assign the unfinished cores to shares_ (one per thread, the
+  /// orchestrator's first), longest measured window cost first onto the
+  /// least-loaded thread; then start a new measuring window.
+  void place();
+  /// Advance the unfinished cores of `thread`'s share to round_target_,
+  /// timing each.
+  void advance_share(std::size_t thread);
+  /// Advance every unfinished core to `target`: wake the helpers that
+  /// hold a share, run the orchestrator's share, wait for the helpers.
+  /// Returns the index of a trapped core, or nodes_.size().
+  std::size_t run_round(Cycle target);
   /// Record that core `index` halted at its current clock. Runs on the
   /// orchestrator thread only (callers diff finished flags after the
   /// round barrier); keeps the latest halt, ties to the highest index.
@@ -198,6 +240,18 @@ class ManyCoreEngine {
   std::size_t deadlock_core_ = 0;
   std::size_t last_halted_core_ = MachineStop::kNoCore;
   Cycle last_halt_cycle_ = 0;
+
+  // Round workers. The orchestrator writes shares_ and round_target_
+  // only while every helper waits for the next epoch; the epoch's
+  // release/acquire publishes them, and done_'s publishes the cores'
+  // state back.
+  std::vector<std::vector<std::size_t>> shares_;  ///< [thread] -> cores
+  bool helpers_have_work_ = false;  ///< some helper share is non-empty
+  Cycle round_target_ = 0;
+  std::atomic<u32> epoch_{0};
+  std::atomic<u32> done_{0};  ///< helpers finished with this epoch
+  bool stopping_ = false;     ///< published by the final epoch bump
+  std::vector<std::jthread> helpers_;
 };
 
 }  // namespace mbcosim::core

@@ -306,6 +306,12 @@ void Session::journal_checkpoint() {
 void Session::expire_with(const std::string& stop) {
   const Cycle cycles = system_->stats().cycles;
   journal_event(journal_.get(), id_, "deadline", cycles, stop);
+  // Release the admission budget before kKilled is visible: a client
+  // woken by the killed state may admit a follow-up session at once.
+  // Outside mutex_, since the manager takes its own lock. A concurrent
+  // kill() ends the session too, so the budget is due back either way
+  // (releasing a charge twice is a no-op).
+  if (on_expire_) on_expire_(id_);
   bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -325,10 +331,7 @@ void Session::expire_with(const std::string& stop) {
     }
   }
   cv_.notify_all();
-  if (owner) {
-    hub_.close();
-    if (on_expire_) on_expire_(id_);
-  }
+  if (owner) hub_.close();
 }
 
 std::string Session::adopt_recovery(const JournalCheckpoint& record) {

@@ -286,9 +286,10 @@ class SimSystem::Builder {
   /// peripherals (via the PeripheralRegistry) and cross-core links all
   /// come from the description.
   Builder& machine(machine::MachineDesc desc);
-  /// Host worker threads for multi-core rounds (0 = one per hardware
-  /// thread; ignored for single-core machines). Results are identical
-  /// at every worker count.
+  /// Host threads that advance a multi-core machine's rounds, the
+  /// thread calling run() included (0 = one per hardware thread;
+  /// ignored for single-core machines). Results are identical at every
+  /// worker count.
   Builder& workers(unsigned count);
   /// Core serve_gdb() attaches the debugger to (default 0).
   Builder& gdb_core(std::size_t index);

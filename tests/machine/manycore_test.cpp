@@ -11,11 +11,13 @@
 // with:
 //
 //   MBCOSIM_REGEN_GOLDEN=1 ./tests/mbcosim_tests --gtest_filter='ManyCore.*'
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -511,12 +513,11 @@ TEST(ManyCore, FarmTierIdentityAcrossWorkerCounts) {
 // peripheral through the paper's streaming schedule) is hot enough to
 // cross the dbt promotion threshold — the tier must actually engage and
 // still be invisible in the statistics at every worker count.
-TierRun run_matmul_machine(unsigned workers, iss::ExecTier tier) {
-  namespace matmul = mbcosim::apps::matmul;
-  apps::register_machine_peripherals();
-  const matmul::Matrix a = matmul::make_matrix(8, 3);
-  const matmul::Matrix b = matmul::make_matrix(8, 7);
+namespace matmul = mbcosim::apps::matmul;
 
+machine::MachineDesc matmul_machine(const matmul::Matrix& a,
+                                    const matmul::Matrix& b,
+                                    iss::ExecTier tier) {
   machine::CoreDesc core_template;
   core_template.name = "pe";
   core_template.program = matmul::hw_driver_program(a, b, 4);
@@ -532,9 +533,17 @@ TierRun run_matmul_machine(unsigned workers, iss::ExecTier tier) {
     desc.peripherals.push_back(mac);
   }
   desc.quantum = 64;
+  return desc;
+}
 
-  auto built =
-      SimSystem::Builder().machine(std::move(desc)).workers(workers).build();
+TierRun run_matmul_machine(unsigned workers, iss::ExecTier tier) {
+  apps::register_machine_peripherals();
+  const matmul::Matrix a = matmul::make_matrix(8, 3);
+  const matmul::Matrix b = matmul::make_matrix(8, 7);
+  auto built = SimSystem::Builder()
+                   .machine(matmul_machine(a, b, tier))
+                   .workers(workers)
+                   .build();
   EXPECT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
   EXPECT_EQ(system.run(), core::StopReason::kHalted);
@@ -571,24 +580,266 @@ TEST(ManyCore, MatmulMachineTierIdentityAcrossWorkerCounts) {
   EXPECT_GT(dbt.dbt.dbt_instructions, 0u);
 }
 
-// ------------------------------------------------- deadlock & build errors
+// ------------------------------------------------ persistent round workers
 
-TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
-  machine::MachineDesc desc = two_core_pipeline();
-  desc.cores[0].program = "halt\n";  // producer never feeds the link
-  auto built = SimSystem::Builder()
-                   .machine(std::move(desc))
-                   .deadlock_threshold(2000)
-                   .build();
+// The engine's helper threads live across run() calls and cores are
+// re-placed on them by measured host cost; none of that may show in
+// the results. A chunked run (many run() calls at quantum-multiple
+// targets, with a checkpoint hop to a freshly built system halfway)
+// must equal the same chunked run on one thread at every worker count.
+// (It is not compared with a one-shot run: runs are not yet chunk
+// invariant. A core whose last instruction straddles a chunk target
+// moves the next run()'s round boundaries, and with them the cycle at
+// which link words arrive.)
+
+/// The cordic_farm.json topology (feeder -> worker + 16-PE CORDIC ->
+/// collector, quantum 64) looped over `sets` sets of four items.
+machine::MachineDesc looped_farm(unsigned sets) {
+  const std::string count = std::to_string(sets);
+  machine::MachineDesc desc = mini_farm();
+  desc.cores[0].program = "start:\n  li r25, " + count + R"(
+set_loop:
+  la r21, data_x
+  la r22, data_y
+  li r29, 16
+  addk r10, r0, r0
+item_loop:
+  lw r3, r21, r10
+  put r3, rfsl1
+  lw r4, r22, r10
+  put r4, rfsl1
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, item_loop
+  addik r25, r25, -1
+  bnei r25, set_loop
+  halt
+data_x:
+  .word 0x01000000
+  .word 0x02000000
+  .word 0x01800000
+  .word 0x04000000
+data_y:
+  .word 0x00800000
+  .word 0x03000000
+  .word 0x00c00000
+  .word 0x01000000
+)";
+  desc.cores[1].program = "start:\n  li r25, " + count + R"(
+set_loop:
+  cput r0, rfsl0
+  li r5, 4
+send_loop:
+  get r3, rfsl1
+  put r3, rfsl0
+  get r3, rfsl1
+  put r3, rfsl0
+  put r0, rfsl0
+  addik r5, r5, -1
+  bnei r5, send_loop
+  li r5, 4
+recv_loop:
+  get r3, rfsl0
+  get r3, rfsl0
+  get r3, rfsl0
+  put r3, rfsl2
+  addik r5, r5, -1
+  bnei r5, recv_loop
+  addik r25, r25, -1
+  bnei r25, set_loop
+  halt
+)";
+  desc.cores[2].program = "start:\n  li r25, " + count + R"(
+set_loop:
+  la r28, results
+  li r29, 16
+  addk r10, r0, r0
+store_loop:
+  get r3, rfsl1
+  sw r3, r28, r10
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, store_loop
+  addik r25, r25, -1
+  bnei r25, set_loop
+  halt
+results: .space 16
+)";
+  desc.peripherals[0].params["num_pes"] = 16;
+  desc.quantum = 64;
+  return desc;
+}
+
+/// Everything a run leaves behind that must not depend on the host.
+struct RunPages {
+  std::string stats;
+  std::string metrics;
+  std::vector<std::string> traces;  ///< one JSONL stream per core
+  std::vector<unsigned char> image;
+};
+
+/// Build `desc` with metrics on, appending each core's JSONL trace to
+/// `streams` (created on first use).
+SimSystem build_traced(
+    const machine::MachineDesc& desc, unsigned workers,
+    std::vector<std::unique_ptr<std::ostringstream>>& streams) {
+  apps::register_machine_peripherals();
+  auto built =
+      SimSystem::Builder().machine(desc).workers(workers).metrics().build();
+  EXPECT_TRUE(built.ok()) << built.error();
+  SimSystem system = std::move(built).value();
+  for (std::size_t i = 0; i < system.core_count(); ++i) {
+    if (streams.size() <= i) {
+      streams.push_back(std::make_unique<std::ostringstream>());
+    }
+    system.trace_bus(i).add_sink(
+        std::make_unique<obs::JsonlSink>(*streams[i]));
+  }
+  return system;
+}
+
+RunPages pages_of(const SimSystem& system,
+                  const std::vector<std::unique_ptr<std::ostringstream>>&
+                      streams) {
+  RunPages pages;
+  pages.stats = stats_text(system);
+  pages.metrics = system.metrics_snapshot().to_string();
+  for (const auto& stream : streams) pages.traces.push_back(stream->str());
+  pages.image = system.snapshot();
+  return pages;
+}
+
+/// Run `desc` to its halt through 24 run() calls at targets 64, 128
+/// and 192 cycles apart (repeating), then one to `end`. After the 12th
+/// call the run moves to a fresh system at the same worker count
+/// through snapshot()/restore_image() and the metrics state.
+RunPages run_chunked(const machine::MachineDesc& desc, unsigned workers,
+                     Cycle end) {
+  std::vector<std::unique_ptr<std::ostringstream>> streams;
+  SimSystem system = build_traced(desc, workers, streams);
+  Cycle target = 0;
+  for (unsigned call = 0; call < 24; ++call) {
+    target += 64 * (1 + call % 3);
+    EXPECT_EQ(system.run(target), core::StopReason::kCycleLimit)
+        << workers << " workers, call " << call;
+    if (call == 11) {
+      const std::vector<unsigned char> image = system.snapshot();
+      const std::vector<unsigned char> metrics = system.metrics_state();
+      SimSystem resumed = build_traced(desc, workers, streams);
+      const Status restored = resumed.restore_image(image);
+      EXPECT_TRUE(restored.ok) << restored.message;
+      const Status metrics_restored = resumed.restore_metrics_state(metrics);
+      EXPECT_TRUE(metrics_restored.ok) << metrics_restored.message;
+      system = std::move(resumed);
+    }
+  }
+  EXPECT_EQ(system.run(end), core::StopReason::kHalted) << workers;
+  return pages_of(system, streams);
+}
+
+void expect_pages_equal(const RunPages& got, const RunPages& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.stats, want.stats) << label;
+  EXPECT_EQ(got.metrics, want.metrics) << label;
+  ASSERT_EQ(got.traces.size(), want.traces.size()) << label;
+  for (std::size_t i = 0; i < got.traces.size(); ++i) {
+    EXPECT_EQ(got.traces[i], want.traces[i]) << label << ", core " << i;
+  }
+  EXPECT_EQ(got.image, want.image) << label;
+}
+
+TEST(ManyCore, ChunkedFarmIsIndependentOfWorkerCount) {
+  const machine::MachineDesc desc = looped_farm(48);
+  constexpr Cycle kEnd = 64 * 120;
+  const RunPages baseline = run_chunked(desc, 1, kEnd);
+  ASSERT_EQ(baseline.traces.size(), 3u);
+  for (const unsigned workers : {2u, 3u, 8u}) {
+    expect_pages_equal(run_chunked(desc, workers, kEnd), baseline,
+                       std::to_string(workers) + " workers");
+  }
+}
+
+TEST(ManyCore, ChunkedMatmulMachineIsIndependentOfWorkerCount) {
+  const matmul::Matrix a = matmul::make_matrix(8, 3);
+  const matmul::Matrix b = matmul::make_matrix(8, 7);
+  const machine::MachineDesc desc =
+      matmul_machine(a, b, iss::ExecTier::kDbt);
+  constexpr Cycle kEnd = 64 * 100;
+  const RunPages baseline = run_chunked(desc, 1, kEnd);
+  ASSERT_EQ(baseline.traces.size(), 2u);
+  for (const unsigned workers : {2u, 3u, 8u}) {
+    expect_pages_equal(run_chunked(desc, workers, kEnd), baseline,
+                       std::to_string(workers) + " workers");
+  }
+}
+
+TEST(ManyCore, TrapOnAHelperThreadNamesItsCore) {
+  // Core 1 traps in the first round. Cores not yet measured are spread
+  // over the threads in index order, so at 2 workers core 1 runs on the
+  // helper thread, not on the caller.
+  machine::MachineDesc desc;
+  machine::CoreDesc spinner;
+  spinner.name = "spinner";
+  spinner.program =
+      "start:\n  li r3, 1000000\nloop:\n  addik r3, r3, -1\n"
+      "  bnei r3, loop\n  halt\n";
+  machine::CoreDesc trapper;
+  trapper.name = "trapper";
+  trapper.program =
+      "start:\n  addk r3, r0, r0\n  .word 0xFC000000\n  halt\n";
+  desc.cores = {spinner, trapper};
+  desc.quantum = 64;
+  auto built =
+      SimSystem::Builder().machine(std::move(desc)).workers(2).build();
   ASSERT_TRUE(built.ok()) << built.error();
   SimSystem system = std::move(built).value();
 
-  EXPECT_EQ(system.run(), core::StopReason::kDeadlock);
+  EXPECT_EQ(system.run(64 * 100), core::StopReason::kIllegal);
   EXPECT_EQ(system.stop_core(), 1u);
-  const auto diagnosis = system.deadlock_diagnosis();
-  ASSERT_TRUE(diagnosis.has_value());
-  EXPECT_NE(diagnosis->channel.find("hw_to_mb1"), std::string::npos)
-      << diagnosis->channel;
+  // The helper survives the trap: the next call resumes past the
+  // illegal word (the trapper then halts) instead of hanging on the
+  // round barrier, and the spinner runs on to the target.
+  EXPECT_EQ(system.run(64 * 200), core::StopReason::kCycleLimit);
+  EXPECT_GE(system.core_stats(0).cycles, 64u * 200);
+  EXPECT_LT(system.core_stats(1).cycles, 64u);
+}
+
+TEST(ManyCore, DestroyingASystemJoinsItsParkedHelpers) {
+  for (const unsigned workers : {2u, 3u, 8u}) {
+    apps::register_machine_peripherals();
+    auto built = SimSystem::Builder()
+                     .machine(looped_farm(24))
+                     .workers(workers)
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    SimSystem system = std::move(built).value();
+    EXPECT_EQ(system.run(64 * 10), core::StopReason::kCycleLimit);
+    // Long past the spin budget: the helpers are parked on the epoch.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }  // ~SimSystem joins them with no run in flight
+}
+
+// ------------------------------------------------- deadlock & build errors
+
+TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    machine::MachineDesc desc = two_core_pipeline();
+    desc.cores[0].program = "halt\n";  // producer never feeds the link
+    auto built = SimSystem::Builder()
+                     .machine(std::move(desc))
+                     .workers(workers)
+                     .deadlock_threshold(2000)
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    SimSystem system = std::move(built).value();
+
+    EXPECT_EQ(system.run(), core::StopReason::kDeadlock) << workers;
+    EXPECT_EQ(system.stop_core(), 1u) << workers;
+    const auto diagnosis = system.deadlock_diagnosis();
+    ASSERT_TRUE(diagnosis.has_value()) << workers;
+    EXPECT_NE(diagnosis->channel.find("hw_to_mb1"), std::string::npos)
+        << workers << " workers: " << diagnosis->channel;
+  }
 }
 
 TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {
