@@ -7,6 +7,9 @@
 // invisible in the results: the bench diffs the stats page of every
 // journaled run against the baseline and exits 1 on any mismatch (the
 // correctness oracle, same role the report diff plays in bench_ckpt).
+// It also times the journal-off run with metrics off: metrics are typed
+// counters, not a trace sink, so turning them on must neither change the
+// stats page (dbt counters included) nor cost much wall-clock.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,14 +47,14 @@ constexpr Cycle kRunForever = Cycle{1} << 36;
 constexpr int kRepeats = 3;  // min-of-N wall clock
 constexpr unsigned kProfileRounds = 500;  // per-core host time probe
 
-server::SessionConfig session_config(Cycle ckpt_every) {
+server::SessionConfig session_config(Cycle ckpt_every, bool metrics = true) {
   server::SessionConfig config;
   config.desc = bench::cordic_farm(1, kRounds);
   // Single-threaded rounds: worker count never changes results, only
   // wall-clock, and one thread keeps the measurement about the journal
   // instead of about thread-pool barrier latency at a 64-cycle quantum.
   config.workers = 1;
-  config.metrics = true;
+  config.metrics = metrics;
   config.trace = false;
   config.control_quantum = kControlQuantum;
   config.ckpt_every = ckpt_every;
@@ -67,10 +70,11 @@ struct RunResult {
 /// Host one session, run it to halt, wait for idle. `state_dir` empty
 /// means no journal. Returns nullopt-style failure via exit(1) — this is
 /// a bench, the environment is under our control.
-RunResult hosted_run(u64 id, Cycle ckpt_every, const std::string& state_dir) {
+RunResult hosted_run(u64 id, Cycle ckpt_every, const std::string& state_dir,
+                     bool metrics) {
   std::unique_ptr<server::SessionJournal> journal;
   std::unique_ptr<server::JournalStore> store;
-  server::SessionConfig config = session_config(ckpt_every);
+  server::SessionConfig config = session_config(ckpt_every, metrics);
   if (!state_dir.empty()) {
     auto opened = server::JournalStore::open(state_dir);
     if (!opened.ok()) {
@@ -165,7 +169,7 @@ void print_core_host_time() {
 /// Min-of-kRepeats wall clock; stats/cycles from the first repeat (they
 /// are deterministic, so every repeat produces the same bytes).
 RunResult best_of(u64 id_base, Cycle ckpt_every,
-                  const std::string& state_dir) {
+                  const std::string& state_dir, bool metrics = true) {
   namespace fs = std::filesystem;
   RunResult best;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
@@ -173,8 +177,8 @@ RunResult best_of(u64 id_base, Cycle ckpt_every,
       std::error_code ec;
       fs::remove_all(state_dir, ec);  // fresh store per repeat
     }
-    RunResult result =
-        hosted_run(id_base + static_cast<u64>(repeat), ckpt_every, state_dir);
+    RunResult result = hosted_run(id_base + static_cast<u64>(repeat),
+                                  ckpt_every, state_dir, metrics);
     if (repeat == 0 || result.wall_seconds < best.wall_seconds) {
       const std::string stats =
           repeat == 0 ? std::move(result.stats) : std::move(best.stats);
@@ -205,6 +209,7 @@ int main(int argc, char** argv) {
       std::to_string(kRepeats));
 
   const RunResult baseline = best_of(100, 0, {});
+  const RunResult unmetered = best_of(400, 0, {}, false);
   const RunResult journaled =
       best_of(200, kDefaultCkptEvery, state_dir);
   const RunResult aggressive =
@@ -220,6 +225,11 @@ int main(int argc, char** argv) {
                : 0.0;
   };
   std::printf("%-32s %12.4f s\n", "journal off", baseline.wall_seconds);
+  std::printf("%-32s %12.4f s  (metrics on/off %.3fx)\n",
+              "journal off, metrics off", unmetered.wall_seconds,
+              unmetered.wall_seconds > 0.0
+                  ? baseline.wall_seconds / unmetered.wall_seconds
+                  : 0.0);
   std::printf("%-32s %12.4f s  (%+.2f%%)\n",
               ("journal on, ckpt_every=" + std::to_string(kDefaultCkptEvery))
                   .c_str(),
@@ -230,6 +240,8 @@ int main(int argc, char** argv) {
                   .c_str(),
               aggressive.wall_seconds, overhead(aggressive));
   report.add("journal=off", baseline.cycles, baseline.wall_seconds);
+  report.add("journal=off,metrics=off", unmetered.cycles,
+             unmetered.wall_seconds);
   report.add("journal=ckpt_every_" + std::to_string(kDefaultCkptEvery),
              journaled.cycles, journaled.wall_seconds);
   report.add("journal=ckpt_every_" + std::to_string(kAggressiveCkptEvery),
@@ -244,6 +256,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("journaled stats are byte-identical to the baseline\n");
+  if (unmetered.stats != baseline.stats) {
+    std::fprintf(stderr,
+                 "FAIL: the metrics-off run's stats differ from the baseline\n");
+    return 1;
+  }
+  std::printf("metrics-off stats are byte-identical to the baseline\n");
   print_core_host_time();
   if (overhead(journaled) >= 5.0) {
     std::printf("note: default-interval journal overhead %+.2f%% exceeds "

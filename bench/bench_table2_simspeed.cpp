@@ -10,8 +10,10 @@
 // the same ordering: instruction simulator >> Simulink >> ModelSim, with
 // a potential speedup of "5.5X to more than 1000X".
 //
-// Besides the benchmarks, the binary runs two exit guards:
+// Besides the benchmarks, the binary runs three exit guards:
 //   - trace_overhead: a wired-but-sinkless TraceBus must stay almost free;
+//   - metrics_overhead: Builder::metrics() must keep the dbt ISS hot loop
+//     within 10% of the same loop without metrics;
 //   - exec_tier: the three execution tiers (precise, predecode, dbt) must
 //     keep simulated cycle and instruction counts bit-identical (ISS alone
 //     and full co-simulation) while each tier delivers its guarded
@@ -28,6 +30,7 @@
 #include "bench_common.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/trace_bus.hpp"
+#include "sim/sim_system.hpp"
 
 namespace {
 
@@ -249,6 +252,75 @@ int check_trace_overhead() {
 }
 
 // ---------------------------------------------------------------------------
+// metrics_overhead guard: metrics are typed counters the components bump
+// at batch boundaries, not a trace sink, so Builder::metrics() leaves the
+// dbt tier running. The guard times the dbt ISS hot loop through a
+// SimSystem built with and without metrics, alternating the two builds
+// and keeping the min of each, and fails above 1.10x.
+// ---------------------------------------------------------------------------
+int check_metrics_overhead(JsonReport& report) {
+  const CordicWorkload workload = CordicWorkload::standard(500, 24);
+  machine::MachineDesc desc = machine::MachineDesc::single_core(
+      apps::cordic::pure_software_program(
+          workload.x, workload.y, workload.iterations,
+          apps::cordic::ShiftStrategy::kShiftLoop));
+  desc.cores.front().has_barrel_shifter = false;
+
+  const auto build = [&](bool metrics) {
+    sim::SimSystem::Builder builder;
+    builder.machine(desc);
+    if (metrics) builder.metrics();
+    auto built = builder.build();
+    if (!built.ok()) {
+      std::fprintf(stderr, "metrics_overhead guard: %s\n",
+                   built.error().c_str());
+      std::exit(1);
+    }
+    return std::move(built).value();
+  };
+  sim::SimSystem plain = build(false);
+  sim::SimSystem metered = build(true);
+  const auto run_once = [](sim::SimSystem& system) {
+    system.reset();
+    if (system.run() != core::StopReason::kHalted) {
+      std::fprintf(stderr, "metrics_overhead guard: the loop did not halt\n");
+      std::exit(1);
+    }
+    return system.run_wall_seconds();
+  };
+
+  constexpr int kReps = 9;
+  double best_plain = 1e300;
+  double best_metered = 1e300;
+  run_once(plain);  // warm caches before timing
+  run_once(metered);
+  for (int rep = 0; rep < kReps; ++rep) {
+    best_plain = std::min(best_plain, run_once(plain));
+    best_metered = std::min(best_metered, run_once(metered));
+  }
+  const double ratio = best_metered / best_plain;
+  const u64 fast_path = metered.dbt_stats().dbt_instructions;
+  constexpr double kFailRatio = 1.10;
+  std::printf(
+      "metrics_overhead guard: dbt ISS hot loop with metrics %.5fs vs "
+      "without %.5fs: %.3fx (fail > %.2fx); %llu instructions on the "
+      "translated fast path\n",
+      best_metered, best_plain, ratio, kFailRatio,
+      static_cast<unsigned long long>(fast_path));
+  const Cycle cycles = plain.stats().cycles;
+  report.add("iss_cordic_dbt_plain", cycles, best_plain);
+  report.add("iss_cordic_dbt_metrics", cycles, best_metered);
+  if (ratio > kFailRatio || fast_path == 0) {
+    std::fprintf(stderr,
+                 "metrics_overhead guard FAILED: metrics cost %.3fx on the "
+                 "dbt ISS hot loop (%llu fast-path instructions)\n",
+                 ratio, static_cast<unsigned long long>(fast_path));
+    return 1;
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
 // exec_tier guard: the three execution tiers must (a) leave every
 // simulated CpuStats/CoSimStats count bit-identical on the pure ISS
 // *and* the full co-simulation (CORDIC + matmul), and (b) each deliver
@@ -460,6 +532,7 @@ int main(int argc, char** argv) {
 
   JsonReport report("table2_simspeed");
   int failures = check_trace_overhead();
+  failures += check_metrics_overhead(report);
   failures += check_exec_tiers(report);
   failures += emit_rtl_row(report);
   if (!report.write(json_path)) ++failures;

@@ -87,6 +87,11 @@ BusResponse OpbBus::read(Addr addr) {
   response.data = region->peripheral->read(offset);
   response.wait_states =
       kBusWaitStates + region->peripheral->device_wait_states();
+  if (metrics_ != nullptr) {
+    metrics_->reads += 1;
+    metrics_->wait_cycles += response.wait_states;
+    metrics_->wait.record(response.wait_states);
+  }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kOpbRead, addr, response.wait_states);
   }
@@ -111,6 +116,11 @@ BusResponse OpbBus::write(Addr addr, Word value) {
   response.ok = true;
   response.wait_states =
       kBusWaitStates + region->peripheral->device_wait_states();
+  if (metrics_ != nullptr) {
+    metrics_->writes += 1;
+    metrics_->wait_cycles += response.wait_states;
+    metrics_->wait.record(response.wait_states);
+  }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kOpbWrite, addr, response.wait_states);
   }

@@ -14,6 +14,7 @@
 #include "ckpt/ckpt.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_bus.hpp"
 
 namespace mbcosim::bus {
@@ -85,6 +86,10 @@ class OpbBus {
   /// bus's simulated-time cursor (driven by the processor).
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
 
+  /// Attach the metrics counters (nullptr, the default, to detach):
+  /// completed reads and writes and their wait states.
+  void set_metrics(obs::OpbCounters* counters) noexcept { metrics_ = counters; }
+
   // -- fault injection (src/fault) -------------------------------------
   /// Arm fault behaviour on the bus (replaces any previous arming).
   void arm_fault(const OpbFaultControls& controls) {
@@ -155,6 +160,7 @@ class OpbBus {
   std::vector<Region> regions_;
   u64 transactions_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;
+  obs::OpbCounters* metrics_ = nullptr;
   std::unique_ptr<OpbFaultControls> fault_;  ///< null = fault-free
 };
 

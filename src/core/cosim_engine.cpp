@@ -87,6 +87,9 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
       break;
     }
   }
+  if (skipped_this_call != 0 && metrics_ != nullptr) {
+    metrics_->quiesce_skipped += skipped_this_call;
+  }
   if (skipped_this_call != 0 && trace_bus_ != nullptr &&
       trace_bus_->enabled()) {
     obs::TraceEvent event;
@@ -126,6 +129,7 @@ iss::StepResult CoSimEngine::debug_step() {
 
 StopReason CoSimEngine::declare_deadlock(Cycle blocked_cycles) {
   last_deadlock_ = diagnose_deadlock(cpu_, bridge_.hub(), blocked_cycles);
+  if (metrics_ != nullptr) metrics_->deadlocks += 1;
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kDeadlock;

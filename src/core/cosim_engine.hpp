@@ -25,6 +25,7 @@
 #include "core/fsl_bridge.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_bus.hpp"
 #include "sysgen/model.hpp"
 
@@ -178,6 +179,12 @@ class CoSimEngine {
   /// timestamps).
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
 
+  /// Attach the metrics counters (nullptr, the default, to detach):
+  /// fast-forwarded hardware cycles and declared deadlocks.
+  void set_metrics(obs::EngineCounters* counters) noexcept {
+    metrics_ = counters;
+  }
+
   /// Checkpoint the engine's own counters and the bridge (the CPU,
   /// hardware model and hub are serialized by the owner — see DESIGN.md
   /// §11). The deadlock diagnosis is diagnostic output, not state: it is
@@ -203,6 +210,7 @@ class CoSimEngine {
   Cycle idle_streak_ = 0;
   Cycle skipped_cycles_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;
+  obs::EngineCounters* metrics_ = nullptr;
   std::optional<DeadlockDiagnosis> last_deadlock_;
 };
 

@@ -131,6 +131,9 @@ ExperimentResult run_experiment(const SystemFactory& factory,
       break;
   }
 
+  if (obs::MetricsRegistry* metrics = system.metrics_registry()) {
+    metrics->fault.outcomes[outcome_name(result.outcome)] += 1;
+  }
   if (obs::TraceBus& bus = system.trace_bus(); bus.enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kFaultOutcome;

@@ -83,7 +83,7 @@ void Injector::arm(fsl::FslHub* hub, bus::OpbBus* opb) {
 }
 
 void Injector::fire(iss::Processor& cpu, fsl::FslHub* hub, bus::OpbBus* opb,
-                    obs::TraceBus* trace) {
+                    obs::TraceBus* trace, obs::FaultCounters* metrics) {
   engaged_ = true;
   switch (plan_.site) {
     case FaultSite::kMemory: {
@@ -154,6 +154,7 @@ void Injector::fire(iss::Processor& cpu, fsl::FslHub* hub, bus::OpbBus* opb,
                 std::string(mode_name(plan_.mode)) + " on opb";
     }
   }
+  if (metrics != nullptr) metrics->injects += 1;
   emit_inject(trace, cpu.cycle());
 }
 

@@ -20,6 +20,7 @@
 #include "fault/fault_plan.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_bus.hpp"
 
 namespace mbcosim::fault {
@@ -42,10 +43,11 @@ class Injector {
   void arm(fsl::FslHub* hub, bus::OpbBus* opb);
 
   /// Fire a point-triggered fault now. `trace` (nullable) receives a
-  /// kFaultInject event. Records whether the fault actually landed
-  /// (a flip into unmapped memory is masked by construction).
+  /// kFaultInject event and `metrics` (nullable) counts it. Records
+  /// whether the fault actually landed (a flip into unmapped memory is
+  /// masked by construction).
   void fire(iss::Processor& cpu, fsl::FslHub* hub, bus::OpbBus* opb,
-            obs::TraceBus* trace);
+            obs::TraceBus* trace, obs::FaultCounters* metrics);
 
   /// True once fire() ran (or arm() installed a count-triggered fault).
   [[nodiscard]] bool armed_or_fired() const noexcept { return engaged_; }

@@ -30,6 +30,7 @@ void FslChannel::emit(obs::EventKind kind, Word data, bool control) const {
 bool FslChannel::try_write(Word data, bool control) {
   if (full()) {
     ++refused_writes_;
+    if (metrics_ != nullptr) metrics_->refused += 1;
     if (trace_bus_ != nullptr && trace_bus_->enabled()) {
       emit(obs::EventKind::kFslRefused, data, control);
     }
@@ -70,6 +71,10 @@ bool FslChannel::try_write(Word data, bool control) {
     fifo_.push_back(FslEntry{data, control});
   }
   max_occupancy_ = std::max(max_occupancy_, fifo_.size());
+  if (metrics_ != nullptr) {
+    metrics_->push += 1;
+    metrics_->occupancy.record(fifo_.size());
+  }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kFslPush, data, control);
   }
@@ -83,6 +88,10 @@ std::optional<FslEntry> FslChannel::try_read() {
   FslEntry entry = fifo_.front();
   fifo_.pop_front();
   ++total_reads_;
+  if (metrics_ != nullptr) {
+    metrics_->pop += 1;
+    metrics_->occupancy.record(fifo_.size());
+  }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kFslPop, entry.data, entry.control);
   }

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_bus.hpp"
 
 namespace mbcosim::ckpt {
@@ -116,6 +117,10 @@ class FslChannel {
   /// operation, timestamped with the bus's simulated-time cursor.
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
 
+  /// Attach the metrics counters (nullptr, the default, to detach):
+  /// push/pop/refused counts and the occupancy after each push and pop.
+  void set_metrics(obs::FslCounters* counters) noexcept { metrics_ = counters; }
+
   // -- fault injection (src/fault) -------------------------------------
   /// Arm fault behaviour on this channel (replaces any previous arming).
   void arm_fault(const FslFaultControls& controls) {
@@ -151,6 +156,7 @@ class FslChannel {
   u64 refused_writes_ = 0;
   std::size_t max_occupancy_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;
+  obs::FslCounters* metrics_ = nullptr;
   std::unique_ptr<FslFaultControls> fault_;  ///< null = fault-free
 };
 

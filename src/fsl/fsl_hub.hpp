@@ -63,6 +63,13 @@ class FslHub {
     for (auto& ch : from_hw_) ch.set_trace_bus(bus);
   }
 
+  /// Wire every channel to its counter block in `registry`, keyed by the
+  /// channel's name.
+  void set_metrics(obs::MetricsRegistry& registry) {
+    for (auto& ch : to_hw_) ch.set_metrics(&registry.fsl(ch.name()));
+    for (auto& ch : from_hw_) ch.set_metrics(&registry.fsl(ch.name()));
+  }
+
   /// Checkpoint all 16 channels (FIFO contents, stats, armed faults).
   void save_state(ckpt::Writer& writer) const {
     for (const auto& ch : to_hw_) ch.save_state(writer);

@@ -1,5 +1,6 @@
 #include "iss/processor.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/bits.hpp"
@@ -35,6 +36,7 @@ void Processor::set_exec_tier(ExecTier tier) {
   if (!predecode_enabled_) {
     predecode_.clear();
     predecode_.shrink_to_fit();
+    predecode_words_ = 0;
   }
   if (tier != ExecTier::kDbt) {
     // Retire and release every superblock; promotion heat restarts from
@@ -55,6 +57,8 @@ Processor::Predecoded& Processor::predecode_fetch(Addr pc) {
   if (predecode_.empty()) predecode_.resize(memory_.size_bytes() / 4);
   Predecoded& entry = predecode_[pc >> 2];
   if (entry.gen == predecode_gen_) return entry;
+  predecode_words_ =
+      std::max(predecode_words_, static_cast<std::size_t>(pc >> 2) + 1);
   entry.raw = memory_.read_word(pc);
   entry.in = isa::decode(entry.raw);
   const isa::LatencyPair latency = isa::base_latencies(entry.in);
@@ -203,6 +207,22 @@ Event Processor::store_data(Addr addr, unsigned bytes, Word value) {
 }
 
 void Processor::record_step(Event event, Addr pc, Word raw, Cycle cycles) {
+  if (metrics_ != nullptr) {
+    // Stalls only happen here, in the precise step, so this is where a
+    // stall run opens, grows and (at any other event) closes.
+    if (event == Event::kFslStall) {
+      metrics_->stall_cycles += cycles;
+      metrics_->stall_run += cycles;
+    } else {
+      metrics_->close_stall_run();
+      switch (event) {
+        case Event::kRetired: metrics_->retired += 1; break;
+        case Event::kHalted: metrics_->halts += 1; break;
+        case Event::kIllegal: metrics_->illegal += 1; break;
+        case Event::kFslStall: break;
+      }
+    }
+  }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     obs::TraceEvent out;
     switch (event) {
@@ -562,6 +582,23 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
   if (!fast_path_available()) return BatchResult{BatchStop::kPrecise, 0};
   const Cycle start_cycles = stats_.cycles;
   const auto consumed = [&] { return stats_.cycles - start_cycles; };
+  // Metrics see the batched instructions in one add: at each exit of the
+  // batched/dbt paths (`done`), and before each precise step, which
+  // counts its own instruction (`precise_step`). `mark` is the
+  // instruction count up to which the counters are charged.
+  u64 mark = stats_.instructions;
+  const auto done = [&](BatchStop stop) {
+    if (metrics_ != nullptr) count_batch(stats_.instructions - mark, stop);
+    return BatchResult{stop, consumed()};
+  };
+  const auto precise_step = [&] {
+    if (metrics_ != nullptr) {
+      count_batch(stats_.instructions - mark, BatchStop::kBudget);
+    }
+    const Event event = step().event;
+    mark = stats_.instructions;
+    return event;
+  };
   const bool dbt = exec_tier_ == ExecTier::kDbt;
   // Superblocks start where control flow lands: the batch entry point,
   // branch successors and block exits. Tracking that with one flag
@@ -570,7 +607,7 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
 
   while (!halted_ && stats_.cycles < max_cycles) {
     if (!memory_.contains(pc_, 4)) {
-      step();  // charges and records the instruction-fetch fault
+      precise_step();  // charges and records the instruction-fetch fault
       return BatchResult{BatchStop::kIllegal, consumed()};
     }
     const Predecoded& entry = predecode_fetch(pc_);
@@ -578,14 +615,14 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
       // Do not execute: the co-simulation engine first brings the
       // hardware model to cycle parity, then steps the FSL access in
       // lock step (covers FSL accesses sitting in a delay slot too).
-      return BatchResult{BatchStop::kFslPending, consumed()};
+      return done(BatchStop::kFslPending);
     }
     if (entry.tag != DispatchTag::kFast || imm_prefix_ || delay_target_)
         [[unlikely]] {
       // The precise path — with no hook/bus attached (the fast-path
       // precondition) it is bit-identical, just slower.
       at_head = true;  // conservatively: heat counting is timing-neutral
-      switch (step().event) {
+      switch (precise_step()) {
         case Event::kRetired:
           continue;
         case Event::kFslStall:
@@ -607,9 +644,9 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
         case DbtRun::kContinue:
           continue;
         case DbtRun::kHalted:
-          return BatchResult{BatchStop::kHalted, consumed()};
+          return done(BatchStop::kHalted);
         case DbtRun::kIllegal:
-          return BatchResult{BatchStop::kIllegal, consumed()};
+          return done(BatchStop::kIllegal);
       }
     }
 
@@ -632,7 +669,7 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
       halted_ = true;
       stats_.cycles += entry.lat_taken;  // the halting branch is taken
       stats_.instructions += 1;
-      return BatchResult{BatchStop::kHalted, consumed()};
+      return done(BatchStop::kHalted);
     }
     // Event::kIllegal (disabled unit, bad data address, branch in a
     // delay slot); kFslStall is impossible here (FSL ops are not kFast).
@@ -641,9 +678,21 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
     // preempts them, exactly as in step().
     pending_wait_states_ = 0;
     stats_.cycles += 1;
-    return BatchResult{BatchStop::kIllegal, consumed()};
+    return done(BatchStop::kIllegal);
   }
-  return BatchResult{BatchStop::kBudget, consumed()};
+  return done(BatchStop::kBudget);
+}
+
+void Processor::count_batch(u64 instructions, BatchStop stop) noexcept {
+  const bool halt = stop == BatchStop::kHalted;
+  const bool trap = stop == BatchStop::kIllegal;
+  if (instructions == 0 && !trap) return;
+  // The batch ran at least one instruction event, the first of which
+  // ended any stall run the precise path left open.
+  metrics_->close_stall_run();
+  metrics_->retired += halt ? instructions - 1 : instructions;
+  if (halt) metrics_->halts += 1;
+  if (trap) metrics_->illegal += 1;
 }
 
 Event Processor::run(Cycle max_cycles) {

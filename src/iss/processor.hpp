@@ -20,6 +20,7 @@
 #include "isa/isa.hpp"
 #include "iss/exec_tier.hpp"
 #include "iss/memory.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_bus.hpp"
 
 namespace mbcosim::ckpt {
@@ -80,9 +81,12 @@ struct CpuStats {
 /// Counters of the superblock (dbt) execution tier. Deliberately *not*
 /// part of CpuStats: CpuStats is bit-identical across execution tiers,
 /// while these describe the translation machinery itself. They are not
-/// checkpointed either — a restore drops every translation (the cached
-/// text belongs to the pre-restore image), and the counters restart
-/// with the regenerated blocks.
+/// checkpointed either: they count the translation work of this
+/// processor object since it was built. A restore keeps them, and keeps
+/// the translations too while the restored text matches the cached one
+/// (revalidate_text), so a snapshot/restore round trip in place leaves
+/// them where an uninterrupted run would have them; a restore into a
+/// fresh system starts them from zero.
 struct DbtStats {
   u64 blocks_translated = 0;  ///< superblocks stitched (incl. re-translations)
   u64 block_dispatches = 0;   ///< block entries, incl. block-to-block chaining
@@ -144,7 +148,9 @@ class Processor {
   /// need it (IMM prefix pending, delay slot, custom slot, FSL access
   /// when `stop_before_fsl` is false). Returns immediately with
   /// BatchStop::kPrecise (zero cycles) when an enabled trace bus is
-  /// attached or the predecode cache is disabled.
+  /// attached or the predecode cache is disabled. Metrics counters are
+  /// charged once per batch exit (and before each precise step inside
+  /// the batch), never per instruction.
   ///
   /// With `stop_before_fsl` a pending FSL access is *not* executed:
   /// control returns with BatchStop::kFslPending so a co-simulation
@@ -154,7 +160,7 @@ class Processor {
   BatchResult run_batch(Cycle max_cycles, bool stop_before_fsl);
 
   /// True when run_batch would make progress: predecode on, no enabled
-  /// trace bus.
+  /// trace bus. Metrics counters do not take the fast path away.
   [[nodiscard]] bool fast_path_available() const noexcept {
     return predecode_enabled_ &&
            (trace_bus_ == nullptr || !trace_bus_->enabled());
@@ -222,12 +228,17 @@ class Processor {
   [[nodiscard]] Cycle cycle() const noexcept { return stats_.cycles; }
 
   /// Checkpoint the architectural state and statistics (not the memory,
-  /// which the owner serializes separately; see DESIGN.md §11). Restoring
-  /// invalidates the predecode cache — the cached text belongs to the
-  /// pre-restore memory image. load_state returns false on a shape or
-  /// payload mismatch.
+  /// which the owner serializes separately; see DESIGN.md §11).
+  /// load_state returns false on a shape or payload mismatch. It leaves
+  /// the predecode cache and the superblocks alone: the owner restores
+  /// the memory next and must then call revalidate_text().
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
+  /// After the memory was overwritten wholesale (a restore): keep the
+  /// predecode cache and every superblock if each cached word still
+  /// matches memory, otherwise drop them all. Costs one pass over the
+  /// words decoded so far; free when nothing is cached.
+  void revalidate_text() noexcept;
 
   [[nodiscard]] LmbMemory& memory() noexcept { return memory_; }
   [[nodiscard]] const LmbMemory& memory() const noexcept { return memory_; }
@@ -242,6 +253,13 @@ class Processor {
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
   [[nodiscard]] obs::TraceBus* trace_bus() const noexcept {
     return trace_bus_;
+  }
+
+  /// Attach the metrics counters (nullptr, the default, to detach):
+  /// retired/halt/illegal/stall counts and the stall-run histogram, at
+  /// every execution tier.
+  void set_metrics(obs::CpuCounters* counters) noexcept {
+    metrics_ = counters;
   }
 
  private:
@@ -336,8 +354,12 @@ class Processor {
   Event store_data(Addr addr, unsigned bytes, Word value);
 
   ExecOutcome execute(const isa::Instruction& in);
-  /// Deliver one step result to the trace bus.
+  /// Deliver one step result to the metrics counters and the trace bus.
   void record_step(Event event, Addr pc, Word raw, Cycle cycles);
+  /// Charge the metrics counters for `instructions` retired by the
+  /// batched/dbt paths, the last of them the halt when `stop` is
+  /// kHalted, plus the trap when it is kIllegal. Pre: metrics_ set.
+  void count_batch(u64 instructions, BatchStop stop) noexcept;
   [[nodiscard]] u32 operand_b(const isa::Instruction& in) const;
   void write_rd(u8 rd, Word value);
   void add_family(const isa::Instruction& in, bool subtract, bool use_carry,
@@ -368,6 +390,9 @@ class Processor {
   /// Predecode cache, indexed by pc >> 2 over the LMB program region
   /// (sized lazily to the memory on first use; ~40 B per word).
   std::vector<Predecoded> predecode_;
+  /// One past the highest word ever decoded into predecode_: the part
+  /// revalidate_text() has to look at.
+  std::size_t predecode_words_ = 0;
   u64 predecode_gen_ = 1;  ///< entries with a different gen are invalid
   bool predecode_enabled_ = true;
 
@@ -384,6 +409,7 @@ class Processor {
 
   CpuStats stats_;
   obs::TraceBus* trace_bus_ = nullptr;
+  obs::CpuCounters* metrics_ = nullptr;
   std::array<std::optional<CustomInstruction>, isa::kNumCustomSlots>
       custom_units_;
 };

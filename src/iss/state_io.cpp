@@ -59,12 +59,22 @@ bool Processor::load_state(ckpt::Reader& reader) {
   stats_.opb_accesses = reader.read_u64();
   stats_.opb_wait_cycles = reader.read_u64();
   // The predecode cache and every superblock mirror instruction memory,
-  // which the owner restores around this call; all cached decode work is
-  // stale now. The dbt counters restart with the regenerated blocks
-  // (they describe the translation machinery, not the architecture).
-  invalidate_predecode();
-  dbt_stats_ = DbtStats{};
+  // which the owner restores after this call and then revalidates.
   return reader.ok();
+}
+
+void Processor::revalidate_text() noexcept {
+  // Superblocks are stitched from live predecode entries, and anything
+  // that retires an entry under a block retires the block too, so the
+  // live entries cover every live block's text.
+  for (std::size_t index = 0; index < predecode_words_; ++index) {
+    const Predecoded& entry = predecode_[index];
+    if (entry.gen == predecode_gen_ &&
+        memory_.read_word(static_cast<Addr>(index << 2)) != entry.raw) {
+      invalidate_predecode();
+      return;
+    }
+  }
 }
 
 void LmbMemory::save_state(ckpt::Writer& writer) const {

@@ -1,7 +1,7 @@
 // Typed observability events — the vocabulary of the TraceBus (see
 // trace_bus.hpp). Every instrumented component of the simulator reports
 // what it did through one flat, cheap-to-construct TraceEvent; sinks
-// (JSONL log, VCD waveform, metrics registry) interpret the fields that
+// (JSONL log, VCD waveform, server stream) interpret the fields that
 // their kind defines. This is the high-level analog of the Simulink
 // scopes the paper attaches to the co-simulated design: the same
 // signals — instruction retirement, FSL FIFO handshakes and occupancy,
@@ -35,8 +35,7 @@ enum class EventKind : u8 {
   kFaultOutcome,  ///< an experiment classified its faulted run
 };
 
-/// Stable lower-case name of an event kind (used by the JSONL sink and
-/// the metrics registry's counter keys).
+/// Stable lower-case name of an event kind (used by the JSONL sink).
 [[nodiscard]] constexpr const char* kind_name(EventKind kind) noexcept {
   switch (kind) {
     case EventKind::kInstrRetire: return "retire";

@@ -1,100 +1,21 @@
 #include "obs/metrics.hpp"
 
+#include <array>
+#include <bit>
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 namespace mbcosim::obs {
 
 void Histogram::record(u64 value) noexcept {
-  u32 bucket = 0;
-  for (u64 v = value; v != 0; v >>= 1) ++bucket;
+  const auto bucket = static_cast<std::size_t>(std::bit_width(value));
   if (buckets_.size() <= bucket) buckets_.resize(bucket + 1, 0);
   buckets_[bucket] += 1;
   count_ += 1;
   sum_ += value;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
-}
-
-void MetricsRegistry::on_event(const TraceEvent& event) {
-  auto& counters = data_.counters;
-  auto& histograms = data_.histograms;
-
-  // Stall-run bookkeeping: any non-stall instruction event closes the
-  // current run of consecutive blocked cycles.
-  const bool instruction_event = event.kind == EventKind::kInstrRetire ||
-                                 event.kind == EventKind::kInstrStall ||
-                                 event.kind == EventKind::kInstrHalt ||
-                                 event.kind == EventKind::kInstrIllegal;
-  if (instruction_event) {
-    if (event.kind == EventKind::kInstrStall) {
-      stall_run_ += event.cycles;
-    } else if (stall_run_ != 0) {
-      histograms["cpu.stall_run"].record(stall_run_);
-      stall_run_ = 0;
-    }
-  }
-
-  switch (event.kind) {
-    case EventKind::kInstrRetire:
-      counters["cpu.retired"] += 1;
-      break;
-    case EventKind::kInstrStall:
-      counters["cpu.stall_cycles"] += event.cycles;
-      break;
-    case EventKind::kInstrHalt:
-      counters["cpu.halts"] += 1;
-      break;
-    case EventKind::kInstrIllegal:
-      counters["cpu.illegal"] += 1;
-      break;
-    case EventKind::kFslPush: {
-      const std::string channel = event.channel != nullptr ? event.channel : "?";
-      counters["fsl." + channel + ".push"] += 1;
-      histograms["fsl." + channel + ".occupancy"].record(event.occupancy);
-      break;
-    }
-    case EventKind::kFslPop: {
-      const std::string channel = event.channel != nullptr ? event.channel : "?";
-      counters["fsl." + channel + ".pop"] += 1;
-      histograms["fsl." + channel + ".occupancy"].record(event.occupancy);
-      break;
-    }
-    case EventKind::kFslRefused: {
-      const std::string channel = event.channel != nullptr ? event.channel : "?";
-      counters["fsl." + channel + ".refused"] += 1;
-      break;
-    }
-    case EventKind::kOpbRead:
-      counters["opb.reads"] += 1;
-      counters["opb.wait_cycles"] += event.wait_states;
-      histograms["opb.wait"].record(event.wait_states);
-      break;
-    case EventKind::kOpbWrite:
-      counters["opb.writes"] += 1;
-      counters["opb.wait_cycles"] += event.wait_states;
-      histograms["opb.wait"].record(event.wait_states);
-      break;
-    case EventKind::kQuiesceSkip:
-      counters["engine.quiesce_skipped"] += event.skipped;
-      break;
-    case EventKind::kDeadlock:
-      counters["engine.deadlocks"] += 1;
-      break;
-    case EventKind::kFaultInject:
-      counters["fault.injects"] += 1;
-      break;
-    case EventKind::kFaultOutcome:
-      counters[std::string("fault.outcome.") +
-               (event.label != nullptr ? event.label : "?")] += 1;
-      break;
-  }
-}
-
-void MetricsRegistry::flush() {
-  if (stall_run_ != 0) {
-    data_.histograms["cpu.stall_run"].record(stall_run_);
-    stall_run_ = 0;
-  }
 }
 
 void Histogram::save_state(ckpt::Writer& writer) const {
@@ -118,43 +39,175 @@ void Histogram::load_state(ckpt::Reader& reader) {
   for (u64 i = 0; i < buckets; ++i) buckets_.push_back(reader.read_u64());
 }
 
-void MetricsRegistry::save_state(ckpt::Writer& writer) const {
-  writer.write_u64(data_.counters.size());
-  for (const auto& [name, value] : data_.counters) {
-    writer.write_str(name);
-    writer.write_u64(value);
-  }
-  writer.write_u64(data_.histograms.size());
-  for (const auto& [name, histogram] : data_.histograms) {
-    writer.write_str(name);
-    histogram.save_state(writer);
-  }
-  writer.write_u64(stall_run_);
+FslCounters& MetricsRegistry::fsl(const std::string& channel) {
+  return fsl_[channel];
 }
 
-void MetricsRegistry::load_state(ckpt::Reader& reader) {
-  data_ = MetricsSnapshot{};
-  stall_run_ = 0;
-  const u64 counters = reader.read_u64();
-  for (u64 i = 0; i < counters && reader.ok(); ++i) {
-    std::string name = reader.read_str();
-    data_.counters[std::move(name)] = reader.read_u64();
+namespace {
+
+/// The page keys of the registry's fixed counters and histograms; `self`
+/// is a MetricsRegistry, const or not. The per-channel FSL keys, the
+/// fault outcomes and opb.wait_cycles (present once the bus saw any
+/// transaction, even at zero wait) are handled beside these tables.
+template <typename Registry>
+auto fixed_counters(Registry& self) {
+  return std::array{std::pair{std::string_view("cpu.retired"), &self.cpu.retired},
+                    std::pair{std::string_view("cpu.halts"), &self.cpu.halts},
+                    std::pair{std::string_view("cpu.illegal"), &self.cpu.illegal},
+                    std::pair{std::string_view("cpu.stall_cycles"),
+                              &self.cpu.stall_cycles},
+                    std::pair{std::string_view("opb.reads"), &self.opb.reads},
+                    std::pair{std::string_view("opb.writes"), &self.opb.writes},
+                    std::pair{std::string_view("engine.quiesce_skipped"),
+                              &self.engine.quiesce_skipped},
+                    std::pair{std::string_view("engine.deadlocks"),
+                              &self.engine.deadlocks},
+                    std::pair{std::string_view("fault.injects"),
+                              &self.fault.injects}};
+}
+
+template <typename Registry>
+auto fixed_histograms(Registry& self) {
+  return std::array{
+      std::pair{std::string_view("cpu.stall_run"), &self.cpu.stall_runs},
+      std::pair{std::string_view("opb.wait"), &self.opb.wait}};
+}
+
+constexpr std::string_view kWaitCycles = "opb.wait_cycles";
+constexpr std::string_view kOutcomePrefix = "fault.outcome.";
+constexpr std::string_view kFslPrefix = "fsl.";
+
+/// Splits "fsl.<channel>.<field>" into channel and field; false when
+/// `name` has another shape.
+bool split_fsl_key(std::string_view name, std::string_view& channel,
+                   std::string_view& field) {
+  const std::size_t dot = name.rfind('.');
+  if (!name.starts_with(kFslPrefix) || dot == std::string_view::npos ||
+      dot <= kFslPrefix.size()) {
+    return false;
   }
-  const u64 histograms = reader.read_u64();
-  for (u64 i = 0; i < histograms && reader.ok(); ++i) {
-    std::string name = reader.read_str();
-    data_.histograms[std::move(name)].load_state(reader);
+  channel = name.substr(kFslPrefix.size(), dot - kFslPrefix.size());
+  field = name.substr(dot + 1);
+  return true;
+}
+
+}  // namespace
+
+MetricsSnapshot MetricsRegistry::page() const {
+  // A key is present iff its component touched it, with the names the
+  // page has always used.
+  MetricsSnapshot page;
+  for (const auto& [name, value] : fixed_counters(*this)) {
+    if (*value != 0) page.counters.emplace(name, *value);
   }
-  stall_run_ = reader.read_u64();
+  if (opb.reads + opb.writes != 0) {
+    page.counters.emplace(kWaitCycles, opb.wait_cycles);
+  }
+  for (const auto& [outcome, value] : fault.outcomes) {
+    page.counters.emplace(std::string(kOutcomePrefix) + outcome, value);
+  }
+  for (const auto& [name, histogram] : fixed_histograms(*this)) {
+    if (histogram->count() != 0) page.histograms.emplace(name, *histogram);
+  }
+  for (const auto& [channel, counters] : fsl_) {
+    const std::string prefix = std::string(kFslPrefix) + channel;
+    if (counters.push != 0) page.counters[prefix + ".push"] = counters.push;
+    if (counters.pop != 0) page.counters[prefix + ".pop"] = counters.pop;
+    if (counters.refused != 0) {
+      page.counters[prefix + ".refused"] = counters.refused;
+    }
+    if (counters.occupancy.count() != 0) {
+      page.histograms.emplace(prefix + ".occupancy", counters.occupancy);
+    }
+  }
+  return page;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snapshot = data_;
+  MetricsSnapshot snapshot = page();
   // Account the in-flight stall run without mutating the registry.
-  if (stall_run_ != 0) {
-    snapshot.histograms["cpu.stall_run"].record(stall_run_);
+  if (cpu.stall_run != 0) {
+    snapshot.histograms["cpu.stall_run"].record(cpu.stall_run);
   }
   return snapshot;
+}
+
+void MetricsRegistry::save_state(ckpt::Writer& writer) const {
+  const MetricsSnapshot saved = page();
+  writer.write_u64(saved.counters.size());
+  for (const auto& [name, value] : saved.counters) {
+    writer.write_str(name);
+    writer.write_u64(value);
+  }
+  writer.write_u64(saved.histograms.size());
+  for (const auto& [name, histogram] : saved.histograms) {
+    writer.write_str(name);
+    histogram.save_state(writer);
+  }
+  writer.write_u64(cpu.stall_run);
+}
+
+u64* MetricsRegistry::counter_named(std::string_view name) {
+  for (const auto& [key, value] : fixed_counters(*this)) {
+    if (name == key) return value;
+  }
+  if (name == kWaitCycles) return &opb.wait_cycles;
+  if (name.starts_with(kOutcomePrefix)) {
+    return &fault.outcomes[std::string(name.substr(kOutcomePrefix.size()))];
+  }
+  std::string_view channel;
+  std::string_view field;
+  if (!split_fsl_key(name, channel, field)) return nullptr;
+  FslCounters& counters = fsl(std::string(channel));
+  if (field == "push") return &counters.push;
+  if (field == "pop") return &counters.pop;
+  if (field == "refused") return &counters.refused;
+  return nullptr;
+}
+
+Histogram* MetricsRegistry::histogram_named(std::string_view name) {
+  for (const auto& [key, histogram] : fixed_histograms(*this)) {
+    if (name == key) return histogram;
+  }
+  std::string_view channel;
+  std::string_view field;
+  if (!split_fsl_key(name, channel, field) || field != "occupancy") {
+    return nullptr;
+  }
+  return &fsl(std::string(channel)).occupancy;
+}
+
+bool MetricsRegistry::load_state(ckpt::Reader& reader) {
+  cpu = CpuCounters{};
+  opb = OpbCounters{};
+  engine = EngineCounters{};
+  fault = FaultCounters{};
+  for (auto& [channel, counters] : fsl_) counters = FslCounters{};
+
+  bool known = true;
+  const u64 counters = reader.read_u64();
+  for (u64 i = 0; i < counters && reader.ok(); ++i) {
+    const std::string name = reader.read_str();
+    const u64 value = reader.read_u64();
+    if (u64* counter = counter_named(name)) {
+      *counter = value;
+    } else {
+      known = false;
+    }
+  }
+  const u64 histograms = reader.read_u64();
+  for (u64 i = 0; i < histograms && reader.ok(); ++i) {
+    const std::string name = reader.read_str();
+    Histogram scratch;
+    Histogram* histogram = histogram_named(name);
+    if (histogram == nullptr) {
+      known = false;
+      histogram = &scratch;
+    }
+    histogram->load_state(reader);
+  }
+  cpu.stall_run = reader.read_u64();
+  return known;
 }
 
 std::string MetricsSnapshot::to_string() const {

@@ -1,8 +1,10 @@
-// TraceBus: the spine of the observability layer. Producers (processor,
-// FSL channels, OPB bus, co-simulation engine) hold a non-owning
-// `TraceBus*` that is null by default; when a user attaches sinks —
-// JSONL event log, VCD waveform writer, metrics registry — the bus is
-// wired through and every emit() fans the event out to all of them.
+// TraceBus: the event stream of the observability layer. Producers
+// (processor, FSL channels, OPB bus, co-simulation engine) hold a
+// non-owning `TraceBus*` that is null by default; when a user attaches
+// sinks — JSONL event log, VCD waveform writer, a server stream — the
+// bus is wired through and every emit() fans the event out to all of
+// them. Metrics are not a sink: they are typed counters the producers
+// bump directly (obs/metrics.hpp), so they never enable a bus.
 //
 // Cost contract (the paper's pitch is visibility *at speed*):
 //   - not wired (the default): one predictable null-pointer branch per
@@ -11,7 +13,8 @@
 //     enabled() load; still no TraceEvent is built, because producers
 //     guard with `bus != nullptr && bus->enabled()`;
 //   - wired with sinks: one TraceEvent aggregate init plus one virtual
-//     call per sink per event.
+//     call per sink per event, and the processor gives up its batched
+//     and superblock tiers (every instruction must reach the sinks).
 // The disabled-mode overhead is asserted by the trace_overhead guard in
 // bench/bench_table2_simspeed.
 #pragma once
@@ -46,7 +49,7 @@ class TraceBus {
   TraceBus& operator=(const TraceBus&) = delete;
 
   /// Attach a sink; the bus owns it. Returns a reference for callers
-  /// that need to keep talking to the sink (e.g. the metrics registry).
+  /// that need to keep talking to the sink.
   TraceSink& add_sink(std::unique_ptr<TraceSink> sink);
 
   /// True when at least one sink is attached. Producers must check this

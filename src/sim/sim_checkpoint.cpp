@@ -81,6 +81,7 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (!core->memory.load_state(reader)) {
       return shape_error(prefix + "memory image does not fit");
     }
+    core->cpu.revalidate_text();
     if (!core->hub.load_state(reader)) {
       return shape_error(prefix + "FSL hub state does not fit");
     }
@@ -152,7 +153,11 @@ Status SimSystem::restore_metrics_state(
           std::string(ckpt::kCkptErrorCodes[5]) +
           " metrics state does not match this system's metrics wiring");
     }
-    if (present) core->metrics->load_state(reader);
+    if (present && !core->metrics->load_state(reader) && reader.ok()) {
+      return Status::failure(
+          std::string(ckpt::kCkptErrorCodes[5]) +
+          " metrics state names a counter this system does not keep");
+    }
   }
   if (!reader.ok()) {
     return Status::failure(std::string(ckpt::kCkptErrorCodes[3]) +

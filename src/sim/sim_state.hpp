@@ -50,7 +50,18 @@ struct SimSystem::State {
     std::unique_ptr<bus::OpbBus> opb;  ///< null unless Builder::opb
     unsigned fsl_links = 0;
     obs::TraceBus trace_bus;
-    obs::MetricsRegistry* metrics = nullptr;  ///< owned by trace_bus if set
+    std::unique_ptr<obs::MetricsRegistry> metrics;  ///< null = metrics off
+
+    /// The fault counters a fired injection reports to (null = off).
+    [[nodiscard]] obs::FaultCounters* fault_metrics() noexcept {
+      return metrics ? &metrics->fault : nullptr;
+    }
+    /// End of a run (or debug session): make the trace sinks durable and
+    /// close the in-flight metrics stall run.
+    void flush_observers() {
+      trace_bus.flush();
+      if (metrics) metrics->flush();
+    }
   };
 
   /// The estimator view of one core (its slice of the whole design).

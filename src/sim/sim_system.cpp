@@ -67,7 +67,8 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
     const Cycle target = std::min<Cycle>(plan.trigger_value, max_cycles);
     const core::StopReason before = run_unfaulted(target);
     if (before != core::StopReason::kCycleLimit) return before;
-    injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus);
+    injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus,
+                  core.fault_metrics());
     return run_unfaulted(max_cycles);
   }
   // PC trigger (single-core only: build()/arm_fault reject it on a
@@ -82,7 +83,8 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
       debugger.resume(max_cycles > now ? max_cycles - now : 0, false);
   switch (stop.kind) {
     case rsp::StopInfo::Kind::kBreakpoint:
-      injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus);
+      injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus,
+                  core.fault_metrics());
       return run_unfaulted(max_cycles);
     case rsp::StopInfo::Kind::kHalted: return core::StopReason::kHalted;
     case rsp::StopInfo::Kind::kIllegal: return core::StopReason::kIllegal;
@@ -117,7 +119,7 @@ core::StopReason SimSystem::run(Cycle max_cycles) {
   state_->last_run_wall_seconds = watch.elapsed_seconds();
   // Make every attached sink durable after each run: the JSONL/VCD files
   // are complete on disk even if the caller never destroys the system.
-  for (auto& core : state_->cores) core->trace_bus.flush();
+  for (auto& core : state_->cores) core->flush_observers();
   return reason;
 }
 
@@ -207,11 +209,10 @@ namespace {
 // core has executed anything (a pre-run snapshot stays empty). They are
 // emitted even when the core never reached the dbt tier — as zeros — so
 // the counter-key schema is identical across exec tiers and streamed
-// snapshots diff cleanly tier-against-tier.
-// Note an enabled trace bus (any sink, which
-// Builder::metrics attaches) forces the precise fallback, so these are
-// zero under --metrics unless the tier ran before the sink was enabled;
-// `monitor stats` is the live view (DESIGN.md §12).
+// snapshots diff cleanly tier-against-tier. Metrics counters leave the
+// tier alone, so under --metrics these count the translation work of a
+// dbt-tier core; an attached trace sink (JSONL, VCD, stream) still forces
+// the precise fallback and leaves them at zero (DESIGN.md §12).
 void inject_dbt_counters(obs::MetricsSnapshot& snapshot,
                          const iss::Processor& cpu,
                          const std::string& prefix) {
@@ -255,6 +256,10 @@ obs::MetricsSnapshot SimSystem::metrics_snapshot() const {
 
 obs::TraceBus& SimSystem::trace_bus() noexcept {
   return state_->c0().trace_bus;
+}
+
+obs::MetricsRegistry* SimSystem::metrics_registry(std::size_t index) {
+  return state_->cores[index]->metrics.get();
 }
 
 iss::Processor& SimSystem::cpu() noexcept { return state_->c0().cpu; }
@@ -344,7 +349,7 @@ Status SimSystem::arm_fault(const fault::FaultPlan& plan, bool immediate) {
   state_->injector->arm(&target.hub, target.opb.get());
   if (immediate && state_->injector->needs_point_trigger()) {
     state_->injector->fire(target.cpu, &target.hub, target.opb.get(),
-                           &target.trace_bus);
+                           &target.trace_bus, target.fault_metrics());
   }
   return {};
 }
@@ -455,7 +460,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   const rsp::SessionEnd end = server.serve();
   // The client may have run the program to completion: make the trace
   // sinks durable exactly as run() does.
-  for (auto& core : state_->cores) core->trace_bus.flush();
+  for (auto& core : state_->cores) core->flush_observers();
   return end;
 }
 
@@ -729,9 +734,14 @@ Expected<SimSystem> SimSystem::Builder::build() {
       core->trace_bus.add_sink(std::move(sink));
     }
     if (metrics_) {
-      auto registry = std::make_unique<obs::MetricsRegistry>();
-      core->metrics = registry.get();
-      core->trace_bus.add_sink(std::move(registry));
+      // Typed counters, not a sink: the bus stays disabled, so every
+      // execution tier keeps its fast path with metrics on.
+      core->metrics = std::make_unique<obs::MetricsRegistry>();
+      obs::MetricsRegistry& registry = *core->metrics;
+      core->cpu.set_metrics(&registry.cpu);
+      core->hub.set_metrics(registry);
+      core->engine.set_metrics(&registry.engine);
+      if (core->opb) core->opb->set_metrics(&registry.opb);
     }
     if (multi) core->trace_bus.set_origin(core->name.c_str());
     // Always wired (the bus without sinks costs one enabled() load per

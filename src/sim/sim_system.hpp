@@ -134,6 +134,11 @@ class SimSystem {
   /// the system was built with Builder::metrics().
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
+  /// Core `index`'s metrics counters, or nullptr when the system was
+  /// built without Builder::metrics(). Components count into these
+  /// directly; metrics_snapshot() renders them.
+  [[nodiscard]] obs::MetricsRegistry* metrics_registry(std::size_t index = 0);
+
   /// The observability bus every component of this system reports into.
   /// Carries no sinks (and costs one branch per would-be event) unless
   /// the builder attached some.
@@ -316,8 +321,10 @@ class SimSystem::Builder {
   /// Dump a GTKWave-compatible value-change waveform of the run into
   /// `path`. build() fails if the file cannot be opened.
   Builder& vcd(std::string path);
-  /// Aggregate events into counters and histograms, readable after (or
-  /// during) the run via SimSystem::metrics_snapshot().
+  /// Count instructions, FIFO handshakes, OPB transactions, engine and
+  /// fault events per core, readable after (or during) the run via
+  /// SimSystem::metrics_snapshot(). The counters are not a trace sink:
+  /// every execution tier keeps running with them.
   Builder& metrics();
   /// Attach an arbitrary extra sink (e.g. a JsonlSink over a string
   /// stream in a test).

@@ -342,10 +342,10 @@ TEST(CkptSystem, SingleCoreRestoreRunMatchesFreeRun) {
 }
 
 // Snapshot taken while a translated superblock is live: the hot loop of
-// kSumProgram is far past the dbt promotion threshold at cycle 500. The
-// restore must drop every translation (the cached text belongs to the
-// pre-restore image), restart the dbt counters, regenerate the blocks
-// lazily and still replay to the bit-exact same end state.
+// kSumProgram is far past the dbt promotion threshold at cycle 500. A
+// fresh system restoring that image starts with no translations and
+// zero dbt counters, regenerates the blocks lazily and still replays to
+// the bit-exact same end state.
 TEST(CkptSystem, RestoreAcrossHotBlockRegeneratesTranslations) {
   auto free_built = one_core(kSumProgram).build();
   ASSERT_TRUE(free_built.ok()) << free_built.error();
@@ -367,7 +367,7 @@ TEST(CkptSystem, RestoreAcrossHotBlockRegeneratesTranslations) {
   ASSERT_TRUE(resumed_built.ok()) << resumed_built.error();
   sim::SimSystem resumed = std::move(resumed_built).value();
   ASSERT_TRUE(resumed.restore_image(image).ok);
-  // Restore retired all translation state: the counters restart.
+  // Nothing was translated in this system yet.
   EXPECT_EQ(resumed.cpu().dbt_stats().blocks_translated, 0u);
   EXPECT_EQ(resumed.cpu().dbt_stats().dbt_instructions, 0u);
 

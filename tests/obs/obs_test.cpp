@@ -1,6 +1,7 @@
 // Observability layer: TraceBus plumbing, JSONL/VCD sink output, the
 // metrics registry's aggregation, and the end-to-end wiring through the
 // instrumented producers (Processor, FslChannel, OpbBus, SimSystem).
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/opb_bus.hpp"
+#include "ckpt/ckpt.hpp"
 #include "fsl/fsl_channel.hpp"
 #include "iss/test_helpers.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -210,27 +212,50 @@ TEST(Histogram, Log2Buckets) {
 }
 
 TEST(MetricsRegistry, CountsInstructionEvents) {
-  MetricsRegistry registry;
-  registry.on_event(instr_event(EventKind::kInstrRetire, 1, 0, 1));
-  registry.on_event(instr_event(EventKind::kInstrRetire, 2, 4, 1));
-  registry.on_event(instr_event(EventKind::kInstrStall, 3, 8, 1));
-  registry.on_event(instr_event(EventKind::kInstrHalt, 4, 8, 3));
-  const MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.counter("cpu.retired"), 2u);
-  EXPECT_EQ(snapshot.counter("cpu.stall_cycles"), 1u);
-  EXPECT_EQ(snapshot.counter("cpu.halts"), 1u);
-  EXPECT_EQ(snapshot.counter("cpu.illegal"), 0u);
+  // Two adds, a get that stalls until a word arrives, then the halt. The
+  // first run() burns stall cycles up to its budget; the counts must be
+  // the same whichever tier executed the instructions.
+  for (const iss::ExecTier tier :
+       {iss::ExecTier::kPrecise, iss::ExecTier::kPredecode,
+        iss::ExecTier::kDbt}) {
+    SCOPED_TRACE(iss::to_string(tier));
+    iss::testing::TestMachine m(
+        "  add r3, r4, r5\n"
+        "  add r3, r3, r3\n"
+        "  get r4, rfsl0\n"
+        "  halt\n");
+    MetricsRegistry registry;
+    m.cpu.set_exec_tier(tier);
+    m.cpu.set_metrics(&registry.cpu);
+    m.run(10);
+    EXPECT_EQ(registry.cpu.stall_run, 8u);  // still open
+    ASSERT_TRUE(m.hub.from_hw(0).try_write(5, false));
+    m.run();
+    const MetricsSnapshot snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("cpu.retired"), 3u);
+    EXPECT_EQ(snapshot.counter("cpu.stall_cycles"), 8u);
+    EXPECT_EQ(snapshot.counter("cpu.halts"), 1u);
+    EXPECT_FALSE(snapshot.counters.contains("cpu.illegal"));  // untouched
+    const auto runs = snapshot.histograms.find("cpu.stall_run");
+    ASSERT_NE(runs, snapshot.histograms.end());
+    EXPECT_EQ(runs->second.count(), 1u);
+    EXPECT_EQ(runs->second.max(), 8u);
+  }
 }
 
 TEST(MetricsRegistry, StallRunsAreHistogrammed) {
+  iss::testing::TestMachine m(
+      "  get r4, rfsl0\n"
+      "  get r5, rfsl0\n"
+      "  halt\n");
   MetricsRegistry registry;
+  m.cpu.set_metrics(&registry.cpu);
   // Two runs: 3 consecutive stalls closed by a retire, then 1 stall
   // still in flight at snapshot time.
-  for (int i = 0; i < 3; ++i) {
-    registry.on_event(instr_event(EventKind::kInstrStall, i, 0, 1));
-  }
-  registry.on_event(instr_event(EventKind::kInstrRetire, 3, 0, 2));
-  registry.on_event(instr_event(EventKind::kInstrStall, 5, 4, 1));
+  for (int i = 0; i < 3; ++i) m.cpu.step();
+  ASSERT_TRUE(m.hub.from_hw(0).try_write(1, false));
+  m.cpu.step();
+  m.cpu.step();
   const MetricsSnapshot snapshot = registry.snapshot();
   const auto it = snapshot.histograms.find("cpu.stall_run");
   ASSERT_NE(it, snapshot.histograms.end());
@@ -242,27 +267,100 @@ TEST(MetricsRegistry, StallRunsAreHistogrammed) {
   const auto again = second.histograms.find("cpu.stall_run");
   ASSERT_NE(again, second.histograms.end());
   EXPECT_EQ(again->second.count(), 2u);
+  // flush() (the end of a run) closes it for good.
+  registry.flush();
+  EXPECT_EQ(registry.cpu.stall_run, 0u);
+  EXPECT_EQ(registry.cpu.stall_runs.count(), 2u);
 }
 
 TEST(MetricsRegistry, FslAndEngineEvents) {
   MetricsRegistry registry;
-  TraceEvent push;
-  push.kind = EventKind::kFslPush;
-  push.channel = "to_hw0";
-  push.occupancy = 3;
-  push.depth = 16;
-  registry.on_event(push);
-  push.kind = EventKind::kFslRefused;
-  registry.on_event(push);
-  TraceEvent skip;
-  skip.kind = EventKind::kQuiesceSkip;
-  skip.skipped = 250;
-  registry.on_event(skip);
+  fsl::FslChannel channel(2, "to_hw0");
+  channel.set_metrics(&registry.fsl(channel.name()));
+  EXPECT_TRUE(channel.try_write(1, false));
+  EXPECT_TRUE(channel.try_write(2, false));
+  EXPECT_FALSE(channel.try_write(3, false));  // full -> refused
+  registry.engine.quiesce_skipped += 250;
   const MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.counter("fsl.to_hw0.push"), 1u);
+  EXPECT_EQ(snapshot.counter("fsl.to_hw0.push"), 2u);
   EXPECT_EQ(snapshot.counter("fsl.to_hw0.refused"), 1u);
+  EXPECT_FALSE(snapshot.counters.contains("fsl.to_hw0.pop"));  // untouched
   EXPECT_EQ(snapshot.counter("engine.quiesce_skipped"), 250u);
-  EXPECT_TRUE(snapshot.histograms.contains("fsl.to_hw0.occupancy"));
+  const auto occupancy = snapshot.histograms.find("fsl.to_hw0.occupancy");
+  ASSERT_NE(occupancy, snapshot.histograms.end());
+  EXPECT_EQ(occupancy->second.count(), 2u);
+  EXPECT_EQ(occupancy->second.max(), 2u);
+}
+
+// A metrics blob in the layout every earlier release journaled (the
+// event-driven registry's save_state): counters by name, histograms by
+// name, then the in-flight stall run. Journals written before the
+// registry became typed counters must restore and render the same page.
+TEST(MetricsRegistry, RestoresABlobInTheJournaledLayout) {
+  Histogram stall_runs;
+  for (const u64 run : {3u, 40u}) stall_runs.record(run);
+  Histogram occupancy;
+  for (const u64 level : {1u, 2u, 1u, 0u}) occupancy.record(level);
+  Histogram wait;
+  wait.record(2);
+  const std::map<std::string, u64> counters = {
+      {"cpu.halts", 1},
+      {"cpu.retired", 120},
+      {"cpu.stall_cycles", 43},
+      {"engine.deadlocks", 1},
+      {"engine.quiesce_skipped", 250},
+      {"fault.injects", 1},
+      {"fault.outcome.sdc", 1},
+      {"fsl.cpu1.mb_to_hw0.pop", 2},
+      {"fsl.cpu1.mb_to_hw0.push", 2},
+      {"fsl.hw_to_mb1.refused", 5},
+      {"opb.reads", 1},
+      {"opb.wait_cycles", 2}};
+  const std::map<std::string, Histogram> histograms = {
+      {"cpu.stall_run", stall_runs},
+      {"fsl.cpu1.mb_to_hw0.occupancy", occupancy},
+      {"opb.wait", wait}};
+  constexpr u64 kInFlight = 7;
+  ckpt::Writer writer;
+  writer.write_u64(counters.size());
+  for (const auto& [name, value] : counters) {
+    writer.write_str(name);
+    writer.write_u64(value);
+  }
+  writer.write_u64(histograms.size());
+  for (const auto& [name, histogram] : histograms) {
+    writer.write_str(name);
+    histogram.save_state(writer);
+  }
+  writer.write_u64(kInFlight);
+  const std::vector<unsigned char> blob = writer.take();
+
+  MetricsRegistry registry;
+  ckpt::Reader reader(blob);
+  ASSERT_TRUE(registry.load_state(reader));
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+
+  // The page is what that release rendered: the saved maps, with the
+  // in-flight run accounted.
+  MetricsSnapshot want{counters, histograms};
+  want.histograms["cpu.stall_run"].record(kInFlight);
+  EXPECT_EQ(registry.snapshot().to_string(), want.to_string());
+  // Saving again writes the same bytes.
+  ckpt::Writer again;
+  registry.save_state(again);
+  EXPECT_EQ(again.take(), blob);
+
+  // A name no counter block holds is refused.
+  ckpt::Writer unknown;
+  unknown.write_u64(1);
+  unknown.write_str("cpu.bogus");
+  unknown.write_u64(1);
+  unknown.write_u64(0);
+  unknown.write_u64(0);
+  const std::vector<unsigned char> bad = unknown.take();
+  ckpt::Reader bad_reader(bad);
+  EXPECT_FALSE(MetricsRegistry().load_state(bad_reader));
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +487,33 @@ TEST(ObsSimSystem, CustomSinkSeesTheRun) {
   ASSERT_EQ(raw->events.size(), 2u);
   EXPECT_EQ(raw->events.back().kind, EventKind::kInstrHalt);
   EXPECT_GE(raw->flushes, 1);  // run() flushes the bus
+}
+
+TEST(ObsSimSystem, MetricsAccumulateAcrossReset) {
+  // Counts mean "since build": reset() (which the fault-experiment
+  // fallback relies on) and restore_image() leave them alone.
+  auto built = one_core(
+                   "  li r3, 20\n"
+                   "loop:\n"
+                   "  addik r3, r3, -1\n"
+                   "  bnei r3, loop\n"
+                   "  halt\n")
+                   .metrics()
+                   .build();
+  ASSERT_TRUE(built.ok()) << built.error();
+  sim::SimSystem system = std::move(built).value();
+  ASSERT_EQ(system.run(), core::StopReason::kHalted);
+  const MetricsSnapshot once = system.metrics_snapshot();
+  ASSERT_EQ(once.counter("cpu.halts"), 1u);
+  const std::vector<unsigned char> image = system.snapshot();
+  system.reset();
+  ASSERT_EQ(system.run(), core::StopReason::kHalted);
+  const MetricsSnapshot twice = system.metrics_snapshot();
+  EXPECT_EQ(twice.counter("cpu.retired"), 2 * once.counter("cpu.retired"));
+  EXPECT_EQ(twice.counter("cpu.halts"), 2u);
+  ASSERT_TRUE(system.restore_image(image).ok);
+  EXPECT_EQ(system.metrics_snapshot().counter("cpu.retired"),
+            twice.counter("cpu.retired"));
 }
 
 TEST(ObsSimSystem, UnopenableTracePathFailsTheBuild) {

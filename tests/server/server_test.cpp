@@ -199,8 +199,11 @@ TEST(ServerSession, HostedRunMatchesBatchStatsAndMetrics) {
 TEST(ServerSession, DbtCountersAppearAsZerosBelowDbtTier) {
   // A precise-tier core never translates a block, but its metrics
   // snapshot still carries the dbt.* keys (as zeros) so snapshots diff
-  // cleanly tier-against-tier.
-  machine::MachineDesc desc = machine::MachineDesc::single_core(kHaltProgram);
+  // cleanly tier-against-tier. The program loops, so a dbt-tier core has
+  // blocks to translate.
+  constexpr const char* kLoopProgram =
+      "  li r3, 50\nloop:\n  addik r3, r3, -1\n  bnei r3, loop\n  halt\n";
+  machine::MachineDesc desc = machine::MachineDesc::single_core(kLoopProgram);
   desc.cores[0].exec_tier = iss::ExecTier::kPrecise;
   auto built = sim::SimSystem::Builder().machine(desc).metrics().build();
   ASSERT_TRUE(built.ok()) << built.error();
@@ -217,9 +220,10 @@ TEST(ServerSession, DbtCountersAppearAsZerosBelowDbtTier) {
     EXPECT_EQ(it->second, 0u) << key;
   }
 
-  // Same machine at the dbt tier: identical counter-key schema.
+  // Same machine at the dbt tier: identical counter-key schema, and
+  // metrics did not take the fast path away.
   machine::MachineDesc dbt_desc =
-      machine::MachineDesc::single_core(kHaltProgram);
+      machine::MachineDesc::single_core(kLoopProgram);
   dbt_desc.cores[0].exec_tier = iss::ExecTier::kDbt;
   auto dbt_built =
       sim::SimSystem::Builder().machine(dbt_desc).metrics().build();
@@ -227,6 +231,10 @@ TEST(ServerSession, DbtCountersAppearAsZerosBelowDbtTier) {
   sim::SimSystem dbt_system = std::move(dbt_built).value();
   ASSERT_EQ(dbt_system.run(), core::StopReason::kHalted);
   const obs::MetricsSnapshot dbt_snapshot = dbt_system.metrics_snapshot();
+  EXPECT_GT(dbt_snapshot.counter("dbt.blocks_translated"), 0u);
+  EXPECT_GT(dbt_snapshot.counter("dbt.fast_path_instructions"), 0u);
+  EXPECT_EQ(dbt_snapshot.counter("dbt.fast_path_instructions"),
+            dbt_system.dbt_stats().dbt_instructions);
   ASSERT_EQ(snapshot.counters.size(), dbt_snapshot.counters.size());
   auto lhs = snapshot.counters.begin();
   auto rhs = dbt_snapshot.counters.begin();
