@@ -9,6 +9,7 @@
 #include "apps/cordic/cordic_reference.hpp"
 #include "apps/machine_peripherals.hpp"
 #include "bench_common.hpp"
+#include "core/cosim_engine.hpp"
 #include "rtl/kernel.hpp"
 #include "rtl/primitives.hpp"
 #include "sim/sim_system.hpp"
@@ -31,10 +32,12 @@ void BM_IssInstructionThroughput(benchmark::State& state) {
   iss::LmbMemory memory;
   memory.load_program(program);
   iss::Processor cpu(isa::CpuConfig{}, memory, nullptr);
+  fsl::FslHub hub;
+  core::CoSimEngine engine(cpu, nullptr, hub);
   u64 instructions = 0;
   for (auto _ : state) {
-    cpu.reset(program.entry());
-    benchmark::DoNotOptimize(cpu.run(1u << 30));
+    engine.reset(program.entry());
+    benchmark::DoNotOptimize(engine.run(1u << 30));
     instructions += cpu.stats().instructions;
   }
   state.counters["instructions_per_second"] = benchmark::Counter(

@@ -14,10 +14,10 @@
 //   - trace_overhead: a wired-but-sinkless TraceBus must stay almost free;
 //   - metrics_overhead: Builder::metrics() must keep the dbt ISS hot loop
 //     within 10% of the same loop without metrics;
-//   - exec_tier: the three execution tiers (precise, predecode, dbt) must
-//     keep simulated cycle and instruction counts bit-identical (ISS alone
-//     and full co-simulation) while each tier delivers its guarded
-//     wall-clock speedup over the one below it (DESIGN.md §12).
+//   - exec_tier: the two execution tiers (precise, dbt) must keep
+//     simulated cycle and instruction counts bit-identical (ISS alone and
+//     full co-simulation) while dbt runs the ISS hot loop at least 2.6x
+//     faster than precise (DESIGN.md §12).
 // Pass `--json FILE` (default BENCH_table2.json, `--json none` to
 // disable) to also write machine-readable rows for perf tracking.
 #include <benchmark/benchmark.h>
@@ -29,6 +29,7 @@
 #include "apps/matmul/matmul_app.hpp"
 #include "bench_common.hpp"
 #include "common/stopwatch.hpp"
+#include "core/cosim_engine.hpp"
 #include "obs/trace_bus.hpp"
 #include "sim/sim_system.hpp"
 
@@ -38,28 +39,62 @@ using namespace mbcosim;
 using namespace mbcosim::bench;
 
 // ---------------------------------------------------------------------------
-// Instruction simulator alone: pure-software CORDIC program.
+// Instruction simulator alone: pure-software CORDIC program on one core
+// with no peripheral, driven by the co-simulation loop.
 // ---------------------------------------------------------------------------
-void BM_InstructionSimulator(benchmark::State& state) {
+assembler::Program iss_loop_program() {
   const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
+  return assembler::assemble_or_throw(apps::cordic::pure_software_program(
+      workload.x, workload.y, workload.iterations,
+      apps::cordic::ShiftStrategy::kShiftLoop));
+}
+
+isa::CpuConfig iss_loop_config() {
   isa::CpuConfig config;
   config.has_barrel_shifter = false;
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(config, memory, nullptr);
+  return config;
+}
 
+struct IssLoop {
+  IssLoop(const assembler::Program& program, iss::ExecTier tier,
+          obs::TraceBus* bus = nullptr)
+      : program(program), cpu(iss_loop_config(), memory, nullptr) {
+    memory.load_program(program);
+    cpu.set_exec_tier(tier);
+    cpu.set_trace_bus(bus);
+  }
+
+  /// One run from reset to the halt; returns the simulated cycles.
+  Cycle run() {
+    engine.reset(program.entry());
+    engine.run(1u << 28);
+    return cpu.stats().cycles;
+  }
+
+  const assembler::Program& program;
+  iss::LmbMemory memory;
+  fsl::FslHub hub;
+  iss::Processor cpu;
+  core::CoSimEngine engine{cpu, nullptr, hub};
+};
+
+void run_iss_loop(benchmark::State& state, iss::ExecTier tier,
+                  obs::TraceBus* bus) {
+  const assembler::Program program = iss_loop_program();
+  IssLoop loop(program, tier, bus);
   Cycle total_cycles = 0;
   for (auto _ : state) {
-    cpu.reset(program.entry());
-    benchmark::DoNotOptimize(cpu.run(1u << 28));
-    total_cycles += cpu.stats().cycles;
+    const Cycle cycles = loop.run();
+    benchmark::DoNotOptimize(cycles);
+    total_cycles += cycles;
   }
   state.counters["cycles_per_second"] = benchmark::Counter(
       static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
+}
+
+// The default tier (dbt: superblock threaded code).
+void BM_InstructionSimulator(benchmark::State& state) {
+  run_iss_loop(state, iss::ExecTier::kDbt, nullptr);
 }
 BENCHMARK(BM_InstructionSimulator);
 
@@ -67,81 +102,17 @@ BENCHMARK(BM_InstructionSimulator);
 // sinks — the "compiled in but disabled" configuration whose overhead
 // the trace_overhead guard below bounds.
 void BM_InstructionSimulatorTracingDisabled(benchmark::State& state) {
-  const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
-  isa::CpuConfig config;
-  config.has_barrel_shifter = false;
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(config, memory, nullptr);
   obs::TraceBus bus;  // no sinks: enabled() stays false
-  cpu.set_trace_bus(&bus);
-
-  Cycle total_cycles = 0;
-  for (auto _ : state) {
-    cpu.reset(program.entry());
-    benchmark::DoNotOptimize(cpu.run(1u << 28));
-    total_cycles += cpu.stats().cycles;
-  }
-  state.counters["cycles_per_second"] = benchmark::Counter(
-      static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
+  run_iss_loop(state, iss::ExecTier::kDbt, &bus);
 }
 BENCHMARK(BM_InstructionSimulatorTracingDisabled);
 
-// Tier A/B baselines: identical workload and cycle counts under each
-// execution tier. BM_InstructionSimulator above runs the default (dbt:
-// superblock threaded code); these two pin the predecode tier (the
-// PR-3 batched fast path) and the precise tier (decode every step).
-void BM_InstructionSimulatorPredecodeTier(benchmark::State& state) {
-  const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
-  isa::CpuConfig config;
-  config.has_barrel_shifter = false;
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(config, memory, nullptr);
-  cpu.set_exec_tier(iss::ExecTier::kPredecode);
-
-  Cycle total_cycles = 0;
-  for (auto _ : state) {
-    cpu.reset(program.entry());
-    benchmark::DoNotOptimize(cpu.run(1u << 28));
-    total_cycles += cpu.stats().cycles;
-  }
-  state.counters["cycles_per_second"] = benchmark::Counter(
-      static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
+// Identical workload and cycle counts at the precise tier (decode every
+// step), the reference the dbt tier is measured against.
+void BM_InstructionSimulatorPreciseTier(benchmark::State& state) {
+  run_iss_loop(state, iss::ExecTier::kPrecise, nullptr);
 }
-BENCHMARK(BM_InstructionSimulatorPredecodeTier);
-
-void BM_InstructionSimulatorNoPredecode(benchmark::State& state) {
-  const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
-  isa::CpuConfig config;
-  config.has_barrel_shifter = false;
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(config, memory, nullptr);
-  cpu.set_exec_tier(iss::ExecTier::kPrecise);
-
-  Cycle total_cycles = 0;
-  for (auto _ : state) {
-    cpu.reset(program.entry());
-    benchmark::DoNotOptimize(cpu.run(1u << 28));
-    total_cycles += cpu.stats().cycles;
-  }
-  state.counters["cycles_per_second"] = benchmark::Counter(
-      static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_InstructionSimulatorNoPredecode);
+BENCHMARK(BM_InstructionSimulatorPreciseTier);
 
 // ---------------------------------------------------------------------------
 // Hardware block model alone ("Simulink"): the CORDIC pipeline fed by a
@@ -205,22 +176,11 @@ BENCHMARK(BM_RtlFullSystem);
 // guard trips on real regressions, not on a busy CI host.
 // ---------------------------------------------------------------------------
 int check_trace_overhead() {
-  const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
-  isa::CpuConfig config;
-  config.has_barrel_shifter = false;
-
+  const assembler::Program program = iss_loop_program();
   const auto run_once = [&](obs::TraceBus* bus) {
-    iss::LmbMemory memory;
-    memory.load_program(program);
-    iss::Processor cpu(config, memory, nullptr);
-    cpu.set_trace_bus(bus);
-    cpu.reset(program.entry());
+    IssLoop loop(program, iss::ExecTier::kDbt, bus);
     Stopwatch watch;
-    cpu.run(1u << 28);
+    loop.run();
     return watch.elapsed_seconds();
   };
 
@@ -321,36 +281,25 @@ int check_metrics_overhead(JsonReport& report) {
 }
 
 // ---------------------------------------------------------------------------
-// exec_tier guard: the three execution tiers must (a) leave every
+// exec_tier guard: the two execution tiers must (a) leave every
 // simulated CpuStats/CoSimStats count bit-identical on the pure ISS
-// *and* the full co-simulation (CORDIC + matmul), and (b) each deliver
-// its guarded wall-clock speedup on the ISS hot loop:
-//   predecode over precise: >= 1.3x (PR-3 floor, acceptance target 2x),
-//   dbt over predecode:     >= 2.0x (this tier's acceptance bar).
+// *and* the full co-simulation (CORDIC + matmul), and (b) dbt must run
+// the ISS hot loop at least 2.6x faster than precise.
 // The identity checks are hard failures at any deviation.
 // ---------------------------------------------------------------------------
-constexpr iss::ExecTier kTiers[] = {
-    iss::ExecTier::kPrecise, iss::ExecTier::kPredecode, iss::ExecTier::kDbt};
+constexpr iss::ExecTier kTiers[] = {iss::ExecTier::kPrecise,
+                                    iss::ExecTier::kDbt};
+constexpr int kNumTiers = 2;
 
 int check_exec_tiers(JsonReport& report) {
   const CordicWorkload workload = CordicWorkload::standard(50, 24);
-  const auto program = assembler::assemble_or_throw(
-      apps::cordic::pure_software_program(
-          workload.x, workload.y, workload.iterations,
-          apps::cordic::ShiftStrategy::kShiftLoop));
-  isa::CpuConfig config;
-  config.has_barrel_shifter = false;
-
+  const assembler::Program program = iss_loop_program();
   const auto run_once = [&](iss::ExecTier tier, iss::CpuStats* stats) {
-    iss::LmbMemory memory;
-    memory.load_program(program);
-    iss::Processor cpu(config, memory, nullptr);
-    cpu.set_exec_tier(tier);
-    cpu.reset(program.entry());
+    IssLoop loop(program, tier);
     Stopwatch watch;
-    cpu.run(1u << 28);
+    loop.run();
     const double seconds = watch.elapsed_seconds();
-    if (stats != nullptr) *stats = cpu.stats();
+    if (stats != nullptr) *stats = loop.cpu.stats();
     return seconds;
   };
 
@@ -369,9 +318,9 @@ int check_exec_tiers(JsonReport& report) {
 
   // (a) identity, pure ISS: every CpuStats field the run accumulates,
   // with the precise tier as the reference.
-  iss::CpuStats tier_stats[3];
-  for (int t = 0; t < 3; ++t) run_once(kTiers[t], &tier_stats[t]);
-  for (int t = 1; t < 3; ++t) {
+  iss::CpuStats tier_stats[kNumTiers];
+  for (int t = 0; t < kNumTiers; ++t) run_once(kTiers[t], &tier_stats[t]);
+  for (int t = 1; t < kNumTiers; ++t) {
     const iss::ExecTier tier = kTiers[t];
     check_equal("ISS cycles", tier, tier_stats[t].cycles,
                 tier_stats[0].cycles);
@@ -408,12 +357,12 @@ int check_exec_tiers(JsonReport& report) {
     if (wall != nullptr) *wall = system.run_wall_seconds();
     return system.stats();
   };
-  core::CoSimStats cosim_tier[3];
-  double cosim_seconds[3] = {};
-  for (int t = 0; t < 3; ++t) {
+  core::CoSimStats cosim_tier[kNumTiers];
+  double cosim_seconds[kNumTiers] = {};
+  for (int t = 0; t < kNumTiers; ++t) {
     cosim_tier[t] = cosim_stats(kTiers[t], &cosim_seconds[t]);
   }
-  for (int t = 1; t < 3; ++t) {
+  for (int t = 1; t < kNumTiers; ++t) {
     const iss::ExecTier tier = kTiers[t];
     check_equal("cosim cycles", tier, cosim_tier[t].cycles,
                 cosim_tier[0].cycles);
@@ -450,9 +399,11 @@ int check_exec_tiers(JsonReport& report) {
     }
     return system.stats();
   };
-  core::CoSimStats matmul_tier[3];
-  for (int t = 0; t < 3; ++t) matmul_tier[t] = matmul_stats(kTiers[t]);
-  for (int t = 1; t < 3; ++t) {
+  core::CoSimStats matmul_tier[kNumTiers];
+  for (int t = 0; t < kNumTiers; ++t) {
+    matmul_tier[t] = matmul_stats(kTiers[t]);
+  }
+  for (int t = 1; t < kNumTiers; ++t) {
     const iss::ExecTier tier = kTiers[t];
     check_equal("matmul cycles", tier, matmul_tier[t].cycles,
                 matmul_tier[0].cycles);
@@ -460,41 +411,30 @@ int check_exec_tiers(JsonReport& report) {
                 matmul_tier[0].instructions);
   }
 
-  // (b) wall-clock speedups on the ISS hot loop, min over reps.
+  // (b) wall-clock speedup on the ISS hot loop, min over reps.
   constexpr int kReps = 5;
-  double best[3] = {1e300, 1e300, 1e300};
+  double best[kNumTiers] = {1e300, 1e300};
   for (int rep = 0; rep < kReps; ++rep) {
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < kNumTiers; ++t) {
       best[t] = std::min(best[t], run_once(kTiers[t], nullptr));
     }
   }
-  const double predecode_speedup = best[0] / best[1];
-  const double dbt_speedup = best[1] / best[2];
-  constexpr double kFailPredecodeSpeedup = 1.3;
-  constexpr double kFailDbtSpeedup = 2.0;
+  const double dbt_speedup = best[0] / best[1];
+  constexpr double kFailDbtSpeedup = 2.6;
   std::printf(
-      "exec_tier guard: ISS hot loop precise %.4fs, predecode %.4fs "
-      "(%.2fx, fail < %.1fx), dbt %.4fs (%.2fx over predecode, fail < "
-      "%.1fx); all simulated counts identical on ISS, CORDIC cosim and "
-      "matmul cosim\n",
-      best[0], best[1], predecode_speedup, kFailPredecodeSpeedup, best[2],
-      dbt_speedup, kFailDbtSpeedup);
-  if (predecode_speedup < kFailPredecodeSpeedup) {
-    std::fprintf(stderr,
-                 "exec_tier guard FAILED: predecode tier is only %.2fx "
-                 "over precise\n",
-                 predecode_speedup);
-    ++failures;
-  }
+      "exec_tier guard: ISS hot loop precise %.4fs, dbt %.4fs (%.2fx, "
+      "fail < %.1fx); all simulated counts identical on ISS, CORDIC "
+      "cosim and matmul cosim\n",
+      best[0], best[1], dbt_speedup, kFailDbtSpeedup);
   if (dbt_speedup < kFailDbtSpeedup) {
     std::fprintf(stderr,
                  "exec_tier guard FAILED: dbt tier is only %.2fx over "
-                 "the predecode tier (acceptance bar >= 2x)\n",
-                 dbt_speedup);
+                 "the precise tier (floor %.1fx)\n",
+                 dbt_speedup, kFailDbtSpeedup);
     ++failures;
   }
 
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kNumTiers; ++t) {
     const std::string tier_name = iss::to_string(kTiers[t]);
     report.add("iss_cordic_" + tier_name, tier_stats[t].cycles, best[t]);
     report.add("cosim_cordic_p4_" + tier_name, cosim_tier[t].cycles,

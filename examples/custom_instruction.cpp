@@ -11,9 +11,9 @@
 #include <bit>
 #include <cstdio>
 
-#include "asm/assembler.hpp"
 #include "estimate/estimator.hpp"
-#include "iss/processor.hpp"
+#include "machine/machine_desc.hpp"
+#include "sim/sim_system.hpp"
 
 using namespace mbcosim;
 
@@ -85,10 +85,11 @@ struct RunOutcome {
 };
 
 RunOutcome run(const std::string& source, bool with_custom_unit) {
-  const auto program = assembler::assemble_or_throw(source);
-  iss::LmbMemory memory;
-  memory.load_program(program);
-  iss::Processor cpu(isa::CpuConfig{}, memory, nullptr);
+  auto built = sim::SimSystem::Builder()
+                   .machine(machine::MachineDesc::single_core(source))
+                   .build();
+  if (!built) throw SimError(built.error());
+  sim::SimSystem system = std::move(built).value();
   if (with_custom_unit) {
     iss::CustomInstruction unit;
     unit.name = "popcount";
@@ -97,17 +98,15 @@ RunOutcome run(const std::string& source, bool with_custom_unit) {
     };
     unit.latency = 2;                        // adder-tree datapath
     unit.resources = ResourceVec{42, 0, 0};  // ~32 LUT compressor tree
-    cpu.register_custom_instruction(0, unit);
+    system.cpu().register_custom_instruction(0, unit);
   }
-  cpu.reset(program.entry());
-  if (cpu.run(1u << 26) != iss::Event::kHalted) {
+  if (system.run() != core::StopReason::kHalted) {
     throw SimError("program did not halt");
   }
   RunOutcome outcome;
-  outcome.cycles = cpu.stats().cycles;
-  const Addr counts = program.symbol("counts");
+  outcome.cycles = system.stats().cycles;
   for (unsigned i = 0; i < kWords; ++i) {
-    outcome.counts.push_back(memory.read_word(counts + 4 * i));
+    outcome.counts.push_back(system.word("counts", i));
   }
   return outcome;
 }

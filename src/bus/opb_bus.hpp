@@ -76,9 +76,6 @@ class OpbBus {
   [[nodiscard]] BusResponse read(Addr addr);
   [[nodiscard]] BusResponse write(Addr addr, Word value);
 
-  [[nodiscard]] std::size_t device_count() const noexcept {
-    return regions_.size();
-  }
   [[nodiscard]] u64 transactions() const noexcept { return transactions_; }
 
   /// Attach the observability bus (nullptr to detach): every decoded

@@ -153,7 +153,7 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       // FIFOs, and the batch stops *before* any FSL access, so both
       // clocks agree at every FIFO handshake — the same cycle accuracy
       // as strict one-step alternation, at a fraction of the cost.
-      const iss::BatchResult batch = cpu_.run_batch(max_cycles, true);
+      const iss::BatchResult batch = cpu_.run_batch(max_cycles);
       if (batch.cycles != 0) {
         tick_hardware(batch.cycles);
         streak.restart(fifo_traffic());
@@ -161,8 +161,8 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
       if (batch.stop == iss::BatchStop::kIllegal) return StopReason::kIllegal;
       if (batch.stop == iss::BatchStop::kBudget) continue;  // loop exits
-      // kFslPending (or kPrecise): the hardware is at cycle parity; the
-      // next instruction takes the precise lock-step path below.
+      // kFslPending: the hardware is at cycle parity; the FSL access
+      // takes the precise lock-step path below.
     }
     const iss::StepResult result = cpu_.step();
     // Keep the hardware clock in lock step with the processor clock.

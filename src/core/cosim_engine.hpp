@@ -109,16 +109,17 @@ class CoSimEngine {
   void reset(Addr pc = 0);
 
   /// Run the co-simulation until the software halts, an error occurs, or
-  /// `max_cycles` simulated cycles have elapsed. When the processor's
-  /// batched fast path is available (predecode or dbt tier, no trace
-  /// sinks), the CPU runs in multi-cycle quanta that stop before every
-  /// FSL access and the hardware catches up in one tick_hardware call
-  /// per quantum —
-  /// cycle counts and statistics are identical to one-step alternation
-  /// because the two sides only interact through the FIFOs. With trace
-  /// sinks attached the engine keeps strict one-step alternation, so
-  /// event logs (and their timestamps) are byte-identical to earlier
-  /// releases.
+  /// `max_cycles` simulated cycles have elapsed. This is the one loop
+  /// that drives a processor; a core with no peripheral (`hardware`
+  /// null) runs through it too. When the processor's batched fast path
+  /// is available (dbt tier, no trace sinks), the CPU runs in
+  /// multi-cycle quanta that stop before every FSL access and the
+  /// hardware catches up in one tick_hardware call per quantum — cycle
+  /// counts and statistics are identical to one-step alternation
+  /// because the two sides only interact through the FIFOs. At the
+  /// precise tier or with trace sinks attached the engine keeps strict
+  /// one-step alternation, so event logs (and their timestamps) are
+  /// byte-identical to earlier releases.
   StopReason run(Cycle max_cycles = ~Cycle{0} >> 1);
 
   /// Advance the hardware (and bridge) alone by `cycles` clock cycles —

@@ -118,9 +118,12 @@ class ManyCoreEngine {
 
   /// One debugger step of core `index`: step its processor once, bring
   /// every other live core to cycle parity, then transfer the links —
-  /// a one-instruction-deep round, so interleaving debug_step with
-  /// run() preserves all statistics exactly. Stepping a core that has
-  /// already halted is a no-op reporting kHalted (zero cycles).
+  /// a one-instruction-deep round. Every core's hardware and FIFOs stay
+  /// at parity with its software, but a free run transfers links only
+  /// at quantum boundaries, so a stepped machine matches a free run
+  /// only while every stop lies inside the first quantum (ROADMAP item
+  /// 7). Stepping a core that has already halted is a no-op reporting
+  /// kHalted (zero cycles).
   iss::StepResult debug_step(std::size_t index);
 
   [[nodiscard]] std::size_t core_count() const noexcept {

@@ -9,7 +9,7 @@
 //
 // Zero-cost contract: with no plan armed, none of the hooked components
 // (iss::Processor, fsl::FslChannel, bus::OpbBus) pays more than a
-// null-pointer branch, the predecode fast path stays available, and
+// null-pointer branch, the dbt fast path stays available, and
 // every statistic and golden trace is bit-identical to a build without
 // this subsystem.
 #pragma once

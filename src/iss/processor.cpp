@@ -32,13 +32,10 @@ void Processor::reset(Addr pc) {
 void Processor::set_exec_tier(ExecTier tier) {
   if (exec_tier_ == tier) return;
   exec_tier_ = tier;
-  predecode_enabled_ = tier != ExecTier::kPrecise;
-  if (!predecode_enabled_) {
+  if (tier == ExecTier::kPrecise) {
     predecode_.clear();
     predecode_.shrink_to_fit();
     predecode_words_ = 0;
-  }
-  if (tier != ExecTier::kDbt) {
     // Retire and release every superblock; promotion heat restarts from
     // zero if the tier is ever re-enabled.
     ++dbt_gen_;
@@ -260,7 +257,7 @@ StepResult Processor::step() {
   // self-modifying code still sees its new instruction words).
   Word raw;
   Instruction in;
-  if (predecode_enabled_) {
+  if (exec_tier_ == ExecTier::kDbt) {
     const Predecoded& entry = predecode_fetch(fetch_pc);
     raw = entry.raw;
     in = entry.in;
@@ -578,28 +575,11 @@ Processor::ExecOutcome Processor::execute(const Instruction& in) {
   return out;
 }
 
-BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
-  if (!fast_path_available()) return BatchResult{BatchStop::kPrecise, 0};
+BatchResult Processor::run_batch(Cycle max_cycles) {
   const Cycle start_cycles = stats_.cycles;
-  const auto consumed = [&] { return stats_.cycles - start_cycles; };
-  // Metrics see the batched instructions in one add: at each exit of the
-  // batched/dbt paths (`done`), and before each precise step, which
-  // counts its own instruction (`precise_step`). `mark` is the
-  // instruction count up to which the counters are charged.
-  u64 mark = stats_.instructions;
-  const auto done = [&](BatchStop stop) {
-    if (metrics_ != nullptr) count_batch(stats_.instructions - mark, stop);
-    return BatchResult{stop, consumed()};
+  const auto stop = [&](BatchStop why) {
+    return BatchResult{why, stats_.cycles - start_cycles};
   };
-  const auto precise_step = [&] {
-    if (metrics_ != nullptr) {
-      count_batch(stats_.instructions - mark, BatchStop::kBudget);
-    }
-    const Event event = step().event;
-    mark = stats_.instructions;
-    return event;
-  };
-  const bool dbt = exec_tier_ == ExecTier::kDbt;
   // Superblocks start where control flow lands: the batch entry point,
   // branch successors and block exits. Tracking that with one flag
   // confines promotion-heat counting to genuine block-head words.
@@ -607,121 +587,59 @@ BatchResult Processor::run_batch(Cycle max_cycles, bool stop_before_fsl) {
 
   while (!halted_ && stats_.cycles < max_cycles) {
     if (!memory_.contains(pc_, 4)) {
-      precise_step();  // charges and records the instruction-fetch fault
-      return BatchResult{BatchStop::kIllegal, consumed()};
+      step();  // charges and records the instruction-fetch fault
+      return stop(BatchStop::kIllegal);
     }
     const Predecoded& entry = predecode_fetch(pc_);
-    if (entry.tag == DispatchTag::kFsl && stop_before_fsl) {
+    if (entry.tag == DispatchTag::kFsl) {
       // Do not execute: the co-simulation engine first brings the
       // hardware model to cycle parity, then steps the FSL access in
       // lock step (covers FSL accesses sitting in a delay slot too).
-      return done(BatchStop::kFslPending);
+      return stop(BatchStop::kFslPending);
     }
-    if (entry.tag != DispatchTag::kFast || imm_prefix_ || delay_target_)
-        [[unlikely]] {
-      // The precise path — with no hook/bus attached (the fast-path
-      // precondition) it is bit-identical, just slower.
-      at_head = true;  // conservatively: heat counting is timing-neutral
-      switch (precise_step()) {
-        case Event::kRetired:
-          continue;
-        case Event::kFslStall:
-          return BatchResult{BatchStop::kFslStall, consumed()};
-        case Event::kHalted:
-          return BatchResult{BatchStop::kHalted, consumed()};
-        case Event::kIllegal:
-          return BatchResult{BatchStop::kIllegal, consumed()};
-      }
-      continue;
-    }
-
-    if (dbt && at_head) {
-      // Third tier: whole-superblock dispatch (DESIGN.md §12). Exits
-      // land on block heads, so at_head stays true after kContinue.
+    const bool plain =
+        entry.tag == DispatchTag::kFast && !imm_prefix_ && !delay_target_;
+    if (plain && at_head) {
+      // Whole-superblock dispatch (DESIGN.md §12). Exits land on block
+      // heads, so at_head stays true after kContinue.
       switch (dbt_enter(max_cycles)) {
         case DbtRun::kNoBlock:
-          break;  // not (yet) translated: per-instruction fast path
+          break;  // not (yet) translated: step it below
         case DbtRun::kContinue:
           continue;
         case DbtRun::kHalted:
-          return done(BatchStop::kHalted);
+          return stop(BatchStop::kHalted);
         case DbtRun::kIllegal:
-          return done(BatchStop::kIllegal);
+          return stop(BatchStop::kIllegal);
       }
     }
-
-    // Fast path: predecoded plain instruction, no prefix/delay state.
-    // Accounting mirrors step() exactly, minus the no-op trace calls.
-    const ExecOutcome outcome = execute(entry.in);
-    if (outcome.event == Event::kRetired) [[likely]] {
-      Cycle cycles =
-          outcome.branch_taken ? entry.lat_taken : entry.lat_not_taken;
-      if (pending_wait_states_ != 0) {
-        cycles += pending_wait_states_;
-        pending_wait_states_ = 0;
-      }
-      stats_.cycles += cycles;
-      stats_.instructions += 1;
-      at_head = entry.boundary;
-      continue;
+    // Untranslated code, IMM prefixes, delay slots and custom slots run
+    // through step(); after a precise-only instruction the next word
+    // conservatively counts as a head (heat counting is timing-neutral).
+    at_head = !plain || entry.boundary;
+    switch (step().event) {
+      case Event::kRetired:
+      case Event::kFslStall:  // impossible: FSL accesses stop above
+        continue;
+      case Event::kHalted:
+        return stop(BatchStop::kHalted);
+      case Event::kIllegal:
+        return stop(BatchStop::kIllegal);
     }
-    if (outcome.event == Event::kHalted) {
-      halted_ = true;
-      stats_.cycles += entry.lat_taken;  // the halting branch is taken
-      stats_.instructions += 1;
-      return done(BatchStop::kHalted);
-    }
-    // Event::kIllegal (disabled unit, bad data address, branch in a
-    // delay slot); kFslStall is impossible here (FSL ops are not kFast).
-    halted_ = true;
-    // A faulting OPB access may have queued wait states; the trap
-    // preempts them, exactly as in step().
-    pending_wait_states_ = 0;
-    stats_.cycles += 1;
-    return done(BatchStop::kIllegal);
   }
-  return done(BatchStop::kBudget);
+  return stop(BatchStop::kBudget);
 }
 
-void Processor::count_batch(u64 instructions, BatchStop stop) noexcept {
-  const bool halt = stop == BatchStop::kHalted;
-  const bool trap = stop == BatchStop::kIllegal;
+void Processor::count_block(u64 instructions, DbtRun run) noexcept {
+  const bool halt = run == DbtRun::kHalted;
+  const bool trap = run == DbtRun::kIllegal;
   if (instructions == 0 && !trap) return;
-  // The batch ran at least one instruction event, the first of which
+  // The block ran at least one instruction event, the first of which
   // ended any stall run the precise path left open.
   metrics_->close_stall_run();
   metrics_->retired += halt ? instructions - 1 : instructions;
   if (halt) metrics_->halts += 1;
   if (trap) metrics_->illegal += 1;
-}
-
-Event Processor::run(Cycle max_cycles) {
-  Event last = Event::kRetired;
-  while (!halted_ && stats_.cycles < max_cycles) {
-    if (fast_path_available()) {
-      const BatchResult batch = run_batch(max_cycles, false);
-      switch (batch.stop) {
-        case BatchStop::kHalted:
-          return Event::kHalted;
-        case BatchStop::kIllegal:
-          return Event::kIllegal;
-        case BatchStop::kFslStall:
-          last = Event::kFslStall;
-          if (fsl_hub_ == nullptr) return last;
-          continue;  // keep burning stall cycles, as the step loop does
-        case BatchStop::kBudget:
-          last = Event::kRetired;
-          continue;
-        case BatchStop::kFslPending:
-        case BatchStop::kPrecise:
-          break;  // fall through to the precise step below
-      }
-    }
-    last = step().event;
-    if (last == Event::kIllegal || last == Event::kHalted) return last;
-    if (last == Event::kFslStall && fsl_hub_ == nullptr) return last;
-  }
-  return halted_ ? Event::kHalted : last;
 }
 
 }  // namespace mbcosim::iss

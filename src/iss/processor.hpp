@@ -48,17 +48,13 @@ enum class BatchStop : u8 {
   kBudget,      ///< cycle budget reached; every batched instruction retired
   kFslPending,  ///< next instruction is an FSL access, NOT executed — the
                 ///< co-simulation engine must bring the hardware to cycle
-                ///< parity before stepping it (stop_before_fsl mode only)
-  kFslStall,    ///< an FSL access executed precisely and blocked (one stall
-                ///< cycle charged, PC unchanged)
+                ///< parity before stepping it
   kHalted,      ///< branch-to-self retired; processor is halted
   kIllegal,     ///< architectural error; processor is halted
-  kPrecise,     ///< the fast path is unavailable (enabled trace bus
-                ///< attached, or predecode disabled); nothing ran
 };
 
 struct BatchResult {
-  BatchStop stop = BatchStop::kPrecise;
+  BatchStop stop = BatchStop::kBudget;
   Cycle cycles = 0;  ///< cycles consumed by this batch
 };
 
@@ -134,54 +130,36 @@ class Processor {
   /// (Section III-B) is realised.
   StepResult step();
 
-  /// Convenience runner for processor-only workloads: steps until the
-  /// program halts or the cycle budget is exhausted. Returns the final
-  /// event (kHalted, kIllegal, or kFslStall/kRetired when out of budget).
-  /// Internally uses the batched fast path whenever it is available.
-  Event run(Cycle max_cycles);
-
-  /// Batched fast-path execution: run straight-line/branchy code in a
-  /// tight loop with the per-step trace-hook, trace-bus and dispatch
-  /// overhead hoisted out, using the predecode cache. Stats are charged
-  /// bit-identically to an equivalent sequence of step() calls. Falls
-  /// back to the precise step() inside the batch for instructions that
-  /// need it (IMM prefix pending, delay slot, custom slot, FSL access
-  /// when `stop_before_fsl` is false). Returns immediately with
-  /// BatchStop::kPrecise (zero cycles) when an enabled trace bus is
-  /// attached or the predecode cache is disabled. Metrics counters are
-  /// charged once per batch exit (and before each precise step inside
-  /// the batch), never per instruction.
-  ///
-  /// With `stop_before_fsl` a pending FSL access is *not* executed:
+  /// Batched execution at the dbt tier: dispatch translated superblocks
+  /// whole and run every other instruction through step(), until the
+  /// budget is reached, the program halts or traps, or the next
+  /// instruction is an FSL access. That access is *not* executed:
   /// control returns with BatchStop::kFslPending so a co-simulation
   /// engine can first advance the hardware model to cycle parity — this
   /// is what keeps multi-cycle CPU quanta cycle-accurate at every FIFO
-  /// boundary.
-  BatchResult run_batch(Cycle max_cycles, bool stop_before_fsl);
+  /// boundary. Stats are charged bit-identically to an equivalent
+  /// sequence of step() calls; metrics counters are charged once per
+  /// superblock dispatch, never per stitched instruction.
+  /// Pre: fast_path_available().
+  BatchResult run_batch(Cycle max_cycles);
 
-  /// True when run_batch would make progress: predecode on, no enabled
-  /// trace bus. Metrics counters do not take the fast path away.
+  /// True when run_batch may be used: dbt tier, no enabled trace bus.
+  /// Metrics counters do not take the fast path away.
   [[nodiscard]] bool fast_path_available() const noexcept {
-    return predecode_enabled_ &&
+    return exec_tier_ == ExecTier::kDbt &&
            (trace_bus_ == nullptr || !trace_bus_->enabled());
   }
 
   /// Select the execution tier (default: ExecTier::kDbt). Dropping to
-  /// kPredecode retires every superblock; dropping to kPrecise also
-  /// releases the predecode cache and restores decode-per-step
-  /// execution. All three tiers are bit-identical in architectural
-  /// state and CpuStats (DESIGN.md §12).
+  /// kPrecise retires every superblock, releases the predecode cache and
+  /// restores decode-per-step execution. Both tiers are bit-identical in
+  /// architectural state and CpuStats (DESIGN.md §12).
   void set_exec_tier(ExecTier tier);
   [[nodiscard]] ExecTier exec_tier() const noexcept { return exec_tier_; }
 
-  /// Counters of the superblock tier (all zero below ExecTier::kDbt).
+  /// Counters of the superblock tier (all zero at ExecTier::kPrecise).
   [[nodiscard]] const DbtStats& dbt_stats() const noexcept {
     return dbt_stats_;
-  }
-
-  /// True on the predecode and dbt tiers (set_exec_tier).
-  [[nodiscard]] bool predecode_enabled() const noexcept {
-    return predecode_enabled_;
   }
 
   /// Drop every predecoded entry and retire every translated
@@ -271,13 +249,14 @@ class Processor {
   /// Compact dispatch tag of a predecoded instruction, chosen once at
   /// predecode time so the batched loop classifies with one compare.
   enum class DispatchTag : u8 {
-    kFast,  ///< run_batch may execute it inline
-    kSlow,  ///< needs the precise step() (IMM prefix, custom slot)
+    kFast,  ///< a superblock may stitch it
+    kSlow,  ///< always runs through step() (IMM prefix, custom slot)
     kFsl,   ///< FSL access: a co-simulation must sync hardware first
   };
 
-  /// One predecoded instruction word: the decoded form plus everything
-  /// step() would otherwise recompute on every execution. An entry is
+  /// One predecoded instruction word: the decoded form plus what the
+  /// translator needs to stitch it. At the dbt tier this cache is the
+  /// store superblocks are built from and the fetch of step(). An entry is
   /// valid iff `gen == predecode_gen_`; stores into cached text clear
   /// `gen`, reset() bumps `predecode_gen_` (O(1) full invalidation).
   struct Predecoded {
@@ -322,14 +301,14 @@ class Processor {
 
   /// Why stitched execution returned to the batch loop.
   enum class DbtRun : u8 {
-    kNoBlock,   ///< nothing translated here (yet); use the per-step path
+    kNoBlock,   ///< nothing translated here (yet); run it through step()
     kContinue,  ///< block(s) executed; resume the batch loop at pc_
     kHalted,
     kIllegal,
   };
 
   /// Decode the word at `pc` into its cache slot and return the entry.
-  /// Pre: predecode enabled, memory_.contains(pc, 4).
+  /// Pre: dbt tier, memory_.contains(pc, 4).
   Predecoded& predecode_fetch(Addr pc);
 
   /// Superblock tier entry point: execute the block at pc_ if one is
@@ -356,10 +335,10 @@ class Processor {
   ExecOutcome execute(const isa::Instruction& in);
   /// Deliver one step result to the metrics counters and the trace bus.
   void record_step(Event event, Addr pc, Word raw, Cycle cycles);
-  /// Charge the metrics counters for `instructions` retired by the
-  /// batched/dbt paths, the last of them the halt when `stop` is
+  /// Charge the metrics counters for `instructions` retired by one
+  /// superblock dispatch, the last of them the halt when `run` is
   /// kHalted, plus the trap when it is kIllegal. Pre: metrics_ set.
-  void count_batch(u64 instructions, BatchStop stop) noexcept;
+  void count_block(u64 instructions, DbtRun run) noexcept;
   [[nodiscard]] u32 operand_b(const isa::Instruction& in) const;
   void write_rd(u8 rd, Word value);
   void add_family(const isa::Instruction& in, bool subtract, bool use_carry,
@@ -394,7 +373,6 @@ class Processor {
   /// revalidate_text() has to look at.
   std::size_t predecode_words_ = 0;
   u64 predecode_gen_ = 1;  ///< entries with a different gen are invalid
-  bool predecode_enabled_ = true;
 
   ExecTier exec_tier_ = ExecTier::kDbt;
   /// Superblock storage: slots are stable (blocks are only ever

@@ -6,12 +6,11 @@
 // both static latencies pre-extracted at translation time. A dispatch
 // then executes the whole block — and, via block chaining at the
 // terminators, any already-translated successor blocks — without
-// touching the decoder, the predecode cache, or the per-step dispatch
-// machinery of run_batch.
+// touching the decoder, the predecode cache, or step().
 //
 // The accounting contract is absolute: CpuStats and architectural state
 // after any number of block dispatches are bit-identical to the same
-// instruction sequence under the precise or predecode tiers. Everything
+// instruction sequence run through step() at the precise tier. Everything
 // that could diverge is shared (load_data/store_data) or checked per
 // instruction (the cycle budget, so a quantum boundary lands on exactly
 // the same instruction as the per-step path).
@@ -144,7 +143,7 @@ bool Processor::translate_block(Addr start) {
       case Op::kCmpu: op.id = kCmpu; break;
       case Op::kMul:
         // Disabled-unit instructions trap; end the block before them so
-        // the per-instruction path raises the architectural event.
+        // step() raises the architectural event.
         supported = config_.has_multiplier;
         op.id = static_cast<u8>(kMulRR + ri);
         break;
@@ -678,7 +677,7 @@ budget_out:
   goto sync_out;
 
 illegal_out:
-  // Mirrors step()/run_batch: the trap occupies one cycle, retires
+  // Mirrors step(): the trap occupies one cycle, retires
   // nothing, and preempts any queued OPB wait states.
   halted_ = true;
   pending_wait_states_ = 0;
@@ -692,6 +691,7 @@ sync_out:
   stats_.instructions = instrs;
   dbt_stats_.dbt_instructions += instrs - instrs_at_entry;
   dbt_stats_.block_dispatches += dispatches;
+  if (metrics_ != nullptr) count_block(instrs - instrs_at_entry, result);
   return result;
 
 #undef MBC_NEXT

@@ -51,7 +51,7 @@ inline constexpr const char* kDescErrorCodes[] = {
     "[link-conflict]",   // two links claim the same channel endpoint
     "[channel-conflict]",// peripheral and link (or two peripherals) collide
     "[file-io]",         // machine or program file unreadable
-    "[bad-exec-tier]",   // exec_tier is not precise/predecode/dbt
+    "[bad-exec-tier]",   // exec_tier is not precise/dbt
 };
 
 /// One soft processor: its program plus its ISA, memory and execution
@@ -64,9 +64,11 @@ struct CoreDesc {
   bool has_barrel_shifter = true;
   bool has_multiplier = true;
   bool has_divider = false;
-  bool predecode = true;     ///< legacy on/off: false forces the precise tier
+  /// Legacy on/off: false forces the precise tier. Kept because it is in
+  /// the description JSON that checkpoint images fingerprint.
+  bool predecode = true;
   /// Execution tier when `predecode` is true (JSON key "exec_tier":
-  /// "precise" | "predecode" | "dbt"; see iss::ExecTier).
+  /// "precise" | "dbt"; see iss::ExecTier).
   iss::ExecTier exec_tier = iss::ExecTier::kDbt;
 };
 

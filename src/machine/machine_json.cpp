@@ -73,7 +73,7 @@ std::string read_core(const common::json::Object& object, CoreDesc& core) {
     const auto tier = iss::parse_exec_tier(tier_name);
     if (!tier) {
       return "[bad-exec-tier] " + context + ": exec_tier '" + tier_name +
-             "' is not one of precise/predecode/dbt";
+             "' is not one of precise/dbt";
     }
     core.exec_tier = *tier;
   }

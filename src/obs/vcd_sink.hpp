@@ -46,10 +46,6 @@ class VcdSink : public TraceSink {
   /// I/O health, checked when flush() writes the buffered waveform.
   [[nodiscard]] Status status() const override { return status_; }
 
-  [[nodiscard]] u64 changes_recorded() const noexcept {
-    return changes_.size();
-  }
-
  private:
   struct Change {
     Cycle time = 0;

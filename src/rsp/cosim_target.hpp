@@ -10,7 +10,11 @@
 // core::ManyCoreEngine::debug_step(core) on a machine, which brings
 // every other core to parity. So gdb `c`/`s`, `monitor cont`/`step` and
 // a PC trigger all keep the hardware models and FSL channels at cycle
-// parity with the software at every stop, exactly as a free run does.
+// parity with the software at every stop. A lone core then matches a
+// free run exactly; a machine does only while every stop lies inside
+// its first quantum, because a machine step transfers the cross-core
+// links after each instruction, not at round boundaries (ROADMAP item
+// 7).
 #pragma once
 
 #include <cstddef>

@@ -36,7 +36,6 @@ class MbCoreRtl {
 
   [[nodiscard]] bool halted() const noexcept { return halted_; }
   [[nodiscard]] bool illegal() const noexcept { return illegal_; }
-  [[nodiscard]] Addr pc_value() const { return static_cast<Addr>(pc_->value()); }
   [[nodiscard]] Word reg_value(unsigned index) const;
   [[nodiscard]] Word msr_value() const {
     return static_cast<Word>(msr_->value());

@@ -32,6 +32,26 @@ std::string per_core_path(const std::string& path, const std::string& name) {
   return path.substr(0, dot) + "." + name + path.substr(dot);
 }
 
+/// Whether `plan` may be armed on a machine of `core_count` cores: it
+/// passes fault::validate_plan, targets an existing core, and is not
+/// pc-triggered on a multi-core machine.
+Status admit_fault_plan(const fault::FaultPlan& plan,
+                        std::size_t core_count) {
+  if (Status valid = fault::validate_plan(plan); !valid.ok) return valid;
+  if (plan.core >= core_count) {
+    return Status::failure("fault plan targets core " +
+                           std::to_string(plan.core) +
+                           " but the machine has " +
+                           std::to_string(core_count) + " core(s)");
+  }
+  if (core_count > 1 && plan.trigger == fault::TriggerKind::kPc) {
+    return Status::failure(
+        "pc-triggered fault plans are not supported on multi-core machines "
+        "(use a cycle trigger)");
+  }
+  return {};
+}
+
 }  // namespace
 
 SimSystem::SimSystem(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -313,10 +333,6 @@ const machine::MachineDesc& SimSystem::machine_desc() const noexcept {
   return state_->desc;
 }
 
-Addr SimSystem::symbol_on(std::size_t index, const std::string& name) const {
-  return state_->cores[index]->program.symbol(name);
-}
-
 Word SimSystem::word_on(std::size_t index, const std::string& name,
                         u32 word_index) const {
   const State::Core& core = *state_->cores[index];
@@ -324,18 +340,9 @@ Word SimSystem::word_on(std::size_t index, const std::string& name,
 }
 
 Status SimSystem::arm_fault(const fault::FaultPlan& plan, bool immediate) {
-  if (Status valid = fault::validate_plan(plan); !valid.ok) return valid;
-  if (plan.core >= state_->cores.size()) {
-    return Status::failure(
-        "fault plan targets core " + std::to_string(plan.core) +
-        " but the machine has " + std::to_string(state_->cores.size()) +
-        " core(s)");
-  }
-  if (state_->cores.size() > 1 &&
-      plan.trigger == fault::TriggerKind::kPc) {
-    return Status::failure(
-        "pc-triggered fault plans are not supported on multi-core machines "
-        "(use a cycle trigger)");
+  if (Status admitted = admit_fault_plan(plan, state_->cores.size());
+      !admitted.ok) {
+    return admitted;
   }
   // Replace any previous arming wholesale so re-arming is idempotent —
   // including a previous plan on a different core.
@@ -676,19 +683,10 @@ Expected<SimSystem> SimSystem::Builder::build() {
 
   // 4. Fault plan, debug-core and machine-wide option checks.
   if (fault_plan_) {
-    if (const Status valid = fault::validate_plan(*fault_plan_); !valid.ok) {
-      return Failure::failure("SimSystem: " + valid.message);
-    }
-    if (fault_plan_->core >= desc.cores.size()) {
-      return Failure::failure(
-          "SimSystem: fault plan targets core " +
-          std::to_string(fault_plan_->core) + " but the machine has " +
-          std::to_string(desc.cores.size()) + " core(s)");
-    }
-    if (multi && fault_plan_->trigger == fault::TriggerKind::kPc) {
-      return Failure::failure(
-          "SimSystem: pc-triggered fault plans are not supported on "
-          "multi-core machines (use a cycle trigger)");
+    if (const Status admitted =
+            admit_fault_plan(*fault_plan_, desc.cores.size());
+        !admitted.ok) {
+      return Failure::failure("SimSystem: " + admitted.message);
     }
     state->fault_core = fault_plan_->core;
     state->injector = std::make_unique<fault::Injector>(*fault_plan_);

@@ -112,8 +112,8 @@ class SimSystem {
   /// software-only system).
   [[nodiscard]] core::CoSimStats stats() const;
 
-  /// Superblock-tier counters summed over every core (all zero below
-  /// iss::ExecTier::kDbt or while the precise fallback is active).
+  /// Superblock-tier counters summed over every core (all zero at
+  /// iss::ExecTier::kPrecise or while the precise fallback is active).
   [[nodiscard]] iss::DbtStats dbt_stats() const;
 
   /// Host wall-clock seconds spent inside the most recent run() loop —
@@ -184,9 +184,8 @@ class SimSystem {
   [[nodiscard]] std::size_t stop_core() const noexcept;
   /// The machine description this system was built from.
   [[nodiscard]] const machine::MachineDesc& machine_desc() const noexcept;
-  /// Address of a symbol in core `index`'s program / the `word_index`-th
-  /// word of the array there (throws SimError if undefined).
-  [[nodiscard]] Addr symbol_on(std::size_t index, const std::string& name) const;
+  /// The `word_index`-th word of the array at symbol `name` in core
+  /// `index`'s program (throws SimError if undefined).
   [[nodiscard]] Word word_on(std::size_t index, const std::string& name,
                              u32 word_index = 0) const;
 

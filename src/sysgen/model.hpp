@@ -79,9 +79,6 @@ class Model {
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_.size();
   }
-  [[nodiscard]] std::size_t signal_count() const noexcept {
-    return signals_.size();
-  }
   /// Regions the elaborated op tape is partitioned into (DESIGN.md §15).
   [[nodiscard]] std::size_t region_count() const noexcept {
     return kernel_.region_count();

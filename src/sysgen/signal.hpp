@@ -30,9 +30,6 @@ class Signal {
   /// Convenience readers used all over the block library.
   [[nodiscard]] i64 raw() const noexcept { return raw_; }
   [[nodiscard]] bool as_bool() const noexcept { return raw_ != 0; }
-  [[nodiscard]] double as_double() const noexcept {
-    return value().to_double();
-  }
 
   /// Drive the wire. The value must already be in the signal's format —
   /// blocks cast their results explicitly, exactly like the hardware they

@@ -206,8 +206,7 @@ void expect_exact_deadlock(const BlockedProgram& program, iss::ExecTier tier,
 TEST(DeadlockDiagnosis, SoftwareOnlyStopIsExactOnEveryTierAndSink) {
   for (const BlockedProgram* program : {&kBlockedGet, &kBlockedPut}) {
     for (const iss::ExecTier tier :
-         {iss::ExecTier::kPrecise, iss::ExecTier::kPredecode,
-          iss::ExecTier::kDbt}) {
+         {iss::ExecTier::kPrecise, iss::ExecTier::kDbt}) {
       for (const Sink sink : {Sink::kNone, Sink::kMetrics, Sink::kJsonl}) {
         expect_exact_deadlock(*program, tier, sink);
       }

@@ -29,7 +29,7 @@ TEST(CustomInstruction, ExecutesRegisteredUnit) {
       "  cust0 r4, r3, r0\n"
       "  halt\n");
   m.cpu.register_custom_instruction(0, popcount_unit());
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(4), 13u);
 }
 
@@ -68,7 +68,7 @@ TEST(CustomInstruction, LatencyIsCharged) {
 
 TEST(CustomInstruction, EmptySlotIsIllegal) {
   TestMachine m("cust5 r4, r3, r0\nhalt\n");
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 TEST(CustomInstruction, RegistrationValidation) {

@@ -1,15 +1,16 @@
 // Superblock translation tier: transparency, promotion and retirement.
 //
 // The dbt tier stitches hot basic blocks from the predecode cache into
-// threaded code. Its contract extends the predecode contract one level
-// up: architectural state and CpuStats stay bit-identical across all
-// three execution tiers, and a guest store into any word covered by a
-// translated superblock retires the stale translation (DESIGN.md §12).
+// threaded code and runs everything else through step(). Its contract:
+// architectural state and CpuStats stay bit-identical to the precise
+// tier, and a guest store into any word covered by a translated
+// superblock retires the stale translation (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "iss/test_helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace mbcosim::iss {
 namespace {
@@ -23,8 +24,7 @@ CpuStats run_with_tier(const std::string& source, ExecTier tier,
                        Word* r3_out = nullptr, DbtStats* dbt_out = nullptr) {
   TestMachine m(source);
   m.cpu.set_exec_tier(tier);
-  const Event event = m.run();
-  EXPECT_EQ(event, Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   if (r3_out != nullptr) *r3_out = m.cpu.reg(3);
   if (dbt_out != nullptr) *dbt_out = m.cpu.dbt_stats();
   return m.cpu.stats();
@@ -33,12 +33,16 @@ CpuStats run_with_tier(const std::string& source, ExecTier tier,
 void expect_identical_stats(const CpuStats& a, const CpuStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.fsl_stall_cycles, b.fsl_stall_cycles);
   EXPECT_EQ(a.loads, b.loads);
   EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.fsl_reads, b.fsl_reads);
+  EXPECT_EQ(a.fsl_writes, b.fsl_writes);
   EXPECT_EQ(a.branches, b.branches);
   EXPECT_EQ(a.branches_taken, b.branches_taken);
   EXPECT_EQ(a.multiplies, b.multiplies);
-  EXPECT_EQ(a.fsl_stall_cycles, b.fsl_stall_cycles);
+  EXPECT_EQ(a.opb_accesses, b.opb_accesses);
+  EXPECT_EQ(a.opb_wait_cycles, b.opb_wait_cycles);
 }
 
 // A loop hot enough to cross the promotion threshold, with loads,
@@ -62,19 +66,15 @@ const char* hot_mixed_program() {
 }
 
 TEST(Dbt, TierIdentityOnMixedWorkload) {
-  Word r3[3] = {0, 0, 0};
+  Word r3[2] = {0, 0};
   const CpuStats precise =
       run_with_tier(hot_mixed_program(), ExecTier::kPrecise, &r3[0]);
-  const CpuStats predecode =
-      run_with_tier(hot_mixed_program(), ExecTier::kPredecode, &r3[1]);
   DbtStats dbt_counters;
   const CpuStats dbt = run_with_tier(hot_mixed_program(), ExecTier::kDbt,
-                                     &r3[2], &dbt_counters);
+                                     &r3[1], &dbt_counters);
   expect_identical_stats(dbt, precise);
-  expect_identical_stats(predecode, precise);
   EXPECT_EQ(r3[0], 350u);
   EXPECT_EQ(r3[1], r3[0]);
-  EXPECT_EQ(r3[2], r3[0]);
   // The loop is hot, so the dbt tier must actually have engaged.
   EXPECT_GE(dbt_counters.blocks_translated, 1u);
   EXPECT_GE(dbt_counters.block_dispatches, 1u);
@@ -98,10 +98,10 @@ TEST(Dbt, ColdCodeIsNeverTranslated) {
   EXPECT_EQ(counters.dbt_instructions, 0u);
 }
 
-// Below the dbt tier the machinery is off and its counters stay zero.
+// At the precise tier the machinery is off and its counters stay zero.
 TEST(Dbt, CountersZeroBelowDbtTier) {
   DbtStats counters;
-  run_with_tier(hot_mixed_program(), ExecTier::kPredecode, nullptr,
+  run_with_tier(hot_mixed_program(), ExecTier::kPrecise, nullptr,
                 &counters);
   EXPECT_EQ(counters.blocks_translated, 0u);
   EXPECT_EQ(counters.block_dispatches, 0u);
@@ -170,7 +170,7 @@ TEST(Dbt, SmcProgramIdenticalAcrossTiers) {
 }
 
 // Dropping the tier mid-flight retires every superblock and continues
-// executing correctly on the lower tier (the builder/CLI knob).
+// executing correctly at the precise tier (the builder/CLI knob).
 TEST(Dbt, TierDowngradeMidRunKeepsExecutingCorrectly) {
   TestMachine m(
       "  li r4, 40\n"
@@ -181,10 +181,13 @@ TEST(Dbt, TierDowngradeMidRunKeepsExecutingCorrectly) {
       "  halt\n");
   ASSERT_EQ(m.cpu.exec_tier(), ExecTier::kDbt);
   // Warm the loop well past the promotion threshold, then downgrade.
-  for (int i = 0; i < 60; ++i) m.cpu.step();
-  m.cpu.set_exec_tier(ExecTier::kPredecode);
-  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPredecode);
-  EXPECT_EQ(m.run(), Event::kHalted);
+  ASSERT_EQ(m.run(60), core::StopReason::kCycleLimit);
+  const u64 dispatches = m.cpu.dbt_stats().block_dispatches;
+  ASSERT_GT(dispatches, 0u);
+  m.cpu.set_exec_tier(ExecTier::kPrecise);
+  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPrecise);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
+  EXPECT_EQ(m.cpu.dbt_stats().block_dispatches, dispatches);
   EXPECT_EQ(m.cpu.reg(3), 120u);
 }
 
@@ -201,11 +204,74 @@ TEST(Dbt, TraceHookDisablesFastPath) {
   EXPECT_TRUE(m.cpu.fast_path_available());
   const std::vector<obs::TraceEvent>& steps = m.record_events();
   EXPECT_FALSE(m.cpu.fast_path_available());
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(steps.size(), m.cpu.stats().instructions);
   EXPECT_EQ(m.cpu.reg(3), 40u);
   EXPECT_EQ(m.cpu.dbt_stats().block_dispatches, 0u);
 }
 
+// A hot loop that also holds two instructions no superblock stitches:
+// the IMM prefix of a 32-bit constant and a custom-slot instruction.
+// Run in odd-sized budgets at the dbt tier, quanta end in the middle of
+// translated blocks and on untranslated words, and both resume through
+// run_batch and step(); the result must equal one precise run.
+TEST(Dbt, ChunkedRunsMatchPreciseOneShot) {
+  const char* source =
+      "start:\n"
+      "  la r2, buffer\n"
+      "  li r4, 60\n"
+      "loop:\n"
+      "  li r1, 0x12345678\n"  // imm + addik: the IMM-prefix path
+      "  cust0 r5, r4, r1\n"   // custom slot: always through step()
+      "  sw r5, r2, r0\n"
+      "  lw r6, r2, r0\n"
+      "  addk r3, r3, r6\n"
+      "  mul r7, r6, r4\n"
+      "  xor r8, r8, r7\n"
+      "  addik r4, r4, -1\n"
+      "  bnei r4, loop\n"
+      "  halt\n"
+      "buffer: .space 16\n";
+  const auto prepare = [](TestMachine& m, ExecTier tier,
+                          obs::MetricsRegistry& registry) {
+    CustomInstruction unit;
+    unit.name = "mix";
+    unit.compute = [](Word a, Word b) { return (a * 3u) ^ b; };
+    unit.latency = 3;
+    m.cpu.register_custom_instruction(0, unit);
+    m.cpu.set_exec_tier(tier);
+    m.cpu.set_metrics(&registry.cpu);
+    m.engine.set_metrics(&registry.engine);
+  };
+
+  TestMachine reference(source);
+  obs::MetricsRegistry reference_metrics;
+  prepare(reference, ExecTier::kPrecise, reference_metrics);
+  ASSERT_EQ(reference.run(), core::StopReason::kHalted);
+
+  TestMachine chunked(source);
+  obs::MetricsRegistry chunked_metrics;
+  prepare(chunked, ExecTier::kDbt, chunked_metrics);
+  constexpr Cycle kBudgets[] = {7, 13, 29};
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  for (unsigned chunk = 0; reason == core::StopReason::kCycleLimit;
+       ++chunk) {
+    ASSERT_LT(chunk, 10'000u) << "chunked run did not halt";
+    reason = chunked.run(chunked.cpu.cycle() + kBudgets[chunk % 3]);
+  }
+  ASSERT_EQ(reason, core::StopReason::kHalted);
+
+  expect_identical_stats(chunked.cpu.stats(), reference.cpu.stats());
+  for (unsigned r = 0; r < isa::kNumRegisters; ++r) {
+    EXPECT_EQ(chunked.cpu.reg(r), reference.cpu.reg(r)) << "r" << r;
+  }
+  EXPECT_EQ(chunked.cpu.msr(), reference.cpu.msr());
+  EXPECT_EQ(chunked_metrics.snapshot().to_string(),
+            reference_metrics.snapshot().to_string());
+  // The loop is hot: the chunked run really dispatched superblocks.
+  EXPECT_GT(chunked.cpu.dbt_stats().dbt_instructions, 0u);
+}
+
 }  // namespace
 }  // namespace mbcosim::iss
+

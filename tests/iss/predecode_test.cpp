@@ -1,7 +1,8 @@
 // Predecode cache + batched fast path: transparency and invalidation.
 //
-// The cache memoizes isa::decode per word address; the contract is that
-// it is completely invisible to the architecture — same results, same
+// At the dbt tier the cache memoizes isa::decode per word address for
+// step() and the superblock translator; the contract is that it is
+// completely invisible to the architecture — same results, same
 // CpuStats, bit for bit — and that guest stores into already-cached text
 // (self-modifying code) invalidate the stale entry.
 #include <gtest/gtest.h>
@@ -15,14 +16,14 @@ namespace {
 
 using testing::TestMachine;
 
-// Run `source` to completion with the predecode cache on or off and
-// return the final statistics (asserting the program halted).
+// Run `source` to completion with the predecode cache on (dbt tier) or
+// off (precise tier) and return the final statistics (asserting the
+// program halted).
 CpuStats run_with_predecode(const std::string& source, bool predecode,
                             Word* r3_out = nullptr) {
   TestMachine m(source);
   m.cpu.set_exec_tier(predecode ? ExecTier::kDbt : ExecTier::kPrecise);
-  const Event event = m.run();
-  EXPECT_EQ(event, Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   if (r3_out != nullptr) *r3_out = m.cpu.reg(3);
   return m.cpu.stats();
 }
@@ -125,12 +126,12 @@ TEST(Predecode, TraceHookDisablesFastPath) {
   EXPECT_TRUE(m.cpu.fast_path_available());
   const std::vector<obs::TraceEvent>& steps = m.record_events();
   EXPECT_FALSE(m.cpu.fast_path_available());
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(steps.size(), m.cpu.stats().instructions);
   EXPECT_EQ(m.cpu.reg(3), 10u);
 }
 
-// run_batch in stop-before-FSL mode must return kFslPending without
+// run_batch must return kFslPending without
 // executing the FSL access, so a co-simulation engine can bring the
 // hardware to cycle parity first.
 TEST(Predecode, RunBatchStopsBeforeFslAccess) {
@@ -140,7 +141,7 @@ TEST(Predecode, RunBatchStopsBeforeFslAccess) {
       "  put r3, rfsl0\n"
       "  halt\n");
   ASSERT_TRUE(m.cpu.fast_path_available());
-  const BatchResult batch = m.cpu.run_batch(1'000'000, /*stop_before_fsl=*/true);
+  const BatchResult batch = m.cpu.run_batch(1'000'000);
   EXPECT_EQ(batch.stop, BatchStop::kFslPending);
   EXPECT_EQ(m.cpu.stats().instructions, 2u);  // the put did NOT execute
   EXPECT_EQ(m.cpu.reg(3), 2u);
@@ -159,11 +160,11 @@ TEST(Predecode, DisableMidRunKeepsExecutingCorrectly) {
       "  halt\n");
   // Execute a few steps with the cache warm, then turn it off.
   for (int i = 0; i < 4; ++i) m.cpu.step();
-  EXPECT_TRUE(m.cpu.predecode_enabled());
+  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kDbt);
   m.cpu.set_exec_tier(ExecTier::kPrecise);
-  EXPECT_FALSE(m.cpu.predecode_enabled());
+  EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPrecise);
   EXPECT_FALSE(m.cpu.fast_path_available());
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(3), 18u);
 }
 

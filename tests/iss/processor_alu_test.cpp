@@ -15,7 +15,7 @@ TEST(Alu, AddAndCarryOut) {
       "li r4, 1\n"
       "add r5, r3, r4\n"
       "halt\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(5), 0u);
   EXPECT_EQ(m.cpu.msr() & isa::Msr::kCarry, isa::Msr::kCarry);
 }
@@ -267,7 +267,7 @@ TEST(Alu, DisabledMultiplierTrapsAsIllegal) {
   isa::CpuConfig config = TestMachine::make_default_config();
   config.has_multiplier = false;
   TestMachine m("mul r3, r4, r5\nhalt\n", config);
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
   EXPECT_TRUE(m.cpu.halted());
   EXPECT_EQ(m.cpu.stats().instructions, 0u);  // nothing retired
 }

@@ -152,12 +152,12 @@ TEST(Branch, BranchInDelaySlotIsIllegal) {
       "  bri 8\n"            // branch in delay slot
       "over:\n"
       "  halt\n");
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 TEST(Branch, HaltStopsAndStaysHalted) {
   TestMachine m("halt\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_TRUE(m.cpu.halted());
   // Further steps are no-ops.
   const StepResult after = m.cpu.step();
@@ -183,7 +183,7 @@ TEST(Branch, FetchOutsideMemoryIsIllegal) {
   TestMachine m(
       "  li r3, 0x100000\n"
       "  bra r3\n");
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 }  // namespace

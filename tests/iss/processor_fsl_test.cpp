@@ -15,7 +15,7 @@ TEST(Fsl, PutWritesChannel) {
       "  put r3, rfsl0\n"
       "  cput r3, rfsl1\n"
       "  halt\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   auto word0 = m.hub.to_hw(0).try_read();
   ASSERT_TRUE(word0.has_value());
   EXPECT_EQ(word0->data, 123u);
@@ -72,7 +72,7 @@ TEST(Fsl, NonBlockingGetSetsCarryOnEmpty) {
       "  nget r3, rfsl0\n"   // empty -> carry set, r3 unchanged
       "  addc r4, r0, r0\n"  // r4 = carry
       "  halt\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(4), 1u);
 }
 
@@ -130,7 +130,7 @@ TEST(Fsl, ChannelAboveConfiguredLinksIsIllegal) {
   isa::CpuConfig config = TestMachine::make_default_config();
   config.fsl_links = 2;
   TestMachine m("get r3, rfsl5\nhalt\n", config);
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 TEST(Fsl, StatisticsCountReadsAndWrites) {

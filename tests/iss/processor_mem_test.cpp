@@ -121,7 +121,7 @@ TEST(LoadStore, UnalignedWordAccessUsesByteLanes) {
       "  halt\n"
       "buffer: .word 0x11111111\n"
       "        .word 0x22222222\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(4), 0xAABBCCDDu);
   EXPECT_EQ(m.cpu.reg(6), 0xAABBCCDDu);  // buffer+0, same word
   // The neighbouring word is untouched: nothing straddled the boundary.
@@ -136,7 +136,7 @@ TEST(LoadStore, UnalignedHalfAccessIgnoresBitZero) {
       "  lhui r4, r5, 0\n"
       "  halt\n"
       "data: .word 0x11223344\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(3), m.cpu.reg(4));
   EXPECT_EQ(m.cpu.reg(3), 0x3344u);
 }
@@ -151,7 +151,7 @@ TEST(LoadStore, UnalignedAccessAtMemoryTopDoesNotTrap) {
       "  sw r3, r5, r0\n"
       "  lw r4, r5, r0\n"
       "  halt\n");
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(4), 0x5A5A5A5Au);
   EXPECT_EQ(m.memory.read_word(0xFFFC), 0x5A5A5A5Au);
 }
@@ -161,7 +161,7 @@ TEST(LoadStore, OutOfRangeAccessTraps) {
       "  li r5, 0x200000\n"
       "  lwi r3, r5, 0\n"
       "  halt\n");
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 TEST(Opb, ProcessorReadsAndWritesPeripheral) {
@@ -175,7 +175,7 @@ TEST(Opb, ProcessorReadsAndWritesPeripheral) {
   opb.map("scratch", 0x80000000u, 64,
           std::make_unique<bus::OpbScratchpad>(16));
   m.cpu.attach_opb(&opb);
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   EXPECT_EQ(m.cpu.reg(4), 42u);
   EXPECT_EQ(opb.transactions(), 2u);
 }
@@ -211,7 +211,7 @@ TEST(Opb, UnmappedAddressTraps) {
       "  halt\n");
   bus::OpbBus opb;  // nothing mapped
   m.cpu.attach_opb(&opb);
-  EXPECT_EQ(m.run(), Event::kIllegal);
+  EXPECT_EQ(m.run(), core::StopReason::kIllegal);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ using testing::TestMachine;
 /// 3 cycles).
 Cycle body_cycles(const char* source) {
   TestMachine m(source);
-  EXPECT_EQ(m.run(), Event::kHalted);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
   return m.cpu.stats().cycles - 3;
 }
 

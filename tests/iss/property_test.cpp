@@ -121,7 +121,7 @@ TEST_P(RandomAluPrograms, IssMatchesHostEvaluation) {
     source += "halt\n";
 
     testing::TestMachine machine(source);
-    ASSERT_EQ(machine.run(), Event::kHalted) << source;
+    ASSERT_EQ(machine.run(), core::StopReason::kHalted) << source;
     for (unsigned reg = 0; reg < 32; ++reg) {
       ASSERT_EQ(machine.cpu.reg(reg), host.regs[reg])
           << "r" << reg << " mismatch, seed=" << GetParam()

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "asm/assembler.hpp"
+#include "core/cosim_engine.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/memory.hpp"
 #include "iss/processor.hpp"
@@ -44,8 +45,11 @@ struct TestMachine {
     return config;
   }
 
-  /// Run to completion; returns the final event.
-  Event run(Cycle max_cycles = 1'000'000) { return cpu.run(max_cycles); }
+  /// Run to completion through the co-simulation loop (no peripheral);
+  /// returns why it stopped.
+  core::StopReason run(Cycle max_cycles = 1'000'000) {
+    return engine.run(max_cycles);
+  }
 
   /// Observe the processor through a recording sink on its trace bus;
   /// every later step appends its event to the returned vector.
@@ -59,6 +63,7 @@ struct TestMachine {
   LmbMemory memory;
   fsl::FslHub hub;
   Processor cpu;
+  core::CoSimEngine engine{cpu, nullptr, hub};
   obs::TraceBus bus;
   std::vector<obs::TraceEvent> events;
 };

@@ -88,14 +88,12 @@ TEST(MachineDesc, ParsesMinimalMachineWithDefaults) {
 TEST(MachineDesc, ParsesExecTierPerCore) {
   const auto result = MachineDesc::from_json(R"({"cores": [
     {"name": "a", "program": "halt\n", "exec_tier": "precise"},
-    {"name": "b", "program": "halt\n", "exec_tier": "predecode"},
-    {"name": "c", "program": "halt\n", "exec_tier": "dbt"}]})");
+    {"name": "b", "program": "halt\n", "exec_tier": "dbt"}]})");
   ASSERT_TRUE(result.ok()) << result.error();
   const MachineDesc& desc = result.value();
-  ASSERT_EQ(desc.cores.size(), 3u);
+  ASSERT_EQ(desc.cores.size(), 2u);
   EXPECT_EQ(desc.cores[0].exec_tier, iss::ExecTier::kPrecise);
-  EXPECT_EQ(desc.cores[1].exec_tier, iss::ExecTier::kPredecode);
-  EXPECT_EQ(desc.cores[2].exec_tier, iss::ExecTier::kDbt);
+  EXPECT_EQ(desc.cores[1].exec_tier, iss::ExecTier::kDbt);
 }
 
 TEST(MachineDesc, ParsesTopologyAndPeripheralParams) {
@@ -143,7 +141,7 @@ TEST(MachineDesc, RoundTripsThroughJson) {
   worker.memory_bytes = 4096;
   worker.has_divider = true;
   worker.predecode = false;
-  worker.exec_tier = iss::ExecTier::kPredecode;
+  worker.exec_tier = iss::ExecTier::kPrecise;
   desc.cores = {feeder, worker};
   desc.links = {{"feeder", 1, "worker", 1}};
   PeripheralDesc cordic;
@@ -203,6 +201,11 @@ TEST(MachineDescErrors, BadField) {
 TEST(MachineDescErrors, BadExecTier) {
   expect_parse_error(
       R"({"cores": [{"name": "a", "program": "halt\n", "exec_tier": "jit"}]})",
+      "[bad-exec-tier]");
+  // "predecode" names the cache, not a tier.
+  expect_parse_error(
+      R"({"cores": [{"name": "a", "program": "halt\n",
+                     "exec_tier": "predecode"}]})",
       "[bad-exec-tier]");
   // A non-string value is a type error, not a tier-name error.
   expect_parse_error(

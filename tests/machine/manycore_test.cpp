@@ -463,8 +463,8 @@ struct TierRun {
   iss::DbtStats dbt;
 };
 
-constexpr iss::ExecTier kAllTiers[] = {
-    iss::ExecTier::kPrecise, iss::ExecTier::kPredecode, iss::ExecTier::kDbt};
+constexpr iss::ExecTier kAllTiers[] = {iss::ExecTier::kPrecise,
+                                       iss::ExecTier::kDbt};
 
 void expect_tier_run_identical(const TierRun& run, const TierRun& baseline,
                                iss::ExecTier tier, unsigned workers) {

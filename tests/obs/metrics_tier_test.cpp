@@ -1,8 +1,8 @@
 // Metrics are typed counters, not a trace sink: a metrics page must not
 // depend on which execution tier ran the processors. Less its dbt.*
 // lines, which count the translation work itself, the page of every
-// machine below is byte-identical at the precise, predecode and dbt
-// tiers, and at the dbt tier with a JSONL sink attached (which makes the
+// machine below is byte-identical at the precise and dbt tiers, and at
+// the dbt tier with a JSONL sink attached (which makes the
 // processors fall back to the precise path). With metrics alone, the
 // dbt tier really runs.
 //
@@ -34,7 +34,6 @@ struct Variant {
 };
 
 constexpr Variant kVariants[] = {{iss::ExecTier::kPrecise, false},
-                                 {iss::ExecTier::kPredecode, false},
                                  {iss::ExecTier::kDbt, false},
                                  {iss::ExecTier::kDbt, true}};
 

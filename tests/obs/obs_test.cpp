@@ -216,8 +216,7 @@ TEST(MetricsRegistry, CountsInstructionEvents) {
   // first run() burns stall cycles up to its budget; the counts must be
   // the same whichever tier executed the instructions.
   for (const iss::ExecTier tier :
-       {iss::ExecTier::kPrecise, iss::ExecTier::kPredecode,
-        iss::ExecTier::kDbt}) {
+       {iss::ExecTier::kPrecise, iss::ExecTier::kDbt}) {
     SCOPED_TRACE(iss::to_string(tier));
     iss::testing::TestMachine m(
         "  add r3, r4, r5\n"

@@ -19,16 +19,16 @@ void cross_validate(const std::string& source,
                         iss::testing::TestMachine::make_default_config()) {
   // High-level ISS.
   iss::testing::TestMachine hl(source, config);
-  const iss::Event hl_event = hl.run();
+  const core::StopReason hl_reason = hl.run();
 
   // Low-level RTL model.
   const auto program = assembler::assemble_or_throw(source);
   RtlSystem rtl(program, config, RtlPeripheralConfig{});
   const RtlStopReason rtl_reason = rtl.run(2'000'000);
 
-  if (hl_event == iss::Event::kHalted) {
+  if (hl_reason == core::StopReason::kHalted) {
     ASSERT_EQ(rtl_reason, RtlStopReason::kHalted) << source;
-  } else if (hl_event == iss::Event::kIllegal) {
+  } else if (hl_reason == core::StopReason::kIllegal) {
     ASSERT_EQ(rtl_reason, RtlStopReason::kIllegal) << source;
   }
   EXPECT_EQ(rtl.cycles(), hl.cpu.stats().cycles) << "cycle-count mismatch";

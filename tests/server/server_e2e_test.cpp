@@ -251,13 +251,14 @@ sim::SimSystem batch_system(const machine::MachineDesc& desc) {
 // ------------------------------------------------------------ the tests
 
 TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
-  // Four concurrent sessions on mixed tiers: a traced precise core, a
-  // predecode core, a dbt core, and the 3-core CORDIC farm machine.
+  // Four concurrent sessions on mixed tiers: a traced precise core, an
+  // untraced precise core, a dbt core, and the 3-core CORDIC farm
+  // machine.
   const std::string farm_path =
       std::string(MBCOSIM_EXAMPLES_DIR) + "/machines/cordic_farm.json";
   const u64 traced =
       create_session(machine_body(kTraceProgram, "precise", "\"trace\":true"));
-  const u64 stepped = create_session(machine_body(kCountProgram, "predecode"));
+  const u64 stepped = create_session(machine_body(kCountProgram, "precise"));
   const u64 translated = create_session(machine_body(kCountProgram, "dbt"));
   const u64 farm =
       create_session("{\"machine_file\":\"" + farm_path + "\"}");
@@ -303,7 +304,7 @@ TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
       port_, "GET", "/sessions/" + std::to_string(stepped) + "/checkpoint");
   ASSERT_EQ(image.status, 200);
   ASSERT_FALSE(image.body.empty());
-  const u64 restored = create_session(machine_body(kCountProgram, "predecode"));
+  const u64 restored = create_session(machine_body(kCountProgram, "precise"));
   const HttpReply restore = http(
       port_, "POST", "/sessions/" + std::to_string(restored) + "/restore",
       image.body, "application/octet-stream");
@@ -360,7 +361,7 @@ TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
 
   for (const auto& [id, tier] :
        {std::pair<u64, iss::ExecTier>{translated, iss::ExecTier::kDbt},
-        std::pair<u64, iss::ExecTier>{stepped, iss::ExecTier::kPredecode}}) {
+        std::pair<u64, iss::ExecTier>{stepped, iss::ExecTier::kPrecise}}) {
     machine::MachineDesc desc = machine::MachineDesc::single_core(kCountProgram);
     desc.cores[0].exec_tier = tier;
     sim::SimSystem batch = batch_system(desc);
@@ -373,7 +374,7 @@ TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
      // (metrics collectors are observation-side state, not part of a
      // checkpoint, so the reference restores too).
     machine::MachineDesc desc = machine::MachineDesc::single_core(kCountProgram);
-    desc.cores[0].exec_tier = iss::ExecTier::kPredecode;
+    desc.cores[0].exec_tier = iss::ExecTier::kPrecise;
     sim::SimSystem batch = batch_system(desc);
     const std::vector<unsigned char> bytes(image.body.begin(),
                                            image.body.end());
@@ -599,7 +600,7 @@ TEST(ServerE2EDurability, RecoveryAcrossServiceRestartMatchesBatch) {
   const std::string state_dir =
       ::testing::TempDir() + "srv_e2e_recovery";
   std::filesystem::remove_all(state_dir);
-  const std::string create_body = machine_body(kCountProgram, "predecode");
+  const std::string create_body = machine_body(kCountProgram, "precise");
   u64 id = 0;
 
   {  // Daemon #1: create, run to cycle 192, "crash" (no drain, no kill).
@@ -660,7 +661,7 @@ TEST(ServerE2EDurability, RecoveryAcrossServiceRestartMatchesBatch) {
 
     machine::MachineDesc desc =
         machine::MachineDesc::single_core(kCountProgram);
-    desc.cores[0].exec_tier = iss::ExecTier::kPredecode;
+    desc.cores[0].exec_tier = iss::ExecTier::kPrecise;
     sim::SimSystem batch = batch_system(desc);
     ASSERT_EQ(batch.run(), core::StopReason::kHalted);
     const HttpReply stats = http(

@@ -8,7 +8,7 @@
 // Usage:
 //   fault_campaign [--experiments N] [--seed S] [--threads T]
 //                  [--pes P] [--items N] [--json FILE]
-//                  [--exec-tier {precise,predecode,dbt}]
+//                  [--exec-tier {precise,dbt}]
 //
 // The report is byte-identical for the same (seed, experiments, design)
 // at any --threads value; "--json none" disables file emission.
@@ -53,8 +53,8 @@ bool parse_args(int argc, char** argv, Options& options) {
       const auto tier = iss::parse_exec_tier(value);
       if (!tier) {
         std::fprintf(stderr,
-                     "bad --exec-tier value: %s (expected precise, "
-                     "predecode or dbt)\n",
+                     "bad --exec-tier value: %s (expected precise or "
+                     "dbt)\n",
                      value);
         return false;
       }
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
                  "usage: fault_campaign [--experiments N] [--seed S]\n"
                  "                      [--threads T] [--pes P] [--items N]\n"
                  "                      [--json FILE]\n"
-                 "                      [--exec-tier {precise,predecode,dbt}]\n");
+                 "                      [--exec-tier {precise,dbt}]\n");
     return 1;
   }
 

@@ -41,10 +41,9 @@
 //   --no-barrel-shifter
 //   --divider
 //   --exec-tier TIER    processor execution tier: precise (decode every
-//                       step), predecode (cached decode + batched
-//                       dispatch) or dbt (superblock threaded code, the
-//                       default). Cycle counts are identical across
-//                       tiers (DESIGN.md §12)
+//                       step, the reference) or dbt (superblock threaded
+//                       code, the default). Cycle counts are identical
+//                       across tiers (DESIGN.md §12)
 //   --rtl               run on the low-level RTL system instead of the
 //                       ISS (one core, no peripheral; for timing
 //                       cross-checks; not with --machine/--cores/--gdb/
@@ -123,7 +122,7 @@ void usage() {
                "              [--metrics] [--regs] [--mem ADDR COUNT]\n"
                "              [--max-cycles N] [--no-multiplier]\n"
                "              [--no-barrel-shifter] [--divider] [--rtl]\n"
-               "              [--exec-tier {precise,predecode,dbt}]\n"
+               "              [--exec-tier {precise,dbt}]\n"
                "              [--gdb PORT]\n"
                "              [--fault SPEC] [--fault-seed S]\n"
                "              [--save-ckpt FILE] [--load-ckpt FILE]\n");
@@ -215,8 +214,8 @@ bool parse_args(int argc, char** argv, Options& options) {
       const auto tier = iss::parse_exec_tier(value);
       if (!tier) {
         std::fprintf(stderr,
-                     "bad --exec-tier value: %s (expected precise, "
-                     "predecode or dbt)\n",
+                     "bad --exec-tier value: %s (expected precise or "
+                     "dbt)\n",
                      value);
         return false;
       }
