@@ -41,7 +41,7 @@ int main() {
   std::printf("disassembly (mb-objdump analog):\n%s\n",
               assembler::listing(system.program()).c_str());
 
-  rsp::CoSimTarget debugger(system.engine());
+  rsp::CoSimTarget debugger(*system.machine_engine(), 0);
 
   // A scripted debug session, exactly the command traffic the Simulink
   // block exchanges with the simulator.

@@ -52,6 +52,7 @@ void CoSimEngine::reset(Addr pc) {
   cpu_.reset(pc);
   if (hardware_ != nullptr) hardware_->reset();
   bridge_.hub().clear();
+  bridge_.reset();
   hw_cycles_ = 0;
   idle_streak_ = 0;
   skipped_cycles_ = 0;

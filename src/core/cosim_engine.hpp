@@ -105,7 +105,8 @@ class CoSimEngine {
     return bridge_.stats().words_to_hw + bridge_.stats().words_from_hw;
   }
 
-  /// Reset processor (to `pc`), hardware model and FIFOs.
+  /// Reset processor (to `pc`), hardware model, FIFOs and the bridge's
+  /// counters: a rerun counts from zero, like a fresh engine.
   void reset(Addr pc = 0);
 
   /// Run the co-simulation until the software halts, an error occurs, or

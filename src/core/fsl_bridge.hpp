@@ -91,6 +91,12 @@ class FslBridge {
   [[nodiscard]] const BridgeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] fsl::FslHub& hub() noexcept { return hub_; }
 
+  /// Forget the traffic counters and the write tracking, as at build.
+  void reset() noexcept {
+    stats_ = BridgeStats{};
+    wrote_last_cycle_ = false;
+  }
+
   /// Checkpoint the traffic counters and the quiescence write-tracking
   /// flag (ports are structural; the hub is serialized by its owner).
   void save_state(ckpt::Writer& writer) const {

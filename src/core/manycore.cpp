@@ -47,13 +47,17 @@ ManyCoreEngine::~ManyCoreEngine() { stop_helpers(); }
 
 std::size_t ManyCoreEngine::add_core(std::string name, iss::Processor& cpu,
                                      CoSimEngine& engine, fsl::FslHub& hub) {
-  engine.set_deadlock_threshold(kNeverDeadlock);
   Node node;
   node.name = std::move(name);
   node.cpu = &cpu;
   node.engine = &engine;
   node.hub = &hub;
   nodes_.push_back(std::move(node));
+  if (nodes_.size() > 1) {
+    for (Node& each : nodes_) {
+      each.engine->set_deadlock_threshold(kNeverDeadlock);
+    }
+  }
   return nodes_.size() - 1;
 }
 
@@ -200,6 +204,9 @@ void ManyCoreEngine::note_halt(std::size_t index) {
 
 MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   if (nodes_.empty()) return {StopReason::kHalted, MachineStop::kNoCore};
+  // A lone core shares no link, so it needs no rounds: it runs straight
+  // to the target under its own deadlock rule, and every stop is its own.
+  if (nodes_.size() == 1) return {nodes_.front().engine->run(max_cycles), 0};
 
   // Resume from wherever the clocks are (run() composes with
   // debug_step()); unfinished cores are at most one round apart.
@@ -259,24 +266,24 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
         // back to the first live core when none decodes (e.g. a custom
         // busy-wait) so the diagnosis always names a core.
         std::size_t fallback = nodes_.size();
-        deadlock_core_ = nodes_.size();
+        std::size_t blamed = nodes_.size();
         for (std::size_t i = 0; i < nodes_.size(); ++i) {
           if (nodes_[i].finished) continue;
           if (fallback == nodes_.size()) fallback = i;
           DeadlockDiagnosis diagnosis =
               diagnose_deadlock(*nodes_[i].cpu, *nodes_[i].hub, stalled);
           if (!diagnosis.channel.empty()) {
-            deadlock_core_ = i;
+            blamed = i;
             last_deadlock_ = std::move(diagnosis);
             break;
           }
         }
-        if (deadlock_core_ == nodes_.size()) {
-          deadlock_core_ = fallback;
+        if (blamed == nodes_.size()) {
+          blamed = fallback;
           last_deadlock_ = diagnose_deadlock(*nodes_[fallback].cpu,
                                              *nodes_[fallback].hub, stalled);
         }
-        return {StopReason::kDeadlock, deadlock_core_};
+        return {StopReason::kDeadlock, blamed};
       }
     } else {
       stalled = 0;
@@ -336,7 +343,6 @@ bool ManyCoreEngine::load_state(ckpt::Reader& reader) {
   last_halted_core_ = static_cast<std::size_t>(reader.read_u64());
   last_halt_cycle_ = reader.read_u64();
   last_deadlock_.reset();
-  deadlock_core_ = 0;
   return reader.ok();
 }
 

@@ -6,8 +6,12 @@
 // Generator designs — while keeping the property that makes the rest of
 // the repo trustworthy: the simulation result is a pure function of the
 // machine description, independent of host thread count or scheduling.
+// sim::SimSystem runs every machine through it; the paper's one
+// MicroBlaze is the one-core case, which runs no rounds at all: one
+// CoSimEngine::run call under the core's own deadlock rule.
 //
-// Execution model (conservative quantum synchronization):
+// Execution model (conservative quantum synchronization), two or more
+// cores:
 //   - Time advances in rounds. In each round every unfinished core runs
 //     alone — its processor, its peripherals, its private FIFOs — up to
 //     the shared target `global_cycle + quantum`. Cores share no mutable
@@ -85,9 +89,11 @@ class ManyCoreEngine {
   /// Register a core. The processor/engine/hub are owned by the caller
   /// (sim::SimSystem keeps them in per-core state blocks) and must
   /// outlive the engine. Cores run in add order; `name` is used in
-  /// diagnostics. The per-core engine's own deadlock heuristic is
-  /// disabled — a core starving on a cross-link is not deadlocked until
-  /// the *whole machine* stops making progress (see set_deadlock_...).
+  /// diagnostics. A lone core keeps its engine's own deadlock rule
+  /// (core::StallStreak). Once a second core is added every core's rule
+  /// is disabled — a core starving on a cross-link is not deadlocked
+  /// until the *whole machine* stops making progress (see
+  /// set_deadlock_...).
   std::size_t add_core(std::string name, iss::Processor& cpu,
                        CoSimEngine& engine, fsl::FslHub& hub);
 
@@ -113,7 +119,9 @@ class ManyCoreEngine {
   }
 
   /// Run the machine until every core halts, any core traps, the
-  /// machine deadlocks, or `max_cycles` is reached (per-core clock).
+  /// machine deadlocks, or `max_cycles` is reached (per-core clock). A
+  /// one-core machine runs no rounds: one CoSimEngine::run(max_cycles)
+  /// call, and every stop names core 0.
   MachineStop run(Cycle max_cycles);
 
   /// One debugger step of core `index`: step its processor once, bring
@@ -122,8 +130,9 @@ class ManyCoreEngine {
   /// at parity with its software, but a free run transfers links only
   /// at quantum boundaries, so a stepped machine matches a free run
   /// only while every stop lies inside the first quantum (ROADMAP item
-  /// 7). Stepping a core that has already halted is a no-op reporting
-  /// kHalted (zero cycles).
+  /// 1); a one-core machine's step is its core's alone and always
+  /// matches. Stepping a core that has already halted is a no-op
+  /// reporting kHalted (zero cycles).
   iss::StepResult debug_step(std::size_t index);
 
   [[nodiscard]] std::size_t core_count() const noexcept {
@@ -132,9 +141,9 @@ class ManyCoreEngine {
   [[nodiscard]] const std::string& core_name(std::size_t index) const {
     return nodes_[index].name;
   }
-  /// Per-core statistics, in add order.
-  [[nodiscard]] CoSimStats core_stats(std::size_t index) const {
-    return nodes_[index].engine->stats();
+  /// The lock-step engine of core `index` (a debugger's view of it).
+  [[nodiscard]] CoSimEngine& core_engine(std::size_t index) const {
+    return *nodes_[index].engine;
   }
   /// Machine totals: cycle count is the maximum per-core clock (the
   /// cores share one system clock); the other fields are sums.
@@ -151,13 +160,11 @@ class ManyCoreEngine {
 
   /// Diagnosis of the most recent machine deadlock (empty otherwise):
   /// the first blocked core's parked FSL access, channel and FIFO state.
+  /// A one-core machine's verdict is its core engine's own.
   [[nodiscard]] const std::optional<DeadlockDiagnosis>& deadlock_diagnosis()
       const noexcept {
-    return last_deadlock_;
-  }
-  /// Core index the deadlock diagnosis refers to.
-  [[nodiscard]] std::size_t deadlock_core() const noexcept {
-    return deadlock_core_;
+    return nodes_.size() == 1 ? nodes_.front().engine->deadlock_diagnosis()
+                              : last_deadlock_;
   }
 
   [[nodiscard]] Cycle quantum() const noexcept { return quantum_; }
@@ -173,7 +180,6 @@ class ManyCoreEngine {
     }
     link_words_ = 0;
     last_deadlock_.reset();
-    deadlock_core_ = 0;
     last_halted_core_ = MachineStop::kNoCore;
     last_halt_cycle_ = 0;
   }
@@ -240,7 +246,6 @@ class ManyCoreEngine {
   Cycle deadlock_threshold_ = 100'000;
   u64 link_words_ = 0;
   std::optional<DeadlockDiagnosis> last_deadlock_;
-  std::size_t deadlock_core_ = 0;
   std::size_t last_halted_core_ = MachineStop::kNoCore;
   Cycle last_halt_cycle_ = 0;
 

@@ -4,8 +4,9 @@
 // bridge: a retired instruction or a moved word restarts the count.
 // Two loops count with it: CoSimEngine::run and the stepping loop of
 // rsp::CoSimTarget, the debugger that gdb, `monitor` verbs and
-// PC-triggered faults all drive. (core::ManyCoreEngine counts
-// whole-machine rounds with a rule of its own.)
+// PC-triggered faults all drive. A one-core machine keeps this rule;
+// core::ManyCoreEngine disables it on machines of two or more cores and
+// counts whole-machine rounds with a rule of its own.
 #pragma once
 
 #include "common/types.hpp"

@@ -138,11 +138,11 @@ Expected<CampaignReport> run_campaign(const CampaignConfig& config,
       if (auto base = factory(nullptr); base.ok()) {
         sim::SimSystem system = std::move(base).value();
         Cycle fork_cycle = earliest;
-        if (const core::ManyCoreEngine* engine = system.machine_engine()) {
+        if (system.core_count() > 1) {
           // Machine rounds transfer the cross-links at quantum
           // barriers. Snapshot on a barrier, so the resumed run's
           // rounds fall on the same cycles an unforked run's would.
-          fork_cycle = earliest - earliest % engine->quantum();
+          fork_cycle = earliest - earliest % system.machine_desc().quantum;
         }
         // The prefix must still be running at the fork point; a base
         // that halts or faults first makes forking pointless (every

@@ -63,7 +63,8 @@ StopInfo CoSimTarget::advance(Cycle max_cycles, bool single_step,
   iss::Processor& processor = cpu();
   if (processor.halted()) return {StopInfo::Kind::kHalted, processor.pc()};
   const Cycle start = processor.cycle();
-  core::StallStreak streak(stall_threshold_, engine_.fifo_traffic());
+  const core::CoSimEngine& engine = this->engine();
+  core::StallStreak streak(stall_threshold_, engine.fifo_traffic());
   // A single step never stops on a breakpoint; a resume checks before
   // every instruction, the first one only when `check_first`.
   bool check = check_first && !single_step;
@@ -72,7 +73,7 @@ StopInfo CoSimTarget::advance(Cycle max_cycles, bool single_step,
       return {StopInfo::Kind::kBreakpoint, processor.pc()};
     }
     check = !single_step;
-    const iss::StepResult result = machine_step();
+    const iss::StepResult result = machine_.debug_step(core_);
     switch (result.event) {
       case iss::Event::kHalted:
         return {StopInfo::Kind::kHalted, processor.pc()};
@@ -82,7 +83,7 @@ StopInfo CoSimTarget::advance(Cycle max_cycles, bool single_step,
         if (single_step) return {StopInfo::Kind::kStep, processor.pc()};
         [[fallthrough]];
       case iss::Event::kFslStall:
-        if (streak.deadlocked(result.event, engine_.fifo_traffic())) {
+        if (streak.deadlocked(result.event, engine.fifo_traffic())) {
           return {StopInfo::Kind::kStalled, processor.pc(), streak.length()};
         }
         break;  // a stall rides on: the hardware side is catching up

@@ -4,17 +4,15 @@
 // owns the breakpoint set, the mb-gdb-style text verbs (reg, setreg,
 // pc, msr, mem, setmem, step, cont, break, delete, cycles, disasm) and
 // the one breakpoint-aware stepping loop. That loop advances the whole
-// co-simulated system one precise lock-step unit at a time through a
-// machine-step primitive fixed at construction:
-// core::CoSimEngine::debug_step for a lone core, or
-// core::ManyCoreEngine::debug_step(core) on a machine, which brings
-// every other core to parity. So gdb `c`/`s`, `monitor cont`/`step` and
-// a PC trigger all keep the hardware models and FSL channels at cycle
-// parity with the software at every stop. A lone core then matches a
-// free run exactly; a machine does only while every stop lies inside
-// its first quantum, because a machine step transfers the cross-core
-// links after each instruction, not at round boundaries (ROADMAP item
-// 7).
+// co-simulated system one precise lock-step unit at a time through one
+// machine-step primitive, core::ManyCoreEngine::debug_step(core): the
+// debugged core steps once and every other core is brought to parity.
+// So gdb `c`/`s`, `monitor cont`/`step` and a PC trigger all keep the
+// hardware models and FSL channels at cycle parity with the software at
+// every stop. A one-core machine then matches a free run exactly; a
+// larger one does only while every stop lies inside its first quantum,
+// because a machine step transfers the cross-core links after each
+// instruction, not at round boundaries (ROADMAP item 1).
 #pragma once
 
 #include <cstddef>
@@ -24,7 +22,6 @@
 #include <string_view>
 
 #include "common/types.hpp"
-#include "core/cosim_engine.hpp"
 #include "core/manycore.hpp"
 
 namespace mbcosim::rsp {
@@ -55,22 +52,14 @@ struct StopInfo {
 
 class CoSimTarget {
  public:
-  /// Debug a lone core: each step is `engine.debug_step()`. A resume
+  /// Debug core `core` of `machine`: each step is
+  /// `machine.debug_step(core)`, which advances every core. A resume
   /// reports kStalled after `stall_threshold` consecutive stalled cycles
-  /// with no FIFO word moved (the core::StallStreak rule). The engine is
-  /// aliased, not owned.
-  explicit CoSimTarget(core::CoSimEngine& engine,
-                       Cycle stall_threshold = 100'000)
-      : engine_(engine), stall_threshold_(stall_threshold) {}
-
-  /// Debug core `index` of a machine, whose own engine is `engine`: each
-  /// step is `machine.debug_step(index)`, which advances every core.
-  CoSimTarget(core::CoSimEngine& engine, core::ManyCoreEngine& machine,
-              std::size_t index, Cycle stall_threshold)
-      : engine_(engine),
-        machine_(&machine),
-        index_(index),
-        stall_threshold_(stall_threshold) {}
+  /// of the debugged core with no FIFO word moved (the core::StallStreak
+  /// rule). The machine is aliased, not owned.
+  CoSimTarget(core::ManyCoreEngine& machine, std::size_t core,
+              Cycle stall_threshold = 100'000)
+      : machine_(machine), core_(core), stall_threshold_(stall_threshold) {}
 
   /// Extra monitor-command handler consulted before the target's own
   /// verbs (an empty reply falls through). SimSystem installs the
@@ -125,17 +114,13 @@ class CoSimTarget {
  private:
   /// The one stepping loop behind resume, step_one and the verbs.
   StopInfo advance(Cycle max_cycles, bool single_step, bool check_first);
-  /// One precise machine step through the primitive fixed at
-  /// construction.
-  iss::StepResult machine_step() {
-    return machine_ != nullptr ? machine_->debug_step(index_)
-                               : engine_.debug_step();
+  [[nodiscard]] core::CoSimEngine& engine() const {
+    return machine_.core_engine(core_);
   }
-  [[nodiscard]] iss::Processor& cpu() const noexcept { return engine_.cpu(); }
+  [[nodiscard]] iss::Processor& cpu() const { return engine().cpu(); }
 
-  core::CoSimEngine& engine_;
-  core::ManyCoreEngine* machine_ = nullptr;
-  std::size_t index_ = 0;
+  core::ManyCoreEngine& machine_;
+  std::size_t core_;
   Cycle stall_threshold_;
   std::set<Addr> breakpoints_;
   std::function<std::string(std::string_view)> monitor_extra_;

@@ -8,7 +8,9 @@
 //     bool has hardware     + hardware model, engine (iff the core has a
 //                             model; a model-less engine is all zeros)
 //     bool has opb          + bus and peripheral payloads (iff attached)
-//   bool has machine engine + round progress (iff multi-core)
+//   bool has machine engine + round progress (iff multi-core; a one-core
+//                             machine runs no rounds, so its image writes
+//                             false and no engine payload)
 //
 // The fingerprint covers everything structural (core names, programs,
 // peripherals, links, FIFO depth), so a stale or foreign image fails
@@ -55,8 +57,9 @@ std::vector<unsigned char> SimSystem::snapshot() const {
     writer.write_bool(core->opb != nullptr);
     if (core->opb) core->opb->save_state(writer);
   }
-  writer.write_bool(state_->machine_engine.has_value());
-  if (state_->machine_engine) state_->machine_engine->save_state(writer);
+  const bool rounds = state_->cores.size() > 1;
+  writer.write_bool(rounds);
+  if (rounds) state_->machine_engine.save_state(writer);
   return ckpt::seal(writer.buffer());
 }
 
@@ -104,11 +107,15 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     }
     core->engine.clear_deadlock_diagnosis();
   }
-  if (reader.read_bool() != state_->machine_engine.has_value()) {
+  const bool rounds = state_->cores.size() > 1;
+  if (reader.read_bool() != rounds) {
     return shape_error("machine engine presence does not match");
   }
-  if (state_->machine_engine &&
-      !state_->machine_engine->load_state(reader)) {
+  if (!rounds) {
+    // No payload to load: drop whatever progress this system made
+    // (a finished flag from a debugger step past the halt, say).
+    state_->machine_engine.reset_progress();
+  } else if (!state_->machine_engine.load_state(reader)) {
     return shape_error("machine engine state does not fit");
   }
   if (!reader.ok()) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,8 @@ namespace mbcosim::sim {
 // per-core state lives in one heap block so SimSystem stays movable
 // while the internal references (Processor -> LmbMemory/FslHub,
 // CoSimEngine -> Processor/Model/FslHub, TraceEvent::origin ->
-// Core::name) stay stable. A single-core machine is exactly one of these.
+// Core::name) stay stable. A single-core machine is exactly one of these,
+// run by the same ManyCoreEngine as any other machine.
 struct SimSystem::State {
   struct Core {
     Core(std::string core_name, assembler::Program p,
@@ -80,11 +80,12 @@ struct SimSystem::State {
     return description;
   }
 
+  explicit State(Cycle quantum) : machine_engine(quantum) {}
+
   std::vector<std::unique_ptr<Core>> cores;  ///< machine order, never empty
   machine::MachineDesc desc;                 ///< what this machine is
-  /// Engaged iff cores.size() > 1; a lone core runs through its own
-  /// CoSimEngine.
-  std::optional<core::ManyCoreEngine> machine_engine;
+  /// Runs every core, a lone one included (one CoSimEngine::run call).
+  core::ManyCoreEngine machine_engine;
   std::size_t stop_core = 0;   ///< culprit of the last terminal stop
   std::size_t gdb_core = 0;    ///< Builder::gdb_core
   std::size_t fault_core = 0;  ///< FaultPlan::core of the armed plan

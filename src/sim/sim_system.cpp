@@ -67,7 +67,7 @@ void SimSystem::reset() {
     core->hub.clear_faults();
     if (core->opb) core->opb->clear_fault();
   }
-  if (state_->machine_engine) state_->machine_engine->reset_progress();
+  state_->machine_engine.reset_progress();
   state_->stop_core = 0;
   if (state_->injector) {
     State::Core& target = *state_->cores[state_->fault_core];
@@ -91,12 +91,13 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
                   core.fault_metrics());
     return run_unfaulted(max_cycles);
   }
-  // PC trigger (single-core only: build()/arm_fault reject it on a
-  // machine): the trigger PC is a breakpoint of the core's debugger, whose
-  // stepping loop runs the core in precise lock step up to it. A blocked
-  // or runaway program is bounded by the deadlock threshold / cycle
-  // budget, like any other run.
-  rsp::CoSimTarget debugger(core.engine, state_->deadlock_threshold);
+  // PC trigger (one-core machines only: build()/arm_fault reject it on
+  // larger ones): the trigger PC is a breakpoint of the core's debugger,
+  // whose stepping loop runs the core in precise lock step up to it. A
+  // blocked or runaway program is bounded by the deadlock threshold /
+  // cycle budget, like any other run.
+  rsp::CoSimTarget debugger(state_->machine_engine, state_->fault_core,
+                            state_->deadlock_threshold);
   debugger.add_breakpoint(static_cast<Addr>(plan.trigger_value));
   const Cycle now = core.cpu.cycle();
   const rsp::StopInfo stop =
@@ -117,12 +118,9 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
 }
 
 core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
-  if (state_->machine_engine) {
-    const core::MachineStop stop = state_->machine_engine->run(max_cycles);
-    state_->stop_core = stop.core;
-    return stop.reason;
-  }
-  return state_->c0().engine.run(max_cycles);
+  const core::MachineStop stop = state_->machine_engine.run(max_cycles);
+  state_->stop_core = stop.core;
+  return stop.reason;
 }
 
 core::StopReason SimSystem::run(Cycle max_cycles) {
@@ -144,8 +142,7 @@ core::StopReason SimSystem::run(Cycle max_cycles) {
 }
 
 core::CoSimStats SimSystem::stats() const {
-  if (state_->machine_engine) return state_->machine_engine->aggregate_stats();
-  return core_stats(0);
+  return state_->machine_engine.aggregate_stats();
 }
 
 core::CoSimStats SimSystem::core_stats(std::size_t index) const {
@@ -161,17 +158,16 @@ double SimSystem::run_wall_seconds() const noexcept {
 }
 
 estimate::ResourceReport SimSystem::resource_report() const {
-  if (!state_->machine_engine) {
-    return estimate::estimate_system(State::describe(state_->c0()));
-  }
-  // Machine estimate: one processor system per core, parts prefixed
-  // with the core name so the report reads like the floorplan.
+  // One processor system per core. On a multi-core machine the parts
+  // are prefixed with the core name so the report reads like the
+  // floorplan.
+  const bool multi = state_->cores.size() > 1;
   estimate::ResourceReport total;
   for (const auto& core : state_->cores) {
     estimate::ResourceReport report =
         estimate::estimate_system(State::describe(*core));
     for (estimate::ResourcePart& part : report.parts) {
-      part.name = core->name + "." + part.name;
+      if (multi) part.name = core->name + "." + part.name;
       total.parts.push_back(std::move(part));
     }
     total.estimated += report.estimated;
@@ -181,11 +177,8 @@ estimate::ResourceReport SimSystem::resource_report() const {
 }
 
 energy::EnergyReport SimSystem::energy_report() const {
-  if (!state_->machine_engine) {
-    return energy_report(resource_report().implemented);
-  }
-  // Machine estimate: each core's dynamic + static share, summed; the
-  // cores tick one shared clock, so the covered cycle count is the max.
+  // Each core's dynamic + static share, summed; the cores tick one
+  // shared clock, so the covered cycle count is the max.
   energy::EnergyReport total;
   for (const auto& core : state_->cores) {
     const estimate::ResourceReport report =
@@ -205,7 +198,7 @@ energy::EnergyReport SimSystem::energy_report(
     const ResourceVec& implemented) const {
   // A whole-machine resource vector cannot be split back per core;
   // recompute from scratch instead of misattributing the static share.
-  if (state_->machine_engine) return energy_report();
+  if (state_->cores.size() > 1) return energy_report();
   const State::Core& core = state_->c0();
   return energy::estimate_energy(core.cpu.stats(), core.hardware.get(),
                                  stats().hw_cycles_stepped, implemented);
@@ -247,16 +240,9 @@ void inject_dbt_counters(obs::MetricsSnapshot& snapshot,
 }  // namespace
 
 obs::MetricsSnapshot SimSystem::metrics_snapshot() const {
-  if (!state_->machine_engine) {
-    const State::Core& core = state_->c0();
-    if (core.metrics == nullptr) return obs::MetricsSnapshot{};
-    obs::MetricsSnapshot snapshot = core.metrics->snapshot();
-    if (!snapshot.empty() || core.cpu.cycle() != 0) {
-      inject_dbt_counters(snapshot, core.cpu, "");
-    }
-    return snapshot;
-  }
-  // Merge the per-core registries under "corename." key prefixes.
+  // Merge the per-core registries; on a multi-core machine each key is
+  // prefixed with its core's name ("corename."), a lone core's is not.
+  const bool multi = state_->cores.size() > 1;
   obs::MetricsSnapshot merged;
   for (const auto& core : state_->cores) {
     if (core->metrics == nullptr) continue;
@@ -264,11 +250,12 @@ obs::MetricsSnapshot SimSystem::metrics_snapshot() const {
     if (!snapshot.empty() || core->cpu.cycle() != 0) {
       inject_dbt_counters(snapshot, core->cpu, "");
     }
+    const std::string prefix = multi ? core->name + "." : std::string();
     for (auto& [key, value] : snapshot.counters) {
-      merged.counters[core->name + "." + key] = value;
+      merged.counters[prefix + key] = value;
     }
     for (auto& [key, histogram] : snapshot.histograms) {
-      merged.histograms[core->name + "." + key] = std::move(histogram);
+      merged.histograms[prefix + key] = std::move(histogram);
     }
   }
   return merged;
@@ -299,9 +286,6 @@ sysgen::Model* SimSystem::hardware() noexcept {
 const sysgen::Model* SimSystem::hardware() const noexcept {
   return state_->c0().hardware.get();
 }
-core::CoSimEngine& SimSystem::engine() noexcept {
-  return state_->c0().engine;
-}
 
 fsl::FslHub& SimSystem::fsl_hub() noexcept { return state_->c0().hub; }
 
@@ -324,7 +308,7 @@ const assembler::Program& SimSystem::program(std::size_t index) const {
 }
 
 core::ManyCoreEngine* SimSystem::machine_engine() noexcept {
-  return state_->machine_engine ? &*state_->machine_engine : nullptr;
+  return &state_->machine_engine;
 }
 
 std::size_t SimSystem::stop_core() const noexcept { return state_->stop_core; }
@@ -366,12 +350,7 @@ const fault::Injector* SimSystem::fault_injector() const noexcept {
 }
 
 std::optional<core::DeadlockDiagnosis> SimSystem::deadlock_diagnosis() const {
-  // A machine's cores never deadlock alone (the machine engine sets
-  // their thresholds to infinity); a lone core's engine is the verdict.
-  if (state_->machine_engine) {
-    return state_->machine_engine->deadlock_diagnosis();
-  }
-  return state_->c0().engine.deadlock_diagnosis();
+  return state_->machine_engine.deadlock_diagnosis();
 }
 
 Status SimSystem::sink_status() const {
@@ -401,15 +380,11 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb(
 
 Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
                                                   const GdbServeHooks& hooks) {
-  // The debugger drives one core (Builder::gdb_core, default 0); on a
-  // multi-core machine each of its steps advances the whole machine
-  // through ManyCoreEngine::debug_step so cross-links stay live.
-  State::Core& debugged = *state_->cores[state_->gdb_core];
-  rsp::CoSimTarget target =
-      state_->machine_engine
-          ? rsp::CoSimTarget(debugged.engine, *state_->machine_engine,
-                             state_->gdb_core, state_->deadlock_threshold)
-          : rsp::CoSimTarget(debugged.engine, state_->deadlock_threshold);
+  // The debugger drives one core (Builder::gdb_core, default 0); each
+  // of its steps advances the whole machine through
+  // ManyCoreEngine::debug_step so cross-links stay live.
+  rsp::CoSimTarget target(state_->machine_engine, state_->gdb_core,
+                          state_->deadlock_threshold);
   // System-level monitor verbs layered over the target's own verbs,
   // so `monitor metrics` / `monitor stats` work from a gdb prompt.
   target.set_monitor_extra([this](std::string_view line) -> std::string {
@@ -641,7 +616,7 @@ Expected<SimSystem> SimSystem::Builder::build() {
   // 3. The cores: processor, memory, FIFOs and a lock-step engine each.
   // A peripheral-free core of a multi-core machine gets an empty model
   // (zero blocks, zero resources), which its checkpoint image records.
-  auto state = std::make_unique<State>();
+  auto state = std::make_unique<State>(desc.quantum);
   state->deadlock_threshold = deadlock_threshold_;
   for (std::size_t index = 0; index < desc.cores.size(); ++index) {
     const machine::CoreDesc& core_desc = desc.cores[index];
@@ -761,24 +736,21 @@ Expected<SimSystem> SimSystem::Builder::build() {
   } catch (const std::exception& error) {
     return Failure::failure(std::string("SimSystem: ") + error.what());
   }
-  if (multi) {
-    state->machine_engine.emplace(desc.quantum);
-    state->machine_engine->set_workers(workers_);
-    state->machine_engine->set_deadlock_threshold(deadlock_threshold_);
-    for (auto& core : state->cores) {
-      state->machine_engine->add_core(core->name, core->cpu, core->engine,
-                                      core->hub);
-    }
-    for (const machine::LinkDesc& link : desc.links) {
-      const std::size_t from = desc.core_index(link.from);
-      const std::size_t to = desc.core_index(link.to);
-      state->cores[from]->fsl_links += 1;
-      state->cores[to]->fsl_links += 1;
-      if (Status status = state->machine_engine->link(
-              from, link.from_channel, to, link.to_channel);
-          !status.ok) {
-        return Failure::failure("SimSystem: " + status.message);
-      }
+  core::ManyCoreEngine& engine = state->machine_engine;
+  engine.set_workers(workers_);
+  engine.set_deadlock_threshold(deadlock_threshold_);
+  for (auto& core : state->cores) {
+    engine.add_core(core->name, core->cpu, core->engine, core->hub);
+  }
+  for (const machine::LinkDesc& link : desc.links) {
+    const std::size_t from = desc.core_index(link.from);
+    const std::size_t to = desc.core_index(link.to);
+    state->cores[from]->fsl_links += 1;
+    state->cores[to]->fsl_links += 1;
+    if (Status status =
+            engine.link(from, link.from_channel, to, link.to_channel);
+        !status.ok) {
+      return Failure::failure("SimSystem: " + status.message);
     }
   }
   state->desc = std::move(desc);

@@ -5,8 +5,9 @@
 // SimSystem owns everything the described machine needs — per core the
 // assembled program, the LMB BRAM, the FSL hub, the cycle-accurate
 // processor, the sysgen hardware model and the lock-step CoSimEngine;
-// for multi-core machines also the core::ManyCoreEngine that advances
-// the cores in deterministic parallel quanta:
+// and one core::ManyCoreEngine that runs the cores, in deterministic
+// parallel quanta on a multi-core machine and in one CoSimEngine::run
+// call on a one-core machine:
 //
 //   auto desc = machine::MachineDesc::from_file("machines/farm.json");
 //   auto built = sim::SimSystem::Builder()
@@ -155,8 +156,6 @@ class SimSystem {
   /// Hardware model; nullptr for a software-only system.
   [[nodiscard]] sysgen::Model* hardware() noexcept;
   [[nodiscard]] const sysgen::Model* hardware() const noexcept;
-  /// Core 0's co-simulation engine (present on every core).
-  [[nodiscard]] core::CoSimEngine& engine() noexcept;
   /// The processor's FSL channel hub (always present).
   [[nodiscard]] fsl::FslHub& fsl_hub() noexcept;
   /// Memory-mapped OPB bus; nullptr unless Builder::opb attached one.
@@ -174,13 +173,13 @@ class SimSystem {
   [[nodiscard]] core::CoSimStats core_stats(std::size_t index) const;
   /// Observability bus of core `index` (trace_bus() is core 0's).
   [[nodiscard]] obs::TraceBus& trace_bus(std::size_t index);
-  /// The machine-level engine; nullptr for single-core systems, which
-  /// run through their lone CoSimEngine exactly as before.
+  /// The machine-level engine that runs every core; never null. A
+  /// one-core machine's engine runs no rounds.
   [[nodiscard]] core::ManyCoreEngine* machine_engine() noexcept;
   /// Core a terminal StopReason of the last run() refers to — the
   /// culprit for kIllegal/kDeadlock, the last core to halt for kHalted;
-  /// core::MachineStop::kNoCore when no core is attributable. 0 for
-  /// single-core systems.
+  /// core::MachineStop::kNoCore when no core is attributable. Always 0
+  /// on a one-core machine.
   [[nodiscard]] std::size_t stop_core() const noexcept;
   /// The machine description this system was built from.
   [[nodiscard]] const machine::MachineDesc& machine_desc() const noexcept;
@@ -200,8 +199,9 @@ class SimSystem {
   /// The armed injector, or nullptr when the system runs fault-free.
   [[nodiscard]] const fault::Injector* fault_injector() const noexcept;
 
-  /// Diagnosis of the most recent StopReason::kDeadlock (core 0's engine,
-  /// or the machine engine); empty until a deadlock has been detected.
+  /// Diagnosis of the most recent StopReason::kDeadlock (the machine
+  /// engine's; on a one-core machine its core engine's); empty until a
+  /// deadlock has been detected.
   [[nodiscard]] std::optional<core::DeadlockDiagnosis> deadlock_diagnosis()
       const;
 

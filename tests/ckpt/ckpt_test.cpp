@@ -6,8 +6,10 @@
 //     bit-exactly in a freshly elaborated kernel),
 //   - SimSystem save -> restore -> run golden-state comparisons against
 //     an uninterrupted run: single-core, the 3-core CORDIC farm from
-//     examples/machines at 1/2/8 workers, and a mid-quantum debugger
-//     stop.
+//     examples/machines at 1/2/8 workers, a mid-quantum debugger stop,
+//     and a restore into a system that has already halted,
+//   - seeded payload mutations (byte flips, truncations, core-count and
+//     engine-presence edits) re-sealed so they reach the payload parser.
 //
 // Runs as its own executable under the `ckpt` ctest label so the asan
 // and tsan presets can sweep it next to the machine tests.
@@ -23,11 +25,13 @@
 
 #include "apps/machine_peripherals.hpp"
 #include "ckpt/ckpt.hpp"
+#include "common/rng.hpp"
 #include "core/manycore.hpp"
 #include "isa/isa.hpp"
 #include "iss/processor.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
+#include "rsp/cosim_target.hpp"
 #include "rtl/kernel.hpp"
 #include "sim/sim_system.hpp"
 
@@ -536,6 +540,215 @@ TEST(CkptSystem, FarmImageRejectsATruncatedOrEditedFile) {
 
   // The undamaged image still restores after the failed attempts.
   EXPECT_TRUE(system.restore_image(image).ok);
+}
+
+// ------------------------------------- restore into a used system
+
+/// What a finished run leaves that a restore must reproduce exactly.
+struct RunEnd {
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  core::CoSimStats stats;
+  std::vector<core::CoSimStats> cores;
+  u64 link_words = 0;
+  std::size_t stop_core = 0;
+  std::vector<Word> results;
+};
+
+/// The machine under test: the one-core sum program, or the farm.
+struct Workload {
+  const char* name;
+  machine::MachineDesc desc;
+  Cycle cut;                 ///< where the image is taken
+  std::size_t result_core;   ///< core holding the "results"/"result" words
+  const char* result_symbol;
+  u32 result_words;
+};
+
+[[nodiscard]] std::vector<Workload> workloads() {
+  return {
+      {"one-core", machine::MachineDesc::single_core(kSumProgram), 500, 0,
+       "result", 1},
+      {"farm", farm_desc(), 192, 2, "results", 8},
+  };
+}
+
+[[nodiscard]] sim::SimSystem build(const Workload& workload) {
+  auto built = sim::SimSystem::Builder().machine(workload.desc).build();
+  EXPECT_TRUE(built.ok()) << built.error();
+  return std::move(built).value();
+}
+
+[[nodiscard]] RunEnd end_of(sim::SimSystem& system, core::StopReason reason,
+                            const Workload& workload) {
+  RunEnd end;
+  end.reason = reason;
+  end.stats = system.stats();
+  for (std::size_t i = 0; i < system.core_count(); ++i) {
+    end.cores.push_back(system.core_stats(i));
+  }
+  end.link_words = system.machine_engine()->link_words();
+  end.stop_core = system.stop_core();
+  for (u32 i = 0; i < workload.result_words; ++i) {
+    end.results.push_back(
+        system.word_on(workload.result_core, workload.result_symbol, i));
+  }
+  return end;
+}
+
+void expect_same_stats(const core::CoSimStats& got,
+                       const core::CoSimStats& want, const std::string& at) {
+  EXPECT_EQ(got.cycles, want.cycles) << at;
+  EXPECT_EQ(got.instructions, want.instructions) << at;
+  EXPECT_EQ(got.fsl_stall_cycles, want.fsl_stall_cycles) << at;
+  EXPECT_EQ(got.hw_cycles_stepped, want.hw_cycles_stepped) << at;
+  EXPECT_EQ(got.hw_cycles_skipped, want.hw_cycles_skipped) << at;
+  EXPECT_EQ(got.bridge.words_to_hw, want.bridge.words_to_hw) << at;
+  EXPECT_EQ(got.bridge.words_from_hw, want.bridge.words_from_hw) << at;
+  EXPECT_EQ(got.bridge.refused_writes, want.bridge.refused_writes) << at;
+}
+
+void expect_same_end(const RunEnd& got, const RunEnd& want,
+                     const std::string& at) {
+  EXPECT_EQ(got.reason, want.reason) << at;
+  expect_same_stats(got.stats, want.stats, at);
+  ASSERT_EQ(got.cores.size(), want.cores.size()) << at;
+  for (std::size_t i = 0; i < got.cores.size(); ++i) {
+    expect_same_stats(got.cores[i], want.cores[i],
+                      at + ", core " + std::to_string(i));
+  }
+  EXPECT_EQ(got.link_words, want.link_words) << at;
+  EXPECT_EQ(got.stop_core, want.stop_core) << at;
+  EXPECT_EQ(got.results, want.results) << at;
+}
+
+[[nodiscard]] RunEnd free_run(const Workload& workload) {
+  sim::SimSystem system = build(workload);
+  const core::StopReason reason = system.run();
+  return end_of(system, reason, workload);
+}
+
+// A halted system takes an image it made mid-run and finishes again. The
+// one-core machine halts under its debugger, whose machine steps mark
+// the core finished: the restore must drop that flag (a one-core image
+// carries no engine payload), or the resumed debugger would report the
+// halt without stepping. The farm's flags come from its image.
+TEST(CkptSystem, RestoreIntoAHaltedSystemResumes) {
+  for (const Workload& workload : workloads()) {
+    const RunEnd want = free_run(workload);
+    ASSERT_EQ(want.reason, core::StopReason::kHalted) << workload.name;
+    sim::SimSystem system = build(workload);
+    ASSERT_EQ(system.run(workload.cut), core::StopReason::kCycleLimit)
+        << workload.name;
+    const std::vector<unsigned char> image = system.snapshot();
+
+    const bool one_core = system.core_count() == 1;
+    if (one_core) {
+      rsp::CoSimTarget debugger(*system.machine_engine(), 0);
+      ASSERT_EQ(debugger.resume(~Cycle{0}, false).kind,
+                rsp::StopInfo::Kind::kHalted);
+    } else {
+      ASSERT_EQ(system.run(), core::StopReason::kHalted) << workload.name;
+    }
+    expect_same_end(end_of(system, core::StopReason::kHalted, workload), want,
+                    std::string(workload.name) + ", first halt");
+
+    ASSERT_TRUE(system.restore_image(image).ok) << workload.name;
+    if (one_core) {
+      rsp::CoSimTarget debugger(*system.machine_engine(), 0);
+      ASSERT_EQ(debugger.resume(~Cycle{0}, false).kind,
+                rsp::StopInfo::Kind::kHalted);
+      expect_same_end(end_of(system, core::StopReason::kHalted, workload),
+                      want, std::string(workload.name) + ", resumed");
+    }
+    const core::StopReason reason = system.run();
+    expect_same_end(end_of(system, reason, workload), want,
+                    std::string(workload.name) + ", run after resume");
+  }
+}
+
+// ------------------------------------- payload mutations
+
+/// Offset of the "has machine engine" byte in `workload`'s payload: the
+/// engine tail is last, and a farm's engine payload is a core count,
+/// (finished, last stop) per core and three u64 counters.
+[[nodiscard]] std::size_t presence_offset(const sim::SimSystem& system,
+                                          std::size_t payload_size) {
+  const std::size_t cores = system.core_count();
+  const std::size_t engine_payload = cores > 1 ? 8 + 2 * cores + 3 * 8 : 0;
+  return payload_size - engine_payload - 1;
+}
+
+// Seeded mutations of a sealed image's *payload*, re-sealed so they get
+// past the checksum: every case restores or fails with a structured
+// shape/truncation error, and a system whose restore failed still runs
+// from reset exactly like a fresh one.
+TEST(CkptSystem, MutatedPayloadsRestoreOrFailStructurally) {
+  constexpr int kCases = 160;
+  for (const Workload& workload : workloads()) {
+    const RunEnd want = free_run(workload);
+    sim::SimSystem system = build(workload);
+    ASSERT_EQ(system.run(workload.cut), core::StopReason::kCycleLimit);
+    Expected<std::vector<unsigned char>> unsealed =
+        ckpt::unseal(system.snapshot());
+    ASSERT_TRUE(unsealed.ok()) << unsealed.error();
+    const std::vector<unsigned char> payload = std::move(unsealed).value();
+    const std::size_t presence = presence_offset(system, payload.size());
+    ASSERT_LE(payload[presence], 1u) << workload.name;
+    ASSERT_EQ(payload[presence] == 1, system.core_count() > 1);
+
+    Rng rng(0xC4EC + system.core_count());
+    int failures = 0;
+    for (int i = 0; i < kCases; ++i) {
+      std::vector<unsigned char> mutated = payload;
+      std::string what;
+      switch (i % 4) {
+        case 0: {  // byte flip anywhere
+          const std::size_t at = rng.next_below(mutated.size());
+          mutated[at] ^= static_cast<unsigned char>(1 + rng.next_below(255));
+          what = "flip @" + std::to_string(at);
+          break;
+        }
+        case 1: {  // truncation
+          const std::size_t keep = rng.next_below(mutated.size());
+          mutated.resize(keep);
+          what = "truncate to " + std::to_string(keep);
+          break;
+        }
+        case 2: {  // core count (the u64 after the fingerprint)
+          const u64 count = rng.next_below(2) == 0 ? rng.next_below(5)
+                                                   : rng.next_u64();
+          for (unsigned b = 0; b < 8; ++b) {
+            mutated[8 + b] = static_cast<unsigned char>(count >> (8 * b));
+          }
+          what = "core count " + std::to_string(count);
+          break;
+        }
+        default: {  // machine-engine presence byte
+          mutated[presence] =
+              static_cast<unsigned char>(rng.next_below(2) == 0
+                                             ? mutated[presence] ^ 1
+                                             : rng.next_below(256));
+          what = "presence byte " + std::to_string(mutated[presence]);
+          break;
+        }
+      }
+      const std::string at = std::string(workload.name) + ", case " +
+                             std::to_string(i) + " (" + what + ")";
+      const Status restored = system.restore_image(ckpt::seal(mutated));
+      if (restored.ok) continue;
+      ++failures;
+      const bool structured =
+          restored.message.rfind(ckpt::kCkptErrorCodes[5], 0) == 0 ||
+          restored.message.rfind(ckpt::kCkptErrorCodes[3], 0) == 0;
+      EXPECT_TRUE(structured) << at << ": " << restored.message;
+      system.reset();
+      const core::StopReason reason = system.run();
+      expect_same_end(end_of(system, reason, workload), want, at);
+      if (::testing::Test::HasFailure()) return;
+    }
+    // Truncations and count edits cannot all restore.
+    EXPECT_GT(failures, kCases / 4) << workload.name;
+  }
 }
 
 }  // namespace

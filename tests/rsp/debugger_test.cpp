@@ -1,9 +1,10 @@
 // Tests for the machine's debugger (the mb-gdb analog): its stepping
-// loop and its textual verbs, over a peripheral-free CoSimEngine — the
-// bare processor.
+// loop and its textual verbs, over a one-core machine whose
+// CoSimEngine has no peripheral — the bare processor.
 #include <gtest/gtest.h>
 
 #include "core/cosim_engine.hpp"
+#include "core/manycore.hpp"
 #include "iss/test_helpers.hpp"
 #include "rsp/cosim_target.hpp"
 
@@ -12,15 +13,18 @@ namespace {
 
 using iss::testing::TestMachine;
 
-/// A debugger on the bare processor of `source`.
+/// A debugger on the bare processor of `source`, a one-core machine.
 struct Debugged {
   explicit Debugged(std::string_view source, Cycle stall_threshold = 100'000)
       : m(source),
         engine(m.cpu, nullptr, m.hub),
-        dbg(engine, stall_threshold) {}
+        dbg(machine, 0, stall_threshold) {
+    machine.add_core("cpu", m.cpu, engine, m.hub);
+  }
 
   TestMachine m;
   core::CoSimEngine engine;
+  core::ManyCoreEngine machine;
   CoSimTarget dbg;
 };
 

@@ -27,11 +27,13 @@ namespace {
 using iss::testing::TestMachine;
 using testclient::RspTestClient;
 
-/// One loopback session over a bare-ISS TestMachine.
+/// One loopback session over a bare-ISS TestMachine, debugged as a
+/// one-core machine.
 struct LoopbackSession {
   explicit LoopbackSession(TestMachine& machine,
                            RspServer::Options options = RspServer::Options{})
-      : engine(machine.cpu, nullptr, machine.hub), target(engine) {
+      : engine(machine.cpu, nullptr, machine.hub), target(cores, 0) {
+    cores.add_core("cpu", machine.cpu, engine, machine.hub);
     auto [server_side, client_side] = make_loopback();
     server_transport = std::move(server_side);
     client_transport = std::move(client_side);
@@ -40,6 +42,7 @@ struct LoopbackSession {
   }
 
   core::CoSimEngine engine;  ///< no peripheral: the bare processor
+  core::ManyCoreEngine cores;
   CoSimTarget target;
   std::unique_ptr<Transport> server_transport;
   std::unique_ptr<Transport> client_transport;
@@ -238,7 +241,7 @@ TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
   ASSERT_TRUE(free_built.ok()) << free_built.error();
   sim::SimSystem free_run = std::move(free_built).value();
 
-  CoSimTarget target(debugged.engine());
+  CoSimTarget target(*debugged.machine_engine(), 0);
   auto [server_side, client_side] = make_loopback();
   RspServer server(*server_side, target);
   RspTestClient client(*client_side, [&server] { server.pump(); });

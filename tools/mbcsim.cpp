@@ -463,9 +463,10 @@ int run_machine(const Options& options, machine::MachineDesc desc) {
                 static_cast<unsigned long long>(total.cycles),
                 cycles_to_usec(total.cycles),
                 static_cast<unsigned long long>(total.instructions));
-    if (const core::ManyCoreEngine* engine = system.machine_engine()) {
+    if (system.core_count() > 1) {
       std::printf(", %llu link words",
-                  static_cast<unsigned long long>(engine->link_words()));
+                  static_cast<unsigned long long>(
+                      system.machine_engine()->link_words()));
     }
     std::printf("\n");
     code = exit_code(reason);
@@ -502,9 +503,8 @@ int run_machine(const Options& options, machine::MachineDesc desc) {
     }
   }
   if (const auto diagnosis = system.deadlock_diagnosis(); diagnosis) {
-    if (const core::ManyCoreEngine* engine = system.machine_engine()) {
-      std::printf("core '%s': ",
-                  system.core_name(engine->deadlock_core()).c_str());
+    if (system.core_count() > 1) {
+      std::printf("core '%s': ", system.core_name(system.stop_core()).c_str());
     }
     std::printf("%s\n", diagnosis->to_string().c_str());
   }
