@@ -12,10 +12,15 @@
 // and then shows diminishing returns (the pass count ceil(iters/P)
 // dominates); the paper's headline is a 5.6x improvement at P = 4 with
 // 24 iterations.
+//
+// For each hardware point it also prints what the sysgen kernel ran per
+// pass (sysgen::KernelStats): ops (each segment's closing kEnd included)
+// and segments, the measure that tells dispatch cost from op cost.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/sweep.hpp"
@@ -37,6 +42,13 @@ int main(int argc, char** argv) {
 
   // Two points (24- and 32-iteration workloads) per pipeline depth.
   sim::Sweep sweep;
+  std::vector<sysgen::KernelStats> kernels(2 * std::size(kPes));
+  const sim::Sweep::Collector read_kernel =
+      [&kernels](sim::SimSystem& system, sim::SweepPointResult& result) {
+        if (const sysgen::Model* model = system.hardware()) {
+          kernels[result.index] = model->kernel_stats();
+        }
+      };
   for (unsigned p : kPes) {
     for (const CordicWorkload* w : {&w24, &w32}) {
       apps::cordic::CordicRunConfig config;
@@ -47,7 +59,8 @@ int main(int argc, char** argv) {
                     std::to_string(w->iterations) + "it",
                 [config, w] {
                   return apps::cordic::make_cordic_system(config, w->x, w->y);
-                });
+                },
+                read_kernel);
     }
   }
 
@@ -82,6 +95,22 @@ int main(int argc, char** argv) {
   }
   report.write(json_path);
 
+  print_rule();
+  std::printf("%4s %18s %18s %18s %18s\n", "P", "ops/pass (24)",
+              "ops/pass (32)", "segments/pass (24)", "segments/pass (32)");
+  for (std::size_t i = 0; i < std::size(kPes); ++i) {
+    if (kPes[i] == 0) continue;
+    auto per_pass = [](const sysgen::KernelStats& k, u64 count) {
+      return k.passes == 0 ? 0.0
+                           : static_cast<double>(count) /
+                                 static_cast<double>(k.passes);
+    };
+    const sysgen::KernelStats& k24 = kernels[2 * i];
+    const sysgen::KernelStats& k32 = kernels[2 * i + 1];
+    std::printf("%4u %18.1f %18.1f %18.2f %18.2f\n", kPes[i],
+                per_pass(k24, k24.ops), per_pass(k32, k32.ops),
+                per_pass(k24, k24.segments), per_pass(k32, k32.segments));
+  }
   print_rule();
   std::printf(
       "Paper shape: monotone decrease with P, diminishing returns; P=4 at\n"

@@ -115,6 +115,36 @@ void BM_SysgenModelStepSettled(benchmark::State& state) {
 }
 BENCHMARK(BM_SysgenModelStepSettled)->Arg(2)->Arg(4)->Arg(8);
 
+// One stepped hardware cycle through CoSimEngine::tick_hardware: the
+// bridge, the pass and the port ops in one kernel call. As in
+// BM_SysgenModelStep a new FSL word arrives every cycle, here through the
+// processor-side FIFO; the results the pipeline writes back are drained.
+void BM_CoSimTick(benchmark::State& state) {
+  auto pipeline =
+      apps::cordic::build_cordic_pipeline(static_cast<unsigned>(state.range(0)));
+  fsl::FslHub hub;
+  iss::LmbMemory memory(4 * 1024);
+  iss::Processor cpu(isa::CpuConfig{}, memory, &hub);
+  core::CoSimEngine engine(cpu, pipeline.model.get(), hub);
+  if (!engine.bridge().bind(pipeline.io).ok) {
+    state.SkipWithError("the pipeline does not bind");
+    return;
+  }
+  fsl::FslChannel& in = hub.to_hw(0);
+  fsl::FslChannel& out = hub.from_hw(0);
+  u64 cycles = 0;
+  for (auto _ : state) {
+    in.try_write(static_cast<Word>(cycles), false);
+    engine.tick_hardware(1);
+    while (auto word = out.try_read()) benchmark::DoNotOptimize(word);
+    ++cycles;
+  }
+  state.counters["hw_cycles_per_second"] =
+      benchmark::Counter(static_cast<double>(cycles),
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CoSimTick)->Arg(2)->Arg(4)->Arg(8);
+
 // Building a CORDIC pipeline model and elaborating it: block and signal
 // construction, topological order, lowering and the region partition.
 void BM_SysgenElaborate(benchmark::State& state) {

@@ -5,9 +5,15 @@
 // Both applications use it as the hardware-to-processor output stage:
 // the CORDIC pipeline emits (X, Y, Z) per result, the matmul peripheral
 // emits one row of the block product.
+//
+// It lowers into native ops (DESIGN.md §15): phase 0 copies the queue's
+// front word and its busy bit onto (data, write), and one kSerialize op
+// in phase 2 pops the word the FIFO took and pushes the captured vector.
+// The queue lives in a sysgen::SerialQueue inside the block, so it has a
+// stable address and an unbounded backlog: words captured while `full`
+// holds wait in it.
 #pragma once
 
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -38,6 +44,7 @@ class VectorSerializer : public sysgen::Block {
                        "': mixed input formats");
       }
       connect_input(*signal);
+      queue_.values.push_back(signal->slot());
     }
     width_ = values.size();
     connect_input(valid);  // input index width_
@@ -49,41 +56,40 @@ class VectorSerializer : public sysgen::Block {
 
   [[nodiscard]] bool is_sequential() const override { return true; }
 
-  void output_state() override {
-    const bool emitting = !queue_.empty();
-    data_.drive_raw(emitting ? queue_.front() : 0);
-    write_.drive_raw(emitting ? 1 : 0);
+  void lower(sysgen::Lowering& lowering) override {
+    using sysgen::OpCode;
+    using sysgen::Phase;
+    lowering.emit(Phase::kOutput, {.code = OpCode::kCopy,
+                                   .dst = data_.slot(),
+                                   .a = &queue_.front});
+    lowering.emit(Phase::kOutput, {.code = OpCode::kCopy,
+                                   .dst = write_.slot(),
+                                   .a = &queue_.busy});
+    lowering.emit(Phase::kLatch,
+                  {.code = OpCode::kSerialize,
+                   .a = inputs()[width_]->slot(),
+                   .b = has_full_ ? inputs()[width_ + 1]->slot()
+                                  : sysgen::Lowering::zero(),
+                   .ext = {.queue = &queue_}});
   }
 
-  void latch() override {
-    // The word presented this cycle is consumed unless the FIFO was full.
-    const std::vector<sysgen::Signal*>& inputs = this->inputs();
-    const bool stalled = has_full_ && inputs[width_ + 1]->as_bool();
-    changed_ = !queue_.empty() && !stalled;
-    if (changed_) queue_.pop_front();
-    if (inputs[width_]->as_bool()) {
-      changed_ = true;
-      for (std::size_t i = 0; i < width_; ++i) {
-        queue_.push_back(inputs[i]->raw());
-      }
-    }
+  void reset() override {
+    queue_.words.clear();
+    queue_.refresh();
   }
-  /// Nothing popped and nothing pushed leaves the queue as it was.
-  [[nodiscard]] bool latch_changed() const override { return changed_; }
-
-  void reset() override { queue_.clear(); }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_u64(queue_.size());
-    for (const i64 word : queue_) writer.write_i64(word);
+    writer.write_u64(queue_.words.size());
+    for (const i64 word : queue_.words) writer.write_i64(word);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     const u64 backlog = reader.read_u64();
     if (!reader.ok()) return false;
-    queue_.clear();
+    queue_.words.clear();
     for (u64 i = 0; i < backlog; ++i) {
-      queue_.push_back(data_.wrap(reader.read_i64()));
+      queue_.words.push_back(data_.wrap(reader.read_i64()));
     }
+    queue_.refresh();
     return reader.ok();
   }
 
@@ -97,7 +103,9 @@ class VectorSerializer : public sysgen::Block {
 
   [[nodiscard]] sysgen::Signal& data() noexcept { return data_; }
   [[nodiscard]] sysgen::Signal& write() noexcept { return write_; }
-  [[nodiscard]] std::size_t backlog() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t backlog() const noexcept {
+    return queue_.words.size();
+  }
 
  private:
   FixFormat word_format_;
@@ -105,8 +113,7 @@ class VectorSerializer : public sysgen::Block {
   sysgen::Signal& write_;
   std::size_t width_ = 0;
   bool has_full_ = false;
-  bool changed_ = true;
-  std::deque<i64> queue_;  ///< raw codes in word_format_
+  sysgen::SerialQueue queue_;  ///< raw codes in word_format_
 };
 
 }  // namespace mbcosim::apps

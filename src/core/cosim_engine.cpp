@@ -1,6 +1,5 @@
 #include "core/cosim_engine.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "ckpt/ckpt.hpp"
@@ -54,72 +53,45 @@ void CoSimEngine::reset(Addr pc) {
   bridge_.hub().clear();
   bridge_.reset();
   hw_cycles_ = 0;
-  idle_streak_ = 0;
+  quiescence_.idle_streak = 0;
   skipped_cycles_ = 0;
   last_deadlock_.reset();
 }
 
 void CoSimEngine::tick_hardware(Cycle cycles) {
   if (hardware_ == nullptr) return;
-  Cycle skipped_this_call = 0;
-  for (Cycle i = 0; i < cycles; ++i) {
-    if (quiescence_window_ > 0) {
-      if (bridge_.interface_active()) {
-        idle_streak_ = 0;
-      } else if (idle_streak_ >= quiescence_window_) {
-        // The peripheral has provably drained, and a skipped cycle
-        // changes nothing interface_active() reads: skip the rest.
-        skipped_this_call += fast_forward(cycles - i);
-        break;
-      } else {
-        ++idle_streak_;
+  Cycle skipped = 0;
+  if (trace_bus_ == nullptr || !trace_bus_->enabled()) {
+    skipped = hardware_->tick(cycles, bridge_.ports(), quiescence_);
+    // The time cursor rests on the last cycle the model stepped.
+    if (trace_bus_ != nullptr && skipped != cycles) {
+      trace_bus_->set_time(hw_cycles_ + cycles - skipped - 1);
+    }
+    hw_cycles_ += cycles;
+  } else {
+    // One cycle per call, so the bridge's FIFO events carry the cycle
+    // they happen on; a skipped cycle leaves the cursor where it was.
+    for (Cycle i = 0; i < cycles; ++i) {
+      const Cycle time = trace_bus_->time();
+      trace_bus_->set_time(hw_cycles_ + i);
+      if (hardware_->tick(1, bridge_.ports(), quiescence_) != 0) {
+        trace_bus_->set_time(time);
+        ++skipped;
       }
     }
-    if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_);
-    bridge_.pre_cycle();
-    hardware_->step();
-    const bool moved = bridge_.post_cycle();
-    ++hw_cycles_;
-    if (!moved && hardware_->settled()) {
-      // No word moved, so the FIFOs and the next cycle's inputs are
-      // unchanged, and the model repeats itself under them: every
-      // remaining cycle of this call is this one again.
-      skipped_this_call += fast_forward(cycles - i - 1);
-      break;
-    }
+    hw_cycles_ += cycles;
   }
-  if (skipped_this_call != 0 && metrics_ != nullptr) {
-    metrics_->quiesce_skipped += skipped_this_call;
+  skipped_cycles_ += skipped;
+  if (skipped != 0 && metrics_ != nullptr) {
+    metrics_->quiesce_skipped += skipped;
   }
-  if (skipped_this_call != 0 && trace_bus_ != nullptr &&
-      trace_bus_->enabled()) {
+  if (skipped != 0 && trace_bus_ != nullptr && trace_bus_->enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kQuiesceSkip;
     event.cycle = hw_cycles_;
-    event.skipped = skipped_this_call;
+    event.skipped = skipped;
     trace_bus_->emit(event);
   }
-}
-
-Cycle CoSimEngine::fast_forward(Cycle cycles) {
-  // The per-cycle loop would test the interface on each of these cycles
-  // and get the same answer every time. An active interface was active
-  // on the last cycle too, so its idle streak is already 0.
-  Cycle stepped = cycles;
-  if (quiescence_window_ > 0 && !bridge_.interface_active()) {
-    stepped = std::min(cycles, quiescence_window_ > idle_streak_
-                                   ? quiescence_window_ - idle_streak_
-                                   : 0);
-    idle_streak_ += cycles;
-  }
-  if (stepped != 0) {
-    hardware_->run(stepped);
-    if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_ + stepped - 1);
-  }
-  const Cycle skipped = cycles - stepped;
-  skipped_cycles_ += skipped;
-  hw_cycles_ += cycles;
-  return skipped;
 }
 
 iss::StepResult CoSimEngine::debug_step() {
@@ -146,8 +118,14 @@ StopReason CoSimEngine::declare_deadlock(Cycle blocked_cycles) {
 
 StopReason CoSimEngine::run(Cycle max_cycles) {
   StallStreak streak(deadlock_threshold_, fifo_traffic());
+  // Cycles of a retired precise step that the hardware still owes: on
+  // the fast path the next batch touches no FIFO, so its tick pays them
+  // too. Ticking a cycles and then b equals ticking a + b when nothing
+  // touches the FIFOs in between.
+  Cycle owed = 0;
   while (!cpu_.halted() && cpu_.cycle() < max_cycles) {
-    if (cpu_.fast_path_available()) {
+    const bool fast = cpu_.fast_path_available();
+    if (fast) {
       // Multi-cycle quantum: run the CPU ahead through code that cannot
       // touch the FSL interface, then advance the hardware model by the
       // same number of cycles. The two sides interact only through the
@@ -155,8 +133,9 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       // clocks agree at every FIFO handshake — the same cycle accuracy
       // as strict one-step alternation, at a fraction of the cost.
       const iss::BatchResult batch = cpu_.run_batch(max_cycles);
-      if (batch.cycles != 0) {
-        tick_hardware(batch.cycles);
+      if (owed + batch.cycles != 0) {
+        tick_hardware(owed + batch.cycles);
+        owed = 0;
         streak.restart(fifo_traffic());
       }
       if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
@@ -166,6 +145,12 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       // takes the precise lock-step path below.
     }
     const iss::StepResult result = cpu_.step();
+    if (fast && result.event == iss::Event::kRetired) {
+      // A retired step restarts the streak; the tick that pays these
+      // cycles restarts it again, after the words they move.
+      owed = result.cycles;
+      continue;
+    }
     // Keep the hardware clock in lock step with the processor clock.
     tick_hardware(result.cycles);
     if (result.event == iss::Event::kHalted) return StopReason::kHalted;
@@ -174,19 +159,20 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       return declare_deadlock(streak.length());
     }
   }
+  if (owed != 0) tick_hardware(owed);
   return cpu_.halted() ? StopReason::kHalted : StopReason::kCycleLimit;
 }
 
 void CoSimEngine::save_state(ckpt::Writer& writer) const {
   writer.write_u64(hw_cycles_);
-  writer.write_u64(idle_streak_);
+  writer.write_u64(quiescence_.idle_streak);
   writer.write_u64(skipped_cycles_);
   bridge_.save_state(writer);
 }
 
 bool CoSimEngine::load_state(ckpt::Reader& reader) {
   hw_cycles_ = reader.read_u64();
-  idle_streak_ = reader.read_u64();
+  quiescence_.idle_streak = reader.read_u64();
   skipped_cycles_ = reader.read_u64();
   if (!bridge_.load_state(reader)) return false;
   last_deadlock_.reset();

@@ -16,6 +16,12 @@
 // paper's definition of high-level cycle accuracy (Section I). A
 // processor blocked on a full/empty FSL burns one cycle per step until
 // the hardware makes progress (Section III-B's stalling semantics).
+//
+// Advancing the hardware is one call into the sysgen kernel
+// (Model::tick, DESIGN.md §15): the bridge's port ops, the passes, the
+// elision of repeated cycles and the quiescence skip all run inside it.
+// Only with an enabled trace bus does the engine tick one cycle per call,
+// to stamp each FIFO event with its cycle.
 #pragma once
 
 #include <optional>
@@ -125,10 +131,11 @@ class CoSimEngine {
 
   /// Advance the hardware (and bridge) alone by `cycles` clock cycles —
   /// used when the software side is idle and by hardware-only benches.
-  /// Once a stepped cycle moves no FIFO word and leaves the model
-  /// settled, the rest of the call repeats it and costs O(1), with every
-  /// counter, statistic and trace event as the per-cycle loop leaves them.
-  /// Without a model this returns at once and changes nothing.
+  /// One Model::tick call: once a stepped cycle moves no FIFO word and
+  /// leaves the model settled, the rest of the call repeats it and costs
+  /// O(1), with every counter, statistic and trace event as ticking one
+  /// cycle per call leaves them. Without a model this returns at once and
+  /// changes nothing.
   void tick_hardware(Cycle cycles);
 
   /// One precise lock-step unit for a debugger: step the processor once
@@ -171,7 +178,7 @@ class CoSimEngine {
   /// drained synchronous pipeline with no input is a fixed point of the
   /// simulation. 0 disables the optimization (every cycle is stepped).
   void set_quiescence_window(Cycle drain_cycles) noexcept {
-    quiescence_window_ = drain_cycles;
+    quiescence_.window = drain_cycles;
   }
 
   /// Attach the observability bus (nullptr to detach). The engine
@@ -196,20 +203,12 @@ class CoSimEngine {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
-  /// Advance `cycles` cycles in O(1), each exactly as the per-cycle loop
-  /// would: no FIFO can change during them (the bridge moved no word on
-  /// the last stepped cycle, or none was stepped), and the model is
-  /// settled or the quiescence window skips them all. Returns how many
-  /// the window skips.
-  Cycle fast_forward(Cycle cycles);
-
   iss::Processor& cpu_;
   sysgen::Model* hardware_;
   FslBridge bridge_;
   Cycle hw_cycles_ = 0;
   Cycle deadlock_threshold_ = 100'000;
-  Cycle quiescence_window_ = 0;
-  Cycle idle_streak_ = 0;
+  sysgen::Quiescence quiescence_;
   Cycle skipped_cycles_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;
   obs::EngineCounters* metrics_ = nullptr;

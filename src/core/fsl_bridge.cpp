@@ -5,6 +5,13 @@
 
 namespace mbcosim::core {
 
+FslBridge::FslBridge(fsl::FslHub& hub) : hub_(hub) {
+  ports_.owner = this;
+  ports_.present = &FslBridge::present;
+  ports_.pop = &FslBridge::pop;
+  ports_.push = &FslBridge::push;
+}
+
 Status FslBridge::bind(const FslPort& port) {
   const std::string channel = std::to_string(port.channel);
   if (port.channel >= fsl::FslHub::kChannels) {
@@ -33,70 +40,62 @@ Status FslBridge::bind(const FslPort& port) {
     return Status::failure("the master side of FSL channel " + channel +
                            " needs the m_data and m_write gateways");
   }
-  if (port.has_slave()) slaves_.push_back(port);
-  if (port.has_master()) masters_.push_back(port);
+  if (port.has_slave()) {
+    slaves_.push_back(port);
+    ports_.pops.push_back({.bit = port.s_read->slot()});
+  }
+  if (port.has_master()) {
+    masters_.push_back(port);
+    ports_.pushes.push_back(
+        {.bit = port.m_write->slot(),
+         .data = port.m_data->slot(),
+         .control = port.m_control != nullptr ? port.m_control->slot()
+                                              : sysgen::Lowering::zero()});
+  }
   return {};
 }
 
-void FslBridge::pre_cycle() {
-  for (const FslPort& slave : slaves_) {
-    const auto& channel = hub_.to_hw(slave.channel);
-    const auto head = channel.peek();
+bool FslBridge::present(void* owner) {
+  const FslBridge& bridge = *static_cast<const FslBridge*>(owner);
+  bool active = false;
+  for (const FslPort& slave : bridge.slaves_) {
+    const auto head = bridge.hub_.to_hw(slave.channel).peek();
     slave.s_exists->set_bool(head.has_value());
     slave.s_data->set_raw(head ? static_cast<i64>(head->data) : 0);
     if (slave.s_control != nullptr) {
       slave.s_control->set_bool(head ? head->control : false);
     }
+    active |= head.has_value();
   }
-  for (const FslPort& master : masters_) {
-    if (master.m_full != nullptr) {
-      master.m_full->set_bool(hub_.from_hw(master.channel).full());
-    }
-  }
-}
-
-bool FslBridge::interface_active() const {
-  if (wrote_last_cycle_) return true;
-  for (const FslPort& slave : slaves_) {
-    if (hub_.to_hw(slave.channel).exists()) return true;
-  }
-  for (const FslPort& master : masters_) {
+  for (const FslPort& master : bridge.masters_) {
     // Output backpressure: the hardware may be holding words it could
     // not deliver; keep simulating until the FIFO drains.
-    if (hub_.from_hw(master.channel).full()) return true;
+    const bool full = bridge.hub_.from_hw(master.channel).full();
+    if (master.m_full != nullptr) master.m_full->set_bool(full);
+    active |= full;
   }
-  return false;
+  return active;
 }
 
-bool FslBridge::post_cycle() {
-  wrote_last_cycle_ = false;
-  bool moved = false;
-  for (const FslPort& slave : slaves_) {
-    if (slave.s_read->read_bool()) {
-      auto& channel = hub_.to_hw(slave.channel);
-      if (channel.try_read().has_value()) {
-        stats_.words_to_hw += 1;
-        moved = true;
-      }
-    }
+bool FslBridge::pop(void* owner, std::size_t port) {
+  FslBridge& bridge = *static_cast<FslBridge*>(owner);
+  if (!bridge.hub_.to_hw(bridge.slaves_[port].channel).try_read()) {
+    return false;
   }
-  for (const FslPort& master : masters_) {
-    if (master.m_write->read_bool()) {
-      auto& channel = hub_.from_hw(master.channel);
-      const auto data = static_cast<Word>(
-          static_cast<u64>(master.m_data->read_raw()) & 0xFFFFFFFFu);
-      const bool control =
-          master.m_control != nullptr && master.m_control->read_bool();
-      if (channel.try_write(data, control)) {
-        stats_.words_from_hw += 1;
-        wrote_last_cycle_ = true;
-      } else {
-        stats_.refused_writes += 1;
-        wrote_last_cycle_ = true;  // the master is still presenting words
-      }
-    }
+  bridge.stats_.words_to_hw += 1;
+  return true;
+}
+
+bool FslBridge::push(void* owner, std::size_t port, i64 data, bool control) {
+  FslBridge& bridge = *static_cast<FslBridge*>(owner);
+  const auto word = static_cast<Word>(static_cast<u64>(data) & 0xFFFFFFFFu);
+  if (bridge.hub_.from_hw(bridge.masters_[port].channel)
+          .try_write(word, control)) {
+    bridge.stats_.words_from_hw += 1;
+    return true;
   }
-  return moved || wrote_last_cycle_;
+  bridge.stats_.refused_writes += 1;
+  return false;
 }
 
 }  // namespace mbcosim::core

@@ -1,7 +1,7 @@
 // FslBridge: the communication-interface half of the "MicroBlaze Simulink
-// block" (paper Section III-A/III-B). Each simulated clock cycle it
-// presents the FSL FIFO state to the hardware model through Gateway In
-// blocks, and samples the hardware's handshake outputs:
+// block" (paper Section III-A/III-B). It presents the FSL FIFO state to
+// the hardware model through Gateway In blocks, and the model's handshake
+// outputs move words through the FIFOs:
 //
 //   processor -> hardware ("slave" side, the HW is the FSL slave):
 //     FSL_S_Data / FSL_S_Control / FSL_S_Exists  driven into the model,
@@ -13,6 +13,13 @@
 //     counted): a correct master observes FSL_M_Full and re-presents the
 //     word, so no data is lost -- the paper instead sizes the data sets
 //     so results "would not overflow the FIFOs" (Section IV-A).
+//
+// The bridge lives in the sysgen tape (DESIGN.md §15): it owns the
+// sysgen::Ports record that Model::tick hands to the kernel, whose port
+// ops sample the Read and Write slots after every stepped cycle and call
+// back into the bridge only when one is high. The gateways are written
+// only when the FIFOs may have changed: at the start of a tick, and after
+// a pop or a taken push, at the top of the next cycle.
 //
 // A peripheral describes its interface on one channel as one FslPort,
 // from the app that builds the model through the PeripheralRegistry to
@@ -63,7 +70,10 @@ struct BridgeStats {
 
 class FslBridge {
  public:
-  explicit FslBridge(fsl::FslHub& hub) : hub_(hub) {}
+  explicit FslBridge(fsl::FslHub& hub);
+  // The ports record points back at the bridge.
+  FslBridge(const FslBridge&) = delete;
+  FslBridge& operator=(const FslBridge&) = delete;
 
   /// Validate `port` and wire its sides onto the FIFOs of its channel.
   /// Fails, leaving the bridge as it was, when the channel is out of
@@ -71,22 +81,8 @@ class FslBridge {
   /// side it binds lacks a required gateway.
   [[nodiscard]] Status bind(const FslPort& port);
 
-  /// Drive the model's FSL-facing inputs from the FIFO state. Call
-  /// immediately before Model::step().
-  void pre_cycle();
-
-  /// Sample the model's FSL-facing outputs and update the FIFOs. Call
-  /// immediately after Model::step(). Returns whether a word moved: a
-  /// pop, a push or a refused push. A cycle that moves none leaves the
-  /// FIFOs, and with them the next pre_cycle()'s inputs, as they were.
-  bool post_cycle();
-
-  /// True when the FSL interface demands hardware simulation this cycle:
-  /// pending input words, output backpressure, or output traffic on the
-  /// previous stepped cycle. Used by the engine's quiescence skip (the
-  /// paper's "simulation of these hardware designs is carried out
-  /// whenever there is data coming from the processor").
-  [[nodiscard]] bool interface_active() const;
+  /// The record the kernel's port ops call into (Model::tick).
+  [[nodiscard]] sysgen::Ports& ports() noexcept { return ports_; }
 
   [[nodiscard]] const BridgeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] fsl::FslHub& hub() noexcept { return hub_; }
@@ -94,7 +90,7 @@ class FslBridge {
   /// Forget the traffic counters and the write tracking, as at build.
   void reset() noexcept {
     stats_ = BridgeStats{};
-    wrote_last_cycle_ = false;
+    ports_.wrote_last_cycle = false;
   }
 
   /// Checkpoint the traffic counters and the quiescence write-tracking
@@ -103,22 +99,27 @@ class FslBridge {
     writer.write_u64(stats_.words_to_hw);
     writer.write_u64(stats_.words_from_hw);
     writer.write_u64(stats_.refused_writes);
-    writer.write_bool(wrote_last_cycle_);
+    writer.write_bool(ports_.wrote_last_cycle);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) {
     stats_.words_to_hw = reader.read_u64();
     stats_.words_from_hw = reader.read_u64();
     stats_.refused_writes = reader.read_u64();
-    wrote_last_cycle_ = reader.read_bool();
+    ports_.wrote_last_cycle = reader.read_bool();
     return reader.ok();
   }
 
  private:
+  // The sysgen::Ports calls; `owner` is the bridge.
+  static bool present(void* owner);
+  static bool pop(void* owner, std::size_t port);
+  static bool push(void* owner, std::size_t port, i64 data, bool control);
+
   fsl::FslHub& hub_;
   std::vector<FslPort> slaves_;   ///< ports with a slave side, bind order
   std::vector<FslPort> masters_;  ///< ports with a master side, bind order
   BridgeStats stats_;
-  bool wrote_last_cycle_ = false;
+  sysgen::Ports ports_;
 };
 
 }  // namespace mbcosim::core

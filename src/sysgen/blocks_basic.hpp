@@ -67,7 +67,7 @@ class GatewayIn : public Block {
     pending_ = Fix::from_double(out_.format(), value).raw();
   }
   /// Raw codes are masked into the format (no format re-validation: the
-  /// FSL bridge calls this every stepped cycle).
+  /// FSL bridge presents every FIFO change through this).
   void set_raw(i64 raw_code) noexcept { pending_ = out_.wrap(raw_code); }
   void set_fix(const Fix& value) {
     pending_ = value.cast(out_.format(), Quantization::kRoundHalfUp,
@@ -75,10 +75,9 @@ class GatewayIn : public Block {
   }
   void set_bool(bool value) noexcept { set_raw(value ? 1 : 0); }
 
+  // No op: the kernel copies the pending value onto out when it changes.
   void lower(Lowering& lowering) override {
-    lowering.input(&pending_);
-    lowering.emit(Phase::kPropagate,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &pending_});
+    lowering.input(&pending_, out_.slot());
   }
   void reset() override { pending_ = 0; }
 
@@ -110,6 +109,8 @@ class GatewayOut : public Block {
   [[nodiscard]] Fix read() const { return in(0).value(); }
   [[nodiscard]] i64 read_raw() const { return in(0).raw(); }
   [[nodiscard]] bool read_bool() const { return in(0).as_bool(); }
+  /// The tapped signal's slot, for the kernel's port ops.
+  [[nodiscard]] const i64* slot() const { return in(0).slot(); }
 };
 
 // ---------------------------------------------------------------------------

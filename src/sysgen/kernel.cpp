@@ -178,6 +178,9 @@ void for_each_read(const Op& op, Fn&& fn) {
     case OpCode::kMux:
       for (i64 i = 0; i <= op.k; ++i) fn(op.ext.sources[i]);
       break;
+    case OpCode::kSerialize:
+      for (const i64* value : op.ext.queue->values) fn(value);
+      break;
     default:
       break;
   }
@@ -198,6 +201,10 @@ void for_each_write(const Op& op, Fn&& fn) {
       return;
     case OpCode::kLatch:
       return;
+    case OpCode::kSerialize:
+      fn(&op.ext.queue->front);
+      fn(&op.ext.queue->busy);
+      return;
     default:
       if (op.dst != nullptr) fn(op.dst);
   }
@@ -211,6 +218,7 @@ bool is_state_op(OpCode code) noexcept {
     case OpCode::kRingPush:
     case OpCode::kRom:
     case OpCode::kRam:
+    case OpCode::kSerialize:
     case OpCode::kLatch:
       return true;
     default:
@@ -261,12 +269,14 @@ Kernel Lowering::finish() && {
     });
   }
   for (u32 i = 0; i < kernel_.inputs_.size(); ++i) {
-    slots.insert(kernel_.inputs_[i], i | kInput);
+    if (slots.insert(kernel_.input_outputs_[i], i | kInput) != (i | kInput)) {
+      throw SimError("sysgen lowering: two ops write one slot");
+    }
   }
 
   // A source op is a block's only op: a phase-1 copy of a slot no op
-  // writes (a constant, or a gateway input). Nothing unites it with
-  // another op, so it is a region of its own, which a pass can run
+  // writes (a constant), or of a gateway's signal. Nothing unites it
+  // with another op, so it is a region of its own, which a pass can run
   // before every other body.
   std::vector<u8> source(count, 0);
   for (u32 i = 0; i < count; ++i) {
@@ -358,9 +368,12 @@ Kernel Lowering::finish() && {
       kernel.tape_[position[i]] = ops_[i];
     }
   }
+  // Each kEnd names its region and counts its segment's ops, itself
+  // included (KernelStats).
   for (std::size_t index = 0; index < sizes.size(); ++index) {
     if (sizes[index] != 0) {
       kernel.tape_[cursor[index]].k = static_cast<i64>(index / 2);
+      kernel.tape_[cursor[index]].k2 = static_cast<i64>(sizes[index]) + 1;
     }
   }
 
@@ -388,7 +401,7 @@ Kernel Lowering::finish() && {
     op.k2 = static_cast<i64>(kernel.fanout_.size());
     if (op.k2 != op.k) op.code = fan_code(op.code);
   }
-  // Inputs are few, each read by its gateway's copy.
+  // Inputs are few.
   std::fill(seen.begin(), seen.end(), kNone);
   kernel.input_fanout_.assign(kernel.inputs_.size() + 1, 0);
   for (u32 i = 0; i < kernel.inputs_.size(); ++i) {
@@ -415,9 +428,94 @@ Kernel Lowering::finish() && {
 
 bool Kernel::inputs_unchanged() const noexcept {
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (*inputs_[i] != snapshot_[i]) return false;
+    if (*inputs_[i] != *input_outputs_[i]) return false;
   }
   return true;
+}
+
+void Kernel::mark_changed_inputs() noexcept {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    if (*inputs_[i] == *input_outputs_[i]) continue;
+    *input_outputs_[i] = *inputs_[i];
+    // A full pass runs every region anyway.
+    if (full_) continue;
+    // As a fanout mark: the readers' bodies only, since no phase-0 op
+    // reads an input; a reader that is a source runs with the sources.
+    for (u32 j = input_fanout_[i]; j < input_fanout_[i + 1]; ++j) {
+      const u32 region = fanout_[j];
+      if (stamp_[region] == pass_) continue;
+      stamp_[region] = pass_;
+      (region < sources_ ? sources_queue_ : bodies_queue_)
+          .push(regions_[region].body);
+    }
+  }
+}
+
+Cycle Kernel::run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence) {
+  // A model alone that has settled repeats its last cycle all call long.
+  if (ports == nullptr && settled()) return 0;
+  const Cycle window = quiescence != nullptr ? quiescence->window : 0;
+  // Whether the FIFO state last presented has work for the interface.
+  bool active = false;
+  // The FIFOs may differ from what the gateways last presented: the
+  // processor side may have moved words since the last call.
+  bool stale = ports != nullptr;
+  for (Cycle i = 0; i < cycles; ++i) {
+    bool presented = i == 0;
+    if (stale) {
+      active = ports->present(ports->owner);
+      stale = false;
+      presented = true;
+    }
+    if (window != 0) {
+      Cycle& idle = quiescence->idle_streak;
+      if (active || ports->wrote_last_cycle) {
+        idle = 0;
+      } else if (idle >= window) {
+        // The peripheral has provably drained, and a skipped cycle
+        // changes nothing the interface reads: skip the rest.
+        idle += cycles - i;
+        return cycles - i;
+      } else {
+        ++idle;
+      }
+    }
+    // A stepped cycle reads what the gateways present.
+    if (presented) mark_changed_inputs();
+    if (pending()) run();
+    bool moved = false;
+    if (ports != nullptr) {
+      ports->wrote_last_cycle = false;
+      for (std::size_t p = 0; p < ports->pops.size(); ++p) {
+        if (*ports->pops[p].bit != 0 && ports->pop(ports->owner, p)) {
+          moved = stale = true;
+        }
+      }
+      for (std::size_t p = 0; p < ports->pushes.size(); ++p) {
+        const Ports::Strobe& push = ports->pushes[p];
+        if (*push.bit == 0) continue;
+        // A refused push moves no word but still counts as traffic: the
+        // master presents the word again on the next cycle.
+        ports->wrote_last_cycle = moved = true;
+        if (ports->push(ports->owner, p, *push.data, *push.control != 0)) {
+          stale = true;
+        }
+      }
+    }
+    if (!moved && !pending()) {
+      // No word moved, so the FIFOs and the gateways are as they were,
+      // and no region would run: every remaining cycle of the call
+      // repeats this one. The quiescence window, if the interface is
+      // idle, skips those past its end.
+      const Cycle rest = cycles - i - 1;
+      if (window == 0 || active) return 0;
+      Cycle& idle = quiescence->idle_streak;
+      const Cycle stepped = std::min(rest, window > idle ? window - idle : 0);
+      idle += rest;
+      return rest - stepped;
+    }
+  }
+  return 0;
 }
 
 void Kernel::schedule(u32 region) noexcept {
@@ -437,17 +535,6 @@ void Kernel::run() {
     full_ = false;
     for (u32 r = 0; r < regions_.size(); ++r) schedule(r);
   }
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (*inputs_[i] == snapshot_[i]) continue;
-    snapshot_[i] = *inputs_[i];
-    for (u32 j = input_fanout_[i]; j < input_fanout_[i + 1]; ++j) {
-      schedule(fanout_[j]);
-    }
-  }
-  if (sources_queue_.size == 0 && outputs_queue_.size == 0 &&
-      bodies_queue_.size == 0) {
-    return;
-  }
 
   // Threaded dispatch (it measured faster than a switch): each handler
   // jumps straight to the next op's handler, in OpCode order, and the
@@ -456,8 +543,8 @@ void Kernel::run() {
       &&copy, &&wrap, &&cast, &&add, &&sub, &&mul, &&mul_clamp, &&neg,
       &&shr, &&shr_var, &&mux, &&compare, &&and_, &&or_, &&xor_, &&not_,
       &&reg, &&counter, &&ring_read, &&ring_push, &&rom, &&ram,
-      &&output_state, &&propagate, &&latch, &&copy_fan, &&ring_read_fan,
-      &&output_state_fan, &&end};
+      &&serialize, &&output_state, &&propagate, &&latch, &&copy_fan,
+      &&ring_read_fan, &&output_state_fan, &&end};
   static_assert(std::size(kHandlers) ==
                 static_cast<std::size_t>(OpCode::kEnd) + 1);
   // Stage 0 runs the queued sources (they read nothing computed in the
@@ -476,6 +563,8 @@ void Kernel::run() {
   // Set by the state ops of the running body whenever they change a
   // slot.
   bool changed = false;
+  u64 segments = 0;
+  u64 ops = 0;
   const Op* op = nullptr;
 #define MBC_NEXT()                                  \
   do {                                              \
@@ -586,6 +675,23 @@ ram: {
   if (*op->c != 0) changed |= update(cell, op->wrap(*op->b));
   MBC_NEXT();
 }
+serialize: {
+  SerialQueue& queue = *op->ext.queue;
+  bool moved = false;
+  if (!queue.words.empty() && *op->b == 0) {
+    queue.words.pop_front();
+    moved = true;
+  }
+  if (*op->a != 0) {
+    for (const i64* value : queue.values) queue.words.push_back(*value);
+    moved = true;
+  }
+  if (moved) {
+    queue.refresh();
+    changed = true;
+  }
+  MBC_NEXT();
+}
 output_state:
   op->ext.block->output_state();
   MBC_NEXT();
@@ -615,6 +721,8 @@ output_state_fan:
   MBC_MARK_FANOUT();
   MBC_NEXT();
 end:
+  ++segments;
+  ops += static_cast<u64>(op->k2);
   if (changed) {
     // The region runs again next pass, phase-0 segment and all.
     const auto region = static_cast<u32>(op->k);
@@ -629,6 +737,9 @@ end:
 #undef MBC_MARK_FANOUT
 #undef MBC_NEXT
 done:
+  stats_.passes += 1;
+  stats_.segments += segments;
+  stats_.ops += ops;
   sources_queue_.size = 0;
   std::swap(outputs_queue_, next_outputs_);
   std::swap(bodies_queue_, next_bodies_);

@@ -1,9 +1,10 @@
 // The compiled sysgen kernel (DESIGN.md §15). Model::elaborate() lowers
 // the block graph once into a flat tape of ops over raw i64 slots — each
-// signal's value, each block's state — and Model::step() runs it. Formats
-// are checked once, while lowering; every op carries the shifts, masks
-// and bounds its conversion needs, precomputed, so a stepped cycle does
-// no virtual dispatch, builds no Fix and validates no format.
+// signal's value, each block's state — and Kernel::run_cycles runs it
+// (through Model::tick, step() and run()). Formats are checked once,
+// while lowering; every op carries the shifts, masks and bounds its
+// conversion needs, precomputed, so a stepped cycle does no virtual
+// dispatch, builds no Fix and validates no format.
 //
 // Ops point into storage that never moves after elaboration: the model's
 // signal deque, blocks held by unique_ptr (whose state buffers are sized
@@ -13,9 +14,9 @@
 // Lowering::finish() partitions the ops into regions: an op that reads a
 // value computed within the cycle — a phase-1 result or a latch-phase
 // temp — shares its writer's region, and all ops of one block share a
-// region. The phase-0 ops (functions of their block's state) and the
-// source ops (copies of a constant or a gateway input) do not unite with
-// their readers; they mark the readers' regions pending, through a
+// region. The phase-0 ops (functions of their block's state), the
+// source ops (copies of a constant) and the gateway inputs do not unite
+// with their readers; they mark the readers' regions pending, through a
 // fanout list, when they change their slot. A region's ops sit on the
 // tape as two segments, each ending in kEnd: its phase-0 ops, and its
 // body, the phase-1 ops then the phase-2 ops in the cycle-based order
@@ -23,13 +24,23 @@
 // segments, then the bodies of the pending regions. A region is pending
 // when its state changed on the last pass (only the latch-phase state
 // ops write slots that live from one cycle to the next: kRegister,
-// kCounter, kRingPush, kRom, kRam and the kLatch fallback), or when an
-// input it reads changed this pass (a fanout mark, or a gateway slot
-// that differs from its snapshot). A region that is not pending would
-// compute exactly what its slots already hold. After Lowering::finish()
-// and invalidate() every region is pending, and the pass runs every op.
+// kCounter, kRingPush, kRom, kRam, kSerialize and the kLatch fallback),
+// or when an input it reads changed this cycle (a fanout mark, or a
+// gateway whose new value the kernel copied onto its signal). A region
+// that is not pending would compute exactly what its slots already hold.
+// After Lowering::finish() and invalidate() every region is pending, and
+// the pass runs every op.
+//
+// The bridge in the tape (DESIGN.md §15, "The engine's jump").
+// Kernel::run_cycles(n) runs n clock cycles in one call: the passes, the
+// FSL port ops after each cycle, the elision of cycles that repeat the
+// last one and the quiescence skip. The port ops sample the FSL_S_Read
+// and FSL_M_Write slots on every stepped cycle and call out through a
+// plain callback on a Ports record, which core::FslBridge owns, only
+// when a handshake bit is high; sysgen knows no FIFO.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <vector>
 
@@ -114,6 +125,8 @@ enum class OpCode : u8 {
   kRom,          ///< dst = words[min(unsigned a, k)]
   kRam,          ///< i = min(unsigned a, k); dst = cells[i];
                  ///< if c: cells[i] = wrap(b)
+  kSerialize,    ///< if queue nonempty and !b: pop; if a: push every
+                 ///< value; a change when either happened
   kOutputState,  ///< block->output_state()
   kPropagate,    ///< block->propagate()
   kLatch,        ///< block->latch(); a change unless
@@ -124,6 +137,22 @@ enum class OpCode : u8 {
   kRingReadFan,      ///< kRingRead; marks when dst changes
   kOutputStateFan,   ///< kOutputState; always marks
   kEnd,          ///< end of a segment
+};
+
+/// The queue of a lowered serializer (kSerialize): words captured in
+/// parallel and emitted one per cycle. Its backlog is unbounded; ops
+/// reach it through a pointer to this record, which never moves.
+struct SerialQueue {
+  std::vector<const i64*> values;  ///< captured in order when a is high
+  std::deque<i64> words;
+  i64 front = 0;  ///< words.front(), or 0 when empty
+  i64 busy = 0;   ///< 1 while a word waits
+
+  /// Recompute front and busy from words (after a reset or a restore).
+  void refresh() noexcept {
+    front = words.empty() ? 0 : words.front();
+    busy = words.empty() ? 0 : 1;
+  }
 };
 
 /// One instruction of the tape.
@@ -143,23 +172,79 @@ struct Op {
     const i64* words;           ///< kRom
     const i64* const* sources;  ///< kMux
     const Cast* cast;           ///< kCast
+    SerialQueue* queue;         ///< kSerialize
     Block* block;               ///< kOutputState, kPropagate, kLatch
   } ext{};
+};
+
+/// The world outside a model as its port ops see it. Its owner (the FSL
+/// bridge) fills it in and hands it to Kernel::run_cycles; the kernel
+/// reads the strobe slots after every stepped cycle and calls out only
+/// when one is high.
+struct Ports {
+  /// A handshake bit the model drives: FSL_S_Read for a pop, FSL_M_Write
+  /// with its data and control slots for a push.
+  struct Strobe {
+    const i64* bit = nullptr;
+    const i64* data = nullptr;
+    const i64* control = nullptr;
+  };
+  std::vector<Strobe> pops;    ///< index = the owner's slave port
+  std::vector<Strobe> pushes;  ///< index = the owner's master port
+  void* owner = nullptr;
+  /// Write every gateway slot the owner drives from the FIFO state;
+  /// true when the interface has work (a word to read, or a full FIFO).
+  bool (*present)(void* owner) = nullptr;
+  /// Pop the FIFO of slave port `port`; true when a word left it.
+  bool (*pop)(void* owner, std::size_t port) = nullptr;
+  /// Offer a word to the FIFO of master port `port`; true when taken.
+  bool (*push)(void* owner, std::size_t port, i64 data, bool control) =
+      nullptr;
+  /// A push was offered on the last stepped cycle, taken or refused.
+  bool wrote_last_cycle = false;
+};
+
+/// The quiescence skip of run_cycles (CoSimEngine::set_quiescence_window):
+/// once the interface has been idle for `window` consecutive cycles, the
+/// following idle cycles are not evaluated at all.
+struct Quiescence {
+  Cycle window = 0;  ///< 0 steps every cycle
+  Cycle idle_streak = 0;
+};
+
+/// What the kernel has run since elaboration: passes, the segments they
+/// dispatched and the ops in those segments, each segment's closing kEnd
+/// included. Host-side counters, not model state.
+struct KernelStats {
+  u64 passes = 0;
+  u64 segments = 0;
+  u64 ops = 0;
 };
 
 /// The lowered model: the op tape, its regions and the storage it points
 /// into.
 class Kernel {
  public:
-  /// Advance one clock cycle: run the pending regions, then leave pending
-  /// the regions whose state changed. Only a kernel from
+  /// Advance `cycles` clock cycles and return how many of them the
+  /// quiescence window skipped (neither evaluated nor counted by the
+  /// model's clock). Each stepped cycle runs a pass over the pending
+  /// regions, if any, then the port ops. Once a stepped cycle moves no
+  /// FIFO word and leaves no region pending, every remaining cycle
+  /// repeats it, and the rest of the call costs O(1).
+  ///
+  /// The gateway inputs are read only where they can change: on the
+  /// first stepped cycle of the call (the environment writes them
+  /// between calls) and after `ports->present`, which runs at the start
+  /// of the call and at the top of the cycle after a pop or a taken
+  /// push. `ports` and `quiescence` are both null (a model alone) or
+  /// both set (the FSL bridge's tick). Only a kernel from
   /// Lowering::finish() runs.
-  void run();
+  Cycle run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence);
 
-  /// True when run() would do nothing: no region is pending and every
-  /// registered input still holds the value the last run() read.
+  /// True when a cycle would do nothing: no region is pending and every
+  /// registered input still equals the output it drives.
   [[nodiscard]] bool settled() const noexcept {
-    return !full_ && bodies_queue_.size == 0 && inputs_unchanged();
+    return !pending() && inputs_unchanged();
   }
 
   /// Make every region pending, so that the next run() is a full pass;
@@ -169,6 +254,7 @@ class Kernel {
   [[nodiscard]] std::size_t region_count() const noexcept {
     return regions_.size();
   }
+  [[nodiscard]] const KernelStats& stats() const noexcept { return stats_; }
 
  private:
   friend class Lowering;
@@ -187,7 +273,17 @@ class Kernel {
     void push(u32 segment) noexcept { segments[size++] = segment; }
   };
 
+  /// One pass: run the queued segments, then leave pending the regions
+  /// whose state changed.
+  void run();
+  /// A region is queued for the next pass.
+  [[nodiscard]] bool pending() const noexcept {
+    return full_ || sources_queue_.size != 0 || bodies_queue_.size != 0;
+  }
   [[nodiscard]] bool inputs_unchanged() const noexcept;
+  /// Copy every input that differs from its output onto it, and queue
+  /// the output's readers.
+  void mark_changed_inputs() noexcept;
   /// Queue every segment of a region for this pass, once.
   void schedule(u32 region) noexcept;
 
@@ -196,7 +292,7 @@ class Kernel {
   u32 sources_ = 0;  ///< regions [0, sources_) are single source ops
   std::vector<u32> fanout_;  ///< region lists the fan ops and inputs index
   std::vector<const i64*> inputs_;
-  std::vector<i64> snapshot_;
+  std::vector<i64*> input_outputs_;  ///< the signal each input drives
   /// Input i marks the regions fanout_[input_fanout_[i], [i + 1]).
   std::vector<u32> input_fanout_;
   // Scheduling state, sized once. A region is pending for the pass its
@@ -211,6 +307,7 @@ class Kernel {
   Queue next_outputs_;
   Queue next_bodies_;
   bool full_ = true;
+  KernelStats stats_;
   std::deque<i64> temps_;
   std::deque<Cast> casts_;
   std::vector<std::vector<const i64*>> tables_;
@@ -239,11 +336,15 @@ class Lowering {
   void emit_converted(Phase phase, Op op, FixFormat to, int shift,
                       Quantization quantization, Overflow overflow);
 
-  /// Register a slot the environment writes between cycles (a GatewayIn's
-  /// pending value); the kernel compares it against its last pass.
-  void input(const i64* slot) {
+  /// Register a gateway: `slot` is written by the environment between
+  /// cycles (a GatewayIn's pending value) and drives the signal slot
+  /// `output`, which no op writes. The kernel copies a changed slot onto
+  /// its output and marks the output's readers pending directly, on the
+  /// first stepped cycle of each run_cycles call and after each
+  /// Ports::present; no pass compares it again.
+  void input(const i64* slot, i64* output) {
     kernel_.inputs_.push_back(slot);
-    kernel_.snapshot_.push_back(*slot);
+    kernel_.input_outputs_.push_back(output);
   }
 
   /// A scratch slot, private to the op that writes it.

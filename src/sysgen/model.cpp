@@ -163,20 +163,17 @@ void Model::reset() {
   kernel_.invalidate();
 }
 
-void Model::step() {
+void Model::run(Cycle cycles) {
   if (!elaborated_) elaborate();
-  if (!settled()) kernel_.run();
-  ++cycle_;
+  kernel_.run_cycles(cycles, nullptr, nullptr);
+  cycle_ += cycles;
 }
 
-void Model::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) {
-    step();
-    if (settled()) {  // nothing sets the inputs in between
-      cycle_ += cycles - i - 1;
-      return;
-    }
-  }
+Cycle Model::tick(Cycle cycles, Ports& ports, Quiescence& quiescence) {
+  if (!elaborated_) elaborate();
+  const Cycle skipped = kernel_.run_cycles(cycles, &ports, &quiescence);
+  cycle_ += cycles - skipped;
+  return skipped;
 }
 
 ResourceVec Model::resources() const {

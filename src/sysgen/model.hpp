@@ -1,11 +1,13 @@
 // Model: a complete hardware design (the contents of one System Generator
 // sheet) plus its cycle-based scheduler. The co-simulation engine drives
-// the customized hardware peripherals by calling step() once per simulated
-// clock cycle (paper Section III-A: "whenever there is data coming from
-// the processor, simulation of these hardware designs is carried out
-// within the Simulink modeling environment"). A step re-evaluates only
-// the regions of the design whose inputs or state changed (kernel.hpp),
-// and costs nothing once the design has settled.
+// the customized hardware peripherals through tick(), one call per
+// stretch of simulated clock cycles with the FSL bridge's port ops in the
+// loop (paper Section III-A: "whenever there is data coming from the
+// processor, simulation of these hardware designs is carried out within
+// the Simulink modeling environment"); step() and run() advance a model
+// alone. A cycle re-evaluates only the regions of the design whose inputs
+// or state changed (kernel.hpp), and costs nothing once the design has
+// settled.
 #pragma once
 
 #include <deque>
@@ -63,9 +65,15 @@ class Model {
   /// whose inputs or state changed (phases 0/1/2; every region after
   /// elaborate(), reset() and load_state()), or none when the cycle
   /// provably repeats the last one (settled()).
-  void step();
+  void step() { run(1); }
   /// Advance n cycles; once the model settles, the rest cost nothing.
   void run(Cycle cycles);
+
+  /// Advance `cycles` cycles with the FSL port ops in the loop, the
+  /// quiescence skip included (Kernel::run_cycles); returns the cycles
+  /// the window skipped, which the model's clock does not count. Between
+  /// calls only the owner of `ports` writes the gateways it drives.
+  Cycle tick(Cycle cycles, Ports& ports, Quiescence& quiescence);
 
   /// True when the next step() would repeat the last one exactly: no
   /// region is pending — so the last step changed no state — and the
@@ -73,6 +81,11 @@ class Model {
   /// only the GatewayIn setters, reset() and load_state() may write model
   /// state.
   [[nodiscard]] bool settled() const noexcept { return kernel_.settled(); }
+
+  /// The kernel's pass, segment and op counters since elaboration.
+  [[nodiscard]] const KernelStats& kernel_stats() const noexcept {
+    return kernel_.stats();
+  }
 
   [[nodiscard]] Cycle cycle() const noexcept { return cycle_; }
 

@@ -1,9 +1,14 @@
 // FslBridge unit tests: gateway driving, pops on read-ack, pushes on
-// write, full-flag behaviour, and port validation.
+// write, full-flag behaviour, and port validation. The bridge runs in the
+// sysgen tape, so every cycle here is one CoSimEngine::tick_hardware.
 #include "core/fsl_bridge.hpp"
+
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/cosim_engine.hpp"
 #include "sysgen/model.hpp"
 
 namespace mbcosim::core {
@@ -14,19 +19,19 @@ const FixFormat kWord = FixFormat::signed_fix(32, 0);
 const FixFormat kBool = FixFormat::unsigned_fix(1, 0);
 
 /// Minimal loopback hardware: echoes every incoming word back, adding 1.
+/// Its blocks are named "<prefix>..." in `model`.
 struct Loopback {
-  Loopback()
-      : model("loopback"),
-        data_in(model.add<sg::GatewayIn>("s.data", kWord)),
-        exists_in(model.add<sg::GatewayIn>("s.exists", kBool)),
-        control_in(model.add<sg::GatewayIn>("s.control", kBool)),
-        read_out(model.add<sg::GatewayOut>("s.read", exists_in.out())),
-        one(model.add<sg::Constant>("one", Fix::from_int(kWord, 1))),
-        plus_one(model.add<sg::AddSub>("inc", sg::AddSub::Mode::kAdd,
-                                       data_in.out(), one.out(), kWord)),
-        full_in(model.add<sg::GatewayIn>("m.full", kBool)),
-        data_out(model.add<sg::GatewayOut>("m.data", plus_one.out())),
-        write_out(model.add<sg::GatewayOut>("m.write", exists_in.out())) {}
+  explicit Loopback(sg::Model& m, const std::string& prefix = "")
+      : data_in(m.add<sg::GatewayIn>(prefix + "s.data", kWord)),
+        exists_in(m.add<sg::GatewayIn>(prefix + "s.exists", kBool)),
+        control_in(m.add<sg::GatewayIn>(prefix + "s.control", kBool)),
+        read_out(m.add<sg::GatewayOut>(prefix + "s.read", exists_in.out())),
+        one(m.add<sg::Constant>(prefix + "one", Fix::from_int(kWord, 1))),
+        plus_one(m.add<sg::AddSub>(prefix + "inc", sg::AddSub::Mode::kAdd,
+                                   data_in.out(), one.out(), kWord)),
+        full_in(m.add<sg::GatewayIn>(prefix + "m.full", kBool)),
+        data_out(m.add<sg::GatewayOut>(prefix + "m.data", plus_one.out())),
+        write_out(m.add<sg::GatewayOut>(prefix + "m.write", exists_in.out())) {}
 
   /// Both sides on channel 0.
   FslPort port() {
@@ -40,15 +45,6 @@ struct Loopback {
             .m_full = &full_in};
   }
 
-  void bind(FslBridge& bridge) { ASSERT_TRUE(bridge.bind(port()).ok); }
-
-  void cycle(FslBridge& bridge) {
-    bridge.pre_cycle();
-    model.step();
-    bridge.post_cycle();
-  }
-
-  sg::Model model;
   sg::GatewayIn& data_in;
   sg::GatewayIn& exists_in;
   sg::GatewayIn& control_in;
@@ -60,70 +56,88 @@ struct Loopback {
   sg::GatewayOut& write_out;
 };
 
-TEST(Bridge, EchoesWordsWithIncrement) {
-  fsl::FslHub hub;
-  FslBridge bridge(hub);
-  Loopback hw;
-  hw.bind(bridge);
+/// A processor-less engine around one model: the hub, the bridge and
+/// tick_hardware.
+struct Rig {
+  explicit Rig(std::size_t depth = fsl::FslChannel::kDefaultDepth)
+      : hub(depth),
+        memory(4 * 1024),
+        cpu(isa::CpuConfig{}, memory, &hub),
+        model("loopback"),
+        engine(cpu, &model, hub) {}
 
-  hub.to_hw(0).try_write(41, false);
-  hw.cycle(bridge);
-  auto out = hub.from_hw(0).try_read();
+  FslBridge& bridge() { return engine.bridge(); }
+  void cycle() { engine.tick_hardware(1); }
+
+  fsl::FslHub hub;
+  iss::LmbMemory memory;
+  iss::Processor cpu;
+  sg::Model model;
+  CoSimEngine engine;
+};
+
+/// A rig with one loopback bound on channel 0.
+struct LoopbackRig : Rig {
+  explicit LoopbackRig(std::size_t depth = fsl::FslChannel::kDefaultDepth)
+      : Rig(depth), hw(model) {
+    EXPECT_TRUE(bridge().bind(hw.port()).ok);
+  }
+  Loopback hw;
+};
+
+TEST(Bridge, EchoesWordsWithIncrement) {
+  LoopbackRig rig;
+  rig.hub.to_hw(0).try_write(41, false);
+  rig.cycle();
+  auto out = rig.hub.from_hw(0).try_read();
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->data, 42u);
-  EXPECT_FALSE(hub.to_hw(0).exists());  // consumed
+  EXPECT_FALSE(rig.hub.to_hw(0).exists());  // consumed
 }
 
 TEST(Bridge, IdleCycleMovesNothing) {
-  fsl::FslHub hub;
-  FslBridge bridge(hub);
-  Loopback hw;
-  hw.bind(bridge);
-  hw.cycle(bridge);
-  hw.cycle(bridge);
-  EXPECT_EQ(bridge.stats().words_to_hw, 0u);
-  EXPECT_EQ(bridge.stats().words_from_hw, 0u);
-  EXPECT_FALSE(hub.from_hw(0).exists());
+  LoopbackRig rig;
+  rig.cycle();
+  rig.cycle();
+  EXPECT_EQ(rig.bridge().stats().words_to_hw, 0u);
+  EXPECT_EQ(rig.bridge().stats().words_from_hw, 0u);
+  EXPECT_FALSE(rig.hub.from_hw(0).exists());
 }
 
 TEST(Bridge, StatsCountTraffic) {
-  fsl::FslHub hub;
-  FslBridge bridge(hub);
-  Loopback hw;
-  hw.bind(bridge);
-  for (int i = 0; i < 5; ++i) hub.to_hw(0).try_write(i, false);
-  for (int i = 0; i < 5; ++i) hw.cycle(bridge);
-  EXPECT_EQ(bridge.stats().words_to_hw, 5u);
-  EXPECT_EQ(bridge.stats().words_from_hw, 5u);
-  EXPECT_EQ(hub.from_hw(0).occupancy(), 5u);
+  LoopbackRig rig;
+  for (int i = 0; i < 5; ++i) rig.hub.to_hw(0).try_write(i, false);
+  // One call: the kernel presents each new head after its pop.
+  rig.engine.tick_hardware(5);
+  EXPECT_EQ(rig.bridge().stats().words_to_hw, 5u);
+  EXPECT_EQ(rig.bridge().stats().words_from_hw, 5u);
+  EXPECT_EQ(rig.hub.from_hw(0).occupancy(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(rig.hub.from_hw(0).try_read()->data, static_cast<Word>(i + 1));
+  }
 }
 
 TEST(Bridge, RefusedWritesWhenOutputFull) {
-  fsl::FslHub hub(/*depth=*/2);
-  FslBridge bridge(hub);
-  Loopback hw;  // loopback ignores full (no handshake): words get refused
-  hw.bind(bridge);
+  LoopbackRig rig(/*depth=*/2);  // loopback ignores full: words get refused
   // Fill the output FIFO (depth 2) with two echoes...
-  for (int i = 0; i < 2; ++i) hub.to_hw(0).try_write(i, false);
-  for (int i = 0; i < 2; ++i) hw.cycle(bridge);
-  EXPECT_EQ(hub.from_hw(0).occupancy(), 2u);
+  for (int i = 0; i < 2; ++i) rig.hub.to_hw(0).try_write(i, false);
+  for (int i = 0; i < 2; ++i) rig.cycle();
+  EXPECT_EQ(rig.hub.from_hw(0).occupancy(), 2u);
+  EXPECT_FALSE(rig.hw.full_in.out().as_bool());
   // ...then push two more words: their echoes are refused.
-  for (int i = 0; i < 2; ++i) hub.to_hw(0).try_write(i + 2, false);
-  for (int i = 0; i < 2; ++i) hw.cycle(bridge);
-  EXPECT_EQ(hub.from_hw(0).occupancy(), 2u);
-  EXPECT_EQ(bridge.stats().refused_writes, 2u);
+  for (int i = 0; i < 2; ++i) rig.hub.to_hw(0).try_write(i + 2, false);
+  for (int i = 0; i < 2; ++i) rig.cycle();
+  EXPECT_EQ(rig.hub.from_hw(0).occupancy(), 2u);
+  EXPECT_EQ(rig.bridge().stats().refused_writes, 2u);
+  EXPECT_TRUE(rig.hw.full_in.out().as_bool());  // FSL_M_Full presented
 }
 
 TEST(Bridge, ControlBitForwarded) {
-  fsl::FslHub hub;
-  FslBridge bridge(hub);
-  Loopback hw;
-  hw.bind(bridge);
-  hub.to_hw(0).try_write(7, true);
-  bridge.pre_cycle();
-  hw.model.step();
-  EXPECT_TRUE(hw.control_in.out().as_bool());
-  bridge.post_cycle();
+  LoopbackRig rig;
+  rig.hub.to_hw(0).try_write(7, true);
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.control_in.out().as_bool());
+  EXPECT_EQ(rig.bridge().stats().words_to_hw, 1u);
 }
 
 TEST(Bridge, BindingValidation) {
@@ -163,58 +177,59 @@ TEST(Bridge, BindingValidation) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
-    fsl::FslHub hub;
-    FslBridge bridge(hub);
-    Loopback rejected;
-    Loopback earlier;
-    if (c.taken) earlier.bind(bridge);
-    const Status status = bridge.bind(c.edit(rejected.port()));
+    // Both loopbacks in the one model the engine ticks.
+    Rig rig;
+    Loopback rejected(rig.model, "rejected.");
+    Loopback earlier(rig.model, "earlier.");
+    if (c.taken) {
+      ASSERT_TRUE(rig.bridge().bind(earlier.port()).ok);
+    }
+    const Status status = rig.bridge().bind(c.edit(rejected.port()));
     EXPECT_FALSE(status.ok);
     EXPECT_EQ(status.message, c.error);
 
     // The rejected port left no side behind: only the earlier port, if
     // any, moves words, and channel 0 is still free without it.
-    hub.to_hw(0).try_write(1, false);
-    hub.to_hw(0).try_write(2, false);
-    bridge.pre_cycle();
-    rejected.model.step();
-    earlier.model.step();
-    bridge.post_cycle();
+    const std::size_t sides = c.taken ? 1 : 0;
+    EXPECT_EQ(rig.bridge().ports().pops.size(), sides);
+    EXPECT_EQ(rig.bridge().ports().pushes.size(), sides);
+    rig.hub.to_hw(0).try_write(1, false);
+    rig.hub.to_hw(0).try_write(2, false);
+    rig.cycle();
     const u64 moved = c.taken ? 1 : 0;
-    EXPECT_EQ(bridge.stats().words_to_hw, moved);
-    EXPECT_EQ(bridge.stats().words_from_hw, moved);
+    EXPECT_EQ(rig.bridge().stats().words_to_hw, moved);
+    EXPECT_EQ(rig.bridge().stats().words_from_hw, moved);
     if (!c.taken) {
-      EXPECT_TRUE(bridge.bind(rejected.port()).ok);
+      EXPECT_TRUE(rig.bridge().bind(rejected.port()).ok);
     }
   }
 
   // A port may bind one side only: one loopback split over two channels
   // reads channel 0 and echoes into channel 1.
-  fsl::FslHub hub;
-  FslBridge bridge(hub);
-  Loopback hw;
+  Rig rig;
+  Loopback hw(rig.model);
   FslPort in = hw.port();
   in.m_data = nullptr;
   in.m_write = nullptr;
   in.m_full = nullptr;
-  ASSERT_TRUE(bridge.bind(in).ok);
+  ASSERT_TRUE(rig.bridge().bind(in).ok);
   FslPort out = hw.port();
   out.channel = 1;
   out.s_data = nullptr;
   out.s_exists = nullptr;
   out.s_control = nullptr;
   out.s_read = nullptr;
-  ASSERT_TRUE(bridge.bind(out).ok);
+  ASSERT_TRUE(rig.bridge().bind(out).ok);
 
-  hub.to_hw(0).try_write(41, false);
-  hw.cycle(bridge);
-  EXPECT_FALSE(hub.to_hw(0).exists());
-  EXPECT_FALSE(hub.from_hw(0).exists());
-  const auto echoed = hub.from_hw(1).try_read();
+  rig.hub.to_hw(0).try_write(41, false);
+  rig.cycle();
+  EXPECT_FALSE(rig.hub.to_hw(0).exists());
+  EXPECT_FALSE(rig.hub.from_hw(0).exists());
+  const auto echoed = rig.hub.from_hw(1).try_read();
   ASSERT_TRUE(echoed.has_value());
   EXPECT_EQ(echoed->data, 42u);
-  EXPECT_EQ(bridge.stats().words_to_hw, 1u);
-  EXPECT_EQ(bridge.stats().words_from_hw, 1u);
+  EXPECT_EQ(rig.bridge().stats().words_to_hw, 1u);
+  EXPECT_EQ(rig.bridge().stats().words_from_hw, 1u);
 }
 
 }  // namespace

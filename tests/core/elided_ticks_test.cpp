@@ -1,18 +1,23 @@
-// CoSimEngine::tick_hardware jumps over the cycles of a call that repeat
-// a stepped one (settled model, no FIFO word moved) in O(1). Differential
-// check: random chunkings of tick_hardware, with processor-side FIFO
-// traffic between chunks, at quiescence windows {0, 1, drain bound, 1e6},
-// against the same chunks ticked one cycle per call on a design that
-// never settles (an extra ElisionSwitch that reports every latch as a
-// change). CoSimStats, the model's cycle, the trace bus time cursor,
-// every trace event (one call's quiesce_skip event equals the sum of the
-// per-cycle calls' ones) and the engine + model + FIFO images must agree
-// after every chunk.
+// CoSimEngine::tick_hardware is one call into the sysgen kernel, which
+// jumps over the cycles of a call that repeat a stepped one (settled
+// model, no FIFO word moved) in O(1). Differential check: random
+// chunkings of tick_hardware, with processor-side FIFO traffic between
+// chunks, at quiescence windows {0, 1, drain bound, 1e6}, against the
+// same chunks ticked one cycle per call on a design that never settles
+// (an extra ElisionSwitch that reports every latch as a change). Three
+// variants: untraced (a trace bus attached but without sinks, so both
+// rigs take the one-call path), traced (an enabled bus, so the engine
+// ticks one cycle per call), and FSL faults (stuck-full, stuck-empty and
+// entry corruption armed and cleared between chunks). CoSimStats, the
+// model's cycle, the trace bus time cursor, every trace event (one
+// call's quiesce_skip event equals the sum of the per-cycle calls' ones)
+// and the engine + model + FIFO images must agree after every chunk.
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,8 +62,11 @@ class Recorder : public obs::TraceSink {
 /// Adds a peripheral to a model and binds it onto FSL channel 0.
 using Build = std::function<void(sysgen::Model&, FslBridge&)>;
 
+/// Which of the three variants a schedule runs.
+enum class Variant { kUntraced, kTraced, kFaults };
+
 struct Rig {
-  Rig(const Build& build, bool settles, Cycle window)
+  Rig(const Build& build, bool settles, Cycle window, bool traced)
       : memory(4 * 1024),
         cpu(isa::CpuConfig{}, memory, &hub),
         model("dut"),
@@ -67,7 +75,7 @@ struct Rig {
     build(model, engine.bridge());
     model.elaborate();
     engine.set_quiescence_window(window);
-    bus.add_sink(std::make_unique<Recorder>(events));
+    if (traced) bus.add_sink(std::make_unique<Recorder>(events));
     engine.set_trace_bus(&bus);
     hub.set_trace_bus(&bus);
   }
@@ -106,14 +114,47 @@ struct Tally {
   Cycle skipped = 0;
   u64 words = 0;
   u64 refused = 0;
+  u64 faults = 0;  ///< fault changes made between chunks
 };
+
+/// Arm, change or clear an FSL fault on both rigs' channel-0 FIFOs, the
+/// same way: stuck-full on the output FIFO, stuck-empty on the input
+/// FIFO, or a corrupted entry queued in the input FIFO.
+void inject_fault(Rng& rng, Rig& candidate, Rig& reference, Tally& tally) {
+  const u64 choice = rng.next_below(8);
+  const auto mask = static_cast<Word>(rng.next_below(1ull << 32));
+  const bool flip = rng.next_below(2) == 0;
+  const std::size_t index = rng.next_below(4);
+  for (Rig* rig : {&candidate, &reference}) {
+    fsl::FslChannel& in = rig->hub.to_hw(0);
+    fsl::FslChannel& out = rig->hub.from_hw(0);
+    switch (choice) {
+      case 0:
+        out.arm_fault({.stuck_full = true});
+        break;
+      case 1:
+        in.arm_fault({.stuck_empty = true});
+        break;
+      case 2:
+        std::ignore = in.corrupt_entry(index, mask, flip);
+        break;
+      case 3:
+        rig->hub.clear_faults();
+        break;
+      default:
+        continue;  // most chunks change nothing
+    }
+    if (rig == &candidate) ++tally.faults;
+  }
+}
 
 /// One random schedule: between chunks the "processor" pushes words into
 /// the peripheral's input FIFO and drains some of its output FIFO.
 void check_chunking(const Build& build, Cycle window, u64 seed,
-                    const std::string& what, Tally& tally) {
-  Rig candidate(build, true, window);
-  Rig reference(build, false, window);
+                    Variant variant, const std::string& what, Tally& tally) {
+  const bool traced = variant == Variant::kTraced;
+  Rig candidate(build, true, window, traced);
+  Rig reference(build, false, window, traced);
   Rng rng(seed);
   std::size_t reference_seen = 0;
   Cycle total = 0;
@@ -130,6 +171,9 @@ void check_chunking(const Build& build, Cycle window, u64 seed,
          --n) {
       std::ignore = candidate.hub.from_hw(0).try_read();
       std::ignore = reference.hub.from_hw(0).try_read();
+    }
+    if (variant == Variant::kFaults) {
+      inject_fault(rng, candidate, reference, tally);
     }
     const Cycle chunk = rng.next_below(4) == 0
                             ? static_cast<Cycle>(rng.next_in(100, 600))
@@ -194,23 +238,33 @@ TEST(ElidedTicks, ChunkedTicksMatchPerCycleStepping) {
                        },
                        2 * n + 16});
   }
-  Tally tally;
-  u64 seed = 1;
-  for (const Design& design : designs) {
-    for (const Cycle window : {Cycle{0}, Cycle{1}, design.drain,
-                               Cycle{1'000'000}}) {
-      for (int trial = 0; trial < 2; ++trial) {
-        check_chunking(design.build, window, seed++,
-                       design.name + " window " + std::to_string(window),
-                       tally);
+  const std::pair<Variant, const char*> variants[] = {
+      {Variant::kUntraced, "untraced"},
+      {Variant::kTraced, "traced"},
+      {Variant::kFaults, "faults"}};
+  for (const auto& [variant, variant_name] : variants) {
+    Tally tally;
+    u64 seed = 1;
+    for (const Design& design : designs) {
+      for (const Cycle window : {Cycle{0}, Cycle{1}, design.drain,
+                                 Cycle{1'000'000}}) {
+        for (int trial = 0; trial < 2; ++trial) {
+          check_chunking(design.build, window, seed++, variant,
+                         std::string(variant_name) + " " + design.name +
+                             " window " + std::to_string(window),
+                         tally);
+        }
       }
     }
+    // Traffic flowed, met backpressure, and the quiescence window
+    // skipped cycles; the fault variant changed faults often.
+    EXPECT_GT(tally.words, 1000u) << variant_name;
+    EXPECT_GT(tally.refused, 100u) << variant_name;
+    EXPECT_GT(tally.skipped, tally.cycles / 10) << variant_name;
+    if (variant == Variant::kFaults) {
+      EXPECT_GT(tally.faults, 500u);
+    }
   }
-  // Traffic flowed, met backpressure, and the quiescence window skipped
-  // cycles.
-  EXPECT_GT(tally.words, 1000u);
-  EXPECT_GT(tally.refused, 100u);
-  EXPECT_GT(tally.skipped, tally.cycles / 10);
 }
 
 TEST(ElidedTicks, PeripheralFreeTickIsConstantTime) {

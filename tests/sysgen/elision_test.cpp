@@ -7,10 +7,14 @@
 // reset(). The reference is a second copy of the design that restores
 // its own image before each step, which leaves every region pending, so
 // each of its steps runs every op. Designs: every shipped peripheral
-// (CORDIC P=1..8 and 16, matmul blocks 2 and 4) and seeded random graphs
-// of lowered blocks with the two queue-backed user blocks, some with a
-// Constant and a GatewayIn read all over the graph, driven with long
-// runs of repeated gateway inputs.
+// (CORDIC P=1..8 and 16, matmul blocks 2 and 4), the lowered serializer
+// alone under long FSL_M_Full stretches (also checked against a
+// reference queue), and seeded random graphs of lowered blocks with the
+// queue-backed FifoBlock (a fallback block) and the serializer, some
+// with a Constant and a GatewayIn read all over the graph, driven with
+// long runs of repeated gateway inputs.
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -127,16 +131,22 @@ struct Tally {
     }                                                                      \
   } while (0)
 
+/// Per-cycle inputs for a design; by default make_stimulus.
+using Stimulus = std::function<std::vector<std::vector<i64>>(
+    Rng&, const std::vector<GatewayIn*>&, int)>;
+
 /// Run the candidate, the reference and (after a save taken while the
 /// candidate is settled) a restored candidate on one stimulus, then once
-/// more after reset().
+/// more after reset(). `observe` sees the candidate after every step.
 void check_elision(const Build& build, u64 seed, int cycles,
-                   const std::string& what, Tally& tally) {
+                   const std::string& what, Tally& tally,
+                   const Stimulus& stimulus_for = make_stimulus,
+                   const std::function<void(const Model&)>& observe = {}) {
   Design reference(build);
   Design candidate(build);
   Rng rng(seed);
   const std::vector<std::vector<i64>> stimulus =
-      make_stimulus(rng, candidate.inputs, cycles);
+      stimulus_for(rng, candidate.inputs, cycles);
   std::unique_ptr<Design> restored;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     const auto& values = stimulus[static_cast<std::size_t>(cycle)];
@@ -145,6 +155,7 @@ void check_elision(const Build& build, u64 seed, int cycles,
     ++tally.steps;
     if (candidate.model->settled()) ++tally.elided;
     candidate.model->step();
+    if (observe) observe(*candidate.model);
     ASSERT_SAME_SIGNALS(reference, candidate, what, cycle);
     ASSERT_EQ(candidate.image(), reference.image())
         << what << " cycle " << cycle;
@@ -174,8 +185,8 @@ void check_elision(const Build& build, u64 seed, int cycles,
   }
 
   // reset() drops the settled state with the rest. Replaying the
-  // stimulus backwards presents the last inputs first, which match the
-  // snapshot a still-settled model would compare them with.
+  // stimulus backwards presents the last inputs first, which a reset
+  // that kept the model settled would elide.
   reference.model->reset();
   candidate.model->reset();
   for (int cycle = 0; cycle < cycles / 4; ++cycle) {
@@ -216,6 +227,85 @@ TEST(Elision, ShippedPeripheralsMatchFullEvaluation) {
   // were restored while settled.
   EXPECT_GT(tally.elided, tally.steps / 4);
   EXPECT_EQ(tally.restores, 11);
+
+  // The output stage alone, 3 words wide, with its FSL_M_Full held high
+  // for long stretches while new vectors keep arriving: its backlog grows
+  // past the vector width, waits in the lowered queue, and drains once
+  // the FIFO has room.
+  constexpr std::size_t kWidth = 3;
+  const Build serializer = [](Model& m) {
+    const FixFormat word = FixFormat::signed_fix(32, 0);
+    std::vector<GatewayIn*> inputs;
+    std::vector<Signal*> values;
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      inputs.push_back(&m.add<GatewayIn>("v" + std::to_string(i), word));
+      values.push_back(&inputs.back()->out());
+    }
+    auto& valid = m.add<GatewayIn>("valid", FixFormat::unsigned_fix(1, 0));
+    auto& full = m.add<GatewayIn>("m_full", FixFormat::unsigned_fix(1, 0));
+    auto& ser = m.add<apps::VectorSerializer>("ser", values, valid.out(),
+                                              &full.out());
+    m.add<GatewayOut>("m_data", ser.data());
+    m.add<GatewayOut>("m_write", ser.write());
+    inputs.push_back(&valid);
+    inputs.push_back(&full);
+    return inputs;
+  };
+  // Stretches of 8-40 cycles: full held high (a vector every 2-5
+  // cycles), then full low with a vector now and then. The values change
+  // only with a new vector, so the cycles between vectors can elide.
+  const Stimulus backpressure = [](Rng& rng, const std::vector<GatewayIn*>&,
+                                   int cycles) {
+    std::vector<std::vector<i64>> stimulus;
+    std::vector<i64> values(kWidth + 2, 0);
+    bool held = true;
+    while (static_cast<int>(stimulus.size()) < cycles) {
+      const i64 every = held ? rng.next_in(2, 5) : rng.next_in(6, 12);
+      for (i64 n = rng.next_in(8, 40); n > 0; --n) {
+        const bool valid = rng.next_below(static_cast<u64>(every)) == 0;
+        for (std::size_t i = 0; valid && i < kWidth; ++i) {
+          values[i] = rng.next_in(-(i64{1} << 31), (i64{1} << 31) - 1);
+        }
+        values[kWidth] = valid ? 1 : 0;
+        values[kWidth + 1] = held ? 1 : 0;
+        stimulus.push_back(values);
+      }
+      held = !held;
+    }
+    stimulus.resize(static_cast<std::size_t>(cycles));
+    return stimulus;
+  };
+  // An independent reference queue: each cycle the serializer presents
+  // the oldest word it holds, loses it only when the FIFO was not full,
+  // and then appends a captured vector.
+  std::deque<i64> expected;
+  std::size_t deepest = 0;
+  const auto reference = [&](const Model& m) {
+    const auto raw = [&m](const std::string& name) {
+      return m.find_signal(name)->raw();
+    };
+    const auto* ser =
+        dynamic_cast<const apps::VectorSerializer*>(m.find_block("ser"));
+    ASSERT_NE(ser, nullptr);
+    ASSERT_EQ(raw("ser.write"), expected.empty() ? 0 : 1);
+    if (!expected.empty()) {
+      ASSERT_EQ(raw("ser.data"), expected.front());
+      if (raw("m_full.out") == 0) expected.pop_front();
+    }
+    if (raw("valid.out") != 0) {
+      for (std::size_t i = 0; i < kWidth; ++i) {
+        expected.push_back(raw("v" + std::to_string(i) + ".out"));
+      }
+    }
+    ASSERT_EQ(ser->backlog(), expected.size());
+    deepest = std::max(deepest, expected.size());
+  };
+  Tally serializer_tally;
+  check_elision(serializer, 0x5e7, 3000, "serializer", serializer_tally,
+                backpressure, reference);
+  EXPECT_GT(deepest, 2 * kWidth);
+  EXPECT_GT(serializer_tally.elided, 0u);
+  EXPECT_EQ(serializer_tally.restores, 1);
 }
 
 // ------------------------------------------------- random block graphs
