@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "ckpt/ckpt.hpp"
-#include "core/stall_streak.hpp"
 #include "isa/isa.hpp"
 
 namespace mbcosim::core {
@@ -55,7 +54,7 @@ void CoSimEngine::reset(Addr pc) {
   hw_cycles_ = 0;
   quiescence_.idle_streak = 0;
   skipped_cycles_ = 0;
-  last_deadlock_.reset();
+  forget_deadlock();
 }
 
 void CoSimEngine::tick_hardware(Cycle cycles) {
@@ -97,10 +96,12 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
 iss::StepResult CoSimEngine::debug_step() {
   const iss::StepResult result = cpu_.step();
   tick_hardware(result.cycles);
+  streak_.count(result.event, fifo_traffic());
   return result;
 }
 
-StopReason CoSimEngine::declare_deadlock(Cycle blocked_cycles) {
+StopReason CoSimEngine::declare_deadlock() {
+  const Cycle blocked_cycles = streak_.length();
   last_deadlock_ = diagnose_deadlock(cpu_, bridge_.hub(), blocked_cycles);
   if (metrics_ != nullptr) metrics_->deadlocks += 1;
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
@@ -117,7 +118,6 @@ StopReason CoSimEngine::declare_deadlock(Cycle blocked_cycles) {
 }
 
 StopReason CoSimEngine::run(Cycle max_cycles) {
-  StallStreak streak(deadlock_threshold_, fifo_traffic());
   // Cycles of a retired precise step that the hardware still owes: on
   // the fast path the next batch touches no FIFO, so its tick pays them
   // too. Ticking a cycles and then b equals ticking a + b when nothing
@@ -136,7 +136,7 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
       if (owed + batch.cycles != 0) {
         tick_hardware(owed + batch.cycles);
         owed = 0;
-        streak.restart(fifo_traffic());
+        streak_.restart(fifo_traffic());
       }
       if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
       if (batch.stop == iss::BatchStop::kIllegal) return StopReason::kIllegal;
@@ -146,20 +146,22 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
     }
     const iss::StepResult result = cpu_.step();
     if (fast && result.event == iss::Event::kRetired) {
-      // A retired step restarts the streak; the tick that pays these
-      // cycles restarts it again, after the words they move.
+      // The tick that pays these cycles restarts the streak, after the
+      // words they move.
       owed = result.cycles;
       continue;
     }
     // Keep the hardware clock in lock step with the processor clock.
     tick_hardware(result.cycles);
+    streak_.count(result.event, fifo_traffic());
     if (result.event == iss::Event::kHalted) return StopReason::kHalted;
     if (result.event == iss::Event::kIllegal) return StopReason::kIllegal;
-    if (streak.deadlocked(result.event, fifo_traffic())) {
-      return declare_deadlock(streak.length());
-    }
+    if (streak_.reached(deadlock_threshold_)) return declare_deadlock();
   }
-  if (owed != 0) tick_hardware(owed);
+  if (owed != 0) {
+    tick_hardware(owed);
+    streak_.restart(fifo_traffic());
+  }
   return cpu_.halted() ? StopReason::kHalted : StopReason::kCycleLimit;
 }
 
@@ -175,7 +177,7 @@ bool CoSimEngine::load_state(ckpt::Reader& reader) {
   quiescence_.idle_streak = reader.read_u64();
   skipped_cycles_ = reader.read_u64();
   if (!bridge_.load_state(reader)) return false;
-  last_deadlock_.reset();
+  forget_deadlock();
   return reader.ok();
 }
 

@@ -22,6 +22,8 @@
 // elision of repeated cycles and the quiescence skip all run inside it.
 // Only with an enabled trace bus does the engine tick one cycle per call,
 // to stamp each FIFO event with its cycle.
+// The engine keeps its core's stall streak across calls, and every
+// deadlock is declared by the blocked core's own declare_deadlock().
 #pragma once
 
 #include <optional>
@@ -29,6 +31,7 @@
 
 #include "common/types.hpp"
 #include "core/fsl_bridge.hpp"
+#include "core/stall_streak.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
 #include "obs/metrics.hpp"
@@ -106,7 +109,7 @@ class CoSimEngine {
   [[nodiscard]] sysgen::Model* hardware() noexcept { return hardware_; }
 
   /// Words the bridge has moved in either direction — the progress
-  /// measure of the deadlock heuristic (core::StallStreak).
+  /// measure of the stall streak.
   [[nodiscard]] u64 fifo_traffic() const noexcept {
     return bridge_.stats().words_to_hw + bridge_.stats().words_from_hw;
   }
@@ -126,7 +129,8 @@ class CoSimEngine {
   /// because the two sides only interact through the FIFOs. At the
   /// precise tier or with trace sinks attached the engine keeps strict
   /// one-step alternation, so event logs (and their timestamps) are
-  /// byte-identical to earlier releases.
+  /// byte-identical to earlier releases. Stops with kDeadlock once the
+  /// stall streak (kept across calls) reaches the deadlock threshold.
   StopReason run(Cycle max_cycles = ~Cycle{0} >> 1);
 
   /// Advance the hardware (and bridge) alone by `cycles` clock cycles —
@@ -140,9 +144,14 @@ class CoSimEngine {
 
   /// One precise lock-step unit for a debugger: step the processor once
   /// and bring the hardware model to cycle parity, exactly as run()'s
-  /// precise path does. Interleaving debug_step() with run() keeps every
-  /// statistic identical to an uninterrupted run over the same cycles.
+  /// precise path does, stall streak included. Interleaving debug_step()
+  /// with run() keeps every statistic identical to an uninterrupted run.
   iss::StepResult debug_step();
+
+  /// The core's stall streak, counted across calls.
+  [[nodiscard]] const StallStreak& stall_streak() const noexcept {
+    return streak_;
+  }
 
   [[nodiscard]] CoSimStats stats() const;
 
@@ -152,18 +161,23 @@ class CoSimEngine {
       const noexcept {
     return last_deadlock_;
   }
-  /// Forget the diagnosis, as a restore does (a core without a model has
-  /// no engine payload in a checkpoint image, so load_state() never runs).
+  /// Forget the diagnosis alone.
   void clear_deadlock_diagnosis() noexcept { last_deadlock_.reset(); }
+  /// Restart the stall streak and forget the diagnosis, as a restore
+  /// does (a core without a model has no engine payload in a checkpoint
+  /// image, so load_state() never runs).
+  void forget_deadlock() noexcept {
+    streak_.restart(fifo_traffic());
+    clear_deadlock_diagnosis();
+  }
 
-  /// Record a deadlock after a streak of `blocked_cycles` stalled cycles:
-  /// diagnose it, emit the `deadlock` trace event and return
-  /// StopReason::kDeadlock. run() calls this; so does a caller whose
-  /// debug_step() loop (rsp::CoSimTarget) stopped on a stall streak.
-  StopReason declare_deadlock(Cycle blocked_cycles);
+  /// Record a deadlock of this core, blocked for its stall streak:
+  /// diagnose it, count and emit it and return StopReason::kDeadlock.
+  /// run() and ManyCoreEngine::declare_deadlock() call this.
+  StopReason declare_deadlock();
 
-  /// Deadlock heuristic: how many consecutive blocked processor cycles
-  /// with zero FIFO movement before run() gives up.
+  /// Stall streak at which run() stops with kDeadlock (ManyCoreEngine
+  /// sets it for its cores).
   void set_deadlock_threshold(Cycle threshold) noexcept {
     deadlock_threshold_ = threshold;
   }
@@ -196,8 +210,8 @@ class CoSimEngine {
 
   /// Checkpoint the engine's own counters and the bridge (the CPU,
   /// hardware model and hub are serialized by the owner — see DESIGN.md
-  /// §11). The deadlock diagnosis is diagnostic output, not state: it is
-  /// cleared on restore. Deadlock/quiescence thresholds are
+  /// §11). The deadlock diagnosis and the stall streak are not state:
+  /// a restore forgets them. Deadlock/quiescence thresholds are
   /// configuration and are not captured.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
@@ -207,7 +221,8 @@ class CoSimEngine {
   sysgen::Model* hardware_;
   FslBridge bridge_;
   Cycle hw_cycles_ = 0;
-  Cycle deadlock_threshold_ = 100'000;
+  Cycle deadlock_threshold_ = kDefaultDeadlockThreshold;
+  StallStreak streak_;
   sysgen::Quiescence quiescence_;
   Cycle skipped_cycles_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;

@@ -12,7 +12,7 @@ namespace {
 
 /// Effectively-infinite per-core deadlock threshold: a core starving on
 /// a cross-link looks exactly like a core starving on slow hardware,
-/// and only the machine-level heuristic may call it a deadlock.
+/// and only the machine predicate may call it a deadlock.
 constexpr Cycle kNeverDeadlock = ~Cycle{0} >> 1;
 
 /// Polls of a round-barrier word before the waiter parks on it, about
@@ -53,12 +53,44 @@ std::size_t ManyCoreEngine::add_core(std::string name, iss::Processor& cpu,
   node.engine = &engine;
   node.hub = &hub;
   nodes_.push_back(std::move(node));
-  if (nodes_.size() > 1) {
-    for (Node& each : nodes_) {
-      each.engine->set_deadlock_threshold(kNeverDeadlock);
+  set_deadlock_threshold(deadlock_threshold_);
+  return nodes_.size() - 1;
+}
+
+void ManyCoreEngine::set_deadlock_threshold(Cycle cycles) noexcept {
+  deadlock_threshold_ = cycles;
+  const Cycle own = nodes_.size() == 1 ? cycles : kNeverDeadlock;
+  for (Node& node : nodes_) node.engine->set_deadlock_threshold(own);
+}
+
+std::size_t ManyCoreEngine::first_live() const noexcept {
+  std::size_t index = 0;
+  while (index < nodes_.size() && nodes_[index].finished) ++index;
+  return index;
+}
+
+bool ManyCoreEngine::deadlocked() const noexcept {
+  if (last_transfer_ != 0 || first_live() == nodes_.size()) return false;
+  return std::all_of(nodes_.begin(), nodes_.end(), [this](const Node& node) {
+    return node.finished ||
+           node.engine->stall_streak().reached(deadlock_threshold_);
+  });
+}
+
+MachineStop ManyCoreEngine::declare_deadlock() {
+  const std::size_t culprit = first_live();
+  // Only the culprit keeps a diagnosis: deadlock_diagnosis() scans.
+  for (Node& node : nodes_) node.engine->clear_deadlock_diagnosis();
+  return {nodes_[culprit].engine->declare_deadlock(), culprit};
+}
+
+std::optional<DeadlockDiagnosis> ManyCoreEngine::deadlock_diagnosis() const {
+  for (const Node& node : nodes_) {
+    if (const auto& diagnosis = node.engine->deadlock_diagnosis()) {
+      return diagnosis;
     }
   }
-  return nodes_.size() - 1;
+  return std::nullopt;
 }
 
 Status ManyCoreEngine::link(std::size_t from_core, unsigned from_channel,
@@ -79,7 +111,7 @@ Status ManyCoreEngine::link(std::size_t from_core, unsigned from_channel,
   return {};
 }
 
-u64 ManyCoreEngine::transfer_links() {
+void ManyCoreEngine::transfer_links() {
   u64 moved = 0;
   for (const CrossLink& link : links_) {
     while (link.source->exists() && !link.sink->full()) {
@@ -90,7 +122,7 @@ u64 ManyCoreEngine::transfer_links() {
     }
   }
   link_words_ += moved;
-  return moved;
+  last_transfer_ = moved;
 }
 
 void ManyCoreEngine::ensure_helpers(std::size_t count) {
@@ -205,7 +237,8 @@ void ManyCoreEngine::note_halt(std::size_t index) {
 MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   if (nodes_.empty()) return {StopReason::kHalted, MachineStop::kNoCore};
   // A lone core shares no link, so it needs no rounds: it runs straight
-  // to the target under its own deadlock rule, and every stop is its own.
+  // to the target (its engine stops itself at the deadlock threshold),
+  // and every stop is its own.
   if (nodes_.size() == 1) return {nodes_.front().engine->run(max_cycles), 0};
 
   // Resume from wherever the clocks are (run() composes with
@@ -229,7 +262,6 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   if (live > 1) ensure_helpers(workers - 1);
   place();
 
-  Cycle stalled = 0;
   unsigned rounds = 0;
   // Halt attribution: run_round flips finished flags on helper threads,
   // so which cores halted this round is recovered here by diffing the
@@ -238,9 +270,7 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   while (global < max_cycles) {
     if (++rounds % kPlacementRounds == 0) place();
     const Cycle target = std::min(global + quantum_, max_cycles);
-    u64 instructions_before = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      instructions_before += nodes_[i].cpu->stats().instructions;
       was_finished[i] = nodes_[i].finished ? 1 : 0;
     }
 
@@ -250,44 +280,11 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
     }
     if (trapped < nodes_.size()) return {StopReason::kIllegal, trapped};
 
-    const u64 moved = transfer_links();
-    u64 instructions_after = 0;
-    live = 0;
-    for (const Node& node : nodes_) {
-      instructions_after += node.cpu->stats().instructions;
-      if (!node.finished) ++live;
+    transfer_links();
+    if (first_live() == nodes_.size()) {
+      return {StopReason::kHalted, last_halted_core_};
     }
-    if (live == 0) return {StopReason::kHalted, last_halted_core_};
-
-    if (moved == 0 && instructions_after == instructions_before) {
-      stalled += target - global;
-      if (stalled >= deadlock_threshold_) {
-        // Blame the first core parked on a decodable FSL access; fall
-        // back to the first live core when none decodes (e.g. a custom
-        // busy-wait) so the diagnosis always names a core.
-        std::size_t fallback = nodes_.size();
-        std::size_t blamed = nodes_.size();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (nodes_[i].finished) continue;
-          if (fallback == nodes_.size()) fallback = i;
-          DeadlockDiagnosis diagnosis =
-              diagnose_deadlock(*nodes_[i].cpu, *nodes_[i].hub, stalled);
-          if (!diagnosis.channel.empty()) {
-            blamed = i;
-            last_deadlock_ = std::move(diagnosis);
-            break;
-          }
-        }
-        if (blamed == nodes_.size()) {
-          blamed = fallback;
-          last_deadlock_ = diagnose_deadlock(*nodes_[fallback].cpu,
-                                             *nodes_[fallback].hub, stalled);
-        }
-        return {StopReason::kDeadlock, blamed};
-      }
-    } else {
-      stalled = 0;
-    }
+    if (deadlocked()) return declare_deadlock();
     global = target;
   }
   return {StopReason::kCycleLimit, MachineStop::kNoCore};
@@ -342,7 +339,7 @@ bool ManyCoreEngine::load_state(ckpt::Reader& reader) {
   link_words_ = reader.read_u64();
   last_halted_core_ = static_cast<std::size_t>(reader.read_u64());
   last_halt_cycle_ = reader.read_u64();
-  last_deadlock_.reset();
+  last_transfer_ = 0;
   return reader.ok();
 }
 

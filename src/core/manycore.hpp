@@ -8,7 +8,8 @@
 // machine description, independent of host thread count or scheduling.
 // sim::SimSystem runs every machine through it; the paper's one
 // MicroBlaze is the one-core case, which runs no rounds at all: one
-// CoSimEngine::run call under the core's own deadlock rule.
+// CoSimEngine::run call. Deadlock has one predicate, deadlocked(), over
+// the stall streaks the cores' engines keep across calls.
 //
 // Execution model (conservative quantum synchronization), two or more
 // cores:
@@ -89,11 +90,9 @@ class ManyCoreEngine {
   /// Register a core. The processor/engine/hub are owned by the caller
   /// (sim::SimSystem keeps them in per-core state blocks) and must
   /// outlive the engine. Cores run in add order; `name` is used in
-  /// diagnostics. A lone core keeps its engine's own deadlock rule
-  /// (core::StallStreak). Once a second core is added every core's rule
-  /// is disabled — a core starving on a cross-link is not deadlocked
-  /// until the *whole machine* stops making progress (see
-  /// set_deadlock_...).
+  /// diagnostics. A lone core stops its own run at the deadlock
+  /// threshold; once a second core is added no core stops alone (see
+  /// deadlocked()).
   std::size_t add_core(std::string name, iss::Processor& cpu,
                        CoSimEngine& engine, fsl::FslHub& hub);
 
@@ -111,12 +110,16 @@ class ManyCoreEngine {
   /// host-performance knob: results are identical for every value.
   void set_workers(unsigned workers) noexcept { workers_ = workers; }
 
-  /// Machine-level deadlock heuristic: after this many consecutive
-  /// simulated cycles in which no core retired an instruction and no
-  /// link moved a word, run() gives up (rounded up to whole quanta).
-  void set_deadlock_threshold(Cycle cycles) noexcept {
-    deadlock_threshold_ = cycles;
-  }
+  /// The deadlock threshold, in consecutive blocked cycles.
+  void set_deadlock_threshold(Cycle cycles) noexcept;
+
+  /// The one deadlock rule: every live core's stall streak has reached
+  /// the threshold and the last link transfer moved no word. run()
+  /// tests it at each round barrier, rsp::CoSimTarget after each step.
+  [[nodiscard]] bool deadlocked() const noexcept;
+  /// The first live core declares the deadlock (its diagnosis, event
+  /// and `engine.deadlocks`) through CoSimEngine::declare_deadlock().
+  MachineStop declare_deadlock();
 
   /// Run the machine until every core halts, any core traps, the
   /// machine deadlocks, or `max_cycles` is reached (per-core clock). A
@@ -158,28 +161,21 @@ class ManyCoreEngine {
     return nodes_[index].host_ns;
   }
 
-  /// Diagnosis of the most recent machine deadlock (empty otherwise):
-  /// the first blocked core's parked FSL access, channel and FIFO state.
-  /// A one-core machine's verdict is its core engine's own.
-  [[nodiscard]] const std::optional<DeadlockDiagnosis>& deadlock_diagnosis()
-      const noexcept {
-    return nodes_.size() == 1 ? nodes_.front().engine->deadlock_diagnosis()
-                              : last_deadlock_;
-  }
+  /// The culprit core's diagnosis of the most recent deadlock.
+  [[nodiscard]] std::optional<DeadlockDiagnosis> deadlock_diagnosis() const;
 
   [[nodiscard]] Cycle quantum() const noexcept { return quantum_; }
 
-  /// Forget run progress — finished flags, link word counter, halt
-  /// attribution, deadlock diagnosis. Call after resetting every core's
-  /// engine (the caller owns them, so the reset loop lives there, in
-  /// sim::SimSystem).
+  /// Forget run progress — finished flags, link word counters, halt
+  /// attribution. Call after resetting every core's engine (the caller
+  /// owns them, so the reset loop lives there, in sim::SimSystem).
   void reset_progress() noexcept {
     for (Node& node : nodes_) {
       node.finished = false;
       node.last = StopReason::kCycleLimit;
     }
     link_words_ = 0;
-    last_deadlock_.reset();
+    last_transfer_ = 0;
     last_halted_core_ = MachineStop::kNoCore;
     last_halt_cycle_ = 0;
   }
@@ -187,8 +183,7 @@ class ManyCoreEngine {
   /// Checkpoint the engine's own run progress — per-core finished flags
   /// and last stop reasons, the link word counter, halt attribution.
   /// Core components (processors, engines, hubs) are serialized by
-  /// their owner; the deadlock diagnosis is diagnostic output and is
-  /// cleared on restore.
+  /// their owner.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
@@ -212,8 +207,10 @@ class ManyCoreEngine {
   };
 
   /// Drain every link's source FIFO into its sink FIFO, bounded by
-  /// space; returns the number of words moved. Runs on one thread only.
-  u64 transfer_links();
+  /// space, into last_transfer_. Runs on one thread only.
+  void transfer_links();
+  /// Index of the first core that has not halted, or nodes_.size().
+  [[nodiscard]] std::size_t first_live() const noexcept;
   /// Rounds between re-placements within one run() call.
   static constexpr unsigned kPlacementRounds = 128;
 
@@ -243,9 +240,9 @@ class ManyCoreEngine {
   std::vector<CrossLink> links_;
   Cycle quantum_ = 64;
   unsigned workers_ = 0;
-  Cycle deadlock_threshold_ = 100'000;
+  Cycle deadlock_threshold_ = kDefaultDeadlockThreshold;
   u64 link_words_ = 0;
-  std::optional<DeadlockDiagnosis> last_deadlock_;
+  u64 last_transfer_ = 0;  ///< words the latest transfer_links() moved
   std::size_t last_halted_core_ = MachineStop::kNoCore;
   Cycle last_halt_cycle_ = 0;
 

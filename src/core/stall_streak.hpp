@@ -1,12 +1,9 @@
-// StallStreak: the deadlock heuristic of a single core. A processor
-// blocked on an FSL access is called deadlocked once it has stalled for
-// `threshold` consecutive cycles while no FIFO word crossed its hardware
-// bridge: a retired instruction or a moved word restarts the count.
-// Two loops count with it: CoSimEngine::run and the stepping loop of
-// rsp::CoSimTarget, the debugger that gdb, `monitor` verbs and
-// PC-triggered faults all drive. A one-core machine keeps this rule;
-// core::ManyCoreEngine disables it on machines of two or more cores and
-// counts whole-machine rounds with a rule of its own.
+// StallStreak: the deadlock counter of a core. A processor blocked on an
+// FSL access is deadlocked once it has stalled for the threshold of
+// consecutive cycles while no FIFO word crossed its hardware bridge: a
+// retired instruction or a moved word restarts the count. Each
+// CoSimEngine keeps one across calls, so a run split into chunks counts
+// like one run; core::ManyCoreEngine::deadlocked() reads them all.
 #pragma once
 
 #include "common/types.hpp"
@@ -14,35 +11,36 @@
 
 namespace mbcosim::core {
 
+/// Default deadlock threshold, in consecutive blocked cycles.
+inline constexpr Cycle kDefaultDeadlockThreshold = 100'000;
+
 class StallStreak {
  public:
-  /// `traffic` is the bridge's word count when counting starts
-  /// (CoSimEngine::fifo_traffic()).
-  StallStreak(Cycle threshold, u64 traffic) noexcept
-      : threshold_(threshold), traffic_(traffic) {}
-
-  /// Forget the streak: the processor made progress.
+  /// Forget the streak; `traffic` is CoSimEngine::fifo_traffic() now.
   void restart(u64 traffic) noexcept {
     length_ = 0;
     traffic_ = traffic;
   }
 
-  /// Account one precise step's event, given the bridge's word count
-  /// after it. True once the streak reaches the threshold.
-  [[nodiscard]] bool deadlocked(iss::Event event, u64 traffic) noexcept {
+  /// Count one precise step's event, given fifo_traffic() after it.
+  void count(iss::Event event, u64 traffic) noexcept {
     if (event == iss::Event::kFslStall && traffic == traffic_) {
-      return ++length_ >= threshold_;
+      ++length_;
+    } else {
+      restart(traffic);
     }
-    restart(traffic);
-    return false;
   }
 
   /// Consecutive blocked cycles counted so far.
   [[nodiscard]] Cycle length() const noexcept { return length_; }
 
+  /// The deadlock rule: blocked, for at least `threshold` cycles.
+  [[nodiscard]] bool reached(Cycle threshold) const noexcept {
+    return length_ != 0 && length_ >= threshold;
+  }
+
  private:
-  Cycle threshold_;
-  u64 traffic_;
+  u64 traffic_ = 0;
   Cycle length_ = 0;
 };
 

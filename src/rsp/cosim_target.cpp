@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/stall_streak.hpp"
 #include "isa/isa.hpp"
 
 namespace mbcosim::rsp {
@@ -63,8 +62,6 @@ StopInfo CoSimTarget::advance(Cycle max_cycles, bool single_step,
   iss::Processor& processor = cpu();
   if (processor.halted()) return {StopInfo::Kind::kHalted, processor.pc()};
   const Cycle start = processor.cycle();
-  const core::CoSimEngine& engine = this->engine();
-  core::StallStreak streak(stall_threshold_, engine.fifo_traffic());
   // A single step never stops on a breakpoint; a resume checks before
   // every instruction, the first one only when `check_first`.
   bool check = check_first && !single_step;
@@ -81,12 +78,13 @@ StopInfo CoSimTarget::advance(Cycle max_cycles, bool single_step,
         return {StopInfo::Kind::kIllegal, processor.pc()};
       case iss::Event::kRetired:
         if (single_step) return {StopInfo::Kind::kStep, processor.pc()};
-        [[fallthrough]];
+        break;
       case iss::Event::kFslStall:
-        if (streak.deadlocked(result.event, engine.fifo_traffic())) {
-          return {StopInfo::Kind::kStalled, processor.pc(), streak.length()};
-        }
-        break;  // a stall rides on: the hardware side is catching up
+        break;  // a stall rides on while the machine can still progress
+    }
+    if (machine_.deadlocked()) {
+      return {StopInfo::Kind::kStalled, processor.pc(),
+              engine().stall_streak().length()};
     }
   }
   return {StopInfo::Kind::kBudget, processor.pc()};

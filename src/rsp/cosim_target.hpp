@@ -12,7 +12,8 @@
 // every stop. A one-core machine then matches a free run exactly; a
 // larger one does only while every stop lies inside its first quantum,
 // because a machine step transfers the cross-core links after each
-// instruction, not at round boundaries (ROADMAP item 1).
+// instruction, not at round boundaries (ROADMAP item 1). A resume stops
+// kStalled on ManyCoreEngine::deadlocked(), whose streaks outlive it.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +47,7 @@ struct StopInfo {
   };
   Kind kind = Kind::kStep;
   Addr pc = 0;
-  /// kStalled: length of the blocked streak (core::StallStreak).
+  /// kStalled: the debugged core's stall streak.
   Cycle blocked_cycles = 0;
 };
 
@@ -54,12 +55,10 @@ class CoSimTarget {
  public:
   /// Debug core `core` of `machine`: each step is
   /// `machine.debug_step(core)`, which advances every core. A resume
-  /// reports kStalled after `stall_threshold` consecutive stalled cycles
-  /// of the debugged core with no FIFO word moved (the core::StallStreak
-  /// rule). The machine is aliased, not owned.
-  CoSimTarget(core::ManyCoreEngine& machine, std::size_t core,
-              Cycle stall_threshold = 100'000)
-      : machine_(machine), core_(core), stall_threshold_(stall_threshold) {}
+  /// reports kStalled once `machine.deadlocked()` holds after a step.
+  /// The machine is aliased, not owned.
+  CoSimTarget(core::ManyCoreEngine& machine, std::size_t core)
+      : machine_(machine), core_(core) {}
 
   /// Extra monitor-command handler consulted before the target's own
   /// verbs (an empty reply falls through). SimSystem installs the
@@ -83,7 +82,7 @@ class CoSimTarget {
   void add_breakpoint(Addr addr) { breakpoints_.insert(addr); }
   void remove_breakpoint(Addr addr) { breakpoints_.erase(addr); }
 
-  /// Run until a breakpoint, halt, illegal event, the stall heuristic, or
+  /// Run until a breakpoint, halt, illegal event, a machine deadlock, or
   /// at most `max_cycles` simulated cycles (Kind::kBudget).
   /// `step_off_breakpoint` suppresses the breakpoint check before the
   /// first instruction so a resume from a breakpoint address makes
@@ -91,7 +90,7 @@ class CoSimTarget {
   StopInfo resume(Cycle max_cycles, bool step_off_breakpoint);
 
   /// Execute exactly one instruction, riding out FSL stalls until it
-  /// retires or the stall heuristic fires.
+  /// retires or the machine deadlocks.
   StopInfo step_one();
 
   /// Execute one `monitor` command (gdb `qRcmd`) and return its reply:
@@ -121,7 +120,6 @@ class CoSimTarget {
 
   core::ManyCoreEngine& machine_;
   std::size_t core_;
-  Cycle stall_threshold_;
   std::set<Addr> breakpoints_;
   std::function<std::string(std::string_view)> monitor_extra_;
 };

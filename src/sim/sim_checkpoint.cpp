@@ -105,7 +105,7 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (core->opb && !core->opb->load_state(reader)) {
       return shape_error(prefix + "OPB bus state does not fit");
     }
-    core->engine.clear_deadlock_diagnosis();
+    core->engine.forget_deadlock();
   }
   const bool rounds = state_->cores.size() > 1;
   if (reader.read_bool() != rounds) {

@@ -96,8 +96,7 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
   // whose stepping loop runs the core in precise lock step up to it. A
   // blocked or runaway program is bounded by the deadlock threshold /
   // cycle budget, like any other run.
-  rsp::CoSimTarget debugger(state_->machine_engine, state_->fault_core,
-                            state_->deadlock_threshold);
+  rsp::CoSimTarget debugger(state_->machine_engine, state_->fault_core);
   debugger.add_breakpoint(static_cast<Addr>(plan.trigger_value));
   const Cycle now = core.cpu.cycle();
   const rsp::StopInfo stop =
@@ -110,7 +109,7 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
     case rsp::StopInfo::Kind::kHalted: return core::StopReason::kHalted;
     case rsp::StopInfo::Kind::kIllegal: return core::StopReason::kIllegal;
     case rsp::StopInfo::Kind::kStalled:
-      return core.engine.declare_deadlock(stop.blocked_cycles);
+      return state_->machine_engine.declare_deadlock().reason;
     case rsp::StopInfo::Kind::kStep:
     case rsp::StopInfo::Kind::kBudget: break;
   }
@@ -383,8 +382,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // The debugger drives one core (Builder::gdb_core, default 0); each
   // of its steps advances the whole machine through
   // ManyCoreEngine::debug_step so cross-links stay live.
-  rsp::CoSimTarget target(state_->machine_engine, state_->gdb_core,
-                          state_->deadlock_threshold);
+  rsp::CoSimTarget target(state_->machine_engine, state_->gdb_core);
   // System-level monitor verbs layered over the target's own verbs,
   // so `monitor metrics` / `monitor stats` work from a gdb prompt.
   target.set_monitor_extra([this](std::string_view line) -> std::string {
@@ -617,7 +615,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
   // A peripheral-free core of a multi-core machine gets an empty model
   // (zero blocks, zero resources), which its checkpoint image records.
   auto state = std::make_unique<State>(desc.quantum);
-  state->deadlock_threshold = deadlock_threshold_;
   for (std::size_t index = 0; index < desc.cores.size(); ++index) {
     const machine::CoreDesc& core_desc = desc.cores[index];
     HardwareBundle& bundle = bundles[index];
@@ -650,7 +647,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
       if (port.has_master()) ++core->fsl_links;
     }
     core->engine.set_quiescence_window(bundle.quiescence);
-    core->engine.set_deadlock_threshold(deadlock_threshold_);
     core->engine.set_trace_bus(&core->trace_bus);
     state->cores.push_back(std::move(core));
   }

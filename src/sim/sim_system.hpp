@@ -102,8 +102,8 @@ class SimSystem {
   ~SimSystem();
 
   /// Run until the software halts, an architectural error occurs, the
-  /// deadlock heuristic fires, or the cycle budget runs out. The system
-  /// is reset at build time; call reset() before re-running.
+  /// machine deadlocks, or the cycle budget runs out. The system is
+  /// reset at build time; call reset() before re-running.
   core::StopReason run(Cycle max_cycles = Cycle{1} << 36);
 
   /// Reset processor, hardware model and FIFOs back to the program entry.
@@ -199,8 +199,7 @@ class SimSystem {
   /// The armed injector, or nullptr when the system runs fault-free.
   [[nodiscard]] const fault::Injector* fault_injector() const noexcept;
 
-  /// Diagnosis of the most recent StopReason::kDeadlock (the machine
-  /// engine's; on a one-core machine its core engine's); empty until a
+  /// Diagnosis of the most recent StopReason::kDeadlock; empty until a
   /// deadlock has been detected.
   [[nodiscard]] std::optional<core::DeadlockDiagnosis> deadlock_diagnosis()
       const;
@@ -298,8 +297,8 @@ class SimSystem::Builder {
   /// Core serve_gdb() attaches the debugger to (default 0).
   Builder& gdb_core(std::size_t index);
 
-  /// Consecutive blocked cycles with no FIFO movement before run()
-  /// reports StopReason::kDeadlock.
+  /// Consecutive blocked cycles with no FIFO movement, on every live
+  /// core, before run() reports StopReason::kDeadlock.
   Builder& deadlock_threshold(Cycle threshold);
 
   /// Attach a memory-mapped OPB bus (with its peripherals already
@@ -337,7 +336,7 @@ class SimSystem::Builder {
   std::optional<machine::MachineDesc> machine_;
   unsigned workers_ = 0;
   std::size_t gdb_core_ = 0;
-  Cycle deadlock_threshold_ = 100'000;
+  Cycle deadlock_threshold_ = core::kDefaultDeadlockThreshold;
   std::unique_ptr<bus::OpbBus> opb_;
   std::optional<fault::FaultPlan> fault_plan_;
   std::optional<std::string> trace_path_;

@@ -31,6 +31,7 @@
 #include "iss/memory.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
+#include "rsp/cosim_target.hpp"
 #include "sim/sim_system.hpp"
 
 namespace mbcosim::sim {
@@ -821,6 +822,16 @@ TEST(ManyCore, DestroyingASystemJoinsItsParkedHelpers) {
 
 // ------------------------------------------------- deadlock & build errors
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
   for (const unsigned workers : {1u, 2u, 8u}) {
     machine::MachineDesc desc = two_core_pipeline();
@@ -829,9 +840,15 @@ TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
                      .machine(std::move(desc))
                      .workers(workers)
                      .deadlock_threshold(2000)
+                     .metrics()
                      .build();
     ASSERT_TRUE(built.ok()) << built.error();
     SimSystem system = std::move(built).value();
+    std::ostringstream traces[2];
+    for (std::size_t core = 0; core < 2; ++core) {
+      system.trace_bus(core).add_sink(
+          std::make_unique<obs::JsonlSink>(traces[core]));
+    }
 
     EXPECT_EQ(system.run(), core::StopReason::kDeadlock) << workers;
     EXPECT_EQ(system.stop_core(), 1u) << workers;
@@ -839,7 +856,80 @@ TEST(ManyCore, StarvedConsumerIsAMachineDeadlock) {
     ASSERT_TRUE(diagnosis.has_value()) << workers;
     EXPECT_NE(diagnosis->channel.find("hw_to_mb1"), std::string::npos)
         << workers << " workers: " << diagnosis->channel;
+    // The consumer declares it, like a one-core deadlock: its streak is
+    // the blocked figure, with its own event and metric.
+    EXPECT_EQ(diagnosis->blocked_cycles, system.core_stats(1).fsl_stall_cycles)
+        << workers;
+    EXPECT_EQ(count_of(traces[1].str(), "\"kind\":\"deadlock\""), 1u)
+        << workers;
+    EXPECT_EQ(count_of(traces[0].str(), "\"kind\":\"deadlock\""), 0u)
+        << workers;
+    EXPECT_EQ(system.metrics_registry(1)->engine.deadlocks, 1u) << workers;
+    EXPECT_EQ(system.metrics_registry(0)->engine.deadlocks, 0u) << workers;
   }
+}
+
+TEST(ManyCore, LinkStarvationWhileAnotherCoreWorksIsNotADeadlock) {
+  // The consumer waits ~2,000 cycles for its first word, ten times the
+  // threshold, while the producer computes: not every live core is
+  // blocked, so the machine is not deadlocked and both cores finish.
+  for (const unsigned workers : {1u, 2u}) {
+    machine::MachineDesc desc = two_core_pipeline();
+    desc.cores[0].program =
+        "  li r4, 700\nspin:\n  addik r4, r4, -1\n  bnei r4, spin\n" +
+        std::string(kProducerProgram);
+    auto built = SimSystem::Builder()
+                     .machine(std::move(desc))
+                     .workers(workers)
+                     .deadlock_threshold(200)
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    SimSystem system = std::move(built).value();
+
+    EXPECT_EQ(system.run(), core::StopReason::kHalted) << workers;
+    EXPECT_GT(system.core_stats(1).fsl_stall_cycles, 2000u) << workers;
+    EXPECT_EQ(system.word_on(1, "results", 3), 0x44u) << workers;
+    EXPECT_FALSE(system.deadlock_diagnosis().has_value()) << workers;
+  }
+}
+
+TEST(ManyCore, DebuggerStopsOnTheMachineDeadlock) {
+  // A debugger on the starved consumer stops kStalled on the machine
+  // predicate and declares the free run's culprit and diagnosis. At a
+  // threshold of whole quanta the free run's barrier falls on the very
+  // cycle the consumer's streak reaches it, so even the blocked figure
+  // matches.
+  auto loaded = machine::MachineDesc::from_file(MBCOSIM_TEST_DATA_DIR
+                                                "/cli_machine_deadlock.json");
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  const machine::MachineDesc desc = std::move(loaded).value();
+  const Cycle threshold = 16 * desc.quantum;
+  auto build = [&] {
+    auto built =
+        SimSystem::Builder().machine(desc).deadlock_threshold(threshold).build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    return std::move(built).value();
+  };
+
+  SimSystem free_run = build();
+  ASSERT_EQ(free_run.run(), core::StopReason::kDeadlock);
+  ASSERT_EQ(free_run.stop_core(), 1u);
+  const auto want = free_run.deadlock_diagnosis();
+  ASSERT_TRUE(want.has_value());
+
+  SimSystem debugged = build();
+  rsp::CoSimTarget debugger(*debugged.machine_engine(), 1);
+  const rsp::StopInfo stop = debugger.resume(~Cycle{0}, false);
+  EXPECT_EQ(stop.kind, rsp::StopInfo::Kind::kStalled);
+  EXPECT_EQ(stop.blocked_cycles, threshold);
+  const core::MachineStop declared =
+      debugged.machine_engine()->declare_deadlock();
+  EXPECT_EQ(declared.reason, core::StopReason::kDeadlock);
+  EXPECT_EQ(declared.core, 1u);
+  const auto got = debugged.deadlock_diagnosis();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->to_string(), want->to_string());
+  EXPECT_EQ(debugged.stats().cycles, free_run.stats().cycles);
 }
 
 TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {

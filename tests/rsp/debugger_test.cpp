@@ -15,10 +15,10 @@ using iss::testing::TestMachine;
 
 /// A debugger on the bare processor of `source`, a one-core machine.
 struct Debugged {
-  explicit Debugged(std::string_view source, Cycle stall_threshold = 100'000)
-      : m(source),
-        engine(m.cpu, nullptr, m.hub),
-        dbg(machine, 0, stall_threshold) {
+  explicit Debugged(std::string_view source,
+                    Cycle stall_threshold = core::kDefaultDeadlockThreshold)
+      : m(source), engine(m.cpu, nullptr, m.hub), dbg(machine, 0) {
+    machine.set_deadlock_threshold(stall_threshold);
     machine.add_core("cpu", m.cpu, engine, m.hub);
   }
 
@@ -64,6 +64,20 @@ TEST(Debugger, FslStallReportedToCaller) {
   EXPECT_EQ(stop.blocked_cycles, 10u);
   EXPECT_EQ(d.m.cpu.pc(), 0u);
   EXPECT_EQ(d.dbg.monitor("cont 100"), "stalled");
+}
+
+TEST(Debugger, FslStallReportedAcrossBudgets) {
+  // The stall streak outlives each resume: resumed in 3-cycle budgets,
+  // the core is reported at the same cycle as in one resume.
+  Debugged d("get r3, rfsl0\nhalt\n", /*stall_threshold=*/10);
+  StopInfo stop;
+  for (int resumes = 0; resumes < 100; ++resumes) {
+    stop = d.dbg.resume(3, false);
+    if (stop.kind != StopInfo::Kind::kBudget) break;
+  }
+  EXPECT_EQ(stop.kind, StopInfo::Kind::kStalled);
+  EXPECT_EQ(stop.blocked_cycles, 10u);
+  EXPECT_EQ(d.m.cpu.cycle(), 10u);
 }
 
 TEST(DebuggerCommands, RegisterAccess) {

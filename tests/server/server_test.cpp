@@ -790,8 +790,9 @@ TEST(ServerSupervision, DeadlockMapsToStructuredState) {
   SessionManager manager({});
   SessionConfig config;
   // A blocking FSL read with no hardware attached can never complete;
-  // the quantum exceeds the engine's 100k-cycle deadlock threshold so
-  // the heuristic fires inside one chunk.
+  // the engine's 100k-cycle deadlock threshold fires inside the first
+  // 150k-cycle chunk (DeadlockSpanningChunksMapsToStructuredState splits
+  // it across chunks).
   config.desc = machine::MachineDesc::single_core("get r4, rfsl0\nhalt\n");
   config.control_quantum = 150'000;
   auto created = manager.create(std::move(config));
@@ -802,6 +803,25 @@ TEST(ServerSupervision, DeadlockMapsToStructuredState) {
   const std::string info = session->info_json();
   EXPECT_NE(info.find("[srv-deadlock]"), std::string::npos) << info;
   EXPECT_NE(info.find("core cpu0"), std::string::npos) << info;
+}
+
+TEST(ServerSupervision, DeadlockSpanningChunksMapsToStructuredState) {
+  // The same blocked read at a 50k-cycle control quantum: the stall
+  // streak carries over the chunk boundary, so the session stops where
+  // a batch run does, at cycle 100,000.
+  SessionManager manager({});
+  SessionConfig config;
+  config.desc = machine::MachineDesc::single_core("get r4, rfsl0\nhalt\n");
+  config.control_quantum = 50'000;
+  auto created = manager.create(std::move(config));
+  ASSERT_TRUE(created.ok()) << created.error();
+  std::shared_ptr<Session> session = created.value();
+  ASSERT_EQ(session->run_async(1'000'000), "");
+  ASSERT_TRUE(wait_until_idle(*session));
+  const std::string info = session->info_json();
+  EXPECT_NE(info.find("[srv-deadlock]"), std::string::npos) << info;
+  EXPECT_NE(info.find("blocked 100000 cycles"), std::string::npos) << info;
+  EXPECT_EQ(parse_cycles(info), 100'000u) << info;
 }
 
 TEST(ServerJournal, DrainCheckpointsAndRecoveryResumes) {
