@@ -13,6 +13,19 @@ FslChannel::FslChannel(std::size_t depth, std::string name)
   if (depth_ == 0) {
     throw SimError("FslChannel '" + name_ + "': depth must be nonzero");
   }
+  ring_.resize(std::min(depth_, kDefaultDepth));
+}
+
+void FslChannel::push(FslEntry entry) {
+  if (count_ == ring_.size()) [[unlikely]] {
+    // Full below the depth: double the ring, the oldest entry first.
+    std::vector<FslEntry> grown(std::min(2 * ring_.size(), depth_));
+    for (std::size_t i = 0; i < count_; ++i) grown[i] = ring_[slot(i)];
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[slot(count_)] = entry;
+  ++count_;
 }
 
 void FslChannel::emit(obs::EventKind kind, Word data, bool control) const {
@@ -20,7 +33,7 @@ void FslChannel::emit(obs::EventKind kind, Word data, bool control) const {
   event.kind = kind;
   event.cycle = trace_bus_->time();
   event.channel = name_.c_str();
-  event.occupancy = static_cast<u32>(fifo_.size());
+  event.occupancy = static_cast<u32>(count_);
   event.depth = static_cast<u32>(depth_);
   event.data = data;
   event.control = control;
@@ -63,17 +76,17 @@ bool FslChannel::try_write(Word data, bool control) {
       --fault_->countdown;
     }
   }
-  fifo_.push_back(FslEntry{data, control});
+  push(FslEntry{data, control});
   ++total_writes_;
-  if (duplicate && fifo_.size() < depth_) {
+  if (duplicate && count_ < depth_) {
     // The duplicated copy occupies a real FIFO slot but was never
     // written by the master, so it does not count as a write.
-    fifo_.push_back(FslEntry{data, control});
+    push(FslEntry{data, control});
   }
-  max_occupancy_ = std::max(max_occupancy_, fifo_.size());
+  max_occupancy_ = std::max(max_occupancy_, count_);
   if (metrics_ != nullptr) {
     metrics_->push += 1;
-    metrics_->occupancy.record(fifo_.size());
+    metrics_->occupancy.record(count_);
   }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kFslPush, data, control);
@@ -85,12 +98,13 @@ std::optional<FslEntry> FslChannel::try_read() {
   // Stuck-empty must hide queued words from every reader, not only the
   // ones polite enough to consult exists() first.
   if (!exists()) return std::nullopt;
-  FslEntry entry = fifo_.front();
-  fifo_.pop_front();
+  const FslEntry entry = ring_[head_];
+  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  --count_;
   ++total_reads_;
   if (metrics_ != nullptr) {
     metrics_->pop += 1;
-    metrics_->occupancy.record(fifo_.size());
+    metrics_->occupancy.record(count_);
   }
   if (trace_bus_ != nullptr && trace_bus_->enabled()) {
     emit(obs::EventKind::kFslPop, entry.data, entry.control);
@@ -100,15 +114,18 @@ std::optional<FslEntry> FslChannel::try_read() {
 
 std::optional<FslEntry> FslChannel::peek() const {
   if (!exists()) return std::nullopt;
-  return fifo_.front();
+  return ring_[head_];
 }
 
-void FslChannel::clear() { fifo_.clear(); }
+void FslChannel::clear() {
+  head_ = 0;
+  count_ = 0;
+}
 
 bool FslChannel::corrupt_entry(std::size_t index, Word mask,
                                bool flip_control) {
-  if (index >= fifo_.size()) return false;
-  FslEntry& entry = fifo_[index];
+  if (index >= count_) return false;
+  FslEntry& entry = ring_[slot(index)];
   entry.data ^= mask;
   if (flip_control) entry.control = !entry.control;
   return true;
@@ -118,12 +135,13 @@ void FslChannel::reset_stats() {
   total_writes_ = 0;
   total_reads_ = 0;
   refused_writes_ = 0;
-  max_occupancy_ = fifo_.size();
+  max_occupancy_ = count_;
 }
 
 void FslChannel::save_state(ckpt::Writer& writer) const {
-  writer.write_u64(fifo_.size());
-  for (const FslEntry& entry : fifo_) {
+  writer.write_u64(count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    const FslEntry& entry = ring_[slot(i)];
     writer.write_u32(entry.data);
     writer.write_bool(entry.control);
   }
@@ -145,11 +163,11 @@ void FslChannel::save_state(ckpt::Writer& writer) const {
 bool FslChannel::load_state(ckpt::Reader& reader) {
   const u64 occupancy = reader.read_u64();
   if (!reader.ok() || occupancy > depth_) return false;
-  fifo_.clear();
+  clear();
   for (u64 i = 0; i < occupancy; ++i) {
     const Word data = reader.read_u32();
     const bool control = reader.read_bool();
-    fifo_.push_back(FslEntry{data, control});
+    push(FslEntry{data, control});
   }
   total_writes_ = reader.read_u64();
   total_reads_ = reader.read_u64();

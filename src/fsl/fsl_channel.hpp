@@ -9,13 +9,20 @@
 // Blocking/non-blocking behaviour lives in the ISS / co-simulation engine
 // (a blocking access stalls the processor until the flag allows progress);
 // this class is the FIFO state machine itself.
+//
+// The FIFO is a ring of entries: a head index and an occupancy, so the
+// flags, a push and a pop are index arithmetic on one array. The ring
+// holds min(depth, kDefaultDepth) entries at construction and doubles,
+// up to `depth`, only when a push finds it full below the depth, so a
+// deep FIFO costs memory only for the words it has held at once.
+// Checkpoints list the entries head to tail, whatever the ring's layout.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -78,15 +85,15 @@ class FslChannel {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
-  [[nodiscard]] std::size_t occupancy() const noexcept { return fifo_.size(); }
+  [[nodiscard]] std::size_t occupancy() const noexcept { return count_; }
 
   /// In#_full flag: true when a write would be refused.
   [[nodiscard]] bool full() const noexcept {
-    return fifo_.size() >= depth_ || (fault_ != nullptr && fault_->stuck_full);
+    return count_ >= depth_ || (fault_ != nullptr && fault_->stuck_full);
   }
   /// Out#_exists flag: true when a read can occur.
   [[nodiscard]] bool exists() const noexcept {
-    return !fifo_.empty() && (fault_ == nullptr || !fault_->stuck_empty);
+    return count_ != 0 && (fault_ == nullptr || !fault_->stuck_empty);
   }
 
   /// Master-side write. Returns false (and drops nothing) when full.
@@ -147,10 +154,21 @@ class FslChannel {
 
  private:
   void emit(obs::EventKind kind, Word data, bool control) const;
+  /// The ring_ index of the entry `index` places behind the head.
+  /// Pre: index < ring_.size().
+  [[nodiscard]] std::size_t slot(std::size_t index) const noexcept {
+    const std::size_t at = head_ + index;
+    return at < ring_.size() ? at : at - ring_.size();
+  }
+  /// Append an entry. Pre: count_ < depth_.
+  void push(FslEntry entry);
 
   std::size_t depth_;
   std::string name_;
-  std::deque<FslEntry> fifo_;
+  /// min(depth_, kDefaultDepth) entries, doubled up to depth_ on demand
+  std::vector<FslEntry> ring_;
+  std::size_t head_ = 0;   ///< ring_ index of the oldest entry
+  std::size_t count_ = 0;  ///< queued entries
   u64 total_writes_ = 0;
   u64 total_reads_ = 0;
   u64 refused_writes_ = 0;

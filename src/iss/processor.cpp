@@ -50,12 +50,27 @@ void Processor::set_exec_tier(ExecTier tier) {
   }
 }
 
-Processor::Predecoded& Processor::predecode_fetch(Addr pc) {
-  if (predecode_.empty()) predecode_.resize(memory_.size_bytes() / 4);
-  Predecoded& entry = predecode_[pc >> 2];
-  if (entry.gen == predecode_gen_) return entry;
-  predecode_words_ =
-      std::max(predecode_words_, static_cast<std::size_t>(pc >> 2) + 1);
+namespace {
+/// The word tables grow by at least this many words (4 KiB of text) and
+/// at least double, so a program that fetches ever higher words pays
+/// O(1) amortised per word.
+constexpr std::size_t kTextChunkWords = 1024;
+}  // namespace
+
+Processor::Predecoded& Processor::predecode_miss(Addr pc) {
+  const std::size_t word = pc >> 2;
+  if (word >= predecode_.size()) {
+    const std::size_t chunks = word / kTextChunkWords + 1;
+    const std::size_t size =
+        std::min(std::max(chunks * kTextChunkWords, 2 * predecode_.size()),
+                 std::size_t{memory_.size_bytes() / 4});
+    predecode_.resize(size);
+    dbt_index_.resize(size, 0);
+    dbt_heat_.resize(size, 0);
+    dbt_cover_.resize(size, 0);
+  }
+  Predecoded& entry = predecode_[word];
+  predecode_words_ = std::max(predecode_words_, word + 1);
   entry.raw = memory_.read_word(pc);
   entry.in = isa::decode(entry.raw);
   const isa::LatencyPair latency = isa::base_latencies(entry.in);
@@ -186,7 +201,7 @@ Event Processor::store_data(Addr addr, unsigned bytes, Word value) {
     // Self-modifying code: a store landing on cached text must force a
     // re-decode at the next fetch of that word (and retire any
     // superblock covering it — invalidate_predecode does both).
-    if (!predecode_.empty()) invalidate_predecode(addr);
+    invalidate_predecode(addr);
   } else if (opb_ != nullptr && opb_->decodes(addr)) {
     // OPB writes are full-word; sub-word stores replicate the value
     // onto the addressed lanes (byte-enable behaviour).
@@ -597,6 +612,8 @@ BatchResult Processor::run_batch(Cycle max_cycles) {
       // lock step (covers FSL accesses sitting in a delay slot too).
       return stop(BatchStop::kFslPending);
     }
+    // A translation fetches more words and may move `entry`.
+    const bool boundary = entry.boundary;
     const bool plain =
         entry.tag == DispatchTag::kFast && !imm_prefix_ && !delay_target_;
     if (plain && at_head) {
@@ -616,7 +633,7 @@ BatchResult Processor::run_batch(Cycle max_cycles) {
     // Untranslated code, IMM prefixes, delay slots and custom slots run
     // through step(); after a precise-only instruction the next word
     // conservatively counts as a head (heat counting is timing-neutral).
-    at_head = !plain || entry.boundary;
+    at_head = !plain || boundary;
     switch (step().event) {
       case Event::kRetired:
       case Event::kFslStall:  // impossible: FSL accesses stop above

@@ -176,8 +176,9 @@ class Processor {
   /// (generation bump) — the self-modifying-code rule of DESIGN.md §12.
   void invalidate_predecode(Addr addr) noexcept {
     const std::size_t index = addr >> 2;
-    if (index < predecode_.size()) predecode_[index].gen = 0;
-    if (index < dbt_cover_.size() && dbt_cover_[index] == dbt_gen_) {
+    if (index >= predecode_.size()) return;  // never fetched: nothing cached
+    predecode_[index].gen = 0;
+    if (dbt_cover_[index] == dbt_gen_) {
       ++dbt_gen_;
       dbt_stats_.smc_retirements += 1;
       dbt_heat_[index] = 0;  // the rewritten word re-earns its promotion
@@ -307,14 +308,26 @@ class Processor {
     kIllegal,
   };
 
-  /// Decode the word at `pc` into its cache slot and return the entry.
-  /// Pre: dbt tier, memory_.contains(pc, 4).
-  Predecoded& predecode_fetch(Addr pc);
+  /// The cache entry of the word at `pc`, decoded on its first fetch and
+  /// after an invalidation. A later fetch may grow the cache and move
+  /// the entry. Pre: dbt tier, memory_.contains(pc, 4).
+  Predecoded& predecode_fetch(Addr pc) {
+    const std::size_t word = pc >> 2;
+    if (word < predecode_.size()) [[likely]] {
+      Predecoded& entry = predecode_[word];
+      if (entry.gen == predecode_gen_) return entry;
+    }
+    return predecode_miss(pc);
+  }
+  /// predecode_fetch when the entry is not valid: grow the word tables
+  /// to cover `pc` if they stop short of it, then decode the word.
+  Predecoded& predecode_miss(Addr pc);
 
   /// Superblock tier entry point: execute the block at pc_ if one is
   /// translated, otherwise accumulate promotion heat and translate once
   /// the threshold is crossed. Pre: kDbt tier, fast path available,
-  /// memory_.contains(pc_, 4), no pending IMM prefix or delay slot.
+  /// memory_.contains(pc_, 4), pc_ fetched through predecode_fetch, no
+  /// pending IMM prefix or delay slot.
   DbtRun dbt_enter(Cycle max_cycles);
   /// Build the superblock starting at `start`; false when the leading
   /// instruction cannot be stitched (the head is then blacklisted).
@@ -366,8 +379,10 @@ class Processor {
   /// Branch target to apply after the current delay-slot instruction.
   std::optional<Addr> delay_target_;
 
-  /// Predecode cache, indexed by pc >> 2 over the LMB program region
-  /// (sized lazily to the memory on first use; ~40 B per word).
+  /// Predecode cache, indexed by pc >> 2 (~40 B per word). It and the
+  /// dbt_index_/dbt_heat_/dbt_cover_ word tables always have one size,
+  /// which grows with the highest word fetched (predecode_miss), so a
+  /// run pays for its text, not for the whole memory.
   std::vector<Predecoded> predecode_;
   /// One past the highest word ever decoded into predecode_: the part
   /// revalidate_text() has to look at.

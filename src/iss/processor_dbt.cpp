@@ -76,14 +76,8 @@ constexpr u8 kFlagAbsolute = 4;
 }  // namespace
 
 Processor::DbtRun Processor::dbt_enter(Cycle max_cycles) {
-  if (dbt_index_.empty()) {
-    const std::size_t words = memory_.size_bytes() / 4;
-    dbt_index_.assign(words, 0);
-    dbt_heat_.assign(words, 0);
-    dbt_cover_.assign(words, 0);
-  }
+  // run_batch fetched pc_, so the word tables cover it.
   const std::size_t word = pc_ >> 2;
-  if (word >= dbt_index_.size()) return DbtRun::kNoBlock;
 
   if (const u32 slot = dbt_index_[word]; slot != 0) {
     const Superblock& block = dbt_blocks_[slot - 1];

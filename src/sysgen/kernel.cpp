@@ -239,6 +239,41 @@ OpCode fan_code(OpCode code) noexcept {
       return OpCode::kEnd;
   }
 }
+
+/// The cheapest op code computing the same bits as `op` (kernel.hpp,
+/// "Specialised ops"); op.code itself when no cheaper form applies.
+OpCode specialised(const Op& op) noexcept {
+  if (op.code == OpCode::kCompare) {
+    return op.sa == 0 && op.sb == 0 ? OpCode::kCompareI64 : op.code;
+  }
+  if (!op.wrap.extends()) return op.code;
+  const bool aligned = op.sa == 0 && op.sb == 0;
+  switch (op.code) {
+    case OpCode::kWrap:
+      return OpCode::kWrapExt;
+    case OpCode::kAdd:
+      return aligned ? OpCode::kAddExt : op.code;
+    case OpCode::kSub:
+      return aligned ? OpCode::kSubExt : op.code;
+    case OpCode::kMul:
+      return OpCode::kMulExt;
+    case OpCode::kNeg:
+      return OpCode::kNegExt;
+    case OpCode::kAnd:
+      return OpCode::kAndExt;
+    case OpCode::kOr:
+      return OpCode::kOrExt;
+    case OpCode::kXor:
+      return OpCode::kXorExt;
+    case OpCode::kNot:
+      return OpCode::kNotExt;
+    case OpCode::kRegister:
+      return op.c == Lowering::one() ? OpCode::kRegisterAlways
+                                     : OpCode::kRegisterExt;
+    default:
+      return op.code;
+  }
+}
 }  // namespace
 
 Kernel Lowering::finish() && {
@@ -414,6 +449,8 @@ Kernel Lowering::finish() && {
   }
   kernel.input_fanout_.back() = static_cast<u32>(kernel.fanout_.size());
 
+  for (Op& op : kernel.tape_) op.code = specialised(op);
+
   kernel.sources_ = sources;
   kernel.stamp_.assign(regions, 0);
   kernel.sources_queue_.segments.assign(sources, 0);
@@ -424,6 +461,12 @@ Kernel Lowering::finish() && {
   }
   kernel.full_ = true;
   return std::move(kernel_);
+}
+
+std::size_t Kernel::count(OpCode code) const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      tape_.begin(), tape_.end(),
+      [code](const Op& op) { return op.code == code; }));
 }
 
 bool Kernel::inputs_unchanged() const noexcept {
@@ -544,7 +587,9 @@ void Kernel::run() {
       &&shr, &&shr_var, &&mux, &&compare, &&and_, &&or_, &&xor_, &&not_,
       &&reg, &&counter, &&ring_read, &&ring_push, &&rom, &&ram,
       &&serialize, &&output_state, &&propagate, &&latch, &&copy_fan,
-      &&ring_read_fan, &&output_state_fan, &&end};
+      &&ring_read_fan, &&output_state_fan, &&wrap_ext, &&add_ext, &&sub_ext,
+      &&mul_ext, &&neg_ext, &&and_ext, &&or_ext, &&xor_ext, &&not_ext,
+      &&reg_ext, &&reg_always, &&compare_i64, &&end};
   static_assert(std::size(kHandlers) ==
                 static_cast<std::size_t>(OpCode::kEnd) + 1);
   // Stage 0 runs the queued sources (they read nothing computed in the
@@ -720,6 +765,45 @@ output_state_fan:
   op->ext.block->output_state();
   MBC_MARK_FANOUT();
   MBC_NEXT();
+wrap_ext:
+  *op->dst = op->wrap.extend(*op->a);
+  MBC_NEXT();
+add_ext:
+  *op->dst = op->wrap.extend(*op->a + *op->b);
+  MBC_NEXT();
+sub_ext:
+  *op->dst = op->wrap.extend(*op->a - *op->b);
+  MBC_NEXT();
+mul_ext:
+  *op->dst = op->wrap.extend(*op->a * *op->b);
+  MBC_NEXT();
+neg_ext:
+  *op->dst = op->wrap.extend(-*op->a);
+  MBC_NEXT();
+and_ext:
+  *op->dst = op->wrap.extend(*op->a & *op->b);
+  MBC_NEXT();
+or_ext:
+  *op->dst = op->wrap.extend(*op->a | *op->b);
+  MBC_NEXT();
+xor_ext:
+  *op->dst = op->wrap.extend(*op->a ^ *op->b);
+  MBC_NEXT();
+not_ext:
+  *op->dst = op->wrap.extend(~*op->a);
+  MBC_NEXT();
+reg_ext:
+  if (*op->c != 0) changed |= update(*op->dst, op->wrap.extend(*op->a));
+  MBC_NEXT();
+reg_always:
+  changed |= update(*op->dst, op->wrap.extend(*op->a));
+  MBC_NEXT();
+compare_i64: {
+  const i64 a = *op->a;
+  const i64 b = *op->b;
+  *op->dst = (op->k >> ((a > b) - (a < b) + 1)) & 1;
+  MBC_NEXT();
+}
 end:
   ++segments;
   ops += static_cast<u64>(op->k2);

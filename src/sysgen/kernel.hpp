@@ -38,6 +38,14 @@
 // and FSL_M_Write slots on every stepped cycle and call out through a
 // plain callback on a Ports record, which core::FslBridge owns, only
 // when a handshake bit is high; sysgen knows no FIFO.
+//
+// Specialised ops (DESIGN.md §15, "Specialised ops"). Blocks emit the
+// generic op codes; Lowering::finish() then gives each op on the tape the
+// cheapest code that computes the same bits from its constants: a
+// kCompare with no aligning shifts compares plain i64 values, an op whose
+// Wrap only sign- or zero-extends (Wrap::extends()) runs a shift pair and
+// the mask, and a kRegister whose enable is Lowering::one() loads no
+// enable. The generic handlers stay for the ops whose constants need them.
 #pragma once
 
 #include <cstddef>
@@ -69,6 +77,16 @@ struct Wrap {
     // Two left shifts: each stays below 64 even when all bits fall off.
     const u64 shifted = (static_cast<u64>(code >> right) << left) << norm;
     return (static_cast<i64>(shifted) >> norm) & keep;
+  }
+
+  /// True when the wrap moves no bit: it only keeps the word and sign- or
+  /// zero-extends it, and extend() computes the same bits.
+  [[nodiscard]] bool extends() const noexcept {
+    return right == 0 && left == 0;
+  }
+  /// operator() for a wrap that extends().
+  [[nodiscard]] i64 extend(i64 code) const noexcept {
+    return (static_cast<i64>(static_cast<u64>(code) << norm) >> norm) & keep;
   }
 };
 
@@ -136,6 +154,21 @@ enum class OpCode : u8 {
   kCopyFan,          ///< kCopy; marks when dst changes
   kRingReadFan,      ///< kRingRead; marks when dst changes
   kOutputStateFan,   ///< kOutputState; always marks
+  // Set by Lowering::finish() on ops whose constants allow a cheaper
+  // form (see the file comment). Blocks never emit them. The *Ext codes
+  // are their generic op with a wrap that extends().
+  kWrapExt,
+  kAddExt,           ///< kAdd with sa == sb == 0
+  kSubExt,           ///< kSub with sa == sb == 0
+  kMulExt,
+  kNegExt,
+  kAndExt,
+  kOrExt,
+  kXorExt,
+  kNotExt,
+  kRegisterExt,
+  kRegisterAlways,   ///< kRegisterExt whose enable is Lowering::one()
+  kCompareI64,       ///< kCompare with sa == sb == 0
   kEnd,          ///< end of a segment
 };
 
@@ -255,6 +288,8 @@ class Kernel {
     return regions_.size();
   }
   [[nodiscard]] const KernelStats& stats() const noexcept { return stats_; }
+  /// Ops on the tape with op code `code` (the closing kEnds included).
+  [[nodiscard]] std::size_t count(OpCode code) const noexcept;
 
  private:
   friend class Lowering;

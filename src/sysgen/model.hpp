@@ -96,6 +96,11 @@ class Model {
   [[nodiscard]] std::size_t region_count() const noexcept {
     return kernel_.region_count();
   }
+  /// Ops on the elaborated tape with op code `code` (DESIGN.md §15,
+  /// "Specialised ops").
+  [[nodiscard]] std::size_t op_count(OpCode code) const noexcept {
+    return kernel_.count(code);
+  }
 
   /// Sum of the per-block resource estimates (the System Generator
   /// "resource estimator" analog, paper Section II).

@@ -7,8 +7,11 @@
 // superblock retires the stale translation (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "ckpt/ckpt.hpp"
 #include "iss/test_helpers.hpp"
 #include "obs/metrics.hpp"
 
@@ -270,6 +273,164 @@ TEST(Dbt, ChunkedRunsMatchPreciseOneShot) {
             reference_metrics.snapshot().to_string());
   // The loop is hot: the chunked run really dispatched superblocks.
   EXPECT_GT(chunked.cpu.dbt_stats().dbt_instructions, 0u);
+}
+
+// The predecode cache and the dbt word tables grow with the highest word
+// the program fetches, not with the memory. The programs below fetch far
+// from address 0, in a 256 KiB memory; each must behave exactly as it
+// does at the precise tier.
+
+constexpr u32 kBigMemory = 256 * 1024;
+
+CpuStats run_big(const std::string& source, ExecTier tier,
+                 Word* r3_out = nullptr, DbtStats* dbt_out = nullptr) {
+  TestMachine m(source, TestMachine::make_default_config(), kBigMemory);
+  m.cpu.set_exec_tier(tier);
+  EXPECT_EQ(m.run(), core::StopReason::kHalted);
+  if (r3_out != nullptr) *r3_out = m.cpu.reg(3);
+  if (dbt_out != nullptr) *dbt_out = m.cpu.dbt_stats();
+  return m.cpu.stats();
+}
+
+// A hot loop in the last eight words of memory.
+TEST(Dbt, HotLoopAtTheTopOfA256KiBMemory) {
+  const std::string source =
+      ".org 0x3FFE0\n"
+      "start:\n"
+      "  addik r5, r0, 1\n"
+      "  addik r5, r5, 1\n"
+      "  li r4, 50\n"
+      "loop:\n"
+      "  addik r3, r3, 7\n"
+      "  addik r4, r4, -1\n"
+      "  bnei r4, loop\n"
+      "  halt\n";
+  const assembler::Program program = assembler::assemble_or_throw(source);
+  ASSERT_EQ(program.origin + program.size_bytes(), kBigMemory);
+  Word precise_r3 = 0;
+  Word dbt_r3 = 0;
+  DbtStats counters;
+  const CpuStats precise = run_big(source, ExecTier::kPrecise, &precise_r3);
+  const CpuStats dbt = run_big(source, ExecTier::kDbt, &dbt_r3, &counters);
+  EXPECT_EQ(precise_r3, 350u);
+  EXPECT_EQ(dbt_r3, precise_r3);
+  expect_identical_stats(dbt, precise);
+  EXPECT_GE(counters.blocks_translated, 1u);
+  EXPECT_GT(counters.dbt_instructions, 0u);
+}
+
+// Code at address 0 jumps 40 KB up, well past the words a first fetch
+// at 0 covers, into a hot loop that stores into its own text once it
+// is translated: 20 passes add 1, the store rewrites the add to add
+// 100, and 10 more passes add 100, so r3 == 1020.
+std::string far_smc_program() {
+  isa::Instruction patched;
+  patched.op = isa::Op::kAddk;
+  patched.rd = 3;
+  patched.ra = 3;
+  patched.imm = 100;
+  patched.imm_form = true;
+  return "start:\n"
+         "  li r1, " +
+         std::to_string(isa::encode(patched)) +
+         "\n"
+         "  la r2, patch\n"
+         "  la r6, far\n"
+         "  bra r6\n"
+         "  .space 40000\n"
+         "far:\n"
+         "  li r4, 30\n"
+         "loop:\n"
+         "patch:\n"
+         "  addik r3, r3, 1\n"
+         "  addik r4, r4, -1\n"
+         "  xori r7, r4, 10\n"
+         "  bnei r7, skip\n"
+         "  sw r1, r2, r0\n"  // once, when r4 reaches 10
+         "skip:\n"
+         "  bnei r4, loop\n"
+         "  halt\n";
+}
+
+TEST(Dbt, SmcStoreIntoFarTextRetiresItsBlock) {
+  Word precise_r3 = 0;
+  Word dbt_r3 = 0;
+  DbtStats counters;
+  const CpuStats precise =
+      run_big(far_smc_program(), ExecTier::kPrecise, &precise_r3);
+  const CpuStats dbt =
+      run_big(far_smc_program(), ExecTier::kDbt, &dbt_r3, &counters);
+  EXPECT_EQ(precise_r3, 1020u);
+  EXPECT_EQ(dbt_r3, precise_r3);
+  expect_identical_stats(dbt, precise);
+  EXPECT_GE(counters.blocks_translated, 1u);
+  EXPECT_GE(counters.smc_retirements, 1u);
+}
+
+// A checkpoint of the far program taken before its store, restored (a)
+// in place after the run finished, where the cache holds the patched
+// word far up; (b) into a fresh machine that has fetched nothing; and
+// (c) into a machine that ran other text at the same far addresses.
+// revalidate_text() must keep or drop the cached text so that each
+// restored run ends exactly as the uninterrupted one.
+TEST(Dbt, RestoreRevalidatesTextAcrossGrowth) {
+  const auto machine = [](const std::string& source) {
+    auto m = std::make_unique<TestMachine>(
+        source, TestMachine::make_default_config(), kBigMemory);
+    m->cpu.set_exec_tier(ExecTier::kDbt);
+    return m;
+  };
+  const auto restore = [](TestMachine& m,
+                          const std::vector<unsigned char>& image) {
+    ckpt::Reader reader(image);
+    ASSERT_TRUE(m.cpu.load_state(reader));
+    ASSERT_TRUE(m.memory.load_state(reader));
+    m.cpu.revalidate_text();
+  };
+  const auto expect_like = [](TestMachine& m, const TestMachine& reference,
+                              const char* what) {
+    ASSERT_EQ(m.run(), core::StopReason::kHalted) << what;
+    EXPECT_EQ(m.cpu.reg(3), reference.cpu.reg(3)) << what;
+    EXPECT_EQ(m.cpu.stats().cycles, reference.cpu.stats().cycles) << what;
+    EXPECT_EQ(m.cpu.stats().instructions, reference.cpu.stats().instructions)
+        << what;
+    EXPECT_EQ(m.cpu.stats().stores, reference.cpu.stats().stores) << what;
+  };
+
+  const std::string source = far_smc_program();
+  const auto reference = machine(source);
+  ASSERT_EQ(reference->run(), core::StopReason::kHalted);
+  ASSERT_EQ(reference->cpu.reg(3), 1020u);
+
+  // Half way is after the loop is translated and before the store.
+  const auto original = machine(source);
+  ASSERT_EQ(original->run(reference->cpu.cycle() / 2),
+            core::StopReason::kCycleLimit);
+  ASSERT_GT(original->cpu.dbt_stats().blocks_translated, 0u);
+  ASSERT_EQ(original->cpu.stats().stores, 0u);
+  ckpt::Writer writer;
+  original->cpu.save_state(writer);
+  original->memory.save_state(writer);
+  const std::vector<unsigned char> image = writer.take();
+
+  ASSERT_EQ(original->run(), core::StopReason::kHalted);
+  restore(*original, image);
+  expect_like(*original, *reference, "in place");
+
+  const auto fresh = machine(source);
+  restore(*fresh, image);
+  expect_like(*fresh, *reference, "fresh");
+
+  // The same layout with `addik r3, r3, 5` at `patch`: every far word
+  // this machine caches differs from the restored one's.
+  std::string other_source = source;
+  const std::string add1 = "addik r3, r3, 1";
+  other_source.replace(other_source.find(add1), add1.size(),
+                       "addik r3, r3, 5");
+  const auto other = machine(other_source);
+  ASSERT_EQ(other->run(), core::StopReason::kHalted);
+  restore(*other, image);
+  expect_like(*other, *reference, "over other text");
 }
 
 }  // namespace

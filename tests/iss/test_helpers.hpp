@@ -29,9 +29,10 @@ class RecordingSink : public obs::TraceSink {
 
 struct TestMachine {
   explicit TestMachine(std::string_view source,
-                       isa::CpuConfig config = make_default_config())
+                       isa::CpuConfig config = make_default_config(),
+                       u32 memory_bytes = 64 * 1024)
       : program(assembler::assemble_or_throw(source)),
-        memory(64 * 1024),
+        memory(memory_bytes),
         cpu(config, memory, &hub) {
     memory.load_program(program);
     cpu.reset(program.entry());

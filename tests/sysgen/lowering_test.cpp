@@ -4,6 +4,7 @@
 // and unsigned, 1-63 bits, any binary point), every quantization and
 // overflow mode, latency 0 and > 0. Each output raw code is compared,
 // cycle by cycle, with the value the Fix reference methods compute.
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/cordic/cordic_hw.hpp"
+#include "apps/matmul/matmul_hw.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "sysgen/blocks_basic.hpp"
@@ -70,10 +73,11 @@ using Reference = std::function<Fix(const std::vector<Fix>&)>;
 /// its output against `reference` applied to the inputs presented
 /// `latency` cycles earlier (zero before the pipeline fills). A block
 /// whose reference throws for these formats must be rejected at
-/// elaboration instead.
+/// elaboration instead. `inspect`, if set, sees the elaborated model.
 void check_function(Rng& rng, const std::vector<FixFormat>& inputs,
                     unsigned latency, bool rejected, const Build& build,
-                    const Reference& reference, const std::string& what) {
+                    const Reference& reference, const std::string& what,
+                    const std::function<void(const Model&)>& inspect = {}) {
   Model m("diff");
   std::vector<GatewayIn*> gateways;
   std::vector<Signal*> signals;
@@ -88,6 +92,7 @@ void check_function(Rng& rng, const std::vector<FixFormat>& inputs,
     return;
   }
   m.elaborate();
+  if (inspect) inspect(m);
   std::deque<i64> pipeline(latency, 0);
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     std::vector<Fix> values;
@@ -114,6 +119,49 @@ bool throws(Fn&& fn) {
     return true;
   }
   return false;
+}
+
+// Specialised ops (DESIGN.md §15): Lowering::finish() swaps a generic op
+// code for a cheaper one when the op's constants allow it. The helpers
+// below let a test check that each form is chosen exactly when it
+// applies, while check_function checks that both forms match Fix.
+
+/// A format with `frac` fraction bits; `frac` is at most 24.
+FixFormat format_with_frac(Rng& rng, int frac) {
+  const int word = static_cast<int>(
+      rng.next_in(std::max(frac, 1), rng.next_below(2) == 0 ? 24 : 63));
+  return FixFormat{rng.next_below(2) == 0 ? Signedness::kSigned
+                                          : Signedness::kUnsigned,
+                   static_cast<u8>(word), static_cast<u8>(frac)};
+}
+
+/// Half the trials draw every format with one fraction width, so that no
+/// operand or result needs a shift; the rest draw formats at random.
+std::vector<FixFormat> trial_formats(Rng& rng, std::size_t count) {
+  std::vector<FixFormat> formats;
+  const bool aligned = rng.next_below(2) == 0;
+  const int frac = static_cast<int>(rng.next_in(0, 16));
+  for (std::size_t i = 0; i < count; ++i) {
+    formats.push_back(aligned ? format_with_frac(rng, frac)
+                              : random_format(rng));
+  }
+  return formats;
+}
+
+/// An inspect callback: the block's op is `special` when `chosen`, else
+/// `generic`, and the other code is absent.
+std::function<void(const Model&)> expect_code(bool chosen, OpCode special,
+                                              OpCode generic,
+                                              std::string what) {
+  return [=](const Model& m) {
+    EXPECT_EQ(m.op_count(chosen ? special : generic), 1u) << what;
+    EXPECT_EQ(m.op_count(chosen ? generic : special), 0u) << what;
+  };
+}
+
+/// Whether emit_converted fuses the conversion into the op's wrap.
+bool fused(int shift, Quantization q, Overflow o) {
+  return o == Overflow::kWrap && (q == Quantization::kTruncate || shift >= 0);
 }
 
 TEST(Lowering, AddSubMatchesFix) {
@@ -351,7 +399,10 @@ TEST(Lowering, RelationalMatchesFix) {
             }
             return Fix::from_raw(FixFormat::unsigned_fix(1, 0), result);
           },
-          "relational " + std::to_string(int(op)) + " ");
+          "relational " + std::to_string(int(op)) + " ",
+          // Aligning shifts only where the binary points differ.
+          expect_code(a.frac_bits == b.frac_bits, OpCode::kCompareI64,
+                      OpCode::kCompare, describe({a, b})));
     }
   }
 }
@@ -360,6 +411,12 @@ TEST(Lowering, LogicalMatchesFix) {
   Rng rng(0x109u);
   constexpr Logical::Op kOps[] = {Logical::Op::kAnd, Logical::Op::kOr,
                                   Logical::Op::kXor, Logical::Op::kNot};
+  // Indexed by Logical::Op, then the one-input copy.
+  constexpr OpCode kSpecial[] = {OpCode::kAndExt, OpCode::kOrExt,
+                                 OpCode::kXorExt, OpCode::kNotExt,
+                                 OpCode::kWrapExt};
+  constexpr OpCode kGeneric[] = {OpCode::kAnd, OpCode::kOr, OpCode::kXor,
+                                 OpCode::kNot, OpCode::kWrap};
   for (int trial = 0; trial < kTrials; ++trial) {
     for (Logical::Op op : kOps) {
       const auto fan_in = op == Logical::Op::kNot
@@ -389,7 +446,16 @@ TEST(Lowering, LogicalMatchesFix) {
             }
             return Fix::from_raw(out, static_cast<i64>(acc & mask));
           },
-          "logical " + std::to_string(int(op)) + " ");
+          "logical " + std::to_string(int(op)) + " ",
+          // Every op wraps into the output word without a shift, the
+          // chained temps of three or more inputs with the identity wrap.
+          [&](const Model& m) {
+            const bool copy = op != Logical::Op::kNot && fan_in == 1;
+            const std::size_t which = copy ? 4 : static_cast<std::size_t>(op);
+            EXPECT_EQ(m.op_count(kSpecial[which]),
+                      fan_in == 1 ? 1 : fan_in - 1);
+            EXPECT_EQ(m.op_count(kGeneric[which]), 0u);
+          });
     }
   }
 }
@@ -606,6 +672,215 @@ TEST(Lowering, SinglePortRamMatchesFix) {
   }
 }
 
+
+TEST(Lowering, WrapExtendMatchesWrapForEveryNorm) {
+  Rng rng(0xe87e);
+  for (int norm = 0; norm < 64; ++norm) {
+    for (const bool is_signed : {true, false}) {
+      Wrap wrap;
+      wrap.norm = static_cast<u8>(norm);
+      wrap.keep = is_signed ? i64{-1}
+                            : static_cast<i64>(low_mask64(64 - norm));
+      ASSERT_TRUE(wrap.extends());
+      for (int i = 0; i < 200; ++i) {
+        const auto code = static_cast<i64>(rng.next_u64());
+        ASSERT_EQ(wrap.extend(code), wrap(code))
+            << "norm " << norm << (is_signed ? " signed" : " unsigned");
+      }
+    }
+  }
+  EXPECT_FALSE(Wrap::into(FixFormat::signed_fix(16, 0), 1).extends());
+  EXPECT_FALSE(Wrap::into(FixFormat::signed_fix(16, 0), -1).extends());
+}
+
+TEST(Lowering, SpecialisedAddSubAndMultAreChosenAndMatchFix) {
+  Rng rng(0x5bec);
+  int chosen_count[2] = {0, 0};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto formats = trial_formats(rng, 3);
+    const FixFormat a = formats[0];
+    const FixFormat b = formats[1];
+    const FixFormat out = formats[2];
+    const Quantization q = kQuantizations[rng.next_below(2)];
+    const Overflow o = kOverflows[rng.next_below(2)];
+    const unsigned latency = random_latency(rng);
+    const std::string what = describe(formats) + "q" +
+                             std::to_string(int(q)) + " o" +
+                             std::to_string(int(o)) + " ";
+
+    const bool add = rng.next_below(2) == 0;
+    const bool sum_rejected = throws([&] {
+      std::ignore = add ? Fix::add_full_format(a, b)
+                        : Fix::sub_full_format(a, b);
+    });
+    std::function<void(const Model&)> inspect;
+    if (!sum_rejected) {
+      const FixFormat full = add ? Fix::add_full_format(a, b)
+                                 : Fix::sub_full_format(a, b);
+      const int shift = int(out.frac_bits) - int(full.frac_bits);
+      // An unfused conversion leaves the add with the identity wrap.
+      const bool chosen = full.frac_bits == a.frac_bits &&
+                          full.frac_bits == b.frac_bits &&
+                          (!fused(shift, q, o) || shift == 0);
+      ++chosen_count[chosen];
+      inspect = expect_code(chosen, add ? OpCode::kAddExt : OpCode::kSubExt,
+                            add ? OpCode::kAdd : OpCode::kSub, what);
+    }
+    check_function(
+        rng, {a, b}, latency, sum_rejected,
+        [&](Model& m, const std::vector<Signal*>& in) -> Signal& {
+          return m.add<AddSub>("dut",
+                               add ? AddSub::Mode::kAdd
+                                   : AddSub::Mode::kSubtract,
+                               *in[0], *in[1], out, latency, q, o)
+              .out();
+        },
+        [&](const std::vector<Fix>& v) {
+          return (add ? v[0].add_full(v[1]) : v[0].sub_full(v[1]))
+              .cast(out, q, o);
+        },
+        std::string(add ? "add " : "sub ") + what, inspect);
+
+    // A product whose word needs no clamp is one kMul.
+    const bool product_rejected =
+        throws([&] { std::ignore = Fix::mul_full_format(a, b); });
+    inspect = {};
+    if (!product_rejected && a.word_bits + b.word_bits <= 63) {
+      const FixFormat full = Fix::mul_full_format(a, b);
+      const int shift = int(out.frac_bits) - int(full.frac_bits);
+      inspect = expect_code(!fused(shift, q, o) || shift == 0,
+                            OpCode::kMulExt, OpCode::kMul, what);
+    }
+    check_function(
+        rng, {a, b}, latency, product_rejected,
+        [&](Model& m, const std::vector<Signal*>& in) -> Signal& {
+          return m.add<Mult>("dut", *in[0], *in[1], out, latency, q, o).out();
+        },
+        [&](const std::vector<Fix>& v) {
+          return v[0].mul_full(v[1]).cast(out, q, o);
+        },
+        "mult " + what, inspect);
+  }
+  // Both forms were exercised.
+  EXPECT_GT(chosen_count[0], 10);
+  EXPECT_GT(chosen_count[1], 10);
+}
+
+TEST(Lowering, SpecialisedConvertAndNegateAreChosenAndMatchFix) {
+  Rng rng(0xc0e7);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto formats = trial_formats(rng, 2);
+    const FixFormat a = formats[0];
+    const FixFormat out = formats[1];
+    const Quantization q = kQuantizations[rng.next_below(2)];
+    const Overflow o = kOverflows[rng.next_below(2)];
+    const unsigned latency = random_latency(rng);
+    const int shift = int(out.frac_bits) - int(a.frac_bits);
+    const std::string what = describe(formats) + "q" +
+                             std::to_string(int(q)) + " o" +
+                             std::to_string(int(o)) + " ";
+
+    // An unfused conversion is a kCast alone: no kWrap at all.
+    std::function<void(const Model&)> inspect;
+    if (fused(shift, q, o)) {
+      inspect = expect_code(shift == 0, OpCode::kWrapExt, OpCode::kWrap,
+                            what);
+    } else {
+      inspect = [&](const Model& m) {
+        EXPECT_EQ(m.op_count(OpCode::kWrap) + m.op_count(OpCode::kWrapExt),
+                  0u)
+            << what;
+      };
+    }
+    check_function(
+        rng, {a}, latency, false,
+        [&](Model& m, const std::vector<Signal*>& in) -> Signal& {
+          return m.add<Convert>("dut", *in[0], out, q, o, latency).out();
+        },
+        [&](const std::vector<Fix>& v) { return v[0].cast(out, q, o); },
+        "convert " + what, inspect);
+
+    check_function(
+        rng, {a}, latency, false,
+        [&](Model& m, const std::vector<Signal*>& in) -> Signal& {
+          return m.add<Negate>("dut", *in[0], out, latency).out();
+        },
+        [&](const std::vector<Fix>& v) {
+          return v[0].negate_full().cast(out);
+        },
+        "negate " + what,
+        expect_code(shift == 0, OpCode::kNegExt, OpCode::kNeg, what));
+  }
+}
+
+TEST(Lowering, SpecialisedRegistersAreChosenAndMatchFix) {
+  Rng rng(0x4e67);
+  int chosen_count[2] = {0, 0};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto formats = trial_formats(rng, 2);
+    const FixFormat d_format = formats[0];
+    const Fix init = random_fix(rng, formats[1]);
+    const bool gated = rng.next_below(2) == 0;
+    const FixFormat enable_format = random_format(rng, 3);
+    Model m("diff");
+    auto& d = m.add<GatewayIn>("d", d_format);
+    auto& enable = m.add<GatewayIn>("en", enable_format);
+    auto& reg = m.add<Register>("dut", d.out(), init,
+                                gated ? &enable.out() : nullptr);
+    auto& out = m.add<GatewayOut>("out", reg.out());
+    m.elaborate();
+    const std::string what = describe(formats) + (gated ? "gated" : "");
+    const bool chosen = d_format.frac_bits == init.format().frac_bits;
+    ++chosen_count[chosen];
+    const OpCode special =
+        gated ? OpCode::kRegisterExt : OpCode::kRegisterAlways;
+    EXPECT_EQ(m.op_count(chosen ? special : OpCode::kRegister), 1u) << what;
+    EXPECT_EQ(m.op_count(OpCode::kRegisterExt) +
+                  m.op_count(OpCode::kRegisterAlways) +
+                  m.op_count(OpCode::kRegister),
+              1u)
+        << what;
+    Fix state = init;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      const Fix value = random_fix(rng, d_format);
+      const Fix en = random_fix(rng, enable_format);
+      d.set_raw(value.raw());
+      enable.set_raw(en.raw());
+      m.step();
+      ASSERT_EQ(out.read_raw(), state.raw()) << what << " cycle " << cycle;
+      if (!gated || !en.is_zero()) state = value.cast(init.format());
+    }
+  }
+  EXPECT_GT(chosen_count[0], 10);
+  EXPECT_GT(chosen_count[1], 10);
+}
+
+/// The op codes that pay for shifts: an aligning shift in a compare, or a
+/// wrap that moves bits.
+constexpr OpCode kShiftedCodes[] = {
+    OpCode::kCompare, OpCode::kWrap, OpCode::kAdd, OpCode::kSub,
+    OpCode::kMul,     OpCode::kNeg,  OpCode::kAnd, OpCode::kOr,
+    OpCode::kXor,     OpCode::kNot,  OpCode::kRegister};
+
+std::size_t shifted_ops(const Model& m) {
+  std::size_t count = 0;
+  for (const OpCode code : kShiftedCodes) count += m.op_count(code);
+  return count;
+}
+
+TEST(Lowering, PaperDesignsRunNoShiftedCompareOrWrap) {
+  for (const unsigned pes : {1u, 2u, 4u, 8u}) {
+    const auto pipeline = apps::cordic::build_cordic_pipeline(pes);
+    EXPECT_EQ(shifted_ops(*pipeline.model), 0u) << "CORDIC P=" << pes;
+    EXPECT_GT(pipeline.model->op_count(OpCode::kCompareI64), 0u);
+    EXPECT_GT(pipeline.model->op_count(OpCode::kRegisterAlways), 0u);
+  }
+  for (const unsigned block : {2u, 4u}) {
+    const auto peripheral = apps::matmul::build_matmul_peripheral(block);
+    EXPECT_EQ(shifted_ops(*peripheral.model), 0u) << "matmul n=" << block;
+    EXPECT_GT(peripheral.model->op_count(OpCode::kMulExt), 0u);
+  }
+}
 
 /// A user block whose own lowering breaks one rule the partition into
 /// regions relies on (DESIGN.md §15, "Activity-driven passes").
