@@ -17,7 +17,9 @@
 //   - exec_tier: the two execution tiers (precise, dbt) must keep
 //     simulated cycle and instruction counts bit-identical (ISS alone and
 //     full co-simulation) while dbt runs the ISS hot loop at least 2.6x
-//     faster than precise (DESIGN.md §12).
+//     faster than precise, and retires at least 99% of the CORDIC and
+//     matmul co-simulations' instructions inside superblocks
+//     (DESIGN.md §12).
 // Pass `--json FILE` (default BENCH_table2.json, `--json none` to
 // disable) to also write machine-readable rows for perf tracking.
 #include <benchmark/benchmark.h>
@@ -283,9 +285,12 @@ int check_metrics_overhead(JsonReport& report) {
 // ---------------------------------------------------------------------------
 // exec_tier guard: the two execution tiers must (a) leave every
 // simulated CpuStats/CoSimStats count bit-identical on the pure ISS
-// *and* the full co-simulation (CORDIC + matmul), and (b) dbt must run
-// the ISS hot loop at least 2.6x faster than precise.
-// The identity checks are hard failures at any deviation.
+// *and* the full co-simulation (CORDIC + matmul), (b) dbt must run the
+// ISS hot loop at least 2.6x faster than precise, and (c) at the dbt
+// tier both co-simulations must retire at least 99% of their
+// instructions inside superblocks: FSL accesses run stitched, so a
+// fallback to precise steps, which (a) cannot see, fails here.
+// The identity and coverage checks are hard failures at any deviation.
 // ---------------------------------------------------------------------------
 constexpr iss::ExecTier kTiers[] = {iss::ExecTier::kPrecise,
                                     iss::ExecTier::kDbt};
@@ -335,14 +340,18 @@ int check_exec_tiers(JsonReport& report) {
                 tier_stats[0].branches_taken);
   }
 
-  // (a) identity, full co-simulation (FSL quanta + quiescence window).
-  const auto cosim_stats = [&](iss::ExecTier tier, double* wall) {
+  // The two co-simulations: CORDIC P=4 over `items` items, and matmul
+  // N=`size` with 2x2 blocks (OPB-free, multiplier), run to the halt.
+  const auto run_cordic = [&](iss::ExecTier tier, unsigned items) {
+    const CordicWorkload data = items == workload.x.size()
+                                    ? workload
+                                    : CordicWorkload::standard(
+                                          items, workload.iterations);
     apps::cordic::CordicRunConfig cosim_config;
     cosim_config.num_pes = 4;
-    cosim_config.iterations = workload.iterations;
-    cosim_config.items = static_cast<unsigned>(workload.x.size());
-    auto built =
-        apps::cordic::make_cordic_system(cosim_config, workload.x, workload.y);
+    cosim_config.iterations = data.iterations;
+    cosim_config.items = items;
+    auto built = apps::cordic::make_cordic_system(cosim_config, data.x, data.y);
     if (!built.ok()) {
       std::fprintf(stderr, "exec_tier guard: cordic system: %s\n",
                    built.error().c_str());
@@ -354,13 +363,37 @@ int check_exec_tiers(JsonReport& report) {
       std::fprintf(stderr, "exec_tier guard: cordic cosim did not halt\n");
       std::exit(1);
     }
-    if (wall != nullptr) *wall = system.run_wall_seconds();
-    return system.stats();
+    return system;
   };
+  const auto run_matmul = [&](iss::ExecTier tier, unsigned size) {
+    apps::matmul::MatmulRunConfig matmul_config;
+    matmul_config.matrix_size = size;
+    matmul_config.block_size = 2;
+    const auto a = apps::matmul::make_matrix(size, 1);
+    const auto b = apps::matmul::make_matrix(size, 2);
+    auto built = apps::matmul::make_matmul_system(matmul_config, a, b);
+    if (!built.ok()) {
+      std::fprintf(stderr, "exec_tier guard: matmul system: %s\n",
+                   built.error().c_str());
+      std::exit(1);
+    }
+    sim::SimSystem system = std::move(built).value();
+    system.cpu().set_exec_tier(tier);
+    if (system.run() != core::StopReason::kHalted) {
+      std::fprintf(stderr, "exec_tier guard: matmul cosim did not halt\n");
+      std::exit(1);
+    }
+    return system;
+  };
+
+  // (a) identity, full co-simulation (FSL quanta + quiescence window).
   core::CoSimStats cosim_tier[kNumTiers];
   double cosim_seconds[kNumTiers] = {};
   for (int t = 0; t < kNumTiers; ++t) {
-    cosim_tier[t] = cosim_stats(kTiers[t], &cosim_seconds[t]);
+    const sim::SimSystem system =
+        run_cordic(kTiers[t], static_cast<unsigned>(workload.x.size()));
+    cosim_tier[t] = system.stats();
+    cosim_seconds[t] = system.run_wall_seconds();
   }
   for (int t = 1; t < kNumTiers; ++t) {
     const iss::ExecTier tier = kTiers[t];
@@ -379,29 +412,9 @@ int check_exec_tiers(JsonReport& report) {
   }
 
   // (a) identity, matmul app (second workload shape: OPB-free, multiplier).
-  const auto matmul_stats = [&](iss::ExecTier tier) {
-    apps::matmul::MatmulRunConfig matmul_config;
-    matmul_config.matrix_size = 8;
-    matmul_config.block_size = 2;
-    const auto a = apps::matmul::make_matrix(8, 1);
-    const auto b = apps::matmul::make_matrix(8, 2);
-    auto built = apps::matmul::make_matmul_system(matmul_config, a, b);
-    if (!built.ok()) {
-      std::fprintf(stderr, "exec_tier guard: matmul system: %s\n",
-                   built.error().c_str());
-      std::exit(1);
-    }
-    sim::SimSystem system = std::move(built).value();
-    system.cpu().set_exec_tier(tier);
-    if (system.run() != core::StopReason::kHalted) {
-      std::fprintf(stderr, "exec_tier guard: matmul cosim did not halt\n");
-      std::exit(1);
-    }
-    return system.stats();
-  };
   core::CoSimStats matmul_tier[kNumTiers];
   for (int t = 0; t < kNumTiers; ++t) {
-    matmul_tier[t] = matmul_stats(kTiers[t]);
+    matmul_tier[t] = run_matmul(kTiers[t], 8).stats();
   }
   for (int t = 1; t < kNumTiers; ++t) {
     const iss::ExecTier tier = kTiers[t];
@@ -410,6 +423,34 @@ int check_exec_tiers(JsonReport& report) {
     check_equal("matmul instructions", tier, matmul_tier[t].instructions,
                 matmul_tier[0].instructions);
   }
+
+  // (c) coverage: the share of the instructions retired inside
+  // superblocks at the dbt tier. Every block head runs through step()
+  // until it is promoted, and the short runs above spend a tenth of
+  // their instructions in that warm-up, so coverage is checked on runs
+  // long enough to make it noise: CORDIC over 1000 items, matmul N=32.
+  constexpr double kMinDbtCoverage = 0.99;
+  const auto check_coverage = [&](const char* what,
+                                  const sim::SimSystem& system) {
+    const u64 instructions = system.stats().instructions;
+    const double coverage =
+        static_cast<double>(system.cpu().dbt_stats().dbt_instructions) /
+        static_cast<double>(std::max<u64>(instructions, 1));
+    std::printf(
+        "exec_tier guard: %s retires %.4f of %llu instructions inside "
+        "superblocks (fail < %.2f)\n",
+        what, coverage, static_cast<unsigned long long>(instructions),
+        kMinDbtCoverage);
+    if (coverage < kMinDbtCoverage) {
+      std::fprintf(stderr,
+                   "exec_tier guard FAILED: %s retires only %.4f of its "
+                   "instructions inside superblocks (floor %.2f)\n",
+                   what, coverage, kMinDbtCoverage);
+      ++failures;
+    }
+  };
+  check_coverage("cordic cosim", run_cordic(iss::ExecTier::kDbt, 1000));
+  check_coverage("matmul cosim", run_matmul(iss::ExecTier::kDbt, 32));
 
   // (b) wall-clock speedup on the ISS hot loop, min over reps.
   constexpr int kReps = 5;

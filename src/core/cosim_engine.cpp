@@ -117,50 +117,62 @@ StopReason CoSimEngine::declare_deadlock() {
   return StopReason::kDeadlock;
 }
 
+void CoSimEngine::sync_to(Cycle cycle) {
+  if (cycle == synced_) return;
+  tick_hardware(cycle - synced_);
+  synced_ = cycle;
+}
+
 StopReason CoSimEngine::run(Cycle max_cycles) {
-  // Cycles of a retired precise step that the hardware still owes: on
-  // the fast path the next batch touches no FIFO, so its tick pays them
-  // too. Ticking a cycles and then b equals ticking a + b when nothing
-  // touches the FIFOs in between.
-  Cycle owed = 0;
+  // The processor syncs the hardware at each FSL access of a batch only
+  // while this call runs: the hook points at this engine.
+  struct Hook {
+    iss::Processor& cpu;
+    ~Hook() { cpu.set_fsl_sync({}); }
+  } hook{cpu_};
+  if (hardware_ != nullptr) {
+    cpu_.set_fsl_sync({this, [](void* owner, Cycle cycle) {
+                         static_cast<CoSimEngine*>(owner)->sync_to(cycle);
+                       }});
+  }
+  return run_cpu(max_cycles);
+}
+
+StopReason CoSimEngine::run_cpu(Cycle max_cycles) {
   while (!cpu_.halted() && cpu_.cycle() < max_cycles) {
-    const bool fast = cpu_.fast_path_available();
-    if (fast) {
-      // Multi-cycle quantum: run the CPU ahead through code that cannot
-      // touch the FSL interface, then advance the hardware model by the
-      // same number of cycles. The two sides interact only through the
-      // FIFOs, and the batch stops *before* any FSL access, so both
+    if (cpu_.fast_path_available()) {
+      // Multi-cycle quantum: the CPU runs ahead, and the hardware catches
+      // up at each FSL access (the processor's FslSync hook) and once at
+      // the end. The two sides interact only through the FIFOs, so both
       // clocks agree at every FIFO handshake — the same cycle accuracy
       // as strict one-step alternation, at a fraction of the cost.
+      synced_ = cpu_.cycle();
       const iss::BatchResult batch = cpu_.run_batch(max_cycles);
-      if (owed + batch.cycles != 0) {
-        tick_hardware(owed + batch.cycles);
-        owed = 0;
+      if (batch.stop == iss::BatchStop::kFslStall) {
+        // The hook brought the hardware to the blocked access. Whatever
+        // retired before it restarts the streak; the stalled cycle then
+        // counts exactly as a precise stall step does.
+        if (batch.cycles > 1) streak_.restart(fifo_traffic());
+        sync_to(cpu_.cycle());
+        streak_.count(iss::Event::kFslStall, fifo_traffic());
+        if (streak_.reached(deadlock_threshold_)) return declare_deadlock();
+        continue;
+      }
+      if (batch.cycles != 0) {
+        sync_to(cpu_.cycle());
         streak_.restart(fifo_traffic());
       }
       if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
       if (batch.stop == iss::BatchStop::kIllegal) return StopReason::kIllegal;
-      if (batch.stop == iss::BatchStop::kBudget) continue;  // loop exits
-      // kFslPending: the hardware is at cycle parity; the FSL access
-      // takes the precise lock-step path below.
+      continue;  // kBudget: the loop exits
     }
     const iss::StepResult result = cpu_.step();
-    if (fast && result.event == iss::Event::kRetired) {
-      // The tick that pays these cycles restarts the streak, after the
-      // words they move.
-      owed = result.cycles;
-      continue;
-    }
     // Keep the hardware clock in lock step with the processor clock.
     tick_hardware(result.cycles);
     streak_.count(result.event, fifo_traffic());
     if (result.event == iss::Event::kHalted) return StopReason::kHalted;
     if (result.event == iss::Event::kIllegal) return StopReason::kIllegal;
     if (streak_.reached(deadlock_threshold_)) return declare_deadlock();
-  }
-  if (owed != 0) {
-    tick_hardware(owed);
-    streak_.restart(fifo_traffic());
   }
   return cpu_.halted() ? StopReason::kHalted : StopReason::kCycleLimit;
 }

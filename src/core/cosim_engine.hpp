@@ -17,6 +17,15 @@
 // processor blocked on a full/empty FSL burns one cycle per step until
 // the hardware makes progress (Section III-B's stalling semantics).
 //
+// On the fast path (dbt tier, no enabled trace bus) the processor runs in
+// multi-cycle batches and the engine never steps an FSL access itself:
+// run() installs the processor's FslSync hook, and each access, inside a
+// translated superblock or not, first brings the hardware to its own
+// cycle through it, then runs in place. One FSL word costs one hardware
+// sync. A blocking access that must wait ends the batch with its stalled
+// cycle charged, and the engine counts that cycle as it counts a precise
+// stall step.
+//
 // Advancing the hardware is one call into the sysgen kernel
 // (Model::tick, DESIGN.md §15): the bridge's port ops, the passes, the
 // elision of repeated cycles and the quiescence skip all run inside it.
@@ -123,8 +132,8 @@ class CoSimEngine {
   /// that drives a processor; a core with no peripheral (`hardware`
   /// null) runs through it too. When the processor's batched fast path
   /// is available (dbt tier, no trace sinks), the CPU runs in
-  /// multi-cycle quanta that stop before every FSL access and the
-  /// hardware catches up in one tick_hardware call per quantum — cycle
+  /// multi-cycle quanta; the hardware catches up through the FslSync
+  /// hook at every FSL access and once at the end of the quantum — cycle
   /// counts and statistics are identical to one-step alternation
   /// because the two sides only interact through the FIFOs. At the
   /// precise tier or with trace sinks attached the engine keeps strict
@@ -217,10 +226,19 @@ class CoSimEngine {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  /// run() with the FslSync hook installed.
+  StopReason run_cpu(Cycle max_cycles);
+  /// Tick the hardware by the processor cycles since synced_, up to
+  /// `cycle`: the FslSync hook and the end of a batch.
+  void sync_to(Cycle cycle);
+
   iss::Processor& cpu_;
   sysgen::Model* hardware_;
   FslBridge bridge_;
   Cycle hw_cycles_ = 0;
+  /// The processor cycle the hardware has been ticked to during the
+  /// current batch.
+  Cycle synced_ = 0;
   Cycle deadlock_threshold_ = kDefaultDeadlockThreshold;
   StallStreak streak_;
   sysgen::Quiescence quiescence_;

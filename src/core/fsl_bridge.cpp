@@ -19,8 +19,8 @@ Status FslBridge::bind(const FslPort& port) {
                            " is out of range (0.." +
                            std::to_string(fsl::FslHub::kChannels - 1) + ")");
   }
-  const auto on_channel = [&port](const FslPort& bound) {
-    return bound.channel == port.channel;
+  const auto on_channel = [&port](const Side& bound) {
+    return bound.port.channel == port.channel;
   };
   if (std::any_of(slaves_.begin(), slaves_.end(), on_channel) ||
       std::any_of(masters_.begin(), masters_.end(), on_channel)) {
@@ -41,11 +41,11 @@ Status FslBridge::bind(const FslPort& port) {
                            " needs the m_data and m_write gateways");
   }
   if (port.has_slave()) {
-    slaves_.push_back(port);
+    slaves_.push_back({.port = port, .fifo = &hub_.to_hw(port.channel)});
     ports_.pops.push_back({.bit = port.s_read->slot()});
   }
   if (port.has_master()) {
-    masters_.push_back(port);
+    masters_.push_back({.port = port, .fifo = &hub_.from_hw(port.channel)});
     ports_.pushes.push_back(
         {.bit = port.m_write->slot(),
          .data = port.m_data->slot(),
@@ -56,32 +56,41 @@ Status FslBridge::bind(const FslPort& port) {
 }
 
 bool FslBridge::present(void* owner) {
-  const FslBridge& bridge = *static_cast<const FslBridge*>(owner);
+  FslBridge& bridge = *static_cast<FslBridge*>(owner);
   bool active = false;
-  for (const FslPort& slave : bridge.slaves_) {
-    const auto head = bridge.hub_.to_hw(slave.channel).peek();
-    slave.s_exists->set_bool(head.has_value());
-    slave.s_data->set_raw(head ? static_cast<i64>(head->data) : 0);
-    if (slave.s_control != nullptr) {
-      slave.s_control->set_bool(head ? head->control : false);
+  for (Side& slave : bridge.slaves_) {
+    const u64 changes = slave.fifo->changes();
+    if (slave.presented != changes) {
+      slave.presented = changes;
+      const auto head = slave.fifo->peek();
+      slave.busy = head.has_value();
+      slave.port.s_exists->set_bool(slave.busy);
+      slave.port.s_data->set_raw(head ? static_cast<i64>(head->data) : 0);
+      if (slave.port.s_control != nullptr) {
+        slave.port.s_control->set_bool(head ? head->control : false);
+      }
     }
-    active |= head.has_value();
+    active |= slave.busy;
   }
-  for (const FslPort& master : bridge.masters_) {
-    // Output backpressure: the hardware may be holding words it could
-    // not deliver; keep simulating until the FIFO drains.
-    const bool full = bridge.hub_.from_hw(master.channel).full();
-    if (master.m_full != nullptr) master.m_full->set_bool(full);
-    active |= full;
+  for (Side& master : bridge.masters_) {
+    const u64 changes = master.fifo->changes();
+    if (master.presented != changes) {
+      master.presented = changes;
+      // Output backpressure: the hardware may be holding words it could
+      // not deliver; keep simulating until the FIFO drains.
+      master.busy = master.fifo->full();
+      if (master.port.m_full != nullptr) {
+        master.port.m_full->set_bool(master.busy);
+      }
+    }
+    active |= master.busy;
   }
   return active;
 }
 
 bool FslBridge::pop(void* owner, std::size_t port) {
   FslBridge& bridge = *static_cast<FslBridge*>(owner);
-  if (!bridge.hub_.to_hw(bridge.slaves_[port].channel).try_read()) {
-    return false;
-  }
+  if (!bridge.slaves_[port].fifo->try_read()) return false;
   bridge.stats_.words_to_hw += 1;
   return true;
 }
@@ -89,8 +98,7 @@ bool FslBridge::pop(void* owner, std::size_t port) {
 bool FslBridge::push(void* owner, std::size_t port, i64 data, bool control) {
   FslBridge& bridge = *static_cast<FslBridge*>(owner);
   const auto word = static_cast<Word>(static_cast<u64>(data) & 0xFFFFFFFFu);
-  if (bridge.hub_.from_hw(bridge.masters_[port].channel)
-          .try_write(word, control)) {
+  if (bridge.masters_[port].fifo->try_write(word, control)) {
     bridge.stats_.words_from_hw += 1;
     return true;
   }

@@ -17,9 +17,14 @@
 // The bridge lives in the sysgen tape (DESIGN.md §15): it owns the
 // sysgen::Ports record that Model::tick hands to the kernel, whose port
 // ops sample the Read and Write slots after every stepped cycle and call
-// back into the bridge only when one is high. The gateways are written
-// only when the FIFOs may have changed: at the start of a tick, and after
-// a pop or a taken push, at the top of the next cycle.
+// back into the bridge only when one is high. The kernel asks the bridge
+// to present the FIFOs only when they may have changed: at the start of a
+// tick, and after a pop or a taken push, at the top of the next cycle.
+// Even then the bridge rewrites only the gateways of the ports whose FIFO
+// moved since it last presented them (fsl::FslChannel::changes()): a
+// tick that follows one processor access refreshes one port, not all.
+// reset() and load_state() forget what was presented, because the
+// model's reset or restore rewrites the gateways behind the bridge.
 //
 // A peripheral describes its interface on one channel as one FslPort,
 // from the app that builds the model through the PeripheralRegistry to
@@ -87,10 +92,12 @@ class FslBridge {
   [[nodiscard]] const BridgeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] fsl::FslHub& hub() noexcept { return hub_; }
 
-  /// Forget the traffic counters and the write tracking, as at build.
+  /// Forget the traffic counters, the write tracking and what was
+  /// presented, as at build.
   void reset() noexcept {
     stats_ = BridgeStats{};
     ports_.wrote_last_cycle = false;
+    forget_presented();
   }
 
   /// Checkpoint the traffic counters and the quiescence write-tracking
@@ -106,18 +113,37 @@ class FslBridge {
     stats_.words_from_hw = reader.read_u64();
     stats_.refused_writes = reader.read_u64();
     ports_.wrote_last_cycle = reader.read_bool();
+    forget_presented();
     return reader.ok();
   }
 
  private:
+  /// One side of a bound port: its FIFO and what present() last wrote
+  /// from it.
+  struct Side {
+    FslPort port;
+    fsl::FslChannel* fifo = nullptr;
+    /// fifo->changes() when the gateways were last written from it;
+    /// kUnpresented until the first present() after a bind or a forget.
+    u64 presented = kUnpresented;
+    /// Slave: a word exists. Master: the FIFO is full. As presented.
+    bool busy = false;
+  };
+  static constexpr u64 kUnpresented = ~u64{0};
+
+  void forget_presented() noexcept {
+    for (Side& side : slaves_) side.presented = kUnpresented;
+    for (Side& side : masters_) side.presented = kUnpresented;
+  }
+
   // The sysgen::Ports calls; `owner` is the bridge.
   static bool present(void* owner);
   static bool pop(void* owner, std::size_t port);
   static bool push(void* owner, std::size_t port, i64 data, bool control);
 
   fsl::FslHub& hub_;
-  std::vector<FslPort> slaves_;   ///< ports with a slave side, bind order
-  std::vector<FslPort> masters_;  ///< ports with a master side, bind order
+  std::vector<Side> slaves_;   ///< ports with a slave side, bind order
+  std::vector<Side> masters_;  ///< ports with a master side, bind order
   BridgeStats stats_;
   sysgen::Ports ports_;
 };

@@ -26,6 +26,7 @@ void FslChannel::push(FslEntry entry) {
   }
   ring_[slot(count_)] = entry;
   ++count_;
+  ++changes_;
 }
 
 void FslChannel::emit(obs::EventKind kind, Word data, bool control) const {
@@ -40,7 +41,7 @@ void FslChannel::emit(obs::EventKind kind, Word data, bool control) const {
   trace_bus_->emit(event);
 }
 
-bool FslChannel::try_write(Word data, bool control) {
+bool FslChannel::write_slow(Word data, bool control) {
   if (full()) {
     ++refused_writes_;
     if (metrics_ != nullptr) metrics_->refused += 1;
@@ -94,14 +95,12 @@ bool FslChannel::try_write(Word data, bool control) {
   return true;
 }
 
-std::optional<FslEntry> FslChannel::try_read() {
+std::optional<FslEntry> FslChannel::read_slow() {
   // Stuck-empty must hide queued words from every reader, not only the
   // ones polite enough to consult exists() first.
   if (!exists()) return std::nullopt;
   const FslEntry entry = ring_[head_];
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  --count_;
-  ++total_reads_;
+  pop_head();
   if (metrics_ != nullptr) {
     metrics_->pop += 1;
     metrics_->occupancy.record(count_);
@@ -112,22 +111,13 @@ std::optional<FslEntry> FslChannel::try_read() {
   return entry;
 }
 
-std::optional<FslEntry> FslChannel::peek() const {
-  if (!exists()) return std::nullopt;
-  return ring_[head_];
-}
-
-void FslChannel::clear() {
-  head_ = 0;
-  count_ = 0;
-}
-
 bool FslChannel::corrupt_entry(std::size_t index, Word mask,
                                bool flip_control) {
   if (index >= count_) return false;
   FslEntry& entry = ring_[slot(index)];
   entry.data ^= mask;
   if (flip_control) entry.control = !entry.control;
+  ++changes_;
   return true;
 }
 
@@ -189,6 +179,7 @@ bool FslChannel::load_state(ckpt::Reader& reader) {
   } else {
     fault_.reset();
   }
+  ++changes_;
   return reader.ok();
 }
 

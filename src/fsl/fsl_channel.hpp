@@ -16,6 +16,14 @@
 // up to `depth`, only when a push finds it full below the depth, so a
 // deep FIFO costs memory only for the words it has held at once.
 // Checkpoints list the entries head to tail, whatever the ring's layout.
+//
+// peek, try_read and try_write are inline. An unobserved channel (no
+// fault armed, no metrics attached, the trace bus absent or without
+// sinks) takes a fast path that is index arithmetic alone; any observer
+// sends the call out of line, where the counters and events are charged.
+// Every mutation of the FIFO or of its flags bumps changes(), so a reader
+// that presents the FIFO state elsewhere (core::FslBridge) can tell when
+// it has to present it again.
 #pragma once
 
 #include <cstddef>
@@ -97,15 +105,48 @@ class FslChannel {
   }
 
   /// Master-side write. Returns false (and drops nothing) when full.
-  bool try_write(Word data, bool control);
+  bool try_write(Word data, bool control) {
+    if (unobserved() && count_ < ring_.size()) [[likely]] {
+      ring_[slot(count_)] = FslEntry{data, control};
+      ++count_;
+      ++changes_;
+      ++total_writes_;
+      if (count_ > max_occupancy_) max_occupancy_ = count_;
+      return true;
+    }
+    return write_slow(data, control);
+  }
 
   /// Slave-side read. Empty optional when no data exists.
-  std::optional<FslEntry> try_read();
+  std::optional<FslEntry> try_read() {
+    if (unobserved()) [[likely]] {
+      if (count_ == 0) return std::nullopt;
+      // Field by field, as try_write stores them (and as peek() reads
+      // them): one wider load over both stores could not be forwarded
+      // from them.
+      const FslEntry entry{ring_[head_].data, ring_[head_].control};
+      pop_head();
+      return entry;
+    }
+    return read_slow();
+  }
 
   /// Inspect the head without consuming it.
-  [[nodiscard]] std::optional<FslEntry> peek() const;
+  [[nodiscard]] std::optional<FslEntry> peek() const {
+    if (!exists()) return std::nullopt;
+    return FslEntry{ring_[head_].data, ring_[head_].control};
+  }
 
-  void clear();
+  void clear() noexcept {
+    head_ = 0;
+    count_ = 0;
+    ++changes_;
+  }
+
+  /// Bumped by every change to the FIFO's entries or flags: a push, a
+  /// pop, clear(), load_state(), corrupt_entry(), arm_fault() and
+  /// clear_fault(). Two equal readings bracket no such change.
+  [[nodiscard]] u64 changes() const noexcept { return changes_; }
 
   // Occupancy statistics, used by the co-simulation engine's reports and
   // by the data-set sizing logic the paper describes in Section IV-A ("the
@@ -132,9 +173,13 @@ class FslChannel {
   /// Arm fault behaviour on this channel (replaces any previous arming).
   void arm_fault(const FslFaultControls& controls) {
     fault_ = std::make_unique<FslFaultControls>(controls);
+    ++changes_;
   }
   /// Return the channel to fault-free operation.
-  void clear_fault() noexcept { fault_.reset(); }
+  void clear_fault() noexcept {
+    fault_.reset();
+    ++changes_;
+  }
   /// Armed controls, or nullptr when the channel is fault-free.
   [[nodiscard]] const FslFaultControls* fault() const noexcept {
     return fault_.get();
@@ -153,6 +198,23 @@ class FslChannel {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  /// No fault armed, no metrics attached, no trace sink listening: the
+  /// inline fast paths apply.
+  [[nodiscard]] bool unobserved() const noexcept {
+    return fault_ == nullptr && metrics_ == nullptr &&
+           (trace_bus_ == nullptr || !trace_bus_->enabled());
+  }
+  /// The out-of-line rest of try_write and try_read: refusal, ring
+  /// growth, faults, metrics and trace events.
+  bool write_slow(Word data, bool control);
+  std::optional<FslEntry> read_slow();
+  /// Drop the head entry and count the read. Pre: count_ != 0.
+  void pop_head() noexcept {
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    --count_;
+    ++changes_;
+    ++total_reads_;
+  }
   void emit(obs::EventKind kind, Word data, bool control) const;
   /// The ring_ index of the entry `index` places behind the head.
   /// Pre: index < ring_.size().
@@ -169,6 +231,7 @@ class FslChannel {
   std::vector<FslEntry> ring_;
   std::size_t head_ = 0;   ///< ring_ index of the oldest entry
   std::size_t count_ = 0;  ///< queued entries
+  u64 changes_ = 0;        ///< see changes()
   u64 total_writes_ = 0;
   u64 total_reads_ = 0;
   u64 refused_writes_ = 0;

@@ -13,24 +13,9 @@ LmbMemory::LmbMemory(u32 size_bytes) : bytes_(size_bytes, 0) {
   }
 }
 
-bool LmbMemory::contains(Addr addr, u32 bytes) const noexcept {
-  return addr <= bytes_.size() && bytes <= bytes_.size() - addr;
-}
-
-void LmbMemory::check(Addr addr, u32 bytes) const {
-  if (!contains(addr, bytes)) {
-    throw SimError("LmbMemory: access at 0x" + std::to_string(addr) +
-                   " outside " + std::to_string(bytes_.size()) + " bytes");
-  }
-}
-
-Word LmbMemory::read_word(Addr addr) const {
-  addr &= ~Addr{3};
-  check(addr, 4);
-  // Little-endian host layout; endianness is invisible to the programs
-  // because word accesses dominate and the assembler emits whole words.
-  return Word(bytes_[addr]) | Word(bytes_[addr + 1]) << 8 |
-         Word(bytes_[addr + 2]) << 16 | Word(bytes_[addr + 3]) << 24;
+void LmbMemory::out_of_range(Addr addr) const {
+  throw SimError("LmbMemory: access at 0x" + std::to_string(addr) +
+                 " outside " + std::to_string(bytes_.size()) + " bytes");
 }
 
 u16 LmbMemory::read_half(Addr addr) const {
@@ -42,15 +27,6 @@ u16 LmbMemory::read_half(Addr addr) const {
 u8 LmbMemory::read_byte(Addr addr) const {
   check(addr, 1);
   return bytes_[addr];
-}
-
-void LmbMemory::write_word(Addr addr, Word value) {
-  addr &= ~Addr{3};
-  check(addr, 4);
-  bytes_[addr] = static_cast<u8>(value);
-  bytes_[addr + 1] = static_cast<u8>(value >> 8);
-  bytes_[addr + 2] = static_cast<u8>(value >> 16);
-  bytes_[addr + 3] = static_cast<u8>(value >> 24);
 }
 
 void LmbMemory::write_half(Addr addr, u16 value) {

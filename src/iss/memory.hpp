@@ -29,15 +29,32 @@ class LmbMemory {
   }
 
   /// True when [addr, addr + bytes) lies inside the memory.
-  [[nodiscard]] bool contains(Addr addr, u32 bytes) const noexcept;
+  [[nodiscard]] bool contains(Addr addr, u32 bytes) const noexcept {
+    return addr <= bytes_.size() && bytes <= bytes_.size() - addr;
+  }
 
   // Aligned accessors. Unaligned word/halfword addresses are truncated to
   // alignment, matching LMB behaviour (the low address bits select byte
-  // lanes, they do not shift the access).
-  [[nodiscard]] Word read_word(Addr addr) const;
+  // lanes, they do not shift the access). The word accessors are inline:
+  // every fetch and most data accesses go through them.
+  [[nodiscard]] Word read_word(Addr addr) const {
+    addr &= ~Addr{3};
+    check(addr, 4);
+    // Little-endian host layout; endianness is invisible to the programs
+    // because word accesses dominate and the assembler emits whole words.
+    return Word(bytes_[addr]) | Word(bytes_[addr + 1]) << 8 |
+           Word(bytes_[addr + 2]) << 16 | Word(bytes_[addr + 3]) << 24;
+  }
   [[nodiscard]] u16 read_half(Addr addr) const;
   [[nodiscard]] u8 read_byte(Addr addr) const;
-  void write_word(Addr addr, Word value);
+  void write_word(Addr addr, Word value) {
+    addr &= ~Addr{3};
+    check(addr, 4);
+    bytes_[addr] = static_cast<u8>(value);
+    bytes_[addr + 1] = static_cast<u8>(value >> 8);
+    bytes_[addr + 2] = static_cast<u8>(value >> 16);
+    bytes_[addr + 3] = static_cast<u8>(value >> 24);
+  }
   void write_half(Addr addr, u16 value);
   void write_byte(Addr addr, u8 value);
 
@@ -52,7 +69,11 @@ class LmbMemory {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
-  void check(Addr addr, u32 bytes) const;
+  void check(Addr addr, u32 bytes) const {
+    if (!contains(addr, bytes)) [[unlikely]] out_of_range(addr);
+  }
+  /// Throws SimError for an access at `addr` outside the memory.
+  [[noreturn]] void out_of_range(Addr addr) const;
   std::vector<u8> bytes_;
 };
 

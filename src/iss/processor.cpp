@@ -23,6 +23,7 @@ void Processor::reset(Addr pc) {
   imm_prefix_.reset();
   delay_target_.reset();
   pending_wait_states_ = 0;
+  block_head_ = true;
   stats_ = CpuStats{};
   // A reset usually follows a program (re)load: drop every predecoded
   // entry in O(1) by bumping the generation.
@@ -81,7 +82,6 @@ Processor::Predecoded& Processor::predecode_miss(Addr pc) {
     case Op::kPut:
       entry.tag = DispatchTag::kFsl;
       break;
-    case Op::kImm:
     case Op::kCustom:
       entry.tag = DispatchTag::kSlow;
       break;
@@ -108,10 +108,6 @@ void Processor::set_reg(unsigned index, Word value) {
   }
   if (index == 0) return;  // r0 is hard-wired to zero
   regs_[index] = value;
-}
-
-void Processor::write_rd(u8 rd, Word value) {
-  if (rd != 0) regs_[rd] = value;
 }
 
 void Processor::register_custom_instruction(unsigned slot,
@@ -220,8 +216,9 @@ Event Processor::store_data(Addr addr, unsigned bytes, Word value) {
 
 void Processor::record_step(Event event, Addr pc, Word raw, Cycle cycles) {
   if (metrics_ != nullptr) {
-    // Stalls only happen here, in the precise step, so this is where a
-    // stall run opens, grows and (at any other event) closes.
+    // Every stalled cycle is recorded here (step() and run_batch both
+    // charge them through charge_stall), so this is where a stall run
+    // opens, grows and (at any other event) closes.
     if (event == Event::kFslStall) {
       metrics_->stall_cycles += cycles;
       metrics_->stall_run += cycles;
@@ -285,9 +282,7 @@ StepResult Processor::step() {
   if (outcome.event == Event::kFslStall) {
     // Blocked blocking FSL access: burn one cycle, PC unchanged, so the
     // hardware model can advance and eventually unblock us.
-    stats_.cycles += 1;
-    stats_.fsl_stall_cycles += 1;
-    record_step(Event::kFslStall, fetch_pc, raw, 1);
+    charge_stall(raw);
     return StepResult{Event::kFslStall, 1};
   }
   if (outcome.event == Event::kIllegal) {
@@ -527,42 +522,17 @@ Processor::ExecOutcome Processor::execute(const Instruction& in) {
       }
       break;
     }
-    case Op::kGet: {
-      if (fsl_hub_ == nullptr || in.fsl_id >= config_.fsl_links) {
-        return {Event::kIllegal, false};
-      }
-      auto& channel = fsl_hub_->from_hw(in.fsl_id);
-      if (!channel.exists()) {
-        if (in.fsl_nonblocking) {
-          set_carry(true);  // no data: carry flags the failed nget/ncget
-          break;
-        }
-        return {Event::kFslStall, false};
-      }
-      const auto entry = channel.try_read();
-      write_rd(in.rd, entry->data);
-      if (entry->control != in.fsl_control) {
-        msr_ |= isa::Msr::kFslError;  // control-bit mismatch (Section III-B)
-      }
-      if (in.fsl_nonblocking) set_carry(false);
-      stats_.fsl_reads += 1;
-      break;
-    }
+    case Op::kGet:
     case Op::kPut: {
       if (fsl_hub_ == nullptr || in.fsl_id >= config_.fsl_links) {
         return {Event::kIllegal, false};
       }
-      auto& channel = fsl_hub_->to_hw(in.fsl_id);
-      if (channel.full()) {
-        if (in.fsl_nonblocking) {
-          set_carry(true);  // FIFO full: carry flags the failed nput/ncput
-          break;
-        }
-        return {Event::kFslStall, false};
-      }
-      channel.try_write(regs_[in.ra], in.fsl_control);
-      if (in.fsl_nonblocking) set_carry(false);
-      stats_.fsl_writes += 1;
+      const Event event =
+          in.op == Op::kGet
+              ? fsl_get(in.rd, in.fsl_id, in.fsl_nonblocking, in.fsl_control)
+              : fsl_put(regs_[in.ra], in.fsl_id, in.fsl_nonblocking,
+                        in.fsl_control);
+      if (event == Event::kFslStall) return {Event::kFslStall, false};
       break;
     }
     case Op::kCustom: {
@@ -595,10 +565,6 @@ BatchResult Processor::run_batch(Cycle max_cycles) {
   const auto stop = [&](BatchStop why) {
     return BatchResult{why, stats_.cycles - start_cycles};
   };
-  // Superblocks start where control flow lands: the batch entry point,
-  // branch successors and block exits. Tracking that with one flag
-  // confines promotion-heat counting to genuine block-head words.
-  bool at_head = true;
 
   while (!halted_ && stats_.cycles < max_cycles) {
     if (!memory_.contains(pc_, 4)) {
@@ -606,38 +572,41 @@ BatchResult Processor::run_batch(Cycle max_cycles) {
       return stop(BatchStop::kIllegal);
     }
     const Predecoded& entry = predecode_fetch(pc_);
-    if (entry.tag == DispatchTag::kFsl) {
-      // Do not execute: the co-simulation engine first brings the
-      // hardware model to cycle parity, then steps the FSL access in
-      // lock step (covers FSL accesses sitting in a delay slot too).
-      return stop(BatchStop::kFslPending);
-    }
     // A translation fetches more words and may move `entry`.
+    const DispatchTag tag = entry.tag;
     const bool boundary = entry.boundary;
     const bool plain =
-        entry.tag == DispatchTag::kFast && !imm_prefix_ && !delay_target_;
-    if (plain && at_head) {
-      // Whole-superblock dispatch (DESIGN.md §12). Exits land on block
-      // heads, so at_head stays true after kContinue.
+        tag != DispatchTag::kSlow && !imm_prefix_ && !delay_target_;
+    if (plain && block_head_) {
+      // Whole-superblock dispatch (DESIGN.md §12). exec_block leaves
+      // block_head_ as the resume point needs it.
       switch (dbt_enter(max_cycles)) {
         case DbtRun::kNoBlock:
           break;  // not (yet) translated: step it below
         case DbtRun::kContinue:
           continue;
+        case DbtRun::kFslStall:
+          charge_stall(predecode_fetch(pc_).raw);
+          return stop(BatchStop::kFslStall);
         case DbtRun::kHalted:
           return stop(BatchStop::kHalted);
         case DbtRun::kIllegal:
           return stop(BatchStop::kIllegal);
       }
     }
-    // Untranslated code, IMM prefixes, delay slots and custom slots run
+    // Untranslated code, prefixed words, delay slots and custom slots run
     // through step(); after a precise-only instruction the next word
     // conservatively counts as a head (heat counting is timing-neutral).
-    at_head = !plain || boundary;
+    // A stalled access has not run: its retry keeps the flag it had.
+    const bool head = block_head_;
+    block_head_ = !plain || boundary;
+    if (tag == DispatchTag::kFsl) sync_fsl(stats_.cycles);
     switch (step().event) {
       case Event::kRetired:
-      case Event::kFslStall:  // impossible: FSL accesses stop above
         continue;
+      case Event::kFslStall:
+        block_head_ = head;
+        return stop(BatchStop::kFslStall);
       case Event::kHalted:
         return stop(BatchStop::kHalted);
       case Event::kIllegal:

@@ -5,6 +5,15 @@
 // every instruction (isa::base_latency) plus dynamic stall cycles for
 // blocking FSL accesses, so the cycle counts it reports are the ones the
 // paper plots in Figures 5 and 7.
+//
+// At the dbt tier an FSL access runs wherever the processor meets it:
+// inside a translated superblock, or through step() in the batch loop.
+// Either way run_batch first calls the FslSync hook a co-simulation
+// engine installs, which brings the hardware to the processor's cycle,
+// and then performs the access in place; a blocking access whose FIFO is
+// not ready ends the batch at its own PC with the stalled cycle charged
+// (BatchStop::kFslStall). The access body is one function per direction,
+// shared by every tier (DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -45,12 +54,21 @@ struct StepResult {
 
 /// Why Processor::run_batch returned control to its caller.
 enum class BatchStop : u8 {
-  kBudget,      ///< cycle budget reached; every batched instruction retired
-  kFslPending,  ///< next instruction is an FSL access, NOT executed — the
-                ///< co-simulation engine must bring the hardware to cycle
-                ///< parity before stepping it
-  kHalted,      ///< branch-to-self retired; processor is halted
-  kIllegal,     ///< architectural error; processor is halted
+  kBudget,    ///< cycle budget reached; every batched instruction retired
+  kFslStall,  ///< a blocking FSL access found its FIFO not ready: one
+              ///< stalled cycle, the last of the batch, is charged as
+              ///< step() charges it, and the PC stays on the access
+  kHalted,    ///< branch-to-self retired; processor is halted
+  kIllegal,   ///< architectural error; processor is halted
+};
+
+/// The hook run_batch calls before each FSL access it executes, with the
+/// processor's cycle count at that access: a co-simulation engine
+/// advances its hardware model to that cycle, so the access sees the
+/// FIFOs exactly as strict one-step alternation would show them.
+struct FslSync {
+  void* owner = nullptr;
+  void (*to_cycle)(void* owner, Cycle cycle) = nullptr;
 };
 
 struct BatchResult {
@@ -132,16 +150,20 @@ class Processor {
 
   /// Batched execution at the dbt tier: dispatch translated superblocks
   /// whole and run every other instruction through step(), until the
-  /// budget is reached, the program halts or traps, or the next
-  /// instruction is an FSL access. That access is *not* executed:
-  /// control returns with BatchStop::kFslPending so a co-simulation
-  /// engine can first advance the hardware model to cycle parity — this
-  /// is what keeps multi-cycle CPU quanta cycle-accurate at every FIFO
-  /// boundary. Stats are charged bit-identically to an equivalent
+  /// budget is reached, the program halts or traps, or a blocking FSL
+  /// access stalls (BatchStop::kFslStall). Every FSL access, stitched or
+  /// stepped, first calls the FslSync hook with the cycle it starts on —
+  /// this is what keeps multi-cycle CPU quanta cycle-accurate at every
+  /// FIFO handshake. Stats are charged bit-identically to an equivalent
   /// sequence of step() calls; metrics counters are charged once per
   /// superblock dispatch, never per stitched instruction.
   /// Pre: fast_path_available().
   BatchResult run_batch(Cycle max_cycles);
+
+  /// Install the hook run_batch calls before each FSL access (an empty
+  /// FslSync, the default, calls nothing). CoSimEngine::run installs it
+  /// for the duration of the call.
+  void set_fsl_sync(FslSync sync) noexcept { fsl_sync_ = sync; }
 
   /// True when run_batch may be used: dbt tier, no enabled trace bus.
   /// Metrics counters do not take the fast path away.
@@ -196,6 +218,7 @@ class Processor {
     imm_prefix_.reset();
     delay_target_.reset();
     halted_ = false;
+    block_head_ = true;
   }
   [[nodiscard]] Word msr() const noexcept { return msr_; }
   void set_msr(Word value) noexcept { msr_ = value; }
@@ -210,7 +233,8 @@ class Processor {
   /// which the owner serializes separately; see DESIGN.md §11).
   /// load_state returns false on a shape or payload mismatch. It leaves
   /// the predecode cache and the superblocks alone: the owner restores
-  /// the memory next and must then call revalidate_text().
+  /// the memory next and must then call revalidate_text(). The
+  /// block-head flag is not in the image, and a restore keeps it.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
   /// After the memory was overwritten wholesale (a restore): keep the
@@ -251,8 +275,9 @@ class Processor {
   /// predecode time so the batched loop classifies with one compare.
   enum class DispatchTag : u8 {
     kFast,  ///< a superblock may stitch it
-    kSlow,  ///< always runs through step() (IMM prefix, custom slot)
-    kFsl,   ///< FSL access: a co-simulation must sync hardware first
+    kSlow,  ///< always runs through step() (custom slot)
+    kFsl,   ///< FSL access: a superblock may stitch it; run_batch calls
+            ///< the FslSync hook before stepping one
   };
 
   /// One predecoded instruction word: the decoded form plus what the
@@ -275,8 +300,10 @@ class Processor {
   /// One token-threaded instruction of a translated superblock: the
   /// handler selector plus every pre-extracted field the dispatch loop
   /// needs, so executing it touches neither the decoder nor the
-  /// predecode cache. `imm` holds the sign-extended operand-b immediate
-  /// (or, for static branch terminators, the resolved target address).
+  /// predecode cache. `imm` holds the operand-b immediate, sign-extended
+  /// or with an IMM prefix's high half folded in (for static branch
+  /// terminators, the resolved target address; for get/put, the FSL
+  /// channel; for an IMM prefix, its high half).
   struct DbtOp {
     Addr pc = 0;       ///< guest address (terminator kTermFall: resume pc)
     u32 imm = 0;
@@ -286,12 +313,14 @@ class Processor {
     u8 rb = 0;
     u8 lat = 1;        ///< base latency (not-taken for the terminator)
     u8 lat_taken = 1;  ///< taken latency (terminators only)
-    u8 flags = 0;      ///< link/delay/absolute + cond (terminators only)
+    u8 flags = 0;      ///< link/delay/absolute + cond (terminators);
+                       ///< non-blocking/control (get/put)
   };
 
-  /// A translated basic block: straight-line kFast instructions ending
-  /// at the first control flow, FSL access, IMM/custom instruction or
-  /// text-page boundary. Valid iff `gen == dbt_gen_`; retirement is a
+  /// A translated basic block: straight-line kFast and kFsl instructions
+  /// ending at the first control flow, custom instruction or text-page
+  /// boundary; an IMM prefix and the instruction it prefixes are never
+  /// split across its end. Valid iff `gen == dbt_gen_`; retirement is a
   /// generation bump, storage is reused on re-translation.
   struct Superblock {
     std::vector<DbtOp> ops;  ///< body + exactly one terminator
@@ -304,6 +333,8 @@ class Processor {
   enum class DbtRun : u8 {
     kNoBlock,   ///< nothing translated here (yet); run it through step()
     kContinue,  ///< block(s) executed; resume the batch loop at pc_
+    kFslStall,  ///< a blocking FSL access at pc_ cannot proceed; its
+                ///< stalled cycle is not charged yet
     kHalted,
     kIllegal,
   };
@@ -345,6 +376,53 @@ class Processor {
   Event load_data(Addr addr, unsigned bytes, Word& value);
   Event store_data(Addr addr, unsigned bytes, Word value);
 
+  /// The FSL access bodies, shared like load_data/store_data by
+  /// execute() and the stitched get/put handlers: the FIFO operation,
+  /// the FSL-error MSR bit, the carry of the non-blocking forms and the
+  /// fsl_reads/fsl_writes stats. Return kRetired (a failed non-blocking
+  /// access included) or kFslStall, which changes nothing: the caller
+  /// charges the stalled cycle. Pre: fsl_hub_ set, id < fsl_links.
+  Event fsl_get(u8 rd, unsigned id, bool nonblocking, bool control) {
+    const std::optional<fsl::FslEntry> entry = fsl_hub_->from_hw(id).try_read();
+    if (!entry) {
+      if (!nonblocking) return Event::kFslStall;
+      set_carry(true);  // no data: carry flags the failed nget/ncget
+      return Event::kRetired;
+    }
+    write_rd(rd, entry->data);
+    if (entry->control != control) {
+      msr_ |= isa::Msr::kFslError;  // control-bit mismatch (Section III-B)
+    }
+    if (nonblocking) set_carry(false);
+    stats_.fsl_reads += 1;
+    return Event::kRetired;
+  }
+  Event fsl_put(Word value, unsigned id, bool nonblocking, bool control) {
+    fsl::FslChannel& channel = fsl_hub_->to_hw(id);
+    if (channel.full()) {
+      if (!nonblocking) return Event::kFslStall;
+      set_carry(true);  // FIFO full: carry flags the failed nput/ncput
+      return Event::kRetired;
+    }
+    channel.try_write(value, control);
+    if (nonblocking) set_carry(false);
+    stats_.fsl_writes += 1;
+    return Event::kRetired;
+  }
+  /// Bring the hardware to `cycle` through the installed hook, if any.
+  void sync_fsl(Cycle cycle) {
+    if (fsl_sync_.to_cycle != nullptr) {
+      fsl_sync_.to_cycle(fsl_sync_.owner, cycle);
+    }
+  }
+  /// Charge one cycle blocked on the FSL access at pc_ (`raw`), which
+  /// stays the PC.
+  void charge_stall(Word raw) {
+    stats_.cycles += 1;
+    stats_.fsl_stall_cycles += 1;
+    record_step(Event::kFslStall, pc_, raw, 1);
+  }
+
   ExecOutcome execute(const isa::Instruction& in);
   /// Deliver one step result to the metrics counters and the trace bus.
   void record_step(Event event, Addr pc, Word raw, Cycle cycles);
@@ -353,7 +431,9 @@ class Processor {
   /// kHalted, plus the trap when it is kIllegal. Pre: metrics_ set.
   void count_block(u64 instructions, DbtRun run) noexcept;
   [[nodiscard]] u32 operand_b(const isa::Instruction& in) const;
-  void write_rd(u8 rd, Word value);
+  void write_rd(u8 rd, Word value) {
+    if (rd != 0) regs_[rd] = value;
+  }
   void add_family(const isa::Instruction& in, bool subtract, bool use_carry,
                   bool keep_carry);
   [[nodiscard]] bool carry() const noexcept {
@@ -378,6 +458,15 @@ class Processor {
   std::optional<u16> imm_prefix_;
   /// Branch target to apply after the current delay-slot instruction.
   std::optional<Addr> delay_target_;
+  /// True when pc_ is where control landed (a branch successor, a block
+  /// exit, the word after an instruction only step() runs), so run_batch
+  /// may count promotion heat or enter a superblock there. It carries
+  /// across run_batch calls: a budget exit inside a block resumes as a
+  /// non-head. reset() and set_pc() set it. It is not checkpointed and
+  /// load_state() keeps it, so a snapshot/restore round trip in place
+  /// leaves the dbt counters where an uninterrupted run has them.
+  bool block_head_ = true;
+  FslSync fsl_sync_;
 
   /// Predecode cache, indexed by pc >> 2 (~40 B per word). It and the
   /// dbt_index_/dbt_heat_/dbt_cover_ word tables always have one size,

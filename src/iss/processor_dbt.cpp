@@ -11,9 +11,22 @@
 // The accounting contract is absolute: CpuStats and architectural state
 // after any number of block dispatches are bit-identical to the same
 // instruction sequence run through step() at the precise tier. Everything
-// that could diverge is shared (load_data/store_data) or checked per
-// instruction (the cycle budget, so a quantum boundary lands on exactly
-// the same instruction as the per-step path).
+// that could diverge is shared (load_data/store_data, fsl_get/fsl_put) or
+// checked per instruction (the cycle budget, so a quantum boundary lands
+// on exactly the same instruction as the per-step path).
+//
+// An IMM prefix is stitched with the instruction it prefixes: it retires
+// as an op of its own, and its high half is folded into that
+// instruction's immediate at translation time, so the two always share a
+// block. The prefix reaches imm_prefix_ only where the block is left
+// between them (a budget exit after the prefix; a trap or an FSL stall
+// of the prefixed instruction), exactly as step() would leave it.
+//
+// FSL accesses are stitched too. Their handler calls the FslSync hook
+// with the block's running cycle count, so the hardware reaches the
+// access's cycle first, then performs the access in place; a blocking
+// access whose FIFO is not ready leaves the block at its own PC
+// (DbtRun::kFslStall) and run_batch charges the stalled cycle.
 #include <cstddef>
 
 #include "common/bits.hpp"
@@ -57,6 +70,8 @@ enum DbtHandler : u8 {
   kMfsPc, kMfsMsr, kMts,
   kLbuRR, kLbuRI, kLhuRR, kLhuRI, kLwRR, kLwRI,
   kSbRR, kSbRI, kShRR, kShRI, kSwRR, kSwRI,
+  kGet, kPut,  ///< FSL channel in imm, form in flags
+  kImmPrefix,  ///< high half in imm; the next op has it folded in
   // Terminators: exactly one per block, always the last op.
   kTermFall,      ///< block ended without control flow; pc = resume addr
   kTermHalt,      ///< static branch-to-self (program end)
@@ -68,10 +83,13 @@ enum DbtHandler : u8 {
   kHandlerCount,
 };
 
-/// DbtOp::flags bits (terminators only).
+/// DbtOp::flags bits of the terminators.
 constexpr u8 kFlagLink = 1;
 constexpr u8 kFlagDelay = 2;
 constexpr u8 kFlagAbsolute = 4;
+/// DbtOp::flags bits of kGet/kPut: the n* and c* forms.
+constexpr u8 kFlagNonblocking = 1;
+constexpr u8 kFlagControl = 2;
 
 }  // namespace
 
@@ -105,18 +123,23 @@ bool Processor::translate_block(Addr start) {
   u32 words = 0;
   Addr pc = start;
   bool terminated = false;
+  // Whether the op just stitched is an IMM prefix, and its high half.
+  bool prefixed = false;
+  u32 prefix = 0;
 
   while (!terminated && ops.size() < kMaxBlockOps && pc < page_end &&
          memory_.contains(pc, 4)) {
     const Predecoded& entry = predecode_fetch(pc);
-    // FSL, IMM-prefix and custom-slot instructions need the precise
-    // path (and FSL accesses are co-simulation sync points).
-    if (entry.tag != DispatchTag::kFast) break;
+    // Custom-slot instructions need the precise path.
+    if (entry.tag == DispatchTag::kSlow) break;
     const Instruction& in = entry.in;
 
     DbtOp op;
     op.pc = pc;
-    op.imm = static_cast<u32>(in.imm);
+    // operand_b() of a type-B instruction, the IMM prefix folded in.
+    op.imm = prefixed && in.imm_form
+                 ? (prefix << 16) | (static_cast<u32>(in.imm) & 0xFFFFu)
+                 : static_cast<u32>(in.imm);
     op.rd = in.rd;
     op.ra = in.ra;
     op.rb = in.rb;
@@ -178,12 +201,25 @@ bool Processor::translate_block(Addr start) {
       case Op::kSb: op.id = static_cast<u8>(kSbRR + ri); break;
       case Op::kSh: op.id = static_cast<u8>(kShRR + ri); break;
       case Op::kSw: op.id = static_cast<u8>(kSwRR + ri); break;
+      case Op::kGet:
+      case Op::kPut:
+        // A link the core does not have traps; step() raises it.
+        supported = fsl_hub_ != nullptr && in.fsl_id < config_.fsl_links;
+        op.id = in.op == Op::kGet ? kGet : kPut;
+        op.imm = in.fsl_id;
+        op.flags = static_cast<u8>((in.fsl_nonblocking ? kFlagNonblocking : 0) |
+                                   (in.fsl_control ? kFlagControl : 0));
+        break;
+      case Op::kImm:
+        op.id = kImmPrefix;
+        op.imm = static_cast<u32>(in.imm) & 0xFFFFu;
+        break;
       case Op::kBr: {
         op.flags = static_cast<u8>((in.link ? kFlagLink : 0) |
                                    (in.delay_slot ? kFlagDelay : 0) |
                                    (in.absolute ? kFlagAbsolute : 0));
         if (in.imm_form) {
-          const u32 disp = static_cast<u32>(in.imm);
+          const u32 disp = op.imm;
           const Addr target = in.absolute ? disp : pc + disp;
           if (target == pc && !in.link) {
             op.id = kTermHalt;
@@ -200,7 +236,7 @@ bool Processor::translate_block(Addr start) {
       case Op::kBcc: {
         if (in.imm_form) {
           op.id = static_cast<u8>(kTermBeq + static_cast<u8>(in.cond));
-          op.imm = pc + static_cast<u32>(in.imm);  // resolved target
+          op.imm = pc + op.imm;  // resolved target
           op.flags = in.delay_slot ? kFlagDelay : 0;
         } else {
           op.id = kTermBccDyn;
@@ -212,6 +248,7 @@ bool Processor::translate_block(Addr start) {
       }
       case Op::kRtsd:
         op.id = kTermRtsd;
+        op.imm = static_cast<u32>(in.imm);  // rtsd ignores an IMM prefix
         terminated = true;
         break;
       // kFast covers undecodable words too; they trap on the precise path.
@@ -223,6 +260,15 @@ bool Processor::translate_block(Addr start) {
     ops.push_back(op);
     words += 1;
     pc += 4;
+    prefixed = in.op == Op::kImm;
+    prefix = op.imm;
+  }
+  if (prefixed) {
+    // The prefixed instruction did not make it into the block: leave the
+    // prefix to step() as well, so the two never straddle a block end.
+    ops.pop_back();
+    words -= 1;
+    pc -= 4;
   }
 
   if (ops.empty()) return false;
@@ -276,6 +322,7 @@ Processor::DbtRun Processor::exec_block(const Superblock& block,
       &&lab_LwRR, &&lab_LwRI,
       &&lab_SbRR, &&lab_SbRI, &&lab_ShRR, &&lab_ShRI,
       &&lab_SwRR, &&lab_SwRI,
+      &&lab_Get, &&lab_Put, &&lab_ImmPrefix,
       &&lab_TermFall, &&lab_TermHalt, &&lab_TermBrStatic, &&lab_TermBrDyn,
       &&lab_TermBeq, &&lab_TermBne, &&lab_TermBlt, &&lab_TermBle,
       &&lab_TermBgt, &&lab_TermBge,
@@ -528,6 +575,39 @@ lab_Mts:
   MBC_STORE(SwRI, ip->imm, 4)
 #undef MBC_STORE
 
+  // ---- FSL. The hardware first catches up with the cycle this access
+  // starts on; the access body is the shared fsl_get/fsl_put. A stall
+  // leaves the block with the access unexecuted and its cycle uncharged.
+#define MBC_FSL(name, access)                                        \
+  lab_##name : {                                                     \
+    sync_fsl(cycles);                                                \
+    if ((access) == Event::kFslStall) {                              \
+      pc_ = ip->pc;                                                  \
+      result = DbtRun::kFslStall;                                    \
+      goto unfinished_out;                                           \
+    }                                                                \
+    MBC_RETIRE();                                                    \
+    MBC_NEXT();                                                      \
+  }
+  MBC_FSL(Get, fsl_get(ip->rd, ip->imm, (ip->flags & kFlagNonblocking) != 0,
+                       (ip->flags & kFlagControl) != 0))
+  MBC_FSL(Put, fsl_put(regs[ip->ra], ip->imm,
+                       (ip->flags & kFlagNonblocking) != 0,
+                       (ip->flags & kFlagControl) != 0))
+#undef MBC_FSL
+
+lab_ImmPrefix:
+  MBC_RETIRE();
+  ++ip;  // the prefixed op: translation never ends a block on a prefix
+  if (cycles >= max_cycles) {
+    // The quantum ends between the two: step() runs the prefixed op.
+    imm_prefix_ = static_cast<u16>(ip[-1].imm);
+    pc_ = ip->pc;
+    block_head_ = false;
+    goto sync_out;
+  }
+  goto* kLabels[ip->id];
+
   // ---- Terminators. ------------------------------------------------
 lab_TermFall:
   pc_ = ip->pc;  // resume address, precomputed at translation
@@ -666,8 +746,11 @@ chain:
 budget_out:
   // ip already points at the next (unexecuted) op; for the kTermFall
   // pseudo-op its pc field is the fall-through address, for every other
-  // op it is the op's own guest address — either way the resume pc.
+  // op it is the op's own guest address — either way the resume pc. Only
+  // the fall-through address is a block exit: the next run_batch call
+  // resumes anywhere else as a non-head, as if the block had gone on.
   pc_ = ip->pc;
+  block_head_ = ip->id == kTermFall;
   goto sync_out;
 
 illegal_out:
@@ -678,6 +761,14 @@ illegal_out:
   cycles += 1;
   pc_ = ip->pc;
   result = DbtRun::kIllegal;
+  goto unfinished_out;
+
+unfinished_out:
+  // The op at ip did not complete, so, as after step(), an IMM prefix
+  // before it is still pending.
+  if (ip != blk->ops.data() && ip[-1].id == kImmPrefix) {
+    imm_prefix_ = static_cast<u16>(ip[-1].imm);
+  }
   goto sync_out;
 
 sync_out:

@@ -64,14 +64,14 @@ class GatewayIn : public Block {
   /// Set the value presented during the next step(). Doubles are
   /// quantized like a hardware gateway (round, saturate).
   void set(double value) {
-    pending_ = Fix::from_double(out_.format(), value).raw();
+    write(Fix::from_double(out_.format(), value).raw());
   }
   /// Raw codes are masked into the format (no format re-validation: the
   /// FSL bridge presents every FIFO change through this).
-  void set_raw(i64 raw_code) noexcept { pending_ = out_.wrap(raw_code); }
+  void set_raw(i64 raw_code) noexcept { write(out_.wrap(raw_code)); }
   void set_fix(const Fix& value) {
-    pending_ = value.cast(out_.format(), Quantization::kRoundHalfUp,
-                          Overflow::kSaturate).raw();
+    write(value.cast(out_.format(), Quantization::kRoundHalfUp,
+                     Overflow::kSaturate).raw());
   }
   void set_bool(bool value) noexcept { set_raw(value ? 1 : 0); }
 
@@ -92,6 +92,13 @@ class GatewayIn : public Block {
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
+  /// Only a new value makes the kernel compare its inputs again.
+  void write(i64 value) noexcept {
+    if (value == pending_) return;
+    pending_ = value;
+    model_.gateway_written();
+  }
+
   Signal& out_;
   i64 pending_ = 0;
 };

@@ -523,8 +523,11 @@ Cycle Kernel::run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence) {
         ++idle;
       }
     }
-    // A stepped cycle reads what the gateways present.
-    if (presented) mark_changed_inputs();
+    // A stepped cycle reads what the gateways present, if they changed.
+    if (presented && inputs_written_) {
+      inputs_written_ = false;
+      mark_changed_inputs();
+    }
     if (pending()) run();
     bool moved = false;
     if (ports != nullptr) {

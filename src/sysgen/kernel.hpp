@@ -269,20 +269,28 @@ class Kernel {
   /// first stepped cycle of the call (the environment writes them
   /// between calls) and after `ports->present`, which runs at the start
   /// of the call and at the top of the cycle after a pop or a taken
-  /// push. `ports` and `quiescence` are both null (a model alone) or
-  /// both set (the FSL bridge's tick). Only a kernel from
-  /// Lowering::finish() runs.
+  /// push; and then only if a GatewayIn took a new value since they
+  /// were last read (note_input_written). `ports` and `quiescence` are
+  /// both null (a model alone) or both set (the FSL bridge's tick).
+  /// Only a kernel from Lowering::finish() runs.
   Cycle run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence);
 
   /// True when a cycle would do nothing: no region is pending and every
   /// registered input still equals the output it drives.
   [[nodiscard]] bool settled() const noexcept {
-    return !pending() && inputs_unchanged();
+    return !pending() && (!inputs_written_ || inputs_unchanged());
   }
 
   /// Make every region pending, so that the next run() is a full pass;
   /// for state written from outside the tape (reset, checkpoint restore).
-  void invalidate() noexcept { full_ = true; }
+  void invalidate() noexcept {
+    full_ = true;
+    inputs_written_ = true;
+  }
+
+  /// A registered input slot took a new value (the GatewayIn setters):
+  /// the next stepped cycle compares the inputs again.
+  void note_input_written() noexcept { inputs_written_ = true; }
 
   [[nodiscard]] std::size_t region_count() const noexcept {
     return regions_.size();
@@ -342,6 +350,9 @@ class Kernel {
   Queue next_outputs_;
   Queue next_bodies_;
   bool full_ = true;
+  /// An input may differ from its output: set by note_input_written()
+  /// and invalidate(), cleared once a stepped cycle copied the inputs.
+  bool inputs_written_ = true;
   KernelStats stats_;
   std::deque<i64> temps_;
   std::deque<Cast> casts_;

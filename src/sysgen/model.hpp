@@ -75,6 +75,9 @@ class Model {
   /// calls only the owner of `ports` writes the gateways it drives.
   Cycle tick(Cycle cycles, Ports& ports, Quiescence& quiescence);
 
+  /// A GatewayIn of this model took a new value (its setters call this).
+  void gateway_written() noexcept { kernel_.note_input_written(); }
+
   /// True when the next step() would repeat the last one exactly: no
   /// region is pending — so the last step changed no state — and the
   /// gateway inputs have not been set to new values since. Between steps

@@ -46,9 +46,10 @@ class Signal {
   /// Drive from a raw code (masked into the format).
   void drive_raw(i64 raw_code) noexcept { raw_ = wrap(raw_code); }
 
-  /// A raw code masked into the format and sign- or zero-extended.
+  /// A raw code masked into the format and sign- or zero-extended. The
+  /// wrap into a signal's own format moves no bit, so it only extends.
   [[nodiscard]] i64 wrap(i64 raw_code) const noexcept {
-    return wrap_(raw_code);
+    return wrap_.extend(raw_code);
   }
 
   /// The value's slot, for the ops that read and write it.

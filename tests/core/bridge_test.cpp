@@ -5,9 +5,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt.hpp"
 #include "core/cosim_engine.hpp"
 #include "sysgen/model.hpp"
 
@@ -230,6 +232,129 @@ TEST(Bridge, BindingValidation) {
   EXPECT_EQ(echoed->data, 42u);
   EXPECT_EQ(rig.bridge().stats().words_to_hw, 1u);
   EXPECT_EQ(rig.bridge().stats().words_from_hw, 1u);
+}
+
+/// Hardware that only watches channel 0: it never reads or writes, so its
+/// gateways hold exactly what the bridge last presented.
+struct Watcher {
+  explicit Watcher(sg::Model& m)
+      : data_in(m.add<sg::GatewayIn>("s.data", kWord)),
+        exists_in(m.add<sg::GatewayIn>("s.exists", kBool)),
+        control_in(m.add<sg::GatewayIn>("s.control", kBool)),
+        zero(m.add<sg::Constant>("zero", Fix::from_int(kBool, 0))),
+        read_out(m.add<sg::GatewayOut>("s.read", zero.out())),
+        full_in(m.add<sg::GatewayIn>("m.full", kBool)),
+        data_out(m.add<sg::GatewayOut>("m.data", data_in.out())),
+        write_out(m.add<sg::GatewayOut>("m.write", zero.out())) {}
+
+  FslPort port() {
+    return {.channel = 0,
+            .s_data = &data_in,
+            .s_exists = &exists_in,
+            .s_control = &control_in,
+            .s_read = &read_out,
+            .m_data = &data_out,
+            .m_write = &write_out,
+            .m_full = &full_in};
+  }
+  [[nodiscard]] bool exists() const { return exists_in.out().as_bool(); }
+  [[nodiscard]] i64 data() const { return data_in.out().raw(); }
+  [[nodiscard]] bool control() const { return control_in.out().as_bool(); }
+  [[nodiscard]] bool full() const { return full_in.out().as_bool(); }
+
+  sg::GatewayIn& data_in;
+  sg::GatewayIn& exists_in;
+  sg::GatewayIn& control_in;
+  sg::Constant& zero;
+  sg::GatewayOut& read_out;
+  sg::GatewayIn& full_in;
+  sg::GatewayOut& data_out;
+  sg::GatewayOut& write_out;
+};
+
+struct WatcherRig : Rig {
+  WatcherRig() : hw(model) { EXPECT_TRUE(bridge().bind(hw.port()).ok); }
+  Watcher hw;
+};
+
+// The bridge rewrites a port's gateways only when its FIFO changed since
+// it last presented them (fsl::FslChannel::changes()). The changes below
+// are neither a push nor a pop, and each must still reach the gateways on
+// the next tick.
+
+TEST(Bridge, StuckFlagsArmedAndClearedBetweenTicksArePresented) {
+  WatcherRig rig;
+  rig.hub.to_hw(0).try_write(5, false);
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.exists());
+  EXPECT_FALSE(rig.hw.full());
+
+  fsl::FslFaultControls stuck_empty;
+  stuck_empty.stuck_empty = true;
+  rig.hub.to_hw(0).arm_fault(stuck_empty);
+  rig.cycle();
+  EXPECT_FALSE(rig.hw.exists());
+  rig.hub.to_hw(0).clear_fault();
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.exists());
+  EXPECT_EQ(rig.hw.data(), 5);
+
+  fsl::FslFaultControls stuck_full;
+  stuck_full.stuck_full = true;
+  rig.hub.from_hw(0).arm_fault(stuck_full);
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.full());
+  rig.hub.from_hw(0).clear_fault();
+  rig.cycle();
+  EXPECT_FALSE(rig.hw.full());
+}
+
+TEST(Bridge, CorruptedEntryIsPresented) {
+  WatcherRig rig;
+  rig.hub.to_hw(0).try_write(0x0F, false);
+  rig.cycle();
+  EXPECT_EQ(rig.hw.data(), 0x0F);
+  EXPECT_FALSE(rig.hw.control());
+  ASSERT_TRUE(rig.hub.to_hw(0).corrupt_entry(0, 0xF0, true));
+  rig.cycle();
+  EXPECT_EQ(rig.hw.data(), 0xFF);
+  EXPECT_TRUE(rig.hw.control());
+}
+
+TEST(Bridge, ResetForgetsWhatWasPresented) {
+  WatcherRig rig;
+  rig.hub.to_hw(0).try_write(5, false);
+  rig.cycle();
+  ASSERT_TRUE(rig.hw.exists());
+  // The model's reset zeroes the gateways behind the bridge; the FIFO
+  // keeps its word and its change count.
+  rig.model.reset();
+  rig.bridge().reset();
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.exists());
+  EXPECT_EQ(rig.hw.data(), 5);
+}
+
+TEST(Bridge, RestoreForgetsWhatWasPresented) {
+  WatcherRig rig;
+  rig.cycle();  // the empty FIFO, presented
+  ckpt::Writer writer;
+  rig.model.save_state(writer);
+  rig.engine.save_state(writer);
+  const std::vector<unsigned char> image = writer.take();
+
+  rig.hub.to_hw(0).try_write(9, true);
+  rig.cycle();
+  ASSERT_TRUE(rig.hw.exists());
+  // The restored gateways present an empty FIFO, which still holds the
+  // word it held when it was last presented.
+  ckpt::Reader reader(image);
+  ASSERT_TRUE(rig.model.load_state(reader));
+  ASSERT_TRUE(rig.engine.load_state(reader));
+  rig.cycle();
+  EXPECT_TRUE(rig.hw.exists());
+  EXPECT_EQ(rig.hw.data(), 9);
+  EXPECT_TRUE(rig.hw.control());
 }
 
 }  // namespace

@@ -271,6 +271,82 @@ TEST(FslChannel, MidWrapCheckpointKeepsItsBytes) {
   EXPECT_EQ(restored.try_read()->data, 0x106u);
 }
 
+// changes() moves with every change to the entries or the flags, and
+// with nothing else: readers that present the FIFO elsewhere rely on it.
+TEST(FslChannel, EveryMutationBumpsChanges) {
+  FslChannel ch(2);
+  u64 seen = ch.changes();
+  const auto bumped = [&] {
+    const bool moved = ch.changes() != seen;
+    seen = ch.changes();
+    return moved;
+  };
+  EXPECT_TRUE(ch.try_write(1, false));
+  EXPECT_TRUE(bumped());
+  EXPECT_TRUE(ch.try_write(2, true));
+  EXPECT_TRUE(bumped());
+  EXPECT_FALSE(ch.try_write(3, false));  // full: refused, nothing changed
+  EXPECT_FALSE(bumped());
+  EXPECT_TRUE(ch.peek().has_value());
+  EXPECT_FALSE(bumped());
+  EXPECT_TRUE(ch.corrupt_entry(1, 0xF0, false));
+  EXPECT_TRUE(bumped());
+  EXPECT_TRUE(ch.try_read().has_value());
+  EXPECT_TRUE(bumped());
+  FslFaultControls stuck;
+  stuck.stuck_empty = true;
+  ch.arm_fault(stuck);
+  EXPECT_TRUE(bumped());
+  ch.clear_fault();
+  EXPECT_TRUE(bumped());
+  ckpt::Writer writer;
+  ch.save_state(writer);
+  EXPECT_FALSE(bumped());
+  ch.clear();
+  EXPECT_TRUE(bumped());
+  ckpt::Reader reader(writer.buffer());
+  ASSERT_TRUE(ch.load_state(reader));
+  EXPECT_TRUE(bumped());
+  ch.reset_stats();
+  EXPECT_FALSE(bumped());
+}
+
+// The same operations on an unobserved channel (the inline fast paths)
+// and on one with metrics attached (the out-of-line paths) return the
+// same results and leave the same entries and counters, through ring
+// growth, refusals and the wrap point.
+TEST(FslChannel, FastAndObservedPathsAgree) {
+  FslChannel fast(40, "fast");
+  FslChannel observed(40, "observed");
+  obs::FslCounters counters;
+  observed.set_metrics(&counters);
+  u32 state = 12345;
+  for (int step = 0; step < 2000; ++step) {
+    state = state * 1103515245u + 12345u;
+    const Word data = state >> 8;
+    const bool control = (state & 0x100u) != 0;
+    if ((state >> 28) < 9) {
+      ASSERT_EQ(fast.try_write(data, control),
+                observed.try_write(data, control));
+    } else {
+      const auto a = fast.try_read();
+      const auto b = observed.try_read();
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (a) {
+        ASSERT_EQ(*a, *b);
+      }
+    }
+    ASSERT_EQ(fast.peek().has_value(), observed.peek().has_value());
+  }
+  ckpt::Writer a;
+  fast.save_state(a);
+  ckpt::Writer b;
+  observed.save_state(b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(counters.push, observed.total_writes());
+  EXPECT_EQ(counters.pop, observed.total_reads());
+}
+
 TEST(FslHub, ChannelsAreIndependent) {
   FslHub hub;
   hub.to_hw(0).try_write(1, false);

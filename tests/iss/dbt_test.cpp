@@ -7,11 +7,14 @@
 // superblock retires the stale translation (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
+#include "common/rng.hpp"
 #include "iss/test_helpers.hpp"
 #include "obs/metrics.hpp"
 
@@ -273,6 +276,66 @@ TEST(Dbt, ChunkedRunsMatchPreciseOneShot) {
             reference_metrics.snapshot().to_string());
   // The loop is hot: the chunked run really dispatched superblocks.
   EXPECT_GT(chunked.cpu.dbt_stats().dbt_instructions, 0u);
+
+  // A quantum that ends inside a superblock resumes there as a non-head,
+  // so the chunked run translates exactly the blocks a one-shot dbt run
+  // does, and no overlapping block starting mid-way.
+  TestMachine oneshot(source);
+  obs::MetricsRegistry oneshot_metrics;
+  prepare(oneshot, ExecTier::kDbt, oneshot_metrics);
+  ASSERT_EQ(oneshot.run(), core::StopReason::kHalted);
+  EXPECT_EQ(chunked.cpu.dbt_stats().blocks_translated,
+            oneshot.cpu.dbt_stats().blocks_translated);
+}
+
+// The same chunks with a snapshot/restore round trip in place after each
+// one: the block-head flag is not in the image and a restore keeps it,
+// so the translation work equals the chunked run's without restores.
+TEST(Dbt, RestoreInPlaceBetweenChunksKeepsTheTranslationWork) {
+  const char* source =
+      "start:\n"
+      "  la r2, buffer\n"
+      "  li r4, 60\n"
+      "loop:\n"
+      "  sw r4, r2, r0\n"
+      "  lw r6, r2, r0\n"
+      "  addk r3, r3, r6\n"
+      "  mul r7, r6, r4\n"
+      "  xor r8, r8, r7\n"
+      "  addik r4, r4, -1\n"
+      "  bnei r4, loop\n"
+      "  halt\n"
+      "buffer: .space 16\n";
+  const auto run = [&](bool restore) {
+    auto m = std::make_unique<TestMachine>(source);
+    constexpr Cycle kBudgets[] = {7, 13, 29};
+    core::StopReason reason = core::StopReason::kCycleLimit;
+    for (unsigned chunk = 0; reason == core::StopReason::kCycleLimit;
+         ++chunk) {
+      EXPECT_LT(chunk, 10'000u);
+      reason = m->run(m->cpu.cycle() + kBudgets[chunk % 3]);
+      if (!restore) continue;
+      ckpt::Writer writer;
+      m->cpu.save_state(writer);
+      m->memory.save_state(writer);
+      ckpt::Reader reader(writer.buffer());
+      EXPECT_TRUE(m->cpu.load_state(reader));
+      EXPECT_TRUE(m->memory.load_state(reader));
+      m->cpu.revalidate_text();
+    }
+    EXPECT_EQ(reason, core::StopReason::kHalted);
+    return m;
+  };
+  const auto plain = run(false);
+  const auto restored = run(true);
+  EXPECT_EQ(restored->cpu.reg(3), plain->cpu.reg(3));
+  EXPECT_EQ(restored->cpu.dbt_stats().blocks_translated,
+            plain->cpu.dbt_stats().blocks_translated);
+  EXPECT_EQ(restored->cpu.dbt_stats().block_dispatches,
+            plain->cpu.dbt_stats().block_dispatches);
+  EXPECT_EQ(restored->cpu.dbt_stats().dbt_instructions,
+            plain->cpu.dbt_stats().dbt_instructions);
+  EXPECT_GT(plain->cpu.dbt_stats().dbt_instructions, 0u);
 }
 
 // The predecode cache and the dbt word tables grow with the highest word
@@ -431,6 +494,333 @@ TEST(Dbt, RestoreRevalidatesTextAcrossGrowth) {
   ASSERT_EQ(other->run(), core::StopReason::kHalted);
   restore(*other, image);
   expect_like(*other, *reference, "over other text");
+}
+
+// ---- FSL accesses and IMM prefixes inside superblocks. ---------------
+
+/// The processor's checkpoint image: registers, PC, MSR, a pending IMM
+/// prefix or delay slot, and every CpuStats counter.
+std::vector<unsigned char> cpu_image(const Processor& cpu) {
+  ckpt::Writer writer;
+  cpu.save_state(writer);
+  return writer.take();
+}
+
+/// Every FIFO of the hub, contents and counters, as a checkpoint image.
+std::vector<unsigned char> hub_image(const fsl::FslHub& hub) {
+  ckpt::Writer writer;
+  hub.save_state(writer);
+  return writer.take();
+}
+
+constexpr std::size_t kMixDepth = 512;
+
+/// A hot loop of randomly chosen FSL accesses in every form (get/put,
+/// n*, c*, nc*) on channels 0-3, with readers of the carry and the MSR
+/// between them and the odd IMM prefix. fill_mix_fifos() gives channels
+/// 0-2 enough words and room for every access, and leaves from_hw 3
+/// empty and to_hw 3 full, so the non-blocking forms fail there (carry
+/// set); no blocking access goes to channel 3.
+std::string fsl_mix_program(u64 seed) {
+  Rng rng(seed);
+  const auto reg = [&rng] {
+    return "r" + std::to_string(3 + rng.next_below(10));
+  };
+  std::ostringstream os;
+  os << "  li r20, 24\nloop:\n";
+  for (int i = 0; i < 14; ++i) {
+    const u64 kind = rng.next_below(8);
+    if (kind < 4) {
+      const bool nonblocking = rng.next_below(2) != 0;
+      const bool control = rng.next_below(2) != 0;
+      const u64 channel = rng.next_below(nonblocking ? 4 : 3);
+      os << "  " << (nonblocking ? "n" : "") << (control ? "c" : "")
+         << (kind < 2 ? "get " : "put ") << reg() << ", rfsl" << channel
+         << "\n";
+    } else if (kind == 4) {
+      os << "  addc " << reg() << ", " << reg() << ", " << reg() << "\n";
+    } else if (kind == 5) {
+      os << "  mfs " << reg() << ", rmsr\n";
+    } else if (kind == 6) {
+      os << "  imm 0x1\n  addik " << reg() << ", " << reg() << ", 0x2345\n";
+    } else if (i != 13 && rng.next_below(2) != 0) {
+      os << "  imm 0x3\n";  // prefixes whatever comes next
+    } else {
+      os << "  mts rmsr, r0\n";  // clears the FSL error bit and carry
+    }
+  }
+  os << "  addik r20, r20, -1\n  bnei r20, loop\n  halt\n";
+  return os.str();
+}
+
+void fill_mix_fifos(fsl::FslHub& hub, u64 seed) {
+  Rng rng(seed ^ 0xF1F0);
+  for (unsigned channel = 0; channel < 3; ++channel) {
+    for (std::size_t i = 0; i < 400; ++i) {
+      hub.from_hw(channel).try_write(rng.next_u32(), rng.next_below(2) != 0);
+    }
+  }
+  for (std::size_t i = 0; i < kMixDepth; ++i) {
+    hub.to_hw(3).try_write(rng.next_u32(), rng.next_below(2) != 0);
+  }
+}
+
+TEST(Dbt, EveryFslFormInABlockMatchesPrecise) {
+  for (u64 seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string source = fsl_mix_program(seed);
+    const auto run = [&](ExecTier tier) {
+      auto m = std::make_unique<TestMachine>(
+          source, TestMachine::make_default_config(), 64 * 1024, kMixDepth);
+      m->cpu.set_exec_tier(tier);
+      fill_mix_fifos(m->hub, seed);
+      EXPECT_EQ(m->run(), core::StopReason::kHalted);
+      return m;
+    };
+    const auto precise = run(ExecTier::kPrecise);
+    const auto dbt = run(ExecTier::kDbt);
+    expect_identical_stats(dbt->cpu.stats(), precise->cpu.stats());
+    for (unsigned r = 0; r < isa::kNumRegisters; ++r) {
+      EXPECT_EQ(dbt->cpu.reg(r), precise->cpu.reg(r)) << "r" << r;
+    }
+    EXPECT_EQ(dbt->cpu.msr(), precise->cpu.msr());
+    EXPECT_EQ(cpu_image(dbt->cpu), cpu_image(precise->cpu));
+    EXPECT_EQ(hub_image(dbt->hub), hub_image(precise->hub));
+    // The accesses really ran stitched: most instructions retired inside
+    // superblocks.
+    EXPECT_GT(2 * dbt->cpu.dbt_stats().dbt_instructions,
+              dbt->cpu.stats().instructions);
+  }
+}
+
+// A blocking get in the middle of a translated block, on a FIFO that runs
+// dry: the block is left at the get, which stays the PC, and the core
+// stalls there until the deadlock rule fires. Both tiers report the same
+// stop, the same diagnosis (PC, channel, `blocked N cycles`) and stats.
+TEST(Dbt, BlockingGetStallsMidBlockLikePrecise) {
+  const char* source =
+      "loop:\n"
+      "  addik r3, r3, 1\n"
+      "blocked:\n"
+      "  get r4, rfsl0\n"
+      "  addk r5, r5, r4\n"
+      "  bri loop\n";
+  const auto run = [&](ExecTier tier) {
+    auto m = std::make_unique<TestMachine>(source);
+    m->cpu.set_exec_tier(tier);
+    m->engine.set_deadlock_threshold(500);
+    for (Word i = 0; i < 12; ++i) m->hub.from_hw(0).try_write(i, false);
+    EXPECT_EQ(m->run(), core::StopReason::kDeadlock);
+    return m;
+  };
+  const auto precise = run(ExecTier::kPrecise);
+  const auto dbt = run(ExecTier::kDbt);
+  ASSERT_GT(dbt->cpu.dbt_stats().dbt_instructions, 0u);
+  EXPECT_EQ(dbt->cpu.pc(), dbt->program.symbols.at("blocked"));
+  expect_identical_stats(dbt->cpu.stats(), precise->cpu.stats());
+  EXPECT_EQ(dbt->cpu.reg(5), precise->cpu.reg(5));
+  ASSERT_TRUE(dbt->engine.deadlock_diagnosis().has_value());
+  ASSERT_TRUE(precise->engine.deadlock_diagnosis().has_value());
+  EXPECT_EQ(dbt->engine.deadlock_diagnosis()->to_string(),
+            precise->engine.deadlock_diagnosis()->to_string());
+  EXPECT_EQ(dbt->engine.deadlock_diagnosis()->blocked_cycles, 500u);
+}
+
+/// A hook that records the cycle of every FSL sync.
+struct SyncProbe {
+  std::vector<Cycle> cycles;
+  static void record(void* owner, Cycle cycle) {
+    static_cast<SyncProbe*>(owner)->cycles.push_back(cycle);
+  }
+};
+
+// FSL accesses in delay slots run through step() inside the batch, after
+// the same sync as a stitched access; both tiers agree, and every access
+// of the dbt run, stitched or stepped, synced exactly once.
+TEST(Dbt, FslOpInDelaySlotMatchesPrecise) {
+  const char* source =
+      "  li r5, 20\n"
+      "loop:\n"
+      "  get r3, rfsl0\n"
+      "  addik r5, r5, -1\n"
+      "  bneid r5, loop\n"
+      "  put r3, rfsl1\n"  // delay slot
+      "  brid done\n"
+      "  nget r6, rfsl2\n"  // delay slot, on an empty FIFO
+      "done:\n"
+      "  halt\n";
+  const auto run = [&](ExecTier tier, SyncProbe* probe) {
+    auto m = std::make_unique<TestMachine>(
+        source, TestMachine::make_default_config(), 64 * 1024, 32);
+    m->cpu.set_exec_tier(tier);
+    for (Word i = 0; i < 20; ++i) m->hub.from_hw(0).try_write(i * 3, i & 1);
+    if (probe == nullptr) {
+      EXPECT_EQ(m->run(), core::StopReason::kHalted);
+    } else {
+      m->cpu.set_fsl_sync({probe, &SyncProbe::record});
+      EXPECT_EQ(m->cpu.run_batch(1'000'000).stop, BatchStop::kHalted);
+    }
+    return m;
+  };
+  const auto precise = run(ExecTier::kPrecise, nullptr);
+  SyncProbe probe;
+  const auto dbt = run(ExecTier::kDbt, &probe);
+  expect_identical_stats(dbt->cpu.stats(), precise->cpu.stats());
+  EXPECT_EQ(cpu_image(dbt->cpu), cpu_image(precise->cpu));
+  EXPECT_EQ(hub_image(dbt->hub), hub_image(precise->hub));
+  EXPECT_EQ(dbt->hub.to_hw(1).occupancy(), 20u);
+  EXPECT_GT(dbt->cpu.dbt_stats().dbt_instructions, 0u);
+  // 20 gets, 20 puts and the nget: one sync each, in cycle order.
+  EXPECT_EQ(probe.cycles.size(), 41u);
+  EXPECT_TRUE(std::is_sorted(probe.cycles.begin(), probe.cycles.end()));
+}
+
+/// A hot loop whose IMM-prefixed instructions cover every operand-b
+/// family: ALU, multiply, shift, logic, load and store with a far
+/// offset, and a conditional branch whose target needs the prefix.
+const char* imm_mix_program() {
+  return "start:\n"
+         "  li r4, 40\n"
+         "  la r2, buffer\n"
+         "  imm 0xFFFF\n"
+         "  addik r2, r2, 0\n"  // buffer - 64 KiB, for far offsets
+         "loop:\n"
+         "  li r1, 0x12345678\n"
+         "  imm 0x2\n"
+         "  addik r3, r3, 0x3456\n"
+         "  imm 0x1\n"
+         "  muli r6, r4, 1\n"
+         "  imm 0x7FFF\n"
+         "  xori r7, r6, 0\n"
+         "  bslli r8, r7, 3\n"
+         "  imm 0x1\n"
+         "  swi r6, r2, 0\n"
+         "  imm 0x1\n"
+         "  lwi r9, r2, 0\n"
+         "  addk r3, r3, r9\n"
+         "  addik r4, r4, -1\n"
+         "  imm 0xFFFF\n"  // a backward displacement's own sign bits
+         "  bnei r4, loop\n"
+         "  halt\n"
+         "buffer: .space 16\n";
+}
+
+// Run `source` at the precise tier and at the dbt tier, both in chunks
+// of `budget` cycles: at every chunk boundary the two processors' images
+// (a pending IMM prefix included) must agree.
+void expect_chunked_tiers_agree(const char* source, Cycle budget) {
+  TestMachine precise(source);
+  precise.cpu.set_exec_tier(ExecTier::kPrecise);
+  TestMachine dbt(source);
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  for (unsigned chunk = 0; reason == core::StopReason::kCycleLimit; ++chunk) {
+    ASSERT_LT(chunk, 100'000u);
+    const Cycle target = precise.cpu.cycle() + budget;
+    reason = precise.run(target);
+    ASSERT_EQ(dbt.run(target), reason);
+    ASSERT_EQ(cpu_image(dbt.cpu), cpu_image(precise.cpu))
+        << "budget " << budget << ", chunk " << chunk;
+  }
+  ASSERT_EQ(reason, core::StopReason::kHalted);
+  EXPECT_GT(dbt.cpu.dbt_stats().dbt_instructions, 0u);
+}
+
+// Budgets of 1..12 cycles end quanta between an IMM prefix and the
+// instruction it prefixes, inside translated blocks; the prefix must be
+// left pending exactly as step() leaves it.
+TEST(Dbt, ImmPrefixedInstructionsMatchPreciseAtEveryBudget) {
+  for (Cycle budget = 1; budget <= 12; ++budget) {
+    expect_chunked_tiers_agree(imm_mix_program(), budget);
+  }
+  DbtStats counters;
+  Word r3[2] = {0, 0};
+  const CpuStats precise =
+      run_with_tier(imm_mix_program(), ExecTier::kPrecise, &r3[0]);
+  const CpuStats dbt =
+      run_with_tier(imm_mix_program(), ExecTier::kDbt, &r3[1], &counters);
+  expect_identical_stats(dbt, precise);
+  EXPECT_EQ(r3[1], r3[0]);
+  // The prefixes run stitched: only the first passes of the loop step.
+  EXPECT_GT(10 * counters.dbt_instructions, 7 * dbt.instructions);
+}
+
+// Branches whose displacement needs its IMM prefix: a forward bnei of
+// +64 KiB whose low half alone would read -16, and a bri back of -64 KiB.
+// Translation resolves both targets with the prefix folded in.
+TEST(Dbt, ImmPrefixedBranchesReachFarTargets) {
+  const char* source =
+      "start:\n"
+      "  addik r4, r0, 20\n"
+      "loop:\n"             // 0x4
+      "  addik r3, r3, 1\n"
+      "  addik r4, r4, -1\n"
+      "  imm 0x0\n"
+      "  bnei r4, -16\n"     // at 0x10: 0x10 + 0xFFF0 = far
+      "  halt\n"
+      "  .space 65512\n"     // 0x18 up to 0x10000
+      "far:\n"
+      "  addik r3, r3, 2\n"
+      "  imm 0xFFFE\n"
+      "  bri -4\n";          // at 0x10008: + 0xFFFEFFFC = loop
+  Word r3[2] = {0, 0};
+  DbtStats counters;
+  const CpuStats precise = run_big(source, ExecTier::kPrecise, &r3[0]);
+  const CpuStats dbt = run_big(source, ExecTier::kDbt, &r3[1], &counters);
+  EXPECT_EQ(r3[0], 20u + 2u * 19u);
+  EXPECT_EQ(r3[1], r3[0]);
+  expect_identical_stats(dbt, precise);
+  EXPECT_GT(counters.dbt_instructions, 0u);
+}
+
+// A prefixed load that traps inside a translated block leaves the prefix
+// pending, as the precise tier does; the images agree.
+TEST(Dbt, TrapAfterImmPrefixInABlockMatchesPrecise) {
+  const char* source =
+      "  la r7, buffer\n"
+      "  imm 0xFFFE\n"
+      "  addik r7, r7, 0\n"  // buffer - 128 KiB
+      "loop:\n"
+      "  imm 0x2\n"
+      "  lwi r5, r7, 0\n"  // buffer, then up and off the 64 KiB memory
+      "  addik r7, r7, 0x1000\n"
+      "  bri loop\n"
+      "buffer: .space 4\n";
+  const auto run = [&](ExecTier tier) {
+    auto m = std::make_unique<TestMachine>(source);
+    m->cpu.set_exec_tier(tier);
+    EXPECT_EQ(m->run(), core::StopReason::kIllegal);
+    return m;
+  };
+  const auto precise = run(ExecTier::kPrecise);
+  const auto dbt = run(ExecTier::kDbt);
+  ASSERT_GT(dbt->cpu.dbt_stats().blocks_translated, 0u);
+  EXPECT_EQ(cpu_image(dbt->cpu), cpu_image(precise->cpu));
+  expect_identical_stats(dbt->cpu.stats(), precise->cpu.stats());
+}
+
+// The FSL mix at every budget of 1..12 cycles: quanta end just before,
+// on and just after the stitched accesses.
+TEST(Dbt, FslMixMatchesPreciseAtEveryBudget) {
+  const std::string source = fsl_mix_program(7);
+  for (Cycle budget = 1; budget <= 12; ++budget) {
+    TestMachine precise(source, TestMachine::make_default_config(),
+                        64 * 1024, kMixDepth);
+    precise.cpu.set_exec_tier(ExecTier::kPrecise);
+    fill_mix_fifos(precise.hub, 7);
+    TestMachine dbt(source, TestMachine::make_default_config(), 64 * 1024,
+                    kMixDepth);
+    fill_mix_fifos(dbt.hub, 7);
+    core::StopReason reason = core::StopReason::kCycleLimit;
+    while (reason == core::StopReason::kCycleLimit) {
+      const Cycle target = precise.cpu.cycle() + budget;
+      reason = precise.run(target);
+      ASSERT_EQ(dbt.run(target), reason);
+      ASSERT_EQ(cpu_image(dbt.cpu), cpu_image(precise.cpu))
+          << "budget " << budget;
+    }
+    ASSERT_EQ(reason, core::StopReason::kHalted);
+    EXPECT_EQ(hub_image(dbt.hub), hub_image(precise.hub));
+  }
 }
 
 }  // namespace

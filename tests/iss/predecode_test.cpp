@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "iss/test_helpers.hpp"
 
@@ -131,21 +132,36 @@ TEST(Predecode, TraceHookDisablesFastPath) {
   EXPECT_EQ(m.cpu.reg(3), 10u);
 }
 
-// run_batch must return kFslPending without
-// executing the FSL access, so a co-simulation engine can bring the
-// hardware to cycle parity first.
-TEST(Predecode, RunBatchStopsBeforeFslAccess) {
+// run_batch calls the FslSync hook exactly once before an FSL access,
+// with the cycle the access starts on, so a co-simulation engine can
+// bring the hardware to cycle parity first; then the access executes in
+// place, inside the same batch.
+TEST(Predecode, RunBatchSyncsOnceThenRunsFslAccess) {
   TestMachine m(
       "  addik r3, r3, 1\n"
       "  addik r3, r3, 1\n"
       "  put r3, rfsl0\n"
       "  halt\n");
+  struct Probe {
+    const fsl::FslChannel* fifo = nullptr;
+    std::vector<Cycle> cycles;       // one per sync
+    std::vector<std::size_t> words;  // FIFO occupancy at each sync
+  } probe{&m.hub.to_hw(0), {}, {}};
+  m.cpu.set_fsl_sync({&probe, [](void* owner, Cycle cycle) {
+                        Probe& p = *static_cast<Probe*>(owner);
+                        p.cycles.push_back(cycle);
+                        p.words.push_back(p.fifo->occupancy());
+                      }});
   ASSERT_TRUE(m.cpu.fast_path_available());
   const BatchResult batch = m.cpu.run_batch(1'000'000);
-  EXPECT_EQ(batch.stop, BatchStop::kFslPending);
-  EXPECT_EQ(m.cpu.stats().instructions, 2u);  // the put did NOT execute
-  EXPECT_EQ(m.cpu.reg(3), 2u);
-  EXPECT_EQ(m.cpu.stats().fsl_writes, 0u);
+  EXPECT_EQ(batch.stop, BatchStop::kHalted);
+  ASSERT_EQ(probe.cycles.size(), 1u);
+  EXPECT_EQ(probe.cycles[0], 2u);  // the two addiks, not the put
+  EXPECT_EQ(probe.words[0], 0u);   // the put had not run yet
+  EXPECT_EQ(m.cpu.stats().fsl_writes, 1u);
+  ASSERT_TRUE(m.hub.to_hw(0).peek().has_value());
+  EXPECT_EQ(m.hub.to_hw(0).peek()->data, 2u);
+  EXPECT_EQ(m.cpu.stats().instructions, 4u);
 }
 
 // Disabling the cache mid-flight (the builder/CLI knob) falls back to

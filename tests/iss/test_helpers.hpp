@@ -30,9 +30,11 @@ class RecordingSink : public obs::TraceSink {
 struct TestMachine {
   explicit TestMachine(std::string_view source,
                        isa::CpuConfig config = make_default_config(),
-                       u32 memory_bytes = 64 * 1024)
+                       u32 memory_bytes = 64 * 1024,
+                       std::size_t fifo_depth = fsl::FslChannel::kDefaultDepth)
       : program(assembler::assemble_or_throw(source)),
         memory(memory_bytes),
+        hub(fifo_depth),
         cpu(config, memory, &hub) {
     memory.load_program(program);
     cpu.reset(program.entry());

@@ -111,17 +111,28 @@ std::vector<Outcome> run_to_halt(const machine::MachineDesc& desc) {
   return outcomes;
 }
 
-TEST(MetricsTierInvariance, SingleCoreCordicWithHardware) {
+/// One core driving a CORDIC pipeline of `num_pes` PEs over ten items.
+machine::MachineDesc single_core_cordic(unsigned num_pes) {
   const auto [x, y] = apps::cordic::make_cordic_dataset(10, 3);
   machine::MachineDesc desc = machine::MachineDesc::single_core(
-      apps::cordic::hw_driver_program(x, y, 24, 4));
+      apps::cordic::hw_driver_program(x, y, 24, num_pes));
   machine::PeripheralDesc cordic;
   cordic.core = desc.cores.front().name;
   cordic.type = "cordic";
   cordic.channel = 0;
-  cordic.params["num_pes"] = 4;
+  cordic.params["num_pes"] = num_pes;
   desc.peripherals.push_back(cordic);
-  expect_tier_invariant(run_to_halt(desc));
+  return desc;
+}
+
+TEST(MetricsTierInvariance, SingleCoreCordicWithHardware) {
+  expect_tier_invariant(run_to_halt(single_core_cordic(4)));
+}
+
+// P=1: one pipeline pass per iteration, so the dbt tier's stitched FSL
+// accesses make up the largest share of the run.
+TEST(MetricsTierInvariance, SingleCoreCordicP1WithHardware) {
+  expect_tier_invariant(run_to_halt(single_core_cordic(1)));
 }
 
 TEST(MetricsTierInvariance, TwoCoreMatmulMachine) {
