@@ -40,7 +40,7 @@ inline constexpr const char* kCkptErrorCodes[] = {
 
 /// On-disk format version. Bump on any layout change; readers reject
 /// other versions with [ckpt-version] instead of guessing.
-inline constexpr u32 kFormatVersion = 1;
+inline constexpr u32 kFormatVersion = 2;
 
 /// Image header, 24 bytes, little-endian like everything else:
 ///   bytes 0..3   magic "MBCK"

@@ -54,7 +54,8 @@ void CoSimEngine::reset(Addr pc) {
   hw_cycles_ = 0;
   quiescence_.idle_streak = 0;
   skipped_cycles_ = 0;
-  forget_deadlock();
+  streak_.restart(fifo_traffic());
+  clear_deadlock_diagnosis();
 }
 
 void CoSimEngine::tick_hardware(Cycle cycles) {
@@ -181,6 +182,7 @@ void CoSimEngine::save_state(ckpt::Writer& writer) const {
   writer.write_u64(hw_cycles_);
   writer.write_u64(quiescence_.idle_streak);
   writer.write_u64(skipped_cycles_);
+  streak_.save_state(writer);
   bridge_.save_state(writer);
 }
 
@@ -188,8 +190,9 @@ bool CoSimEngine::load_state(ckpt::Reader& reader) {
   hw_cycles_ = reader.read_u64();
   quiescence_.idle_streak = reader.read_u64();
   skipped_cycles_ = reader.read_u64();
+  streak_.load_state(reader);
   if (!bridge_.load_state(reader)) return false;
-  forget_deadlock();
+  clear_deadlock_diagnosis();
   return reader.ok();
 }
 

@@ -31,8 +31,9 @@
 // elision of repeated cycles and the quiescence skip all run inside it.
 // Only with an enabled trace bus does the engine tick one cycle per call,
 // to stamp each FIFO event with its cycle.
-// The engine keeps its core's stall streak across calls, and every
-// deadlock is declared by the blocked core's own declare_deadlock().
+// The engine keeps its core's stall streak across calls and checkpoints,
+// and every deadlock is declared by the blocked core's own
+// declare_deadlock().
 #pragma once
 
 #include <optional>
@@ -172,13 +173,6 @@ class CoSimEngine {
   }
   /// Forget the diagnosis alone.
   void clear_deadlock_diagnosis() noexcept { last_deadlock_.reset(); }
-  /// Restart the stall streak and forget the diagnosis, as a restore
-  /// does (a core without a model has no engine payload in a checkpoint
-  /// image, so load_state() never runs).
-  void forget_deadlock() noexcept {
-    streak_.restart(fifo_traffic());
-    clear_deadlock_diagnosis();
-  }
 
   /// Record a deadlock of this core, blocked for its stall streak:
   /// diagnose it, count and emit it and return StopReason::kDeadlock.
@@ -217,10 +211,11 @@ class CoSimEngine {
     metrics_ = counters;
   }
 
-  /// Checkpoint the engine's own counters and the bridge (the CPU,
-  /// hardware model and hub are serialized by the owner — see DESIGN.md
-  /// §11). The deadlock diagnosis and the stall streak are not state:
-  /// a restore forgets them. Deadlock/quiescence thresholds are
+  /// Checkpoint the engine's own counters, its stall streak and the
+  /// bridge (the CPU, hardware model and hub are serialized by the
+  /// owner — see DESIGN.md §11). Every core writes it, with a model or
+  /// without. The deadlock diagnosis describes a finished stop and is
+  /// not state: a restore forgets it. Deadlock/quiescence thresholds are
   /// configuration and are not captured.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);

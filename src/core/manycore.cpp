@@ -69,12 +69,24 @@ std::size_t ManyCoreEngine::first_live() const noexcept {
   return index;
 }
 
-bool ManyCoreEngine::deadlocked() const noexcept {
-  if (last_transfer_ != 0 || first_live() == nodes_.size()) return false;
+bool ManyCoreEngine::all_blocked() const noexcept {
+  if (first_live() == nodes_.size()) return false;
   return std::all_of(nodes_.begin(), nodes_.end(), [this](const Node& node) {
     return node.finished ||
            node.engine->stall_streak().reached(deadlock_threshold_);
   });
+}
+
+bool ManyCoreEngine::round_complete() const noexcept {
+  return std::all_of(nodes_.begin(), nodes_.end(), [this](const Node& node) {
+    return node.finished || node.cpu->cycle() >= round_end_;
+  });
+}
+
+void ManyCoreEngine::barrier() {
+  const u64 moved = transfer_links();
+  deadlocked_ = moved == 0 && all_blocked();
+  round_end_ += quantum_;
 }
 
 MachineStop ManyCoreEngine::declare_deadlock() {
@@ -111,7 +123,7 @@ Status ManyCoreEngine::link(std::size_t from_core, unsigned from_channel,
   return {};
 }
 
-void ManyCoreEngine::transfer_links() {
+u64 ManyCoreEngine::transfer_links() {
   u64 moved = 0;
   for (const CrossLink& link : links_) {
     while (link.source->exists() && !link.sink->full()) {
@@ -122,7 +134,7 @@ void ManyCoreEngine::transfer_links() {
     }
   }
   link_words_ += moved;
-  last_transfer_ = moved;
+  return moved;
 }
 
 void ManyCoreEngine::ensure_helpers(std::size_t count) {
@@ -204,6 +216,13 @@ void ManyCoreEngine::advance_share(std::size_t thread) {
 }
 
 std::size_t ManyCoreEngine::run_round(Cycle target) {
+  // Halt attribution: advance_share flips finished flags on helper
+  // threads, so which cores halted is recovered here by diffing the
+  // flags once the helpers are done — note_halt runs orchestrator-side.
+  was_finished_.resize(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    was_finished_[i] = nodes_[i].finished ? 1 : 0;
+  }
   round_target_ = target;
   if (helpers_have_work_) {
     done_.store(0, std::memory_order_relaxed);
@@ -216,6 +235,9 @@ std::size_t ManyCoreEngine::run_round(Cycle target) {
     for (u32 done = done_.load(std::memory_order_acquire); done != helpers;) {
       done = await_change(done_, done);
     }
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (was_finished_[i] == 0 && nodes_[i].finished) note_halt(i);
   }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].finished && nodes_[i].last == StopReason::kIllegal) {
@@ -240,17 +262,11 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   // to the target (its engine stops itself at the deadlock threshold),
   // and every stop is its own.
   if (nodes_.size() == 1) return {nodes_.front().engine->run(max_cycles), 0};
-
-  // Resume from wherever the clocks are (run() composes with
-  // debug_step()); unfinished cores are at most one round apart.
-  Cycle global = 0;
-  std::size_t live = 0;
-  for (const Node& node : nodes_) {
-    if (node.finished) continue;
-    ++live;
-    global = std::max(global, node.cpu->cycle());
-  }
+  const std::size_t live = static_cast<std::size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [](const Node& node) { return !node.finished; }));
   if (live == 0) return {StopReason::kHalted, last_halted_core_};
+  deadlocked_ = false;
 
   unsigned workers = workers_ == 0 ? std::thread::hardware_concurrency()
                                    : workers_;
@@ -263,31 +279,30 @@ MachineStop ManyCoreEngine::run(Cycle max_cycles) {
   place();
 
   unsigned rounds = 0;
-  // Halt attribution: run_round flips finished flags on helper threads,
-  // so which cores halted this round is recovered here by diffing the
-  // flags across the barrier — note_halt runs orchestrator-side only.
-  std::vector<char> was_finished(nodes_.size(), 0);
-  while (global < max_cycles) {
+  while (true) {
     if (++rounds % kPlacementRounds == 0) place();
-    const Cycle target = std::min(global + quantum_, max_cycles);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      was_finished[i] = nodes_[i].finished ? 1 : 0;
-    }
-
+    const Cycle target = std::min(round_end_, max_cycles);
     const std::size_t trapped = run_round(target);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (was_finished[i] == 0 && nodes_[i].finished) note_halt(i);
-    }
     if (trapped < nodes_.size()) return {StopReason::kIllegal, trapped};
-
-    transfer_links();
+    // Short of the round end: the budget ran out mid-round.
+    if (!round_complete()) break;
+    barrier();
     if (first_live() == nodes_.size()) {
       return {StopReason::kHalted, last_halted_core_};
     }
-    if (deadlocked()) return declare_deadlock();
-    global = target;
+    if (deadlocked_) return declare_deadlock();
+    if (target == max_cycles) break;
   }
   return {StopReason::kCycleLimit, MachineStop::kNoCore};
+}
+
+void ManyCoreEngine::catch_up(Cycle cycle) {
+  while (true) {
+    run_round(std::min(cycle, round_end_));
+    if (!round_complete()) return;
+    barrier();
+    if (deadlocked_ || first_live() == nodes_.size()) return;
+  }
 }
 
 iss::StepResult ManyCoreEngine::debug_step(std::size_t index) {
@@ -296,24 +311,22 @@ iss::StepResult ManyCoreEngine::debug_step(std::size_t index) {
   // the halt instruction (which would skew its cycle/instruction
   // counters and could drag other cores forward). Report the halt.
   if (node.finished) return {iss::Event::kHalted, 0};
+  // A lone core holds no rounds: its step is its own.
+  const bool rounds = nodes_.size() > 1;
+  if (rounds) {
+    deadlocked_ = false;
+    place();
+    // A core at or past the round end has done its part of the round:
+    // the barrier comes before its next instruction, as in a free run.
+    catch_up(node.cpu->cycle());
+    if (deadlocked_) return {iss::Event::kFslStall, 0};
+  }
   const iss::StepResult result = node.engine->debug_step();
   if (result.event == iss::Event::kHalted) {
     node.finished = true;
     note_halt(index);
   }
-  // A one-instruction round: every other live core catches up to the
-  // stepped core's clock, then the links transfer as usual, so single
-  // stepping from gdb observes the same machine a free run would.
-  const Cycle target = node.cpu->cycle();
-  for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    if (j == index || nodes_[j].finished) continue;
-    nodes_[j].last = nodes_[j].engine->run(target);
-    if (nodes_[j].last == StopReason::kHalted) {
-      nodes_[j].finished = true;
-      note_halt(j);
-    }
-  }
-  transfer_links();
+  if (rounds) catch_up(node.cpu->cycle());
   return result;
 }
 
@@ -324,6 +337,8 @@ void ManyCoreEngine::save_state(ckpt::Writer& writer) const {
     writer.write_u8(static_cast<u8>(node.last));
   }
   writer.write_u64(link_words_);
+  writer.write_u64(round_end_);
+  writer.write_bool(deadlocked_);
   writer.write_u64(static_cast<u64>(last_halted_core_));
   writer.write_u64(last_halt_cycle_);
 }
@@ -337,10 +352,17 @@ bool ManyCoreEngine::load_state(ckpt::Reader& reader) {
     node.last = static_cast<StopReason>(last);
   }
   link_words_ = reader.read_u64();
+  round_end_ = reader.read_u64();
+  deadlocked_ = reader.read_bool();
   last_halted_core_ = static_cast<std::size_t>(reader.read_u64());
   last_halt_cycle_ = reader.read_u64();
-  last_transfer_ = 0;
-  return reader.ok();
+  // The round end lies on the grid, at most two rounds past the latest
+  // clock: a barrier at R leaves the live cores at R or later, and the
+  // last core to halt halted within the round that ends at R.
+  Cycle latest = 0;
+  for (const Node& node : nodes_) latest = std::max(latest, node.cpu->cycle());
+  return reader.ok() && round_end_ != 0 && round_end_ % quantum_ == 0 &&
+         round_end_ <= latest + 2 * quantum_;
 }
 
 CoSimStats ManyCoreEngine::aggregate_stats() const {

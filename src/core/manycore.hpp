@@ -13,16 +13,21 @@
 //
 // Execution model (conservative quantum synchronization), two or more
 // cores:
-//   - Time advances in rounds. In each round every unfinished core runs
-//     alone — its processor, its peripherals, its private FIFOs — up to
-//     the shared target `global_cycle + quantum`. Cores share no mutable
-//     state during a round.
+//   - Time advances in rounds whose ends lie on one grid, the multiples
+//     of `quantum` from reset; the end of the open round is engine state.
+//     In each round every unfinished core runs alone — its processor,
+//     its peripherals, its private FIFOs — up to the round end. Cores
+//     share no mutable state during a round.
 //   - At the round barrier the orchestrator thread moves words across
 //     the declared cross-core links in declaration order, bounded by
-//     destination FIFO space. A word written in round R is thus visible
-//     to its reader in round R+1 — the quantum is the link latency.
+//     destination FIFO space, and takes the deadlock verdict. A word
+//     written in round R is thus visible to its reader in round R+1 —
+//     the quantum is the link latency.
+//   - A call that stops mid-round holds no barrier; the next one
+//     finishes the round. So a run cut anywhere (run() chunks, hosted
+//     quanta, checkpoints, debugger steps) equals the uncut run.
 //   - A core blocked on an empty (or full) cross-linked FIFO burns
-//     stall cycles to the quantum boundary exactly like a single-core
+//     stall cycles to the round end exactly like a single-core
 //     processor blocked on slow hardware, so cycle accounting never
 //     depends on what the other cores happened to be doing.
 //
@@ -113,10 +118,14 @@ class ManyCoreEngine {
   /// The deadlock threshold, in consecutive blocked cycles.
   void set_deadlock_threshold(Cycle cycles) noexcept;
 
-  /// The one deadlock rule: every live core's stall streak has reached
-  /// the threshold and the last link transfer moved no word. run()
-  /// tests it at each round barrier, rsp::CoSimTarget after each step.
-  [[nodiscard]] bool deadlocked() const noexcept;
+  /// The one deadlock rule, as the last barrier judged it (a lone core,
+  /// having no links, is judged now): every live core's stall streak
+  /// has reached the threshold and the barrier moved no link word. A
+  /// call that ends mid-round reports false. run() stops on it,
+  /// rsp::CoSimTarget reads it after each step.
+  [[nodiscard]] bool deadlocked() const noexcept {
+    return nodes_.size() == 1 ? all_blocked() : deadlocked_;
+  }
   /// The first live core declares the deadlock (its diagnosis, event
   /// and `engine.deadlocks`) through CoSimEngine::declare_deadlock().
   MachineStop declare_deadlock();
@@ -127,15 +136,12 @@ class ManyCoreEngine {
   /// call, and every stop names core 0.
   MachineStop run(Cycle max_cycles);
 
-  /// One debugger step of core `index`: step its processor once, bring
-  /// every other live core to cycle parity, then transfer the links —
-  /// a one-instruction-deep round. Every core's hardware and FIFOs stay
-  /// at parity with its software, but a free run transfers links only
-  /// at quantum boundaries, so a stepped machine matches a free run
-  /// only while every stop lies inside the first quantum (ROADMAP item
-  /// 1); a one-core machine's step is its core's alone and always
-  /// matches. Stepping a core that has already halted is a no-op
-  /// reporting kHalted (zero cycles).
+  /// One debugger step of core `index`: step its processor once and
+  /// bring every other live core to its clock, holding the barrier of
+  /// each round end on the way (first the open round's, if the core
+  /// stands past it), so steps and run() calls mix exactly. Stepping a
+  /// halted core reports kHalted, and a step whose first barrier finds
+  /// a deadlock reports kFslStall, both without stepping.
   iss::StepResult debug_step(std::size_t index);
 
   [[nodiscard]] std::size_t core_count() const noexcept {
@@ -167,23 +173,25 @@ class ManyCoreEngine {
   [[nodiscard]] Cycle quantum() const noexcept { return quantum_; }
 
   /// Forget run progress — finished flags, link word counters, halt
-  /// attribution. Call after resetting every core's engine (the caller
-  /// owns them, so the reset loop lives there, in sim::SimSystem).
+  /// attribution, the open round. Call after resetting every core's
+  /// engine (the caller owns them, so the reset loop lives there, in
+  /// sim::SimSystem).
   void reset_progress() noexcept {
     for (Node& node : nodes_) {
       node.finished = false;
       node.last = StopReason::kCycleLimit;
     }
     link_words_ = 0;
-    last_transfer_ = 0;
+    round_end_ = quantum_;
+    deadlocked_ = false;
     last_halted_core_ = MachineStop::kNoCore;
     last_halt_cycle_ = 0;
   }
 
   /// Checkpoint the engine's own run progress — per-core finished flags
-  /// and last stop reasons, the link word counter, halt attribution.
-  /// Core components (processors, engines, hubs) are serialized by
-  /// their owner.
+  /// and last stop reasons, the link word counter, the open round and
+  /// its verdict, halt attribution. Core components (processors,
+  /// engines, hubs) are serialized by their owner, and restored first.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
@@ -207,10 +215,18 @@ class ManyCoreEngine {
   };
 
   /// Drain every link's source FIFO into its sink FIFO, bounded by
-  /// space, into last_transfer_. Runs on one thread only.
-  void transfer_links();
+  /// space; returns the words moved. Runs on one thread only.
+  u64 transfer_links();
   /// Index of the first core that has not halted, or nodes_.size().
   [[nodiscard]] std::size_t first_live() const noexcept;
+  /// Whether every unfinished core has reached the round end.
+  [[nodiscard]] bool round_complete() const noexcept;
+  /// Transfer the links, take the deadlock verdict, open the next round.
+  void barrier();
+  /// Some core is live and every live core's streak reached the threshold.
+  [[nodiscard]] bool all_blocked() const noexcept;
+  /// run_round() to `cycle`, holding the barrier of each round end.
+  void catch_up(Cycle cycle);
   /// Rounds between re-placements within one run() call.
   static constexpr unsigned kPlacementRounds = 128;
 
@@ -228,12 +244,13 @@ class ManyCoreEngine {
   /// timing each.
   void advance_share(std::size_t thread);
   /// Advance every unfinished core to `target`: wake the helpers that
-  /// hold a share, run the orchestrator's share, wait for the helpers.
-  /// Returns the index of a trapped core, or nodes_.size().
+  /// hold a share, run the orchestrator's share, wait for the helpers,
+  /// note the halts. Returns the index of a trapped core, or
+  /// nodes_.size().
   std::size_t run_round(Cycle target);
   /// Record that core `index` halted at its current clock. Runs on the
-  /// orchestrator thread only (callers diff finished flags after the
-  /// round barrier); keeps the latest halt, ties to the highest index.
+  /// orchestrator thread only (run_round diffs finished flags after the
+  /// helpers are done); keeps the latest halt, ties to the highest index.
   void note_halt(std::size_t index);
 
   std::vector<Node> nodes_;
@@ -242,7 +259,8 @@ class ManyCoreEngine {
   unsigned workers_ = 0;
   Cycle deadlock_threshold_ = kDefaultDeadlockThreshold;
   u64 link_words_ = 0;
-  u64 last_transfer_ = 0;  ///< words the latest transfer_links() moved
+  Cycle round_end_ = quantum_;  ///< end of the open round, on the grid
+  bool deadlocked_ = false;     ///< verdict of the last barrier
   std::size_t last_halted_core_ = MachineStop::kNoCore;
   Cycle last_halt_cycle_ = 0;
 
@@ -251,6 +269,7 @@ class ManyCoreEngine {
   // release/acquire publishes them, and done_'s publishes the cores'
   // state back.
   std::vector<std::vector<std::size_t>> shares_;  ///< [thread] -> cores
+  std::vector<char> was_finished_;  ///< run_round's halt diff
   bool helpers_have_work_ = false;  ///< some helper share is non-empty
   Cycle round_target_ = 0;
   std::atomic<u32> epoch_{0};

@@ -2,10 +2,11 @@
 // FSL access is deadlocked once it has stalled for the threshold of
 // consecutive cycles while no FIFO word crossed its hardware bridge: a
 // retired instruction or a moved word restarts the count. Each
-// CoSimEngine keeps one across calls, so a run split into chunks counts
-// like one run; core::ManyCoreEngine::deadlocked() reads them all.
+// CoSimEngine keeps one across calls and checkpoints, so a split run
+// counts like one run; core::ManyCoreEngine::deadlocked() reads them all.
 #pragma once
 
+#include "ckpt/ckpt.hpp"
 #include "common/types.hpp"
 #include "iss/processor.hpp"
 
@@ -37,6 +38,15 @@ class StallStreak {
   /// The deadlock rule: blocked, for at least `threshold` cycles.
   [[nodiscard]] bool reached(Cycle threshold) const noexcept {
     return length_ != 0 && length_ >= threshold;
+  }
+
+  void save_state(ckpt::Writer& writer) const {
+    writer.write_u64(traffic_);
+    writer.write_u64(length_);
+  }
+  void load_state(ckpt::Reader& reader) {
+    traffic_ = reader.read_u64();
+    length_ = reader.read_u64();
   }
 
  private:

@@ -137,18 +137,12 @@ Expected<CampaignReport> run_campaign(const CampaignConfig& config,
     if (earliest > 1 && earliest < config.max_cycles) {
       if (auto base = factory(nullptr); base.ok()) {
         sim::SimSystem system = std::move(base).value();
-        Cycle fork_cycle = earliest;
-        if (system.core_count() > 1) {
-          // Machine rounds transfer the cross-links at quantum
-          // barriers. Snapshot on a barrier, so the resumed run's
-          // rounds fall on the same cycles an unforked run's would.
-          fork_cycle = earliest - earliest % system.machine_desc().quantum;
-        }
         // The prefix must still be running at the fork point; a base
         // that halts or faults first makes forking pointless (every
         // faulted run reaches the same terminal state before firing).
-        if (fork_cycle > 1 &&
-            system.run(fork_cycle) == core::StopReason::kCycleLimit) {
+        // A machine's image carries its open round, so any fork cycle
+        // resumes exactly.
+        if (system.run(earliest) == core::StopReason::kCycleLimit) {
           fork_image = system.snapshot();
           have_fork = true;
         }

@@ -193,8 +193,6 @@ std::string MachineDesc::to_json() const {
     out += core.has_multiplier ? "true" : "false";
     out += ", \"divider\": ";
     out += core.has_divider ? "true" : "false";
-    out += ", \"predecode\": ";
-    out += core.predecode ? "true" : "false";
     out += ", \"exec_tier\": ";
     out += quoted(iss::to_string(core.exec_tier));
     out += "}";

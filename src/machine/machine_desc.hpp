@@ -64,11 +64,8 @@ struct CoreDesc {
   bool has_barrel_shifter = true;
   bool has_multiplier = true;
   bool has_divider = false;
-  /// Legacy on/off: false forces the precise tier. Kept because it is in
-  /// the description JSON that checkpoint images fingerprint.
-  bool predecode = true;
-  /// Execution tier when `predecode` is true (JSON key "exec_tier":
-  /// "precise" | "dbt"; see iss::ExecTier).
+  /// Execution tier (JSON key "exec_tier": "precise" | "dbt"; see
+  /// iss::ExecTier).
   iss::ExecTier exec_tier = iss::ExecTier::kDbt;
 };
 

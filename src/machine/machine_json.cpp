@@ -60,10 +60,6 @@ std::string read_core(const common::json::Object& object, CoreDesc& core) {
       !err.empty()) {
     return err;
   }
-  if (err = get_bool(object, "predecode", context, core.predecode);
-      !err.empty()) {
-    return err;
-  }
   std::string tier_name;
   if (err = get_string(object, "exec_tier", context, false, tier_name);
       !err.empty()) {

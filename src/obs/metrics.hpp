@@ -65,8 +65,8 @@ class Histogram {
 
 /// One processor's instruction counters (iss::Processor). A stall run is
 /// a streak of consecutive blocked cycles; the first non-stall
-/// instruction, or the end of a SimSystem::run() call, closes it into
-/// the `stall_runs` histogram.
+/// instruction closes it into the `stall_runs` histogram. An open run
+/// outlives run() calls and checkpoints; snapshot() counts it in flight.
 struct CpuCounters {
   u64 retired = 0;  ///< instructions completed, the halting one excluded
   u64 halts = 0;
@@ -144,10 +144,6 @@ class MetricsRegistry {
   /// Counter block of the FSL channel named `channel`, created on first
   /// use. The reference stays valid for the registry's lifetime.
   [[nodiscard]] FslCounters& fsl(const std::string& channel);
-
-  /// End of a run: closes the in-flight stall run so its length is
-  /// counted.
-  void flush() noexcept { cpu.close_stall_run(); }
 
   /// The string-keyed page; an in-flight stall run is accounted without
   /// closing it.

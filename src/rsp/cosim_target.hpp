@@ -6,14 +6,11 @@
 // the one breakpoint-aware stepping loop. That loop advances the whole
 // co-simulated system one precise lock-step unit at a time through one
 // machine-step primitive, core::ManyCoreEngine::debug_step(core): the
-// debugged core steps once and every other core is brought to parity.
-// So gdb `c`/`s`, `monitor cont`/`step` and a PC trigger all keep the
-// hardware models and FSL channels at cycle parity with the software at
-// every stop. A one-core machine then matches a free run exactly; a
-// larger one does only while every stop lies inside its first quantum,
-// because a machine step transfers the cross-core links after each
-// instruction, not at round boundaries (ROADMAP item 1). A resume stops
-// kStalled on ManyCoreEngine::deadlocked(), whose streaks outlive it.
+// debugged core steps once and every other core is brought to parity,
+// through the round barriers a free run holds. So gdb `c`/`s`, `monitor
+// cont`/`step` and a PC trigger keep every machine at cycle parity with
+// a free run at every stop. A resume stops kStalled on the machine's
+// deadlock verdict, ManyCoreEngine::deadlocked().
 #pragma once
 
 #include <cstddef>

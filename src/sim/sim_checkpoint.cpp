@@ -5,12 +5,13 @@
 //   u64 core count          shape check against the built system
 //   per core, in machine order:
 //     cpu, memory, hub      component save_state payloads
-//     bool has hardware     + hardware model, engine (iff the core has a
-//                             model; a model-less engine is all zeros)
+//     bool has hardware     + hardware model payload (iff the core has one)
+//     engine                counters, stall streak and bridge (every core)
 //     bool has opb          + bus and peripheral payloads (iff attached)
-//   bool has machine engine + round progress (iff multi-core; a one-core
-//                             machine runs no rounds, so its image writes
-//                             false and no engine payload)
+//   machine engine          run progress, the open round included
+//
+// Every machine writes the same layout, and everything a run carries
+// from one call to the next is in it: a restored run is the uncut run.
 //
 // The fingerprint covers everything structural (core names, programs,
 // peripherals, links, FIFO depth), so a stale or foreign image fails
@@ -50,16 +51,12 @@ std::vector<unsigned char> SimSystem::snapshot() const {
     core->memory.save_state(writer);
     core->hub.save_state(writer);
     writer.write_bool(core->hardware != nullptr);
-    if (core->hardware) {
-      core->hardware->save_state(writer);
-      core->engine.save_state(writer);
-    }
+    if (core->hardware) core->hardware->save_state(writer);
+    core->engine.save_state(writer);
     writer.write_bool(core->opb != nullptr);
     if (core->opb) core->opb->save_state(writer);
   }
-  const bool rounds = state_->cores.size() > 1;
-  writer.write_bool(rounds);
-  if (rounds) state_->machine_engine.save_state(writer);
+  state_->machine_engine.save_state(writer);
   return ckpt::seal(writer.buffer());
 }
 
@@ -91,13 +88,11 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (reader.read_bool() != (core->hardware != nullptr)) {
       return shape_error(prefix + "hardware model presence does not match");
     }
-    if (core->hardware) {
-      if (!core->hardware->load_state(reader)) {
-        return shape_error(prefix + "hardware model state does not fit");
-      }
-      if (!core->engine.load_state(reader)) {
-        return shape_error(prefix + "engine state does not fit");
-      }
+    if (core->hardware && !core->hardware->load_state(reader)) {
+      return shape_error(prefix + "hardware model state does not fit");
+    }
+    if (!core->engine.load_state(reader)) {
+      return shape_error(prefix + "engine state does not fit");
     }
     if (reader.read_bool() != (core->opb != nullptr)) {
       return shape_error(prefix + "OPB bus presence does not match");
@@ -105,17 +100,8 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (core->opb && !core->opb->load_state(reader)) {
       return shape_error(prefix + "OPB bus state does not fit");
     }
-    core->engine.forget_deadlock();
   }
-  const bool rounds = state_->cores.size() > 1;
-  if (reader.read_bool() != rounds) {
-    return shape_error("machine engine presence does not match");
-  }
-  if (!rounds) {
-    // No payload to load: drop whatever progress this system made
-    // (a finished flag from a debugger step past the halt, say).
-    state_->machine_engine.reset_progress();
-  } else if (!state_->machine_engine.load_state(reader)) {
+  if (!state_->machine_engine.load_state(reader)) {
     return shape_error("machine engine state does not fit");
   }
   if (!reader.ok()) {

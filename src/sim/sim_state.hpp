@@ -56,12 +56,6 @@ struct SimSystem::State {
     [[nodiscard]] obs::FaultCounters* fault_metrics() noexcept {
       return metrics ? &metrics->fault : nullptr;
     }
-    /// End of a run (or debug session): make the trace sinks durable and
-    /// close the in-flight metrics stall run.
-    void flush_observers() {
-      trace_bus.flush();
-      if (metrics) metrics->flush();
-    }
   };
 
   /// The estimator view of one core (its slice of the whole design).

@@ -33,8 +33,7 @@ std::string per_core_path(const std::string& path, const std::string& name) {
 }
 
 /// Whether `plan` may be armed on a machine of `core_count` cores: it
-/// passes fault::validate_plan, targets an existing core, and is not
-/// pc-triggered on a multi-core machine.
+/// passes fault::validate_plan and targets an existing core.
 Status admit_fault_plan(const fault::FaultPlan& plan,
                         std::size_t core_count) {
   if (Status valid = fault::validate_plan(plan); !valid.ok) return valid;
@@ -43,11 +42,6 @@ Status admit_fault_plan(const fault::FaultPlan& plan,
                            std::to_string(plan.core) +
                            " but the machine has " +
                            std::to_string(core_count) + " core(s)");
-  }
-  if (core_count > 1 && plan.trigger == fault::TriggerKind::kPc) {
-    return Status::failure(
-        "pc-triggered fault plans are not supported on multi-core machines "
-        "(use a cycle trigger)");
   }
   return {};
 }
@@ -91,11 +85,11 @@ core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
                   core.fault_metrics());
     return run_unfaulted(max_cycles);
   }
-  // PC trigger (one-core machines only: build()/arm_fault reject it on
-  // larger ones): the trigger PC is a breakpoint of the core's debugger,
-  // whose stepping loop runs the core in precise lock step up to it. A
-  // blocked or runaway program is bounded by the deadlock threshold /
-  // cycle budget, like any other run.
+  // PC trigger: the trigger PC is a breakpoint of the core's debugger,
+  // whose machine steps run the core in precise lock step up to it and
+  // hold every round barrier a free run holds. A blocked or runaway
+  // program is bounded by the deadlock threshold / cycle budget, like
+  // any other run.
   rsp::CoSimTarget debugger(state_->machine_engine, state_->fault_core);
   debugger.add_breakpoint(static_cast<Addr>(plan.trigger_value));
   const Cycle now = core.cpu.cycle();
@@ -136,7 +130,8 @@ core::StopReason SimSystem::run(Cycle max_cycles) {
   state_->last_run_wall_seconds = watch.elapsed_seconds();
   // Make every attached sink durable after each run: the JSONL/VCD files
   // are complete on disk even if the caller never destroys the system.
-  for (auto& core : state_->cores) core->flush_observers();
+  // An open stall run stays open: the next call continues it.
+  for (auto& core : state_->cores) core->trace_bus.flush();
   return reason;
 }
 
@@ -285,10 +280,6 @@ sysgen::Model* SimSystem::hardware() noexcept {
 const sysgen::Model* SimSystem::hardware() const noexcept {
   return state_->c0().hardware.get();
 }
-
-fsl::FslHub& SimSystem::fsl_hub() noexcept { return state_->c0().hub; }
-
-bus::OpbBus* SimSystem::opb() noexcept { return state_->c0().opb.get(); }
 
 std::size_t SimSystem::core_count() const noexcept {
   return state_->cores.size();
@@ -440,7 +431,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   const rsp::SessionEnd end = server.serve();
   // The client may have run the program to completion: make the trace
   // sinks durable exactly as run() does.
-  for (auto& core : state_->cores) core->flush_observers();
+  for (auto& core : state_->cores) core->trace_bus.flush();
   return end;
 }
 
@@ -633,10 +624,7 @@ Expected<SimSystem> SimSystem::Builder::build() {
         core_desc.name, std::move(programs[index]), config,
         static_cast<u32>(core_desc.memory_bytes), desc.fifo_depth, hub_prefix,
         std::move(bundle.model));
-    // CoreDesc::predecode = false forces the precise tier regardless of
-    // the declared exec_tier.
-    core->cpu.set_exec_tier(core_desc.predecode ? core_desc.exec_tier
-                                                : iss::ExecTier::kPrecise);
+    core->cpu.set_exec_tier(core_desc.exec_tier);
     for (const core::FslPort& port : bundle.ports) {
       if (Status status = core->engine.bridge().bind(port); !status.ok) {
         return Failure::failure("SimSystem: core '" + core_desc.name +

@@ -156,10 +156,6 @@ class SimSystem {
   /// Hardware model; nullptr for a software-only system.
   [[nodiscard]] sysgen::Model* hardware() noexcept;
   [[nodiscard]] const sysgen::Model* hardware() const noexcept;
-  /// The processor's FSL channel hub (always present).
-  [[nodiscard]] fsl::FslHub& fsl_hub() noexcept;
-  /// Memory-mapped OPB bus; nullptr unless Builder::opb attached one.
-  [[nodiscard]] bus::OpbBus* opb() noexcept;
 
   // -- machine (multi-core) access -------------------------------------
   /// Number of cores in the machine.

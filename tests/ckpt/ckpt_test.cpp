@@ -15,6 +15,7 @@
 // and tsan presets can sweep it next to the machine tests.
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -542,6 +543,49 @@ TEST(CkptSystem, FarmImageRejectsATruncatedOrEditedFile) {
   EXPECT_TRUE(system.restore_image(image).ok);
 }
 
+// A deadlock that spans a checkpoint: each core's stall streak is part
+// of its engine payload and the round grid of the machine engine's, so a
+// run saved mid-streak and restored into a fresh system deadlocks at the
+// cycle, with the blocked figure, of the uncut run.
+TEST(CkptSystem, DeadlockAcrossACheckpointStopsWhereTheUncutRunStops) {
+  std::ifstream source(MBCOSIM_TEST_DATA_DIR "/cli_get_deadlock.s");
+  std::ostringstream program;
+  program << source.rdbuf();
+  auto machine = machine::MachineDesc::from_file(MBCOSIM_TEST_DATA_DIR
+                                                 "/cli_machine_deadlock.json");
+  ASSERT_TRUE(machine.ok()) << machine.error();
+  struct Case {
+    const char* name;
+    machine::MachineDesc desc;
+    Cycle cut;
+    Cycle deadlock_at;
+    std::size_t culprit;
+  };
+  const Case cases[] = {
+      {"cli_get_deadlock.s",
+       machine::MachineDesc::single_core(program.str()), 60'000, 100'000, 0},
+      {"cli_machine_deadlock.json", machine.value(), 60'032, 100'032, 1},
+  };
+  for (const Case& c : cases) {
+    auto saver_built = sim::SimSystem::Builder().machine(c.desc).build();
+    ASSERT_TRUE(saver_built.ok()) << saver_built.error();
+    sim::SimSystem saver = std::move(saver_built).value();
+    ASSERT_EQ(saver.run(c.cut), core::StopReason::kCycleLimit) << c.name;
+    const std::vector<unsigned char> image = saver.snapshot();
+
+    auto built = sim::SimSystem::Builder().machine(c.desc).build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    sim::SimSystem resumed = std::move(built).value();
+    ASSERT_TRUE(resumed.restore_image(image).ok) << c.name;
+    EXPECT_EQ(resumed.run(), core::StopReason::kDeadlock) << c.name;
+    EXPECT_EQ(resumed.stop_core(), c.culprit) << c.name;
+    EXPECT_EQ(resumed.stats().cycles, c.deadlock_at) << c.name;
+    const auto diagnosis = resumed.deadlock_diagnosis();
+    ASSERT_TRUE(diagnosis.has_value()) << c.name;
+    EXPECT_EQ(diagnosis->blocked_cycles, c.deadlock_at) << c.name;
+  }
+}
+
 // ------------------------------------- restore into a used system
 
 /// What a finished run leaves that a restore must reproduce exactly.
@@ -629,9 +673,9 @@ void expect_same_end(const RunEnd& got, const RunEnd& want,
 
 // A halted system takes an image it made mid-run and finishes again. The
 // one-core machine halts under its debugger, whose machine steps mark
-// the core finished: the restore must drop that flag (a one-core image
-// carries no engine payload), or the resumed debugger would report the
-// halt without stepping. The farm's flags come from its image.
+// the core finished: the restore must bring back the image's flag, or
+// the resumed debugger would report the halt without stepping. Every
+// machine's flags come from its image.
 TEST(CkptSystem, RestoreIntoAHaltedSystemResumes) {
   for (const Workload& workload : workloads()) {
     const RunEnd want = free_run(workload);
@@ -668,14 +712,18 @@ TEST(CkptSystem, RestoreIntoAHaltedSystemResumes) {
 
 // ------------------------------------- payload mutations
 
-/// Offset of the "has machine engine" byte in `workload`'s payload: the
-/// engine tail is last, and a farm's engine payload is a core count,
-/// (finished, last stop) per core and three u64 counters.
-[[nodiscard]] std::size_t presence_offset(const sim::SimSystem& system,
-                                          std::size_t payload_size) {
-  const std::size_t cores = system.core_count();
-  const std::size_t engine_payload = cores > 1 ? 8 + 2 * cores + 3 * 8 : 0;
-  return payload_size - engine_payload - 1;
+/// Offset of the machine engine's round end (u64) in a payload: the
+/// engine payload is last, and after the round end come the deadlock
+/// verdict (one byte) and the halt attribution (two u64).
+[[nodiscard]] std::size_t round_end_offset(std::size_t payload_size) {
+  return payload_size - (1 + 2 * 8) - 8;
+}
+
+[[nodiscard]] u64 read_u64_at(const std::vector<unsigned char>& bytes,
+                              std::size_t at) {
+  u64 value = 0;
+  for (unsigned b = 0; b < 8; ++b) value |= u64{bytes[at + b]} << (8 * b);
+  return value;
 }
 
 // Seeded mutations of a sealed image's *payload*, re-sealed so they get
@@ -692,9 +740,13 @@ TEST(CkptSystem, MutatedPayloadsRestoreOrFailStructurally) {
         ckpt::unseal(system.snapshot());
     ASSERT_TRUE(unsealed.ok()) << unsealed.error();
     const std::vector<unsigned char> payload = std::move(unsealed).value();
-    const std::size_t presence = presence_offset(system, payload.size());
-    ASSERT_LE(payload[presence], 1u) << workload.name;
-    ASSERT_EQ(payload[presence] == 1, system.core_count() > 1);
+    // Every machine writes the engine payload. The farm, cut on a round
+    // end, has held that barrier; a lone core's round never closes.
+    const std::size_t round_end = round_end_offset(payload.size());
+    const Cycle quantum = workload.desc.quantum;
+    ASSERT_EQ(read_u64_at(payload, round_end),
+              system.core_count() > 1 ? workload.cut + quantum : quantum)
+        << workload.name;
 
     Rng rng(0xC4EC + system.core_count());
     int failures = 0;
@@ -723,12 +775,15 @@ TEST(CkptSystem, MutatedPayloadsRestoreOrFailStructurally) {
           what = "core count " + std::to_string(count);
           break;
         }
-        default: {  // machine-engine presence byte
-          mutated[presence] =
-              static_cast<unsigned char>(rng.next_below(2) == 0
-                                             ? mutated[presence] ^ 1
-                                             : rng.next_below(256));
-          what = "presence byte " + std::to_string(mutated[presence]);
+        default: {  // machine-engine round end: off or far off the grid
+          const u64 end = rng.next_below(2) == 0
+                              ? read_u64_at(payload, round_end) +
+                                    rng.next_below(4 * quantum)
+                              : rng.next_u64();
+          for (unsigned b = 0; b < 8; ++b) {
+            mutated[round_end + b] = static_cast<unsigned char>(end >> (8 * b));
+          }
+          what = "round end " + std::to_string(end);
           break;
         }
       }

@@ -128,8 +128,8 @@ TEST(ChunkedDeadlock, OneCoreStopsWhereOneCallStops) {
 
 TEST(ChunkedDeadlock, StarvedMachineStopsWhereOneCallStops) {
   // The producer counts down and halts; the consumer waits forever on
-  // its cross-link. Chunks are whole quanta: a chunk boundary elsewhere
-  // moves the round barriers (ROADMAP item 1).
+  // its cross-link. Chunks of whole quanta end on round barriers; the
+  // others end mid-round, where no deadlock may be declared early.
   auto loaded = machine::MachineDesc::from_file(MBCOSIM_TEST_DATA_DIR
                                                 "/cli_machine_deadlock.json");
   ASSERT_TRUE(loaded.ok()) << loaded.error();
@@ -144,10 +144,10 @@ TEST(ChunkedDeadlock, StarvedMachineStopsWhereOneCallStops) {
       EXPECT_EQ(one_call.stop_core, 1u);
       EXPECT_EQ(one_call.deadlocks, 1u);
       EXPECT_EQ(one_call.events, traced ? 1u : 0u);
-      for (const Cycle quanta : {Cycle{1}, Cycle{7}, Cycle{13}}) {
-        EXPECT_EQ(run_chunked(desc, quanta * quantum, traced, workers),
-                  one_call)
-            << quanta << "-quantum chunks";
+      for (const Cycle chunk : {quantum, 7 * quantum, 13 * quantum,
+                                Cycle{100}, Cycle{333}}) {
+        EXPECT_EQ(run_chunked(desc, chunk, traced, workers), one_call)
+            << chunk << "-cycle chunks";
       }
     }
   }

@@ -11,6 +11,7 @@
 // with:
 //
 //   MBCOSIM_REGEN_GOLDEN=1 ./tests/mbcosim_tests --gtest_filter='ManyCore.*'
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -22,12 +23,16 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/cordic/cordic_app.hpp"
 #include "apps/cordic/cordic_reference.hpp"
+#include "apps/cordic/cordic_sw.hpp"
 #include "apps/machine_peripherals.hpp"
 #include "apps/matmul/matmul_app.hpp"
 #include "asm/assembler.hpp"
+#include "common/rng.hpp"
 #include "core/manycore.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "iss/memory.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -585,13 +590,11 @@ TEST(ManyCore, MatmulMachineTierIdentityAcrossWorkerCounts) {
 
 // The engine's helper threads live across run() calls and cores are
 // re-placed on them by measured host cost; none of that may show in
-// the results. A chunked run (many run() calls at quantum-multiple
-// targets, with a checkpoint hop to a freshly built system halfway)
-// must equal the same chunked run on one thread at every worker count.
-// (It is not compared with a one-shot run: runs are not yet chunk
-// invariant. A core whose last instruction straddles a chunk target
-// moves the next run()'s round boundaries, and with them the cycle at
-// which link words arrive.)
+// the results. Nor may the cuts: the round grid is engine state, so a
+// run chunked at random targets, mostly off the grid, with a checkpoint
+// hop to a freshly built system at a random call, must equal the
+// one-shot run — stats, metrics, traces and image — at every worker
+// count.
 
 /// The cordic_farm.json topology (feeder -> worker + 16-PE CORDIC ->
 /// collector, quantum 64) looped over `sets` sets of four items.
@@ -710,20 +713,34 @@ RunPages pages_of(const SimSystem& system,
   return pages;
 }
 
-/// Run `desc` to its halt through 24 run() calls at targets 64, 128
-/// and 192 cycles apart (repeating), then one to `end`. After the 12th
-/// call the run moves to a fresh system at the same worker count
-/// through snapshot()/restore_image() and the metrics state.
+/// Run `desc` to its halt in one run() call to `end`.
+RunPages run_one_shot(const machine::MachineDesc& desc, unsigned workers,
+                      Cycle end) {
+  std::vector<std::unique_ptr<std::ostringstream>> streams;
+  SimSystem system = build_traced(desc, workers, streams);
+  EXPECT_EQ(system.run(end), core::StopReason::kHalted) << workers;
+  return pages_of(system, streams);
+}
+
+/// Run `desc` to its halt through run() calls whose targets advance by
+/// 1 to 3 quanta drawn from Rng(`seed`), so most fall off the round
+/// grid, up to `end`. After a drawn call among the first twelve the run
+/// moves to a fresh system at the same worker count through
+/// snapshot()/restore_image() and the metrics state.
 RunPages run_chunked(const machine::MachineDesc& desc, unsigned workers,
-                     Cycle end) {
+                     Cycle end, u64 seed) {
+  Rng rng(seed);
+  const unsigned hop_call = static_cast<unsigned>(rng.next_below(12));
   std::vector<std::unique_ptr<std::ostringstream>> streams;
   SimSystem system = build_traced(desc, workers, streams);
   Cycle target = 0;
-  for (unsigned call = 0; call < 24; ++call) {
-    target += 64 * (1 + call % 3);
-    EXPECT_EQ(system.run(target), core::StopReason::kCycleLimit)
-        << workers << " workers, call " << call;
-    if (call == 11) {
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  for (unsigned call = 0;
+       reason == core::StopReason::kCycleLimit && target < end; ++call) {
+    target = std::min(end, target + 1 + rng.next_below(3 * desc.quantum));
+    reason = system.run(target);
+    if (call == hop_call) {
+      EXPECT_EQ(reason, core::StopReason::kCycleLimit) << "hop too late";
       const std::vector<unsigned char> image = system.snapshot();
       const std::vector<unsigned char> metrics = system.metrics_state();
       SimSystem resumed = build_traced(desc, workers, streams);
@@ -734,7 +751,32 @@ RunPages run_chunked(const machine::MachineDesc& desc, unsigned workers,
       system = std::move(resumed);
     }
   }
-  EXPECT_EQ(system.run(end), core::StopReason::kHalted) << workers;
+  EXPECT_EQ(reason, core::StopReason::kHalted)
+      << workers << " workers, seed " << seed;
+  return pages_of(system, streams);
+}
+
+/// Run `desc` to its halt alternating a debugger on core `seed % cores`
+/// (rsp::CoSimTarget resumes, i.e. machine steps) with run() calls, each
+/// advancing 1 to 3 quanta drawn from Rng(`seed`), eight times; then
+/// one run() to `end`.
+RunPages run_stepped(const machine::MachineDesc& desc, unsigned workers,
+                     Cycle end, u64 seed) {
+  Rng rng(seed);
+  std::vector<std::unique_ptr<std::ostringstream>> streams;
+  SimSystem system = build_traced(desc, workers, streams);
+  rsp::CoSimTarget debugger(*system.machine_engine(),
+                            seed % system.core_count());
+  for (unsigned leg = 0; leg < 8; ++leg) {
+    const Cycle budget = 1 + rng.next_below(3 * desc.quantum);
+    if (leg % 2 == 0) {
+      debugger.resume(budget, false);
+    } else {
+      system.run(system.stats().cycles + budget);
+    }
+  }
+  EXPECT_EQ(system.run(end), core::StopReason::kHalted)
+      << workers << " workers, seed " << seed;
   return pages_of(system, streams);
 }
 
@@ -749,29 +791,48 @@ void expect_pages_equal(const RunPages& got, const RunPages& want,
   EXPECT_EQ(got.image, want.image) << label;
 }
 
-TEST(ManyCore, ChunkedFarmIsIndependentOfWorkerCount) {
-  const machine::MachineDesc desc = looped_farm(48);
-  constexpr Cycle kEnd = 64 * 120;
-  const RunPages baseline = run_chunked(desc, 1, kEnd);
-  ASSERT_EQ(baseline.traces.size(), 3u);
-  for (const unsigned workers : {2u, 3u, 8u}) {
-    expect_pages_equal(run_chunked(desc, workers, kEnd), baseline,
-                       std::to_string(workers) + " workers");
+/// Every chunked and debugger-stepped variant of `desc` (three seeds, at
+/// 1, 2 and 8 workers) equals the one-shot run.
+void expect_chunks_match_one_shot(const machine::MachineDesc& desc,
+                                  Cycle end, std::size_t cores) {
+  const RunPages one_shot = run_one_shot(desc, 1, end);
+  ASSERT_EQ(one_shot.traces.size(), cores);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    expect_pages_equal(run_one_shot(desc, workers, end), one_shot,
+                       "one shot, " + std::to_string(workers) + " workers");
+    for (const u64 seed : {11u, 23u, 57u}) {
+      const std::string at = "seed " + std::to_string(seed) + ", " +
+                             std::to_string(workers) + " workers";
+      expect_pages_equal(run_chunked(desc, workers, end, seed), one_shot,
+                         "chunked, " + at);
+      expect_pages_equal(run_stepped(desc, workers, end, seed), one_shot,
+                         "stepped, " + at);
+    }
   }
+}
+
+TEST(ManyCore, ChunkedFarmIsIndependentOfWorkerCount) {
+  expect_chunks_match_one_shot(looped_farm(48), 64 * 120, 3);
 }
 
 TEST(ManyCore, ChunkedMatmulMachineIsIndependentOfWorkerCount) {
   const matmul::Matrix a = matmul::make_matrix(8, 3);
   const matmul::Matrix b = matmul::make_matrix(8, 7);
-  const machine::MachineDesc desc =
-      matmul_machine(a, b, iss::ExecTier::kDbt);
-  constexpr Cycle kEnd = 64 * 100;
-  const RunPages baseline = run_chunked(desc, 1, kEnd);
-  ASSERT_EQ(baseline.traces.size(), 2u);
-  for (const unsigned workers : {2u, 3u, 8u}) {
-    expect_pages_equal(run_chunked(desc, workers, kEnd), baseline,
-                       std::to_string(workers) + " workers");
-  }
+  expect_chunks_match_one_shot(matmul_machine(a, b, iss::ExecTier::kDbt),
+                               64 * 100, 2);
+}
+
+TEST(ManyCore, ChunkedOneCoreCordicMatchesOneShot) {
+  const auto [x, y] = cordic::make_cordic_dataset(12, 5);
+  machine::MachineDesc desc = machine::MachineDesc::single_core(
+      cordic::hw_driver_program(x, y, 24, 4, 4));
+  machine::PeripheralDesc pipeline;
+  pipeline.core = desc.cores.front().name;
+  pipeline.type = "cordic";
+  pipeline.channel = 0;
+  pipeline.params["num_pes"] = 4;
+  desc.peripherals = {pipeline};
+  expect_chunks_match_one_shot(desc, 64 * 400, 1);
 }
 
 TEST(ManyCore, TrapOnAHelperThreadNamesItsCore) {
@@ -895,15 +956,15 @@ TEST(ManyCore, LinkStarvationWhileAnotherCoreWorksIsNotADeadlock) {
 
 TEST(ManyCore, DebuggerStopsOnTheMachineDeadlock) {
   // A debugger on the starved consumer stops kStalled on the machine
-  // predicate and declares the free run's culprit and diagnosis. At a
-  // threshold of whole quanta the free run's barrier falls on the very
-  // cycle the consumer's streak reaches it, so even the blocked figure
-  // matches.
+  // predicate and declares the free run's culprit and diagnosis. The
+  // threshold is not a whole number of quanta: the consumer's streak
+  // reaches it mid-round, and only the next barrier — the free run's —
+  // may report it, so the cycle and the blocked figure match too.
   auto loaded = machine::MachineDesc::from_file(MBCOSIM_TEST_DATA_DIR
                                                 "/cli_machine_deadlock.json");
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   const machine::MachineDesc desc = std::move(loaded).value();
-  const Cycle threshold = 16 * desc.quantum;
+  const Cycle threshold = 16 * desc.quantum + 7;
   auto build = [&] {
     auto built =
         SimSystem::Builder().machine(desc).deadlock_threshold(threshold).build();
@@ -921,7 +982,8 @@ TEST(ManyCore, DebuggerStopsOnTheMachineDeadlock) {
   rsp::CoSimTarget debugger(*debugged.machine_engine(), 1);
   const rsp::StopInfo stop = debugger.resume(~Cycle{0}, false);
   EXPECT_EQ(stop.kind, rsp::StopInfo::Kind::kStalled);
-  EXPECT_EQ(stop.blocked_cycles, threshold);
+  EXPECT_EQ(stop.blocked_cycles, want->blocked_cycles);
+  EXPECT_GT(stop.blocked_cycles, threshold);
   const core::MachineStop declared =
       debugged.machine_engine()->declare_deadlock();
   EXPECT_EQ(declared.reason, core::StopReason::kDeadlock);
@@ -950,15 +1012,50 @@ TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {
             std::string::npos)
       << bad_fault.error();
 
+  // A PC trigger on a machine: the worker's first quotient forward gets
+  // a flipped bit in r3. Its debugger steps hold the free run's round
+  // barriers, so the fault lands identically at every worker count.
+  apps::register_machine_peripherals();
+  const machine::MachineDesc farm = looped_farm(1);
+  auto quotient_pc = assembler::assemble(farm.cores[1].program);
+  ASSERT_TRUE(quotient_pc.ok()) << quotient_pc.error();
   fault::FaultPlan pc_plan;
   pc_plan.trigger = fault::TriggerKind::kPc;
-  auto pc_fault = SimSystem::Builder()
-                      .machine(two_core_pipeline())
-                      .fault(pc_plan)
-                      .build();
-  ASSERT_FALSE(pc_fault.ok());
-  EXPECT_NE(pc_fault.error().find("pc-triggered"), std::string::npos)
-      << pc_fault.error();
+  pc_plan.trigger_value = quotient_pc.value().symbol("recv_loop") + 12;
+  pc_plan.site = fault::FaultSite::kRegister;
+  pc_plan.reg = 3;
+  pc_plan.mask = 0x40;
+  pc_plan.core = 1;
+  std::string want;
+  Word faulted_result = 0;
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    auto built = SimSystem::Builder()
+                     .machine(farm)
+                     .workers(workers)
+                     .fault(pc_plan)
+                     .metrics()
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    SimSystem system = std::move(built).value();
+    ASSERT_EQ(system.run(), core::StopReason::kHalted) << workers;
+    ASSERT_NE(system.fault_injector(), nullptr);
+    EXPECT_TRUE(system.fault_injector()->armed_or_fired()) << workers;
+    const std::string got =
+        stats_text(system) + system.metrics_snapshot().to_string();
+    if (workers == 1) {
+      want = got;
+      faulted_result = system.word_on(2, "results");
+    } else {
+      EXPECT_EQ(got, want) << workers << " workers";
+      EXPECT_EQ(system.word_on(2, "results"), faulted_result) << workers;
+    }
+  }
+  // The flipped bit reached the collector.
+  auto clean = SimSystem::Builder().machine(farm).build();
+  ASSERT_TRUE(clean.ok()) << clean.error();
+  SimSystem reference = std::move(clean).value();
+  ASSERT_EQ(reference.run(), core::StopReason::kHalted);
+  EXPECT_EQ(reference.word_on(2, "results") ^ faulted_result, 0x40u);
 }
 
 TEST(ManyCore, BuilderRejectsUnknownPeripheralTypes) {

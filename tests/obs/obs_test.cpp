@@ -266,10 +266,16 @@ TEST(MetricsRegistry, StallRunsAreHistogrammed) {
   const auto again = second.histograms.find("cpu.stall_run");
   ASSERT_NE(again, second.histograms.end());
   EXPECT_EQ(again->second.count(), 2u);
-  // flush() (the end of a run) closes it for good.
-  registry.flush();
+  // A run cut at that stalled cycle records the stall run once: it stays
+  // open across the cut, grows, and closes at the first retire after it.
+  m.cpu.step();
+  EXPECT_EQ(registry.cpu.stall_run, 2u);
+  ASSERT_TRUE(m.hub.from_hw(0).try_write(2, false));
+  m.cpu.step();
   EXPECT_EQ(registry.cpu.stall_run, 0u);
   EXPECT_EQ(registry.cpu.stall_runs.count(), 2u);
+  EXPECT_EQ(registry.cpu.stall_runs.min(), 2u);
+  EXPECT_EQ(registry.cpu.stall_runs.max(), 3u);
 }
 
 TEST(MetricsRegistry, FslAndEngineEvents) {

@@ -298,7 +298,9 @@ TEST(RspSession, CoSimBreakpointKeepsStatsParity) {
 /// The CORDIC farm machine behind SimSystem::serve_gdb_on: `monitor
 /// step` on the focused core advances every core, so at the detach each
 /// core stands where a free run of the machine to the same cycle leaves
-/// it, hardware included.
+/// it, hardware included. A second session steps on past the first
+/// quantum and continues the focused core to its halt; resumed from
+/// there, the machine halts where a free run halts, core for core.
 TEST(RspSession, MachineMonitorStepKeepsEveryCoreAtParity) {
   apps::register_machine_peripherals();
   const auto desc = machine::MachineDesc::from_file(
@@ -349,6 +351,44 @@ TEST(RspSession, MachineMonitorStepKeepsEveryCoreAtParity) {
     EXPECT_EQ(a.instructions, b.instructions) << name;
     EXPECT_EQ(a.fsl_stall_cycles, b.fsl_stall_cycles) << name;
     EXPECT_EQ(a.hw_cycles_stepped + a.hw_cycles_skipped, a.cycles) << name;
+    EXPECT_EQ(a.hw_cycles_stepped + a.hw_cycles_skipped,
+              b.hw_cycles_stepped + b.hw_cycles_skipped)
+        << name;
+    EXPECT_EQ(a.bridge.words_to_hw, b.bridge.words_to_hw) << name;
+    EXPECT_EQ(a.bridge.words_from_hw, b.bridge.words_from_hw) << name;
+  }
+  EXPECT_EQ(debugged.machine_engine()->link_words(),
+            free_run.machine_engine()->link_words());
+
+  auto [server_past, client_past] = make_loopback();
+  for (const char* command : {"cont 100", "step", "step"}) {
+    client_past->send(frame_packet("qRcmd," + to_hex(command)));
+  }
+  client_past->send(frame_packet("c"));
+  client_past->send(frame_packet("D"));
+  ASSERT_TRUE(debugged.serve_gdb_on(*server_past).ok());
+  RspTestClient past_client(*client_past);
+  std::vector<std::string> past;
+  while (std::optional<DecoderEvent> event = past_client.next_event()) {
+    if (event->kind != DecoderEvent::Kind::kPacket) continue;
+    const Expected<std::string> text = from_hex(event->payload);
+    past.push_back(text.ok() ? text.value() : event->payload);
+  }
+  ASSERT_GE(past.size(), 4u);
+  EXPECT_EQ(past[0], "cycle-limit\n");
+  EXPECT_EQ(past[3], "W00");  // the feeder halted
+  EXPECT_GT(debugged.core_stats(0).cycles, desc.value().quantum);
+
+  ASSERT_EQ(debugged.run(), core::StopReason::kHalted);
+  ASSERT_EQ(free_run.run(), core::StopReason::kHalted);
+  EXPECT_EQ(debugged.stop_core(), free_run.stop_core());
+  for (std::size_t i = 0; i < debugged.core_count(); ++i) {
+    const core::CoSimStats a = debugged.core_stats(i);
+    const core::CoSimStats b = free_run.core_stats(i);
+    const std::string& name = debugged.core_name(i);
+    EXPECT_EQ(a.cycles, b.cycles) << name;
+    EXPECT_EQ(a.instructions, b.instructions) << name;
+    EXPECT_EQ(a.fsl_stall_cycles, b.fsl_stall_cycles) << name;
     EXPECT_EQ(a.hw_cycles_stepped + a.hw_cycles_skipped,
               b.hw_cycles_stepped + b.hw_cycles_skipped)
         << name;

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/machine_peripherals.hpp"
 #include "isa/isa.hpp"
 #include "machine/machine_desc.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -168,6 +169,17 @@ TEST(ServerSession, BadMachineIsAStructuredError) {
 
 // ------------------------------------------- batch equivalence (stats)
 
+/// `page` without its dbt lines: they count the host's translation work,
+/// which depends on where the run was cut (DESIGN.md §12).
+[[nodiscard]] std::string without_dbt(const std::string& page) {
+  std::istringstream in(page);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("dbt") == std::string::npos) out += line + "\n";
+  }
+  return out;
+}
+
 TEST(ServerSession, HostedRunMatchesBatchStatsAndMetrics) {
   SessionConfig config = halting_config();
   config.metrics = true;
@@ -192,6 +204,48 @@ TEST(ServerSession, HostedRunMatchesBatchStatsAndMetrics) {
   auto metrics = session->metrics_page();
   ASSERT_TRUE(metrics.ok()) << metrics.error();
   EXPECT_EQ(metrics.value(), batch.metrics_snapshot().to_string());
+
+  // The CORDIC farm hosted in control quanta off its 64-cycle round
+  // grid: every chunk boundary falls mid-round, and the pages — stall
+  // run histograms included, the host's dbt work counts aside — still
+  // equal the batch run's.
+  apps::register_machine_peripherals();
+  auto farm = machine::MachineDesc::from_file(
+      std::string(MBCOSIM_EXAMPLES_DIR) + "/machines/cordic_farm.json");
+  ASSERT_TRUE(farm.ok()) << farm.error();
+  auto farm_built =
+      sim::SimSystem::Builder().machine(farm.value()).metrics().build();
+  ASSERT_TRUE(farm_built.ok()) << farm_built.error();
+  sim::SimSystem farm_batch = std::move(farm_built).value();
+  ASSERT_EQ(farm_batch.run(), core::StopReason::kHalted);
+  SessionManager::Limits limits;
+  limits.worker_budget = 16;  // room for the 8-worker session
+  SessionManager farm_manager(limits);
+  for (const Cycle quantum : {Cycle{50}, Cycle{100}}) {
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      SessionConfig hosted;
+      hosted.desc = farm.value();
+      hosted.workers = workers;
+      hosted.control_quantum = quantum;
+      auto farm_session = farm_manager.create(hosted);
+      ASSERT_TRUE(farm_session.ok()) << farm_session.error();
+      ASSERT_EQ(farm_session.value()->run_async(Cycle{1} << 30), "");
+      ASSERT_TRUE(wait_until_idle(*farm_session.value()));
+      const std::string at = std::to_string(quantum) + "-cycle quanta, " +
+                             std::to_string(workers) + " workers";
+      auto farm_stats = farm_session.value()->stats_page();
+      ASSERT_TRUE(farm_stats.ok()) << farm_stats.error();
+      EXPECT_EQ(without_dbt(farm_stats.value()),
+                without_dbt(stats_text(farm_batch)))
+          << at;
+      auto farm_metrics = farm_session.value()->metrics_page();
+      ASSERT_TRUE(farm_metrics.ok()) << farm_metrics.error();
+      EXPECT_EQ(without_dbt(farm_metrics.value()),
+                without_dbt(farm_batch.metrics_snapshot().to_string()))
+          << at;
+      EXPECT_EQ(farm_manager.kill(farm_session.value()->id()), "");
+    }
+  }
 }
 
 // --------------------------------------------------- dbt counter schema

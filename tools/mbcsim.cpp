@@ -633,7 +633,6 @@ int main(int argc, char** argv) {
     core.has_multiplier = options.cpu.has_multiplier;
     core.has_barrel_shifter = options.cpu.has_barrel_shifter;
     core.has_divider = options.cpu.has_divider;
-    core.predecode = options.exec_tier != iss::ExecTier::kPrecise;
     core.exec_tier = options.exec_tier;
     if (options.cores > 0) {
       core.name.clear();  // replicated() names the copies cpu0..cpuN-1
