@@ -7,9 +7,12 @@
 // invisible in the results: the bench diffs the stats page of every
 // journaled run against the baseline and exits 1 on any mismatch (the
 // correctness oracle, same role the report diff plays in bench_ckpt).
-// It also times the journal-off run with metrics off: metrics are typed
-// counters, not a trace sink, so turning them on must neither change the
-// stats page (dbt counters included) nor cost much wall-clock.
+// The variants' repeats are interleaved, and each journaled line prints
+// the bytes and flushed writes its journal made, so that a real cost
+// can be told from host noise. It also times the journal-off run with
+// metrics off: metrics are typed counters, not a trace sink, so turning
+// them on must neither change the stats page (dbt counters included)
+// nor cost much wall-clock.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +21,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "apps/machine_peripherals.hpp"
@@ -44,7 +48,7 @@ constexpr Cycle kControlQuantum = 50'000;   // same for every variant
 constexpr Cycle kDefaultCkptEvery = 1'000'000;
 constexpr Cycle kAggressiveCkptEvery = 100'000;
 constexpr Cycle kRunForever = Cycle{1} << 36;
-constexpr int kRepeats = 3;  // min-of-N wall clock
+constexpr int kRepeats = 5;  // min-of-N wall clock, interleaved
 constexpr unsigned kProfileRounds = 500;  // per-core host time probe
 
 server::SessionConfig session_config(Cycle ckpt_every, bool metrics = true) {
@@ -65,6 +69,7 @@ struct RunResult {
   Cycle cycles = 0;
   double wall_seconds = 0.0;
   std::string stats;
+  server::SessionJournal::WriteCounts journal;  ///< zero without a journal
 };
 
 /// Host one session, run it to halt, wait for idle. `state_dir` empty
@@ -92,6 +97,8 @@ RunResult hosted_run(u64 id, Cycle ckpt_every, const std::string& state_dir,
     }
     journal = std::move(created).value();
   }
+  // The session owns the journal until kill().
+  server::SessionJournal* const journal_view = journal.get();
   auto session =
       server::Session::create(id, std::move(config), std::move(journal));
   if (!session.ok()) {
@@ -111,6 +118,7 @@ RunResult hosted_run(u64 id, Cycle ckpt_every, const std::string& state_dir,
   }
   RunResult result;
   result.wall_seconds = watch.elapsed_seconds();
+  if (journal_view != nullptr) result.journal = journal_view->write_counts();
 
   const auto stats = session.value()->stats_page();
   if (!stats.ok()) {
@@ -166,27 +174,41 @@ void print_core_host_time() {
   }
 }
 
-/// Min-of-kRepeats wall clock; stats/cycles from the first repeat (they
-/// are deterministic, so every repeat produces the same bytes).
-RunResult best_of(u64 id_base, Cycle ckpt_every,
-                  const std::string& state_dir, bool metrics = true) {
+/// One hosted-run configuration the guard compares.
+struct Variant {
+  std::string label;
+  Cycle ckpt_every;
+  bool journaled;
+  bool metrics;
+  RunResult best;  ///< min wall clock; stats from the first repeat
+};
+
+/// Run every variant kRepeats times, interleaved (one repeat of each in
+/// turn), and keep each one's fastest run: a slow stretch of a shared
+/// host then lands on every variant alike instead of on one of them.
+/// Stats are deterministic, so every repeat produces the same bytes.
+void run_interleaved(std::vector<Variant>& variants,
+                     const std::string& state_dir) {
   namespace fs = std::filesystem;
-  RunResult best;
+  u64 id = 100;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    if (!state_dir.empty()) {
-      std::error_code ec;
-      fs::remove_all(state_dir, ec);  // fresh store per repeat
-    }
-    RunResult result = hosted_run(id_base + static_cast<u64>(repeat),
-                                  ckpt_every, state_dir, metrics);
-    if (repeat == 0 || result.wall_seconds < best.wall_seconds) {
-      const std::string stats =
-          repeat == 0 ? std::move(result.stats) : std::move(best.stats);
-      best = std::move(result);
-      best.stats = stats;
+    for (Variant& variant : variants) {
+      if (variant.journaled) {
+        std::error_code ec;
+        fs::remove_all(state_dir, ec);  // fresh store per run
+      }
+      RunResult result =
+          hosted_run(id++, variant.ckpt_every,
+                     variant.journaled ? state_dir : std::string{},
+                     variant.metrics);
+      if (repeat == 0 || result.wall_seconds < variant.best.wall_seconds) {
+        std::string stats = repeat == 0 ? std::move(result.stats)
+                                        : std::move(variant.best.stats);
+        variant.best = std::move(result);
+        variant.best.stats = std::move(stats);
+      }
     }
   }
-  return best;
 }
 
 }  // namespace
@@ -208,44 +230,52 @@ int main(int argc, char** argv) {
       std::to_string(kRounds) + " rounds, min of " +
       std::to_string(kRepeats));
 
-  const RunResult baseline = best_of(100, 0, {});
-  const RunResult unmetered = best_of(400, 0, {}, false);
-  const RunResult journaled =
-      best_of(200, kDefaultCkptEvery, state_dir);
-  const RunResult aggressive =
-      best_of(300, kAggressiveCkptEvery, state_dir);
+  std::vector<Variant> variants = {
+      {"journal off", 0, false, true, {}},
+      {"journal off, metrics off", 0, false, false, {}},
+      {"journal on, ckpt_every=" + std::to_string(kDefaultCkptEvery),
+       kDefaultCkptEvery, true, true, {}},
+      {"journal on, ckpt_every=" + std::to_string(kAggressiveCkptEvery),
+       kAggressiveCkptEvery, true, true, {}},
+  };
+  run_interleaved(variants, state_dir);
   {
     std::error_code ec;
     fs::remove_all(state_dir, ec);
   }
+  const RunResult& baseline = variants[0].best;
+  const RunResult& unmetered = variants[1].best;
+  const RunResult& journaled = variants[2].best;
+  const RunResult& aggressive = variants[3].best;
 
   const auto overhead = [&](const RunResult& run) {
     return baseline.wall_seconds > 0.0
                ? (run.wall_seconds / baseline.wall_seconds - 1.0) * 100.0
                : 0.0;
   };
-  std::printf("%-32s %12.4f s\n", "journal off", baseline.wall_seconds);
+  std::printf("%-32s %12.4f s\n", variants[0].label.c_str(), baseline.wall_seconds);
   std::printf("%-32s %12.4f s  (metrics on/off %.3fx)\n",
-              "journal off, metrics off", unmetered.wall_seconds,
+              variants[1].label.c_str(),
+              unmetered.wall_seconds,
               unmetered.wall_seconds > 0.0
                   ? baseline.wall_seconds / unmetered.wall_seconds
                   : 0.0);
-  std::printf("%-32s %12.4f s  (%+.2f%%)\n",
-              ("journal on, ckpt_every=" + std::to_string(kDefaultCkptEvery))
-                  .c_str(),
-              journaled.wall_seconds, overhead(journaled));
-  std::printf("%-32s %12.4f s  (%+.2f%%)\n",
-              ("journal on, ckpt_every=" +
-               std::to_string(kAggressiveCkptEvery))
-                  .c_str(),
-              aggressive.wall_seconds, overhead(aggressive));
-  report.add("journal=off", baseline.cycles, baseline.wall_seconds);
-  report.add("journal=off,metrics=off", unmetered.cycles,
-             unmetered.wall_seconds);
-  report.add("journal=ckpt_every_" + std::to_string(kDefaultCkptEvery),
-             journaled.cycles, journaled.wall_seconds);
-  report.add("journal=ckpt_every_" + std::to_string(kAggressiveCkptEvery),
-             aggressive.cycles, aggressive.wall_seconds);
+  for (const Variant* variant : {&variants[2], &variants[3]}) {
+    const RunResult& run = variant->best;
+    std::printf("%-32s %12.4f s  (%+.2f%%; journal %.1f KiB in %llu "
+                "flushed writes, 0 fsyncs)\n",
+                variant->label.c_str(), run.wall_seconds, overhead(run),
+                static_cast<double>(run.journal.bytes) / 1024.0,
+                static_cast<unsigned long long>(run.journal.writes));
+  }
+  for (const Variant& variant : variants) {
+    std::string name = variant.journaled
+                           ? "journal=ckpt_every_" +
+                                 std::to_string(variant.ckpt_every)
+                           : std::string("journal=off");
+    if (!variant.metrics) name += ",metrics=off";
+    report.add(name, variant.best.cycles, variant.best.wall_seconds);
+  }
 
   // The correctness oracle: journaling is observation, not simulation —
   // a journaled run's stats must be byte-identical to the baseline's.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "apps/common/serializer.hpp"
+#include "apps/compiled_designs.hpp"
 #include "apps/cordic/cordic_reference.hpp"
 #include "common/status.hpp"
 
@@ -87,6 +88,7 @@ StageOutputs add_pe(sg::Model& m, const std::string& prefix,
 }  // namespace
 
 core::FslPort add_cordic_pipeline(sg::Model& m, unsigned num_pes) {
+  register_compiled_designs();
   if (num_pes == 0 || num_pes > 32) {
     throw SimError("build_cordic_pipeline: P must be in [1, 32]");
   }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "apps/common/serializer.hpp"
+#include "apps/compiled_designs.hpp"
 #include "common/bits.hpp"
 #include "common/status.hpp"
 
@@ -26,6 +27,7 @@ u8 counter_bits(unsigned limit) {
 }  // namespace
 
 core::FslPort add_matmul_peripheral(sg::Model& m, unsigned block_size) {
+  register_compiled_designs();
   if (block_size < 2 || block_size > 4) {
     throw SimError("build_matmul_peripheral: block size must be in [2, 4]");
   }

@@ -39,10 +39,12 @@ using isa::Op;
 
 namespace {
 
-/// Block-head executions before a basic block is translated. Low enough
-/// that hot loops promote almost immediately, high enough that
-/// straight-line init code never pays translation cost.
-constexpr u16 kPromoteThreshold = 8;
+/// Block-head executions before a basic block is translated: a head seen
+/// twice is in a loop or a called routine. Short co-simulations spend
+/// their warm-up on the precise path, and 2 measured faster than 4 and 8
+/// on the design-space sweeps without slowing the long software runs;
+/// code that runs once is never translated.
+constexpr u16 kPromoteThreshold = 2;
 /// Heat sentinel for heads whose leading instruction cannot be stitched
 /// (disabled unit, illegal word): never try to translate again (a store
 /// into the word resets the heat, so SMC re-earns translation).

@@ -184,7 +184,14 @@ Status SessionJournal::record_event(const std::string& event, Cycle cycles,
     return Status::failure("[srv-journal-io] cannot append to '" + dir_ +
                            "/events.jsonl'");
   }
+  written_.bytes += line.size();
+  ++written_.writes;
   return {};
+}
+
+SessionJournal::WriteCounts SessionJournal::write_counts() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return written_;
 }
 
 Status SessionJournal::write_checkpoint(const JournalCheckpoint& record) {
@@ -207,6 +214,8 @@ Status SessionJournal::write_checkpoint(const JournalCheckpoint& record) {
     return Status::failure("[srv-journal-io] cannot rename '" + tmp +
                            "' into place");
   }
+  written_.bytes += image.size();
+  ++written_.writes;
   // Keep the new record plus one fallback; prune everything older.
   for (const auto& [old_seq, old_path] : list_checkpoints(dir_)) {
     if (old_seq + 1 < seq) std::remove(old_path.c_str());

@@ -89,6 +89,15 @@ class SessionJournal {
   [[nodiscard]] Status truncate_traces(const std::vector<u64>& offsets,
                                        std::size_t core_count);
 
+  /// What this journal has written since it was opened: bytes, and
+  /// writes, each an event append or a checkpoint record renamed into
+  /// place. Every write is flushed to the OS; none is fsync'ed.
+  struct WriteCounts {
+    u64 bytes = 0;
+    u64 writes = 0;
+  };
+  [[nodiscard]] WriteCounts write_counts();
+
  private:
   [[nodiscard]] std::string checkpoint_path(u64 seq) const;
 
@@ -96,6 +105,7 @@ class SessionJournal {
   const std::string dir_;
   std::mutex mutex_;
   u64 next_seq_ = 0;  ///< 0 = derive from existing records on first use
+  WriteCounts written_;
 };
 
 /// The --state-dir directory: creates/validates the manifest, hands out

@@ -10,6 +10,8 @@
 #include "common/bits.hpp"
 #include "common/status.hpp"
 #include "sysgen/block.hpp"
+#include "sysgen/compiled.hpp"
+#include "sysgen/ops.hpp"
 #include "sysgen/signal.hpp"
 
 namespace mbcosim::sysgen {
@@ -24,17 +26,8 @@ i64 shl(i64 code, u8 amount) noexcept {
   return static_cast<i64>(static_cast<u64>(code) << amount);
 }
 
-/// Store `next` in a state slot; true when that changed it.
-bool update(i64& slot, i64 next) noexcept {
-  const bool changed = slot != next;
-  slot = next;
-  return changed;
-}
-
-i64 clamp_index(i64 code, i64 last) noexcept {
-  return static_cast<i64>(std::min(static_cast<u64>(code),
-                                   static_cast<u64>(last)));
-}
+using ops::clamp_index;
+using ops::update;
 }  // namespace
 
 Wrap Wrap::into(FixFormat to, int shift) noexcept {
@@ -120,8 +113,8 @@ class Partition {
   std::vector<u32> parent_;
 };
 
-/// Slot addresses mapped to op or input indices, by open addressing in
-/// a table sized once.
+/// Slot addresses mapped to op or input indices (or to the fingerprint's
+/// slot numbers), by open addressing in a table sized once.
 class SlotMap {
  public:
   explicit SlotMap(std::size_t entries)
@@ -131,7 +124,7 @@ class SlotMap {
 
   /// Map `slot` to `value` unless it is mapped already; returns the value
   /// it maps to.
-  u32 insert(const i64* slot, u32 value) noexcept {
+  u32 insert(const void* slot, u32 value) noexcept {
     for (std::size_t i = home(slot);; i = (i + 1) & (keys_.size() - 1)) {
       if (keys_[i] == key(slot)) return values_[i];
       if (keys_[i] == 0) {
@@ -142,7 +135,7 @@ class SlotMap {
     }
   }
   /// The value `slot` maps to, or kNone.
-  [[nodiscard]] u32 find(const i64* slot) const noexcept {
+  [[nodiscard]] u32 find(const void* slot) const noexcept {
     for (std::size_t i = home(slot);; i = (i + 1) & (keys_.size() - 1)) {
       if (keys_[i] == key(slot)) return values_[i];
       if (keys_[i] == 0) return kNone;
@@ -150,10 +143,10 @@ class SlotMap {
   }
 
  private:
-  static std::uintptr_t key(const i64* slot) noexcept {
+  static std::uintptr_t key(const void* slot) noexcept {
     return reinterpret_cast<std::uintptr_t>(slot);
   }
-  [[nodiscard]] std::size_t home(const i64* slot) const noexcept {
+  [[nodiscard]] std::size_t home(const void* slot) const noexcept {
     return static_cast<std::size_t>(
         (static_cast<u64>(key(slot)) * 0x9e3779b97f4a7c15ull) >> shift_);
   }
@@ -376,7 +369,7 @@ Kernel Lowering::finish() && {
   // every phase-0 segment comes first, then the bodies (the sources'
   // first), so a full pass walks the tape front to back.
   Kernel& kernel = kernel_;
-  kernel.regions_.assign(regions, Kernel::Region{});
+  kernel.regions_.assign(regions, RegionSegments{});
   std::vector<u32> sizes(std::size_t{regions} * 2, 0);
   auto segment = [&](u32 i) {
     return std::size_t{region[i]} * 2 + (phases_[i] == Phase::kOutput ? 0 : 1);
@@ -460,7 +453,142 @@ Kernel Lowering::finish() && {
     queue->segments.assign(regions - sources, 0);
   }
   kernel.full_ = true;
+  kernel.bind();
   return std::move(kernel_);
+}
+
+namespace {
+/// Two 64-bit lanes over a stream of words.
+class Hasher {
+ public:
+  void add(u64 word) noexcept {
+    lo_ = (lo_ ^ word) * 0x9e3779b97f4a7c15ull;
+    lo_ ^= lo_ >> 29;
+    hi_ = std::rotl(hi_ + word, 23) * 0xc2b2ae3d27d4eb4full;
+  }
+  [[nodiscard]] Fingerprint finish() const noexcept {
+    auto mix = [](u64 x) {
+      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+      return x ^ (x >> 31);
+    };
+    return {.lo = mix(lo_), .hi = mix(hi_ ^ lo_)};
+  }
+
+ private:
+  u64 lo_ = 0x243f6a8885a308d3ull;
+  u64 hi_ = 0x13198a2e03707344ull;
+};
+
+/// Slots `op` names (the fingerprint numbers them), at most: its
+/// operands, and what op.ext points to — a kMux's table, a serializer's
+/// values, front and busy, ring or RAM cells, a fallback block.
+std::size_t named_slots(const Op& op) noexcept {
+  std::size_t count = (op.dst != nullptr) + (op.a != nullptr) +
+                      (op.b != nullptr) + (op.c != nullptr);
+  switch (op.code) {
+    case OpCode::kMux:
+      return count + static_cast<std::size_t>(op.k) + 1;
+    case OpCode::kSerialize:
+      return count + op.ext.queue->values.size() + 2;
+    default:
+      return count + 1;
+  }
+}
+}  // namespace
+
+void Kernel::bind() {
+  // Number every slot an op names by its first use, so that the hash
+  // sees which ops share a slot but not where it lives.
+  std::size_t references = 0;
+  for (const Op& op : tape_) references += named_slots(op);
+  SlotMap numbers(references);
+  u32 next = 0;
+  Hasher hash;
+  auto slot = [&](const void* address) {
+    if (address == nullptr) {
+      hash.add(~u64{0});
+      return;
+    }
+    const u32 number = numbers.insert(address, next);
+    if (number == next) ++next;
+    hash.add(number);
+  };
+  hash.add(tape_.size());
+  for (const Op& op : tape_) {
+    hash.add(static_cast<u64>(op.code) | u64{op.sa} << 8 | u64{op.sb} << 16 |
+             u64{op.wrap.right} << 24 | u64{op.wrap.left} << 32 |
+             u64{op.wrap.norm} << 40);
+    hash.add(static_cast<u64>(op.wrap.keep));
+    hash.add(static_cast<u64>(op.k));
+    hash.add(static_cast<u64>(op.k2));
+    for (const i64* operand : {static_cast<const i64*>(op.dst), op.a, op.b,
+                               op.c}) {
+      slot(operand);
+    }
+    switch (op.code) {
+      case OpCode::kMux:
+        for (i64 i = 0; i <= op.k; ++i) slot(op.ext.sources[i]);
+        break;
+      case OpCode::kSerialize:
+        hash.add(op.ext.queue->values.size());
+        for (const i64* value : op.ext.queue->values) slot(value);
+        slot(&op.ext.queue->front);
+        slot(&op.ext.queue->busy);
+        break;
+      case OpCode::kRom:
+        for (i64 i = 0; i <= op.k; ++i) {
+          hash.add(static_cast<u64>(op.ext.words[i]));
+        }
+        break;
+      case OpCode::kCast: {
+        const Cast& cast = *op.ext.cast;
+        hash.add(u64{cast.wrap.left} | u64{cast.wrap.norm} << 8 |
+                 u64{cast.right} << 16 | u64{cast.round} << 24 |
+                 u64{cast.saturate} << 32);
+        for (const i64 value : {cast.wrap.keep, cast.lo, cast.hi, cast.min,
+                                cast.max}) {
+          hash.add(static_cast<u64>(value));
+        }
+        break;
+      }
+      case OpCode::kRingRead:
+      case OpCode::kRingReadFan:
+      case OpCode::kRingPush:
+      case OpCode::kRam:
+        slot(op.ext.cells);
+        break;
+      case OpCode::kOutputState:
+      case OpCode::kOutputStateFan:
+      case OpCode::kPropagate:
+      case OpCode::kLatch:
+        slot(op.ext.block);  // a fallback block, by identity
+        break;
+      default:
+        break;
+    }
+  }
+  hash.add(sources_);
+  for (const RegionSegments& region : regions_) {
+    hash.add(u64{region.outputs} << 32 | region.body);
+  }
+  hash.add(fanout_.size());
+  for (const u32 target : fanout_) hash.add(target);
+  fingerprint_ = hash.finish();
+
+  compiled_.clear();
+  design_ = find_compiled(fingerprint_, tape_.size());
+  if (design_ == nullptr) return;
+  compiled_.assign(tape_.size(), nullptr);
+  for (const CompiledSegment& segment : design_->segments) {
+    compiled_[segment.offset] = segment.run;
+  }
+}
+
+std::size_t Kernel::compiled_segments() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      compiled_.begin(), compiled_.end(),
+      [](SegmentFn body) { return body != nullptr; }));
 }
 
 std::size_t Kernel::count(OpCode code) const noexcept {
@@ -567,7 +695,7 @@ Cycle Kernel::run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence) {
 void Kernel::schedule(u32 region) noexcept {
   if (stamp_[region] == pass_) return;
   stamp_[region] = pass_;
-  const Region& segments = regions_[region];
+  const RegionSegments& segments = regions_[region];
   if (region < sources_) {
     sources_queue_.push(segments.body);
     return;
@@ -584,7 +712,8 @@ void Kernel::run() {
 
   // Threaded dispatch (it measured faster than a switch): each handler
   // jumps straight to the next op's handler, in OpCode order, and the
-  // kEnd closing each segment picks the next segment to run.
+  // kEnd closing each segment picks the next segment to run. A segment
+  // with a compiled body runs it instead, and goes on at its kEnd.
   static constexpr void* kHandlers[] = {
       &&copy, &&wrap, &&cast, &&add, &&sub, &&mul, &&mul_clamp, &&neg,
       &&shr, &&shr_var, &&mux, &&compare, &&and_, &&or_, &&xor_, &&not_,
@@ -599,34 +728,25 @@ void Kernel::run() {
   // cycle), stage 1 the queued phase-0 segments, stage 2 the queued
   // bodies. Fanout marks, made in stages 0 and 1, queue bodies only.
   const Op* const tape = tape_.data();
-  const Region* const regions = regions_.data();
-  const u32* const fanout = fanout_.data();
-  u64* const stamp = stamp_.data();
-  const u64 pass = pass_;
-  u32* const bodies = bodies_queue_.segments.data();
-  u32 queued_bodies = bodies_queue_.size;
+  const SegmentFn* const compiled =
+      compiled_.empty() ? nullptr : compiled_.data();
+  PassState p{.fanout = fanout_.data(),
+              .regions = regions_.data(),
+              .stamp = stamp_.data(),
+              .pass = pass_,
+              .bodies = bodies_queue_.segments.data(),
+              .queued_bodies = bodies_queue_.size,
+              .changed = false,
+              .counts = {}};
   unsigned stage = 0;
   const u32* cursor = sources_queue_.segments.data();
   const u32* stop = cursor + sources_queue_.size;
-  // Set by the state ops of the running body whenever they change a
-  // slot.
-  bool changed = false;
-  u64 segments = 0;
-  u64 ops = 0;
   const Op* op = nullptr;
 #define MBC_NEXT()                                  \
   do {                                              \
     ++op;                                           \
     goto* kHandlers[static_cast<u8>(op->code)];     \
   } while (0)
-#define MBC_MARK_FANOUT()                                 \
-  for (i64 j = op->k; j < op->k2; ++j) {                  \
-    const u32 target = fanout[j];                         \
-    if (stamp[target] != pass) {                          \
-      stamp[target] = pass;                               \
-      bodies[queued_bodies++] = regions[target].body;     \
-    }                                                     \
-  }
 next_segment:
   while (cursor == stop) {
     if (stage == 2) goto done;
@@ -634,11 +754,16 @@ next_segment:
       cursor = outputs_queue_.segments.data();
       stop = cursor + outputs_queue_.size;
     } else {
-      cursor = bodies;
-      stop = cursor + queued_bodies;
+      cursor = p.bodies;
+      stop = cursor + p.queued_bodies;
     }
   }
-  op = tape + *cursor++;
+  op = tape + *cursor;
+  if (compiled != nullptr && compiled[*cursor] != nullptr) {
+    op = compiled[*cursor++](op, p);
+    goto close;
+  }
+  ++cursor;
   goto* kHandlers[static_cast<u8>(op->code)];
 copy:
   *op->dst = *op->a;
@@ -672,10 +797,10 @@ shr:
   *op->dst = *op->a >> op->k;
   MBC_NEXT();
 shr_var:
-  *op->dst = *op->a >> clamp_index(*op->b, op->k);
+  *op->dst = ops::shr_var(*op->a, *op->b, op->k);
   MBC_NEXT();
 mux:
-  *op->dst = *op->ext.sources[clamp_index(*op->a, op->k)];
+  *op->dst = ops::mux(op->ext.sources, *op->a, op->k);
   MBC_NEXT();
 compare: {
   const i128 a = i128(*op->a) << op->sa;
@@ -697,14 +822,10 @@ not_:
   *op->dst = op->wrap(~*op->a);
   MBC_NEXT();
 reg:
-  if (*op->c != 0) changed |= update(*op->dst, op->wrap(*op->a));
+  if (*op->c != 0) p.changed |= update(*op->dst, op->wrap(*op->a));
   MBC_NEXT();
 counter:
-  if (*op->b != 0) {
-    changed |= update(*op->dst, 0);
-  } else if (*op->a != 0) {
-    changed |= update(*op->dst, *op->dst + 1 == op->k ? 0 : *op->dst + 1);
-  }
+  p.changed |= ops::counter(*op->dst, *op->a, *op->b, op->k);
   MBC_NEXT();
 ring_read:
   *op->dst = op->ext.cells[*op->a];
@@ -712,34 +833,20 @@ ring_read:
 ring_push:
   op->ext.cells[*op->dst] = *op->a;
   *op->dst = *op->dst + 1 == op->k ? 0 : *op->dst + 1;
-  changed = true;
+  p.changed = true;
   MBC_NEXT();
 rom:
-  changed |= update(*op->dst, op->ext.words[clamp_index(*op->a, op->k)]);
+  p.changed |= update(*op->dst, op->ext.words[clamp_index(*op->a, op->k)]);
   MBC_NEXT();
 ram: {
   i64& cell = op->ext.cells[clamp_index(*op->a, op->k)];
-  changed |= update(*op->dst, cell);  // read-before-write
-  if (*op->c != 0) changed |= update(cell, op->wrap(*op->b));
+  p.changed |= update(*op->dst, cell);  // read-before-write
+  if (*op->c != 0) p.changed |= update(cell, op->wrap(*op->b));
   MBC_NEXT();
 }
-serialize: {
-  SerialQueue& queue = *op->ext.queue;
-  bool moved = false;
-  if (!queue.words.empty() && *op->b == 0) {
-    queue.words.pop_front();
-    moved = true;
-  }
-  if (*op->a != 0) {
-    for (const i64* value : queue.values) queue.words.push_back(*value);
-    moved = true;
-  }
-  if (moved) {
-    queue.refresh();
-    changed = true;
-  }
+serialize:
+  p.changed |= ops::serialize(*op->ext.queue, *op->a, *op->b);
   MBC_NEXT();
-}
 output_state:
   op->ext.block->output_state();
   MBC_NEXT();
@@ -748,43 +855,35 @@ propagate:
   MBC_NEXT();
 latch:
   op->ext.block->latch();
-  changed |= op->ext.block->latch_changed();
+  p.changed |= op->ext.block->latch_changed();
   MBC_NEXT();
 copy_fan:
-  if (*op->dst != *op->a) {
-    *op->dst = *op->a;
-    MBC_MARK_FANOUT();
-  }
+  ops::copy_fan(*op->dst, *op->a, p, op->k, op->k2);
   MBC_NEXT();
-ring_read_fan: {
-  const i64 value = op->ext.cells[*op->a];
-  if (*op->dst != value) {
-    *op->dst = value;
-    MBC_MARK_FANOUT();
-  }
+ring_read_fan:
+  ops::copy_fan(*op->dst, op->ext.cells[*op->a], p, op->k, op->k2);
   MBC_NEXT();
-}
 output_state_fan:
   op->ext.block->output_state();
-  MBC_MARK_FANOUT();
+  ops::mark_fanout(p, op->k, op->k2);
   MBC_NEXT();
 wrap_ext:
-  *op->dst = op->wrap.extend(*op->a);
+  *op->dst = ops::wrap_ext(*op->a, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 add_ext:
-  *op->dst = op->wrap.extend(*op->a + *op->b);
+  *op->dst = ops::add_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 sub_ext:
-  *op->dst = op->wrap.extend(*op->a - *op->b);
+  *op->dst = ops::sub_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 mul_ext:
-  *op->dst = op->wrap.extend(*op->a * *op->b);
+  *op->dst = ops::mul_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 neg_ext:
   *op->dst = op->wrap.extend(-*op->a);
   MBC_NEXT();
 and_ext:
-  *op->dst = op->wrap.extend(*op->a & *op->b);
+  *op->dst = ops::and_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 or_ext:
   *op->dst = op->wrap.extend(*op->a | *op->b);
@@ -793,40 +892,40 @@ xor_ext:
   *op->dst = op->wrap.extend(*op->a ^ *op->b);
   MBC_NEXT();
 not_ext:
-  *op->dst = op->wrap.extend(~*op->a);
+  *op->dst = ops::not_ext(*op->a, op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 reg_ext:
-  if (*op->c != 0) changed |= update(*op->dst, op->wrap.extend(*op->a));
+  p.changed |= ops::register_ext(*op->dst, *op->a, *op->c, op->wrap.norm,
+                                 op->wrap.keep);
   MBC_NEXT();
 reg_always:
-  changed |= update(*op->dst, op->wrap.extend(*op->a));
+  p.changed |= update(*op->dst, ops::wrap_ext(*op->a, op->wrap.norm,
+                                                op->wrap.keep));
   MBC_NEXT();
-compare_i64: {
-  const i64 a = *op->a;
-  const i64 b = *op->b;
-  *op->dst = (op->k >> ((a > b) - (a < b) + 1)) & 1;
+compare_i64:
+  *op->dst = ops::compare_i64(*op->a, *op->b, op->k);
   MBC_NEXT();
-}
 end:
-  ++segments;
-  ops += static_cast<u64>(op->k2);
-  if (changed) {
+  ++p.counts.segments;
+  p.counts.ops += static_cast<u64>(op->k2);
+close:
+  if (p.changed) {
     // The region runs again next pass, phase-0 segment and all.
     const auto region = static_cast<u32>(op->k);
-    stamp[region] = pass + 1;
-    if (regions[region].outputs != kNoSegment) {
-      next_outputs_.push(regions[region].outputs);
+    p.stamp[region] = p.pass + 1;
+    if (p.regions[region].outputs != kNoSegment) {
+      next_outputs_.push(p.regions[region].outputs);
     }
-    next_bodies_.push(regions[region].body);
-    changed = false;
+    next_bodies_.push(p.regions[region].body);
+    p.changed = false;
   }
   goto next_segment;
-#undef MBC_MARK_FANOUT
 #undef MBC_NEXT
 done:
   stats_.passes += 1;
-  stats_.segments += segments;
-  stats_.ops += ops;
+  stats_.segments += p.counts.segments;
+  stats_.ops += p.counts.ops;
+  stats_.compiled += p.counts.compiled;
   sources_queue_.size = 0;
   std::swap(outputs_queue_, next_outputs_);
   std::swap(bodies_queue_, next_bodies_);

@@ -46,6 +46,17 @@
 // Wrap only sign- or zero-extends (Wrap::extends()) runs a shift pair and
 // the mask, and a kRegister whose enable is Lowering::one() loads no
 // enable. The generic handlers stay for the ops whose constants need them.
+//
+// Compiled segments (DESIGN.md §15, "Compiled segments"). The build
+// lowers every segment of the shipped designs to a C++ function
+// (sysgen/codegen.hpp) and registers them (sysgen/compiled.hpp) under
+// their tape's fingerprint. Lowering::finish() fingerprints the tape and
+// binds the design it matches; run() then calls a segment's function
+// instead of dispatching its ops, and goes on at its kEnd. The queues,
+// fanout marks, elision and KernelStats are the same on both paths, and
+// the arithmetic of every lowered op is one function in sysgen/ops.hpp.
+// A tape that matches no design, and any segment with an op that has no
+// lowering, runs on the interpreter.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +97,11 @@ struct Wrap {
   }
   /// operator() for a wrap that extends().
   [[nodiscard]] i64 extend(i64 code) const noexcept {
+    return extend(code, norm, keep);
+  }
+  /// The same with the wrap's fields as arguments, for generated code
+  /// that has them as literals.
+  [[nodiscard]] static i64 extend(i64 code, u8 norm, i64 keep) noexcept {
     return (static_cast<i64>(static_cast<u64>(code) << norm) >> norm) & keep;
   }
 };
@@ -247,12 +263,51 @@ struct Quiescence {
 
 /// What the kernel has run since elaboration: passes, the segments they
 /// dispatched and the ops in those segments, each segment's closing kEnd
-/// included. Host-side counters, not model state.
+/// included. Host-side counters, not model state; a compiled segment
+/// counts exactly as its interpreted ops would.
 struct KernelStats {
   u64 passes = 0;
   u64 segments = 0;
   u64 ops = 0;
+  u64 compiled = 0;  ///< of `segments`, those that ran generated code
 };
+
+inline constexpr u32 kNoSegment = ~u32{0};
+/// Where a region's ops start on the tape: its phase-0 ops, and its
+/// phase-1 ops followed by its phase-2 ops (its body).
+struct RegionSegments {
+  u32 outputs = kNoSegment;
+  u32 body = kNoSegment;
+};
+
+/// What a running pass keeps while it runs segments, interpreted or
+/// compiled: the fanout marks queue bodies into it, the state ops of the
+/// running segment set `changed`, and each segment's close counts it.
+struct PassState {
+  const u32* fanout = nullptr;
+  const RegionSegments* regions = nullptr;
+  u64* stamp = nullptr;
+  u64 pass = 0;
+  u32* bodies = nullptr;  ///< the bodies queued for this pass
+  u32 queued_bodies = 0;
+  bool changed = false;
+  KernelStats counts;  ///< passes unused
+};
+
+/// A compiled segment (DESIGN.md §15, "Compiled segments"): runs the ops
+/// of the segment starting at `segment`, counts it in pass.counts, sets
+/// pass.changed when a state op changed a slot and returns the segment's
+/// closing kEnd.
+using SegmentFn = const Op* (*)(const Op* segment, PassState& pass);
+
+/// The identity of a tape, free of addresses (Kernel::fingerprint()).
+struct Fingerprint {
+  u64 lo = 0;
+  u64 hi = 0;
+  bool operator==(const Fingerprint&) const = default;
+};
+
+struct CompiledDesign;
 
 /// The lowered model: the op tape, its regions and the storage it points
 /// into.
@@ -299,16 +354,30 @@ class Kernel {
   /// Ops on the tape with op code `code` (the closing kEnds included).
   [[nodiscard]] std::size_t count(OpCode code) const noexcept;
 
+  /// The op tape: segments laid end to end, each closed by a kEnd.
+  [[nodiscard]] const std::vector<Op>& tape() const noexcept { return tape_; }
+  /// The tape's fingerprint: every op's code and constants, the segment
+  /// layout and fanout lists, and the operand slots numbered by first
+  /// use, so that two tapes agree exactly when their ops compute the
+  /// same thing over the same wiring.
+  [[nodiscard]] const Fingerprint& fingerprint() const noexcept {
+    return fingerprint_;
+  }
+  /// The compiled design this kernel is bound to, or null when every
+  /// segment runs on the interpreter.
+  [[nodiscard]] const CompiledDesign* compiled_design() const noexcept {
+    return design_;
+  }
+  /// Segments on the tape that run generated code.
+  [[nodiscard]] std::size_t compiled_segments() const noexcept;
+
  private:
   friend class Lowering;
+  friend struct KernelTestAccess;  // defined by the tests only
 
-  static constexpr u32 kNoSegment = ~u32{0};
-  /// Where a region's ops start on the tape: its phase-0 ops, and its
-  /// phase-1 ops followed by its phase-2 ops (its body).
-  struct Region {
-    u32 outputs = kNoSegment;
-    u32 body = kNoSegment;
-  };
+  /// Compute the fingerprint and bind the compiled design it matches, if
+  /// any; every other segment stays interpreted.
+  void bind();
   /// Segments to run in one pass: tape offsets, each at most once.
   struct Queue {
     std::vector<u32> segments;
@@ -331,7 +400,7 @@ class Kernel {
   void schedule(u32 region) noexcept;
 
   std::vector<Op> tape_;
-  std::vector<Region> regions_;
+  std::vector<RegionSegments> regions_;
   u32 sources_ = 0;  ///< regions [0, sources_) are single source ops
   std::vector<u32> fanout_;  ///< region lists the fan ops and inputs index
   std::vector<const i64*> inputs_;
@@ -354,6 +423,11 @@ class Kernel {
   /// and invalidate(), cleared once a stepped cycle copied the inputs.
   bool inputs_written_ = true;
   KernelStats stats_;
+  Fingerprint fingerprint_;
+  const CompiledDesign* design_ = nullptr;
+  /// By tape offset: the compiled body of the segment starting there, or
+  /// null; empty when no design is bound.
+  std::vector<SegmentFn> compiled_;
   std::deque<i64> temps_;
   std::deque<Cast> casts_;
   std::vector<std::vector<const i64*>> tables_;

@@ -89,6 +89,9 @@ class Model {
   [[nodiscard]] const KernelStats& kernel_stats() const noexcept {
     return kernel_.stats();
   }
+  /// The elaborated kernel: its tape, fingerprint and compiled binding
+  /// (DESIGN.md §15, "Compiled segments").
+  [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
 
   [[nodiscard]] Cycle cycle() const noexcept { return cycle_; }
 
@@ -126,6 +129,8 @@ class Model {
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  friend struct KernelTestAccess;  // defined by the tests only
+
   /// The index entry holding the signal named `signal_name`, or the free
   /// entry where it would go. The index must not be empty.
   [[nodiscard]] std::size_t index_position(std::string_view signal_name) const;

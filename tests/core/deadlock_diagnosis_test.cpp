@@ -139,9 +139,9 @@ const BlockedProgram kBlockedPut{
     "buckets=[0 1 2 4 8 1]\n",
     // The loop's block starts at the put, which runs stitched: each of
     // the 5000 stalled retries dispatches the block and leaves it at once.
-    "dbt.block_dispatches         5009\n"
+    "dbt.block_dispatches         5015\n"
     "dbt.blocks_translated        1\n"
-    "dbt.fast_path_instructions   27\n"
+    "dbt.fast_path_instructions   45\n"
     "dbt.smc_retirements          0\n",
     5067,
     R"({"t":5098,"kind":"deadlock","blocked_cycles":5000})"};
