@@ -1,6 +1,7 @@
 #include "ckpt/ckpt.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 namespace mbcosim::ckpt {
@@ -10,27 +11,60 @@ std::string code_message(const char* code, const std::string& detail) {
   return std::string(code) + " " + detail;
 }
 
+constexpr u64 kFnvPrime = 0x100000001b3ull;
+/// Bytes per zero-run step of fnv1a, and the prime to that power: a zero
+/// byte leaves the xor a no-op, so a block of them only multiplies.
+constexpr std::size_t kZeroBlock = 32;
+constexpr u64 kFnvPrimeBlock = [] {
+  u64 power = 1;
+  for (std::size_t i = 0; i < kZeroBlock; ++i) power *= kFnvPrime;
+  return power;
+}();
+
+/// The image header in front of a payload of `size` bytes.
+Writer header_for(u64 size, u64 checksum) {
+  Writer header;
+  header.write_bytes(kMagic, sizeof(kMagic));
+  header.write_u32(kFormatVersion);
+  header.write_u64(size);
+  header.write_u64(checksum);
+  return header;
+}
+
 }  // namespace
 
-u64 fnv1a(const void* data, std::size_t size) noexcept {
+u64 fnv1a(const void* data, std::size_t size, u64 hash) noexcept {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  u64 hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
+  std::size_t i = 0;
+  for (; i + kZeroBlock <= size; i += kZeroBlock) {
+    u64 words[kZeroBlock / 8];
+    std::memcpy(words, bytes + i, kZeroBlock);
+    u64 any = 0;
+    for (const u64 word : words) any |= word;
+    if (any == 0) {
+      hash *= kFnvPrimeBlock;
+      continue;
+    }
+    for (std::size_t j = i; j < i + kZeroBlock; ++j) {
+      hash ^= bytes[j];
+      hash *= kFnvPrime;
+    }
+  }
+  for (; i < size; ++i) {
     hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
 std::vector<unsigned char> seal(std::vector<unsigned char> payload) {
-  Writer header;
-  header.write_bytes(kMagic, sizeof(kMagic));
-  header.write_u32(kFormatVersion);
-  header.write_u64(payload.size());
-  header.write_u64(fnv1a(payload.data(), payload.size()));
-  std::vector<unsigned char> image = header.take();
-  image.insert(image.end(), payload.begin(), payload.end());
-  return image;
+  const Writer header =
+      header_for(payload.size(), fnv1a(payload.data(), payload.size()));
+  const std::size_t size = payload.size();
+  payload.resize(kHeaderBytes + size);
+  std::memmove(payload.data() + kHeaderBytes, payload.data(), size);
+  std::memcpy(payload.data(), header.buffer().data(), kHeaderBytes);
+  return payload;
 }
 
 Expected<std::vector<unsigned char>> unseal(
@@ -87,6 +121,36 @@ Status write_file(const std::string& path,
       image.empty() ? 0 : std::fwrite(image.data(), 1, image.size(), file);
   const int close_result = std::fclose(file);
   if (written != image.size() || close_result != 0) {
+    return Status::failure(
+        code_message("[ckpt-io]", "short write to '" + path + "'"));
+  }
+  return {};
+}
+
+Status write_sealed(
+    const std::string& path,
+    std::initializer_list<std::span<const unsigned char>> parts) {
+  u64 size = 0;
+  u64 checksum = kFnvBasis;
+  for (const std::span<const unsigned char> part : parts) {
+    size += part.size();
+    checksum = fnv1a(part.data(), part.size(), checksum);
+  }
+  const Writer header = header_for(size, checksum);
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::failure(
+        code_message("[ckpt-io]", "cannot open '" + path + "' for writing"));
+  }
+  bool written = std::fwrite(header.buffer().data(), 1, kHeaderBytes, file) ==
+                 kHeaderBytes;
+  for (const std::span<const unsigned char> part : parts) {
+    written = written && (part.empty() || std::fwrite(part.data(), 1,
+                                                      part.size(), file) ==
+                                              part.size());
+  }
+  const int close_result = std::fclose(file);
+  if (!written || close_result != 0) {
     return Status::failure(
         code_message("[ckpt-io]", "short write to '" + path + "'"));
   }

@@ -113,7 +113,9 @@ std::vector<std::pair<u64, std::string>> list_checkpoints(
   return out;
 }
 
-std::vector<unsigned char> encode_checkpoint(const JournalCheckpoint& record) {
+/// A record's payload up to its image bytes, which follow it as they are.
+std::vector<unsigned char> encode_checkpoint_head(
+    const JournalCheckpoint& record) {
   ckpt::Writer writer;
   writer.write_u32(kCheckpointRecordVersion);
   writer.write_u64(record.cycle);
@@ -122,7 +124,6 @@ std::vector<unsigned char> encode_checkpoint(const JournalCheckpoint& record) {
   writer.write_u64(record.metrics.size());
   writer.write_bytes(record.metrics.data(), record.metrics.size());
   writer.write_u64(record.image.size());
-  writer.write_bytes(record.image.data(), record.image.size());
   return writer.take();
 }
 
@@ -201,11 +202,11 @@ Status SessionJournal::write_checkpoint(const JournalCheckpoint& record) {
     next_seq_ = existing.empty() ? 1 : existing.back().first + 1;
   }
   const u64 seq = next_seq_++;
-  const std::vector<unsigned char> image =
-      ckpt::seal(encode_checkpoint(record));
+  const std::vector<unsigned char> head = encode_checkpoint_head(record);
   const std::string path = checkpoint_path(seq);
   const std::string tmp = path + ".tmp";
-  if (Status written = ckpt::write_file(tmp, image); !written.ok) {
+  if (Status written = ckpt::write_sealed(tmp, {head, record.image});
+      !written.ok) {
     std::remove(tmp.c_str());
     return Status::failure("[srv-journal-io] " + written.message);
   }
@@ -214,7 +215,7 @@ Status SessionJournal::write_checkpoint(const JournalCheckpoint& record) {
     return Status::failure("[srv-journal-io] cannot rename '" + tmp +
                            "' into place");
   }
-  written_.bytes += image.size();
+  written_.bytes += ckpt::kHeaderBytes + head.size() + record.image.size();
   ++written_.writes;
   // Keep the new record plus one fallback; prune everything older.
   for (const auto& [old_seq, old_path] : list_checkpoints(dir_)) {

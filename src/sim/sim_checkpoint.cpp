@@ -32,6 +32,10 @@ namespace mbcosim::sim {
 
 namespace {
 
+/// Room a snapshot reserves for everything but the memory images: the
+/// CORDIC farm's processors, hubs, engines and 16-PE model take ~7 KiB.
+constexpr std::size_t kStateBytesHint = 16 * 1024;
+
 [[nodiscard]] u64 shape_fingerprint(const machine::MachineDesc& desc) {
   return ckpt::fnv1a(desc.to_json());
 }
@@ -44,6 +48,13 @@ namespace {
 
 std::vector<unsigned char> SimSystem::snapshot() const {
   ckpt::Writer writer;
+  // One allocation for the memory images, the rest of the state and the
+  // header seal() puts in front.
+  std::size_t memory_bytes = 0;
+  for (const auto& core : state_->cores) {
+    memory_bytes += core->memory.size_bytes();
+  }
+  writer.reserve(ckpt::kHeaderBytes + memory_bytes + kStateBytesHint);
   writer.write_u64(shape_fingerprint(state_->desc));
   writer.write_u64(state_->cores.size());
   for (const auto& core : state_->cores) {
@@ -57,7 +68,7 @@ std::vector<unsigned char> SimSystem::snapshot() const {
     if (core->opb) core->opb->save_state(writer);
   }
   state_->machine_engine.save_state(writer);
-  return ckpt::seal(writer.buffer());
+  return ckpt::seal(writer.take());
 }
 
 Status SimSystem::restore_image(const std::vector<unsigned char>& image) {

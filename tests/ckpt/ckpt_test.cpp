@@ -90,6 +90,51 @@ TEST(CkptCodec, EncodingIsLittleEndianBytes) {
   EXPECT_EQ(writer.buffer()[3], 0x04);
 }
 
+TEST(CkptCodec, EncodingIsLittleEndianAtEveryWidth) {
+  ckpt::Writer writer;
+  writer.write_u16(0x0201u);
+  writer.write_u64(0x0a09080706050403ull);
+  const std::vector<unsigned char> want = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(writer.buffer(), want);
+}
+
+/// The checksum and fingerprint hash, one byte at a time.
+[[nodiscard]] u64 fnv1a_bytewise(const std::vector<unsigned char>& bytes) {
+  u64 hash = 0xcbf29ce484222325ull;
+  for (const unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(CkptCodec, Fnv1aSkipsZeroRunsWithoutChangingTheHash) {
+  // The empty range, all-zero ranges around the 32-byte step, and zero
+  // runs of random length and offset between random bytes.
+  EXPECT_EQ(ckpt::fnv1a(nullptr, 0), 0xcbf29ce484222325ull);
+  Rng rng(0x5eed);
+  for (std::size_t size : {1u, 31u, 32u, 33u, 64u, 100u, 4096u}) {
+    const std::vector<unsigned char> zeros(size, 0);
+    EXPECT_EQ(ckpt::fnv1a(zeros.data(), zeros.size()), fnv1a_bytewise(zeros))
+        << size;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<unsigned char> bytes(rng.next_below(300));
+    for (unsigned char& byte : bytes) {
+      byte = static_cast<unsigned char>(rng.next_u32());
+    }
+    if (!bytes.empty()) {
+      const std::size_t start = rng.next_below(bytes.size());
+      const std::size_t length = rng.next_below(100);
+      for (std::size_t i = start; i < bytes.size() && i < start + length; ++i) {
+        bytes[i] = 0;
+      }
+    }
+    EXPECT_EQ(ckpt::fnv1a(bytes.data(), bytes.size()), fnv1a_bytewise(bytes))
+        << "trial " << trial;
+  }
+}
+
 TEST(CkptCodec, ReaderLatchesUnderrunInsteadOfThrowing) {
   const unsigned char two[2] = {0x11, 0x22};
   ckpt::Reader reader(two, sizeof two);

@@ -7,11 +7,13 @@
 // journal crash-recovery (byte-identical resume, corrupt-tail
 // fallback), run deadlines, deadlock mapping, keep-alive
 // connections and graceful drain.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -767,6 +769,58 @@ TEST(ServerJournal, CorruptNewestCheckpointFallsBackToOlderOne) {
                            "/trace-0.jsonl"),
             want.trace);
   EXPECT_EQ(manager.kill(id), "");
+}
+
+TEST(ServerJournal, CheckpointsKeepTheNewestTwoAndReadBack) {
+  const std::string dir = fresh_state_dir("srv_journal_prune");
+  fs::create_directories(dir);
+  auto record_at = [](Cycle cycle) {
+    JournalCheckpoint record;
+    record.cycle = cycle;
+    record.trace_offsets = {cycle * 3};
+    record.metrics = {1, 2, 3};
+    record.image.assign(4096, 0);  // zero runs, as in a memory image
+    record.image[100] = static_cast<unsigned char>(cycle);
+    return record;
+  };
+  auto records_on_disk = [&] {
+    std::vector<std::string> names;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  {
+    SessionJournal journal(1, dir);
+    for (Cycle cycle = 1; cycle <= 5; ++cycle) {
+      ASSERT_TRUE(journal.write_checkpoint(record_at(cycle)).ok);
+    }
+    EXPECT_EQ(records_on_disk(),
+              (std::vector<std::string>{"ckpt-4.ckpt", "ckpt-5.ckpt"}));
+  }
+  // A journal reopened on the directory, with a stray older record in
+  // it, numbers on and prunes back to two at its first write.
+  fs::copy_file(dir + "/ckpt-4.ckpt", dir + "/ckpt-2.ckpt");
+  SessionJournal journal(1, dir);
+  ASSERT_TRUE(journal.write_checkpoint(record_at(6)).ok);
+  EXPECT_EQ(records_on_disk(),
+            (std::vector<std::string>{"ckpt-5.ckpt", "ckpt-6.ckpt"}));
+  ASSERT_TRUE(journal.write_checkpoint(record_at(7)).ok);
+  EXPECT_EQ(records_on_disk(),
+            (std::vector<std::string>{"ckpt-6.ckpt", "ckpt-7.ckpt"}));
+  const std::optional<JournalCheckpoint> newest =
+      journal.newest_valid_checkpoint(nullptr);
+  ASSERT_TRUE(newest.has_value());
+  const JournalCheckpoint want = record_at(7);
+  EXPECT_EQ(newest->cycle, want.cycle);
+  EXPECT_EQ(newest->trace_offsets, want.trace_offsets);
+  EXPECT_EQ(newest->metrics, want.metrics);
+  EXPECT_EQ(newest->image, want.image);
+  EXPECT_EQ(journal.write_counts().writes, 2u);
+  EXPECT_EQ(journal.write_counts().bytes,
+            fs::file_size(dir + "/ckpt-6.ckpt") +
+                fs::file_size(dir + "/ckpt-7.ckpt"));
 }
 
 TEST(ServerJournal, ConfigJsonRoundTripsExactly) {
