@@ -9,9 +9,9 @@
 // It lowers into native ops (DESIGN.md §15): phase 0 copies the queue's
 // front word and its busy bit onto (data, write), and one kSerialize op
 // in phase 2 pops the word the FIFO took and pushes the captured vector.
-// The queue lives in a sysgen::SerialQueue inside the block, so it has a
-// stable address and an unbounded backlog: words captured while `full`
-// holds wait in it.
+// The queue is a sysgen::SerialQueue inside the block, its front and busy
+// slots in the model's arena; its backlog is unbounded, so words captured
+// while `full` holds wait in it.
 #pragma once
 
 #include <utility>
@@ -46,6 +46,8 @@ class VectorSerializer : public sysgen::Block {
       connect_input(*signal);
       queue_.values.push_back(signal->slot());
     }
+    queue_.front = model.make_slots(2);
+    queue_.busy = queue_.front + 1;
     width_ = values.size();
     connect_input(valid);  // input index width_
     if (full != nullptr) {
@@ -61,21 +63,21 @@ class VectorSerializer : public sysgen::Block {
     using sysgen::Phase;
     lowering.emit(Phase::kOutput, {.code = OpCode::kCopy,
                                    .dst = data_.slot(),
-                                   .a = &queue_.front});
+                                   .a = queue_.front});
     lowering.emit(Phase::kOutput, {.code = OpCode::kCopy,
                                    .dst = write_.slot(),
-                                   .a = &queue_.busy});
+                                   .a = queue_.busy});
     lowering.emit(Phase::kLatch,
                   {.code = OpCode::kSerialize,
+                   .ext = lowering.queue(queue_),
                    .a = inputs()[width_]->slot(),
                    .b = has_full_ ? inputs()[width_ + 1]->slot()
-                                  : sysgen::Lowering::zero(),
-                   .ext = {.queue = &queue_}});
+                                  : sysgen::Lowering::zero()});
   }
 
   void reset() override {
     queue_.words.clear();
-    queue_.refresh();
+    queue_.refresh(&model_.slot(0));
   }
 
   void save_state(ckpt::Writer& writer) const override {
@@ -89,7 +91,7 @@ class VectorSerializer : public sysgen::Block {
     for (u64 i = 0; i < backlog; ++i) {
       queue_.words.push_back(data_.wrap(reader.read_i64()));
     }
-    queue_.refresh();
+    queue_.refresh(&model_.slot(0));
     return reader.ok();
   }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
@@ -39,17 +40,17 @@ class Constant : public Block {
  public:
   Constant(Model& model, std::string name, Fix value)
       : Block(model, std::move(name)),
-        value_(value.raw()),
+        value_(model.make_slots(1, value.raw())),
         out_(make_output("out", value.format())) {}
 
   void lower(Lowering& lowering) override {
     lowering.emit(Phase::kPropagate,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &value_});
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = value_});
   }
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  i64 value_;
+  u32 value_;
   Signal& out_;
 };
 
@@ -59,7 +60,9 @@ class Constant : public Block {
 class GatewayIn : public Block {
  public:
   GatewayIn(Model& model, std::string name, FixFormat format)
-      : Block(model, std::move(name)), out_(make_output("out", format)) {}
+      : Block(model, std::move(name)),
+        out_(make_output("out", format)),
+        pending_(model.make_slots(1)) {}
 
   /// Set the value presented during the next step(). Doubles are
   /// quantized like a hardware gateway (round, saturate).
@@ -77,15 +80,15 @@ class GatewayIn : public Block {
 
   // No op: the kernel copies the pending value onto out when it changes.
   void lower(Lowering& lowering) override {
-    lowering.input(&pending_, out_.slot());
+    lowering.input(pending_, out_.slot());
   }
-  void reset() override { pending_ = 0; }
+  void reset() override { model_.slot(pending_) = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(pending_);
+    writer.write_i64(model_.slot(pending_));
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    pending_ = out_.wrap(reader.read_i64());
+    model_.slot(pending_) = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
@@ -94,13 +97,14 @@ class GatewayIn : public Block {
  private:
   /// Only a new value makes the kernel compare its inputs again.
   void write(i64 value) noexcept {
-    if (value == pending_) return;
-    pending_ = value;
+    i64& pending = model_.slot(pending_);
+    if (value == pending) return;
+    pending = value;
     model_.gateway_written();
   }
 
   Signal& out_;
-  i64 pending_ = 0;
+  u32 pending_;  ///< the slot of the value presented next
 };
 
 /// Gateway Out: exposes an internal signal to the environment.
@@ -117,52 +121,64 @@ class GatewayOut : public Block {
   [[nodiscard]] i64 read_raw() const { return in(0).raw(); }
   [[nodiscard]] bool read_bool() const { return in(0).as_bool(); }
   /// The tapped signal's slot, for the kernel's port ops.
-  [[nodiscard]] const i64* slot() const { return in(0).slot(); }
+  [[nodiscard]] u32 slot() const { return in(0).slot(); }
 };
 
 // ---------------------------------------------------------------------------
 // Pipelined function base
 // ---------------------------------------------------------------------------
 
-/// Ring of raw pipeline stages: stages[head] is the front, the value
-/// driven out this cycle; the latch overwrites it with the newest value
-/// and advances head. Checkpoints write the stages front to back.
+/// Ring of raw pipeline stages in the model's arena: stage head is the
+/// front, the value driven out this cycle; the latch overwrites it with
+/// the newest value and advances head. Checkpoints write the stages front
+/// to back.
 class StageRing {
  public:
-  explicit StageRing(std::size_t depth) : stages_(depth, 0) {}
+  StageRing(Model& model, std::size_t depth)
+      : model_(model),
+        depth_(depth),
+        // A ring of no stages never reads its head: it points at the
+        // constant zero, which reset and restore rewrite with zero.
+        head_(depth == 0 ? Lowering::zero() : model.make_slots(1)),
+        stages_(model.make_slots(depth)) {}
 
-  /// Phase 0: drive the front onto `out`; phase 2: push `next`.
-  void lower(Lowering& lowering, Signal& out, const i64* next) {
+  /// Phase 0: drive the front onto `out`; phase 2: push slot `next`.
+  void lower(Lowering& lowering, Signal& out, u32 next) {
     lowering.emit(Phase::kOutput, {.code = OpCode::kRingRead,
+                                   .ext = stages_,
                                    .dst = out.slot(),
-                                   .a = &head_,
-                                   .ext = {.cells = stages_.data()}});
+                                   .a = head_});
     lowering.emit(Phase::kLatch, {.code = OpCode::kRingPush,
-                                  .k = static_cast<i64>(stages_.size()),
-                                  .dst = &head_,
-                                  .a = next,
-                                  .ext = {.cells = stages_.data()}});
+                                  .ext = stages_,
+                                  .k = static_cast<i64>(depth_),
+                                  .dst = head_,
+                                  .a = next});
   }
 
   void reset() noexcept {
-    std::fill(stages_.begin(), stages_.end(), 0);
-    head_ = 0;
+    std::ranges::fill(model_.slots(stages_, depth_), 0);
+    model_.slot(head_) = 0;
   }
   void save_state(ckpt::Writer& writer) const {
-    const std::size_t depth = stages_.size();
-    for (std::size_t i = 0; i < depth; ++i) {
-      writer.write_i64(stages_[(static_cast<std::size_t>(head_) + i) % depth]);
+    const auto head = static_cast<std::size_t>(model_.slot(head_));
+    const std::span<const i64> stages = model_.slots(stages_, depth_);
+    for (std::size_t i = 0; i < depth_; ++i) {
+      writer.write_i64(stages[(head + i) % depth_]);
     }
   }
   /// Reads the stages front to back, each wrapped into `out`'s format.
   void load_state(ckpt::Reader& reader, const Signal& out) {
-    for (i64& stage : stages_) stage = out.wrap(reader.read_i64());
-    head_ = 0;
+    for (i64& stage : model_.slots(stages_, depth_)) {
+      stage = out.wrap(reader.read_i64());
+    }
+    model_.slot(head_) = 0;
   }
 
  private:
-  std::vector<i64> stages_;  // sized once: the ops point into it
-  i64 head_ = 0;
+  Model& model_;
+  std::size_t depth_;
+  u32 head_;
+  u32 stages_;  ///< the first of depth_ slots
 };
 
 /// Common machinery for arithmetic blocks with a configurable pipeline
@@ -177,7 +193,7 @@ class PipelinedFunction : public Block {
       emit(lowering, Phase::kPropagate, out_.slot());
       return;
     }
-    i64* next = lowering.temp();
+    const u32 next = lowering.temp();
     emit(lowering, Phase::kLatch, next);
     pipe_.lower(lowering, out_, next);
   }
@@ -202,11 +218,11 @@ class PipelinedFunction : public Block {
       : Block(model, std::move(name)),
         latency_(latency),
         out_(make_output("out", out_format)),
-        pipe_(latency) {}
+        pipe_(model, latency) {}
 
   /// Emit the ops that evaluate the function from the current inputs
   /// into `dst` (the output signal, or the pipeline's next stage).
-  virtual void emit(Lowering& lowering, Phase phase, i64* dst) const = 0;
+  virtual void emit(Lowering& lowering, Phase phase, u32 dst) const = 0;
 
  private:
   unsigned latency_;
@@ -248,7 +264,7 @@ class AddSub : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     const FixFormat a = in(0).format();
     const FixFormat b = in(1).format();
     FixFormat full;
@@ -303,7 +319,7 @@ class Mult : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     const FixFormat a = in(0).format();
     const FixFormat b = in(1).format();
     FixFormat full;
@@ -317,7 +333,7 @@ class Mult : public PipelinedFunction {
     if (a.word_bits + b.word_bits > 63) {
       // The word is capped: clamp the 128-bit product to its range, as
       // mul_full does, then convert.
-      i64* product = lowering.temp();
+      const u32 product = lowering.temp();
       lowering.emit(phase, {.code = OpCode::kMulClamp,
                             .k = full.min_raw(),
                             .k2 = full.max_raw(),
@@ -350,7 +366,7 @@ class Negate : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     const FixFormat out = outputs()[0]->format();
     lowering.emit(phase,
                   {.code = OpCode::kNeg,
@@ -384,7 +400,7 @@ class Convert : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     const FixFormat out = outputs()[0]->format();
     lowering.emit_converted(
         phase, {.code = OpCode::kWrap, .dst = dst, .a = in(0).slot()}, out,
@@ -416,7 +432,7 @@ class ShiftConst : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     if (direction_ == Direction::kRightArithmetic) {
       lowering.emit(phase, {.code = OpCode::kShr,
                             .k = std::min<i64>(amount_, 63),
@@ -460,7 +476,7 @@ class VariableShiftRight : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     // Shifting by 63 or more leaves only sign bits, as keep-format does.
     lowering.emit(phase, {.code = OpCode::kShrVar,
                           .k = std::min<i64>(max_shift_, 63),
@@ -504,16 +520,15 @@ class Mux : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
-    std::vector<const i64*> sources;
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
+    std::vector<u32> sources;
     for (std::size_t i = 1; i <= fan_in_; ++i) sources.push_back(in(i).slot());
     // An out-of-range select picks the last input, like the HW core.
-    const i64* const* table = lowering.table(std::move(sources));
     lowering.emit(phase, {.code = OpCode::kMux,
+                          .ext = lowering.mux_sources(sources),
                           .k = static_cast<i64>(fan_in_) - 1,
                           .dst = dst,
-                          .a = in(0).slot(),
-                          .ext = {.sources = table}});
+                          .a = in(0).slot()});
   }
 
   unsigned fan_in_;
@@ -540,7 +555,7 @@ class Relational : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     // Bit 0/1/2 of the truth table: the result when a is less than,
     // equal to, greater than b.
     i64 truth = 0;
@@ -594,7 +609,7 @@ class Logical : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     // Bitwise ops commute with masking, so only the last op wraps.
     const Wrap out = Wrap::into(outputs()[0]->format());
     const std::size_t fan_in = inputs().size();
@@ -609,10 +624,10 @@ class Logical : public PipelinedFunction {
     const OpCode code = op_ == Op::kAnd  ? OpCode::kAnd
                         : op_ == Op::kOr ? OpCode::kOr
                                          : OpCode::kXor;
-    const i64* acc = in(0).slot();
+    u32 acc = in(0).slot();
     for (std::size_t i = 1; i < fan_in; ++i) {
       const bool last = i + 1 == fan_in;
-      i64* to = last ? dst : lowering.temp();
+      const u32 to = last ? dst : lowering.temp();
       lowering.emit(phase, {.code = code,
                             .wrap = last ? out : Wrap{},
                             .dst = to,
@@ -643,7 +658,7 @@ class Slice : public PipelinedFunction {
   }
 
  private:
-  void emit(Lowering& lowering, Phase phase, i64* dst) const override {
+  void emit(Lowering& lowering, Phase phase, u32 dst) const override {
     // Drop the low bits, keep `width` (low + width never exceeds 63, so
     // an arithmetic shift leaves the kept bits as a logical one would).
     lowering.emit(phase, {.code = OpCode::kWrap,
@@ -677,7 +692,7 @@ class Register : public Block {
   Register(Model& model, std::string name, Fix init, Signal* enable = nullptr)
       : Block(model, std::move(name)),
         init_(init.raw()),
-        state_(init.raw()),
+        state_(model.make_slots(1, init.raw())),
         out_(make_output("q", init.format())) {
     if (enable != nullptr) {
       enable_index_ = static_cast<int>(inputs().size());
@@ -702,25 +717,25 @@ class Register : public Block {
   void lower(Lowering& lowering) override {
     const Signal& d = in(static_cast<std::size_t>(d_index_));
     lowering.emit(Phase::kOutput,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = state_});
     lowering.emit(
         Phase::kLatch,
         {.code = OpCode::kRegister,
          .wrap = Wrap::into(out_.format(), int(out_.format().frac_bits) -
                                                int(d.format().frac_bits)),
-         .dst = &state_,
+         .dst = state_,
          .a = d.slot(),
          .c = enable_index_ >= 0
                   ? in(static_cast<std::size_t>(enable_index_)).slot()
                   : Lowering::one()});
   }
-  void reset() override { state_ = init_; }
+  void reset() override { model_.slot(state_) = init_; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_);
+    writer.write_i64(model_.slot(state_));
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = out_.wrap(reader.read_i64());
+    model_.slot(state_) = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
@@ -732,7 +747,7 @@ class Register : public Block {
 
  private:
   i64 init_;
-  i64 state_;
+  u32 state_;
   int d_index_ = -1;
   int enable_index_ = -1;
   Signal& out_;
@@ -745,7 +760,7 @@ class Delay : public Block {
       : Block(model, std::move(name)),
         cycles_(cycles),
         out_(make_output("out", d.format())),
-        line_(cycles) {
+        line_(model, cycles) {
     if (cycles == 0) {
       throw SimError("Delay '" + this->name() +
                      "': zero-cycle delay is a wire, use the signal");
@@ -791,6 +806,7 @@ class Counter : public Block {
       : Block(model, std::move(name)),
         format_(format),
         limit_(limit),
+        value_(model.make_slots(1)),
         out_(make_output("count", format)) {
     format_.validate();
     if (limit_ <= 0 || limit_ > format_.max_raw() + 1) {
@@ -810,12 +826,12 @@ class Counter : public Block {
   void lower(Lowering& lowering) override {
     // value_ stays in [0, limit), which the format holds exactly.
     lowering.emit(Phase::kOutput,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &value_});
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = value_});
     lowering.emit(
         Phase::kLatch,
         {.code = OpCode::kCounter,
          .k = limit_,
-         .dst = &value_,
+         .dst = value_,
          .a = enable_index_ >= 0
                   ? in(static_cast<std::size_t>(enable_index_)).slot()
                   : Lowering::one(),
@@ -823,15 +839,15 @@ class Counter : public Block {
                   ? in(static_cast<std::size_t>(reset_index_)).slot()
                   : Lowering::zero()});
   }
-  void reset() override { value_ = 0; }
+  void reset() override { model_.slot(value_) = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(value_);
+    writer.write_i64(model_.slot(value_));
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     const i64 value = reader.read_i64();
     if (value < 0 || value >= limit_) return false;
-    value_ = value;
+    model_.slot(value_) = value;
     return reader.ok();
   }
 
@@ -844,7 +860,7 @@ class Counter : public Block {
  private:
   FixFormat format_;
   i64 limit_;
-  i64 value_ = 0;
+  u32 value_;
   int enable_index_ = -1;
   int reset_index_ = -1;
   Signal& out_;

@@ -1,12 +1,16 @@
 // Memory blocks: ROM, single-port RAM and a synchronous FIFO — the BRAM-
 // backed members of the block set. Resource figures model Virtex-II Pro
 // 18 Kbit block RAMs; small memories map to distributed (slice) RAM.
-// ROM and RAM lower to kernel ops over raw words; the queue-backed FIFO
-// runs its phase methods on the kernel's fallback ops.
+// ROM and RAM lower to kernel ops over raw words in the model's arena;
+// the queue-backed FIFO runs its phase methods on the kernel's fallback
+// ops.
 #pragma once
 
 #include <algorithm>
 #include <deque>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,7 +44,9 @@ class Rom : public Block {
       : Block(model, std::move(name)),
         out_(make_output("data", contents.empty()
                                      ? FixFormat{}
-                                     : contents.front().format())) {
+                                     : contents.front().format())),
+        size_(contents.size()),
+        state_(model.make_slots(1)) {
     if (contents.empty()) {
       throw SimError("Rom '" + this->name() + "': empty contents");
     }
@@ -48,43 +54,46 @@ class Rom : public Block {
       if (word.format() != out_.format()) {
         throw SimError("Rom '" + this->name() + "': mixed word formats");
       }
-      words_.push_back(word.raw());
     }
+    words_ = model.make_slots(size_);
+    std::ranges::transform(contents, model.slots(words_, size_).begin(),
+                           [](const Fix& word) { return word.raw(); });
     connect_input(address);
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
   void lower(Lowering& lowering) override {
     lowering.emit(Phase::kOutput,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = state_});
     // An out-of-range address reads the last word.
     lowering.emit(Phase::kLatch,
                   {.code = OpCode::kRom,
-                   .k = static_cast<i64>(words_.size()) - 1,
-                   .dst = &state_,
-                   .a = in(0).slot(),
-                   .ext = {.words = words_.data()}});
+                   .ext = words_,
+                   .k = static_cast<i64>(size_) - 1,
+                   .dst = state_,
+                   .a = in(0).slot()});
   }
-  void reset() override { state_ = 0; }
+  void reset() override { model_.slot(state_) = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_);
+    writer.write_i64(model_.slot(state_));
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = out_.wrap(reader.read_i64());
+    model_.slot(state_) = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(words_.size(), out_.format().word_bits);
+    return detail::memory_resources(size_, out_.format().word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
   Signal& out_;
-  std::vector<i64> words_;
-  i64 state_ = 0;
+  std::size_t size_;
+  u32 state_;
+  u32 words_ = 0;  ///< the first of size_ slots
 };
 
 /// Single-port RAM: synchronous write, synchronous read (read-before-
@@ -96,7 +105,9 @@ class SinglePortRam : public Block {
                 FixFormat word_format, Signal& address, Signal& data_in,
                 Signal& write_enable)
       : Block(model, std::move(name)),
-        cells_(depth, 0),
+        depth_(depth),
+        cells_(model.make_slots(depth)),
+        state_(model.make_slots(1)),
         out_(make_output("data", word_format)) {
     if (depth == 0) {
       throw SimError("SinglePortRam '" + this->name() + "': zero depth");
@@ -110,51 +121,60 @@ class SinglePortRam : public Block {
   void lower(Lowering& lowering) override {
     const FixFormat word = out_.format();
     lowering.emit(Phase::kOutput,
-                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = &state_});
+                  {.code = OpCode::kCopy, .dst = out_.slot(), .a = state_});
     // An out-of-range address uses the last cell.
     lowering.emit(
         Phase::kLatch,
         {.code = OpCode::kRam,
+         .ext = cells_,
          .wrap = Wrap::into(word, int(word.frac_bits) -
                                       int(in(1).format().frac_bits)),
-         .k = static_cast<i64>(cells_.size()) - 1,
-         .dst = &state_,
+         .k = static_cast<i64>(depth_) - 1,
+         .dst = state_,
          .a = in(0).slot(),
          .b = in(1).slot(),
-         .c = in(2).slot(),
-         .ext = {.cells = cells_.data()}});
+         .c = in(2).slot()});
   }
   void reset() override {
-    std::fill(cells_.begin(), cells_.end(), 0);
-    state_ = 0;
+    std::ranges::fill(cells(), 0);
+    model_.slot(state_) = 0;
   }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_u64(cells_.size());
-    for (const i64 cell : cells_) writer.write_i64(cell);
-    writer.write_i64(state_);
+    writer.write_u64(depth_);
+    for (const i64 cell : cells()) writer.write_i64(cell);
+    writer.write_i64(model_.slot(state_));
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    if (reader.read_u64() != cells_.size()) return false;
-    for (i64& cell : cells_) cell = out_.wrap(reader.read_i64());
-    state_ = out_.wrap(reader.read_i64());
+    if (reader.read_u64() != depth_) return false;
+    for (i64& cell : cells()) cell = out_.wrap(reader.read_i64());
+    model_.slot(state_) = out_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(cells_.size(), out_.format().word_bits);
+    return detail::memory_resources(depth_, out_.format().word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
   /// Debug peek for tests.
   [[nodiscard]] Fix cell(std::size_t index) const {
-    return Fix::from_raw(out_.format(), cells_.at(index));
+    if (index >= depth_) {
+      throw std::out_of_range("SinglePortRam '" + name() + "': cell " +
+                              std::to_string(index));
+    }
+    return Fix::from_raw(out_.format(), cells()[index]);
   }
 
  private:
-  std::vector<i64> cells_;  // sized once: the ops point into it
+  [[nodiscard]] std::span<i64> cells() const {
+    return model_.slots(cells_, depth_);
+  }
+
+  std::size_t depth_;
+  u32 cells_;  ///< the first of depth_ slots
+  u32 state_;
   Signal& out_;
-  i64 state_ = 0;
 };
 
 /// Synchronous FIFO with write/read enables and full/empty flags — the

@@ -72,19 +72,20 @@ const char* binary_ext(OpCode code) noexcept {
 /// no lowering.
 std::string lower_segment(const Op* t, std::size_t size) {
   // Slots written earlier in the segment, and the local holding each.
-  std::unordered_map<const i64*, std::string> known;
+  std::unordered_map<u32, std::string> known;
   std::string body;
   bool stateful = false;
   for (std::size_t i = 0; i < size; ++i) {
     const Op& op = t[i];
     if (!has_lowering(op.code)) return "";
     const std::string at = cat("t[", std::to_string(i), "]");
-    auto read = [&](const i64* slot, const char* field) {
+    auto read = [&](u32 slot, const char* field) {
       const auto it = known.find(slot);
-      return it != known.end() ? it->second : cat("*", at, ".", field);
+      return it != known.end() ? it->second : cat("s[", at, ".", field, "]");
     };
-    const std::string a = op.a != nullptr ? read(op.a, "a") : "";
-    const std::string b = op.b != nullptr ? read(op.b, "b") : "";
+    const std::string dst = cat("s[", at, ".dst]");
+    const std::string a = op.a != kNoSlot ? read(op.a, "a") : "";
+    const std::string b = op.b != kNoSlot ? read(op.b, "b") : "";
     const std::string v = cat("v", std::to_string(i));
     const std::string wrap =
         cat(std::to_string(op.wrap.norm), ", ", literal(op.wrap.keep));
@@ -97,7 +98,7 @@ std::string lower_segment(const Op* t, std::size_t size) {
         break;
       case OpCode::kCopyFan:
         body += cat("  const i64 ", v, " = ", a, ";\n");
-        body += cat("  ops::copy_fan(*", at, ".dst, ", v, ", p, ", k, ", ",
+        body += cat("  ops::copy_fan(", dst, ", ", v, ", p, ", k, ", ",
                     literal(op.k2), ");\n");
         known[op.dst] = v;
         continue;
@@ -105,7 +106,8 @@ std::string lower_segment(const Op* t, std::size_t size) {
         value = cat("ops::shr_var(", a, ", ", b, ", ", k, ")");
         break;
       case OpCode::kMux:
-        value = cat("ops::mux(", at, ".ext.sources, ", a, ", ", k, ")");
+        value = cat("ops::mux(s, p.mux_sources + ", at, ".ext, ", a, ", ", k,
+                    ")");
         break;
       case OpCode::kCompareI64:
         value = cat("ops::compare_i64(", a, ", ", b, ", ", k, ")");
@@ -126,37 +128,35 @@ std::string lower_segment(const Op* t, std::size_t size) {
       case OpCode::kRegisterAlways:
         body += cat("  const i64 ", v, " = ops::wrap_ext(", a, ", ", wrap,
                     ");\n");
-        body += cat("  changed |= ops::update(*", at, ".dst, ", v, ");\n");
+        body += cat("  changed |= ops::update(", dst, ", ", v, ");\n");
         known[op.dst] = v;
         stateful = true;
         continue;
       case OpCode::kRegisterExt:
-        body += cat("  changed |= ops::register_ext(*", at, ".dst, ", a, ", ",
+        body += cat("  changed |= ops::register_ext(", dst, ", ", a, ", ",
                     read(op.c, "c"), ", ", wrap, ");\n");
         known.erase(op.dst);
         stateful = true;
         continue;
       case OpCode::kCounter:
-        body += cat("  changed |= ops::counter(*", at, ".dst, ", a, ", ", b,
-                    ", ", k, ");\n");
+        body += cat("  changed |= ops::counter(", dst, ", ", a, ", ", b, ", ",
+                    k, ");\n");
         known.erase(op.dst);
         stateful = true;
         continue;
       case OpCode::kSerialize:
-        body += cat("  changed |= ops::serialize(*", at, ".ext.queue, ", a,
-                    ", ", b, ");\n");
-        known.erase(&op.ext.queue->front);
-        known.erase(&op.ext.queue->busy);
+        body += cat("  changed |= ops::serialize(*p.queues[", at, ".ext], s, ",
+                    a, ", ", b, ");\n");
         stateful = true;
         continue;
       default:
         return "";
     }
     body += cat("  const i64 ", v, " = ", value, ";\n");
-    body += cat("  *", at, ".dst = ", v, ";\n");
+    body += cat("  ", dst, " = ", v, ";\n");
     known[op.dst] = v;
   }
-  std::string text;
+  std::string text = "  i64* const s = p.s;\n";
   if (stateful) text += "  bool changed = false;\n";
   text += body;
   if (stateful) text += "  p.changed = changed;\n";

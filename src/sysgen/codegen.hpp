@@ -6,11 +6,12 @@
 // the output into the library, where Lowering::finish() binds every tape
 // whose fingerprint matches.
 //
-// A generated function reads its operands through the segment's own op
-// records (t[i].a), so one function serves every instance of a design,
-// and writes every result to its slot; the formats, shifts, masks, k and
-// k2 constants and fanout ranges are literals, and a value written
-// earlier in the segment is read from a local. The arithmetic is the
+// A generated function reads its operands from the arena base the pass
+// carries, at the slots the segment's own op records name (s[t[i].a]),
+// so one function serves every instance of a design, and writes every
+// result to its slot; the formats, shifts, masks, k and k2 constants and
+// fanout ranges are literals, and a value written earlier in the segment
+// is read from a local. The arithmetic is the
 // interpreter's, from sysgen/ops.hpp. Identical bodies are emitted once.
 #pragma once
 

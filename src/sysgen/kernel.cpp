@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdint>
 #include <iterator>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/bits.hpp"
@@ -18,9 +18,6 @@ namespace mbcosim::sysgen {
 
 namespace {
 using i128 = __int128;
-
-constexpr i64 kOne = 1;
-constexpr i64 kZero = 0;
 
 i64 shl(i64 code, u8 amount) noexcept {
   return static_cast<i64>(static_cast<u64>(code) << amount);
@@ -65,22 +62,18 @@ void Lowering::emit_converted(Phase phase, Op op, FixFormat to, int shift,
     emit(phase, op);
     return;
   }
-  const Cast* cast = &kernel_.casts_.emplace_back(
-      Cast::into(to, shift, quantization, overflow));
+  const u32 cast = append(kernel_.casts_,
+                          Cast::into(to, shift, quantization, overflow));
   // A bare kWrap is a pure conversion: the cast reads its source.
-  i64* const dst = op.dst;
-  const i64* source = op.a;
+  const u32 dst = op.dst;
+  u32 source = op.a;
   if (op.code != OpCode::kWrap) {
     op.dst = temp();  // the exact result, op.wrap left at identity
     emit(phase, op);
     source = op.dst;
   }
-  emit(phase, Op{.code = OpCode::kCast, .dst = dst, .a = source,
-                 .ext = {.cast = cast}});
+  emit(phase, Op{.code = OpCode::kCast, .ext = cast, .dst = dst, .a = source});
 }
-
-const i64* Lowering::one() noexcept { return &kOne; }
-const i64* Lowering::zero() noexcept { return &kZero; }
 
 void Lowering::lower(Block& block) {
   block.lower(*this);
@@ -112,96 +105,6 @@ class Partition {
  private:
   std::vector<u32> parent_;
 };
-
-/// Slot addresses mapped to op or input indices (or to the fingerprint's
-/// slot numbers), by open addressing in a table sized once.
-class SlotMap {
- public:
-  explicit SlotMap(std::size_t entries)
-      : shift_(64 - static_cast<int>(std::bit_width(2 * entries + 1))),
-        keys_(std::size_t{1} << (64 - shift_), 0),
-        values_(keys_.size(), kNone) {}
-
-  /// Map `slot` to `value` unless it is mapped already; returns the value
-  /// it maps to.
-  u32 insert(const void* slot, u32 value) noexcept {
-    for (std::size_t i = home(slot);; i = (i + 1) & (keys_.size() - 1)) {
-      if (keys_[i] == key(slot)) return values_[i];
-      if (keys_[i] == 0) {
-        keys_[i] = key(slot);
-        values_[i] = value;
-        return value;
-      }
-    }
-  }
-  /// The value `slot` maps to, or kNone.
-  [[nodiscard]] u32 find(const void* slot) const noexcept {
-    for (std::size_t i = home(slot);; i = (i + 1) & (keys_.size() - 1)) {
-      if (keys_[i] == key(slot)) return values_[i];
-      if (keys_[i] == 0) return kNone;
-    }
-  }
-
- private:
-  static std::uintptr_t key(const void* slot) noexcept {
-    return reinterpret_cast<std::uintptr_t>(slot);
-  }
-  [[nodiscard]] std::size_t home(const void* slot) const noexcept {
-    return static_cast<std::size_t>(
-        (static_cast<u64>(key(slot)) * 0x9e3779b97f4a7c15ull) >> shift_);
-  }
-
-  int shift_;
-  std::vector<std::uintptr_t> keys_;  ///< 0 marks a free entry
-  std::vector<u32> values_;
-};
-
-/// Calls `fn` on every slot `op` reads that another op may write: its
-/// operands, a kMux's table, a fallback block's inputs. A fallback
-/// output_state() reads only its block's own state.
-template <typename Fn>
-void for_each_read(const Op& op, Fn&& fn) {
-  switch (op.code) {
-    case OpCode::kOutputState:
-      return;
-    case OpCode::kPropagate:
-    case OpCode::kLatch:
-      for (const Signal* input : op.ext.block->inputs()) fn(input->slot());
-      return;
-    case OpCode::kMux:
-      for (i64 i = 0; i <= op.k; ++i) fn(op.ext.sources[i]);
-      break;
-    case OpCode::kSerialize:
-      for (const i64* value : op.ext.queue->values) fn(value);
-      break;
-    default:
-      break;
-  }
-  for (const i64* slot : {op.a, op.b, op.c}) {
-    if (slot != nullptr) fn(slot);
-  }
-}
-
-/// Calls `fn` on every slot `op` writes that another op may read.
-template <typename Fn>
-void for_each_write(const Op& op, Fn&& fn) {
-  switch (op.code) {
-    case OpCode::kOutputState:
-    case OpCode::kPropagate:
-      for (const Signal* output : op.ext.block->outputs()) {
-        fn(output->slot());
-      }
-      return;
-    case OpCode::kLatch:
-      return;
-    case OpCode::kSerialize:
-      fn(&op.ext.queue->front);
-      fn(&op.ext.queue->busy);
-      return;
-    default:
-      if (op.dst != nullptr) fn(op.dst);
-  }
-}
 
 /// Ops that write slots living from one cycle to the next.
 bool is_state_op(OpCode code) noexcept {
@@ -271,6 +174,73 @@ OpCode specialised(const Op& op) noexcept {
 
 Kernel Lowering::finish() && {
   const auto count = static_cast<u32>(ops_.size());
+  const std::size_t slots = kernel_.arena_->size();
+  // An op may name any slot (Block::lower is public): each must exist.
+  auto check_slot = [slots](u64 slot) {
+    if (slot >= slots) {
+      throw SimError("sysgen lowering: an op names slot " +
+                     std::to_string(slot) + " outside the arena of " +
+                     std::to_string(slots));
+    }
+  };
+  // Calls `fn` on every slot `op` reads that another op may write: its
+  // operands, a kMux's sources, a serializer's values, a fallback block's
+  // inputs, and the first and last cells of a memory op. A fallback
+  // output_state() reads only its block's own state.
+  auto for_each_read = [&](const Op& op, auto&& fn) {
+    switch (op.code) {
+      case OpCode::kOutputState:
+        return;
+      case OpCode::kPropagate:
+      case OpCode::kLatch:
+        for (const Signal* in : kernel_.blocks_[op.ext]->inputs()) {
+          fn(in->slot());
+        }
+        return;
+      case OpCode::kMux:
+        for (i64 i = 0; i <= op.k; ++i) fn(kernel_.mux_sources_[op.ext + i]);
+        break;
+      case OpCode::kSerialize:
+        for (const u32 value : kernel_.queues_[op.ext]->values) fn(value);
+        break;
+      case OpCode::kRingRead:
+      case OpCode::kRingPush:
+      case OpCode::kRom:
+      case OpCode::kRam: {
+        // Cells [ext, ext + k) of a ring push, [ext, ext + k] of a memory.
+        const i64 last = op.code == OpCode::kRingRead   ? 0
+                         : op.code == OpCode::kRingPush ? op.k - 1
+                                                        : op.k;
+        check_slot(last < 0 ? slots : op.ext + static_cast<u64>(last));
+        fn(op.ext);
+        break;
+      }
+      default:
+        break;
+    }
+    for (const u32 slot : {op.a, op.b, op.c}) {
+      if (slot != kNoSlot) fn(slot);
+    }
+  };
+  // Calls `fn` on every slot `op` writes that another op may read.
+  auto for_each_write = [&](const Op& op, auto&& fn) {
+    switch (op.code) {
+      case OpCode::kOutputState:
+      case OpCode::kPropagate:
+        for (const Signal* out : kernel_.blocks_[op.ext]->outputs()) {
+          fn(out->slot());
+        }
+        return;
+      case OpCode::kLatch:
+        return;
+      case OpCode::kSerialize:
+        fn(kernel_.queues_[op.ext]->front);
+        fn(kernel_.queues_[op.ext]->busy);
+        return;
+      default:
+        if (op.dst != kNoSlot) fn(op.dst);
+    }
+  };
   for (u32 i = 0; i < count; ++i) {
     if (is_state_op(ops_[i].code) && phases_[i] != Phase::kLatch) {
       throw SimError("sysgen lowering: a state op outside the latch phase");
@@ -288,18 +258,20 @@ Kernel Lowering::finish() && {
   // Every slot an op writes maps to its writer, every input slot to its
   // index tagged kInput.
   constexpr u32 kInput = u32{1} << 31;
-  SlotMap slots(count + kernel_.inputs_.size());
-  for (u32 i = 0; i < count; ++i) {
-    for_each_write(ops_[i], [&](const i64* slot) {
-      if (slots.insert(slot, i) != i) {
-        throw SimError("sysgen lowering: two ops write one slot");
-      }
-    });
-  }
-  for (u32 i = 0; i < kernel_.inputs_.size(); ++i) {
-    if (slots.insert(kernel_.input_outputs_[i], i | kInput) != (i | kInput)) {
+  std::vector<u32> writers(slots, kNone);
+  auto claim = [&](u32 slot, u32 writer) {
+    check_slot(slot);
+    if (writers[slot] != kNone) {
       throw SimError("sysgen lowering: two ops write one slot");
     }
+    writers[slot] = writer;
+  };
+  for (u32 i = 0; i < count; ++i) {
+    for_each_write(ops_[i], [&](u32 slot) { claim(slot, i); });
+  }
+  for (u32 i = 0; i < kernel_.inputs_.size(); ++i) {
+    check_slot(kernel_.inputs_[i]);
+    claim(kernel_.input_outputs_[i], i | kInput);
   }
 
   // A source op is a block's only op: a phase-1 copy of a slot no op
@@ -311,9 +283,9 @@ Kernel Lowering::finish() && {
     const Op& op = ops_[i];
     const bool alone = (i == 0 || owners_[i - 1] != owners_[i]) &&
                        (i + 1 == count || owners_[i + 1] != owners_[i]);
-    if (alone && phases_[i] == Phase::kPropagate && op.code == OpCode::kCopy) {
-      const u32 writer = slots.find(op.a);
-      source[i] = writer == kNone || (writer & kInput) != 0;
+    if (alone && phases_[i] == Phase::kPropagate && op.code == OpCode::kCopy &&
+        op.a < slots) {
+      source[i] = writers[op.a] == kNone || (writers[op.a] & kInput) != 0;
     }
   }
 
@@ -329,8 +301,9 @@ Kernel Lowering::finish() && {
   std::vector<std::pair<u32, u32>> fan_edges;    // (writer op, reader op)
   std::vector<std::pair<u32, u32>> input_edges;  // (input, reader op)
   for (u32 reader = 0; reader < count; ++reader) {
-    for_each_read(ops_[reader], [&](const i64* slot) {
-      const u32 writer = slots.find(slot);
+    for_each_read(ops_[reader], [&](u32 slot) {
+      check_slot(slot);
+      const u32 writer = writers[slot];
       if (writer == kNone) return;
       if (phases_[reader] == Phase::kOutput &&
           ((writer & kInput) != 0 || !is_state_op(ops_[writer].code))) {
@@ -480,39 +453,21 @@ class Hasher {
   u64 hi_ = 0x13198a2e03707344ull;
 };
 
-/// Slots `op` names (the fingerprint numbers them), at most: its
-/// operands, and what op.ext points to — a kMux's table, a serializer's
-/// values, front and busy, ring or RAM cells, a fallback block.
-std::size_t named_slots(const Op& op) noexcept {
-  std::size_t count = (op.dst != nullptr) + (op.a != nullptr) +
-                      (op.b != nullptr) + (op.c != nullptr);
-  switch (op.code) {
-    case OpCode::kMux:
-      return count + static_cast<std::size_t>(op.k) + 1;
-    case OpCode::kSerialize:
-      return count + op.ext.queue->values.size() + 2;
-    default:
-      return count + 1;
-  }
-}
 }  // namespace
 
 void Kernel::bind() {
   // Number every slot an op names by its first use, so that the hash
-  // sees which ops share a slot but not where it lives.
-  std::size_t references = 0;
-  for (const Op& op : tape_) references += named_slots(op);
-  SlotMap numbers(references);
+  // sees which ops share a slot but not where it lives in the arena.
+  std::vector<u32> numbers(arena_->size(), kNone);
   u32 next = 0;
   Hasher hash;
-  auto slot = [&](const void* address) {
-    if (address == nullptr) {
+  auto slot = [&](u32 index) {
+    if (index == kNoSlot) {
       hash.add(~u64{0});
       return;
     }
-    const u32 number = numbers.insert(address, next);
-    if (number == next) ++next;
-    hash.add(number);
+    if (numbers[index] == kNone) numbers[index] = next++;
+    hash.add(numbers[index]);
   };
   hash.add(tape_.size());
   for (const Op& op : tape_) {
@@ -522,27 +477,26 @@ void Kernel::bind() {
     hash.add(static_cast<u64>(op.wrap.keep));
     hash.add(static_cast<u64>(op.k));
     hash.add(static_cast<u64>(op.k2));
-    for (const i64* operand : {static_cast<const i64*>(op.dst), op.a, op.b,
-                               op.c}) {
-      slot(operand);
-    }
+    for (const u32 operand : {op.dst, op.a, op.b, op.c}) slot(operand);
     switch (op.code) {
       case OpCode::kMux:
-        for (i64 i = 0; i <= op.k; ++i) slot(op.ext.sources[i]);
+        for (i64 i = 0; i <= op.k; ++i) slot(mux_sources_[op.ext + i]);
         break;
-      case OpCode::kSerialize:
-        hash.add(op.ext.queue->values.size());
-        for (const i64* value : op.ext.queue->values) slot(value);
-        slot(&op.ext.queue->front);
-        slot(&op.ext.queue->busy);
+      case OpCode::kSerialize: {
+        const SerialQueue& queue = *queues_[op.ext];
+        hash.add(queue.values.size());
+        for (const u32 value : queue.values) slot(value);
+        slot(queue.front);
+        slot(queue.busy);
         break;
+      }
       case OpCode::kRom:
         for (i64 i = 0; i <= op.k; ++i) {
-          hash.add(static_cast<u64>(op.ext.words[i]));
+          hash.add(static_cast<u64>((*arena_)[op.ext + i]));
         }
         break;
       case OpCode::kCast: {
-        const Cast& cast = *op.ext.cast;
+        const Cast& cast = casts_[op.ext];
         hash.add(u64{cast.wrap.left} | u64{cast.wrap.norm} << 8 |
                  u64{cast.right} << 16 | u64{cast.round} << 24 |
                  u64{cast.saturate} << 32);
@@ -556,13 +510,13 @@ void Kernel::bind() {
       case OpCode::kRingReadFan:
       case OpCode::kRingPush:
       case OpCode::kRam:
-        slot(op.ext.cells);
+        slot(op.ext);  // the first cell
         break;
       case OpCode::kOutputState:
       case OpCode::kOutputStateFan:
       case OpCode::kPropagate:
       case OpCode::kLatch:
-        slot(op.ext.block);  // a fallback block, by identity
+        hash.add(op.ext);  // a fallback block, by lowering order
         break;
       default:
         break;
@@ -598,16 +552,18 @@ std::size_t Kernel::count(OpCode code) const noexcept {
 }
 
 bool Kernel::inputs_unchanged() const noexcept {
+  const i64* const s = arena_->data();
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (*inputs_[i] != *input_outputs_[i]) return false;
+    if (s[inputs_[i]] != s[input_outputs_[i]]) return false;
   }
   return true;
 }
 
 void Kernel::mark_changed_inputs() noexcept {
+  i64* const s = arena_->data();
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (*inputs_[i] == *input_outputs_[i]) continue;
-    *input_outputs_[i] = *inputs_[i];
+    if (s[inputs_[i]] == s[input_outputs_[i]]) continue;
+    s[input_outputs_[i]] = s[inputs_[i]];
     // A full pass runs every region anyway.
     if (full_) continue;
     // As a fanout mark: the readers' bodies only, since no phase-0 op
@@ -625,6 +581,7 @@ void Kernel::mark_changed_inputs() noexcept {
 Cycle Kernel::run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence) {
   // A model alone that has settled repeats its last cycle all call long.
   if (ports == nullptr && settled()) return 0;
+  const i64* const s = arena_->data();
   const Cycle window = quiescence != nullptr ? quiescence->window : 0;
   // Whether the FIFO state last presented has work for the interface.
   bool active = false;
@@ -661,17 +618,17 @@ Cycle Kernel::run_cycles(Cycle cycles, Ports* ports, Quiescence* quiescence) {
     if (ports != nullptr) {
       ports->wrote_last_cycle = false;
       for (std::size_t p = 0; p < ports->pops.size(); ++p) {
-        if (*ports->pops[p].bit != 0 && ports->pop(ports->owner, p)) {
+        if (s[ports->pops[p].bit] != 0 && ports->pop(ports->owner, p)) {
           moved = stale = true;
         }
       }
       for (std::size_t p = 0; p < ports->pushes.size(); ++p) {
         const Ports::Strobe& push = ports->pushes[p];
-        if (*push.bit == 0) continue;
+        if (s[push.bit] == 0) continue;
         // A refused push moves no word but still counts as traffic: the
         // master presents the word again on the next cycle.
         ports->wrote_last_cycle = moved = true;
-        if (ports->push(ports->owner, p, *push.data, *push.control != 0)) {
+        if (ports->push(ports->owner, p, s[push.data], s[push.control] != 0)) {
           stale = true;
         }
       }
@@ -728,9 +685,13 @@ void Kernel::run() {
   // cycle), stage 1 the queued phase-0 segments, stage 2 the queued
   // bodies. Fanout marks, made in stages 0 and 1, queue bodies only.
   const Op* const tape = tape_.data();
+  i64* const s = arena_->data();
   const SegmentFn* const compiled =
       compiled_.empty() ? nullptr : compiled_.data();
-  PassState p{.fanout = fanout_.data(),
+  PassState p{.s = s,
+              .mux_sources = mux_sources_.data(),
+              .queues = queues_.data(),
+              .fanout = fanout_.data(),
               .regions = regions_.data(),
               .stamp = stamp_.data(),
               .pass = pass_,
@@ -766,144 +727,144 @@ next_segment:
   ++cursor;
   goto* kHandlers[static_cast<u8>(op->code)];
 copy:
-  *op->dst = *op->a;
+  s[op->dst] = s[op->a];
   MBC_NEXT();
 wrap:
-  *op->dst = op->wrap(*op->a);
+  s[op->dst] = op->wrap(s[op->a]);
   MBC_NEXT();
 cast:
-  *op->dst = (*op->ext.cast)(*op->a);
+  s[op->dst] = casts_[op->ext](s[op->a]);
   MBC_NEXT();
 add:
-  *op->dst = op->wrap(shl(*op->a, op->sa) + shl(*op->b, op->sb));
+  s[op->dst] = op->wrap(shl(s[op->a], op->sa) + shl(s[op->b], op->sb));
   MBC_NEXT();
 sub:
-  *op->dst = op->wrap(shl(*op->a, op->sa) - shl(*op->b, op->sb));
+  s[op->dst] = op->wrap(shl(s[op->a], op->sa) - shl(s[op->b], op->sb));
   MBC_NEXT();
 mul:
-  *op->dst = op->wrap(*op->a * *op->b);
+  s[op->dst] = op->wrap(s[op->a] * s[op->b]);
   MBC_NEXT();
 mul_clamp: {
-  const i128 product = i128(*op->a) * i128(*op->b);
-  *op->dst = product < op->k    ? op->k
+  const i128 product = i128(s[op->a]) * i128(s[op->b]);
+  s[op->dst] = product < op->k    ? op->k
              : product > op->k2 ? op->k2
                                 : static_cast<i64>(product);
   MBC_NEXT();
 }
 neg:
-  *op->dst = op->wrap(-*op->a);
+  s[op->dst] = op->wrap(-s[op->a]);
   MBC_NEXT();
 shr:
-  *op->dst = *op->a >> op->k;
+  s[op->dst] = s[op->a] >> op->k;
   MBC_NEXT();
 shr_var:
-  *op->dst = ops::shr_var(*op->a, *op->b, op->k);
+  s[op->dst] = ops::shr_var(s[op->a], s[op->b], op->k);
   MBC_NEXT();
 mux:
-  *op->dst = ops::mux(op->ext.sources, *op->a, op->k);
+  s[op->dst] = ops::mux(s, p.mux_sources + op->ext, s[op->a], op->k);
   MBC_NEXT();
 compare: {
-  const i128 a = i128(*op->a) << op->sa;
-  const i128 b = i128(*op->b) << op->sb;
+  const i128 a = i128(s[op->a]) << op->sa;
+  const i128 b = i128(s[op->b]) << op->sb;
   const int order = (a > b) - (a < b);
-  *op->dst = (op->k >> (order + 1)) & 1;
+  s[op->dst] = (op->k >> (order + 1)) & 1;
   MBC_NEXT();
 }
 and_:
-  *op->dst = op->wrap(*op->a & *op->b);
+  s[op->dst] = op->wrap(s[op->a] & s[op->b]);
   MBC_NEXT();
 or_:
-  *op->dst = op->wrap(*op->a | *op->b);
+  s[op->dst] = op->wrap(s[op->a] | s[op->b]);
   MBC_NEXT();
 xor_:
-  *op->dst = op->wrap(*op->a ^ *op->b);
+  s[op->dst] = op->wrap(s[op->a] ^ s[op->b]);
   MBC_NEXT();
 not_:
-  *op->dst = op->wrap(~*op->a);
+  s[op->dst] = op->wrap(~s[op->a]);
   MBC_NEXT();
 reg:
-  if (*op->c != 0) p.changed |= update(*op->dst, op->wrap(*op->a));
+  if (s[op->c] != 0) p.changed |= update(s[op->dst], op->wrap(s[op->a]));
   MBC_NEXT();
 counter:
-  p.changed |= ops::counter(*op->dst, *op->a, *op->b, op->k);
+  p.changed |= ops::counter(s[op->dst], s[op->a], s[op->b], op->k);
   MBC_NEXT();
 ring_read:
-  *op->dst = op->ext.cells[*op->a];
+  s[op->dst] = s[op->ext + s[op->a]];
   MBC_NEXT();
 ring_push:
-  op->ext.cells[*op->dst] = *op->a;
-  *op->dst = *op->dst + 1 == op->k ? 0 : *op->dst + 1;
+  s[op->ext + s[op->dst]] = s[op->a];
+  s[op->dst] = s[op->dst] + 1 == op->k ? 0 : s[op->dst] + 1;
   p.changed = true;
   MBC_NEXT();
 rom:
-  p.changed |= update(*op->dst, op->ext.words[clamp_index(*op->a, op->k)]);
+  p.changed |= update(s[op->dst], s[op->ext + clamp_index(s[op->a], op->k)]);
   MBC_NEXT();
 ram: {
-  i64& cell = op->ext.cells[clamp_index(*op->a, op->k)];
-  p.changed |= update(*op->dst, cell);  // read-before-write
-  if (*op->c != 0) p.changed |= update(cell, op->wrap(*op->b));
+  i64& cell = s[op->ext + clamp_index(s[op->a], op->k)];
+  p.changed |= update(s[op->dst], cell);  // read-before-write
+  if (s[op->c] != 0) p.changed |= update(cell, op->wrap(s[op->b]));
   MBC_NEXT();
 }
 serialize:
-  p.changed |= ops::serialize(*op->ext.queue, *op->a, *op->b);
+  p.changed |= ops::serialize(*p.queues[op->ext], s, s[op->a], s[op->b]);
   MBC_NEXT();
 output_state:
-  op->ext.block->output_state();
+  blocks_[op->ext]->output_state();
   MBC_NEXT();
 propagate:
-  op->ext.block->propagate();
+  blocks_[op->ext]->propagate();
   MBC_NEXT();
 latch:
-  op->ext.block->latch();
-  p.changed |= op->ext.block->latch_changed();
+  blocks_[op->ext]->latch();
+  p.changed |= blocks_[op->ext]->latch_changed();
   MBC_NEXT();
 copy_fan:
-  ops::copy_fan(*op->dst, *op->a, p, op->k, op->k2);
+  ops::copy_fan(s[op->dst], s[op->a], p, op->k, op->k2);
   MBC_NEXT();
 ring_read_fan:
-  ops::copy_fan(*op->dst, op->ext.cells[*op->a], p, op->k, op->k2);
+  ops::copy_fan(s[op->dst], s[op->ext + s[op->a]], p, op->k, op->k2);
   MBC_NEXT();
 output_state_fan:
-  op->ext.block->output_state();
+  blocks_[op->ext]->output_state();
   ops::mark_fanout(p, op->k, op->k2);
   MBC_NEXT();
 wrap_ext:
-  *op->dst = ops::wrap_ext(*op->a, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::wrap_ext(s[op->a], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 add_ext:
-  *op->dst = ops::add_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::add_ext(s[op->a], s[op->b], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 sub_ext:
-  *op->dst = ops::sub_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::sub_ext(s[op->a], s[op->b], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 mul_ext:
-  *op->dst = ops::mul_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::mul_ext(s[op->a], s[op->b], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 neg_ext:
-  *op->dst = op->wrap.extend(-*op->a);
+  s[op->dst] = op->wrap.extend(-s[op->a]);
   MBC_NEXT();
 and_ext:
-  *op->dst = ops::and_ext(*op->a, *op->b, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::and_ext(s[op->a], s[op->b], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 or_ext:
-  *op->dst = op->wrap.extend(*op->a | *op->b);
+  s[op->dst] = op->wrap.extend(s[op->a] | s[op->b]);
   MBC_NEXT();
 xor_ext:
-  *op->dst = op->wrap.extend(*op->a ^ *op->b);
+  s[op->dst] = op->wrap.extend(s[op->a] ^ s[op->b]);
   MBC_NEXT();
 not_ext:
-  *op->dst = ops::not_ext(*op->a, op->wrap.norm, op->wrap.keep);
+  s[op->dst] = ops::not_ext(s[op->a], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 reg_ext:
-  p.changed |= ops::register_ext(*op->dst, *op->a, *op->c, op->wrap.norm,
+  p.changed |= ops::register_ext(s[op->dst], s[op->a], s[op->c], op->wrap.norm,
                                  op->wrap.keep);
   MBC_NEXT();
 reg_always:
-  p.changed |= update(*op->dst, ops::wrap_ext(*op->a, op->wrap.norm,
+  p.changed |= update(s[op->dst], ops::wrap_ext(s[op->a], op->wrap.norm,
                                                 op->wrap.keep));
   MBC_NEXT();
 compare_i64:
-  *op->dst = ops::compare_i64(*op->a, *op->b, op->k);
+  s[op->dst] = ops::compare_i64(s[op->a], s[op->b], op->k);
   MBC_NEXT();
 end:
   ++p.counts.segments;

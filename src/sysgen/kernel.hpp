@@ -6,9 +6,16 @@
 // conversion needs, precomputed, so a stepped cycle does no virtual
 // dispatch, builds no Fix and validates no format.
 //
-// Ops point into storage that never moves after elaboration: the model's
-// signal deque, blocks held by unique_ptr (whose state buffers are sized
-// at construction) and the kernel's own temps, cast specs and tables.
+// The slot arena (DESIGN.md §15, "The slot arena"). Every raw value lives
+// in one std::vector<i64> that the model owns: the reserved constants
+// zero and one, then the slots its signals and blocks make in creation
+// order (signal values, gateway inputs, block state, ROM words, RAM
+// cells, pipeline stages), then the kernel's temps. An op names its slots
+// by u32 index, and its ext field indexes a side table of the kernel
+// (kMux source lists, casts, serializer queues, fallback blocks) or, for
+// the memory ops, the first of their cells in the arena. So the arena may
+// grow while the model is built, and nothing an op names has to stay
+// where it was; once the model is elaborated no slot is added.
 //
 // Activity-driven passes (DESIGN.md §15, "Activity-driven passes").
 // Lowering::finish() partitions the ops into regions: an op that reads a
@@ -153,8 +160,8 @@ enum class OpCode : u8 {
   kNot,          ///< dst = wrap(~a)
   kRegister,     ///< if c: dst = wrap(a)
   kCounter,      ///< if b: dst = 0, else if a: dst = (dst + 1) mod k
-  kRingRead,     ///< dst = cells[*a]
-  kRingPush,     ///< cells[*dst] = a; *dst = (*dst + 1) mod k; always
+  kRingRead,     ///< dst = cells[a]
+  kRingPush,     ///< cells[dst] = a; dst = (dst + 1) mod k; always
                  ///< counted as a change
   kRom,          ///< dst = words[min(unsigned a, k)]
   kRam,          ///< i = min(unsigned a, k); dst = cells[i];
@@ -188,43 +195,44 @@ enum class OpCode : u8 {
   kEnd,          ///< end of a segment
 };
 
-/// The queue of a lowered serializer (kSerialize): words captured in
-/// parallel and emitted one per cycle. Its backlog is unbounded; ops
-/// reach it through a pointer to this record, which never moves.
-struct SerialQueue {
-  std::vector<const i64*> values;  ///< captured in order when a is high
-  std::deque<i64> words;
-  i64 front = 0;  ///< words.front(), or 0 when empty
-  i64 busy = 0;   ///< 1 while a word waits
+/// An arena slot index; kNoSlot marks an operand an op does not use.
+inline constexpr u32 kNoSlot = ~u32{0};
 
-  /// Recompute front and busy from words (after a reset or a restore).
-  void refresh() noexcept {
-    front = words.empty() ? 0 : words.front();
-    busy = words.empty() ? 0 : 1;
+/// The queue of a lowered serializer (kSerialize): words captured in
+/// parallel and emitted one per cycle. Its backlog is unbounded.
+struct SerialQueue {
+  std::vector<u32> values;  ///< slots captured in order when a is high
+  std::deque<i64> words;
+  u32 front = kNoSlot;  ///< slot holding words.front(), or 0 when empty
+  u32 busy = kNoSlot;   ///< slot holding 1 while a word waits
+
+  /// Recompute the front and busy slots of arena `s` from words (after a
+  /// pop, a push, a reset or a restore).
+  void refresh(i64* s) const noexcept {
+    s[front] = words.empty() ? 0 : words.front();
+    s[busy] = words.empty() ? 0 : 1;
   }
 };
 
-/// One instruction of the tape.
+/// One instruction of the tape. Operands are arena slots; `ext` means,
+/// per OpCode: the first cell's slot (kRingRead, kRingPush, kRom, kRam),
+/// an offset into the kernel's source lists (kMux), or an index into its
+/// casts (kCast), serializer queues (kSerialize) or fallback blocks
+/// (kOutputState, kPropagate, kLatch).
 struct Op {
   OpCode code = OpCode::kCopy;
   u8 sa = 0;  ///< left shift aligning operand a
   u8 sb = 0;  ///< left shift aligning operand b
+  u32 ext = 0;
   Wrap wrap{};  ///< conversion into the destination's format
   i64 k = 0;  ///< immediate; meaning per OpCode
   i64 k2 = 0;
-  i64* dst = nullptr;
-  const i64* a = nullptr;
-  const i64* b = nullptr;
-  const i64* c = nullptr;
-  union {
-    i64* cells;                 ///< kRingRead, kRingPush, kRam
-    const i64* words;           ///< kRom
-    const i64* const* sources;  ///< kMux
-    const Cast* cast;           ///< kCast
-    SerialQueue* queue;         ///< kSerialize
-    Block* block;               ///< kOutputState, kPropagate, kLatch
-  } ext{};
+  u32 dst = kNoSlot;
+  u32 a = kNoSlot;
+  u32 b = kNoSlot;
+  u32 c = kNoSlot;
 };
+static_assert(sizeof(Op) <= 56);
 
 /// The world outside a model as its port ops see it. Its owner (the FSL
 /// bridge) fills it in and hands it to Kernel::run_cycles; the kernel
@@ -234,9 +242,9 @@ struct Ports {
   /// A handshake bit the model drives: FSL_S_Read for a pop, FSL_M_Write
   /// with its data and control slots for a push.
   struct Strobe {
-    const i64* bit = nullptr;
-    const i64* data = nullptr;
-    const i64* control = nullptr;
+    u32 bit = kNoSlot;
+    u32 data = kNoSlot;
+    u32 control = kNoSlot;
   };
   std::vector<Strobe> pops;    ///< index = the owner's slave port
   std::vector<Strobe> pushes;  ///< index = the owner's master port
@@ -281,9 +289,13 @@ struct RegionSegments {
 };
 
 /// What a running pass keeps while it runs segments, interpreted or
-/// compiled: the fanout marks queue bodies into it, the state ops of the
-/// running segment set `changed`, and each segment's close counts it.
+/// compiled: the arena and the side tables its ops read, the fanout marks
+/// queue bodies into it, the state ops of the running segment set
+/// `changed`, and each segment's close counts it.
 struct PassState {
+  i64* s = nullptr;  ///< the arena
+  const u32* mux_sources = nullptr;
+  SerialQueue* const* queues = nullptr;
   const u32* fanout = nullptr;
   const RegionSegments* regions = nullptr;
   u64* stamp = nullptr;
@@ -309,8 +321,8 @@ struct Fingerprint {
 
 struct CompiledDesign;
 
-/// The lowered model: the op tape, its regions and the storage it points
-/// into.
+/// The lowered model: the op tape, its regions and the side tables its ops
+/// index; the slots they name are in the model's arena.
 class Kernel {
  public:
   /// Advance `cycles` clock cycles and return how many of them the
@@ -403,14 +415,14 @@ class Kernel {
   std::vector<RegionSegments> regions_;
   u32 sources_ = 0;  ///< regions [0, sources_) are single source ops
   std::vector<u32> fanout_;  ///< region lists the fan ops and inputs index
-  std::vector<const i64*> inputs_;
-  std::vector<i64*> input_outputs_;  ///< the signal each input drives
+  std::vector<u32> inputs_;
+  std::vector<u32> input_outputs_;  ///< the signal each input drives
   /// Input i marks the regions fanout_[input_fanout_[i], [i + 1]).
   std::vector<u32> input_fanout_;
-  // Scheduling state, sized once. A region is pending for the pass its
-  // stamp names. A pass runs the queued sources, then the queued phase-0
-  // segments, then the queued bodies; a body whose state ops changed a
-  // slot queues its region for the next pass.
+  // Scheduling state. A region is pending for the pass its stamp names.
+  // A pass runs the queued sources, then the queued phase-0 segments,
+  // then the queued bodies; a body whose state ops changed a slot queues
+  // its region for the next pass.
   std::vector<u64> stamp_;
   u64 pass_ = 1;
   Queue sources_queue_;
@@ -428,9 +440,13 @@ class Kernel {
   /// By tape offset: the compiled body of the segment starting there, or
   /// null; empty when no design is bound.
   std::vector<SegmentFn> compiled_;
-  std::deque<i64> temps_;
-  std::deque<Cast> casts_;
-  std::vector<std::vector<const i64*>> tables_;
+  /// The model's arena, which outlives the kernel.
+  std::vector<i64>* arena_ = nullptr;
+  // The side tables op.ext indexes.
+  std::vector<u32> mux_sources_;
+  std::vector<Cast> casts_;
+  std::vector<SerialQueue*> queues_;
+  std::vector<Block*> blocks_;
 };
 
 /// The phase of the clock cycle an op runs in (see block.hpp).
@@ -441,6 +457,9 @@ enum class Phase : u8 { kOutput, kPropagate, kLatch };
 /// block appends its ops to the phases it runs in.
 class Lowering {
  public:
+  /// Lower into the model's `arena`, which holds the reserved constants.
+  explicit Lowering(std::vector<i64>& arena) { kernel_.arena_ = &arena; }
+
   /// Lower one block (Block::lower): the ops it emits belong to it.
   void lower(Block& block);
 
@@ -451,7 +470,7 @@ class Lowering {
   }
 
   /// Emit `op`, whose exact result has `shift` fewer fraction bits than
-  /// `to`, converted into `to` and stored at op.dst. Truncate-and-wrap
+  /// `to`, converted into `to` and stored in slot op.dst. Truncate-and-wrap
   /// conversions fuse into op.wrap; others run as a kCast after it.
   void emit_converted(Phase phase, Op op, FixFormat to, int shift,
                       Quantization quantization, Overflow overflow);
@@ -462,27 +481,46 @@ class Lowering {
   /// its output and marks the output's readers pending directly, on the
   /// first stepped cycle of each run_cycles call and after each
   /// Ports::present; no pass compares it again.
-  void input(const i64* slot, i64* output) {
+  void input(u32 slot, u32 output) {
     kernel_.inputs_.push_back(slot);
     kernel_.input_outputs_.push_back(output);
   }
 
   /// A scratch slot, private to the op that writes it.
-  [[nodiscard]] i64* temp() { return &kernel_.temps_.emplace_back(0); }
-  /// An array of slot pointers for a kMux.
-  [[nodiscard]] const i64* const* table(std::vector<const i64*> sources) {
-    return kernel_.tables_.emplace_back(std::move(sources)).data();
+  [[nodiscard]] u32 temp() { return append(*kernel_.arena_, i64{0}); }
+  /// The ext of a kMux over `sources`, in select order.
+  [[nodiscard]] u32 mux_sources(const std::vector<u32>& sources) {
+    std::vector<u32>& lists = kernel_.mux_sources_;
+    lists.insert(lists.end(), sources.begin(), sources.end());
+    return static_cast<u32>(lists.size() - sources.size());
+  }
+  /// The ext of a kSerialize running `queue`, which outlives the kernel.
+  [[nodiscard]] u32 queue(SerialQueue& queue) {
+    return append(kernel_.queues_, &queue);
+  }
+  /// The ext of a fallback op running `block`.
+  [[nodiscard]] u32 fallback(Block& block) {
+    return append(kernel_.blocks_, &block);
   }
 
-  /// Slots holding a constant, for enables and resets left unconnected.
-  [[nodiscard]] static const i64* one() noexcept;
-  [[nodiscard]] static const i64* zero() noexcept;
+  /// The reserved arena slots holding a constant, for enables and resets
+  /// left unconnected.
+  [[nodiscard]] static constexpr u32 zero() noexcept { return 0; }
+  [[nodiscard]] static constexpr u32 one() noexcept { return 1; }
 
   /// The finished kernel: the ops partitioned into regions, every region
-  /// pending.
+  /// pending. Throws SimError when an op names a slot outside the arena
+  /// or breaks a rule of the partition.
   [[nodiscard]] Kernel finish() &&;
 
  private:
+  /// Append `entry` to `table`; returns its index.
+  template <typename T>
+  static u32 append(std::vector<T>& table, T entry) {
+    table.push_back(entry);
+    return static_cast<u32>(table.size() - 1);
+  }
+
   Kernel kernel_;
   // One entry per emitted op, in emission order.
   std::vector<Op> ops_;

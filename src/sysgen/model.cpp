@@ -20,14 +20,12 @@ Signal& Block::make_output(const std::string& suffix, FixFormat format) {
 }
 
 void Block::lower(Lowering& lowering) {
+  const u32 self = lowering.fallback(*this);
   if (is_sequential()) {
-    lowering.emit(Phase::kOutput,
-                  {.code = OpCode::kOutputState, .ext = {.block = this}});
-    lowering.emit(Phase::kLatch,
-                  {.code = OpCode::kLatch, .ext = {.block = this}});
+    lowering.emit(Phase::kOutput, {.code = OpCode::kOutputState, .ext = self});
+    lowering.emit(Phase::kLatch, {.code = OpCode::kLatch, .ext = self});
   } else {
-    lowering.emit(Phase::kPropagate,
-                  {.code = OpCode::kPropagate, .ext = {.block = this}});
+    lowering.emit(Phase::kPropagate, {.code = OpCode::kPropagate, .ext = self});
   }
 }
 
@@ -47,7 +45,8 @@ Signal& Model::make_signal(std::string signal_name, FixFormat format) {
     throw SimError("Model '" + name_ + "': duplicate signal '" + signal_name +
                    "'");
   }
-  Signal& signal = signals_.emplace_back(std::move(signal_name), format);
+  Signal& signal = signals_.emplace_back(std::move(signal_name), format,
+                                         slots_, make_slots(1));
   if (2 * signals_.size() > signal_index_.size()) {
     // Keep the index at most half full: double it, re-place every signal.
     signal_index_.assign(std::max<std::size_t>(16, 2 * signal_index_.size()),
@@ -59,6 +58,15 @@ Signal& Model::make_signal(std::string signal_name, FixFormat format) {
     signal_index_[index_position(signal.name())] = &signal;
   }
   return signal;
+}
+
+u32 Model::make_slots(std::size_t count, i64 value) {
+  if (elaborated_) {
+    throw SimError("Model '" + name_ + "': cannot add slots after "
+                   "elaboration");
+  }
+  slots_.insert(slots_.end(), count, value);
+  return static_cast<u32>(slots_.size() - count);
 }
 
 std::size_t Model::index_position(std::string_view signal_name) const {
@@ -147,7 +155,7 @@ void Model::elaborate() {
 
   // Sequential blocks emit their phase 0 and phase 2 ops in creation
   // order, combinational blocks their phase 1 ops in topological order.
-  Lowering lowering;
+  Lowering lowering(slots_);
   for (std::size_t i = 0; i < count; ++i) {
     if (sequential[i] != 0) lowering.lower(*blocks_[i]);
   }

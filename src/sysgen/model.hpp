@@ -12,6 +12,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -50,6 +51,17 @@ class Model {
   /// Create a named signal owned by the model (blocks normally create
   /// their outputs through Block::make_output, which calls this).
   Signal& make_signal(std::string signal_name, FixFormat format);
+
+  /// Append `count` slots holding `value` to the arena (kernel.hpp) and
+  /// return the first one's index: a block's state, its memory cells, its
+  /// constants. Only before elaboration.
+  [[nodiscard]] u32 make_slots(std::size_t count, i64 value = 0);
+  /// Arena slot `index`, and the `count` slots from `first`, for the
+  /// blocks that own them; valid until a slot is added.
+  [[nodiscard]] i64& slot(u32 index) noexcept { return slots_[index]; }
+  [[nodiscard]] std::span<i64> slots(u32 first, std::size_t count) noexcept {
+    return {slots_.data() + first, count};
+  }
 
   /// Freeze the graph: order combinational blocks topologically, reject
   /// algebraic loops, and lower every block into the kernel's op tape
@@ -137,7 +149,10 @@ class Model {
 
   std::string name_;
   std::vector<std::unique_ptr<Block>> blocks_;
-  std::deque<Signal> signals_;  // deque: stable addresses for the ops
+  /// Every raw value of the design; slots 0 and 1 hold the constants
+  /// Lowering::zero() and Lowering::one().
+  std::vector<i64> slots_{0, 1};
+  std::deque<Signal> signals_;  // deque: blocks hold Signal references
   /// Signals by name, by open addressing on the names' hashes; free
   /// entries are null, and at most half the entries are taken.
   std::vector<Signal*> signal_index_;

@@ -69,9 +69,9 @@ inline i64 shr_var(i64 a, i64 b, i64 k) noexcept {
   return a >> clamp_index(b, k);
 }
 
-/// kMux: sources[min(unsigned a, k)].
-inline i64 mux(const i64* const* sources, i64 a, i64 k) noexcept {
-  return *sources[clamp_index(a, k)];
+/// kMux: the slot sources[min(unsigned a, k)] of arena `s`.
+inline i64 mux(const i64* s, const u32* sources, i64 a, i64 k) noexcept {
+  return s[sources[clamp_index(a, k)]];
 }
 
 /// kCompareI64: bit (sign(a - b) + 1) of k.
@@ -94,18 +94,18 @@ inline bool counter(i64& dst, i64 enable, i64 reset, i64 k) noexcept {
 }
 
 /// kSerialize: pop the front word unless `full`, push every captured
-/// value when `valid`; true when either happened.
-inline bool serialize(SerialQueue& queue, i64 valid, i64 full) {
+/// value of arena `s` when `valid`; true when either happened.
+inline bool serialize(SerialQueue& queue, i64* s, i64 valid, i64 full) {
   bool moved = false;
   if (!queue.words.empty() && full == 0) {
     queue.words.pop_front();
     moved = true;
   }
   if (valid != 0) {
-    for (const i64* value : queue.values) queue.words.push_back(*value);
+    for (const u32 value : queue.values) queue.words.push_back(s[value]);
     moved = true;
   }
-  if (moved) queue.refresh();
+  if (moved) queue.refresh(s);
   return moved;
 }
 

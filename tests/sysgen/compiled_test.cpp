@@ -203,9 +203,8 @@ TEST(CompiledSegments, OneChangedConstantOrWireBindsNothing) {
     Op& add = tape[first(OpCode::kAddExt)];
     add.b = add.a;
   });
-  i64 stray = 0;
   expect_unbound_then_restore("result wire", [&] {
-    tape[first(OpCode::kMux)].dst = &stray;
+    tape[first(OpCode::kMux)].dst = Lowering::zero();
   });
 
   // One block more than the shipped design: interpreted, same results.

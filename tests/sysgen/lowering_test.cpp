@@ -883,22 +883,35 @@ TEST(Lowering, PaperDesignsRunNoShiftedCompareOrWrap) {
 }
 
 /// A user block whose own lowering breaks one rule the partition into
-/// regions relies on (DESIGN.md §15, "Activity-driven passes").
+/// regions relies on (DESIGN.md §15, "Activity-driven passes"), or names
+/// a slot outside its model's arena (DESIGN.md §15, "The slot arena").
 class BadLowering : public Block {
  public:
-  enum class Rule { kStateOpInPhase0, kPhase0ReadsInput, kTwoWriters };
+  enum class Rule {
+    kStateOpInPhase0,
+    kPhase0ReadsInput,
+    kTwoWriters,
+    kOperandOutsideArena,
+    kResultOutsideArena,
+    kMuxSourceOutsideArena,
+    kCellsOutsideArena,
+  };
 
   BadLowering(Model& model, Signal& in, Rule rule)
-      : Block(model, "bad"), rule_(rule), out_(make_output("out", in.format())) {
+      : Block(model, "bad"),
+        rule_(rule),
+        out_(make_output("out", in.format())),
+        state_(model.make_slots(1)) {
     connect_input(in);
   }
 
   void lower(Lowering& lowering) override {
-    const i64* in_slot = in(0).slot();
+    const u32 in_slot = in(0).slot();
+    const u32 outside = state_ + 1000;
     switch (rule_) {
       case Rule::kStateOpInPhase0:
         lowering.emit(Phase::kOutput, {.code = OpCode::kRegister,
-                                       .dst = &state_,
+                                       .dst = state_,
                                        .a = in_slot,
                                        .c = Lowering::one()});
         break;
@@ -915,13 +928,43 @@ class BadLowering : public Block {
                                           .dst = out_.slot(),
                                           .a = in_slot});
         break;
+      case Rule::kOperandOutsideArena:
+        lowering.emit(Phase::kPropagate, {.code = OpCode::kAdd,
+                                          .dst = out_.slot(),
+                                          .a = in_slot,
+                                          .b = outside});
+        break;
+      case Rule::kResultOutsideArena:
+        lowering.emit(Phase::kPropagate,
+                      {.code = OpCode::kCopy, .dst = outside, .a = in_slot});
+        break;
+      case Rule::kMuxSourceOutsideArena:
+        lowering.emit(Phase::kPropagate,
+                      {.code = OpCode::kMux,
+                       .ext = lowering.mux_sources({in_slot, outside}),
+                       .k = 1,
+                       .dst = out_.slot(),
+                       .a = in_slot});
+        break;
+      case Rule::kCellsOutsideArena:
+        // A RAM whose last cell lies past the arena's end.
+        lowering.emit(Phase::kOutput,
+                      {.code = OpCode::kCopy, .dst = out_.slot(), .a = state_});
+        lowering.emit(Phase::kLatch, {.code = OpCode::kRam,
+                                      .ext = state_,
+                                      .k = 1000,
+                                      .dst = state_,
+                                      .a = in_slot,
+                                      .b = in_slot,
+                                      .c = Lowering::one()});
+        break;
     }
   }
 
  private:
   Rule rule_;
   Signal& out_;
-  i64 state_ = 0;
+  u32 state_;
 };
 
 TEST(Lowering, RejectsOpsThatBreakThePartitionRules) {
@@ -933,6 +976,28 @@ TEST(Lowering, RejectsOpsThatBreakThePartitionRules) {
     m.add<BadLowering>(in.out(), rule);
     EXPECT_THROW(m.elaborate(), SimError) << static_cast<int>(rule);
   }
+}
+
+TEST(Lowering, RejectsSlotsOutsideTheArena) {
+  for (const auto rule : {BadLowering::Rule::kOperandOutsideArena,
+                          BadLowering::Rule::kResultOutsideArena,
+                          BadLowering::Rule::kMuxSourceOutsideArena,
+                          BadLowering::Rule::kCellsOutsideArena}) {
+    Model m("bad");
+    auto& in = m.add<GatewayIn>("in", FixFormat::signed_fix(8, 0));
+    m.add<BadLowering>(in.out(), rule);
+    EXPECT_THROW(m.elaborate(), SimError) << static_cast<int>(rule);
+  }
+}
+
+TEST(Lowering, TheArenaTakesNoSlotAfterElaboration) {
+  Model m("closed");
+  auto& in = m.add<GatewayIn>("in", FixFormat::signed_fix(8, 0));
+  m.add<GatewayOut>("out", in.out());
+  (void)m.make_slots(4);
+  m.elaborate();
+  EXPECT_THROW((void)m.make_slots(1), SimError);
+  EXPECT_THROW(m.make_signal("late", FixFormat::signed_fix(8, 0)), SimError);
 }
 
 }  // namespace

@@ -300,7 +300,8 @@ TEST(Model, FallbackBlocksResumeIdenticallyFromACheckpoint) {
 }
 
 TEST(Signal, DriveChecksFormat) {
-  Signal s("wire", kF16);
+  Model m("wire");
+  Signal& s = m.make_signal("wire", kF16);
   EXPECT_THROW(s.drive(Fix::from_raw(FixFormat::signed_fix(8, 0), 1)),
                SimError);
   EXPECT_NO_THROW(s.drive(Fix::from_raw(kF16, 1)));
