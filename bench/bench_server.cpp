@@ -11,8 +11,10 @@
 // the bytes and flushed writes its journal made, so that a real cost
 // can be told from host noise. It also times the journal-off run with
 // metrics off: metrics are typed counters, not a trace sink, so turning
-// them on must neither change the stats page (dbt counters included)
-// nor cost much wall-clock.
+// them on must neither change the stats page nor cost much wall-clock.
+// (That metrics keep the dbt tier running is guarded elsewhere:
+// bench_table2's `fast_path == 0` check and
+// tests/obs/metrics_tier_test.cpp.)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -16,9 +16,8 @@
 // Determinism: control points (pause, kill, metrics records, and the
 // wall-clock and cycle budgets) land on control-quantum boundaries of
 // run(), so the run is chunked — simulated results are identical to an
-// unchunked run (the deadlock blocked-streak counters restart per
-// chunk, same caveat as DESIGN.md §11). Telemetry is sink-only, so
-// subscribing, lagging or disconnecting clients cannot perturb results.
+// unchunked run. Telemetry is sink-only, so subscribing, lagging or
+// disconnecting clients cannot perturb results.
 #pragma once
 
 #include <atomic>

@@ -210,29 +210,6 @@ iss::DbtStats SimSystem::dbt_stats() const {
   return total;
 }
 
-namespace {
-
-// Superblock-tier counters ride along in the metrics snapshot once the
-// core has executed anything (a pre-run snapshot stays empty). They are
-// emitted even when the core never reached the dbt tier — as zeros — so
-// the counter-key schema is identical across exec tiers and streamed
-// snapshots diff cleanly tier-against-tier. Metrics counters leave the
-// tier alone, so under --metrics these count the translation work of a
-// dbt-tier core; an attached trace sink (JSONL, VCD, stream) still forces
-// the precise fallback and leaves them at zero (DESIGN.md §12).
-void inject_dbt_counters(obs::MetricsSnapshot& snapshot,
-                         const iss::Processor& cpu,
-                         const std::string& prefix) {
-  const iss::DbtStats& dbt = cpu.dbt_stats();
-  snapshot.counters[prefix + "dbt.blocks_translated"] = dbt.blocks_translated;
-  snapshot.counters[prefix + "dbt.block_dispatches"] = dbt.block_dispatches;
-  snapshot.counters[prefix + "dbt.smc_retirements"] = dbt.smc_retirements;
-  snapshot.counters[prefix + "dbt.fast_path_instructions"] =
-      dbt.dbt_instructions;
-}
-
-}  // namespace
-
 obs::MetricsSnapshot SimSystem::metrics_snapshot() const {
   // Merge the per-core registries; on a multi-core machine each key is
   // prefixed with its core's name ("corename."), a lone core's is not.
@@ -241,9 +218,6 @@ obs::MetricsSnapshot SimSystem::metrics_snapshot() const {
   for (const auto& core : state_->cores) {
     if (core->metrics == nullptr) continue;
     obs::MetricsSnapshot snapshot = core->metrics->snapshot();
-    if (!snapshot.empty() || core->cpu.cycle() != 0) {
-      inject_dbt_counters(snapshot, core->cpu, "");
-    }
     const std::string prefix = multi ? core->name + "." : std::string();
     for (auto& [key, value] : snapshot.counters) {
       merged.counters[prefix + key] = value;
@@ -453,11 +427,6 @@ std::string stats_text(const SimSystem& system) {
   out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
   out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
   out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
-  const iss::DbtStats dbt = system.dbt_stats();
-  out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
-  out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
-  out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
-  out += "\ndbt_fast_path_instructions " + std::to_string(dbt.dbt_instructions);
   if (system.core_count() > 1) {
     for (std::size_t i = 0; i < system.core_count(); ++i) {
       const core::CoSimStats cs = system.core_stats(i);

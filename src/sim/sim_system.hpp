@@ -114,7 +114,8 @@ class SimSystem {
   [[nodiscard]] core::CoSimStats stats() const;
 
   /// Superblock-tier counters summed over every core (all zero at
-  /// iss::ExecTier::kPrecise or while the precise fallback is active).
+  /// iss::ExecTier::kPrecise or while the precise fallback is active);
+  /// host work that depends on where a run was cut, so on no page.
   [[nodiscard]] iss::DbtStats dbt_stats() const;
 
   /// Host wall-clock seconds spent inside the most recent run() loop —
@@ -270,9 +271,9 @@ class SimSystem {
 };
 
 /// The `monitor stats` text of a system: "name value" lines of the
-/// aggregate CoSimStats and superblock-tier counters, plus per-core
-/// lines ("core.<name>.cycles N" ...) on multi-core machines, each line
-/// newline-terminated. GET /sessions/N/stats serves the same text.
+/// aggregate CoSimStats, plus per-core lines ("core.<name>.cycles N" ...)
+/// on multi-core machines, each line newline-terminated. GET
+/// /sessions/N/stats serves the same text.
 [[nodiscard]] std::string stats_text(const SimSystem& system);
 
 /// Builder for SimSystem. Every setter returns *this for chaining;

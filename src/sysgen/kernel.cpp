@@ -122,6 +122,16 @@ bool is_state_op(OpCode code) noexcept {
   }
 }
 
+constexpr u64 bit(OpCode c) noexcept { return u64{1} << static_cast<u8>(c); }
+/// The op codes that read operand b, and those that read c. Every op code
+/// but the fallbacks (kOutputState, kPropagate, kLatch) reads a.
+constexpr u64 kReadsB =
+    bit(OpCode::kAdd) | bit(OpCode::kSub) | bit(OpCode::kMul) |
+    bit(OpCode::kMulClamp) | bit(OpCode::kShrVar) | bit(OpCode::kCompare) |
+    bit(OpCode::kAnd) | bit(OpCode::kOr) | bit(OpCode::kXor) |
+    bit(OpCode::kCounter) | bit(OpCode::kRam) | bit(OpCode::kSerialize);
+constexpr u64 kReadsC = bit(OpCode::kRegister) | bit(OpCode::kRam);
+
 /// The fan variant of an op code, or kEnd when it has none.
 OpCode fan_code(OpCode code) noexcept {
   switch (code) {
@@ -175,14 +185,17 @@ OpCode specialised(const Op& op) noexcept {
 Kernel Lowering::finish() && {
   const auto count = static_cast<u32>(ops_.size());
   const std::size_t slots = kernel_.arena_->size();
-  // An op may name any slot (Block::lower is public): each must exist.
-  auto check_slot = [slots](u64 slot) {
-    if (slot >= slots) {
-      throw SimError("sysgen lowering: an op names slot " +
-                     std::to_string(slot) + " outside the arena of " +
-                     std::to_string(slots));
+  // An op may name any slot or table entry (Block::lower is public): each
+  // must exist, kNoSlot included when the op's code uses the operand.
+  auto entry = [](const auto& table, u64 index) -> decltype(auto) {
+    if (index >= table.size()) {
+      throw SimError("sysgen lowering: an op names entry " +
+                     std::to_string(index) + " of a table of " +
+                     std::to_string(table.size()));
     }
+    return table[index];
   };
+  auto check_slot = [&](u64 slot) { (void)entry(*kernel_.arena_, slot); };
   // Calls `fn` on every slot `op` reads that another op may write: its
   // operands, a kMux's sources, a serializer's values, a fallback block's
   // inputs, and the first and last cells of a memory op. A fallback
@@ -193,15 +206,19 @@ Kernel Lowering::finish() && {
         return;
       case OpCode::kPropagate:
       case OpCode::kLatch:
-        for (const Signal* in : kernel_.blocks_[op.ext]->inputs()) {
+        for (const Signal* in : entry(kernel_.blocks_, op.ext)->inputs()) {
           fn(in->slot());
         }
         return;
-      case OpCode::kMux:
+      case OpCode::kCast:
+        (void)entry(kernel_.casts_, op.ext);
+        break;
+      case OpCode::kMux:  // sources [ext, ext + k]
+        (void)entry(kernel_.mux_sources_, op.k < 0 ? ~u64{0} : op.ext + op.k);
         for (i64 i = 0; i <= op.k; ++i) fn(kernel_.mux_sources_[op.ext + i]);
         break;
       case OpCode::kSerialize:
-        for (const u32 value : kernel_.queues_[op.ext]->values) fn(value);
+        for (const u32 v : entry(kernel_.queues_, op.ext)->values) fn(v);
         break;
       case OpCode::kRingRead:
       case OpCode::kRingPush:
@@ -218,27 +235,27 @@ Kernel Lowering::finish() && {
       default:
         break;
     }
-    for (const u32 slot : {op.a, op.b, op.c}) {
-      if (slot != kNoSlot) fn(slot);
-    }
+    fn(op.a);
+    if (op.b != kNoSlot || (kReadsB & bit(op.code)) != 0) fn(op.b);
+    if (op.c != kNoSlot || (kReadsC & bit(op.code)) != 0) fn(op.c);
   };
   // Calls `fn` on every slot `op` writes that another op may read.
   auto for_each_write = [&](const Op& op, auto&& fn) {
     switch (op.code) {
       case OpCode::kOutputState:
       case OpCode::kPropagate:
-        for (const Signal* out : kernel_.blocks_[op.ext]->outputs()) {
+        for (const Signal* out : entry(kernel_.blocks_, op.ext)->outputs()) {
           fn(out->slot());
         }
         return;
       case OpCode::kLatch:
         return;
       case OpCode::kSerialize:
-        fn(kernel_.queues_[op.ext]->front);
-        fn(kernel_.queues_[op.ext]->busy);
+        fn(entry(kernel_.queues_, op.ext)->front);
+        fn(entry(kernel_.queues_, op.ext)->busy);
         return;
       default:
-        if (op.dst != kNoSlot) fn(op.dst);
+        fn(op.dst);
     }
   };
   for (u32 i = 0; i < count; ++i) {

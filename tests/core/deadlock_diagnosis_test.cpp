@@ -79,9 +79,7 @@ TEST(DeadlockDiagnosis, AbsentWhenTheRunHalts) {
 // Exact figures of a software-only core blocked on FSL, recorded from an
 // earlier release (when such a core ran through a loop of its own): the
 // stop cycle, the streak length, the diagnosis text, the metrics page and
-// the emitted `deadlock` event must not move on any execution tier. Only
-// the page's dbt.* lines, which count the translation work itself, read
-// differently at the dbt tier: metrics leave that tier running.
+// the emitted `deadlock` event must not move on any execution tier.
 struct BlockedProgram {
   const char* name;
   const char* source;
@@ -89,9 +87,6 @@ struct BlockedProgram {
   u64 instructions;
   const char* diagnosis;
   const char* metrics;
-  /// The page's dbt.* lines when the core runs at the dbt tier; null when
-  /// they read the same zeros as on the other tiers.
-  const char* dbt_tier_dbt_lines;
   std::size_t trace_lines;
   const char* deadlock_event;
 };
@@ -106,14 +101,9 @@ const BlockedProgram kBlockedGet{
     "fifo 0/16, blocked 5000 cycles",
     "cpu.retired                  4\n"
     "cpu.stall_cycles             5000\n"
-    "dbt.block_dispatches         0\n"
-    "dbt.blocks_translated        0\n"
-    "dbt.fast_path_instructions   0\n"
-    "dbt.smc_retirements          0\n"
     "engine.deadlocks             1\n"
     "cpu.stall_run                count=1 min=5000 mean=5000.0 max=5000 "
     "buckets=[0 0 0 0 0 0 0 0 0 0 0 0 0 1]\n",
-    nullptr,
     5005,
     R"({"t":5004,"kind":"deadlock","blocked_cycles":5000})"};
 
@@ -127,38 +117,16 @@ const BlockedProgram kBlockedPut{
     "fifo 16/16, blocked 5000 cycles",
     "cpu.retired                  50\n"
     "cpu.stall_cycles             5000\n"
-    "dbt.block_dispatches         0\n"
-    "dbt.blocks_translated        0\n"
-    "dbt.fast_path_instructions   0\n"
-    "dbt.smc_retirements          0\n"
     "engine.deadlocks             1\n"
     "fsl.mb_to_hw1.push           16\n"
     "cpu.stall_run                count=1 min=5000 mean=5000.0 max=5000 "
     "buckets=[0 0 0 0 0 0 0 0 0 0 0 0 0 1]\n"
     "fsl.mb_to_hw1.occupancy      count=16 min=1 mean=8.5 max=16 "
     "buckets=[0 1 2 4 8 1]\n",
-    // The loop's block starts at the put, which runs stitched: each of
-    // the 5000 stalled retries dispatches the block and leaves it at once.
-    "dbt.block_dispatches         5015\n"
-    "dbt.blocks_translated        1\n"
-    "dbt.fast_path_instructions   45\n"
-    "dbt.smc_retirements          0\n",
     5067,
     R"({"t":5098,"kind":"deadlock","blocked_cycles":5000})"};
 
 enum class Sink { kNone, kMetrics, kJsonl };
-
-/// The expected metrics page of `program` at `tier`.
-std::string expected_metrics(const BlockedProgram& program,
-                             iss::ExecTier tier) {
-  std::string page = program.metrics;
-  if (tier == iss::ExecTier::kDbt && program.dbt_tier_dbt_lines != nullptr) {
-    const std::size_t begin = page.find("dbt.");
-    const std::size_t end = page.find("engine.");
-    page.replace(begin, end - begin, program.dbt_tier_dbt_lines);
-  }
-  return page;
-}
 
 void expect_exact_deadlock(const BlockedProgram& program, iss::ExecTier tier,
                            Sink sink) {
@@ -188,8 +156,7 @@ void expect_exact_deadlock(const BlockedProgram& program, iss::ExecTier tier,
   EXPECT_EQ(diagnosis->to_string(), program.diagnosis);
 
   if (sink == Sink::kMetrics) {
-    EXPECT_EQ(system.metrics_snapshot().to_string(),
-              expected_metrics(program, tier));
+    EXPECT_EQ(system.metrics_snapshot().to_string(), program.metrics);
   }
   if (sink == Sink::kJsonl) {
     std::istringstream lines(trace.str());

@@ -1028,6 +1028,7 @@ TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {
   pc_plan.core = 1;
   std::string want;
   Word faulted_result = 0;
+  iss::DbtStats want_dbt;
   for (const unsigned workers : {1u, 2u, 8u}) {
     auto built = SimSystem::Builder()
                      .machine(farm)
@@ -1042,12 +1043,21 @@ TEST(ManyCore, BuilderRejectsOutOfRangeCoreReferences) {
     EXPECT_TRUE(system.fault_injector()->armed_or_fired()) << workers;
     const std::string got =
         stats_text(system) + system.metrics_snapshot().to_string();
+    // The host's translation work is off the pages, but the round
+    // workers must not move it either.
+    const iss::DbtStats dbt = system.dbt_stats();
     if (workers == 1) {
       want = got;
       faulted_result = system.word_on(2, "results");
+      want_dbt = dbt;
+      EXPECT_GT(dbt.dbt_instructions, 0u);
     } else {
       EXPECT_EQ(got, want) << workers << " workers";
       EXPECT_EQ(system.word_on(2, "results"), faulted_result) << workers;
+      EXPECT_EQ(dbt.blocks_translated, want_dbt.blocks_translated) << workers;
+      EXPECT_EQ(dbt.block_dispatches, want_dbt.block_dispatches) << workers;
+      EXPECT_EQ(dbt.smc_retirements, want_dbt.smc_retirements) << workers;
+      EXPECT_EQ(dbt.dbt_instructions, want_dbt.dbt_instructions) << workers;
     }
   }
   // The flipped bit reached the collector.

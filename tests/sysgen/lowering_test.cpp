@@ -895,6 +895,9 @@ class BadLowering : public Block {
     kResultOutsideArena,
     kMuxSourceOutsideArena,
     kCellsOutsideArena,
+    kCastOutsideTable,
+    kMuxNegativeCount,
+    kOperandUnset,
   };
 
   BadLowering(Model& model, Signal& in, Rule rule)
@@ -958,6 +961,24 @@ class BadLowering : public Block {
                                       .b = in_slot,
                                       .c = Lowering::one()});
         break;
+      case Rule::kCastOutsideTable:
+        lowering.emit(Phase::kPropagate, {.code = OpCode::kCast,
+                                          .ext = 7,
+                                          .dst = out_.slot(),
+                                          .a = in_slot});
+        break;
+      case Rule::kMuxNegativeCount:
+        lowering.emit(Phase::kPropagate,
+                      {.code = OpCode::kMux,
+                       .ext = lowering.mux_sources({in_slot, in_slot}),
+                       .k = -1,
+                       .dst = out_.slot(),
+                       .a = in_slot});
+        break;
+      case Rule::kOperandUnset:
+        lowering.emit(Phase::kPropagate,
+                      {.code = OpCode::kAdd, .dst = out_.slot(), .a = in_slot});
+        break;
     }
   }
 
@@ -982,7 +1003,10 @@ TEST(Lowering, RejectsSlotsOutsideTheArena) {
   for (const auto rule : {BadLowering::Rule::kOperandOutsideArena,
                           BadLowering::Rule::kResultOutsideArena,
                           BadLowering::Rule::kMuxSourceOutsideArena,
-                          BadLowering::Rule::kCellsOutsideArena}) {
+                          BadLowering::Rule::kCellsOutsideArena,
+                          BadLowering::Rule::kCastOutsideTable,
+                          BadLowering::Rule::kMuxNegativeCount,
+                          BadLowering::Rule::kOperandUnset}) {
     Model m("bad");
     auto& in = m.add<GatewayIn>("in", FixFormat::signed_fix(8, 0));
     m.add<BadLowering>(in.out(), rule);

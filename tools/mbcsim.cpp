@@ -33,7 +33,8 @@
 //                       (ISS runs use the observability VCD sink; --rtl
 //                       runs sample the pc/halted nets directly)
 //   --metrics           print aggregated event counters and histograms
-//                       after the run
+//                       after the run, and each core's superblock-tier
+//                       counters ("host.dbt.<name> N") on stderr
 //   --regs              dump the register file after the run
 //   --mem ADDR COUNT    dump COUNT memory words starting at ADDR
 //   --max-cycles N      cycle budget (default 100M)
@@ -513,6 +514,18 @@ int run_machine(const Options& options, machine::MachineDesc desc) {
   }
   if (options.metrics) {
     std::printf("%s", system.metrics_snapshot().to_string().c_str());
+    // The host's translation work is not simulated state: on stderr.
+    obs::MetricsSnapshot host;
+    for (std::size_t c = 0; c < system.core_count(); ++c) {
+      const iss::DbtStats& dbt = system.cpu(c).dbt_stats();
+      std::string at = "host.dbt.";
+      if (system.core_count() > 1) at += system.core_name(c) + ".";
+      host.counters[at + "blocks_translated"] = dbt.blocks_translated;
+      host.counters[at + "block_dispatches"] = dbt.block_dispatches;
+      host.counters[at + "smc_retirements"] = dbt.smc_retirements;
+      host.counters[at + "fast_path_instructions"] = dbt.dbt_instructions;
+    }
+    std::fprintf(stderr, "%s", host.to_string().c_str());
   }
   if (options.dump_regs) dump_machine_regs(system);
   dump_memory(options, system.memory());
