@@ -8,7 +8,7 @@
 namespace mbcosim::apps {
 
 std::string compiled_designs_source() {
-  sysgen::SegmentEmitter emitter;
+  sysgen::PassEmitter emitter;
   for (const unsigned pes : kCompiledCordicPes) {
     const auto pipeline = cordic::build_cordic_pipeline(pes);
     emitter.add("cordic_p" + std::to_string(pes), pipeline.model->kernel());

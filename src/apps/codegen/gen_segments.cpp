@@ -1,6 +1,6 @@
-// The segment generator: writes compiled_designs_source(), the compiled
-// segments of every design point in apps/compiled_designs.hpp, to the
-// file the library builds.
+// The pass generator: writes compiled_designs_source(), the compiled
+// passes of every design point in apps/compiled_designs.hpp, to the file
+// the library builds.
 //
 //   mbc_gen_segments <output.cpp>
 //

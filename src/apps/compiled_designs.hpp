@@ -1,12 +1,13 @@
-// The shipped design points whose segments the build compiles (DESIGN.md
-// §15, "Compiled segments"): the CORDIC pipeline at every P that Fig. 5,
-// Table I, the design-space sweeps and the farm use, and the matmul
-// peripheral at every block size. The generator (codegen/) builds each
-// of them, lowers its segments to C++ and writes the source that defines
+// The shipped design points whose kernel passes the build compiles
+// (DESIGN.md §15, "Compiled passes"): the CORDIC pipeline at every P that
+// Fig. 5, Table I, the design-space sweeps and the farm use, and the
+// matmul peripheral at every block size. The generator (codegen/) builds
+// each of them, lowers its pass to C++ and writes the source that defines
 // register_compiled_designs into the library (mbc_compiled). The design
 // builders call it before they elaborate, so every model they build
-// binds its compiled segments whichever path built it (MachineDesc,
-// build_cordic_pipeline, build_matmul_peripheral, add_*).
+// binds its compiled pass whichever path built it (MachineDesc,
+// build_cordic_pipeline, build_matmul_peripheral, add_*), as long as the
+// design starts a model of its own: its slots are the pass's literals.
 #pragma once
 
 #include <string>
@@ -22,7 +23,7 @@ inline constexpr unsigned kCompiledMatmulBlocks[] = {2, 3, 4};
 void register_compiled_designs();
 
 /// The generated source: every design point above, built and lowered by
-/// sysgen::SegmentEmitter (what mbc_gen_segments writes).
+/// sysgen::PassEmitter (what mbc_gen_segments writes).
 [[nodiscard]] std::string compiled_designs_source();
 
 }  // namespace mbcosim::apps

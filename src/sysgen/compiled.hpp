@@ -1,10 +1,11 @@
-// The registry of compiled designs (DESIGN.md §15, "Compiled segments").
-// A build-time generator lowers every segment of a shipped design whose
-// ops all have a lowering to one C++ function; its output registers the
-// designs here, each under its tape's fingerprint. Lowering::finish()
-// looks the finished tape up and, on a match, Kernel::run dispatches the
-// compiled segments instead of interpreting their ops. A tape that
-// matches no registered design runs on the interpreter.
+// The registry of compiled designs (DESIGN.md §15, "Compiled passes").
+// A build-time generator lowers each shipped design whose ops all have a
+// lowering to one C++ function that runs a whole kernel pass, with the
+// design's slots, tables and schedule as literals; its output registers
+// the designs here, each under its tape's fingerprint. Lowering::finish()
+// looks the finished tape up and, on a match, Kernel::run calls the
+// design's pass instead of the interpreter. A tape that matches no
+// registered design runs on the interpreter.
 #pragma once
 
 #include <span>
@@ -14,19 +15,13 @@
 
 namespace mbcosim::sysgen {
 
-/// One compiled segment: the tape offset of its first op and its body.
-struct CompiledSegment {
-  u32 offset = 0;
-  SegmentFn run = nullptr;
-};
-
-/// A design's compiled segments, bound to every tape with its
-/// fingerprint and length.
+/// A design's compiled pass, bound to every tape with its fingerprint and
+/// length.
 struct CompiledDesign {
   const char* name = "";
   Fingerprint fingerprint;
   u32 tape_size = 0;
-  std::span<const CompiledSegment> segments;
+  PassFn pass = nullptr;
 };
 
 /// Make `designs` available to every later elaboration. The storage must

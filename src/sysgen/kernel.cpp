@@ -437,10 +437,10 @@ Kernel Lowering::finish() && {
   kernel.sources_ = sources;
   kernel.stamp_.assign(regions, 0);
   kernel.sources_queue_.segments.assign(sources, 0);
-  for (Kernel::Queue* queue :
-       {&kernel.outputs_queue_, &kernel.bodies_queue_, &kernel.next_outputs_,
-        &kernel.next_bodies_}) {
-    queue->segments.assign(regions - sources, 0);
+  for (std::vector<u32>* queue :
+       {&kernel.outputs_queue_.segments, &kernel.bodies_queue_.segments,
+        &kernel.next_outputs_, &kernel.next_bodies_}) {
+    queue->assign(regions - sources, 0);
   }
   kernel.full_ = true;
   kernel.bind();
@@ -473,19 +473,9 @@ class Hasher {
 }  // namespace
 
 void Kernel::bind() {
-  // Number every slot an op names by its first use, so that the hash
-  // sees which ops share a slot but not where it lives in the arena.
-  std::vector<u32> numbers(arena_->size(), kNone);
-  u32 next = 0;
+  // Slots enter as they are: a compiled pass names them as literals.
   Hasher hash;
-  auto slot = [&](u32 index) {
-    if (index == kNoSlot) {
-      hash.add(~u64{0});
-      return;
-    }
-    if (numbers[index] == kNone) numbers[index] = next++;
-    hash.add(numbers[index]);
-  };
+  hash.add(arena_->size());
   hash.add(tape_.size());
   for (const Op& op : tape_) {
     hash.add(static_cast<u64>(op.code) | u64{op.sa} << 8 | u64{op.sb} << 16 |
@@ -494,17 +484,20 @@ void Kernel::bind() {
     hash.add(static_cast<u64>(op.wrap.keep));
     hash.add(static_cast<u64>(op.k));
     hash.add(static_cast<u64>(op.k2));
-    for (const u32 operand : {op.dst, op.a, op.b, op.c}) slot(operand);
+    hash.add(u64{op.dst} << 32 | op.a);
+    hash.add(u64{op.b} << 32 | op.c);
+    // A first cell, a side-table index, or a fallback block by lowering
+    // order; then what the indexed table entry holds.
+    hash.add(op.ext);
     switch (op.code) {
       case OpCode::kMux:
-        for (i64 i = 0; i <= op.k; ++i) slot(mux_sources_[op.ext + i]);
+        for (i64 i = 0; i <= op.k; ++i) hash.add(mux_sources_[op.ext + i]);
         break;
       case OpCode::kSerialize: {
         const SerialQueue& queue = *queues_[op.ext];
         hash.add(queue.values.size());
-        for (const u32 value : queue.values) slot(value);
-        slot(queue.front);
-        slot(queue.busy);
+        for (const u32 value : queue.values) hash.add(value);
+        hash.add(u64{queue.front} << 32 | queue.busy);
         break;
       }
       case OpCode::kRom:
@@ -523,18 +516,6 @@ void Kernel::bind() {
         }
         break;
       }
-      case OpCode::kRingRead:
-      case OpCode::kRingReadFan:
-      case OpCode::kRingPush:
-      case OpCode::kRam:
-        slot(op.ext);  // the first cell
-        break;
-      case OpCode::kOutputState:
-      case OpCode::kOutputStateFan:
-      case OpCode::kPropagate:
-      case OpCode::kLatch:
-        hash.add(op.ext);  // a fallback block, by lowering order
-        break;
       default:
         break;
     }
@@ -546,20 +527,7 @@ void Kernel::bind() {
   hash.add(fanout_.size());
   for (const u32 target : fanout_) hash.add(target);
   fingerprint_ = hash.finish();
-
-  compiled_.clear();
   design_ = find_compiled(fingerprint_, tape_.size());
-  if (design_ == nullptr) return;
-  compiled_.assign(tape_.size(), nullptr);
-  for (const CompiledSegment& segment : design_->segments) {
-    compiled_[segment.offset] = segment.run;
-  }
-}
-
-std::size_t Kernel::compiled_segments() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      compiled_.begin(), compiled_.end(),
-      [](SegmentFn body) { return body != nullptr; }));
 }
 
 std::size_t Kernel::count(OpCode code) const noexcept {
@@ -683,11 +651,39 @@ void Kernel::run() {
     full_ = false;
     for (u32 r = 0; r < regions_.size(); ++r) schedule(r);
   }
+  PassState p{.s = arena_->data(),
+              .mux_sources = mux_sources_.data(),
+              .queues = queues_.data(),
+              .stamp = stamp_.data(),
+              .pass = pass_,
+              .sources = sources_queue_.segments.data(),
+              .source_count = sources_queue_.size,
+              .outputs = outputs_queue_.segments.data(),
+              .output_count = outputs_queue_.size,
+              .bodies = bodies_queue_.segments.data(),
+              .body_count = bodies_queue_.size,
+              .next_outputs = next_outputs_.data(),
+              .next_bodies = next_bodies_.data()};
+  if (design_ != nullptr) {
+    design_->pass(p);
+  } else {
+    interpret(p);
+  }
+  stats_.passes += 1;
+  stats_.segments += p.segments;
+  stats_.ops += p.ops;
+  sources_queue_.size = 0;
+  outputs_queue_.size = p.next_output_count;
+  bodies_queue_.size = p.next_body_count;
+  std::swap(outputs_queue_.segments, next_outputs_);
+  std::swap(bodies_queue_.segments, next_bodies_);
+  ++pass_;
+}
 
+void Kernel::interpret(PassState& pass) {
   // Threaded dispatch (it measured faster than a switch): each handler
   // jumps straight to the next op's handler, in OpCode order, and the
-  // kEnd closing each segment picks the next segment to run. A segment
-  // with a compiled body runs it instead, and goes on at its kEnd.
+  // kEnd closing each segment picks the next segment to run.
   static constexpr void* kHandlers[] = {
       &&copy, &&wrap, &&cast, &&add, &&sub, &&mul, &&mul_clamp, &&neg,
       &&shr, &&shr_var, &&mux, &&compare, &&and_, &&or_, &&xor_, &&not_,
@@ -702,23 +698,38 @@ void Kernel::run() {
   // cycle), stage 1 the queued phase-0 segments, stage 2 the queued
   // bodies. Fanout marks, made in stages 0 and 1, queue bodies only.
   const Op* const tape = tape_.data();
-  i64* const s = arena_->data();
-  const SegmentFn* const compiled =
-      compiled_.empty() ? nullptr : compiled_.data();
-  PassState p{.s = s,
-              .mux_sources = mux_sources_.data(),
-              .queues = queues_.data(),
-              .fanout = fanout_.data(),
-              .regions = regions_.data(),
-              .stamp = stamp_.data(),
-              .pass = pass_,
-              .bodies = bodies_queue_.segments.data(),
-              .queued_bodies = bodies_queue_.size,
-              .changed = false,
-              .counts = {}};
+  i64* const s = pass.s;
+  const u32* const fanout = fanout_.data();
+  const RegionSegments* const regions = regions_.data();
+  u64* const stamp = pass.stamp;
+  u32* const bodies = pass.bodies;
+  u32 queued = pass.body_count;
+  u32 next_outputs = 0;
+  u32 next_bodies = 0;
+  u64 segments = 0;
+  u64 ran = 0;  // ops, each segment's kEnd included
+  bool changed = false;
+  // Queue the bodies of the regions fanout[k, k2) for this pass, each
+  // once.
+  auto mark_fanout = [&](i64 k, i64 k2) {
+    for (i64 j = k; j < k2; ++j) {
+      const u32 target = fanout[j];
+      if (stamp[target] != pass.pass) {
+        stamp[target] = pass.pass;
+        bodies[queued++] = regions[target].body;
+      }
+    }
+  };
+  // kCopyFan: copy `value` onto `dst`; mark fanout[k, k2) when it changed.
+  auto copy_fan = [&](i64& dst, i64 value, i64 k, i64 k2) {
+    if (dst != value) {
+      dst = value;
+      mark_fanout(k, k2);
+    }
+  };
   unsigned stage = 0;
-  const u32* cursor = sources_queue_.segments.data();
-  const u32* stop = cursor + sources_queue_.size;
+  const u32* cursor = pass.sources;
+  const u32* stop = cursor + pass.source_count;
   const Op* op = nullptr;
 #define MBC_NEXT()                                  \
   do {                                              \
@@ -729,19 +740,14 @@ next_segment:
   while (cursor == stop) {
     if (stage == 2) goto done;
     if (++stage == 1) {
-      cursor = outputs_queue_.segments.data();
-      stop = cursor + outputs_queue_.size;
+      cursor = pass.outputs;
+      stop = cursor + pass.output_count;
     } else {
-      cursor = p.bodies;
-      stop = cursor + p.queued_bodies;
+      cursor = bodies;
+      stop = cursor + queued;
     }
   }
-  op = tape + *cursor;
-  if (compiled != nullptr && compiled[*cursor] != nullptr) {
-    op = compiled[*cursor++](op, p);
-    goto close;
-  }
-  ++cursor;
+  op = tape + *cursor++;
   goto* kHandlers[static_cast<u8>(op->code)];
 copy:
   s[op->dst] = s[op->a];
@@ -778,7 +784,7 @@ shr_var:
   s[op->dst] = ops::shr_var(s[op->a], s[op->b], op->k);
   MBC_NEXT();
 mux:
-  s[op->dst] = ops::mux(s, p.mux_sources + op->ext, s[op->a], op->k);
+  s[op->dst] = ops::mux(s, pass.mux_sources + op->ext, s[op->a], op->k);
   MBC_NEXT();
 compare: {
   const i128 a = i128(s[op->a]) << op->sa;
@@ -800,10 +806,10 @@ not_:
   s[op->dst] = op->wrap(~s[op->a]);
   MBC_NEXT();
 reg:
-  if (s[op->c] != 0) p.changed |= update(s[op->dst], op->wrap(s[op->a]));
+  if (s[op->c] != 0) changed |= update(s[op->dst], op->wrap(s[op->a]));
   MBC_NEXT();
 counter:
-  p.changed |= ops::counter(s[op->dst], s[op->a], s[op->b], op->k);
+  changed |= ops::counter(s[op->dst], s[op->a], s[op->b], op->k);
   MBC_NEXT();
 ring_read:
   s[op->dst] = s[op->ext + s[op->a]];
@@ -811,19 +817,19 @@ ring_read:
 ring_push:
   s[op->ext + s[op->dst]] = s[op->a];
   s[op->dst] = s[op->dst] + 1 == op->k ? 0 : s[op->dst] + 1;
-  p.changed = true;
+  changed = true;
   MBC_NEXT();
 rom:
-  p.changed |= update(s[op->dst], s[op->ext + clamp_index(s[op->a], op->k)]);
+  changed |= update(s[op->dst], s[op->ext + clamp_index(s[op->a], op->k)]);
   MBC_NEXT();
 ram: {
   i64& cell = s[op->ext + clamp_index(s[op->a], op->k)];
-  p.changed |= update(s[op->dst], cell);  // read-before-write
-  if (s[op->c] != 0) p.changed |= update(cell, op->wrap(s[op->b]));
+  changed |= update(s[op->dst], cell);  // read-before-write
+  if (s[op->c] != 0) changed |= update(cell, op->wrap(s[op->b]));
   MBC_NEXT();
 }
 serialize:
-  p.changed |= ops::serialize(*p.queues[op->ext], s, s[op->a], s[op->b]);
+  changed |= ops::serialize(*pass.queues[op->ext], s, s[op->a], s[op->b]);
   MBC_NEXT();
 output_state:
   blocks_[op->ext]->output_state();
@@ -833,17 +839,17 @@ propagate:
   MBC_NEXT();
 latch:
   blocks_[op->ext]->latch();
-  p.changed |= blocks_[op->ext]->latch_changed();
+  changed |= blocks_[op->ext]->latch_changed();
   MBC_NEXT();
 copy_fan:
-  ops::copy_fan(s[op->dst], s[op->a], p, op->k, op->k2);
+  copy_fan(s[op->dst], s[op->a], op->k, op->k2);
   MBC_NEXT();
 ring_read_fan:
-  ops::copy_fan(s[op->dst], s[op->ext + s[op->a]], p, op->k, op->k2);
+  copy_fan(s[op->dst], s[op->ext + s[op->a]], op->k, op->k2);
   MBC_NEXT();
 output_state_fan:
   blocks_[op->ext]->output_state();
-  ops::mark_fanout(p, op->k, op->k2);
+  mark_fanout(op->k, op->k2);
   MBC_NEXT();
 wrap_ext:
   s[op->dst] = ops::wrap_ext(s[op->a], op->wrap.norm, op->wrap.keep);
@@ -873,43 +879,36 @@ not_ext:
   s[op->dst] = ops::not_ext(s[op->a], op->wrap.norm, op->wrap.keep);
   MBC_NEXT();
 reg_ext:
-  p.changed |= ops::register_ext(s[op->dst], s[op->a], s[op->c], op->wrap.norm,
+  changed |= ops::register_ext(s[op->dst], s[op->a], s[op->c], op->wrap.norm,
                                  op->wrap.keep);
   MBC_NEXT();
 reg_always:
-  p.changed |= update(s[op->dst], ops::wrap_ext(s[op->a], op->wrap.norm,
+  changed |= update(s[op->dst], ops::wrap_ext(s[op->a], op->wrap.norm,
                                                 op->wrap.keep));
   MBC_NEXT();
 compare_i64:
   s[op->dst] = ops::compare_i64(s[op->a], s[op->b], op->k);
   MBC_NEXT();
 end:
-  ++p.counts.segments;
-  p.counts.ops += static_cast<u64>(op->k2);
-close:
-  if (p.changed) {
+  ++segments;
+  ran += static_cast<u64>(op->k2);
+  if (changed) {
     // The region runs again next pass, phase-0 segment and all.
     const auto region = static_cast<u32>(op->k);
-    p.stamp[region] = p.pass + 1;
-    if (p.regions[region].outputs != kNoSegment) {
-      next_outputs_.push(p.regions[region].outputs);
+    stamp[region] = pass.pass + 1;
+    if (regions[region].outputs != kNoSegment) {
+      pass.next_outputs[next_outputs++] = regions[region].outputs;
     }
-    next_bodies_.push(p.regions[region].body);
-    p.changed = false;
+    pass.next_bodies[next_bodies++] = regions[region].body;
+    changed = false;
   }
   goto next_segment;
 #undef MBC_NEXT
 done:
-  stats_.passes += 1;
-  stats_.segments += p.counts.segments;
-  stats_.ops += p.counts.ops;
-  stats_.compiled += p.counts.compiled;
-  sources_queue_.size = 0;
-  std::swap(outputs_queue_, next_outputs_);
-  std::swap(bodies_queue_, next_bodies_);
-  next_outputs_.size = 0;
-  next_bodies_.size = 0;
-  ++pass_;
+  pass.next_output_count = next_outputs;
+  pass.next_body_count = next_bodies;
+  pass.segments = segments;
+  pass.ops = ran;
 }
 
 }  // namespace mbcosim::sysgen

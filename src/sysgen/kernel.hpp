@@ -54,16 +54,17 @@
 // the mask, and a kRegister whose enable is Lowering::one() loads no
 // enable. The generic handlers stay for the ops whose constants need them.
 //
-// Compiled segments (DESIGN.md §15, "Compiled segments"). The build
-// lowers every segment of the shipped designs to a C++ function
+// Compiled passes (DESIGN.md §15, "Compiled passes"). The build lowers
+// each shipped design to one C++ function that runs a whole pass
 // (sysgen/codegen.hpp) and registers them (sysgen/compiled.hpp) under
-// their tape's fingerprint. Lowering::finish() fingerprints the tape and
-// binds the design it matches; run() then calls a segment's function
-// instead of dispatching its ops, and goes on at its kEnd. The queues,
-// fanout marks, elision and KernelStats are the same on both paths, and
-// the arithmetic of every lowered op is one function in sysgen/ops.hpp.
-// A tape that matches no design, and any segment with an op that has no
-// lowering, runs on the interpreter.
+// their tape's fingerprint, which covers the absolute slots an op names
+// and the arena's size. Lowering::finish() fingerprints the tape and
+// binds the design it matches; run() then hands each pass to the
+// design's function, which walks the same queues in the same order with
+// every slot as a literal. The queues, fanout marks, elision and
+// KernelStats are the same on both paths, and the arithmetic of every
+// lowered op is one function in sysgen/ops.hpp. A tape that matches no
+// design runs every pass on the interpreter.
 #pragma once
 
 #include <cstddef>
@@ -271,13 +272,12 @@ struct Quiescence {
 
 /// What the kernel has run since elaboration: passes, the segments they
 /// dispatched and the ops in those segments, each segment's closing kEnd
-/// included. Host-side counters, not model state; a compiled segment
-/// counts exactly as its interpreted ops would.
+/// included. Host-side counters, not model state; a compiled pass counts
+/// exactly as the interpreter would.
 struct KernelStats {
   u64 passes = 0;
   u64 segments = 0;
   u64 ops = 0;
-  u64 compiled = 0;  ///< of `segments`, those that ran generated code
 };
 
 inline constexpr u32 kNoSegment = ~u32{0};
@@ -288,31 +288,40 @@ struct RegionSegments {
   u32 body = kNoSegment;
 };
 
-/// What a running pass keeps while it runs segments, interpreted or
-/// compiled: the arena and the side tables its ops read, the fanout marks
-/// queue bodies into it, the state ops of the running segment set
-/// `changed`, and each segment's close counts it.
+/// One pass as Kernel::run hands it to what runs its segments: the
+/// interpreter, or a compiled design's pass. Each queue holds tape
+/// offsets of segments. The pass runs the queued sources, then the
+/// queued phase-0 segments, then the queued bodies, those that fanout
+/// marks append to `bodies` during the pass included; a region's stamp
+/// names the pass it is queued for. A body whose state ops changed a
+/// slot queues its region for the next pass: its stamp, its phase-0
+/// segment on next_outputs, its body on next_bodies. The pass leaves the
+/// lengths of the next queues and the segments and ops it ran.
 struct PassState {
   i64* s = nullptr;  ///< the arena
   const u32* mux_sources = nullptr;
   SerialQueue* const* queues = nullptr;
-  const u32* fanout = nullptr;
-  const RegionSegments* regions = nullptr;
   u64* stamp = nullptr;
   u64 pass = 0;
-  u32* bodies = nullptr;  ///< the bodies queued for this pass
-  u32 queued_bodies = 0;
-  bool changed = false;
-  KernelStats counts;  ///< passes unused
+  const u32* sources = nullptr;
+  u32 source_count = 0;
+  const u32* outputs = nullptr;
+  u32 output_count = 0;
+  u32* bodies = nullptr;
+  u32 body_count = 0;
+  u32* next_outputs = nullptr;
+  u32* next_bodies = nullptr;
+  // Left by the pass.
+  u32 next_output_count = 0;
+  u32 next_body_count = 0;
+  u64 segments = 0;
+  u64 ops = 0;
 };
 
-/// A compiled segment (DESIGN.md §15, "Compiled segments"): runs the ops
-/// of the segment starting at `segment`, counts it in pass.counts, sets
-/// pass.changed when a state op changed a slot and returns the segment's
-/// closing kEnd.
-using SegmentFn = const Op* (*)(const Op* segment, PassState& pass);
+/// A compiled design's pass (DESIGN.md §15, "Compiled passes").
+using PassFn = void (*)(PassState& pass);
 
-/// The identity of a tape, free of addresses (Kernel::fingerprint()).
+/// The identity of a tape, free of host addresses (Kernel::fingerprint()).
 struct Fingerprint {
   u64 lo = 0;
   u64 hi = 0;
@@ -368,27 +377,34 @@ class Kernel {
 
   /// The op tape: segments laid end to end, each closed by a kEnd.
   [[nodiscard]] const std::vector<Op>& tape() const noexcept { return tape_; }
-  /// The tape's fingerprint: every op's code and constants, the segment
-  /// layout and fanout lists, and the operand slots numbered by first
-  /// use, so that two tapes agree exactly when their ops compute the
-  /// same thing over the same wiring.
+  /// Where each region's segments start on the tape; the kEnd closing a
+  /// segment names its region in k.
+  [[nodiscard]] const std::vector<RegionSegments>& regions() const noexcept {
+    return regions_;
+  }
+  /// The region lists that a fan op's [k, k2) and the inputs index.
+  [[nodiscard]] const std::vector<u32>& fanout() const noexcept {
+    return fanout_;
+  }
+  /// The tape's fingerprint: every op's code, constants and slots, the
+  /// segment layout and fanout lists, and the arena's size, so that two
+  /// tapes agree exactly when their ops compute the same thing over the
+  /// same slots of arenas of one size.
   [[nodiscard]] const Fingerprint& fingerprint() const noexcept {
     return fingerprint_;
   }
-  /// The compiled design this kernel is bound to, or null when every
-  /// segment runs on the interpreter.
+  /// The compiled design whose pass this kernel runs, or null when it runs
+  /// on the interpreter.
   [[nodiscard]] const CompiledDesign* compiled_design() const noexcept {
     return design_;
   }
-  /// Segments on the tape that run generated code.
-  [[nodiscard]] std::size_t compiled_segments() const noexcept;
 
  private:
   friend class Lowering;
   friend struct KernelTestAccess;  // defined by the tests only
 
   /// Compute the fingerprint and bind the compiled design it matches, if
-  /// any; every other segment stays interpreted.
+  /// any; a kernel that matches none runs on the interpreter.
   void bind();
   /// Segments to run in one pass: tape offsets, each at most once.
   struct Queue {
@@ -400,6 +416,8 @@ class Kernel {
   /// One pass: run the queued segments, then leave pending the regions
   /// whose state changed.
   void run();
+  /// Run the segments of `pass` on the interpreter (see PassState).
+  void interpret(PassState& pass);
   /// A region is queued for the next pass.
   [[nodiscard]] bool pending() const noexcept {
     return full_ || sources_queue_.size != 0 || bodies_queue_.size != 0;
@@ -428,8 +446,9 @@ class Kernel {
   Queue sources_queue_;
   Queue outputs_queue_;
   Queue bodies_queue_;
-  Queue next_outputs_;
-  Queue next_bodies_;
+  // Storage the pass fills for the next one (PassState).
+  std::vector<u32> next_outputs_;
+  std::vector<u32> next_bodies_;
   bool full_ = true;
   /// An input may differ from its output: set by note_input_written()
   /// and invalidate(), cleared once a stepped cycle copied the inputs.
@@ -437,9 +456,6 @@ class Kernel {
   KernelStats stats_;
   Fingerprint fingerprint_;
   const CompiledDesign* design_ = nullptr;
-  /// By tape offset: the compiled body of the segment starting there, or
-  /// null; empty when no design is bound.
-  std::vector<SegmentFn> compiled_;
   /// The model's arena, which outlives the kernel.
   std::vector<i64>* arena_ = nullptr;
   // The side tables op.ext indexes.

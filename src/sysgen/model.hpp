@@ -102,7 +102,7 @@ class Model {
     return kernel_.stats();
   }
   /// The elaborated kernel: its tape, fingerprint and compiled binding
-  /// (DESIGN.md §15, "Compiled segments").
+  /// (DESIGN.md §15, "Compiled passes").
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
 
   [[nodiscard]] Cycle cycle() const noexcept { return cycle_; }

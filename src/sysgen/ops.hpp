@@ -1,8 +1,9 @@
-// The arithmetic of the op codes that generated segment bodies lower
-// (DESIGN.md §15, "Compiled segments"), defined once: Kernel::run's
-// handler for each of these codes and the generated code both call the
-// function here, with the op's constants read from its record or written
-// as literals, so the two paths compute the same bits by construction.
+// The arithmetic of the op codes that compiled passes lower (DESIGN.md
+// §15, "Compiled passes"), defined once: the interpreter's handler for
+// each of these codes and the generated code both call the function
+// here, with the op's constants and slots read from its record or
+// written as literals, so the two paths compute the same bits by
+// construction.
 #pragma once
 
 #include <algorithm>
@@ -23,26 +24,6 @@ inline bool update(i64& slot, i64 next) noexcept {
 inline i64 clamp_index(i64 code, i64 last) noexcept {
   return static_cast<i64>(
       std::min(static_cast<u64>(code), static_cast<u64>(last)));
-}
-
-/// Queue the bodies of the regions fanout[k, k2) for this pass, each once.
-inline void mark_fanout(PassState& pass, i64 k, i64 k2) noexcept {
-  for (i64 j = k; j < k2; ++j) {
-    const u32 target = pass.fanout[j];
-    if (pass.stamp[target] != pass.pass) {
-      pass.stamp[target] = pass.pass;
-      pass.bodies[pass.queued_bodies++] = pass.regions[target].body;
-    }
-  }
-}
-
-/// kCopyFan: copy `value` onto `dst`; mark fanout[k, k2) when it changed.
-inline void copy_fan(i64& dst, i64 value, PassState& pass, i64 k,
-                     i64 k2) noexcept {
-  if (dst != value) {
-    dst = value;
-    mark_fanout(pass, k, k2);
-  }
 }
 
 inline i64 wrap_ext(i64 a, u8 norm, i64 keep) noexcept {
